@@ -27,18 +27,30 @@ Runs two ways:
 (:func:`repro.core.slab.run_protocol_slab`) exchanging real continuous-push
 messages through :class:`~repro.sim.simnet.SimTransport`, compared
 bit-for-bit against one :class:`~repro.core.service.DatNodeService` per
-node up to ``PROTOCOL_ORACLE_MAX`` nodes, with per-mode peak RSS and a
-slab-state memory gate (``protocol.max_state_bytes_per_node``).
+node up to ``PROTOCOL_ORACLE_MAX`` nodes, with peak RSS and a slab-state
+memory gate (``protocol.max_state_bytes_per_node``). Each protocol row
+runs in a fresh interpreter, so its ``peak_rss_mb`` is its own high-water
+mark and not that of whatever ran before it in this process.
+
+The standalone run also appends its protocol rows, stamped with the git
+sha of the measured source tree and the date, to the ``protocol_history``
+list of the output file; every writer of that file carries the list over,
+so the trajectory of the protocol path survives regeneration.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
+import multiprocessing
 import pathlib
 import resource
+import subprocess
 import sys
 import time
+
+import repro
 
 from repro import telemetry
 from repro.experiments.scale import (
@@ -62,8 +74,18 @@ THRESHOLD_PATH = pathlib.Path(__file__).parent / "scale_threshold.json"
 def _peak_rss_mb() -> float:
     """Peak resident set size of this process, in MiB.
 
-    ``ru_maxrss`` is KiB on Linux and bytes on macOS; no psutil needed.
+    On Linux this is ``VmHWM`` from ``/proc``, which starts afresh at
+    ``exec``; ``ru_maxrss`` does not — a spawned child inherits the
+    high-water mark of its parent. Elsewhere ``ru_maxrss`` (KiB, or bytes
+    on macOS) is the only source; no psutil needed.
     """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":
         peak //= 1024
@@ -142,6 +164,23 @@ def measure_protocol(
 ) -> dict[str, object]:
     """One live-protocol point: slab timing/memory, oracle equality when affordable.
 
+    Measured in a fresh interpreter: ``ru_maxrss`` is a process-lifetime
+    high-water mark, so a row measured in this process would report the
+    largest run that preceded it, not its own footprint.
+    """
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        row = pool.apply(_protocol_row, (n_nodes, seed, id_strategy, oracle_max))
+    telemetry.gauge_set(
+        "scale_protocol_seconds", float(row["seconds"]), n=n_nodes, ids=id_strategy
+    )
+    return row
+
+
+def _protocol_row(
+    n_nodes: int, seed: int, id_strategy: str, oracle_max: int
+) -> dict[str, object]:
+    """The body of :func:`measure_protocol`, run in the child process.
+
     The exactness comparison covers every protocol-observable field —
     estimate, message/byte/push totals, max load, imbalance — but not
     ``state_bytes_per_node``, which measures the slab's own array footprint
@@ -152,14 +191,11 @@ def measure_protocol(
         n_nodes, bits=BITS, seed=seed, id_strategy=id_strategy
     )
     elapsed = time.perf_counter() - start
-    telemetry.gauge_set(
-        "scale_protocol_seconds", elapsed, n=n_nodes, ids=id_strategy
-    )
 
     row: dict[str, object] = dict(point.as_row())
     row["mode"] = "protocol"
     row["seconds"] = round(elapsed, 3)
-    row["peak_rss_mb"] = round(_peak_rss_mb(), 1)
+    row["peak_rss_mb"] = round(_peak_rss_mb(), 1)  # before the oracle's object webs
     if n_nodes <= oracle_max:
         oracle_start = time.perf_counter()
         oracle = measure_protocol_point(
@@ -184,6 +220,51 @@ def run_protocol_suite(
         measure_protocol(n, seed=seed, id_strategy=id_strategy, oracle_max=oracle_max)
         for n in sizes
     ]
+
+
+def _source_stamp() -> dict[str, object]:
+    """Git sha (and dirtiness) of the source tree ``repro`` was imported
+    from, plus today's date — what a history row is a measurement *of*."""
+    source = pathlib.Path(repro.__file__).resolve().parent
+
+    def git(*args: str) -> str:
+        try:
+            done = subprocess.run(
+                ["git", "-C", str(source), *args],
+                capture_output=True, text=True, timeout=10,
+            )
+        except OSError:
+            return ""
+        return done.stdout.strip() if done.returncode == 0 else ""
+
+    return {
+        "git_sha": git("rev-parse", "--short", "HEAD") or "unknown",
+        "dirty": bool(git("status", "--porcelain", "--", str(source))),
+        "date": datetime.date.today().isoformat(),
+    }
+
+
+def write_result(
+    path: pathlib.Path, payload: dict[str, object], record_history: bool = False
+) -> None:
+    """Write ``payload`` to ``path``, keeping the file's ``protocol_history``.
+
+    With ``record_history`` the payload's protocol rows are appended to
+    that history, stamped with :func:`_source_stamp`.
+    """
+    history: list[dict[str, object]] = []
+    if path.is_file():
+        history = json.loads(path.read_text()).get("protocol_history", [])
+    if record_history:
+        stamp = _source_stamp()
+        history = history + [
+            {**stamp, **row} for row in payload["protocol_results"]  # type: ignore[union-attr]
+        ]
+    if path.parent != pathlib.Path("."):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps({**payload, "protocol_history": history}, indent=2) + "\n"
+    )
 
 
 def _format(payload: dict[str, object]) -> str:
@@ -319,8 +400,7 @@ def test_scale_statistics_match_oracle(emit):
 def test_scale_point_shape_at_16k(emit):
     """Paper-shape anchors hold at 16384 nodes (first beyond the fig sweeps)."""
     payload = run_suite([16384], seed=2007)
-    RESULT_PATH.parent.mkdir(exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_result(RESULT_PATH, payload)
     emit("scale", _format(payload))
 
     (row,) = payload["results"]
@@ -344,8 +424,7 @@ def test_scale_large_sweep(emit, large):
 
         pytest.skip("pass --large to run the 16k-262k scale sweep")
     payload = run_suite(SCALE_SIZES, seed=2007)
-    RESULT_PATH.parent.mkdir(exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_result(RESULT_PATH, payload)
     emit("scale", _format(payload))
     rows = payload["results"]
     assert all(
@@ -418,9 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     print(_format(payload))
 
     out_path = pathlib.Path(args.out)
-    if out_path.parent != pathlib.Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_result(out_path, payload, record_history=True)
     print(f"wrote {out_path}")
 
     if args.check:

@@ -40,15 +40,16 @@ import numpy as np
 from repro import telemetry
 from repro.chord.block import ChordNodeBlock
 from repro.chord.ring import StaticRing
-from repro.core.aggregates import get_aggregate
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.errors import AggregationError
 from repro.sim.messages import (
     MessageBatch,
+    block_digit_counts,
     envelope_overhead,
     float_repr_lengths,
     int_digit_counts,
     reserve_msg_ids,
+    take_rows,
 )
 from repro.sim.simnet import SimTransport
 
@@ -96,24 +97,6 @@ class ProtocolRunResult:
     @property
     def bytes_total(self) -> int:
         return int(self.bytes_sent.sum())
-
-
-def _per_node_traffic(
-    transport: SimTransport, ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node (sent, received, bytes_sent, bytes_received) arrays."""
-    n = len(ids)
-    sent = np.zeros(n, dtype=np.int64)
-    received = np.zeros(n, dtype=np.int64)
-    bytes_sent = np.zeros(n, dtype=np.int64)
-    bytes_received = np.zeros(n, dtype=np.int64)
-    for i, ident in enumerate(ids.tolist()):
-        load = transport.stats.load(ident)
-        sent[i] = load.sent
-        received[i] = load.received
-        bytes_sent[i] = load.bytes_sent
-        bytes_received[i] = load.bytes_received
-    return sent, received, bytes_sent, bytes_received
 
 
 class SlabContinuousRun:
@@ -185,6 +168,7 @@ class SlabContinuousRun:
         has_parent = parents >= 0
         has_parent[self.owner_index] = False
         self.push_rows = np.flatnonzero(has_parent)
+        self.source_ids = block.ids[self.push_rows]
         self.parent_ids = parents[self.push_rows]
         self.parent_index = np.searchsorted(block.ids, self.parent_ids)
 
@@ -214,12 +198,16 @@ class SlabContinuousRun:
         payload_probe = json.dumps(
             {"key": self.key, "state": 0}, separators=(",", ":")
         )
-        self._fixed_overhead = base + len(payload_probe) - 1  # minus the "0"
         self._tuple_overhead = (
             len(json.dumps({"__tuple__": [0, 0]}, separators=(",", ":"))) - 2
         )
-        self._src_digits = int_digit_counts(block.ids[self.push_rows])
-        self._dst_digits = int_digit_counts(self.parent_ids)
+        # Per-row bytes that never change: envelope + src and dst numerals.
+        self._static_sizes = (
+            base
+            + len(payload_probe) - 1  # minus the "0"
+            + int_digit_counts(self.source_ids)
+            + int_digit_counts(self.parent_ids)
+        )
 
         self._cancel: Callable[[], None] | None = None
 
@@ -260,17 +248,17 @@ class SlabContinuousRun:
         np.add.at(counts, parent, self.cache[1][child])
         return [totals, counts]
 
-    def _state_lengths(self, cols: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    def _state_lengths(self, states: list[np.ndarray]) -> np.ndarray:
         """JSON byte length of each pushed state body."""
         if self.aggregate == "count":
-            return int_digit_counts(cols[0][rows])
+            return int_digit_counts(states[0])
         if self.aggregate == "avg":
             return (
                 self._tuple_overhead
-                + float_repr_lengths(cols[0][rows])
-                + int_digit_counts(cols[1][rows])
+                + float_repr_lengths(states[0])
+                + int_digit_counts(states[1])
             )
-        return float_repr_lengths(cols[0][rows])
+        return float_repr_lengths(states[0])
 
     def _finalize(self, cols: list[np.ndarray], i: int) -> Any:
         if self.aggregate == "count":
@@ -291,17 +279,16 @@ class SlabContinuousRun:
         self.pushes_sent[rows] += 1
         telemetry.count("agg_pushes_total", float(n_push))
         msg_id_start = reserve_msg_ids(n_push)
+        states = [col[rows] for col in cols]
         sizes = (
-            self._fixed_overhead
-            + self._src_digits
-            + self._dst_digits
-            + int_digit_counts(msg_id_start + np.arange(n_push, dtype=np.int64))
-            + self._state_lengths(cols, rows)
+            self._static_sizes
+            + block_digit_counts(msg_id_start, n_push)
+            + self._state_lengths(states)
         )
-        state_cols = {f"state{j}": col[rows] for j, col in enumerate(cols)}
+        state_cols = {f"state{j}": state for j, state in enumerate(states)}
         batch = MessageBatch(
             kind="agg_push",
-            sources=self.block.ids[rows],
+            sources=self.source_ids,
             destinations=self.parent_ids,
             sizes=sizes,
             msg_id_start=msg_id_start,
@@ -329,9 +316,9 @@ class SlabContinuousRun:
 
     def _on_deliver(self, batch: MessageBatch, rows: np.ndarray) -> None:
         """Fold a delivered batch into the per-child caches."""
-        child = self.push_rows[rows]
-        for j, _col in enumerate(self.cache):
-            self.cache[j][child] = batch.payload_columns[f"state{j}"][rows]
+        child = take_rows(self.push_rows, rows)
+        for j, column in enumerate(self.cache):
+            column[child] = take_rows(batch.payload_columns[f"state{j}"], rows)
         self.cached_at[child] = self.transport.now()
         self.has_entry[child] = True
 
@@ -361,10 +348,10 @@ class SlabContinuousRun:
             + self.has_entry.nbytes
             + self.pushes_sent.nbytes
             + self.push_rows.nbytes
+            + self.source_ids.nbytes
             + self.parent_ids.nbytes
             + self.parent_index.nbytes
-            + self._src_digits.nbytes
-            + self._dst_digits.nbytes
+            + self._static_sizes.nbytes
             + sum(col.nbytes for col in self.cache)
         )
         if self._lift is not None:
@@ -406,9 +393,7 @@ def run_protocol_slab(
     run.start()
     transport.run(until=rounds * interval)
     run.stop()
-    sent, received, bytes_sent, bytes_received = _per_node_traffic(
-        transport, block.ids
-    )
+    sent, received, bytes_sent, bytes_received = transport.stats.load_arrays(block.ids)
     return ProtocolRunResult(
         n_nodes=len(block),
         scheme=scheme,
@@ -482,7 +467,7 @@ def run_protocol_oracle(
         service.close()
     for host in hosts:
         host.shutdown()
-    sent, received, bytes_sent, bytes_received = _per_node_traffic(transport, ids)
+    sent, received, bytes_sent, bytes_received = transport.stats.load_arrays(ids)
     return ProtocolRunResult(
         n_nodes=n,
         scheme=scheme,

@@ -1,4 +1,4 @@
-"""DAT015 — batched hot path: no per-message allocation inside loops.
+"""DAT015 — batched hot path: no per-message allocation or iteration.
 
 The slab protocol path exists so that 10^5-node simulations do not build a
 Python dict (or a :class:`~repro.sim.messages.Message`) per push: one
@@ -18,6 +18,15 @@ a loop is per-*batch* and fine; deferred bodies (``lambda``, nested
 path — :meth:`MessageBatch.message` materialization — not per element of
 the batched round. Scalar modules (``Transport.send`` and friends) are
 legitimately per-message and are not listed.
+
+A loop need not allocate a dict to be per-message work. The same
+functions are therefore also checked for the two shapes that turn a
+column back into Python objects: iterating ``<array>.tolist()`` (directly
+or through ``zip``/``enumerate``), in a ``for`` statement or a
+comprehension, and ``np.fromiter(<generator>)``. Both cost one interpreter
+round trip per element; at 65 536 nodes they were 96 % of a push round.
+An exact fallback that has no array form carries a line-level
+suppression with its reason.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.devtools.datlint.astutils import call_dotted
 from repro.devtools.datlint.context import FileContext
 from repro.devtools.datlint.diagnostics import Diagnostic
 from repro.devtools.datlint.registry import Rule, register
@@ -34,7 +42,18 @@ from repro.devtools.datlint.registry import Rule, register
 #: path. A loop in any of these runs O(batch) times per simulated round.
 _HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     "repro.sim.simnet": frozenset({"send_batch", "_deliver_batch"}),
-    "repro.sim.messages": frozenset({"msg_ids", "nbytes", "__post_init__"}),
+    "repro.sim.messages": frozenset(
+        {
+            "msg_ids",
+            "nbytes",
+            "__post_init__",
+            "int_digit_counts",
+            "block_digit_counts",
+            "float_repr_lengths",
+            "_digit_counts",
+            "take_rows",
+        }
+    ),
     "repro.core.slab": frozenset(
         {
             "_merged_columns",
@@ -44,7 +63,14 @@ _HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         }
     ),
     "repro.telemetry.hotspot": frozenset(
-        {"record_send_bulk", "record_receive_bulk"}
+        {
+            "record_send_bulk",
+            "record_receive_bulk",
+            "_record_bulk_locked",
+            "_ledger_index_locked",
+            "_lookup_locked",
+            "load_arrays",
+        }
     ),
 }
 
@@ -62,9 +88,39 @@ _LOOP_NODES = (
 
 _DEFERRED_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
+#: Builtins that pass their arguments' elements through one by one.
+_ELEMENTWISE_WRAPPERS = {"zip", "enumerate"}
+
+
+def _call_name(node: ast.AST) -> str:
+    """Last component of a call's target — ``tolist`` for
+    ``batch.sizes[rows].tolist()`` — and ``""`` for anything else."""
+    if not isinstance(node, ast.Call):
+        return ""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def _unpacked_column(iterable: ast.AST) -> ast.AST | None:
+    """The ``<array>.tolist()`` call that ``iterable`` walks element by
+    element, looking through ``zip``/``enumerate``; ``None`` if there is none."""
+    name = _call_name(iterable)
+    if name == "tolist":
+        return iterable
+    if name in _ELEMENTWISE_WRAPPERS:
+        assert isinstance(iterable, ast.Call)
+        for arg in iterable.args:
+            found = _unpacked_column(arg)
+            if found is not None:
+                return found
+    return None
+
 
 class _LoopAllocFinder(ast.NodeVisitor):
-    """Collect dict/Message allocations at loop depth >= 1."""
+    """Collect dict/Message allocations at loop depth >= 1, and per-element
+    iteration over unpacked columns at any depth."""
 
     def __init__(self) -> None:
         self.depth = 0
@@ -78,14 +134,22 @@ class _LoopAllocFinder(ast.NodeVisitor):
         # the same comprehension inside a loop allocates per element.
         if self.depth > 0:
             if isinstance(node, ast.Dict):
-                self.hits.append((node, "dict literal"))
+                self.hits.append((node, "dict literal inside a loop"))
             elif isinstance(node, ast.DictComp):
-                self.hits.append((node, "dict comprehension"))
-            elif isinstance(node, ast.Call):
-                dotted = call_dotted(node)
-                name = dotted.rsplit(".", 1)[-1] if dotted else ""
-                if name in _ALLOC_CALLS:
-                    self.hits.append((node, f"`{name}(...)` call"))
+                self.hits.append((node, "dict comprehension inside a loop"))
+            elif _call_name(node) in _ALLOC_CALLS:
+                self.hits.append((node, f"`{_call_name(node)}(...)` call inside a loop"))
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            column = _unpacked_column(node.iter)
+            if column is not None:
+                self.hits.append((column, "iteration over `.tolist()`"))
+        elif (
+            isinstance(node, ast.Call)
+            and _call_name(node) == "fromiter"
+            and node.args
+            and isinstance(node.args[0], ast.GeneratorExp)
+        ):
+            self.hits.append((node, "`fromiter(<generator>)`"))
         entered = isinstance(node, _LOOP_NODES)
         if entered:
             self.depth += 1
@@ -100,10 +164,12 @@ class HotPathAllocRule(Rule):
     name = "hotpath-alloc"
     rationale = (
         "The batched protocol path (MessageBatch + send_batch + the slab "
-        "runner) must stay allocation-free per message: a dict or Message "
-        "built inside one of its loops reintroduces the O(messages) churn "
-        "the slab refactor removed, degrading 10^5-node runs by orders of "
-        "magnitude without failing any exactness test."
+        "runner + the bulk hotspot ledger) must do no Python work per "
+        "message: a dict or Message built inside one of its loops, a loop "
+        "over `<array>.tolist()` or an `np.fromiter(<generator>)` "
+        "reintroduces the O(messages) interpreter cost the slab path "
+        "removed, degrading 10^5-node runs by an order of magnitude "
+        "without failing any exactness test."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -122,7 +188,7 @@ class HotPathAllocRule(Rule):
                 yield self.diagnostic(
                     ctx,
                     alloc_node,
-                    f"{what} inside a loop of batched hot-path function "
+                    f"{what} in batched hot-path function "
                     f"`{node.name}`; hoist it out of the loop or express it "
                     "as a vectorized column over the whole batch",
                 )

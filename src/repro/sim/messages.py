@@ -40,7 +40,9 @@ __all__ = [
     "reserve_msg_ids",
     "reset_msg_ids",
     "int_digit_counts",
+    "block_digit_counts",
     "float_repr_lengths",
+    "take_rows",
     "envelope_overhead",
 ]
 
@@ -181,31 +183,83 @@ def decode_message(data: bytes) -> Message:
 
 #: ``10^1 .. 10^18`` — the digit-count grid for int64 values.
 _POW10 = np.array([10**k for k in range(1, 19)], dtype=np.int64)
+#: Digit classes ``1..19`` and the int64 values that bound them.
+_DIGITS = np.arange(1, 20, dtype=np.int64)
+_DIGIT_EDGES = np.concatenate(([0], _POW10, [np.iinfo(np.int64).max]))
+#: ``10^1 .. 10^15`` as floats: the digit-count grid below 1e16.
+_POW10_FLOAT = _POW10[:15].astype(np.float64)
+
+
+def _digit_counts(magnitudes: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """One plus how many of ``powers`` (ascending powers of ten) each
+    magnitude reaches: one vector compare per power up to the largest
+    magnitude, which beats a binary search per element on a table this small."""
+    digits = np.ones(magnitudes.shape, dtype=np.int64)
+    if magnitudes.size:
+        reached = np.searchsorted(powers, magnitudes.max(), side="right")
+        for power in powers[:reached]:
+            digits += magnitudes >= power
+    return digits
 
 
 def int_digit_counts(values: np.ndarray) -> np.ndarray:
     """Decimal digit count of each non-negative int64 (JSON numeral length).
 
-    Exact for the full int64 range via a power-of-ten ``searchsorted`` —
-    no float log10 rounding anywhere.
+    Exact for the full int64 range by integer comparison against the
+    powers of ten — no float log10 rounding anywhere.
     """
     arr = np.asarray(values, dtype=np.int64)
     if arr.size and int(arr.min()) < 0:
         raise ValueError("int_digit_counts requires non-negative values")
-    return (np.searchsorted(_POW10, arr, side="right") + 1).astype(np.int64)
+    return _digit_counts(arr, _POW10)
+
+
+def block_digit_counts(start: int, count: int) -> np.ndarray:
+    """``int_digit_counts(start + arange(count))`` for a contiguous id block.
+
+    Runs of equal digit count are cut at the block's power-of-ten
+    boundaries; the ids themselves are never materialized.
+    """
+    if start < 0 or count < 0:
+        raise ValueError(f"block must be non-negative, got {start=}, {count=}")
+    edges = np.clip(_DIGIT_EDGES, start, start + count)
+    return np.repeat(_DIGITS, np.diff(edges))
 
 
 def float_repr_lengths(values: np.ndarray) -> np.ndarray:
     """JSON numeral length of each float64 (``json.dumps`` uses ``repr``).
 
-    The only per-element Python work on the slab hot path; a ``tolist``
-    round-trip plus ``len(repr(.))`` costs tens of milliseconds per 10^5
-    values — negligible against the per-message encode it replaces.
+    An integer-valued float below 1e16 in magnitude prints as
+    ``<digits>.0`` (with a sign when its sign bit is set, ``-0.0``
+    included), so its length is arithmetic on the digit count. Only the
+    residual — fractional values, ``|v| >= 1e16`` (exponent notation),
+    ``inf``/``nan`` — pays a per-element ``repr``, at ~0.2 us each; a
+    round of integer-valued sums or counts has none.
     """
     arr = np.asarray(values, dtype=np.float64)
-    return np.fromiter(
-        (len(repr(v)) for v in arr.tolist()), dtype=np.int64, count=arr.size
-    )
+    magnitude = np.abs(arr)
+    whole = (magnitude < 1e16) & (np.rint(arr) == arr)
+    # Powers of ten up to 1e15 are exact in float64, so the digits are
+    # counted on the magnitudes as they are; a non-whole entry's count is
+    # overwritten below.
+    lengths = _digit_counts(magnitude, _POW10_FLOAT)
+    lengths += 2
+    lengths += np.signbit(arr)
+    if not whole.all():
+        residual = np.flatnonzero(~whole)
+        # Shortest round-trip repr of a fractional or exponent-form float
+        # has no closed form; the per-element call is exact by definition.
+        lengths[residual] = [
+            len(repr(v)) for v in arr[residual].tolist()  # datlint: disable=DAT015
+        ]
+    return lengths
+
+
+def take_rows(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``column[rows]`` for ascending distinct ``rows`` (what transports hand
+    to delivery callbacks): the column itself, uncopied, when that is every
+    row, so a loss-free round gathers nothing."""
+    return column if len(rows) == len(column) else column[rows]
 
 
 def envelope_overhead(kind: str) -> int:

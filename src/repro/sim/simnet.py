@@ -25,7 +25,7 @@ import numpy as np
 from repro import telemetry
 from repro.sim.engine import SimulationEngine, TickHook
 from repro.sim.latency import ConstantLatency, LatencyModel
-from repro.sim.messages import Message, MessageBatch
+from repro.sim.messages import Message, MessageBatch, take_rows
 from repro.sim.transport import Transport
 from repro.util.rng import ensure_rng
 from repro.util.validation import check_probability
@@ -185,10 +185,16 @@ class SimTransport(Transport):
         if len(survivors) == 0:
             return
         delays = self.latency.sample_array(
-            batch.sources[survivors], batch.destinations[survivors]
+            take_rows(batch.sources, survivors),
+            take_rows(batch.destinations, survivors),
         )
-        for delay in np.unique(delays):
-            rows = survivors[delays == delay]
+        # A uniform delay (the constant-latency LAN) is one delivery group,
+        # found without sorting.
+        if delays.min() == delays.max():
+            groups = [(delays[0], survivors)]
+        else:
+            groups = [(d, survivors[delays == d]) for d in np.unique(delays)]
+        for delay, rows in groups:
             self.engine.schedule(
                 float(delay),
                 lambda rows=rows: self._deliver_batch(batch, rows, deliver),
@@ -206,7 +212,9 @@ class SimTransport(Transport):
             rows = rows[~np.isin(batch.destinations[rows], failed)]
         if len(rows) == 0:
             return
-        self.stats.record_receive_bulk(batch.destinations[rows], batch.sizes[rows])
+        self.stats.record_receive_bulk(
+            take_rows(batch.destinations, rows), take_rows(batch.sizes, rows)
+        )
         telemetry.count("messages_received_total", float(len(rows)), kind=batch.kind)
         deliver(batch, rows)
 

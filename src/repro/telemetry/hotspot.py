@@ -6,9 +6,26 @@ statistics the paper's Sec. 5.3 evaluation is built on: rolling max and
 percentile load across nodes, and the imbalance factor (max load divided by
 average load) as a time series sampled on the sim clock.
 
+Counters live in two stores that are summed on the read side only:
+
+* per-node dicts, fed one message at a time by :meth:`~HotspotAccountant.record_send`
+  / :meth:`~HotspotAccountant.record_receive` (any hashable-int id, any
+  identifier width), and
+* a dense *bulk ledger* — a sorted int64 id vector plus one int64 row per
+  counter — fed by :meth:`~HotspotAccountant.record_send_bulk` /
+  :meth:`~HotspotAccountant.record_receive_bulk` with a fixed number of
+  array passes per batch and no per-message Python work. The ledger grows
+  by ``union1d`` when a batch names ids it has not seen, and the row index
+  resolved for a batch is kept so the next batch over the same ids (every
+  round of a continuous push) verifies it with one gather instead of
+  searching again.
+
+:meth:`~HotspotAccountant.load_arrays` reads both stores for a whole id
+vector at once; the population statistics are computed from it.
+
 All public methods take the accountant's lock: the threaded UDP transport
 increments counters from its receive thread while callers read them, and a
-read that straddles a torn pair of dict updates would mis-state a node's
+read that straddles a torn pair of updates would mis-state a node's
 load. The discrete-event transport is single-threaded, where the
 uncontended lock costs a few tens of nanoseconds per message.
 """
@@ -19,6 +36,7 @@ import math
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,9 +90,13 @@ def percentile(values: list[int] | list[float], q: float) -> float:
     """Linear-interpolated percentile of ``values`` (``q`` in (0, 1))."""
     if not values:
         raise ValueError("percentile of empty sequence")
+    return _interpolate(sorted(values), q)
+
+
+def _interpolate(ordered: Sequence[int] | Sequence[float] | np.ndarray, q: float) -> float:
+    """The ``q``-th percentile of an already ascending, non-empty sequence."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    ordered = sorted(values)
     position = q * (len(ordered) - 1)
     lower = math.floor(position)
     upper = math.ceil(position)
@@ -84,14 +106,20 @@ def percentile(values: list[int] | list[float], q: float) -> float:
     return float(ordered[lower]) * (1.0 - weight) + float(ordered[upper]) * weight
 
 
+#: Row order of the bulk ledger's counters and of :meth:`HotspotAccountant.load_arrays`.
+_SENT, _RECEIVED, _BYTES_SENT, _BYTES_RECEIVED = range(4)
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
 class HotspotAccountant:
     """Mutable per-node send/receive counters plus load-balance statistics.
 
     A superset of the historical ``MessageStats`` API: transports call
-    :meth:`record_send`/:meth:`record_receive` per message; experiments may
-    instead attribute precomputed loads with :meth:`add_load`. Statistics
-    (:meth:`max_load`, :meth:`percentile`, :meth:`imbalance`) and snapshots
-    (:meth:`sample`) read the same counters.
+    :meth:`record_send`/:meth:`record_receive` per message (or the
+    ``_bulk`` forms per batch); experiments may instead attribute
+    precomputed loads with :meth:`add_load`. Statistics (:meth:`max_load`,
+    :meth:`percentile`, :meth:`imbalance`) and snapshots (:meth:`sample`)
+    read the same counters.
     """
 
     def __init__(
@@ -102,6 +130,16 @@ class HotspotAccountant:
         self._received: dict[int, int] = defaultdict(int)
         self._bytes_sent: dict[int, int] = defaultdict(int)
         self._bytes_received: dict[int, int] = defaultdict(int)
+        self._tables = (
+            self._sent, self._received, self._bytes_sent, self._bytes_received
+        )
+        # Bulk ledger: ascending ids and one counter row per table above,
+        # summed with the tables on the read side only.
+        self._ids = np.empty(0, dtype=np.int64)
+        self._counters = np.zeros((4, 0), dtype=np.int64)
+        # (ledger row index, messages per ledger row) of the last bulk send
+        # and bulk receive, keyed by counter row; reused only once re-verified.
+        self._resolved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._by_kind: dict[str, int] = defaultdict(int)
         self.series: list[LoadSample] = []
         # The UDP transport updates counters from caller threads and its
@@ -130,24 +168,15 @@ class HotspotAccountant:
     ) -> None:
         """Count one sent message per ``(nodes[i], sizes[i])`` pair.
 
-        Equivalent to ``record_send`` in a loop but takes the lock once and
-        collapses the per-node dict churn to one update per *distinct*
-        sender — the batched transport path records a 10^5-message round in
-        a few array ops instead of 10^5 locked dict increments.
+        Equivalent to ``record_send`` in a loop, but one lock acquisition
+        and a fixed number of array passes per batch whatever its length or
+        the number of distinct senders — the batched transport path records
+        a 10^5-message round without touching a Python object per message.
         """
         if len(nodes) == 0:
             return
-        unique, inverse, counts = np.unique(
-            nodes, return_inverse=True, return_counts=True
-        )
-        byte_totals = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(byte_totals, inverse, np.asarray(sizes, dtype=np.int64))
         with self._lock:
-            for node, sent, size in zip(
-                unique.tolist(), counts.tolist(), byte_totals.tolist()
-            ):
-                self._sent[node] += sent
-                self._bytes_sent[node] += size
+            self._record_bulk_locked(nodes, sizes, _SENT)
             if kind is not None:
                 self._by_kind[kind] += len(nodes)
 
@@ -155,17 +184,45 @@ class HotspotAccountant:
         """Count one received message per ``(nodes[i], sizes[i])`` pair."""
         if len(nodes) == 0:
             return
-        unique, inverse, counts = np.unique(
-            nodes, return_inverse=True, return_counts=True
-        )
-        byte_totals = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(byte_totals, inverse, np.asarray(sizes, dtype=np.int64))
         with self._lock:
-            for node, received, size in zip(
-                unique.tolist(), counts.tolist(), byte_totals.tolist()
-            ):
-                self._received[node] += received
-                self._bytes_received[node] += size
+            self._record_bulk_locked(nodes, sizes, _RECEIVED)
+
+    def _record_bulk_locked(
+        self, nodes: np.ndarray, sizes: np.ndarray, row: int
+    ) -> None:
+        """Add one message per pair to counter ``row`` and to its byte row."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        index, counts = self._resolved.get(row, (_NO_ROWS, _NO_ROWS))
+        # A continuous push names the same ids every round: one gather
+        # re-verifies last round's index (and its per-row message counts)
+        # where a search and a scatter would rebuild them.
+        if len(index) != len(nodes) or not np.array_equal(self._ids[index], nodes):
+            index = self._ledger_index_locked(nodes)
+            counts = np.bincount(index, minlength=len(self._ids))
+            self._resolved[row] = index, counts
+        # Bytes first: mismatched column lengths raise before any counter moves.
+        np.add.at(self._counters[row + 2], index, np.asarray(sizes, dtype=np.int64))
+        self._counters[row] += counts
+
+    def _ledger_index_locked(self, nodes: np.ndarray) -> np.ndarray:
+        """Ledger row of each of ``nodes``, adding rows for ids not seen yet."""
+        index, known = self._lookup_locked(nodes)
+        if known.all():
+            return index
+        ids = np.union1d(self._ids, nodes[~known])
+        counters = np.zeros((4, len(ids)), dtype=np.int64)
+        counters[:, np.searchsorted(ids, self._ids)] = self._counters
+        self._ids, self._counters = ids, counters
+        self._resolved.clear()
+        return np.searchsorted(ids, nodes)
+
+    def _lookup_locked(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, is_member)`` of each of ``nodes`` in the ledger; ``row`` is
+        only meaningful where ``is_member``."""
+        if len(self._ids) == 0:
+            return np.zeros(len(nodes), dtype=np.intp), np.zeros(len(nodes), dtype=bool)
+        index = np.minimum(np.searchsorted(self._ids, nodes), len(self._ids) - 1)
+        return index, self._ids[index] == nodes
 
     def add_load(self, node: int, sent: int = 0, received: int = 0) -> None:
         """Attribute precomputed message counts to ``node`` in bulk.
@@ -187,25 +244,57 @@ class HotspotAccountant:
 
     # -- reading (MessageStats-compatible) ---------------------------------
 
+    def _columns_locked(self, population: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The four counters (rows) of every node of ``population`` (columns)."""
+        out = np.zeros((4, len(population)), dtype=np.int64)
+        if len(self._ids):
+            index, known = self._lookup_locked(np.asarray(population, dtype=np.int64))
+            out[:, known] = self._counters[:, index[known]]
+        if any(self._tables):
+            if isinstance(population, np.ndarray):
+                population = population.tolist()
+            for column, table in zip(out, self._tables):
+                if table:
+                    column += [table.get(node, 0) for node in population]
+        return out
+
+    def _seen_locked(self) -> set[int]:
+        return set(self._sent) | set(self._received) | set(self._ids.tolist())
+
+    def _totals(self, nodes: list[int] | None) -> tuple[list[int], np.ndarray]:
+        """The population (every node seen when ``nodes`` is ``None``) and
+        the sent + received total of each of its nodes, in that order."""
+        with self._lock:
+            population = list(self._seen_locked()) if nodes is None else nodes
+            columns = self._columns_locked(population)
+        return population, columns[_SENT] + columns[_RECEIVED]
+
     def load(self, node: int) -> NodeLoad:
         """Totals for one node (zeros if it never appeared)."""
         with self._lock:
-            return NodeLoad(
-                sent=self._sent.get(node, 0),
-                received=self._received.get(node, 0),
-                bytes_sent=self._bytes_sent.get(node, 0),
-                bytes_received=self._bytes_received.get(node, 0),
+            return NodeLoad(*self._columns_locked([node])[:, 0].tolist())
+
+    def load_arrays(
+        self, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(sent, received, bytes_sent, bytes_received)`` int64 arrays
+        aligned with ``ids`` (zeros for ids that never appeared) — the
+        whole-population form of :meth:`load`."""
+        with self._lock:
+            sent, received, bytes_sent, bytes_received = self._columns_locked(
+                np.asarray(ids, dtype=np.int64)
             )
+        return sent, received, bytes_sent, bytes_received
 
     def nodes(self) -> set[int]:
         """Every node that sent or received at least one message."""
         with self._lock:
-            return set(self._sent) | set(self._received)
+            return self._seen_locked()
 
     def total_messages(self) -> int:
         """Total messages observed (each counted once, at the sender)."""
         with self._lock:
-            return sum(self._sent.values())
+            return sum(self._sent.values()) + int(self._counters[_SENT].sum())
 
     def loads(self, nodes: list[int] | None = None) -> dict[int, int]:
         """Per-node total (sent + received) message counts.
@@ -213,14 +302,8 @@ class HotspotAccountant:
         Pass the full node list to include zero-load nodes — Fig. 8's
         averages are over *all* nodes, idle ones included.
         """
-        with self._lock:
-            population = (
-                set(self._sent) | set(self._received) if nodes is None else nodes
-            )
-            return {
-                node: self._sent.get(node, 0) + self._received.get(node, 0)
-                for node in population
-            }
+        population, totals = self._totals(nodes)
+        return dict(zip(population, totals.tolist()))
 
     def series_snapshot(self) -> list[LoadSample]:
         """A consistent copy of the rolling sample series.
@@ -244,10 +327,11 @@ class HotspotAccountant:
     def reset(self) -> None:
         """Zero every counter and drop the sample series."""
         with self._lock:
-            self._sent.clear()
-            self._received.clear()
-            self._bytes_sent.clear()
-            self._bytes_received.clear()
+            for table in self._tables:
+                table.clear()
+            self._ids = np.empty(0, dtype=np.int64)
+            self._counters = np.zeros((4, 0), dtype=np.int64)
+            self._resolved.clear()
             self._by_kind.clear()
             self.series.clear()
 
@@ -255,20 +339,20 @@ class HotspotAccountant:
 
     def max_load(self, nodes: list[int] | None = None) -> int:
         """Largest per-node total load (0 when nothing recorded)."""
-        totals = self.loads(nodes)
-        return max(totals.values(), default=0)
+        _, totals = self._totals(nodes)
+        return int(totals.max()) if len(totals) else 0
 
     def mean_load(self, nodes: list[int] | None = None) -> float:
         """Average per-node total load over the population (0.0 when empty)."""
-        totals = self.loads(nodes)
-        return sum(totals.values()) / len(totals) if totals else 0.0
+        _, totals = self._totals(nodes)
+        return int(totals.sum()) / len(totals) if len(totals) else 0.0
 
     def percentile(self, q: float, nodes: list[int] | None = None) -> float:
         """The ``q``-th percentile of per-node total loads."""
-        totals = self.loads(nodes)
-        if not totals:
+        _, totals = self._totals(nodes)
+        if not len(totals):
             raise ValueError("no loads recorded")
-        return percentile(list(totals.values()), q)
+        return _interpolate(np.sort(totals), q)
 
     def imbalance(self, nodes: list[int] | None = None) -> float:
         """Max load over mean load — the Fig. 8b load-balance factor.
@@ -276,14 +360,11 @@ class HotspotAccountant:
         Computed inline rather than via ``repro.core.analysis`` (which
         imports telemetry); 0.0 when nothing has been recorded yet.
         """
-        totals = self.loads(nodes)
-        if not totals:
-            return 0.0
-        total = sum(totals.values())
+        _, totals = self._totals(nodes)
+        total = int(totals.sum())
         if total == 0:
             return 0.0
-        mean = total / len(totals)
-        return max(totals.values()) / mean
+        return int(totals.max()) / (total / len(totals))
 
     def sample(self, now: float, nodes: list[int] | None = None) -> LoadSample:
         """Snapshot the current load distribution at sim time ``now``.
@@ -291,15 +372,14 @@ class HotspotAccountant:
         The sample is appended to :attr:`series`, building the rolling
         imbalance-factor time series the Fig. 8 runtime analogue plots.
         """
-        totals = self.loads(nodes)
-        values = list(totals.values())
-        total = sum(values)
-        n_nodes = len(values)
+        ordered = np.sort(self._totals(nodes)[1])
+        n_nodes = len(ordered)
+        total = int(ordered.sum())
         mean = total / n_nodes if n_nodes else 0.0
-        maximum = max(values, default=0)
+        maximum = int(ordered[-1]) if n_nodes else 0
         imbalance = (maximum / mean) if mean > 0 else 0.0
         grid = tuple(
-            (q, percentile(values, q) if values else 0.0)
+            (q, _interpolate(ordered, q) if n_nodes else 0.0)
             for q in self.percentile_grid
         )
         point = LoadSample(

@@ -532,6 +532,73 @@ def test_dat015_ignores_deferred_bodies(tmp_path):
     assert diagnostics == []
 
 
+def test_dat015_flags_iteration_over_unpacked_columns(tmp_path):
+    # No dict in sight, still one interpreter round trip per message.
+    source = (
+        "def record_send_bulk(self, nodes, sizes):\n"
+        "    for node, size in zip(nodes.tolist(), sizes.tolist()):\n"
+        "        self._sent[node] += size\n"
+        "    for i, node in enumerate(nodes[1:].tolist()):\n"
+        "        self._seen.add(node)\n"
+        "    return [abs(v) for v in sizes.tolist()]\n"
+    )
+    diagnostics, _ = lint_snippet(
+        tmp_path, source, relpath="repro/telemetry/hotspot.py"
+    )
+    assert [(d.rule, d.line) for d in diagnostics] == [
+        ("DAT015", 2),
+        ("DAT015", 4),
+        ("DAT015", 6),
+    ]
+    assert all("tolist" in d.message for d in diagnostics)
+
+
+def test_dat015_flags_fromiter_over_generator(tmp_path):
+    source = (
+        "import numpy as np\n"
+        "def float_repr_lengths(values):\n"
+        "    floats = values.tolist()\n"
+        "    return np.fromiter((len(repr(v)) for v in floats), dtype=np.int64)\n"
+    )
+    diagnostics, _ = lint_snippet(
+        tmp_path, source, relpath="repro/sim/messages.py"
+    )
+    assert [(d.rule, d.line) for d in diagnostics] == [("DAT015", 4)]
+    assert "fromiter" in diagnostics[0].message
+
+
+def test_dat015_allows_array_passes_and_short_table_loops(tmp_path):
+    # tolist() as a value, fromiter over a real iterable, and a loop over a
+    # fixed-size table are all per-batch work.
+    source = (
+        "import numpy as np\n"
+        "def _digit_counts(magnitudes, powers):\n"
+        "    digits = np.ones(magnitudes.shape, dtype=np.int64)\n"
+        "    for power in powers[:3]:\n"
+        "        digits += magnitudes >= power\n"
+        "    ids = np.fromiter(self._failed, dtype=np.int64)\n"
+        "    return digits, ids, magnitudes[:2].tolist()\n"
+    )
+    diagnostics, _ = lint_snippet(
+        tmp_path, source, relpath="repro/sim/messages.py"
+    )
+    assert diagnostics == []
+
+
+def test_dat015_exact_fallback_carries_a_line_suppression(tmp_path):
+    source = (
+        "def float_repr_lengths(arr, residual, lengths):\n"
+        "    lengths[residual] = [\n"
+        "        len(repr(v)) for v in arr[residual].tolist()"
+        "  # datlint: disable=DAT015\n"
+        "    ]\n"
+    )
+    diagnostics, suppressed = lint_snippet(
+        tmp_path, source, relpath="repro/sim/messages.py"
+    )
+    assert diagnostics == [] and suppressed == 1
+
+
 # --------------------------------------------------------------------- #
 # Suppression comments
 # --------------------------------------------------------------------- #

@@ -156,18 +156,10 @@ class TestSharedMatrix:
             fast_balanced_parents(ring, 0, matrix=bad)
 
 
-class TestSpeedupSanity:
-    def test_fast_path_is_faster_at_scale(self):
-        import time
-
+class TestScaleIdentity:
+    def test_fast_path_identical_at_4096(self):
         space = IdSpace(32)
         ring = ProbingIdAssigner().build_ring(space, 4096, rng=9)
-        t0 = time.perf_counter()
         fast = build_dat_fast(ring, 777, scheme="balanced")
-        t_fast = time.perf_counter() - t0
-        t0 = time.perf_counter()
         slow = build_balanced_dat(ring, 777)
-        t_slow = time.perf_counter() - t0
         assert fast.parent == slow.parent
-        # Generous bound: merely require the fast path not be slower.
-        assert t_fast <= t_slow * 1.5

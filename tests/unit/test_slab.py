@@ -11,6 +11,8 @@ tuple-state overhead). Full slab-vs-oracle protocol equivalence lives in
 ``tests/property/test_prop_protocol.py``.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,53 @@ class TestRunResults:
         assert slab.pushes_total == oracle.pushes_total
         np.testing.assert_array_equal(slab.sent, oracle.sent)
         np.testing.assert_array_equal(slab.bytes_sent, oracle.bytes_sent)
+
+
+class TestRoundCost:
+    """A push round is a fixed number of array passes, whatever ``n``.
+
+    Counted, not timed: every call (Python or builtin) made and every
+    source line executed while one steady-state round is sent and delivered
+    at n = 16384. Per-message work on any layer costs at least n of one or
+    the other — a ``repr`` per state is a call, a dict update per sender in
+    a ``for`` loop is a line; the array-native round is about two hundred
+    calls and five hundred lines.
+    """
+
+    N_NODES = 16384
+    MAX_CALLS = 500
+    MAX_LINES = 2000
+
+    @pytest.mark.parametrize("aggregate", ["sum", "avg", "count"])
+    def test_steady_state_round_call_and_line_count(self, aggregate):
+        ring = build_ring(self.N_NODES, bits=32, seed=11)
+        block = ChordNodeBlock.from_ring(ring)
+        values = np.arange(self.N_NODES, dtype=np.float64) % 100 + 1
+        transport = SimTransport()
+        run = SlabContinuousRun(block, transport, 0xA5A5A5, aggregate, values)
+        run.start()
+        transport.run(until=3.5)  # ledger grown, three rounds delivered
+
+        counts = {"call": 0, "c_call": 0, "line": 0}
+
+        def profile(frame, event, arg):
+            if event in counts:
+                counts[event] += 1
+
+        def trace(frame, event, arg):
+            if event == "line":
+                counts["line"] += 1
+            return trace
+
+        previous = sys.getprofile(), sys.gettrace()
+        sys.setprofile(profile)
+        sys.settrace(trace)
+        try:
+            transport.run(until=4.5)  # round four: sent at 4.0, delivered at 4.001
+        finally:
+            sys.setprofile(previous[0])
+            sys.settrace(previous[1])
+        assert run.rounds_run == 4
+        assert transport.stats.total_messages() == 4 * (self.N_NODES - 1)
+        assert counts["call"] + counts["c_call"] < self.MAX_CALLS, counts
+        assert counts["line"] < self.MAX_LINES, counts
