@@ -103,20 +103,18 @@ class MatrixFingerView:
 def balanced_limits(x: np.ndarray, d0: float | Fraction) -> np.ndarray:
     """``g(x)`` for an array of distances, exactly.
 
-    Vectorizes :func:`repro.core.limiting.finger_limit`: with
-    ``d0 = p/q``, the limit is ``ceil_log2(max(ceil((x*q + 2p)/(3q)), 1))``.
-    The integer path runs whenever the numerators provably fit in int64
-    and the ceilings stay inside float64's exact range (always true for the
-    power-of-two populations the scale benchmarks use, where ``q == 1``);
-    otherwise each element goes through the scalar
-    :class:`~repro.core.limiting.FingerLimiter`, trading speed for the
-    same exact answers.
+    The array form of :class:`~repro.core.limiting.FingerLimiter`, which
+    evaluates the same identity on Python ints: with ``d0 = p/q``, the
+    limit is ``ceil_log2(max(ceil((x*q + 2p)/(3q)), 1))``. The int64 path
+    runs whenever the numerators provably fit in int64 and the ceilings
+    stay inside float64's exact range (always true for the power-of-two
+    populations the scale benchmarks use, where ``q == 1``); otherwise each
+    element goes through the scalar limiter's arbitrary-precision ints,
+    trading speed for the same exact answers.
     """
-    gap = d0 if isinstance(d0, Fraction) else Fraction(d0).limit_denominator(10**12)
-    if gap <= 0:
-        raise ValueError(f"d0 must be positive, got {d0}")
+    limiter = FingerLimiter.for_gap(d0)
     x = np.asarray(x, dtype=np.int64)
-    p, q = gap.numerator, gap.denominator
+    p, q = limiter.d0.numerator, limiter.d0.denominator
     x_max = int(x.max()) if x.size else 0
     if x_max * q + 2 * p < 2**62:
         numerator = x * np.int64(q) + np.int64(2 * p)
@@ -124,7 +122,6 @@ def balanced_limits(x: np.ndarray, d0: float | Fraction) -> np.ndarray:
         m_max = int(m.max()) if m.size else 0
         if m_max < 2**53:
             return _vectorized_ceil_log2(m)
-    limiter = FingerLimiter(d0=gap)
     return np.fromiter(
         (limiter(xi) for xi in x.tolist()), dtype=np.int64, count=x.size
     )

@@ -199,8 +199,10 @@ def fast_balanced_parents(
     Uses the exact mean gap ``d0 = 2^bits / n`` like the scalar default.
     The limit ``g(x) = ceil(log2((x + 2*d0)/3))`` is evaluated with pure
     integer arithmetic: ``q = ceil((x*n + 2*2^bits) / (3n))`` then an exact
-    ``ceil(log2(q))``, matching
-    :func:`repro.core.limiting.finger_limit` bit-for-bit. ``matrix``
+    ``ceil(log2(q))`` — the identity
+    :class:`repro.core.limiting.FingerLimiter` evaluates on Python ints
+    (``d0 = p/q`` with ``p = 2^bits``, ``q = n``), so the two agree
+    bit-for-bit. ``matrix``
     optionally supplies a precomputed :func:`fast_finger_matrix` shared
     across rendezvous keys.
     """

@@ -102,6 +102,8 @@ class ChordProtocolNode:
         self.fingers[0] = ident
         self._next_finger = 0
         self._running = False
+        #: Set by leave() / crash(); a departed node never restarts.
+        self._departed = False
         self._timer_cancels: list[Callable[[], None]] = []
         #: RPC surface: every remote interaction goes through the session
         #: layer, which owns deadlines, retries, and per-call telemetry.
@@ -142,6 +144,8 @@ class ChordProtocolNode:
         self.predecessor = None
 
         def adopted(successor: int, _path: list[int]) -> None:
+            if self._departed:
+                return
             if successor != self.ident:
                 self.successor = successor
                 self.fingers[0] = successor
@@ -151,9 +155,15 @@ class ChordProtocolNode:
 
         def attempt(remaining: int) -> None:
             def failed(_key: int) -> None:
+                if self._departed:
+                    return
                 if remaining > 1:
-                    self.transport.schedule(
-                        self.config.rpc_timeout, lambda: attempt(remaining - 1)
+                    # Tracked with the maintenance timers, so leave() and
+                    # crash() cancel a retry that has not fired yet.
+                    self._timer_cancels.append(
+                        self.transport.schedule(
+                            self.config.rpc_timeout, lambda: attempt(remaining - 1)
+                        )
                     )
                 else:
                     # Give up on clean join but still start maintenance:
@@ -176,6 +186,7 @@ class ChordProtocolNode:
         handoff just accelerates convergence (and mirrors the prototype's
         clean shutdown path).
         """
+        self._departed = True
         self.stop_maintenance()
         if self.successor != self.ident and self.predecessor is not None:
             self.net.send(
@@ -198,12 +209,18 @@ class ChordProtocolNode:
 
     def crash(self) -> None:
         """Fail-stop without any notification (churn experiments)."""
+        self._departed = True
         self.stop_maintenance()
         self.transport.unregister(self.ident)
 
     def start_maintenance(self) -> None:
-        """Begin periodic stabilize / fix-fingers timers."""
-        if self._running:
+        """Begin periodic stabilize / fix-fingers timers.
+
+        A no-op on a node that has left or crashed: departure is final (the
+        node is unregistered), so a late join continuation must not revive
+        its timers.
+        """
+        if self._running or self._departed:
             return
         self._running = True
         self._schedule_stabilize()

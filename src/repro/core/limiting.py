@@ -10,14 +10,16 @@ for the limit that makes exactly the j-th and (j+1)-th inbound fingers of
 every node choose it as parent, yielding branching factor <= 2 on evenly
 distributed identifiers.
 
-All arithmetic here is exact (integer/rational): for ``b = 160`` spaces the
-quantities overflow doubles, and an off-by-one in ``ceil(log2(.))`` flips a
-parent choice and breaks the balance proof.
+All arithmetic here is exact, on Python ints: with ``d0 = p/q`` the limit is
+``ceil_log2(max(1, ceil((x*q + 2p) / (3q))))``, the identity ``chord.fastbuild``
+and ``chord.block`` evaluate on arrays. For ``b = 160`` the quantities overflow
+doubles, and an off-by-one in ``ceil(log2(.))`` flips a parent choice and
+breaks the balance proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.util.bits import ceil_log2
@@ -60,15 +62,10 @@ def finger_limit(x: int, d0: float | Fraction) -> int:
         Maximum eligible finger slot index ``j`` (0-indexed, finger ``j``
         covers offset ``2^j``): eligible slots are ``j <= g(x)``.
     """
-    if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    gap = d0 if isinstance(d0, Fraction) else Fraction(d0).limit_denominator(10**12)
-    if gap <= 0:
-        raise ValueError(f"d0 must be positive, got {d0}")
-    return ceil_log2_fraction((x + 2 * gap) / 3)
+    return FingerLimiter.for_gap(d0)(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FingerLimiter:
     """Callable ``g(x)`` with a fixed mean gap, precomputed exactly.
 
@@ -77,9 +74,20 @@ class FingerLimiter:
 
         limiter = FingerLimiter.for_ring(bits=32, n_nodes=512)
         limiter(x)   # max eligible finger slot for distance x
+
+    ``q`` and ``2p`` are taken at construction; a call builds no ``Fraction``.
     """
 
     d0: Fraction
+    _q: int = field(init=False, repr=False, compare=False)
+    _two_p: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p, q = self.d0.numerator, self.d0.denominator
+        if p <= 0:
+            raise ValueError(f"d0 must be positive, got {self.d0}")
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_two_p", 2 * p)
 
     @classmethod
     def for_ring(cls, bits: int, n_nodes: int) -> "FingerLimiter":
@@ -90,14 +98,19 @@ class FingerLimiter:
 
     @classmethod
     def for_gap(cls, d0: float | Fraction) -> "FingerLimiter":
-        """Limiter with an explicit (possibly estimated) mean gap."""
-        gap = d0 if isinstance(d0, Fraction) else Fraction(d0).limit_denominator(10**12)
-        if gap <= 0:
-            raise ValueError(f"d0 must be positive, got {d0}")
-        return cls(d0=gap)
+        """Limiter with an explicit (possibly estimated) mean gap: a float's
+        exact value, its denominator limited to ``10**12``."""
+        if isinstance(d0, Fraction):
+            return cls(d0)
+        p, q = d0.as_integer_ratio()
+        gap = Fraction(p, q)
+        return cls(gap if q <= 10**12 else gap.limit_denominator(10**12))
 
     def __call__(self, x: int) -> int:
-        return finger_limit(x, self.d0)
+        if x < 0:
+            raise ValueError(f"x must be non-negative, got {x}")
+        q = self._q
+        return ceil_log2(max(1, -(-(x * q + self._two_p) // (3 * q))))
 
     def max_finger_offset(self, x: int) -> int:
         """Largest finger offset ``2^{g(x)}`` eligible at distance ``x``."""

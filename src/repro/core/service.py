@@ -209,6 +209,8 @@ class DatNodeService:
         self._batcher = Batcher(host.transport, push_batch_window)
         self._continuous: dict[int, _ContinuousState] = {}
         self._round_seq = 0
+        self._limiter: FingerLimiter | None = None
+        self._limiter_d0: float | None = None
         host.upcalls["agg_push"] = self._on_push
         host.upcalls["agg_collect"] = self._on_collect
         install_batch_unwrapper(host.upcalls, self._dispatch_unbatched)
@@ -239,10 +241,17 @@ class DatNodeService:
     def ident(self) -> int:
         return self.host.ident
 
-    def _gap_estimate(self) -> float:
-        """Current ``d0`` for the limiting function (balanced scheme only)."""
+    def _current_limiter(self) -> FingerLimiter:
+        """``g`` for the current ``d0`` (balanced scheme only): the provider
+        is asked every push — live overlays revise the estimate under churn —
+        and the limiter rebuilt only when the value changed."""
         assert self.d0_provider is not None  # enforced by __init__ for balanced
-        return self.d0_provider()
+        d0 = self.d0_provider()
+        limiter = self._limiter
+        if limiter is None or d0 != self._limiter_d0:
+            self._limiter = limiter = FingerLimiter.for_gap(d0)
+            self._limiter_d0 = d0
+        return limiter
 
     def parent_for(self, root: int) -> int | None:
         """This node's parent in the DAT rooted at ``root``.
@@ -257,8 +266,7 @@ class DatNodeService:
         try:
             if self.scheme == "basic":
                 return select_parent_basic(table, root)
-            limiter = FingerLimiter.for_gap(self._gap_estimate())
-            return select_parent_balanced(table, root, limiter)
+            return select_parent_balanced(table, root, self._current_limiter())
         except TreeError:
             return None
 
@@ -289,9 +297,7 @@ class DatNodeService:
         table = self.finger_provider()
         space = table.space
         if self.scheme == "balanced":
-            x = space.cw(self.ident, key)
-            limiter = FingerLimiter.for_gap(self._gap_estimate())
-            max_slot = limiter(x)
+            max_slot = self._current_limiter()(space.cw(self.ident, key))
         else:
             max_slot = None
         parent = table.closest_preceding(key, max_slot=max_slot)
@@ -332,14 +338,15 @@ class DatNodeService:
             state.cancel_timer()
 
     def _schedule_push(self, key: int, root_hint: int | None) -> None:
-        state = self._continuous.get(key)
-        if state is None:
-            return
+        """Arm the periodic push for ``key``: one closure that re-arms itself."""
 
         def tick() -> None:
             self._push_once(key, root_hint=root_hint)
-            self._schedule_push(key, root_hint)
+            state = self._continuous.get(key)
+            if state is not None:
+                state.cancel_timer = self.host.transport.schedule(state.interval, tick)
 
+        state = self._continuous[key]
         state.cancel_timer = self.host.transport.schedule(state.interval, tick)
 
     def _push_once(self, key: int, root_hint: int | None) -> None:

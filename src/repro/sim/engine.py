@@ -6,32 +6,44 @@ reproduction needs: deterministic tie-breaking (events at equal timestamps
 fire in insertion order, so runs are bit-identical across platforms) and
 cancellable events (protocol timers are rescheduled constantly).
 
-The queue is an *indexed* binary heap: every event carries its own heap
-position, so :meth:`Event.cancel` removes it in O(log n) instead of leaving
-a tombstone to be popped past later. Churn replay at 10^5 nodes cancels a
-retransmission timer for nearly every delivered message — with lazy
-deletion those tombstones dominated heap size (and every ``pending`` read
-was a full scan); with indexed removal the heap holds live events only and
-``pending`` is O(1).
+The queue is the standard-library recipe: :mod:`heapq` over ``(time,
+sequence, event)`` entries, ordered in C on the tuple. :meth:`Event.cancel`
+unlinks the event logically: the live count drops at once (``pending`` is
+exact and O(1)) and the event lets go of its callback, but its entry stays
+as a tombstone until it surfaces or until tombstones outnumber live events
+by :data:`TOMBSTONE_SLACK`, when the list is filtered and re-heapified.
+Churn replay cancels a retransmission timer for nearly every delivered
+message: compaction bounds the list at ``2 * pending + TOMBSTONE_SLACK``
+entries, and releasing the callback keeps a cancelled timeout from pinning
+its message and session graph while the tombstone waits.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Callable
 
 from repro import telemetry
 from repro.errors import SimulationError
 
-__all__ = ["Event", "IndexedEventHeap", "TickHook", "SimulationEngine"]
+__all__ = ["Event", "EventQueue", "TickHook", "SimulationEngine", "TOMBSTONE_SLACK"]
+
+#: Tombstones tolerated beyond the live count before the queue compacts.
+TOMBSTONE_SLACK = 64
 
 
-@dataclass(order=True, slots=True)
+def _released() -> None:
+    """Stands in for the callback of an event that will never fire."""
+
+
+@dataclass(slots=True, eq=False)
 class Event:
     """One scheduled callback.
 
-    Ordering is (time, sequence) — the sequence number breaks ties in
+    Fire order is (time, sequence) — the sequence number breaks ties in
     insertion order, making simulations deterministic. ``slots=True``
     trims per-event memory by roughly half: at 10^5 scheduled deliveries
     the event queue itself is a measurable share of peak RSS.
@@ -39,22 +51,20 @@ class Event:
 
     time: float
     sequence: int
-    callback: Callable[[], Any] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Intrusive position index: the heap that holds the event and its slot
-    #: in that heap's array. Maintained by :class:`IndexedEventHeap` only.
-    _heap: IndexedEventHeap | None = field(
-        default=None, compare=False, repr=False
-    )
-    _index: int = field(default=-1, compare=False, repr=False)
+    callback: Callable[[], Any]
+    label: str = ""
+    cancelled: bool = False
+    #: The queue that holds the event while it is live; ``None`` once it
+    #: fired or was unlinked. Maintained by :class:`EventQueue` only.
+    _heap: EventQueue | None = field(default=None, repr=False)
 
     def cancel(self) -> None:
-        """Cancel the event, removing it from its heap in O(log n).
+        """Cancel the event: unlink it from its queue and drop its callback.
 
-        Safe to call at any point — before the event fires (it is unlinked
-        immediately), after it fired, or twice (no-ops). The ``cancelled``
-        flag stays set so callers can still observe the state.
+        Safe to call at any point — before the event fires (the queue's
+        live count drops immediately), after it fired, or twice (no-ops).
+        The ``cancelled`` flag stays set so callers can still observe the
+        state.
         """
         self.cancelled = True
         heap = self._heap
@@ -62,121 +72,99 @@ class Event:
             heap.remove(self)
 
 
-class IndexedEventHeap:
-    """Binary min-heap of :class:`Event` with intrusive position tracking.
+class EventQueue:
+    """Min-queue of :class:`Event` in (time, sequence) order, on :mod:`heapq`.
 
-    Each contained event stores its own array slot (``event._index``), so
-    removal from the middle — the cancel path — is O(log n): swap the last
-    element into the hole and restore the heap property from there. No
-    position dict, no tombstones; ``len(heap)`` is exactly the live event
-    count.
+    An entry whose event no longer points back at the queue is a
+    tombstone: :meth:`remove` leaves it in place, :meth:`peek` and
+    :meth:`pop` discard it when it surfaces. ``len(queue)`` is exactly the
+    live event count; ``peak`` is the largest it has been.
 
-    ``lazy_deleted`` counts events that arrived at :meth:`pop` with their
+    ``lazy_deleted`` counts events that surfaced live with their
     ``cancelled`` flag already set — possible only for flags written
     directly instead of via :meth:`Event.cancel`, so the counter is a
-    telemetry canary for code bypassing indexed removal (it stays 0 in a
+    telemetry canary for code bypassing the unlink (it stays 0 in a
     healthy run).
     """
 
-    __slots__ = ("_events", "lazy_deleted")
+    __slots__ = ("_entries", "_live", "peak", "lazy_deleted")
 
     def __init__(self) -> None:
-        self._events: list[Event] = []
+        self._entries: list[tuple[float, int, Event]] = []
+        self._live = 0
+        self.peak = 0
         self.lazy_deleted = 0
 
     def __len__(self) -> int:
-        return len(self._events)
-
-    def peek(self) -> Event:
-        """The earliest event, without removing it."""
-        return self._events[0]
+        return self._live
 
     def push(self, event: Event) -> None:
         """Insert ``event`` (O(log n))."""
         event._heap = self
-        event._index = len(self._events)
-        self._events.append(event)
-        self._sift_up(event._index)
+        heappush(self._entries, (event.time, event.sequence, event))
+        self._live = live = self._live + 1
+        if live > self.peak:
+            self.peak = live
 
-    def pop(self) -> Event:
-        """Remove and return the earliest event (O(log n))."""
-        events = self._events
-        top = events[0]
-        last = events.pop()
-        if events:
-            events[0] = last
-            last._index = 0
-            self._sift_down(0)
-        top._heap = None
-        top._index = -1
-        return top
+    def peek(self) -> Event | None:
+        """The earliest event that will fire, or ``None``; not removed."""
+        entries = self._entries
+        while entries:
+            event = entries[0][2]
+            if event._heap is self and not event.cancelled:
+                return event
+            # A tombstone, or (the canary) a flag written directly.
+            heappop(entries)
+            if self.remove(event):
+                self.lazy_deleted += 1
+        return None
+
+    def pop(self, horizon: float = inf) -> Event | None:
+        """Remove and return the earliest event that will fire.
+
+        Returns ``None`` when nothing is left or the earliest event is due
+        after ``horizon`` (it then stays queued).
+        """
+        event = self.peek()
+        if event is None or event.time > horizon:
+            return None
+        heappop(self._entries)
+        self._unlink(event)
+        return event
 
     def remove(self, event: Event) -> bool:
-        """Unlink ``event`` from any position (O(log n)).
+        """Unlink ``event`` wherever it sits (O(1) amortized).
 
-        Returns False when the event is not in this heap (already fired,
+        The event drops its callback; its entry becomes a tombstone.
+        Returns False when the event is not in this queue (already fired,
         already removed, or never scheduled).
         """
         if event._heap is not self:
             return False
-        events = self._events
-        slot = event._index
-        event._heap = None
-        event._index = -1
-        last = events.pop()
-        if slot < len(events):
-            events[slot] = last
-            last._index = slot
-            self._sift_up(slot)
-            if last._index == slot:
-                self._sift_down(slot)
+        event.callback = _released
+        self._unlink(event)
         return True
 
     def clear(self) -> None:
         """Drop every event, unlinking each."""
-        for event in self._events:
-            event._heap = None
-            event._index = -1
-        self._events.clear()
+        for _time, _sequence, event in self._entries:
+            if event._heap is self:
+                event._heap = None
+                event.callback = _released
+        self._entries.clear()
+        self._live = 0
 
-    def _sift_up(self, slot: int) -> None:
-        events = self._events
-        moving = events[slot]
-        while slot > 0:
-            parent_slot = (slot - 1) >> 1
-            parent = events[parent_slot]
-            if moving < parent:
-                events[slot] = parent
-                parent._index = slot
-                slot = parent_slot
-            else:
-                break
-        events[slot] = moving
-        moving._index = slot
-
-    def _sift_down(self, slot: int) -> None:
-        events = self._events
-        size = len(events)
-        moving = events[slot]
-        while True:
-            child_slot = 2 * slot + 1
-            if child_slot >= size:
-                break
-            right = child_slot + 1
-            if right < size and events[right] < events[child_slot]:
-                child_slot = right
-            child = events[child_slot]
-            if child < moving:
-                events[slot] = child
-                child._index = slot
-                slot = child_slot
-            else:
-                break
-        events[slot] = moving
-        moving._index = slot
+    def _unlink(self, event: Event) -> None:
+        """Take ``event`` out of the live count; compact if tombstones win."""
+        event._heap = None
+        self._live = live = self._live - 1
+        entries = self._entries
+        if len(entries) > 2 * live + TOMBSTONE_SLACK:
+            entries[:] = [entry for entry in entries if entry[2]._heap is self]
+            heapify(entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"IndexedEventHeap(n={len(self._events)})"
+        return f"EventQueue(n={self._live})"
 
 
 @dataclass
@@ -202,7 +190,7 @@ class TickHook:
 
 
 class SimulationEngine:
-    """A virtual clock plus a heap of pending events.
+    """A virtual clock plus a queue of pending events.
 
     Usage::
 
@@ -215,12 +203,11 @@ class SimulationEngine:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap = IndexedEventHeap()
+        self._heap = EventQueue()
         self._sequence = itertools.count()
         self._events_fired = 0
         self._running = False
         self._hooks: list[TickHook] = []
-        self._heap_peak = 0
 
     @property
     def now(self) -> float:
@@ -229,11 +216,8 @@ class SimulationEngine:
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events (O(1)).
-
-        Cancelled events leave the indexed heap immediately, so the live
-        count is simply the heap size — no scan.
-        """
+        """Number of not-yet-fired, not-cancelled events: the queue's live
+        count, a stored integer (no scan past tombstones)."""
         return len(self._heap)
 
     @property
@@ -243,19 +227,19 @@ class SimulationEngine:
 
     @property
     def heap_peak(self) -> int:
-        """Largest number of simultaneously pending events seen so far.
+        """Largest number of simultaneously pending (live) events so far.
 
-        Published as the ``sim_heap_peak`` telemetry gauge after each
-        :meth:`run`.
+        Tombstones of cancelled events are not counted. Published as the
+        ``sim_heap_peak`` telemetry gauge after each :meth:`run`.
         """
-        return self._heap_peak
+        return self._heap.peak
 
     @property
     def lazy_deleted(self) -> int:
-        """Events that reached the pop path already cancelled.
+        """Events that surfaced in the queue already flagged cancelled.
 
         Stays 0 when every cancellation goes through :meth:`Event.cancel`
-        (which unlinks indexed); a nonzero value means something set the
+        (which unlinks at once); a nonzero value means something set the
         ``cancelled`` flag directly. Published as the
         ``sim_heap_lazy_deleted`` telemetry gauge after each :meth:`run`.
         """
@@ -273,12 +257,8 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        event = Event(
-            time=time, sequence=next(self._sequence), callback=callback, label=label
-        )
+        event = Event(time, next(self._sequence), callback, label)
         self._heap.push(event)
-        if len(self._heap) > self._heap_peak:
-            self._heap_peak = len(self._heap)
         return event
 
     def schedule(
@@ -331,20 +311,19 @@ class SimulationEngine:
 
     def step(self) -> bool:
         """Fire the next event. Returns False when the queue is exhausted."""
-        while len(self._heap):
-            event = self._heap.pop()
-            if event.cancelled:
-                # Unreachable via Event.cancel (indexed removal); counted
-                # as a canary for direct flag writes.
-                self._heap.lazy_deleted += 1
-                continue
-            if self._hooks:
-                self._fire_hooks(event.time)
-            self._now = event.time
-            self._events_fired += 1
-            event.callback()
-            return True
-        return False
+        return self._fire_next(inf)
+
+    def _fire_next(self, horizon: float) -> bool:
+        """Fire the next event if it is due by ``horizon``, tick hooks first."""
+        event = self._heap.pop(horizon)
+        if event is None:
+            return False
+        if self._hooks:
+            self._fire_hooks(event.time)
+        self._now = event.time
+        self._events_fired += 1
+        event.callback()
+        return True
 
     def run(
         self, until: float | None = None, max_events: int | None = None
@@ -367,24 +346,22 @@ class SimulationEngine:
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
+        queue = self._heap
+        horizon = inf if until is None else until
         fired = 0
         try:
-            while len(self._heap):
-                head = self._heap.peek()
-                if head.cancelled:
-                    # Canary path: flag written directly, not via cancel().
-                    self._heap.pop()
-                    self._heap.lazy_deleted += 1
-                    continue
-                if until is not None and head.time > until:
+            while max_events is None or fired < max_events:
+                if not self._fire_next(horizon):
                     break
-                if max_events is not None and fired >= max_events:
+                fired += 1
+            else:
+                # Budget spent: an error if an event is still due.
+                head = queue.peek()
+                if head is not None and head.time <= horizon:
                     raise SimulationError(
                         f"run() exceeded max_events={max_events} "
                         f"(possible event loop at t={self._now})"
                     )
-                self.step()
-                fired += 1
             if until is not None and self._now < until:
                 if self._hooks:
                     self._fire_hooks(until)
@@ -392,10 +369,8 @@ class SimulationEngine:
             return self._now
         finally:
             self._running = False
-            telemetry.gauge_set("sim_heap_peak", float(self._heap_peak))
-            telemetry.gauge_set(
-                "sim_heap_lazy_deleted", float(self._heap.lazy_deleted)
-            )
+            telemetry.gauge_set("sim_heap_peak", float(queue.peak))
+            telemetry.gauge_set("sim_heap_lazy_deleted", float(queue.lazy_deleted))
 
     def clear(self) -> None:
         """Drop all pending events (the clock is left where it is)."""

@@ -143,10 +143,14 @@ class Message:
         return len(encode_message(self))
 
 
+#: Built once: ``json.dumps(..., separators=...)`` makes an encoder per call.
+_WIRE_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_message(message: Message) -> bytes:
     """Serialize to the JSON wire format used by the UDP transport."""
     try:
-        return json.dumps(
+        return _WIRE_JSON.encode(
             {
                 "kind": message.kind,
                 "src": message.source,
@@ -154,8 +158,7 @@ def encode_message(message: Message) -> bytes:
                 "payload": message.payload,
                 "msg_id": message.msg_id,
                 "reply_to": message.reply_to,
-            },
-            separators=(",", ":"),
+            }
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise TransportError(f"message payload is not JSON-serializable: {exc}") from exc

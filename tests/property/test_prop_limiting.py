@@ -68,3 +68,66 @@ class TestFingerLimiterConsistency:
     def test_for_ring_matches_manual_fraction(self, bits, n, x):
         limiter = FingerLimiter.for_ring(bits, n)
         assert limiter(x) == finger_limit(x, Fraction(1 << bits, n))
+
+
+def reference_limit(x: int, d0: float | Fraction) -> int:
+    """``g(x)`` in rationals, as ``finger_limit`` computed it before the
+    integer form: the reference the integer form must reproduce."""
+    gap = d0 if isinstance(d0, Fraction) else Fraction(d0).limit_denominator(10**12)
+    return ceil_log2_fraction((x + 2 * gap) / 3)
+
+
+DISTANCES = st.integers(min_value=0, max_value=2**160)
+#: Float gaps from a millionth of a typical gap to a 2^160 space over a
+#: handful of nodes, most with no short binary expansion.
+FLOAT_GAPS = st.floats(
+    min_value=1e-3, max_value=2.0**150, allow_nan=False, allow_infinity=False
+)
+RATIONAL_GAPS = st.builds(
+    Fraction,
+    st.integers(min_value=1, max_value=2**170),
+    st.integers(min_value=1, max_value=10**12),
+)
+RING_GAPS = st.builds(
+    lambda bits, n: Fraction(2**bits, n),
+    st.integers(min_value=1, max_value=160),
+    st.integers(min_value=1, max_value=2**40),
+)
+
+
+class TestIntegerFormMatchesRationalReference:
+    @given(DISTANCES, st.one_of(FLOAT_GAPS, RATIONAL_GAPS, RING_GAPS))
+    @settings(max_examples=500)
+    def test_scalar_forms_agree(self, x, d0):
+        expected = reference_limit(x, d0)
+        assert FingerLimiter.for_gap(d0)(x) == expected
+        assert finger_limit(x, d0) == expected
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=32),
+        st.one_of(
+            st.floats(min_value=1e-3, max_value=2.0**40),
+            st.builds(
+                Fraction,
+                st.integers(min_value=1, max_value=2**40),
+                st.integers(min_value=1, max_value=10**12),
+            ),
+        ),
+    )
+    def test_block_limits_agree_elementwise(self, xs, d0):
+        import numpy as np
+
+        from repro.chord.block import balanced_limits
+
+        limits = balanced_limits(np.array(xs, dtype=np.int64), d0)
+        assert limits.tolist() == [reference_limit(x, d0) for x in xs]
+
+    def test_short_float_gaps_are_exact_and_long_ones_reduced(self):
+        # A dyadic float keeps its exact value; one whose denominator
+        # exceeds 10**12 is reduced, as the rational form reduced it.
+        assert FingerLimiter.for_gap(0.375).d0 == Fraction(3, 8)
+        third = 1 / 3
+        assert Fraction(third).denominator > 10**12
+        assert FingerLimiter.for_gap(third).d0 == Fraction(third).limit_denominator(
+            10**12
+        )

@@ -6,7 +6,7 @@ machinery bit for bit. These tests assert that identity over full rings:
 finger views slot-for-slot, ``closest_preceding`` for swept keys and slot
 caps, ``key_parents`` against the scalar key-addressed rule of
 ``DatNodeService.parent_toward_key``, and the vectorized balanced limits
-against the ``Fraction``-exact :class:`~repro.core.limiting.FingerLimiter`.
+against the exact scalar :class:`~repro.core.limiting.FingerLimiter`.
 """
 
 import numpy as np

@@ -1,12 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
 import random
+import weakref
 
 import pytest
 
 from repro import telemetry
 from repro.errors import SimulationError
-from repro.sim.engine import Event, IndexedEventHeap, SimulationEngine
+from repro.sim.engine import TOMBSTONE_SLACK, Event, EventQueue, SimulationEngine
 
 
 class TestScheduling:
@@ -151,11 +152,14 @@ class TestCancellation:
 
 
 class TestIndexedEventHeap:
+    """``EventQueue`` alone (the class keeps the name its test ids were
+    recorded under, from when the queue was an indexed heap)."""
+
     def _event(self, time, seq):
         return Event(time=time, sequence=seq, callback=lambda: None)
 
     def test_pop_order_matches_sort_order(self):
-        heap = IndexedEventHeap()
+        heap = EventQueue()
         rng = random.Random(42)
         events = [self._event(rng.uniform(0, 100), seq) for seq in range(500)]
         for event in rng.sample(events, len(events)):
@@ -167,7 +171,7 @@ class TestIndexedEventHeap:
     def test_remove_from_middle_keeps_order(self):
         rng = random.Random(1)
         for _ in range(20):
-            heap = IndexedEventHeap()
+            heap = EventQueue()
             events = [
                 self._event(rng.uniform(0, 10), seq) for seq in range(60)
             ]
@@ -183,7 +187,7 @@ class TestIndexedEventHeap:
             )
 
     def test_remove_absent_returns_false(self):
-        heap = IndexedEventHeap()
+        heap = EventQueue()
         event = self._event(1.0, 0)
         assert heap.remove(event) is False
         heap.push(event)
@@ -191,26 +195,186 @@ class TestIndexedEventHeap:
         assert popped is event
         assert heap.remove(event) is False
 
-    def test_position_index_is_consistent(self):
-        heap = IndexedEventHeap()
+    def test_entries_and_live_count_agree_after_removals(self):
+        heap = EventQueue()
         rng = random.Random(3)
         events = [self._event(rng.uniform(0, 5), seq) for seq in range(200)]
         for event in events:
             heap.push(event)
-        for event in rng.sample(events, 80):
+        removed = rng.sample(events, 80)
+        for event in removed:
             heap.remove(event)
-        for slot, event in enumerate(heap._events):
-            assert event._index == slot
-            assert event._heap is heap
+        assert len(heap) == 120
+        assert all(event._heap is None for event in removed)
+        # Every entry is a live member or a tombstone, and the live
+        # members are exactly the survivors.
+        linked = [entry[2] for entry in heap._entries if entry[2]._heap is heap]
+        assert len(linked) == len(heap)
+        assert set(map(id, linked)) == {id(e) for e in events if e not in removed}
+        assert len(heap._entries) <= 2 * len(heap) + TOMBSTONE_SLACK
 
     def test_clear_unlinks_members(self):
-        heap = IndexedEventHeap()
+        heap = EventQueue()
         events = [self._event(float(i), i) for i in range(5)]
         for event in events:
             heap.push(event)
+        events[1].cancel()
         heap.clear()
         assert len(heap) == 0
-        assert all(e._heap is None and e._index == -1 for e in events)
+        assert heap._entries == []
+        assert all(e._heap is None for e in events)
+        assert heap.pop() is None
+
+
+class TestQueueAgainstModel:
+    """Random operation sequences, checked after every step against a
+    sorted list: what fires and in what order, and every public count."""
+
+    class Model:
+        """The engine's contract on a plain sorted list of records."""
+
+        def __init__(self):
+            self.now = 0.0
+            self.sequence = 0
+            self.queued: list[list] = []  # [time, sequence, flagged], sorted
+            self.fired: list[int] = []
+            self.peak = 0
+            self.lazy_deleted = 0
+
+        def schedule_at(self, time):
+            record = [time, self.sequence, False]
+            self.sequence += 1
+            self.queued.append(record)
+            self.queued.sort()
+            self.peak = max(self.peak, len(self.queued))
+            return record
+
+        def cancel(self, record):
+            if record in self.queued:
+                self.queued.remove(record)
+
+        def _next_due(self, horizon):
+            """Discard flagged records at the head; pop the next due one."""
+            while self.queued:
+                if self.queued[0][2]:
+                    self.queued.pop(0)
+                    self.lazy_deleted += 1
+                elif self.queued[0][0] > horizon:
+                    return None
+                else:
+                    return self.queued.pop(0)
+            return None
+
+        def step(self, horizon=float("inf")):
+            record = self._next_due(horizon)
+            if record is None:
+                return False
+            self.now = record[0]
+            self.fired.append(record[1])
+            return True
+
+        def run(self, until):
+            while self.step(until):
+                pass
+            self.now = max(self.now, until)
+
+    def test_draining_under_late_tombstones_keeps_the_bound(self):
+        # The RPC shape: every delivery cancels a timeout scheduled well
+        # after it, so tombstones sit below the live events being popped
+        # and only the pop path can notice they have come to outnumber them.
+        engine = SimulationEngine()
+        for i in range(1000):
+            engine.schedule(1.0 + i * 1e-3, lambda: None)
+        timeouts = [engine.schedule(100.0 + i, lambda: None) for i in range(1000)]
+        survivors = timeouts[::10]
+        for event in timeouts:
+            if event not in survivors:
+                event.cancel()
+        while engine.pending > len(survivors):
+            assert engine.step()
+            assert len(engine._heap._entries) <= 2 * engine.pending + TOMBSTONE_SLACK
+        assert engine.run() == survivors[-1].time
+        assert engine.events_fired == 1000 + len(survivors)
+        assert engine.lazy_deleted == 0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_interleavings(self, seed):
+        rng = random.Random(seed)
+        engine = SimulationEngine()
+        model = self.Model()
+        fired: list[int] = []
+        handles: list[tuple[Event, list]] = []
+
+        def callback_for(sequence):
+            return lambda: fired.append(sequence)
+
+        def schedule():
+            record_time = model.now + rng.choice([0.0, 0.5, 1.0, rng.uniform(0, 20)])
+            if rng.random() < 0.5:
+                event = engine.schedule_at(record_time, callback_for(model.sequence))
+            else:
+                event = engine.schedule(
+                    record_time - model.now, callback_for(model.sequence)
+                )
+                record_time = event.time  # now + (t - now) may round
+            handles.append((event, model.schedule_at(record_time)))
+
+        def cancel():
+            live = [(e, r) for e, r in handles if r in model.queued]
+            if not handles:
+                return
+            # Mostly fresh events; sometimes one already cancelled or fired.
+            event, record = rng.choice(live if live and rng.random() < 0.8 else handles)
+            was_live = record in model.queued and not record[2]
+            released = weakref.ref(event.callback)
+            event.cancel()
+            model.cancel(record)
+            assert event.cancelled
+            if was_live:
+                assert released() is None
+
+        def flag_directly():
+            live = [(e, r) for e, r in handles if r in model.queued]
+            if live:
+                event, record = rng.choice(live)
+                event.cancelled = True
+                record[2] = True
+
+        def step():
+            assert engine.step() is model.step()
+
+        def run_until():
+            until = model.now + rng.uniform(0, 8)
+            assert engine.run(until=until) == until
+            model.run(until)
+
+        def clear():
+            engine.clear()
+            model.queued.clear()
+
+        operations = [schedule] * 8 + [cancel] * 6 + [step] * 3 + [
+            flag_directly, run_until, run_until, clear
+        ]
+        # Bursts of one operation build deep queues and long tombstone runs.
+        for _ in range(60):
+            operation = rng.choice(operations)
+            for _ in range(rng.choice([1, 1, 1, 5, 40, 150])):
+                operation()
+                assert fired == model.fired
+                assert engine.now == model.now
+                assert engine.pending == len(model.queued)
+                assert engine.heap_peak == model.peak
+                assert engine.lazy_deleted == model.lazy_deleted
+                assert engine.events_fired == len(model.fired)
+                assert (
+                    len(engine._heap._entries)
+                    <= 2 * engine.pending + TOMBSTONE_SLACK
+                )
+        engine.run()
+        while model.step():
+            pass
+        assert fired == model.fired
+        assert engine.pending == 0
 
 
 class TestRunBounds:

@@ -168,3 +168,45 @@ class TestProbeJoin:
         # a point far from the two existing nodes.
         assert designated not in (0, 128)
         assert 30 < designated % 256 < 230 or designated in (64, 192)
+
+
+class TestDepartedStaysDeparted:
+    """A node that left or crashed mid-join must not come back to life."""
+
+    def _stranded_joiner(self):
+        # Nothing is registered at the bootstrap address, so the join
+        # lookup can only time out and schedule a retry.
+        transport = SimTransport(latency=ConstantLatency(0.01))
+        config = ChordConfig(rpc_timeout=1.0)
+        node = ChordProtocolNode(42, IdSpace(8), transport, config)
+        outcomes: list[str] = []
+        node.join(
+            7,
+            on_joined=lambda: outcomes.append("joined"),
+            on_failure=lambda: outcomes.append("failed"),
+        )
+        # Past the first lookup timeout, before the retry it armed one
+        # rpc_timeout later.
+        lookup_timeout = config.rpc_timeout * config.max_lookup_hops / 8
+        transport.run(until=lookup_timeout + config.rpc_timeout / 2)
+        assert transport.engine.pending == 1
+        return transport, config, node, outcomes
+
+    @pytest.mark.parametrize("depart", ["crash", "leave"])
+    def test_departure_cancels_pending_join_retry(self, depart):
+        transport, config, node, outcomes = self._stranded_joiner()
+        getattr(node, depart)()
+        sent_at_departure = transport.stats.load(42).sent
+        assert transport.engine.pending == 0
+        transport.run(until=transport.now() + 10 * config.rpc_timeout)
+        assert transport.stats.load(42).sent == sent_at_departure
+        assert not node._running
+        assert transport.engine.pending == 0
+        assert outcomes == []
+
+    def test_start_maintenance_is_a_noop_after_crash(self):
+        transport, _config, node, _outcomes = self._stranded_joiner()
+        node.crash()
+        node.start_maintenance()
+        assert not node._running
+        assert transport.engine.pending == 0

@@ -1,5 +1,7 @@
 """Unit tests for the DAT protocol service (on-demand + continuous modes)."""
 
+import sys
+
 import pytest
 
 from repro.chord.idspace import IdSpace
@@ -57,6 +59,44 @@ class TestParentComputation:
         basic = build_basic_dat(ring, 0)
         for node, service in services.items():
             assert service.parent_for(basic.root) == basic.parent.get(node)
+
+    def test_gap_change_between_pushes_moves_the_parent(self):
+        # A live overlay revises d0 under churn: the provider is asked on
+        # every push and the next parent follows the new estimate.
+        from repro.core.limiting import FingerLimiter
+        from repro.core.parent import select_parent_balanced
+
+        space, ring, transport, tree, _services, _values = build_services()
+        tables = ring.all_finger_tables()
+        gaps = [space.size / len(ring), 1.0]
+
+        def parent_under(node, gap):
+            return select_parent_balanced(
+                tables[node], tree.root, FingerLimiter.for_gap(gap)
+            )
+
+        node = next(
+            n for n in ring
+            if n != tree.root and parent_under(n, gaps[0]) != parent_under(n, gaps[1])
+        )
+        asked: list[float] = []
+
+        def d0_provider() -> float:
+            asked.append(gaps[0])
+            return gaps[0]
+
+        service = DatNodeService(
+            StandaloneDatHost(node, space, SimTransport()),
+            finger_provider=lambda: tables[node],
+            value_provider=lambda: 0.0,
+            d0_provider=d0_provider,
+        )
+        assert service.parent_toward_key(0) == parent_under(node, gaps[0])
+        assert service.parent_for(tree.root) == parent_under(node, gaps[0])
+        gaps.reverse()
+        assert service.parent_toward_key(0) == parent_under(node, gaps[0])
+        assert service.parent_for(tree.root) == parent_under(node, gaps[0])
+        assert len(asked) == 4
 
     def test_balanced_requires_d0(self):
         space = IdSpace(8)
@@ -193,6 +233,50 @@ class TestContinuous:
         transport.run(until=10.0)
         pushes = transport.stats.by_kind().get("agg_push", 0)
         assert pushes == 10 * (len(ring) - 1)
+
+
+class TestPushCost:
+    """What one push costs on the object path, counted rather than timed.
+
+    One steady-state interval at n = 1024 (every node: tick, parent choice,
+    ``send``, ``deliver``, ``_on_push``), every call made — Python or
+    builtin — divided by the pushes sent. A sift loop in Python or a
+    rational ``g(x)`` per push each add dozens of calls; the heapq queue and
+    the integer limiter leave about a hundred. No frame of ``fractions.py``
+    may run at all: the limiter is built when ``d0`` changes, not per push.
+    """
+
+    N_NODES = 1024
+    MAX_CALLS_PER_PUSH = 150
+
+    def test_steady_state_interval_call_count(self):
+        _space, _ring, transport, tree, services, _values = build_services(
+            n=self.N_NODES, bits=32
+        )
+        for service in services.values():
+            service.start_continuous(0, tree.root, "sum", interval=1.0)
+        transport.run(until=3.5)  # three intervals pushed and delivered
+        sent_before = transport.stats.total_messages()
+
+        counts = {"call": 0, "c_call": 0, "fractions": 0}
+
+        def profile(frame, event, arg):
+            if event in counts:
+                counts[event] += 1
+                if event == "call" and frame.f_code.co_filename.endswith("fractions.py"):
+                    counts["fractions"] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            transport.run(until=4.5)  # interval four: sent at 4.0, delivered at 4.001
+        finally:
+            sys.setprofile(previous)
+        pushes = transport.stats.total_messages() - sent_before
+        assert pushes == self.N_NODES - 1
+        per_push = (counts["call"] + counts["c_call"]) / pushes
+        assert per_push < self.MAX_CALLS_PER_PUSH, counts
+        assert counts["fractions"] == 0, counts
 
 
 class TestStateCoding:
