@@ -1,7 +1,7 @@
 """Fig-7/8 statistics at 10^5-10^6-node scale (tentpole perf benchmark).
 
 The array-native pipeline — :class:`~repro.chord.ringarray.RingArray`
-rings, one shared finger matrix, and
+rings, the matrix-free O(n) tree kernel, and
 :class:`~repro.chord.fastbuild.DatTreeArrays` statistics — claims fig-grade
 measurements at n in {16k, 65k, 131k, 262k} in minutes on one core. This
 benchmark measures wall-clock and peak RSS per size, asserts the results
@@ -28,14 +28,16 @@ Runs two ways:
 messages through :class:`~repro.sim.simnet.SimTransport`, compared
 bit-for-bit against one :class:`~repro.core.service.DatNodeService` per
 node up to ``PROTOCOL_ORACLE_MAX`` nodes, with peak RSS and a slab-state
-memory gate (``protocol.max_state_bytes_per_node``). Each protocol row
-runs in a fresh interpreter, so its ``peak_rss_mb`` is its own high-water
-mark and not that of whatever ran before it in this process.
+memory gate (``protocol.max_state_bytes_per_node``). Every row, statistics
+or protocol, runs in a fresh interpreter, so its ``peak_rss_mb`` is its own
+high-water mark and not that of whatever ran before it in this process.
 
-The standalone run also appends its protocol rows, stamped with the git
-sha of the measured source tree and the date, to the ``protocol_history``
-list of the output file; every writer of that file carries the list over,
-so the trajectory of the protocol path survives regeneration.
+The standalone run also appends its rows, stamped with the git sha of the
+measured source tree and the date, to the ``results_history`` (statistics)
+and ``protocol_history`` (protocol) lists of the output file; every writer
+of that file carries both lists over, so the trajectories survive
+regeneration. Pointing ``PYTHONPATH`` at a clone of another commit records
+that commit's rows with this harness.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ import resource
 import subprocess
 import sys
 import time
+from collections.abc import Callable
+from typing import Any
 
 import repro
 
@@ -92,6 +96,19 @@ def _peak_rss_mb() -> float:
     return peak / 1024.0
 
 
+def _in_fresh_interpreter(
+    body: Callable[..., dict[str, Any]], *args: object
+) -> dict[str, Any]:
+    """Run ``body(*args)`` in a spawned interpreter and return its row.
+
+    ``ru_maxrss`` / ``VmHWM`` are process-lifetime high-water marks, so a
+    row measured in this process would report the largest run that preceded
+    it, not its own footprint.
+    """
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(body, args)
+
+
 def measure(
     n_nodes: int,
     seed: int = 2007,
@@ -99,18 +116,28 @@ def measure(
     oracle_max: int = ORACLE_MAX_NODES,
 ) -> dict[str, object]:
     """One sweep point: fast-path stats + timing, oracle equality when affordable."""
+    row = _in_fresh_interpreter(
+        _statistics_row, n_nodes, seed, id_strategy, oracle_max
+    )
+    telemetry.gauge_set(
+        "scale_build_seconds", float(row["seconds"]), n=n_nodes, ids=id_strategy
+    )
+    return row
+
+
+def _statistics_row(
+    n_nodes: int, seed: int, id_strategy: str, oracle_max: int
+) -> dict[str, object]:
+    """The body of :func:`measure`, run in the child process."""
     start = time.perf_counter()
     point = measure_scale_point(
         n_nodes, bits=BITS, seed=seed, id_strategy=id_strategy
     )
     elapsed = time.perf_counter() - start
-    telemetry.gauge_set(
-        "scale_build_seconds", elapsed, n=n_nodes, ids=id_strategy
-    )
 
     row: dict[str, object] = dict(point.as_row())
     row["seconds"] = round(elapsed, 3)
-    row["peak_rss_mb"] = round(_peak_rss_mb(), 1)
+    row["peak_rss_mb"] = round(_peak_rss_mb(), 1)  # before the oracle's object webs
     if n_nodes <= oracle_max:
         oracle = measure_scale_point(
             n_nodes, bits=BITS, seed=seed, id_strategy=id_strategy, oracle=True
@@ -162,14 +189,10 @@ def measure_protocol(
     id_strategy: str = "probing",
     oracle_max: int = PROTOCOL_ORACLE_MAX,
 ) -> dict[str, object]:
-    """One live-protocol point: slab timing/memory, oracle equality when affordable.
-
-    Measured in a fresh interpreter: ``ru_maxrss`` is a process-lifetime
-    high-water mark, so a row measured in this process would report the
-    largest run that preceded it, not its own footprint.
-    """
-    with multiprocessing.get_context("spawn").Pool(1) as pool:
-        row = pool.apply(_protocol_row, (n_nodes, seed, id_strategy, oracle_max))
+    """One live-protocol point: slab timing/memory, oracle equality when affordable."""
+    row = _in_fresh_interpreter(
+        _protocol_row, n_nodes, seed, id_strategy, oracle_max
+    )
     telemetry.gauge_set(
         "scale_protocol_seconds", float(row["seconds"]), n=n_nodes, ids=id_strategy
     )
@@ -244,27 +267,30 @@ def _source_stamp() -> dict[str, object]:
     }
 
 
+#: History list in the result file -> the payload rows it accumulates.
+HISTORIES = {"results_history": "results", "protocol_history": "protocol_results"}
+
+
 def write_result(
     path: pathlib.Path, payload: dict[str, object], record_history: bool = False
 ) -> None:
-    """Write ``payload`` to ``path``, keeping the file's ``protocol_history``.
+    """Write ``payload`` to ``path``, keeping the file's history lists.
 
-    With ``record_history`` the payload's protocol rows are appended to
-    that history, stamped with :func:`_source_stamp`.
+    With ``record_history`` the payload's statistics and protocol rows are
+    appended to ``results_history`` / ``protocol_history``, stamped with
+    :func:`_source_stamp`.
     """
-    history: list[dict[str, object]] = []
-    if path.is_file():
-        history = json.loads(path.read_text()).get("protocol_history", [])
-    if record_history:
-        stamp = _source_stamp()
-        history = history + [
-            {**stamp, **row} for row in payload["protocol_results"]  # type: ignore[union-attr]
-        ]
+    previous = json.loads(path.read_text()) if path.is_file() else {}
+    stamp = _source_stamp() if record_history else {}
+    histories: dict[str, object] = {}
+    for name, rows_key in HISTORIES.items():
+        history = previous.get(name, [])
+        if record_history:
+            history = history + [{**stamp, **row} for row in payload[rows_key]]  # type: ignore[attr-defined]
+        histories[name] = history
     if path.parent != pathlib.Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps({**payload, "protocol_history": history}, indent=2) + "\n"
-    )
+    path.write_text(json.dumps({**payload, **histories}, indent=2) + "\n")
 
 
 def _format(payload: dict[str, object]) -> str:

@@ -105,7 +105,7 @@ def measure(
     keys = [(i * 0x9E3779B9) % space.size for i in range(1, n_keys + 1)]
 
     builder = DatTreeBuilder(ring, scheme=DatScheme.BALANCED)
-    assert builder.finger_matrix is not None, "fast path must be available"
+    assert builder.tree_arrays(keys[0]) is not None, "fast path must be available"
 
     def builder_sweep() -> int:
         for key in keys:

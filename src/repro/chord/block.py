@@ -22,7 +22,10 @@ rule, including the balanced scheme's float-estimated ``d0`` path through
 :class:`~repro.core.limiting.FingerLimiter.for_gap` — for every node,
 asserted in ``tests/unit/test_block.py`` and the protocol property suite.
 (The root-addressed kernel in :mod:`repro.chord.fastbuild` is a different
-rule: it measures eligibility against the root, not the key.)
+rule: its target is a member, which makes the parent slot the closed form
+``min(floor(log2 x), g(x))``. That does not transfer here — a key need not
+be a member, so ``successor(i + 2^j)`` may overshoot it even when
+``2^j <= x`` — and the eligibility scan stays.)
 """
 
 from __future__ import annotations
@@ -31,15 +34,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from repro.chord.fastbuild import (
-    FAST_PATH_MAX_BITS,
-    _cw,
-    _vectorized_ceil_log2,
-    fast_finger_matrix,
-)
+from repro.chord.fastbuild import FAST_PATH_MAX_BITS, _cw, fast_finger_matrix
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.limiting import FingerLimiter
+from repro.core.limiting import balanced_limits
 from repro.errors import IdentifierError, TreeError
 
 __all__ = ["ChordNodeBlock", "MatrixFingerView", "balanced_limits"]
@@ -98,33 +96,6 @@ class MatrixFingerView:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MatrixFingerView(owner={self.owner})"
-
-
-def balanced_limits(x: np.ndarray, d0: float | Fraction) -> np.ndarray:
-    """``g(x)`` for an array of distances, exactly.
-
-    The array form of :class:`~repro.core.limiting.FingerLimiter`, which
-    evaluates the same identity on Python ints: with ``d0 = p/q``, the
-    limit is ``ceil_log2(max(ceil((x*q + 2p)/(3q)), 1))``. The int64 path
-    runs whenever the numerators provably fit in int64 and the ceilings
-    stay inside float64's exact range (always true for the power-of-two
-    populations the scale benchmarks use, where ``q == 1``); otherwise each
-    element goes through the scalar limiter's arbitrary-precision ints,
-    trading speed for the same exact answers.
-    """
-    limiter = FingerLimiter.for_gap(d0)
-    x = np.asarray(x, dtype=np.int64)
-    p, q = limiter.d0.numerator, limiter.d0.denominator
-    x_max = int(x.max()) if x.size else 0
-    if x_max * q + 2 * p < 2**62:
-        numerator = x * np.int64(q) + np.int64(2 * p)
-        m = np.maximum(-((-numerator) // np.int64(3 * q)), np.int64(1))
-        m_max = int(m.max()) if m.size else 0
-        if m_max < 2**53:
-            return _vectorized_ceil_log2(m)
-    return np.fromiter(
-        (limiter(xi) for xi in x.tolist()), dtype=np.int64, count=x.size
-    )
 
 
 class ChordNodeBlock:

@@ -2,28 +2,47 @@
 
 The scalar builders in :mod:`repro.chord.ring` / :mod:`repro.core.builder`
 are the reference implementation; this module recomputes the same results
-with array operations for large rings (8192-node builds drop from ~0.5 s
-to tens of milliseconds). Equivalence against the scalar path is asserted
-test-for-test in ``tests/unit/test_fastbuild.py`` — if the two ever
-disagree, the scalar path wins.
+with array operations. Equivalence against the scalar path is asserted
+test-for-test in ``tests/unit/test_fastbuild.py`` and against the
+``n x bits`` eligibility scan this module used to run in
+``tests/property/test_prop_parent_slot.py`` — if the two ever disagree, the
+scalar path wins.
+
+The tree kernel (:func:`fast_tree_arrays`) is O(n) and matrix-free. The DAT
+is the union of the finger routes toward ``r = successor(key)``, and ``r`` is
+a *member*: with ``x = cw(i, r) >= 1``, finger ``j`` of node ``i`` is
+``successor(i + 2^j)``. If ``2^j <= x`` the target lies in ``(i, r]`` and so
+does its successor (``r`` itself bounds it), i.e. the finger does not
+overshoot; if ``2^j > x`` the target is past ``r`` and its successor lies in
+``[i + 2^j, i]``, at distance 0 or ``> x``. So the eligible slots are exactly
+``0 .. floor(log2 x)``, the farthest non-overshooting finger is slot
+``floor(log2 x)`` (basic) or ``min(floor(log2 x), g(x))`` (Algorithm 1), and
+a build is one ``frexp``, one array ``g(x)`` and one ``searchsorted``.
+
+Out of scope: the *key*-addressed rules — ``ChordNodeBlock.key_parents``,
+``DatNodeService.parent_toward_key``, ``FingerTable.closest_preceding``.
+Their target need not be a member (nothing bounds ``successor(i + 2^j)``
+short of the key) and live tables may be stale, so the closed form does not
+hold there and the scan stays.
 
 Restrictions: identifier width ``bits <= 48`` so that the exact integer
-``ceil(log2(.))`` trick below stays within float64's 2^53 exact-integer
+``log2`` read off ``frexp`` stays within float64's 2^53 exact-integer
 range. Wider spaces silently fall back to the scalar builders via
 :func:`build_dat_fast`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from repro import telemetry
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_dat
-from repro.core.builder import DatScheme
+from repro.core.builder import DatScheme, build_dat
+from repro.core.limiting import balanced_limits
 from repro.core.tree import DatTree, TreeStats
 from repro.errors import TreeError
-from repro.util.bits import ceil_div
 
 __all__ = [
     "FAST_PATH_MAX_BITS",
@@ -33,7 +52,6 @@ __all__ = [
     "fast_balanced_parents",
     "fast_tree_arrays",
     "fast_tree_stats",
-    "fast_tree_height",
     "fast_centralized_load_array",
     "build_dat_fast",
 ]
@@ -52,21 +70,19 @@ def _require_fast_capable(ring: StaticRing) -> None:
         raise TreeError("fast path requires a non-empty ring")
 
 
-def _resolve_matrix(ring: StaticRing, matrix: np.ndarray | None) -> np.ndarray:
-    """Use a caller-supplied finger matrix after a cheap shape check.
+def _check_matrix(ring: StaticRing, matrix: np.ndarray | None) -> None:
+    """Shape-check a caller-supplied finger matrix; the kernel never reads it.
 
-    Callers that build many trees on one ring (``DatTreeBuilder``,
-    ``DatForest``, the incremental engine) pass the cached matrix so the
-    two searchsorted passes run once per *ring*, not once per *tree*.
+    ``matrix=`` survives in the public signatures only for positional
+    callers that predate the closed form (ROADMAP "One DAT kernel" records
+    its removal); a wrong-shaped one still means the caller is confused
+    about which ring it is building on.
     """
-    if matrix is None:
-        return fast_finger_matrix(ring)
-    if matrix.shape != (len(ring), ring.space.bits):
+    if matrix is not None and matrix.shape != (len(ring), ring.space.bits):
         raise TreeError(
             f"finger matrix shape {matrix.shape} does not match the ring "
             f"({len(ring)} nodes, {ring.space.bits} bits)"
         )
-    return matrix
 
 
 def fast_finger_matrix(ring: StaticRing) -> np.ndarray:
@@ -91,104 +107,24 @@ def _cw(space_mask: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b - a) & np.int64(space_mask)
 
 
-def _vectorized_ceil_log2(values: np.ndarray) -> np.ndarray:
-    """Exact ``ceil(log2(v))`` for positive int64 values < 2^53.
+def _parent_slots(x: np.ndarray, gap: Fraction | None) -> np.ndarray:
+    """``min(floor(log2 x), g(x))`` per distance — the closed-form parent slot.
 
-    ``frexp`` decomposes ``v = m * 2^e`` with ``m`` in [0.5, 1); the
-    decomposition is exact for integers below 2^53, so
-    ``ceil(log2(v)) = e - 1`` when ``v`` is a power of two (m == 0.5) and
-    ``e`` otherwise — no floating-point rounding anywhere.
+    ``gap=None`` is the basic scheme (no limit). ``floor(log2 x)`` is
+    ``frexp``'s exponent minus one, exact for ``x < 2^53``; ``x = 0`` (the
+    root, which has no parent) comes out as ``-1``.
     """
-    mantissa, exponent = np.frexp(values.astype(np.float64))
-    result = exponent.astype(np.int64)
-    # frexp mantissae are exact binary fractions, so 0.5 is representable
-    # and the power-of-two test is safe as an exact comparison.
-    result[mantissa == 0.5] -= 1  # datlint: disable=DAT003
-    return np.maximum(result, 0)
-
-
-def _parents_from_best(
-    nodes: np.ndarray, fingers: np.ndarray, best: np.ndarray, root: int
-) -> dict[int, int]:
-    """Assemble the parent dict from per-node best slots, branch-free.
-
-    The root row is masked out with array ops and the (node, parent) pairs
-    are materialized through two ``tolist()`` calls — no per-node Python
-    conditional in the hot loop.
-    """
-    mask = nodes != np.int64(root)
-    best_masked = best[mask]
-    if best_masked.size and int(best_masked.min()) < 0:
-        bad = nodes[mask][best_masked < 0]
-        raise TreeError(f"node {int(bad[0])} has no eligible finger toward {root}")
-    chosen = fingers[np.nonzero(mask)[0], best_masked]
-    return dict(zip(nodes[mask].tolist(), chosen.tolist()))
-
-
-def _best_parent_slots(
-    ring: StaticRing,
-    key: int,
-    scheme: DatScheme,
-    matrix: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Per-node best finger slot under ``scheme`` — the shared kernel.
-
-    Returns ``(nodes, fingers, best, root)`` where ``best[i]`` is the
-    highest eligible slot of node ``i`` (-1 when none is, which is legal
-    only for the root row). The highest eligible slot is the farthest
-    non-overshooting finger — exactly the scalar parent rule — because
-    finger distance is monotone in the slot index.
-    """
-    _require_fast_capable(ring)
-    space = ring.space
-    mask = space.max_id
-    nodes = ring.id_index().ids
-    root = np.int64(ring.successor(key))
-    fingers = _resolve_matrix(ring, matrix)
-
-    finger_dist = _cw(mask, nodes[:, np.newaxis], fingers)
-    x = _cw(mask, nodes, np.broadcast_to(root, nodes.shape))
-
-    eligible = (finger_dist <= x[:, np.newaxis]) & (finger_dist > 0)
-    slots = np.arange(space.bits, dtype=np.int64)[np.newaxis, :]
-    if scheme is DatScheme.BALANCED:
-        q = np.maximum(_exact_ceil_q(x, len(ring), space.size), 1)
-        limits = _vectorized_ceil_log2(q)
-        eligible &= slots <= limits[:, np.newaxis]
-    slot_index = np.where(eligible, slots, -1)
-    best = slot_index.max(axis=1)
-    return nodes, fingers, best, int(root)
+    slot = np.frexp(x)[1].astype(np.int64) - 1
+    if gap is not None:
+        np.minimum(slot, balanced_limits(x, gap), out=slot)
+    return slot
 
 
 def fast_basic_parents(
     ring: StaticRing, key: int, matrix: np.ndarray | None = None
 ) -> dict[int, int]:
-    """Basic-DAT parent map, vectorized; equals the scalar builder's.
-
-    ``matrix`` optionally supplies a precomputed :func:`fast_finger_matrix`
-    shared across rendezvous keys.
-    """
-    nodes, fingers, best, root = _best_parent_slots(
-        ring, key, DatScheme.BASIC, matrix
-    )
-    return _parents_from_best(nodes, fingers, best, root)
-
-
-def _exact_ceil_q(x: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Exact ``q = ceil((x*n + 2*size) / (3*n))`` as an int64 array.
-
-    Vectorized when ``max(x)*n + 2*size`` provably fits in int64; otherwise
-    (possible only for spaces near the 48-bit fast-path limit combined with
-    very large rings) each element is computed with arbitrary-precision
-    Python integers, trading speed for exactness.
-    """
-    x_max = int(x.max()) if x.size else 0
-    if x_max * n + 2 * size < 2**63:
-        numerator = x * np.int64(n) + np.int64(2 * size)
-        return -((-numerator) // np.int64(3 * n))
-    return np.array(
-        [ceil_div(int(xi) * n + 2 * size, 3 * n) for xi in x], dtype=np.int64
-    )
+    """Basic-DAT parent map, vectorized; equals the scalar builder's."""
+    return fast_tree_arrays(ring, key, DatScheme.BASIC, matrix).parent_map()
 
 
 def fast_balanced_parents(
@@ -196,20 +132,12 @@ def fast_balanced_parents(
 ) -> dict[int, int]:
     """Balanced-DAT parent map (Algorithm 1), vectorized.
 
-    Uses the exact mean gap ``d0 = 2^bits / n`` like the scalar default.
-    The limit ``g(x) = ceil(log2((x + 2*d0)/3))`` is evaluated with pure
-    integer arithmetic: ``q = ceil((x*n + 2*2^bits) / (3n))`` then an exact
-    ``ceil(log2(q))`` — the identity
-    :class:`repro.core.limiting.FingerLimiter` evaluates on Python ints
-    (``d0 = p/q`` with ``p = 2^bits``, ``q = n``), so the two agree
-    bit-for-bit. ``matrix``
-    optionally supplies a precomputed :func:`fast_finger_matrix` shared
-    across rendezvous keys.
+    Uses the exact mean gap ``d0 = 2^bits / n`` like the scalar default;
+    ``g(x)`` comes from :func:`repro.core.limiting.balanced_limits`, the
+    array form of the identity :class:`~repro.core.limiting.FingerLimiter`
+    evaluates on Python ints, so the two agree bit-for-bit.
     """
-    nodes, fingers, best, root = _best_parent_slots(
-        ring, key, DatScheme.BALANCED, matrix
-    )
-    return _parents_from_best(nodes, fingers, best, root)
+    return fast_tree_arrays(ring, key, DatScheme.BALANCED, matrix).parent_map()
 
 
 class DatTreeArrays:
@@ -263,6 +191,14 @@ class DatTreeArrays:
     def root(self) -> int:
         """Identifier of the root node."""
         return int(self.nodes[self.root_index])
+
+    def parent_map(self) -> dict[int, int]:
+        """``{node: parent}`` for every non-root node — :attr:`DatTree.parent`."""
+        parents = dict(
+            zip(self.nodes.tolist(), self.nodes[self.parent_index].tolist())
+        )
+        del parents[self.root]
+        return parents
 
     def branching_counts(self) -> np.ndarray:
         """Children count per node, aligned with ``nodes`` (cached)."""
@@ -364,28 +300,43 @@ def fast_tree_arrays(
     scheme: DatScheme | str = DatScheme.BALANCED,
     matrix: np.ndarray | None = None,
 ) -> DatTreeArrays:
-    """Build a :class:`DatTreeArrays` snapshot — the array-native `build_dat`.
+    """Build a :class:`DatTreeArrays` snapshot — the one root-addressed kernel.
 
-    Same construction rule as :func:`fast_basic_parents` /
-    :func:`fast_balanced_parents` but the parent map never leaves index
-    space: no Python dict, no per-node boxing, O(n) int64 storage.
-    ``matrix`` optionally supplies a precomputed
-    :func:`fast_finger_matrix` shared across rendezvous keys.
+    Every node's parent toward ``r = successor(key)`` in O(n) int64 storage
+    and temporaries: the slot is the closed form ``min(floor(log2 x), g(x))``
+    (module docstring) and the parent is that one finger, resolved with the
+    ``searchsorted`` definition :func:`fast_finger_matrix` uses. The parent
+    map never leaves index space: no Python dict, no per-node boxing, no
+    finger matrix.
     """
     scheme = DatScheme(scheme)
-    nodes, fingers, best, root = _best_parent_slots(ring, key, scheme, matrix)
-    n = int(nodes.size)
-    root_index = int(np.searchsorted(nodes, np.int64(root)))
-    bad = (best < 0) & (np.arange(n) != root_index)
+    _require_fast_capable(ring)
+    _check_matrix(ring, matrix)
+    space = ring.space
+    mask = space.max_id
+    index = ring.id_index()
+    ids = index.ids
+    n = int(ids.size)
+    root_index = index.successor_index(key)
+    x = _cw(mask, ids, ids[root_index])
+    balanced = scheme is DatScheme.BALANCED
+    slot = _parent_slots(x, Fraction(space.size, n) if balanced else None)
+    slot[root_index] = 0  # any valid shift: the root's row is overwritten below
+    fingers = (ids + (np.int64(1) << slot)) & np.int64(mask)
+    parent_index = np.searchsorted(ids, fingers).astype(np.int64, copy=False)
+    parent_index[parent_index == n] = 0  # wrap past the top of the ring
+    parent_index[root_index] = root_index
+    # The proof's conclusion as an O(n) check: every parent lies in (i, r].
+    dist = _cw(mask, ids, ids[parent_index])
+    bad = (dist == 0) | (dist > x)
+    bad[root_index] = False
     if bool(bad.any()):
         raise TreeError(
-            f"node {int(nodes[bad][0])} has no eligible finger toward {root}"
+            f"node {int(ids[bad][0])} has no eligible finger toward "
+            f"{int(ids[root_index])}"
         )
-    chosen = fingers[np.arange(n), np.maximum(best, 0)]
-    parent_index = np.searchsorted(nodes, chosen).astype(np.int64, copy=False)
-    parent_index[root_index] = root_index
     return DatTreeArrays(
-        nodes=nodes,
+        nodes=ids,
         parent_index=parent_index,
         root_index=root_index,
         key=int(key),
@@ -440,37 +391,6 @@ def fast_centralized_load_array(
     return loads
 
 
-def fast_tree_height(parents: dict[int, int], root: int) -> int | None:
-    """Tree height by vectorized parent-pointer chasing.
-
-    The root's parent pointer is tied to itself (absorbing), so the height
-    is the first step count after which every chase has landed on the
-    root. Each step is one O(n) fancy-index; the loop runs ``height``
-    times (logarithmic for DAT trees). Returns ``None`` when the chase
-    cannot converge — a dangling parent or a cycle — so callers fall back
-    to :meth:`DatTree.height`'s validating BFS.
-    """
-    n_edges = len(parents)
-    if n_edges == 0:
-        return 0
-    children = np.fromiter(parents.keys(), dtype=np.int64, count=n_edges)
-    par = np.fromiter(parents.values(), dtype=np.int64, count=n_edges)
-    ids = np.sort(np.append(children, np.int64(root)))
-    guess = np.minimum(np.searchsorted(ids, par), ids.size - 1)
-    if not bool(np.array_equal(ids[guess], par)):
-        return None  # dangling parent id
-    par_ids = np.full(ids.shape, np.int64(root))
-    par_ids[np.searchsorted(ids, children)] = par
-    par_idx = np.searchsorted(ids, par_ids)
-    root_idx = int(np.searchsorted(ids, np.int64(root)))
-    cur = par_idx
-    for height in range(1, ids.size + 1):
-        if bool((cur == root_idx).all()):
-            return height
-        cur = par_idx[cur]
-    return None  # cycle
-
-
 def build_dat_fast(
     ring: StaticRing,
     key: int,
@@ -480,20 +400,15 @@ def build_dat_fast(
     """Drop-in vectorized replacement for :func:`repro.core.builder.build_dat`.
 
     Falls back to the scalar builders for spaces wider than
-    ``FAST_PATH_MAX_BITS`` bits or single-node rings. ``matrix`` optionally
-    supplies a precomputed :func:`fast_finger_matrix` shared across keys.
+    ``FAST_PATH_MAX_BITS`` bits or single-node rings.
     """
     scheme = DatScheme(scheme)
     if ring.space.bits > FAST_PATH_MAX_BITS or len(ring) <= 1:
         return build_dat(ring, key, scheme=scheme)
-    root = ring.successor(key)
-    if scheme is DatScheme.BASIC:
-        parents = fast_basic_parents(ring, key, matrix=matrix)
-    else:
-        parents = fast_balanced_parents(ring, key, matrix=matrix)
-    tree = DatTree(root=root, parent=parents, key=key)
-    # Seed the height cache from the vectorized chase so telemetry's
+    arrays = fast_tree_arrays(ring, key, scheme=scheme, matrix=matrix)
+    tree = DatTree(root=arrays.root, parent=arrays.parent_map(), key=key)
+    # Seed the height cache from the index-space chase so telemetry's
     # per-build span attribute never triggers the Python BFS — the main
     # enabled-mode cost on this hot path.
-    tree._height = fast_tree_height(parents, root)
+    tree._height = arrays.height()
     return tree

@@ -29,6 +29,12 @@ discipline established by :mod:`repro.chord.fastbuild`: if the incremental
 state and a rebuild ever disagree (``verify=True`` cross-checks every
 event), the rebuild wins and the divergence is traced.
 
+Parent selection is the root-addressed closed form proved in
+:mod:`repro.chord.fastbuild`: the tracked root is a member, so a node at
+clockwise distance ``x`` reads exactly one finger entry, slot
+``min(floor(log2 x), g(x))``. The key-addressed rules are a different matter
+(see that module's docstring).
+
 Why the balanced scheme needs the limit-shift set: ``g(x) <= j`` iff
 ``x <= 3*2^j - c(n)`` where ``c(n) = ceil(2*2^bits / n)`` — every limiting
 threshold shifts by the *same* offset when ``n`` changes. The nodes whose
@@ -564,11 +570,10 @@ class DatUpdateEngine:
     # ------------------------------------------------------------------ #
 
     def full_build(self, key: int) -> DatTree:
-        """Reference build of one tree from the maintained finger state."""
+        """Reference build of one tree from the maintained ring."""
         ring = self.ring
-        matrix = self.maintainer.matrix
-        if matrix is not None and len(ring) > 1:
-            return build_dat_fast(ring, key, scheme=self.scheme, matrix=matrix)
+        if ring.space.bits <= FAST_PATH_MAX_BITS and len(ring) > 1:
+            return build_dat_fast(ring, key, scheme=self.scheme)
         return build_dat(
             ring, key, scheme=self.scheme, tables=self.maintainer.tables
         )
@@ -670,14 +675,16 @@ class DatUpdateEngine:
             parent.pop(delta.ident, None)
 
         # Inlined parent selection, bit-identical to select_parent_basic /
-        # select_parent_balanced. The balanced limit uses the pure-integer
+        # select_parent_balanced: the root is a member, so the farthest
+        # non-overshooting finger is slot min(floor(log2 x), g(x)) (the
+        # closed form proved in chord/fastbuild.py) and only that one entry
+        # is read and checked. The balanced limit uses the pure-integer
         # form g(x) = ceil_log2(max(ceil((x + c)/3), 1)), c = ceil(2*2^b/n):
         # ceil((x + 2S/n)/3) = ceil(ceil((x*n + 2S)/n)/3) = ceil((x + c)/3)
         # by the nested-ceiling identity, so no Fraction arithmetic is
         # needed on the per-event hot path.
         space = ring.space
         mask = space.max_id
-        top_cap = space.bits - 1
         balanced = self.scheme is DatScheme.BALANCED
         c = ceil_div(2 * space.size, delta.n_after) if balanced else 0
         tables = self.maintainer.tables
@@ -686,22 +693,17 @@ class DatUpdateEngine:
             if node == new_root:
                 continue
             x = (new_root - node) & mask
+            slot = x.bit_length() - 1
             if balanced:
-                top = min(ceil_log2(max((x + c + 2) // 3, 1)), top_cap)
-            else:
-                top = top_cap
-            entries = tables[node].entries
-            for j in range(top, -1, -1):
-                finger = entries[j]
-                if finger != node and (finger - node) & mask <= x:
-                    parent[node] = finger
-                    count += 1
-                    break
-            else:
+                slot = min(slot, ceil_log2(max((x + c + 2) // 3, 1)))
+            finger = tables[node].entries[slot]
+            if finger == node or (finger - node) & mask > x:
                 raise TreeError(
                     f"node {node} has no eligible finger toward root "
                     f"{new_root}; finger table is inconsistent"
                 )
+            parent[node] = finger
+            count += 1
         return DatTree(root=new_root, parent=parent, key=key), count
 
     def _verify_all(self) -> tuple[int, ...]:

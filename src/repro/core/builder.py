@@ -149,11 +149,11 @@ class DatTreeBuilder:
 
     Building multiple DATs on one overlay (one per monitored attribute —
     the paper's 'multiple aggregation trees' scenario) shares the ring's
-    finger state; only the per-node parent scan differs per key. Two caches
-    are kept: the scalar ``{node: FingerTable}`` dict and the vectorized
-    :func:`~repro.chord.fastbuild.fast_finger_matrix`, so default builds
-    route through the NumPy fast path with the matrix computed once per
-    ring, not once per key.
+    finger state. Default builds go through the matrix-free kernel
+    (:func:`~repro.chord.fastbuild.fast_tree_arrays`) and need the ring
+    alone; the scalar ``{node: FingerTable}`` dict serves custom ``d0`` and
+    wide spaces, and :attr:`finger_matrix` is cached for callers that read
+    finger state itself (and to seed the incremental engine).
 
     :meth:`apply_event` switches the builder to incremental maintenance
     (:class:`~repro.chord.incremental.DatUpdateEngine`): each membership
@@ -201,9 +201,9 @@ class DatTreeBuilder:
         """Build the DAT for one rendezvous key.
 
         Default builds (``d0=None``) go through the vectorized fast path
-        with the cached finger matrix when the space allows it; the scalar
-        path handles custom ``d0`` values and wide spaces. Identical
-        output either way (the fastbuild equivalence discipline).
+        when the space allows it; the scalar path handles custom ``d0``
+        values and wide spaces. Identical output either way (the fastbuild
+        equivalence discipline).
         """
         if d0 is not None:
             return build_dat(
@@ -211,16 +211,13 @@ class DatTreeBuilder:
             )
         if self._engine is not None:
             return self._engine.track(key)
-        matrix = self.finger_matrix
-        if matrix is not None:
+        if self._fast_capable():
             from repro.chord.fastbuild import build_dat_fast
 
             with telemetry.span(
                 "dat.build", key=key, scheme=self.scheme.value, n=len(self.ring)
             ) as sp:
-                tree = build_dat_fast(
-                    self.ring, key, scheme=self.scheme, matrix=matrix
-                )
+                tree = build_dat_fast(self.ring, key, scheme=self.scheme)
                 if sp is not telemetry.NULL_SPAN:
                     sp.set(root=tree.root)
                     sp.set_lazy(height=lambda tree=tree: tree.height)
@@ -237,19 +234,17 @@ class DatTreeBuilder:
     def tree_arrays(self, key: int) -> "DatTreeArrays | None":
         """Array-native snapshot for ``key``, or ``None`` off the fast path.
 
-        Returns a :class:`~repro.chord.fastbuild.DatTreeArrays` built with
-        the cached finger matrix — the large-``n`` route that never boxes
-        per-node Python objects. ``None`` means the space is too wide (or
-        the ring trivial) and the caller should use :meth:`build`; when the
-        incremental engine is active the maintained matrix backs the
-        snapshot, so arrays reflect the post-churn membership.
+        Returns a :class:`~repro.chord.fastbuild.DatTreeArrays` built from
+        the ring's current membership alone — the large-``n`` route that
+        never boxes per-node Python objects, so after :meth:`apply_event`
+        it reflects the post-churn ring. ``None`` means the space is too
+        wide (or the ring trivial) and the caller should use :meth:`build`.
         """
-        matrix = self.finger_matrix
-        if matrix is None:
+        if not self._fast_capable():
             return None
         from repro.chord.fastbuild import fast_tree_arrays
 
-        return fast_tree_arrays(self.ring, key, scheme=self.scheme, matrix=matrix)
+        return fast_tree_arrays(self.ring, key, scheme=self.scheme)
 
     def tree_stats(self, key: int) -> TreeStats:
         """Sec. 5.2 statistics for ``key`` without materializing a tree.

@@ -10,11 +10,12 @@ for the limit that makes exactly the j-th and (j+1)-th inbound fingers of
 every node choose it as parent, yielding branching factor <= 2 on evenly
 distributed identifiers.
 
-All arithmetic here is exact, on Python ints: with ``d0 = p/q`` the limit is
-``ceil_log2(max(1, ceil((x*q + 2p) / (3q))))``, the identity ``chord.fastbuild``
-and ``chord.block`` evaluate on arrays. For ``b = 160`` the quantities overflow
-doubles, and an off-by-one in ``ceil(log2(.))`` flips a parent choice and
-breaks the balance proof.
+All arithmetic here is exact: with ``d0 = p/q`` the limit is
+``ceil_log2(max(1, ceil((x*q + 2p) / (3q))))`` — :class:`FingerLimiter` on
+Python ints, :func:`balanced_limits` on int64 arrays (the one array ``g(x)``
+behind ``chord.fastbuild`` and ``chord.block``). For ``b = 160`` the
+quantities overflow doubles, and an off-by-one in ``ceil(log2(.))`` flips a
+parent choice and breaks the balance proof.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from repro.util.bits import ceil_log2
 
-__all__ = ["ceil_log2_fraction", "finger_limit", "FingerLimiter"]
+__all__ = ["ceil_log2_fraction", "finger_limit", "FingerLimiter", "balanced_limits"]
 
 
 def ceil_log2_fraction(value: Fraction) -> int:
@@ -115,3 +118,46 @@ class FingerLimiter:
     def max_finger_offset(self, x: int) -> int:
         """Largest finger offset ``2^{g(x)}`` eligible at distance ``x``."""
         return 1 << self(x)
+
+
+def _vectorized_ceil_log2(values: np.ndarray) -> np.ndarray:
+    """Exact ``ceil(log2(v))`` for positive int64 values < 2^53.
+
+    ``frexp`` decomposes ``v = m * 2^e`` with ``m`` in [0.5, 1); the
+    decomposition is exact for integers below 2^53, so
+    ``ceil(log2(v)) = e - 1`` when ``v`` is a power of two (m == 0.5) and
+    ``e`` otherwise — no floating-point rounding anywhere.
+    """
+    mantissa, exponent = np.frexp(values)
+    result = exponent.astype(np.int64)
+    # frexp mantissae are exact binary fractions, so 0.5 is representable
+    # and the power-of-two test is safe as an exact comparison.
+    result[mantissa == 0.5] -= 1  # datlint: disable=DAT003
+    return np.maximum(result, 0)
+
+
+def balanced_limits(x: np.ndarray, d0: float | Fraction) -> np.ndarray:
+    """``g(x)`` for an array of distances, exactly.
+
+    The array form of :class:`FingerLimiter`, which evaluates the same
+    identity on Python ints: with ``d0 = p/q``, the limit is
+    ``ceil_log2(max(ceil((x*q + 2p)/(3q)), 1))``. The int64 path runs
+    whenever the numerators provably fit in int64 and the ceilings stay
+    inside float64's exact range (always true for the power-of-two
+    populations the scale benchmarks use, where ``q == 1``); otherwise each
+    element goes through the scalar limiter's arbitrary-precision ints,
+    trading speed for the same exact answers.
+    """
+    limiter = FingerLimiter.for_gap(d0)
+    x = np.asarray(x, dtype=np.int64)
+    p, q = limiter.d0.numerator, limiter.d0.denominator
+    x_max = int(x.max()) if x.size else 0
+    if x_max * q + 2 * p < 2**62:
+        numerator = x * np.int64(q) + np.int64(2 * p)
+        m = np.maximum(-((-numerator) // np.int64(3 * q)), np.int64(1))
+        m_max = int(m.max()) if m.size else 0
+        if m_max < 2**53:
+            return _vectorized_ceil_log2(m)
+    return np.fromiter(
+        (limiter(xi) for xi in x.tolist()), dtype=np.int64, count=x.size
+    )

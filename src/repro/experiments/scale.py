@@ -5,8 +5,9 @@ figure sweeps top out at 8192 nodes. This module measures the same
 statistics — max/average branching, height, per-scheme load imbalance —
 one to two orders of magnitude further, entirely on the array-native
 pipeline: array-backed rings (:class:`~repro.chord.ringarray.RingArray`),
-one shared finger matrix, and :class:`~repro.chord.fastbuild.DatTreeArrays`
-statistics that never materialize per-node Python objects.
+the matrix-free O(n) tree kernel, and
+:class:`~repro.chord.fastbuild.DatTreeArrays` statistics that never
+materialize per-node Python objects.
 
 Every point can also be measured with ``oracle=True``, which runs the
 object-based reference path (:func:`~repro.core.builder.build_dat`,
@@ -23,11 +24,7 @@ from typing import Any
 
 from repro import telemetry
 from repro.baselines.centralized import centralized_routed_loads
-from repro.chord.fastbuild import (
-    fast_centralized_load_array,
-    fast_finger_matrix,
-    fast_tree_arrays,
-)
+from repro.chord.fastbuild import fast_centralized_load_array, fast_tree_arrays
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
@@ -104,16 +101,11 @@ class ScalePoint:
 def _measure_fast(
     ring: StaticRing, rendezvous: int
 ) -> tuple[TreeStats, TreeStats, int, int, int, float, float, float]:
-    matrix = fast_finger_matrix(ring)
-    basic = fast_tree_arrays(
-        ring, rendezvous, scheme=DatScheme.BASIC, matrix=matrix
-    )
-    balanced = fast_tree_arrays(
-        ring, rendezvous, scheme=DatScheme.BALANCED, matrix=matrix
-    )
+    basic = fast_tree_arrays(ring, rendezvous, scheme=DatScheme.BASIC)
+    balanced = fast_tree_arrays(ring, rendezvous, scheme=DatScheme.BALANCED)
     basic_loads = basic.message_load_array()
     balanced_loads = balanced.message_load_array()
-    central_loads = fast_centralized_load_array(ring, rendezvous, matrix=matrix)
+    central_loads = fast_centralized_load_array(ring, rendezvous)
     return (
         basic.stats(),
         balanced.stats(),

@@ -5,9 +5,12 @@ The 10^5-10^6-node pipeline (array-backed rings, ``fast_probing_ids``,
 object-based reference implementations, not mere statistical agreement.
 These tests assert that identity element-wise on randomly drawn
 configurations: every parent edge, branching count, depth, message load,
-and subtree size equals the object :class:`~repro.core.builder.DatTreeBuilder`
-result, for both schemes, random and probing identifier strategies, at
-sizes up to 2048.
+and subtree size equals the *scalar* builders' result
+(:func:`~repro.core.builder.build_basic_dat` /
+:func:`~repro.core.builder.build_balanced_dat` over explicit finger tables —
+``DatTreeBuilder.build`` routes through the array kernel itself, so it is no
+oracle), for both schemes, random and probing identifier strategies, at sizes
+up to 2048.
 """
 
 import numpy as np
@@ -20,7 +23,12 @@ from repro.chord.idgen import ProbingIdAssigner, make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.chord.ringarray import fast_probing_ids
-from repro.core.builder import DatScheme, DatTreeBuilder
+from repro.core.builder import (
+    DatScheme,
+    DatTreeBuilder,
+    build_balanced_dat,
+    build_basic_dat,
+)
 
 SCHEMES = [DatScheme.BASIC, DatScheme.BALANCED]
 
@@ -31,9 +39,9 @@ def _build_ring(id_strategy: str, n_nodes: int, bits: int, seed: int):
 
 
 def _assert_arrays_match_object_tree(ring, key, scheme):
-    """Element-wise identity of DatTreeArrays vs the object tree."""
-    builder = DatTreeBuilder(ring, scheme=scheme)
-    tree = builder.build(key)
+    """Element-wise identity of DatTreeArrays vs the scalar-built tree."""
+    scalar_build = build_basic_dat if scheme is DatScheme.BASIC else build_balanced_dat
+    tree = scalar_build(ring, key, tables=ring.all_finger_tables())
     arrays = fast_tree_arrays(ring, key, scheme=scheme)
 
     nodes = list(arrays.nodes)
@@ -66,7 +74,7 @@ def _assert_arrays_match_object_tree(ring, key, scheme):
     # Aggregate stats are equal as values — including the float mean,
     # which both paths compute with the same IEEE operation sequence.
     assert arrays.stats() == tree.stats()
-    assert builder.tree_stats(key) == tree.stats()
+    assert DatTreeBuilder(ring, scheme=scheme).tree_stats(key) == tree.stats()
 
 
 class TestTreeArraysIdentity:

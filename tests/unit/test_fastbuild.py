@@ -1,5 +1,7 @@
 """Equivalence tests: vectorized fast path vs scalar reference builders."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from repro.chord.fastbuild import (
     fast_balanced_parents,
     fast_basic_parents,
     fast_finger_matrix,
+    fast_tree_arrays,
 )
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner, UniformIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.core.builder import build_balanced_dat, build_basic_dat
+from repro.core.limiting import balanced_limits
 from repro.errors import TreeError
 
 
@@ -88,7 +92,7 @@ class TestFallbacksAndLimits:
 
 class TestVectorizedCeilLog2:
     def test_exact_on_powers_and_neighbors(self):
-        from repro.chord.fastbuild import _vectorized_ceil_log2
+        from repro.core.limiting import _vectorized_ceil_log2
         from repro.util.bits import ceil_log2
 
         values = []
@@ -100,31 +104,36 @@ class TestVectorizedCeilLog2:
 
 
 class TestExactCeilQ:
-    def test_matches_ceil_div_in_vector_range(self):
-        from repro.chord.fastbuild import _exact_ceil_q
-        from repro.util.bits import ceil_div
+    """``g(x) = ceil_log2(max(1, q))``, ``q = ceil((x*n + 2*size) / (3n))``:
+    the kernel's array form is ``balanced_limits`` with ``d0 = size/n``."""
 
+    @staticmethod
+    def _expected(x, n, size):
+        from repro.util.bits import ceil_div, ceil_log2
+
+        return [
+            ceil_log2(max(1, ceil_div(int(v) * n + 2 * size, 3 * n))) for v in x
+        ]
+
+    def test_matches_ceil_div_in_vector_range(self):
         x = np.array([0, 1, 2, 5, 1000, 2**20, 2**30], dtype=np.int64)
         n, size = 4096, 2**32
-        expected = [ceil_div(int(v) * n + 2 * size, 3 * n) for v in x]
-        assert _exact_ceil_q(x, n, size).tolist() == expected
+        got = balanced_limits(x, Fraction(size, n))
+        assert got.tolist() == self._expected(x, n, size)
 
     def test_overflow_branch_stays_exact(self):
-        from repro.chord.fastbuild import _exact_ceil_q
-        from repro.util.bits import ceil_div
-
-        # x*n + 2*size >= 2^63 forces the arbitrary-precision fallback.
+        # x*q + 2p >= 2^62 (q = n: odd, so size/n does not reduce) forces
+        # the arbitrary-precision fallback.
         size = 2**48
-        n = 2**16
+        n = 2**16 - 1
         x = np.array([size - 1, size - 2, size // 2], dtype=np.int64)
-        assert int(x.max()) * n + 2 * size >= 2**63
-        expected = [ceil_div(int(v) * n + 2 * size, 3 * n) for v in x]
-        assert _exact_ceil_q(x, n, size).tolist() == expected
+        assert int(x.max()) * n + 2 * size >= 2**62
+        got = balanced_limits(x, Fraction(size, n))
+        assert got.tolist() == self._expected(x, n, size)
 
     def test_empty_input(self):
-        from repro.chord.fastbuild import _exact_ceil_q
-
-        assert _exact_ceil_q(np.array([], dtype=np.int64), 8, 256).size == 0
+        empty = np.array([], dtype=np.int64)
+        assert balanced_limits(empty, Fraction(256, 8)).size == 0
 
 
 class TestSharedMatrix:
@@ -154,6 +163,41 @@ class TestSharedMatrix:
         bad = np.zeros((3, space.bits), dtype=np.int64)
         with pytest.raises(TreeError):
             fast_balanced_parents(ring, 0, matrix=bad)
+
+
+class TestMatrixFreeBuild:
+    """Counts and bytes, no wall-clock: a tree build allocates O(n), never
+    an ``(n, bits)`` temporary, and never asks for the finger matrix."""
+
+    @pytest.mark.parametrize("scheme", ["basic", "balanced"])
+    def test_peak_allocation_is_linear(self, scheme):
+        import tracemalloc
+
+        n, bits = 16384, 32
+        ring = ProbingIdAssigner().build_ring(IdSpace(bits), n, rng=3)
+        ring.id_index()  # the sorted id vector is the ring's, not the build's
+        tracemalloc.start()
+        try:
+            arrays = fast_tree_arrays(ring, 0xA5A5A5, scheme=scheme)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(arrays) == n
+        # One (n, bits) int64 temporary alone is 32 * n * 8 bytes.
+        assert peak < 16 * n * 8, peak
+
+    def test_tree_stats_never_builds_a_finger_matrix(self, monkeypatch):
+        import repro.chord.fastbuild as fastbuild
+
+        def refuse(ring):
+            raise AssertionError("tree statistics must not build a finger matrix")
+
+        monkeypatch.setattr(fastbuild, "fast_finger_matrix", refuse)
+        ring = ProbingIdAssigner().build_ring(IdSpace(32), 512, rng=3)
+        for scheme in ("basic", "balanced"):
+            stats = fastbuild.fast_tree_stats(ring, 777, scheme=scheme)
+            assert stats.n_nodes == 512
+        assert fastbuild.fast_centralized_load_array(ring, 777).size == 512
 
 
 class TestScaleIdentity:

@@ -6,15 +6,18 @@ import pytest
 from repro.chord.fingers import FingerTable
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner
 from repro.chord.idspace import IdSpace
+from repro.chord.fastbuild import fast_tree_arrays
 from repro.chord.incremental import (
     DatUpdateEngine,
+    FingerPatch,
     ReverseFingerIndex,
+    RingDelta,
     RingMaintainer,
 )
 from repro.chord.ring import StaticRing
 from repro.core.builder import DatScheme, DatTreeBuilder, build_dat
 from repro.core.multitree import DatForest
-from repro.errors import DuplicateNodeError, UnknownNodeError
+from repro.errors import DuplicateNodeError, TreeError, UnknownNodeError
 from repro.workloads.churn import ChurnWorkload, replay_churn
 
 
@@ -211,7 +214,77 @@ class TestDatUpdateEngine:
         assert tree.root == reference.root and tree.parent == reference.parent
 
 
+class TestPatchTreeReadsOneEntry:
+    """``_patch_tree`` indexes slot ``min(floor(log2 x), g(x))`` directly;
+    the eligibility test on that one entry is what is left of the scan."""
+
+    @staticmethod
+    def _touch(engine, key, owner):
+        """A delta that re-parents ``owner`` alone (membership unchanged)."""
+        n = len(engine.ring)
+        patch = FingerPatch(owner, 0, owner, owner)
+        delta = RingDelta("leave", -1, (patch,), n, n)
+        return engine._patch_tree(key, engine.tree(key), delta)
+
+    @pytest.mark.parametrize("scheme", [DatScheme.BASIC, DatScheme.BALANCED])
+    def test_corrupt_chosen_entry_raises(self, ring, scheme):
+        key = 999
+        engine = DatUpdateEngine(ring, scheme=scheme)
+        tree = engine.track(key)
+        root = tree.root
+        mask = ring.space.max_id
+        # The node farthest from the root: many slots below the chosen one.
+        owner = max((n for n in ring if n != root), key=lambda n: (root - n) & mask)
+        entries = engine.maintainer.tables[owner].entries
+        chosen = entries.index(tree.parent[owner])
+        assert chosen > 0
+        assert self._touch(engine, key, owner) is not None  # consistent: fine
+
+        good = entries[chosen]
+        for bad in (owner, ring.successor_of_node(root)):  # self-loop, overshoot
+            entries[chosen] = bad
+            with pytest.raises(TreeError):
+                self._touch(engine, key, owner)
+        entries[chosen] = good
+
+        # Only that entry is read: a lower slot may hold anything.
+        entries[0] = owner
+        _, count = self._touch(engine, key, owner)
+        assert count == 1 and engine.tree(key).parent[owner] == good
+
+
 class TestBuilderIntegration:
+    def test_tree_arrays_after_events_needs_no_maintained_matrix(
+        self, ring, monkeypatch
+    ):
+        def gathered(self):
+            raise AssertionError("tree builds must not gather the maintained matrix")
+
+        builder = DatTreeBuilder(ring)
+        keys = [7, 7000, 42000]
+        builder.build_many(keys)
+        rng = np.random.default_rng(2007)
+        for step in range(40):
+            kind = ("join", "leave", "crash")[int(rng.integers(0, 3))]
+            if kind == "join":
+                ident = int(rng.integers(0, ring.space.size))
+                if ident in ring:
+                    continue
+            else:
+                ident = ring.nodes[int(rng.integers(0, len(ring)))]
+            builder.apply_event(kind, ident)
+            if step == 0:  # the engine exists from the first event on
+                monkeypatch.setattr(RingMaintainer, "matrix", property(gathered))
+        fresh = StaticRing(ring.space, ring.nodes)
+        for key in keys:
+            arrays = builder.tree_arrays(key)
+            reference = fast_tree_arrays(fresh, key)
+            assert arrays.root == reference.root
+            assert np.array_equal(arrays.nodes, reference.nodes)
+            assert np.array_equal(arrays.parent_index, reference.parent_index)
+            assert arrays.parent_map() == builder.build(key).parent
+            assert builder.tree_stats(key) == reference.stats()
+
     def test_apply_event_patches_built_trees(self, ring):
         builder = DatTreeBuilder(ring)
         keys = [7, 7000, 42000]
