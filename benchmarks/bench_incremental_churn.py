@@ -1,10 +1,12 @@
-"""Per-event incremental maintenance cost vs. full rebuilds (tentpole perf).
+"""Per-event incremental maintenance cost vs. full rebuilds.
 
 The incremental engine (:mod:`repro.chord.incremental`) claims O(log n)
-expected work per membership event where the old path rebuilt all finger
-tables and parent maps — O(n*bits). This benchmark measures both on the
-same event sequences across ring sizes, asserts bit-identity against the
-rebuild oracle, and records the speedup trajectory in
+expected work per membership event; the alternative is one full
+``build_dat`` per event, which is O(n) since the tree kernel went
+matrix-free (no finger matrix is part of a rebuild any more, so none is
+timed). This benchmark measures both on the same event sequences across
+ring sizes, asserts bit-identity against the rebuild oracle, and records
+the speedup trajectory in
 ``benchmarks/results/BENCH_incremental_churn.json``.
 
 Runs two ways:
@@ -12,7 +14,7 @@ Runs two ways:
 * under pytest (tier-2 bench suite): ``pytest benchmarks/bench_incremental_churn.py``
 * standalone for the CI smoke job::
 
-      python benchmarks/bench_incremental_churn.py --sizes 256 \\
+      python benchmarks/bench_incremental_churn.py --sizes 4096 \\
           --check benchmarks/incremental_churn_threshold.json \\
           --out BENCH_incremental_churn.json
 
@@ -30,7 +32,6 @@ import random
 import sys
 import time
 
-from repro.chord.fastbuild import build_dat_fast, fast_finger_matrix
 from repro.chord.hashing import sha1_id
 from repro.chord.idgen import ProbingIdAssigner
 from repro.chord.idspace import IdSpace
@@ -41,6 +42,7 @@ from repro.core.builder import DatScheme, build_dat
 BITS = 32
 DEFAULT_SIZES = [256, 1024, 4096]
 RESULT_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_incremental_churn.json"
+THRESHOLD_PATH = pathlib.Path(__file__).parent / "incremental_churn_threshold.json"
 
 
 def _event_schedule(ring: StaticRing, n_events: int, seed: int) -> list[tuple[str, int]]:
@@ -75,13 +77,13 @@ def measure(
     key = sha1_id("bench-incremental", space)
     events = _event_schedule(ring, n_events, seed + 1)
 
-    # Full-rebuild cost per event: recompute the finger matrix and the tree
-    # from scratch (the pre-incremental behavior, already on the fast path).
+    # Full-rebuild cost per event: one tree built from scratch (after one
+    # untimed build, so lazy imports and the ring's id vector are warm).
     reps = max(3, min(30, 20_000 // n_nodes))
+    build_dat(ring, key, scheme=scheme)
     start = time.perf_counter()
     for _ in range(reps):
-        fast_finger_matrix(ring)
-        build_dat_fast(ring, key, scheme=scheme)
+        build_dat(ring, key, scheme=scheme)
     full_us = (time.perf_counter() - start) / reps * 1e6
 
     # Incremental cost per event, replaying the schedule.
@@ -95,9 +97,7 @@ def measure(
     incremental_us = (time.perf_counter() - start) / len(events) * 1e6
 
     # Oracle bit-identity after the whole replay.
-    reference = build_dat(
-        StaticRing(space, engine.ring.nodes), key, scheme=scheme, fast=True
-    )
+    reference = build_dat(StaticRing(space, engine.ring.nodes), key, scheme=scheme)
     tree = engine.tree(key)
     identical = tree.root == reference.root and tree.parent == reference.parent
 
@@ -153,14 +153,12 @@ def test_incremental_speedup_trajectory(emit):
 
     rows = payload["results"]
     assert all(row["bit_identical"] for row in rows)
-    # Acceptance criterion: >= 20x on the 4096-node balanced ring.
-    at_4096 = next(
-        row
-        for row in rows
-        if row["n_nodes"] == 4096 and row["scheme"] == "balanced"
-    )
-    assert at_4096["speedup"] >= 20.0, at_4096
-    # The advantage must grow with ring size (O(log n) vs O(n log n)).
+    # The CI gate's criterion, on the ring it gates (4096 nodes).
+    threshold = json.loads(THRESHOLD_PATH.read_text())["max_cost_ratio"]
+    for row in rows:
+        if row["n_nodes"] == 4096:
+            assert row["incremental_us"] <= threshold * row["full_rebuild_us"], row
+    # The advantage must grow with ring size (O(log n) vs O(n)).
     balanced = [row["speedup"] for row in rows if row["scheme"] == "balanced"]
     assert balanced == sorted(balanced), balanced
 

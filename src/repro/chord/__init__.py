@@ -29,7 +29,6 @@ from repro.chord.idgen import (
     make_assigner,
 )
 from repro.chord.broadcast import BroadcastService, broadcast_tree
-from repro.chord.fastbuild import build_dat_fast
 from repro.chord.fof import FofCache, FofMaintainer
 from repro.chord.host import ChordHost, FingeredHost
 
@@ -51,7 +50,6 @@ __all__ = [
     "make_assigner",
     "BroadcastService",
     "broadcast_tree",
-    "build_dat_fast",
     "FofCache",
     "FofMaintainer",
 ]

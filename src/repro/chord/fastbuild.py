@@ -27,8 +27,9 @@ hold there and the scan stays.
 
 Restrictions: identifier width ``bits <= 48`` so that the exact integer
 ``log2`` read off ``frexp`` stays within float64's 2^53 exact-integer
-range. Wider spaces silently fall back to the scalar builders via
-:func:`build_dat_fast`.
+range. :func:`fast_capable` is the one predicate callers that can fall back
+(:func:`repro.core.builder.build_dat`, ``DatTreeBuilder``) consult; the
+kernels themselves raise on a ring they cannot handle.
 """
 
 from __future__ import annotations
@@ -39,25 +40,27 @@ import numpy as np
 
 from repro import telemetry
 from repro.chord.ring import StaticRing
-from repro.core.builder import DatScheme, build_dat
+from repro.core.builder import DatScheme
 from repro.core.limiting import balanced_limits
-from repro.core.tree import DatTree, TreeStats
+from repro.core.tree import TreeStats
 from repro.errors import TreeError
 
 __all__ = [
     "FAST_PATH_MAX_BITS",
     "DatTreeArrays",
+    "fast_capable",
     "fast_finger_matrix",
-    "fast_basic_parents",
-    "fast_balanced_parents",
     "fast_tree_arrays",
-    "fast_tree_stats",
     "fast_centralized_load_array",
-    "build_dat_fast",
 ]
 
 #: Widest identifier space the vectorized path supports exactly.
 FAST_PATH_MAX_BITS = 48
+
+
+def fast_capable(ring: StaticRing) -> bool:
+    """Whether the array kernels apply: a narrow space and a non-trivial ring."""
+    return ring.space.bits <= FAST_PATH_MAX_BITS and len(ring) > 1
 
 
 def _require_fast_capable(ring: StaticRing) -> None:
@@ -70,6 +73,7 @@ def _require_fast_capable(ring: StaticRing) -> None:
         raise TreeError("fast path requires a non-empty ring")
 
 
+# The one positional ``matrix`` caller left is benchmarks/perf/micro.py (frozen).
 def _check_matrix(ring: StaticRing, matrix: np.ndarray | None) -> None:
     """Shape-check a caller-supplied finger matrix; the kernel never reads it.
 
@@ -118,26 +122,6 @@ def _parent_slots(x: np.ndarray, gap: Fraction | None) -> np.ndarray:
     if gap is not None:
         np.minimum(slot, balanced_limits(x, gap), out=slot)
     return slot
-
-
-def fast_basic_parents(
-    ring: StaticRing, key: int, matrix: np.ndarray | None = None
-) -> dict[int, int]:
-    """Basic-DAT parent map, vectorized; equals the scalar builder's."""
-    return fast_tree_arrays(ring, key, DatScheme.BASIC, matrix).parent_map()
-
-
-def fast_balanced_parents(
-    ring: StaticRing, key: int, matrix: np.ndarray | None = None
-) -> dict[int, int]:
-    """Balanced-DAT parent map (Algorithm 1), vectorized.
-
-    Uses the exact mean gap ``d0 = 2^bits / n`` like the scalar default;
-    ``g(x)`` comes from :func:`repro.core.limiting.balanced_limits`, the
-    array form of the identity :class:`~repro.core.limiting.FingerLimiter`
-    evaluates on Python ints, so the two agree bit-for-bit.
-    """
-    return fast_tree_arrays(ring, key, DatScheme.BALANCED, matrix).parent_map()
 
 
 class DatTreeArrays:
@@ -344,27 +328,7 @@ def fast_tree_arrays(
     )
 
 
-def fast_tree_stats(
-    ring: StaticRing,
-    key: int,
-    scheme: DatScheme | str = DatScheme.BALANCED,
-    matrix: np.ndarray | None = None,
-) -> TreeStats:
-    """Sec. 5.2 statistics for one key without materializing a tree object.
-
-    Falls back to the scalar ``build_dat(...).stats()`` for spaces wider
-    than ``FAST_PATH_MAX_BITS`` bits or single-node rings, mirroring
-    :func:`build_dat_fast`.
-    """
-    scheme = DatScheme(scheme)
-    if ring.space.bits > FAST_PATH_MAX_BITS or len(ring) <= 1:
-        return build_dat(ring, key, scheme=scheme).stats()
-    return fast_tree_arrays(ring, key, scheme=scheme, matrix=matrix).stats()
-
-
-def fast_centralized_load_array(
-    ring: StaticRing, key: int, matrix: np.ndarray | None = None
-) -> np.ndarray:
+def fast_centralized_load_array(ring: StaticRing, key: int) -> np.ndarray:
     """Per-node loads of the centralized *routed* baseline, aligned with
     ``ring.id_index().ids``.
 
@@ -379,7 +343,7 @@ def fast_centralized_load_array(
     ``n - 1``. Emits the same ``baseline_messages_total`` counter as the
     routed oracle (total sent = sum of depths).
     """
-    tree = fast_tree_arrays(ring, key, scheme=DatScheme.BASIC, matrix=matrix)
+    tree = fast_tree_arrays(ring, key, scheme=DatScheme.BASIC)
     sizes = tree.subtree_size_array()
     loads = 2 * sizes - 1
     loads[tree.root_index] = tree.nodes.size - 1
@@ -389,26 +353,3 @@ def fast_centralized_load_array(
         variant="routed",
     )
     return loads
-
-
-def build_dat_fast(
-    ring: StaticRing,
-    key: int,
-    scheme: DatScheme | str = DatScheme.BALANCED,
-    matrix: np.ndarray | None = None,
-) -> DatTree:
-    """Drop-in vectorized replacement for :func:`repro.core.builder.build_dat`.
-
-    Falls back to the scalar builders for spaces wider than
-    ``FAST_PATH_MAX_BITS`` bits or single-node rings.
-    """
-    scheme = DatScheme(scheme)
-    if ring.space.bits > FAST_PATH_MAX_BITS or len(ring) <= 1:
-        return build_dat(ring, key, scheme=scheme)
-    arrays = fast_tree_arrays(ring, key, scheme=scheme, matrix=matrix)
-    tree = DatTree(root=arrays.root, parent=arrays.parent_map(), key=key)
-    # Seed the height cache from the index-space chase so telemetry's
-    # per-build span attribute never triggers the Python BFS — the main
-    # enabled-mode cost on this hot path.
-    tree._height = arrays.height()
-    return tree

@@ -5,6 +5,13 @@ return an explicit :class:`~repro.core.tree.DatTree` snapshot. Distributed
 nodes never materialize this structure — each knows only its own parent
 (and, via inbound fingers, its children) — but the snapshot is exactly what
 the evaluation measures.
+
+:func:`build_dat` is the one build entrypoint. It decides by what it can
+observe: a default build (no caller ``tables``, no ``d0``) on a ring the
+array kernel supports (:func:`repro.chord.fastbuild.fast_capable`) runs
+:func:`~repro.chord.fastbuild.fast_tree_arrays`; everything else runs the
+scalar :func:`build_basic_dat` / :func:`build_balanced_dat`, which stay the
+reference the equivalence tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ from repro.core.limiting import FingerLimiter
 from repro.core.parent import select_parent_balanced, select_parent_basic
 from repro.core.tree import DatTree, TreeStats
 
-if TYPE_CHECKING:  # circular at runtime: incremental/fastbuild import us
+# chord.fastbuild / chord.incremental import DatScheme and build_dat from
+# here, so this module imports them inside the functions that use them.
+if TYPE_CHECKING:
     from repro.chord.fastbuild import DatTreeArrays
     from repro.chord.incremental import DatUpdateEngine, DatUpdateReport
 
@@ -111,26 +120,28 @@ def build_dat(
     scheme: DatScheme | str = DatScheme.BALANCED,
     tables: dict[int, FingerTable] | None = None,
     d0: float | Fraction | None = None,
-    fast: bool = False,
 ) -> DatTree:
     """Build a DAT under the given scheme (string or :class:`DatScheme`).
 
-    ``fast=True`` routes through the vectorized NumPy builder
-    (:mod:`repro.chord.fastbuild`) — identical output, much faster on large
-    rings; only valid with the default ``d0`` and no pre-built ``tables``.
+    Identical output whichever builder runs (module docstring): pre-built
+    ``tables`` or a custom ``d0`` select the scalar builders, as do spaces
+    too wide for the array kernel and single-node rings.
     """
+    from repro.chord.fastbuild import fast_capable, fast_tree_arrays
+
     scheme = DatScheme(scheme)
-    # Instrumentation lives on this wrapper (and on DatTreeBuilder.build),
-    # never in the per-node loops — the disabled-mode cost is one global
-    # read per build, gated by benchmarks/bench_telemetry_overhead.py.
+    # Instrumentation lives on this wrapper, never in the per-node loops —
+    # the disabled-mode cost is one global read per build, gated by
+    # benchmarks/bench_telemetry_overhead.py.
     with telemetry.span(
         "dat.build", key=key, scheme=scheme.value, n=len(ring)
     ) as sp:
-        if fast and tables is None and d0 is None:
-            # Imported lazily: fastbuild depends on this module's tree types.
-            from repro.chord.fastbuild import build_dat_fast
-
-            tree = build_dat_fast(ring, key, scheme=scheme)
+        if tables is None and d0 is None and fast_capable(ring):
+            arrays = fast_tree_arrays(ring, key, scheme=scheme)
+            tree = DatTree(root=arrays.root, parent=arrays.parent_map(), key=key)
+            # Seed the height cache from the index-space chase so the span
+            # attribute below never triggers the Python BFS.
+            tree._height = arrays.height()
         elif scheme is DatScheme.BASIC:
             tree = build_basic_dat(ring, key, tables=tables)
         else:
@@ -149,16 +160,16 @@ class DatTreeBuilder:
 
     Building multiple DATs on one overlay (one per monitored attribute —
     the paper's 'multiple aggregation trees' scenario) shares the ring's
-    finger state. Default builds go through the matrix-free kernel
-    (:func:`~repro.chord.fastbuild.fast_tree_arrays`) and need the ring
-    alone; the scalar ``{node: FingerTable}`` dict serves custom ``d0`` and
-    wide spaces, and :attr:`finger_matrix` is cached for callers that read
-    finger state itself (and to seed the incremental engine).
+    finger state. Default builds go through the matrix-free kernel and need
+    the ring alone; the scalar ``{node: FingerTable}`` dict serves custom
+    ``d0`` and wide spaces, and :attr:`finger_matrix` is cached for callers
+    that read finger state itself.
 
     :meth:`apply_event` switches the builder to incremental maintenance
     (:class:`~repro.chord.incremental.DatUpdateEngine`): each membership
-    event then patches the finger caches and every previously built tree
-    in O(log n) expected time instead of invalidating them. After the
+    event then patches every previously built tree in O(log n) expected
+    time instead of invalidating it, and drops the lazy finger caches (the
+    engine keeps no finger state; they rebuild on next access). After the
     first event, trees returned by :meth:`build` are live views patched in
     place by subsequent events.
     """
@@ -182,48 +193,31 @@ class DatTreeBuilder:
 
     @property
     def finger_matrix(self) -> np.ndarray | None:
-        """Cached fast-path finger matrix; ``None`` when the space is too
-        wide for :mod:`~repro.chord.fastbuild` or the ring is trivial."""
-        if self._engine is not None:
-            return self._engine.maintainer.matrix
-        if self._matrix is None and self._fast_capable():
-            from repro.chord.fastbuild import fast_finger_matrix
+        """Cached :func:`~repro.chord.fastbuild.fast_finger_matrix` of the
+        ring; ``None`` when the space is too wide or the ring is trivial."""
+        from repro.chord.fastbuild import fast_capable, fast_finger_matrix
 
+        if self._matrix is None and fast_capable(self.ring):
             self._matrix = fast_finger_matrix(self.ring)
         return self._matrix
-
-    def _fast_capable(self) -> bool:
-        from repro.chord.fastbuild import FAST_PATH_MAX_BITS
-
-        return self.ring.space.bits <= FAST_PATH_MAX_BITS and len(self.ring) > 1
 
     def build(self, key: int, d0: float | Fraction | None = None) -> DatTree:
         """Build the DAT for one rendezvous key.
 
-        Default builds (``d0=None``) go through the vectorized fast path
-        when the space allows it; the scalar path handles custom ``d0``
-        values and wide spaces. Identical output either way (the fastbuild
-        equivalence discipline).
+        :func:`build_dat` picks the builder; the cached scalar tables are
+        handed over only where it would otherwise rebuild them (a custom
+        ``d0``, or a ring the array kernel cannot take).
         """
+        from repro.chord.fastbuild import fast_capable
+
         if d0 is not None:
             return build_dat(
                 self.ring, key, scheme=self.scheme, tables=self.tables, d0=d0
             )
         if self._engine is not None:
             return self._engine.track(key)
-        if self._fast_capable():
-            from repro.chord.fastbuild import build_dat_fast
-
-            with telemetry.span(
-                "dat.build", key=key, scheme=self.scheme.value, n=len(self.ring)
-            ) as sp:
-                tree = build_dat_fast(self.ring, key, scheme=self.scheme)
-                if sp is not telemetry.NULL_SPAN:
-                    sp.set(root=tree.root)
-                    sp.set_lazy(height=lambda tree=tree: tree.height)
-                    telemetry.count("dat_builds_total", scheme=self.scheme.value)
-        else:
-            tree = build_dat(self.ring, key, scheme=self.scheme, tables=self.tables)
+        tables = None if fast_capable(self.ring) else self.tables
+        tree = build_dat(self.ring, key, scheme=self.scheme, tables=tables)
         self._built[key] = tree
         return tree
 
@@ -240,10 +234,10 @@ class DatTreeBuilder:
         it reflects the post-churn ring. ``None`` means the space is too
         wide (or the ring trivial) and the caller should use :meth:`build`.
         """
-        if not self._fast_capable():
-            return None
-        from repro.chord.fastbuild import fast_tree_arrays
+        from repro.chord.fastbuild import fast_capable, fast_tree_arrays
 
+        if not fast_capable(self.ring):
+            return None
         return fast_tree_arrays(self.ring, key, scheme=self.scheme)
 
     def tree_stats(self, key: int) -> TreeStats:
@@ -259,40 +253,32 @@ class DatTreeBuilder:
         return arrays.stats()
 
     def apply_event(self, kind: str, ident: int) -> DatUpdateReport:
-        """Apply a join/leave/crash, patching caches and built trees.
+        """Apply a join/leave/crash, patching every built tree.
 
-        The first call adopts the cached finger state into a
+        The first call creates the
         :class:`~repro.chord.incremental.DatUpdateEngine` and registers
         every tree previously built with the default ``d0`` (the latest
-        build per key); subsequent calls cost O(log n) expected per event.
-        Returns the engine's :class:`~repro.chord.incremental.DatUpdateReport`.
+        build per key); every call costs O(log n) expected per tree and
+        drops the lazy finger caches. Returns the engine's
+        :class:`~repro.chord.incremental.DatUpdateReport`.
         """
-        return self._ensure_engine().apply(kind, ident)
-
-    def _ensure_engine(self) -> DatUpdateEngine:
         if self._engine is None:
             from repro.chord.incremental import DatUpdateEngine
 
-            self._engine = DatUpdateEngine(
-                self.ring,
-                scheme=self.scheme,
-                tables=self._tables,
-                matrix=self._matrix,
-            )
-            # The engine owns (or rebuilt) the scalar tables from here on;
-            # keep the builder's cache pointing at the maintained dict.
-            self._tables = self._engine.maintainer.tables
-            self._matrix = None
+            self._engine = DatUpdateEngine(self.ring, scheme=self.scheme)
             for key, tree in self._built.items():
                 self._engine.track(key, tree)
             self._built.clear()
-        return self._engine
+        report = self._engine.apply(kind, ident)
+        self._tables = None
+        self._matrix = None
+        return report
 
     def invalidate(self) -> None:
-        """Drop all cached finger state after out-of-band ring changes.
+        """Drop every cache and built tree after out-of-band ring changes.
 
         Not needed after :meth:`apply_event` — the point of the
-        incremental engine is that caches stay valid across events.
+        incremental engine is that built trees stay valid across events.
         """
         self._tables = None
         self._matrix = None

@@ -68,6 +68,11 @@ class DatTree:
         if self.root in self.parent:
             raise TreeError(f"root {self.root} must not have a parent")
 
+    def invalidate_caches(self) -> None:
+        """Forget the derived children/depth/height caches; for owners that
+        edit :attr:`parent` in place (the incremental engine's live trees)."""
+        self._children = self._depths = self._height = None
+
     # ------------------------------------------------------------------ #
     # Structure
     # ------------------------------------------------------------------ #

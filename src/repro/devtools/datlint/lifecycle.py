@@ -56,9 +56,9 @@ _TRANSPORT_HINT = "transport"
 
 #: Method names marking a constructed project class as *closable*.
 #: Narrower than :data:`TEARDOWN_METHODS` on purpose: ``leave``/``crash``
-#: are membership events on pure data structures (``RingMaintainer``),
-#: not resource teardown — only the canonical names create an ownership
-#: obligation for the constructing class.
+#: are also membership events (``ChordProtocolNode``, the fleet
+#: supervisor), not resource teardown — only the canonical names create an
+#: ownership obligation for the constructing class.
 CLOSABLE_MARKERS = {"close", "shutdown", "stop", "__exit__"}
 
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import telemetry
-from repro.chord.fastbuild import fast_tree_stats
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
-from repro.core.builder import DatScheme
+from repro.core.builder import DatTreeBuilder
 from repro.util.rng import spawn_seeds
 
 __all__ = ["Fig7Point", "run_fig7_tree_properties", "POWER_OF_TWO_SIZES", "CONFIGS"]
@@ -70,15 +69,15 @@ def measure_tree(
     """(max branching, avg branching, height) of one constructed tree.
 
     Array-native end to end: the statistics come from
-    :func:`~repro.chord.fastbuild.fast_tree_stats` without materializing a
-    per-node tree object, so a single point scales to 10^5-10^6 nodes.
-    Bit-identical to ``build_dat(..., fast=True).stats()`` (the fastbuild
-    equivalence discipline, asserted in
+    :meth:`~repro.core.builder.DatTreeBuilder.tree_stats` without
+    materializing a per-node tree object, so a single point scales to
+    10^5-10^6 nodes. Bit-identical to ``build_dat(...).stats()`` (the
+    fastbuild equivalence discipline, asserted in
     ``tests/property/test_prop_scale.py``).
     """
     space = IdSpace(bits)
     ring = make_assigner(id_strategy).build_ring(space, n_nodes, rng=seed)
-    stats = fast_tree_stats(ring, space.wrap(key), scheme=DatScheme(scheme))
+    stats = DatTreeBuilder(ring, scheme).tree_stats(space.wrap(key))
     return stats.max_branching, stats.avg_branching, stats.height
 
 

@@ -8,12 +8,11 @@ under a few seconds by sharing the ring across checks.
 
 import pytest
 
-from repro.chord.fastbuild import build_dat_fast
 from repro.chord.idgen import ProbingIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.core.aggregates import get_aggregate
 from repro.core.analysis import imbalance_factor
-from repro.core.builder import build_balanced_dat, build_basic_dat
+from repro.core.builder import build_balanced_dat, build_basic_dat, build_dat
 from repro.util.bits import ceil_log2
 
 
@@ -48,7 +47,7 @@ class TestHeadlineScale:
         assert stats.height <= 2 * ceil_log2(8192)
 
     def test_fast_path_agrees_at_scale(self, big_ring):
-        fast = build_dat_fast(big_ring, 0xBEEF, scheme="balanced")
+        fast = build_dat(big_ring, 0xBEEF, scheme="balanced")
         slow = build_balanced_dat(big_ring, 0xBEEF)
         assert fast.parent == slow.parent
 

@@ -70,15 +70,14 @@ class TestFastbuildHypothesis:
     @settings(max_examples=40)
     @given(ring_and_initiator(), st.integers(min_value=0, max_value=2**18 - 1))
     def test_fast_equals_scalar_on_random_rings(self, args, raw_key):
-        from repro.chord.fastbuild import fast_balanced_parents, fast_basic_parents
+        from repro.chord.fastbuild import fast_tree_arrays
         from repro.core.builder import build_balanced_dat, build_basic_dat
 
         ring, _initiator = args
         if len(ring) < 2:
             return
         key = raw_key % ring.space.size
-        assert fast_basic_parents(ring, key) == build_basic_dat(ring, key).parent
-        assert (
-            fast_balanced_parents(ring, key)
-            == build_balanced_dat(ring, key).parent
-        )
+        basic = fast_tree_arrays(ring, key, "basic").parent_map()
+        assert basic == build_basic_dat(ring, key).parent
+        balanced = fast_tree_arrays(ring, key, "balanced").parent_map()
+        assert balanced == build_balanced_dat(ring, key).parent

@@ -1,22 +1,27 @@
 """Property tests: incremental maintenance is bit-identical to rebuilds.
 
 Random join/leave/crash sequences drive a :class:`DatUpdateEngine`; after
-*every* event the maintained state — scalar finger tables, the NumPy finger
-matrix, the reverse index, and each tracked tree's root and parent map — is
-compared against a from-scratch rebuild of the same membership. Any
-divergence is a bug in the incremental engine (the rebuild is the oracle).
+*every* event each tracked tree's root and parent map — the engine's only
+state besides the ring — is compared against a from-scratch scalar build of
+the same membership. Any divergence is a bug in the incremental engine (the
+rebuild is the oracle). The finger patches an event reports are checked
+against table diffs in ``test_prop_finger_patches.py``.
 """
 
 import random
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chord.idspace import IdSpace
 from repro.chord.incremental import DatUpdateEngine
 from repro.chord.ring import StaticRing
-from repro.core.builder import DatScheme, build_dat
+from repro.core.builder import DatScheme, build_balanced_dat, build_basic_dat
+
+SCALAR_BUILDERS = {
+    DatScheme.BASIC: build_basic_dat,
+    DatScheme.BALANCED: build_balanced_dat,
+}
 
 
 def _random_event(rng, live, size):
@@ -31,29 +36,40 @@ def _random_event(rng, live, size):
 
 
 def _assert_state_matches(engine, space, live, keys, scheme, step):
+    assert engine.ring.nodes == sorted(live), step
+    if not live:
+        assert engine.trees == {}, step
+        return
     ref_ring = StaticRing(space, sorted(live))
-    ref_tables = ref_ring.all_finger_tables()
-    tables = engine.maintainer.tables
-    assert set(tables) == set(ref_tables), step
-    for node, table in tables.items():
-        assert table.entries == ref_tables[node].entries, (step, node)
-    matrix = engine.maintainer.matrix
-    assert matrix is not None
-    if live:
-        reference = np.array(
-            [ref_tables[node].entries for node in ref_ring.nodes], dtype=np.int64
-        )
-        assert matrix.shape == reference.shape, step
-        assert (matrix == reference).all(), step
-    else:
-        assert matrix.shape[0] == 0, step
     for key in keys:
-        if not live:
-            continue
         tree = engine.tree(key)
-        ref_tree = build_dat(ref_ring, key, scheme=scheme)
+        ref_tree = SCALAR_BUILDERS[scheme](ref_ring, key)
         assert tree.root == ref_tree.root, (step, key)
         assert tree.parent == ref_tree.parent, (step, key)
+
+
+def _churn_and_compare(bits, n_initial, n_events, seed, scheme, array_backed):
+    rng = random.Random(seed)
+    space = IdSpace(bits)
+    live = set()
+    while len(live) < max(min(n_initial, space.size // 4), 1):
+        live.add(rng.randrange(space.size))  # range(2^160) is too long to sample
+    idents = sorted(live)
+    keys = [rng.randrange(space.size) for _ in range(3)]
+
+    ring = StaticRing(space, idents, array_backed=array_backed)
+    engine = DatUpdateEngine(ring, scheme=scheme)
+    for key in keys:
+        engine.track(key)
+
+    for step in range(n_events):
+        kind, ident = _random_event(rng, live, space.size)
+        if kind == "join":
+            live.add(ident)
+        else:
+            live.discard(ident)
+        engine.apply(kind, ident)
+        _assert_state_matches(engine, space, live, keys, scheme, step)
 
 
 @settings(max_examples=20, deadline=None)
@@ -67,25 +83,30 @@ def _assert_state_matches(engine, space, live, keys, scheme, step):
 def test_random_churn_matches_rebuild_after_every_event(
     bits, n_initial, n_events, seed, scheme
 ):
-    rng = random.Random(seed)
-    space = IdSpace(bits)
-    n_initial = min(n_initial, space.size // 4)
-    idents = rng.sample(range(space.size), max(n_initial, 1))
-    live = set(idents)
-    keys = [rng.randrange(space.size) for _ in range(3)]
+    _churn_and_compare(bits, n_initial, n_events, seed, scheme, array_backed=False)
 
-    engine = DatUpdateEngine(StaticRing(space, idents), scheme=scheme)
-    for key in keys:
-        engine.track(key)
 
-    for step in range(n_events):
-        kind, ident = _random_event(rng, live, space.size)
-        if kind == "join":
-            live.add(ident)
-        else:
-            live.discard(ident)
-        engine.apply(kind, ident)
-        _assert_state_matches(engine, space, live, keys, scheme, step)
+@settings(max_examples=10, deadline=None)
+@given(
+    n_initial=st.integers(min_value=1, max_value=24),
+    n_events=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scheme=st.sampled_from([DatScheme.BASIC, DatScheme.BALANCED]),
+)
+def test_random_churn_on_array_backed_ring(n_initial, n_events, seed, scheme):
+    _churn_and_compare(24, n_initial, n_events, seed, scheme, array_backed=True)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_initial=st.integers(min_value=1, max_value=16),
+    n_events=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scheme=st.sampled_from([DatScheme.BASIC, DatScheme.BALANCED]),
+)
+def test_random_churn_in_160_bit_space(n_initial, n_events, seed, scheme):
+    """Past ``FAST_PATH_MAX_BITS`` the engine's rebuilds are scalar too."""
+    _churn_and_compare(160, n_initial, n_events, seed, scheme, array_backed=False)
 
 
 @settings(max_examples=10, deadline=None)

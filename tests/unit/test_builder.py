@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.chord.idgen import RandomIdAssigner, UniformIdAssigner
+import repro.chord.fastbuild as fastbuild
+from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner, UniformIdAssigner
 from repro.chord.idspace import IdSpace
+from repro.chord.ring import StaticRing
 from repro.core.builder import (
     DatScheme,
     DatTreeBuilder,
@@ -89,6 +91,79 @@ class TestBuildDat:
     def test_rejects_unknown_scheme(self, full_ring4):
         with pytest.raises(ValueError):
             build_dat(full_ring4, 0, scheme="fancy")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Spy on the array kernel: the list grows by one per call."""
+    calls = []
+    real = fastbuild.fast_tree_arrays
+
+    def spy(ring, key, *args, **kwargs):
+        calls.append(key)
+        return real(ring, key, *args, **kwargs)
+
+    monkeypatch.setattr(fastbuild, "fast_tree_arrays", spy)
+    return calls
+
+
+class TestBuildDatDispatch:
+    """``build_dat`` picks the array kernel from what it can observe; the
+    scalar builders are the reference either way."""
+
+    SCALAR = {"basic": build_basic_dat, "balanced": build_balanced_dat}
+
+    @pytest.fixture
+    def ring(self):
+        return ProbingIdAssigner().build_ring(IdSpace(24), 64, rng=2)
+
+    def test_default_takes_array_kernel(self, ring, kernel_calls):
+        for scheme, scalar in self.SCALAR.items():
+            tree = build_dat(ring, 123, scheme=scheme)
+            reference = scalar(ring, 123)
+            assert tree.root == reference.root
+            assert tree.parent == reference.parent
+        assert kernel_calls == [123, 123]
+
+    def test_explicit_tables_force_scalar(self, ring, kernel_calls):
+        tables = ring.all_finger_tables()
+        with_tables = build_dat(ring, 123, tables=tables)
+        assert kernel_calls == []
+        assert with_tables.parent == build_balanced_dat(ring, 123).parent
+        # The scalar builder really read the caller's tables.
+        victim = next(node for node in ring if node != with_tables.root)
+        del tables[victim]
+        with pytest.raises(KeyError):
+            build_dat(ring, 123, tables=tables)
+
+    def test_explicit_d0_forces_scalar(self, ring, kernel_calls):
+        d0 = ring.mean_gap() * 2
+        custom = build_dat(ring, 123, d0=d0)
+        assert kernel_calls == []
+        assert custom.parent == build_balanced_dat(ring, 123, d0=d0).parent
+        # A doubled d0 genuinely changes the balanced tree.
+        assert custom.parent != build_dat(ring, 123).parent
+
+    def test_wide_space_falls_back(self, kernel_calls):
+        ring = StaticRing(IdSpace(160), [1, 2**100, 2**150, 2**159])
+        tree = build_dat(ring, 5)
+        assert kernel_calls == []
+        tree.validate()
+        assert tree.parent == build_balanced_dat(ring, 5).parent
+
+    def test_single_node_ring_falls_back(self, kernel_calls):
+        tree = build_dat(StaticRing(IdSpace(8), [42]), 0)
+        assert kernel_calls == []
+        assert tree.root == 42 and tree.parent == {}
+
+    def test_builder_dispatches_the_same_way(self, ring, kernel_calls):
+        builder = DatTreeBuilder(ring)
+        _ = builder.tables  # a warm table cache must not force the scalar path
+        assert builder.build(123).parent == build_balanced_dat(ring, 123).parent
+        assert kernel_calls == [123]
+        wide = DatTreeBuilder(StaticRing(IdSpace(160), [1, 2**100, 2**150]))
+        assert wide.build(5).parent == build_balanced_dat(wide.ring, 5).parent
+        assert kernel_calls == [123]
 
 
 class TestDatTreeBuilder:

@@ -7,16 +7,18 @@ import pytest
 
 from repro.chord.fastbuild import (
     FAST_PATH_MAX_BITS,
-    build_dat_fast,
-    fast_balanced_parents,
-    fast_basic_parents,
     fast_finger_matrix,
     fast_tree_arrays,
 )
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner, UniformIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat, build_basic_dat
+from repro.core.builder import (
+    DatTreeBuilder,
+    build_balanced_dat,
+    build_basic_dat,
+    build_dat,
+)
 from repro.core.limiting import balanced_limits
 from repro.errors import TreeError
 
@@ -42,30 +44,30 @@ class TestEquivalence:
         ring = factory(space)
         for key in (0, space.size // 3, space.max_id):
             scalar = build_basic_dat(ring, key).parent
-            assert fast_basic_parents(ring, key) == scalar, key
+            assert fast_tree_arrays(ring, key, "basic").parent_map() == scalar, key
 
     def test_balanced_parents_match(self, name, space, factory):
         ring = factory(space)
         for key in (0, space.size // 3, space.max_id):
             scalar = build_balanced_dat(ring, key).parent
-            assert fast_balanced_parents(ring, key) == scalar, key
+            assert fast_tree_arrays(ring, key, "balanced").parent_map() == scalar, key
 
     def test_build_dat_fast_trees_identical(self, name, space, factory):
         ring = factory(space)
-        for scheme in ("basic", "balanced"):
-            fast = build_dat_fast(ring, 7 % space.size, scheme=scheme)
-            from repro.core.builder import build_dat
-
-            slow = build_dat(ring, 7 % space.size, scheme=scheme)
+        scalar_builders = {"basic": build_basic_dat, "balanced": build_balanced_dat}
+        for scheme, scalar in scalar_builders.items():
+            fast = build_dat(ring, 7 % space.size, scheme=scheme)
+            slow = scalar(ring, 7 % space.size)
             assert fast.root == slow.root
             assert fast.parent == slow.parent
+            assert fast.height == slow.height  # seeded from the array chase
 
 
 class TestFallbacksAndLimits:
     def test_wide_space_falls_back(self):
         space = IdSpace(160)
         ring = StaticRing(space, [1, 2**100, 2**150])
-        tree = build_dat_fast(ring, 5)
+        tree = build_dat(ring, 5)
         assert tree.n_nodes == 3  # scalar fallback worked
 
     def test_direct_call_on_wide_space_rejected(self):
@@ -80,14 +82,14 @@ class TestFallbacksAndLimits:
 
     def test_single_node_fast_build(self):
         ring = StaticRing(IdSpace(8), [42])
-        tree = build_dat_fast(ring, 0)
+        tree = build_dat(ring, 0)
         assert tree.root == 42 and tree.parent == {}
 
     def test_max_bits_boundary(self):
         space = IdSpace(FAST_PATH_MAX_BITS)
         ring = RandomIdAssigner().build_ring(space, 50, rng=5)
         scalar = build_balanced_dat(ring, 12345).parent
-        assert fast_balanced_parents(ring, 12345) == scalar
+        assert fast_tree_arrays(ring, 12345).parent_map() == scalar
 
 
 class TestVectorizedCeilLog2:
@@ -137,32 +139,25 @@ class TestExactCeilQ:
 
 
 class TestSharedMatrix:
+    """``fast_tree_arrays`` still takes a ``matrix`` (a frozen positional
+    caller passes one); it is shape-checked and otherwise ignored."""
+
     def test_supplied_matrix_used_across_keys(self):
         space = IdSpace(16)
         ring = UniformIdAssigner().build_ring(space, 64)
         matrix = fast_finger_matrix(ring)
         for key in (0, 1234, space.max_id):
-            with_shared = fast_balanced_parents(ring, key, matrix=matrix)
-            fresh = fast_balanced_parents(ring, key)
-            assert with_shared == fresh
-            with_shared = fast_basic_parents(ring, key, matrix=matrix)
-            fresh = fast_basic_parents(ring, key)
-            assert with_shared == fresh
-
-    def test_build_dat_fast_accepts_matrix(self):
-        space = IdSpace(16)
-        ring = UniformIdAssigner().build_ring(space, 32)
-        matrix = fast_finger_matrix(ring)
-        tree = build_dat_fast(ring, 42, matrix=matrix)
-        plain = build_dat_fast(ring, 42)
-        assert tree.root == plain.root and tree.parent == plain.parent
+            for scheme in ("balanced", "basic"):
+                with_shared = fast_tree_arrays(ring, key, scheme, matrix)
+                fresh = fast_tree_arrays(ring, key, scheme)
+                assert with_shared.parent_map() == fresh.parent_map()
 
     def test_wrong_shape_matrix_rejected(self):
         space = IdSpace(16)
         ring = UniformIdAssigner().build_ring(space, 32)
         bad = np.zeros((3, space.bits), dtype=np.int64)
         with pytest.raises(TreeError):
-            fast_balanced_parents(ring, 0, matrix=bad)
+            fast_tree_arrays(ring, 0, matrix=bad)
 
 
 class TestMatrixFreeBuild:
@@ -195,8 +190,9 @@ class TestMatrixFreeBuild:
         monkeypatch.setattr(fastbuild, "fast_finger_matrix", refuse)
         ring = ProbingIdAssigner().build_ring(IdSpace(32), 512, rng=3)
         for scheme in ("basic", "balanced"):
-            stats = fastbuild.fast_tree_stats(ring, 777, scheme=scheme)
+            stats = DatTreeBuilder(ring, scheme).tree_stats(777)
             assert stats.n_nodes == 512
+            assert build_dat(ring, 777, scheme=scheme).stats() == stats
         assert fastbuild.fast_centralized_load_array(ring, 777).size == 512
 
 
@@ -204,6 +200,6 @@ class TestScaleIdentity:
     def test_fast_path_identical_at_4096(self):
         space = IdSpace(32)
         ring = ProbingIdAssigner().build_ring(space, 4096, rng=9)
-        fast = build_dat_fast(ring, 777, scheme="balanced")
+        fast = build_dat(ring, 777, scheme="balanced")
         slow = build_balanced_dat(ring, 777)
         assert fast.parent == slow.parent

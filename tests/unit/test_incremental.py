@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.chord.fingers import FingerTable
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.chord.fastbuild import fast_tree_arrays
-from repro.chord.incremental import (
-    DatUpdateEngine,
-    FingerPatch,
-    ReverseFingerIndex,
-    RingDelta,
-    RingMaintainer,
-)
+from repro.chord.incremental import DatUpdateEngine
 from repro.chord.ring import StaticRing
-from repro.core.builder import DatScheme, DatTreeBuilder, build_dat
+from repro.core.builder import (
+    DatScheme,
+    DatTreeBuilder,
+    build_balanced_dat,
+    build_basic_dat,
+    build_dat,
+)
 from repro.core.multitree import DatForest
-from repro.errors import DuplicateNodeError, TreeError, UnknownNodeError
+from repro.errors import DuplicateNodeError, UnknownNodeError
 from repro.workloads.churn import ChurnWorkload, replay_churn
 
 
@@ -26,117 +25,93 @@ def ring():
     return RandomIdAssigner().build_ring(IdSpace(16), 48, rng=7)
 
 
-class TestReverseFingerIndex:
-    def test_from_tables_covers_all_slots(self, ring):
-        tables = ring.all_finger_tables()
-        index = ReverseFingerIndex.from_tables(tables)
-        assert index.n_slots() == len(ring) * ring.space.bits
+def _newcomer(ring):
+    return next(ident for ident in range(ring.space.size) if ident not in ring)
 
-    def test_slots_into_matches_tables(self, ring):
-        tables = ring.all_finger_tables()
-        index = ReverseFingerIndex.from_tables(tables)
-        for node in ring:
-            for owner, slot in index.slots_into(node):
-                assert tables[owner].entries[slot] == node
 
-    def test_move_rehomes_one_slot(self):
-        index = ReverseFingerIndex()
-        index.add(1, 0, 5)
-        index.move(1, 0, 5, 9)
-        assert index.slots_into(5) == []
-        assert index.slots_into(9) == [(1, 0)]
-
-    def test_discard_drops_empty_buckets(self):
-        index = ReverseFingerIndex()
-        index.add(1, 0, 5)
-        index.discard(1, 0, 5)
-        assert index.as_dict() == {}
+def _table_entries(ring):
+    return {n: t.entries for n, t in ring.all_finger_tables().items()}
 
 
 class TestRingMaintainer:
+    """Ring maintenance through ``DatUpdateEngine.apply``: the ring is the
+    only finger state, so each case checks the event's delta and the ring."""
+
     def test_initial_state_matches_scratch(self, ring):
-        maintainer = RingMaintainer(ring)
-        reference = ring.all_finger_tables()
-        for node, table in maintainer.tables.items():
-            assert table.entries == reference[node].entries
-        matrix = maintainer.matrix
-        assert matrix is not None
-        for row, node in zip(matrix, ring.nodes):
-            assert list(row) == reference[node].entries
+        scalar_builders = {"basic": build_basic_dat, "balanced": build_balanced_dat}
+        for scheme, scalar in scalar_builders.items():
+            engine = DatUpdateEngine(ring, scheme=scheme)
+            assert engine.trees == {}  # nothing but the ring until a key is tracked
+            tree = engine.track(999)
+            reference = scalar(ring, 999)
+            assert tree.root == reference.root and tree.parent == reference.parent
 
     def test_join_and_leave_roundtrip(self, ring):
-        maintainer = RingMaintainer(ring)
-        before = {n: list(t.entries) for n, t in maintainer.tables.items()}
-        newcomer = next(
-            ident for ident in range(ring.space.size) if ident not in ring
-        )
-        delta = maintainer.join(newcomer)
-        assert delta.is_join and delta.n_after == delta.n_before + 1
-        delta = maintainer.leave(newcomer)
-        assert not delta.is_join
-        after = {n: list(t.entries) for n, t in maintainer.tables.items()}
-        assert before == after  # join then leave restores every table
+        engine = DatUpdateEngine(ring)
+        before = _table_entries(ring)
+        newcomer = _newcomer(ring)
+        joined = engine.apply("join", newcomer).delta
+        assert joined.is_join and joined.n_after == joined.n_before + 1
+        for patch in joined.patches:  # every patch is a real table change
+            assert before[patch.owner][patch.slot] == patch.old
+            assert patch.new == newcomer
+        left = engine.apply("leave", newcomer).delta
+        assert not left.is_join and left.n_after == left.n_before - 1
+        # The leave undoes exactly the slots the join rewrote.
+        undone = {(p.owner, p.slot, p.new, p.old) for p in left.patches}
+        assert undone == {(p.owner, p.slot, p.old, p.new) for p in joined.patches}
+        assert _table_entries(ring) == before
 
     def test_join_duplicate_rejected(self, ring):
-        maintainer = RingMaintainer(ring)
+        engine = DatUpdateEngine(ring)
         with pytest.raises(DuplicateNodeError):
-            maintainer.join(ring.nodes[0])
+            engine.apply("join", ring.nodes[0])
+        assert len(ring) == 48
 
     def test_leave_unknown_rejected(self, ring):
-        maintainer = RingMaintainer(ring)
-        missing = next(
-            ident for ident in range(ring.space.size) if ident not in ring
-        )
+        engine = DatUpdateEngine(ring)
         with pytest.raises(UnknownNodeError):
-            maintainer.leave(missing)
+            engine.apply("leave", _newcomer(ring))
+        assert len(ring) == 48
 
     def test_empty_ring_first_join(self):
-        space = IdSpace(8)
-        ring = StaticRing(space)
-        maintainer = RingMaintainer(ring)
-        maintainer.join(42)
-        assert maintainer.tables[42].entries == [42] * space.bits
-        matrix = maintainer.matrix
-        assert matrix is not None and matrix.shape == (1, space.bits)
+        ring = StaticRing(IdSpace(8))
+        engine = DatUpdateEngine(ring)
+        report = engine.apply("join", 42)
+        assert report.delta.patches == () and report.delta.n_before == 0
+        assert ring.nodes == [42]
+        tree = engine.track(7)
+        assert tree.root == 42 and tree.parent == {}
 
     def test_last_leave_empties_state(self):
         ring = StaticRing(IdSpace(8), [42])
-        maintainer = RingMaintainer(ring)
-        maintainer.leave(42)
-        assert maintainer.tables == {}
-        matrix = maintainer.matrix
-        assert matrix is not None and matrix.shape[0] == 0
+        engine = DatUpdateEngine(ring)
+        engine.track(7)
+        report = engine.apply("leave", 42)
+        assert report.delta.patches == () and report.delta.n_after == 0
+        assert len(ring) == 0 and engine.trees == {}
+        engine.apply("join", 9)  # the key stayed tracked and rematerializes
+        assert engine.tree(7).root == 9
 
-    def test_out_of_band_mutation_triggers_rebuild(self, ring):
-        maintainer = RingMaintainer(ring)
-        newcomer = next(
-            ident for ident in range(ring.space.size) if ident not in ring
-        )
-        ring.add(newcomer)  # behind the maintainer's back
-        other = next(
-            ident
-            for ident in range(ring.space.size)
-            if ident not in ring
-        )
-        maintainer.join(other)  # must detect the stale version and recover
-        reference = ring.all_finger_tables()
-        for node, table in maintainer.tables.items():
-            assert table.entries == reference[node].entries
-        assert set(maintainer.tables) == set(reference)
-
-    def test_adopts_prebuilt_tables(self, ring):
-        tables = ring.all_finger_tables()
-        maintainer = RingMaintainer(ring, tables=tables)
-        assert maintainer.tables is tables  # shared, not copied
-
-    def test_wide_space_has_no_matrix(self):
-        ring = StaticRing(IdSpace(160), [1, 2**100, 2**150])
-        maintainer = RingMaintainer(ring)
-        assert maintainer.matrix is None
-        maintainer.join(2**80)
-        reference = ring.all_finger_tables()
-        for node, table in maintainer.tables.items():
-            assert table.entries == reference[node].entries
+    def test_out_of_band_mutation_triggers_rebuild(self, caplog):
+        """Regression: a ring mutated behind the engine used to leave every
+        tracked tree stale (64 parent entries against the rebuild's 65)."""
+        ring = ProbingIdAssigner().build_ring(IdSpace(24), 64, rng=2)
+        engine = DatUpdateEngine(ring)
+        engine.track(123)
+        ring.add(5_000_001)  # behind the engine's back
+        with caplog.at_level("WARNING"):
+            report = engine.apply("join", 9_000_001)
+        reference = build_balanced_dat(StaticRing(ring.space, ring.nodes), 123)
+        assert len(reference.parent) == 65
+        tree = engine.tree(123)
+        assert tree.root == reference.root and tree.parent == reference.parent
+        assert report.rebuilt_keys == (123,)
+        assert "mutated outside the engine" in caplog.text
+        # Back in step: the next event patches instead of rebuilding.
+        assert engine.apply("leave", 5_000_001).rebuilt_keys == ()
+        reference = build_balanced_dat(StaticRing(ring.space, ring.nodes), 123)
+        assert engine.tree(123).parent == reference.parent
 
 
 class TestDatUpdateEngine:
@@ -190,8 +165,8 @@ class TestDatUpdateEngine:
     @pytest.mark.parametrize("scheme", [DatScheme.BASIC, DatScheme.BALANCED])
     def test_single_events_bit_identical_at_4096(self, scheme):
         """Acceptance: one join and one leave on a 4096-node ring match the
-        full rebuild exactly (the companion benchmark asserts the >= 20x
-        speedup on this same configuration)."""
+        full rebuild exactly (the companion benchmark gates the per-event
+        cost ratio on this same configuration)."""
         space = IdSpace(32)
         ring = ProbingIdAssigner().build_ring(space, 4096, rng=11)
         key = 0xDEADBEEF
@@ -201,70 +176,30 @@ class TestDatUpdateEngine:
             ident for ident in range(space.size) if ident not in ring
         )
         engine.apply("join", newcomer)
-        reference = build_dat(
-            StaticRing(space, ring.nodes), key, scheme=scheme, fast=True
-        )
+        reference = build_dat(StaticRing(space, ring.nodes), key, scheme=scheme)
         tree = engine.tree(key)
         assert tree.root == reference.root and tree.parent == reference.parent
         engine.apply("leave", ring.nodes[1234])
-        reference = build_dat(
-            StaticRing(space, ring.nodes), key, scheme=scheme, fast=True
-        )
+        reference = build_dat(StaticRing(space, ring.nodes), key, scheme=scheme)
         tree = engine.tree(key)
         assert tree.root == reference.root and tree.parent == reference.parent
-
-
-class TestPatchTreeReadsOneEntry:
-    """``_patch_tree`` indexes slot ``min(floor(log2 x), g(x))`` directly;
-    the eligibility test on that one entry is what is left of the scan."""
-
-    @staticmethod
-    def _touch(engine, key, owner):
-        """A delta that re-parents ``owner`` alone (membership unchanged)."""
-        n = len(engine.ring)
-        patch = FingerPatch(owner, 0, owner, owner)
-        delta = RingDelta("leave", -1, (patch,), n, n)
-        return engine._patch_tree(key, engine.tree(key), delta)
-
-    @pytest.mark.parametrize("scheme", [DatScheme.BASIC, DatScheme.BALANCED])
-    def test_corrupt_chosen_entry_raises(self, ring, scheme):
-        key = 999
-        engine = DatUpdateEngine(ring, scheme=scheme)
-        tree = engine.track(key)
-        root = tree.root
-        mask = ring.space.max_id
-        # The node farthest from the root: many slots below the chosen one.
-        owner = max((n for n in ring if n != root), key=lambda n: (root - n) & mask)
-        entries = engine.maintainer.tables[owner].entries
-        chosen = entries.index(tree.parent[owner])
-        assert chosen > 0
-        assert self._touch(engine, key, owner) is not None  # consistent: fine
-
-        good = entries[chosen]
-        for bad in (owner, ring.successor_of_node(root)):  # self-loop, overshoot
-            entries[chosen] = bad
-            with pytest.raises(TreeError):
-                self._touch(engine, key, owner)
-        entries[chosen] = good
-
-        # Only that entry is read: a lower slot may hold anything.
-        entries[0] = owner
-        _, count = self._touch(engine, key, owner)
-        assert count == 1 and engine.tree(key).parent[owner] == good
 
 
 class TestBuilderIntegration:
     def test_tree_arrays_after_events_needs_no_maintained_matrix(
         self, ring, monkeypatch
     ):
-        def gathered(self):
-            raise AssertionError("tree builds must not gather the maintained matrix")
+        import repro.chord.fastbuild as fastbuild
 
+        def refuse(ring):
+            raise AssertionError("events and tree builds must not build a finger matrix")
+
+        monkeypatch.setattr(fastbuild, "fast_finger_matrix", refuse)
         builder = DatTreeBuilder(ring)
         keys = [7, 7000, 42000]
         builder.build_many(keys)
         rng = np.random.default_rng(2007)
-        for step in range(40):
+        for _ in range(40):
             kind = ("join", "leave", "crash")[int(rng.integers(0, 3))]
             if kind == "join":
                 ident = int(rng.integers(0, ring.space.size))
@@ -273,8 +208,6 @@ class TestBuilderIntegration:
             else:
                 ident = ring.nodes[int(rng.integers(0, len(ring)))]
             builder.apply_event(kind, ident)
-            if step == 0:  # the engine exists from the first event on
-                monkeypatch.setattr(RingMaintainer, "matrix", property(gathered))
         fresh = StaticRing(ring.space, ring.nodes)
         for key in keys:
             arrays = builder.tree_arrays(key)
@@ -368,19 +301,3 @@ class TestChurnReplay:
         )
         replay_churn(engine, workload.generate(), seed=6, min_nodes=2)
         assert len(engine.ring) == 2  # departures below the floor skipped
-
-
-class TestMatrixMaintenance:
-    def test_matrix_rows_follow_sorted_order_after_events(self, ring):
-        maintainer = RingMaintainer(ring)
-        for ident in (3, 60000, 31000):
-            if ident not in maintainer.ring:
-                maintainer.join(ident)
-        maintainer.leave(maintainer.ring.nodes[5])
-        matrix = maintainer.matrix
-        assert matrix is not None
-        reference = np.array(
-            [maintainer.ring.finger_entries(n) for n in maintainer.ring.nodes],
-            dtype=np.int64,
-        )
-        assert (matrix == reference).all()
