@@ -20,7 +20,7 @@ from repro.chord.idspace import IdSpace
 from repro.chord.hashing import sha1_id, LocalityPreservingHash
 from repro.chord.fingers import FingerTable
 from repro.chord.ring import StaticRing
-from repro.chord.routing import finger_route, closest_preceding_finger, RouteResult
+from repro.chord.routing import finger_route, RouteResult
 from repro.chord.idgen import (
     IdAssigner,
     RandomIdAssigner,
@@ -41,7 +41,6 @@ __all__ = [
     "FingerTable",
     "StaticRing",
     "finger_route",
-    "closest_preceding_finger",
     "RouteResult",
     "IdAssigner",
     "RandomIdAssigner",

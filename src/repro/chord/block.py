@@ -11,21 +11,24 @@ bulk-simulation mode the whole converged ring is represented once, here, as
 
 Per-node state is ~``8 * bits`` bytes of one shared matrix instead of a
 Python object graph, and the protocol's parent rule runs for *all* nodes at
-once (:meth:`ChordNodeBlock.key_parents`). :class:`MatrixFingerView` adapts
-one row back to the :class:`~repro.chord.fingers.FingerLike` interface, so
-scalar consumers (parent selection, routing probes, tests) can read the
-block without materializing tables.
+once (:meth:`ChordNodeBlock.key_parents`).
 
 Bit-exactness contract: :meth:`ChordNodeBlock.key_parents` reproduces
 ``DatNodeService.parent_toward_key`` — the *key-addressed* Algorithm 1
 rule, including the balanced scheme's float-estimated ``d0`` path through
 :class:`~repro.core.limiting.FingerLimiter.for_gap` — for every node,
 asserted in ``tests/unit/test_block.py`` and the protocol property suite.
-(The root-addressed kernel in :mod:`repro.chord.fastbuild` is a different
-rule: its target is a member, which makes the parent slot the closed form
-``min(floor(log2 x), g(x))``. That does not transfer here — a key need not
-be a member, so ``successor(i + 2^j)`` may overshoot it even when
-``2^j <= x`` — and the eligibility scan stays.)
+
+The closed form of the root-addressed kernel (:mod:`repro.chord.fastbuild`)
+transfers to this rule on a converged block: with ``p*`` the last member at
+or before ``key``, node ``i``'s slot is ``min(floor(log2 cw(i, p*)),
+g(cw(i, key)))``, and row ``p*`` falls back to its successor (``-1`` on a
+lone ring). ``tests/property/test_prop_key_parent_slot.py`` proves it
+against the scan below, which stays as the reference. The matrix stays too:
+the frozen ledger (``benchmarks/perf/micro.py``) reads ``block.matrix``, and
+the 64k workloads' per-op times depend on the allocator state its
+construction leaves behind (ROADMAP item 1), so going matrix-free needs a
+``[benchmark]`` PR first.
 """
 
 from __future__ import annotations
@@ -40,62 +43,7 @@ from repro.chord.ring import StaticRing
 from repro.core.limiting import balanced_limits
 from repro.errors import IdentifierError, TreeError
 
-__all__ = ["ChordNodeBlock", "MatrixFingerView", "balanced_limits"]
-
-
-class MatrixFingerView:
-    """One node's finger table as a view of the block's shared matrix.
-
-    Implements :class:`~repro.chord.fingers.FingerLike`; query semantics
-    are identical to :class:`~repro.chord.fingers.FingerTable` over the
-    same entries (asserted in ``tests/unit/test_block.py``). No storage is
-    copied — the view holds the row.
-    """
-
-    __slots__ = ("space", "owner", "_row")
-
-    def __init__(self, space: IdSpace, owner: int, row: np.ndarray) -> None:
-        self.space = space
-        self.owner = owner
-        self._row = row
-
-    @property
-    def successor(self) -> int:
-        """Slot 0 — the owner's immediate successor."""
-        return int(self._row[0])
-
-    def finger(self, j: int) -> int:
-        """Node in slot ``j`` (the first node succeeding ``owner + 2^j``)."""
-        if not 0 <= j < self.space.bits:
-            raise IdentifierError(f"finger index {j} outside [0, {self.space.bits})")
-        return int(self._row[j])
-
-    def closest_preceding(self, key: int, max_slot: int | None = None) -> int | None:
-        """Finger that most closely precedes-or-reaches ``key`` from ``owner``.
-
-        Same scan as :meth:`FingerTable.closest_preceding`: highest slot
-        whose finger does not overshoot ``cw(owner, key)``, restricted to
-        ``0..max_slot`` for the balanced scheme.
-        """
-        space = self.space
-        target_distance = space.cw(self.owner, key)
-        if target_distance == 0:
-            return None
-        top = space.bits - 1 if max_slot is None else min(max_slot, space.bits - 1)
-        entries = self._row.tolist()
-        for j in range(top, -1, -1):
-            node = entries[j]
-            if node == self.owner:
-                continue
-            if space.cw(self.owner, node) <= target_distance:
-                return node
-        return None
-
-    def __len__(self) -> int:
-        return len(self._row)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"MatrixFingerView(owner={self.owner})"
+__all__ = ["ChordNodeBlock", "balanced_limits"]
 
 
 class ChordNodeBlock:
@@ -104,8 +52,7 @@ class ChordNodeBlock:
     Construction is two ``searchsorted`` passes over the sorted identifier
     vector (via :func:`~repro.chord.fastbuild.fast_finger_matrix`); the
     block is immutable and shared by every consumer — the slab protocol
-    runner, finger views, and the scale benchmarks all read the same
-    ``(n, bits)`` matrix.
+    runner and the scale benchmarks read the same ``(n, bits)`` matrix.
     """
 
     __slots__ = ("space", "ids", "matrix")
@@ -150,10 +97,6 @@ class ChordNodeBlock:
         """Position of ``successor(key)`` — the key's owner/root."""
         i = int(np.searchsorted(self.ids, np.int64(self.space.wrap(key))))
         return 0 if i == len(self.ids) else i
-
-    def finger_view(self, i: int) -> MatrixFingerView:
-        """Node ``i``'s finger table as a :class:`FingerLike` view."""
-        return MatrixFingerView(self.space, int(self.ids[i]), self.matrix[i])
 
     def successors(self) -> np.ndarray:
         """Every node's immediate successor (matrix slot 0)."""

@@ -19,11 +19,15 @@ overshoot; if ``2^j > x`` the target is past ``r`` and its successor lies in
 ``floor(log2 x)`` (basic) or ``min(floor(log2 x), g(x))`` (Algorithm 1), and
 a build is one ``frexp``, one array ``g(x)`` and one ``searchsorted``.
 
-Out of scope: the *key*-addressed rules — ``ChordNodeBlock.key_parents``,
-``DatNodeService.parent_toward_key``, ``FingerTable.closest_preceding``.
-Their target need not be a member (nothing bounds ``successor(i + 2^j)``
-short of the key) and live tables may be stale, so the closed form does not
-hold there and the scan stays.
+The *key*-addressed rule on a converged ring has the same shape: a key need
+not be a member, but the last member ``p*`` at or before it bounds the
+fingers instead, and ``ChordNodeBlock.key_parents``'s slot is
+``min(floor(log2 cw(i, p*)), g(cw(i, key)))``
+(``tests/property/test_prop_key_parent_slot.py``; the block keeps its scan as
+the reference, see :mod:`repro.chord.block`). The live rules —
+``DatNodeService.parent_toward_key``, ``FingerTable.closest_preceding`` —
+read tables that may be stale, so no closed form holds there and their scan
+stays.
 
 Restrictions: identifier width ``bits <= 48`` so that the exact integer
 ``log2`` read off ``frexp`` stays within float64's 2^53 exact-integer

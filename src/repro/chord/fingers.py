@@ -10,36 +10,11 @@ shortcut child discovery; :class:`FingerTable` supports attaching that layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 from repro.chord.idspace import IdSpace
 from repro.errors import IdentifierError
 
-__all__ = ["FingerLike", "FingerTable"]
-
-
-@runtime_checkable
-class FingerLike(Protocol):
-    """What parent selection actually needs from a finger table.
-
-    Both :class:`FingerTable` (per-node object, the oracle path) and
-    :class:`repro.chord.block.MatrixFingerView` (a row of the shared
-    fastbuild matrix, the bulk-simulation path) satisfy this; protocol
-    services (:mod:`repro.core.service`, :mod:`repro.core.parent`) are
-    typed against it so either representation plugs in.
-    """
-
-    space: IdSpace
-    owner: int
-
-    @property
-    def successor(self) -> int:
-        """Slot 0 — the owner's immediate successor."""
-        ...
-
-    def closest_preceding(self, key: int, max_slot: int | None = None) -> int | None:
-        """Finger that most closely precedes-or-reaches ``key`` from ``owner``."""
-        ...
+__all__ = ["FingerTable"]
 
 
 @dataclass

@@ -9,9 +9,14 @@ Three strategies cover everything the evaluation needs:
 * ``probing`` — incremental joins with Adler-style identifier probing
   (Sec. 3.5); gap ratio bounded by a constant.
 
-Every strategy returns a fully-populated :class:`StaticRing`; the probing
-strategy builds it join-by-join since each choice depends on the current
-membership.
+Every strategy returns a fully-populated :class:`StaticRing` through
+:meth:`StaticRing.from_sorted_ids` (an adopted identifier vector where the
+space allows it, ``bits <= 62``), so no assigner leaves a per-node Python
+list behind on a 10^6-node ring. The probing
+strategy runs join by join, since each choice depends on the current
+membership, through :func:`repro.chord.ringarray.fast_probing_ids`;
+:mod:`repro.chord.probing` is the single-join API and the reference that
+routine is tested against.
 """
 
 from __future__ import annotations
@@ -22,9 +27,8 @@ from typing import Any
 import numpy as np
 
 from repro.chord.idspace import IdSpace
-from repro.chord.probing import probe_split_identifier
 from repro.chord.ring import StaticRing
-from repro.chord.ringarray import ARRAY_MAX_BITS, fast_probing_ids
+from repro.chord.ringarray import fast_probing_ids
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -32,12 +36,8 @@ __all__ = [
     "RandomIdAssigner",
     "UniformIdAssigner",
     "ProbingIdAssigner",
-    "PROBING_FAST_THRESHOLD",
     "make_assigner",
 ]
-
-#: Ring size at which probing construction switches to the bisect fast path.
-PROBING_FAST_THRESHOLD = 4096
 
 
 class IdAssigner(ABC):
@@ -80,7 +80,7 @@ class RandomIdAssigner(IdAssigner):
             chosen.update(int(d) for d in draws)
             while len(chosen) > n_nodes:
                 chosen.pop()
-        return StaticRing(space, chosen)
+        return StaticRing.from_sorted_ids(space, sorted(chosen))
 
 
 class UniformIdAssigner(IdAssigner):
@@ -109,7 +109,7 @@ class UniformIdAssigner(IdAssigner):
             space.wrap((i * space.size) // n_nodes + self.offset)
             for i in range(n_nodes)
         ]
-        return StaticRing(space, idents)
+        return StaticRing.from_sorted_ids(space, sorted(idents))
 
 
 class ProbingIdAssigner(IdAssigner):
@@ -118,11 +118,11 @@ class ProbingIdAssigner(IdAssigner):
     Each join probes ``ceil(probe_multiplier * log2(n))`` neighbors of a
     random point and splits the largest owned interval among them.
 
-    Rings of at least :data:`PROBING_FAST_THRESHOLD` nodes are built
-    through :func:`repro.chord.ringarray.fast_probing_ids`, a bisect-based
-    replica of the join-by-join procedure that consumes the RNG
-    identically — bit-identical membership, an order of magnitude faster
-    (the property suite asserts the identity).
+    Built through :func:`repro.chord.ringarray.fast_probing_ids`, a
+    bisect-based replica of joining with
+    :func:`~repro.chord.probing.probe_split_identifier` node by node: it
+    consumes the RNG identically, so the membership is bit-identical (the
+    property suite asserts the identity).
     """
 
     name = "probing"
@@ -137,27 +137,12 @@ class ProbingIdAssigner(IdAssigner):
     def build_ring(
         self, space: IdSpace, n_nodes: int, rng: int | np.random.Generator | None = None
     ) -> StaticRing:
-        if n_nodes < 0:
-            raise ValueError(f"n_nodes must be non-negative, got {n_nodes}")
-        if n_nodes > space.size:
-            raise ValueError(
-                f"cannot place {n_nodes} distinct nodes in a space of {space.size}"
-            )
-        generator = ensure_rng(rng)
-        if n_nodes >= PROBING_FAST_THRESHOLD:
-            ids = fast_probing_ids(
-                space, n_nodes, rng=generator, probe_multiplier=self.probe_multiplier
-            )
-            if space.bits <= ARRAY_MAX_BITS:
-                return StaticRing.from_sorted_ids(space, ids)
-            return StaticRing(space, ids)
-        ring = StaticRing(space)
-        for _ in range(n_nodes):
-            ident = probe_split_identifier(
-                ring, generator, probe_multiplier=self.probe_multiplier
-            )
-            ring.add(ident)
-        return ring
+        return StaticRing.from_sorted_ids(
+            space,
+            fast_probing_ids(
+                space, n_nodes, rng=rng, probe_multiplier=self.probe_multiplier
+            ),
+        )
 
 
 _ASSIGNERS: dict[str, type[IdAssigner]] = {

@@ -10,7 +10,7 @@ time is virtual and convergence checks are deterministic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from repro.sim.messages import Message
 from repro.sim.simnet import SimTransport
 from repro.sim.transport import Transport
 from repro.util.rng import ensure_rng
-
-if TYPE_CHECKING:
-    from repro.chord.block import ChordNodeBlock
 
 __all__ = ["ChordNetwork"]
 
@@ -224,19 +221,6 @@ class ChordNetwork:
     def snapshot_finger_tables(self) -> dict[int, FingerTable]:
         """Live finger tables of every node (as the DAT layer sees them)."""
         return {ident: node.finger_table() for ident, node in self.nodes.items()}
-
-    def snapshot_block(self) -> "ChordNodeBlock":
-        """Current membership as an array-backed protocol block.
-
-        The bulk-simulation entry point: one shared ``(n, bits)`` finger
-        matrix for the whole (converged) ring instead of ``n`` object
-        tables. Built from :meth:`ideal_ring`, so it reflects the converged
-        state — the object path remains the authority for mid-churn
-        transients.
-        """
-        from repro.chord.block import ChordNodeBlock
-
-        return ChordNodeBlock.from_ring(self.ideal_ring())
 
     def build_incrementally(
         self,

@@ -8,20 +8,19 @@ analysis assumes a converged overlay. The dynamic protocol in
 :mod:`repro.chord.node` converges to the same structure — an invariant the
 integration tests assert.
 
-Two storage modes back the same API:
+One membership, two lazily built views of it:
 
-* **object mode** (small rings) — a sorted ``list[int]`` plus a membership
-  set, answered with :mod:`bisect`. This is the reference implementation;
-  the incremental maintenance engine and the protocol tests run against it.
-* **array mode** (``len(ring) >= ARRAY_BACKED_THRESHOLD`` and
-  ``bits <= 62``) — a :class:`~repro.chord.ringarray.RingArray` sorted
-  ``int64`` vector answered with ``searchsorted``, holding no per-node
-  Python objects. ``nodes`` still materializes the classic list view on
-  demand (cached), so existing callers keep working; hot paths use
-  :meth:`id_index` / :meth:`node_array` instead.
+* the sorted ``list[int]`` (:attr:`StaticRing.nodes`) serves every bit
+  width, every scalar query and :meth:`~StaticRing.add` /
+  :meth:`~StaticRing.remove`, by :mod:`bisect`;
+* the ``int64`` :class:`~repro.chord.ringarray.RingArray`
+  (:meth:`StaticRing.id_index`, ``bits <= 62``) is what the vectorized
+  consumers read; it is built once per membership version.
 
-Mode selection is automatic; pass ``array_backed=True/False`` to force it
-(tests exercise both modes at every size).
+The constructor starts from the list; :meth:`StaticRing.from_sorted_ids`
+adopts a vector as-is and builds the list only when a scalar query or a
+membership change asks for it, so a 10^6-node ring that only feeds the
+array pipeline never holds per-node Python objects.
 """
 
 from __future__ import annotations
@@ -41,10 +40,7 @@ from repro.errors import (
     UnknownNodeError,
 )
 
-__all__ = ["ARRAY_BACKED_THRESHOLD", "StaticRing"]
-
-#: Ring size at which a freshly constructed ring switches to array storage.
-ARRAY_BACKED_THRESHOLD = 16384
+__all__ = ["StaticRing"]
 
 
 class StaticRing:
@@ -56,18 +52,9 @@ class StaticRing:
         The identifier space.
     nodes:
         Initial node identifiers (need not be sorted; duplicates rejected).
-    array_backed:
-        Force the storage mode; ``None`` (default) picks array storage for
-        rings of at least :data:`ARRAY_BACKED_THRESHOLD` members in spaces
-        of at most 62 bits.
     """
 
-    def __init__(
-        self,
-        space: IdSpace,
-        nodes: Iterable[int] = (),
-        array_backed: bool | None = None,
-    ) -> None:
+    def __init__(self, space: IdSpace, nodes: Iterable[int] = ()) -> None:
         self.space = space
         seen: set[int] = set()
         for ident in nodes:
@@ -75,126 +62,62 @@ class StaticRing:
             if ident in seen:
                 raise DuplicateNodeError(f"duplicate node identifier {ident}")
             seen.add(ident)
+        # At least one of the two views is always present.
+        self._nodes: list[int] | None = sorted(seen)
+        self._index: RingArray | None = None
         self._version = 0
-        self._init_storage(sorted(seen), array_backed)
 
     @classmethod
     def from_sorted_ids(
-        cls,
-        space: IdSpace,
-        ids: Sequence[int] | np.ndarray,
-        array_backed: bool | None = None,
+        cls, space: IdSpace, ids: Sequence[int] | np.ndarray
     ) -> "StaticRing":
         """Build a ring from already-sorted, strictly increasing identifiers.
 
         Skips the per-element Python validation loop of the constructor —
-        the sortedness/range checks run vectorized — which is what makes
-        10^5–10^6-node ring construction cheap. Raises on unsorted or
-        duplicate input.
+        the sortedness/range checks run vectorized in :class:`RingArray` —
+        which is what makes 10^5–10^6-node ring construction cheap. Raises
+        on unsorted or duplicate input. Spaces too wide for an ``int64``
+        vector go through the constructor.
         """
-        arr = np.ascontiguousarray(ids, dtype=np.int64)
-        if arr.size:
-            if int(arr[0]) < 0 or int(arr[-1]) > space.max_id:
-                raise IdentifierError(
-                    f"identifiers outside [0, 2^{space.bits})"
-                )
-            if arr.size > 1 and not bool((arr[1:] > arr[:-1]).all()):
+        if space.bits > ARRAY_MAX_BITS:
+            ring = cls(space, ids)
+            if ring._nodes != list(ids):
                 raise DuplicateNodeError("ids must be sorted and strictly increasing")
-        ring = cls.__new__(cls)
-        ring.space = space
-        ring._version = 0
-        ring._init_storage_from_array(arr, array_backed)
+            return ring
+        ring = cls(space)
+        ring._nodes = None
+        ring._index = RingArray(space, np.ascontiguousarray(ids, dtype=np.int64))
         return ring
-
-    # ------------------------------------------------------------------ #
-    # Storage modes
-    # ------------------------------------------------------------------ #
-
-    def _init_storage(
-        self, sorted_nodes: list[int], array_backed: bool | None
-    ) -> None:
-        if self._pick_array_mode(len(sorted_nodes), array_backed):
-            self._arr: RingArray | None = RingArray(
-                self.space,
-                np.array(sorted_nodes, dtype=np.int64),
-                trusted=True,
-            )
-            self._nodes: list[int] | None = None
-            self._node_set: set[int] | None = None
-        else:
-            self._arr = None
-            self._nodes = sorted_nodes
-            self._node_set = set(sorted_nodes)
-        self._nodes_cache: list[int] | None = None
-        self._index_cache: RingArray | None = None
-        self._index_cache_version = -1
-
-    def _init_storage_from_array(
-        self, arr: np.ndarray, array_backed: bool | None
-    ) -> None:
-        if self._pick_array_mode(int(arr.size), array_backed):
-            self._arr = RingArray(self.space, arr, trusted=True)
-            self._nodes = None
-            self._node_set = None
-        else:
-            self._arr = None
-            self._nodes = [int(v) for v in arr]
-            self._node_set = set(self._nodes)
-        self._nodes_cache = None
-        self._index_cache = None
-        self._index_cache_version = -1
-
-    def _pick_array_mode(self, n: int, array_backed: bool | None) -> bool:
-        if array_backed is None:
-            return n >= ARRAY_BACKED_THRESHOLD and self.space.bits <= ARRAY_MAX_BITS
-        if array_backed and self.space.bits > ARRAY_MAX_BITS:
-            raise IdentifierError(
-                f"array-backed rings require bits <= {ARRAY_MAX_BITS}, "
-                f"got {self.space.bits}"
-            )
-        return array_backed
-
-    @property
-    def array_backed(self) -> bool:
-        """True when the membership lives in an int64 vector (array mode)."""
-        return self._arr is not None
 
     # ------------------------------------------------------------------ #
     # Collection protocol
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        if self._arr is not None:
-            return len(self._arr)
-        assert self._nodes is not None
-        return len(self._nodes)
+        if self._nodes is not None:
+            return len(self._nodes)
+        assert self._index is not None
+        return len(self._index)
 
     def __iter__(self) -> Iterator[int]:
-        if self._arr is not None:
-            return iter(self.nodes)
-        assert self._nodes is not None
-        return iter(self._nodes)
+        return iter(self.nodes)
 
     def __contains__(self, ident: int) -> bool:
-        if self._arr is not None:
-            return self._arr.contains(ident)
-        assert self._node_set is not None
-        return ident in self._node_set
+        nodes = self.nodes
+        index = bisect_left(nodes, ident)
+        return index < len(nodes) and nodes[index] == ident
 
     @property
     def nodes(self) -> list[int]:
-        """Sorted node identifiers (copy-safe view; do not mutate).
+        """Sorted node identifiers (shared view; do not mutate).
 
-        In array mode the list is materialized from the identifier vector
-        on first access and cached until the next membership change; large-
-        scale callers should prefer :meth:`node_array` / :meth:`id_index`,
-        which stay array-native.
+        A ring adopted by :meth:`from_sorted_ids` builds the list from its
+        identifier vector on first access; large-scale callers should
+        prefer :meth:`id_index`, which stays array-native.
         """
-        if self._arr is not None:
-            if self._nodes_cache is None:
-                self._nodes_cache = self._arr.ids.tolist()
-            return self._nodes_cache
-        assert self._nodes is not None
+        if self._nodes is None:
+            assert self._index is not None
+            self._nodes = self._index.ids.tolist()
         return self._nodes
 
     @property
@@ -209,69 +132,48 @@ class StaticRing:
 
     def node_array(self) -> np.ndarray:
         """Sorted node identifiers as a NumPy array (uint64 when it fits)."""
-        if self._arr is not None:
-            return self._arr.ids.astype(np.uint64)
+        if self.space.bits <= ARRAY_MAX_BITS:
+            return self.id_index().ids.astype(np.uint64)
         if self.space.bits <= 63:
             return np.asarray(self.nodes, dtype=np.uint64)
         return np.asarray(self.nodes, dtype=object)
 
     def id_index(self) -> RingArray:
-        """Array-backed view of the membership (``bits <= 62`` only).
+        """Array view of the membership (``bits <= 62`` only).
 
-        Array-mode rings return their storage directly; object-mode rings
-        build the vector once and cache it until the next membership
-        change. This is the one sorted-id vector every vectorized consumer
-        (:mod:`repro.chord.fastbuild`, the incremental engine's rebuilds,
-        the scale pipeline) shares.
+        Built once per membership version (an adopted vector is returned
+        as-is). This is the one sorted-id vector every vectorized consumer
+        (:mod:`repro.chord.fastbuild`, the protocol block, the scale
+        pipeline) shares.
         """
-        if self._arr is not None:
-            return self._arr
-        if self.space.bits > ARRAY_MAX_BITS:
-            raise IdentifierError(
-                f"id_index requires bits <= {ARRAY_MAX_BITS}, got {self.space.bits}"
+        if self._index is None:
+            if self.space.bits > ARRAY_MAX_BITS:
+                raise IdentifierError(
+                    f"id_index requires bits <= {ARRAY_MAX_BITS}, got {self.space.bits}"
+                )
+            self._index = RingArray(
+                self.space, np.array(self._nodes, dtype=np.int64), trusted=True
             )
-        if self._index_cache is None or self._index_cache_version != self._version:
-            self._index_cache = RingArray(
-                self.space,
-                np.array(self.nodes, dtype=np.int64),
-                trusted=True,
-            )
-            self._index_cache_version = self._version
-        return self._index_cache
+        return self._index
 
     # ------------------------------------------------------------------ #
     # Membership changes
     # ------------------------------------------------------------------ #
 
-    def _bump_version(self) -> None:
-        self._version += 1
-        self._nodes_cache = None
-
     def add(self, ident: int) -> None:
         """Insert a node (O(n) shift; rings are built once, queried often)."""
-        if self._arr is not None:
-            self._arr.insert(ident)  # validates + rejects duplicates
-        else:
-            self.space.validate(ident)
-            assert self._nodes is not None and self._node_set is not None
-            if ident in self._node_set:
-                raise DuplicateNodeError(f"duplicate node identifier {ident}")
-            insort(self._nodes, ident)
-            self._node_set.add(ident)
-        self._bump_version()
+        self.space.validate(ident)
+        if ident in self:
+            raise DuplicateNodeError(f"duplicate node identifier {ident}")
+        insort(self.nodes, ident)
+        self._index = None
+        self._version += 1
 
     def remove(self, ident: int) -> None:
         """Remove a node."""
-        if self._arr is not None:
-            self._arr.delete(ident)  # raises UnknownNodeError when absent
-        else:
-            assert self._nodes is not None and self._node_set is not None
-            if ident not in self._node_set:
-                raise UnknownNodeError(ident)
-            index = bisect_left(self._nodes, ident)
-            del self._nodes[index]
-            self._node_set.remove(ident)
-        self._bump_version()
+        del self.nodes[self.index_of(ident)]
+        self._index = None
+        self._version += 1
 
     # ------------------------------------------------------------------ #
     # Consistent-hashing queries
@@ -283,56 +185,35 @@ class StaticRing:
 
     def successor(self, key: int) -> int:
         """First node whose identifier equals or follows ``key`` clockwise."""
-        if self._arr is not None:
-            return self._arr.successor(key)
         self._require_nodes()
         self.space.validate(key)
-        assert self._nodes is not None
-        index = bisect_left(self._nodes, key)
-        if index == len(self._nodes):
-            return self._nodes[0]
-        return self._nodes[index]
+        nodes = self.nodes
+        index = bisect_left(nodes, key)
+        return nodes[0] if index == len(nodes) else nodes[index]
 
     def predecessor(self, key: int) -> int:
         """Last node whose identifier strictly precedes ``key`` clockwise."""
-        if self._arr is not None:
-            return self._arr.predecessor(key)
         self._require_nodes()
         self.space.validate(key)
-        assert self._nodes is not None
-        index = bisect_left(self._nodes, key)
-        if index == 0:
-            return self._nodes[-1]
-        return self._nodes[index - 1]
+        nodes = self.nodes
+        return nodes[bisect_left(nodes, key) - 1]  # -1 wraps to the top
 
     def successor_of_node(self, ident: int) -> int:
         """The node immediately following node ``ident`` on the ring."""
-        if self._arr is not None:
-            return self._arr.successor_of_index(self._arr.index_of(ident))
-        if ident not in self:
-            raise UnknownNodeError(ident)
-        assert self._nodes is not None
-        index = bisect_right(self._nodes, ident)
-        return self._nodes[index % len(self._nodes)]
+        nodes = self.nodes
+        return nodes[(self.index_of(ident) + 1) % len(nodes)]
 
     def predecessor_of_node(self, ident: int) -> int:
         """The node immediately preceding node ``ident`` on the ring."""
-        if self._arr is not None:
-            return self._arr.predecessor_of_index(self._arr.index_of(ident))
-        if ident not in self:
-            raise UnknownNodeError(ident)
-        assert self._nodes is not None
-        index = bisect_left(self._nodes, ident)
-        return self._nodes[index - 1]  # index-1 == -1 wraps correctly
+        return self.nodes[self.index_of(ident) - 1]  # -1 wraps to the top
 
     def index_of(self, ident: int) -> int:
         """Position of member ``ident`` in the sorted node list."""
-        if self._arr is not None:
-            return self._arr.index_of(ident)
-        if ident not in self:
+        nodes = self.nodes
+        index = bisect_left(nodes, ident)
+        if index == len(nodes) or nodes[index] != ident:
             raise UnknownNodeError(ident)
-        assert self._nodes is not None
-        return bisect_left(self._nodes, ident)
+        return index
 
     def nodes_in_interval(self, lo: int, hi: int) -> list[int]:
         """Members in the clockwise *closed* interval ``[lo, hi]``.
@@ -343,19 +224,13 @@ class StaticRing:
         engine to enumerate the nodes whose finger-limit ``g(x)`` value
         shifted after a membership change.
         """
-        if self._arr is not None:
-            return self._arr.slice_closed(lo, hi).tolist()
         self.space.validate(lo)
         self.space.validate(hi)
-        assert self._nodes is not None
-        if not self._nodes:
-            return []
+        nodes = self.nodes
+        left, right = bisect_left(nodes, lo), bisect_right(nodes, hi)
         if lo <= hi:
-            return self._nodes[bisect_left(self._nodes, lo) : bisect_right(self._nodes, hi)]
-        return (
-            self._nodes[bisect_left(self._nodes, lo) :]
-            + self._nodes[: bisect_right(self._nodes, hi)]
-        )
+            return nodes[left:right]
+        return nodes[left:] + nodes[:right]
 
     def gap_before(self, ident: int) -> int:
         """Clockwise distance from ``ident``'s predecessor to ``ident``.
@@ -371,10 +246,14 @@ class StaticRing:
         return self.space.cw(self.predecessor_of_node(ident), ident)
 
     def gaps(self) -> dict[int, int]:
-        """Owned-interval length for every node."""
-        if self._arr is not None:
-            return dict(zip(self.nodes, self._arr.gaps().tolist()))
-        return {ident: self.gap_before(ident) for ident in self.nodes}
+        """Owned-interval length for every node (``{}`` on an empty ring)."""
+        nodes = self.nodes
+        if len(nodes) == 1:
+            return {nodes[0]: self.space.size}
+        return {
+            ident: self.space.cw(before, ident)
+            for before, ident in zip(nodes[-1:] + nodes[:-1], nodes)
+        }
 
     def gaps_array(self) -> np.ndarray:
         """Owned-interval lengths aligned with the sorted node order.
@@ -396,7 +275,7 @@ class StaticRing:
         Random identifiers give a ratio of ``O(log n)``; identifier probing
         bounds it by a constant (Adler et al., referenced in Sec. 3.5).
         """
-        if self._arr is not None or self.space.bits <= ARRAY_MAX_BITS:
+        if self.space.bits <= ARRAY_MAX_BITS:
             gaps_arr = self.gaps_array()
             return int(gaps_arr.max()) / int(gaps_arr.min())
         gaps = list(self.gaps().values())
@@ -426,5 +305,4 @@ class StaticRing:
         return {ident: self.finger_table(ident) for ident in self.nodes}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        mode = "array" if self._arr is not None else "object"
-        return f"StaticRing(bits={self.space.bits}, n={len(self)}, {mode})"
+        return f"StaticRing(bits={self.space.bits}, n={len(self)})"

@@ -1,25 +1,24 @@
-"""Array-backed ring index: a sorted identifier vector + searchsorted queries.
+"""Array view of a ring: a sorted ``int64`` identifier vector.
 
-:class:`RingArray` is the storage engine behind large
-:class:`~repro.chord.ring.StaticRing` instances (the 10^5–10^6-node
-experiments): a freshly constructed ``StaticRing`` delegates here
-automatically from ``ARRAY_BACKED_THRESHOLD`` (16384) members up, in
-spaces of at most :data:`ARRAY_MAX_BITS` (62) bits — the same switchover
-documented in ``docs/PERFORMANCE.md``. It holds the entire membership as
-one sorted ``int64`` NumPy vector — no per-node Python objects — and
-answers successor/predecessor/index queries with ``searchsorted``, scalar
-or batched. The object-backed
-ring keeps the exact same semantics at small n; the equivalence is asserted
-pair-for-pair in ``tests/unit/test_ringarray.py`` and the property suite.
+:class:`RingArray` is the vector view of a
+:class:`~repro.chord.ring.StaticRing` (``StaticRing.id_index()``): the
+entire membership as one sorted ``int64`` NumPy vector, no per-node Python
+objects. It carries exactly what the vectorized consumers read — the
+vector, its length, the root lookup :meth:`RingArray.successor_index` and
+the gap vector — and is never mutated: a membership change goes through
+the ring's list view, and the next ``id_index()`` builds a new vector.
+Scalar queries (successor, predecessor, membership, intervals) live on
+``StaticRing`` alone.
 
-The module also hosts :func:`fast_probing_ids`, a bisect-based replica of
-:class:`~repro.chord.idgen.ProbingIdAssigner`'s join-by-join procedure that
-consumes the RNG identically and therefore produces bit-identical rings —
-it exists purely because the object path's per-join call overhead dominates
-ring construction beyond ~10^4 nodes.
+The module also hosts :func:`fast_probing_ids`, the bisect-based replica of
+:func:`~repro.chord.probing.probe_split_identifier`'s join-by-join
+procedure that :class:`~repro.chord.idgen.ProbingIdAssigner` builds every
+ring with. It consumes the RNG identically and therefore produces
+bit-identical rings; the ring-object procedure stays as the single-join
+API and the reference the property suite compares against.
 
 Restriction: identifiers must fit in ``int64``, i.e. ``space.bits <= 62``.
-Wider spaces stay on the object-backed path.
+Wider spaces have the list view only.
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ from bisect import bisect_left, insort
 import numpy as np
 
 from repro.chord.idspace import IdSpace
-from repro.errors import (
-    DuplicateNodeError,
-    EmptyRingError,
-    IdentifierError,
-    UnknownNodeError,
-)
+from repro.errors import DuplicateNodeError, EmptyRingError, IdentifierError
 from repro.util.rng import ensure_rng
 
 __all__ = ["ARRAY_MAX_BITS", "RingArray", "fast_probing_ids"]
@@ -44,7 +38,7 @@ ARRAY_MAX_BITS = 62
 
 
 class RingArray:
-    """Sorted identifier vector with vectorized consistent-hashing queries.
+    """Sorted, immutable identifier vector: the array view of a ring.
 
     Parameters
     ----------
@@ -81,10 +75,6 @@ class RingArray:
                 )
         self._ids = arr
 
-    # ------------------------------------------------------------------ #
-    # Collection protocol
-    # ------------------------------------------------------------------ #
-
     @property
     def ids(self) -> np.ndarray:
         """The sorted identifier vector (shared view; do not mutate)."""
@@ -92,40 +82,6 @@ class RingArray:
 
     def __len__(self) -> int:
         return int(self._ids.size)
-
-    def contains(self, ident: int) -> bool:
-        """Membership test by binary search (False for out-of-space values)."""
-        if not self.space.contains(ident):
-            return False
-        pos = int(np.searchsorted(self._ids, ident))
-        return pos < self._ids.size and int(self._ids[pos]) == ident
-
-    def index_of(self, ident: int) -> int:
-        """Position of member ``ident`` in the sorted vector."""
-        if not self.contains(ident):
-            raise UnknownNodeError(ident)
-        return int(np.searchsorted(self._ids, ident))
-
-    # ------------------------------------------------------------------ #
-    # Mutation (O(n) vector shift — rings are built once, queried often)
-    # ------------------------------------------------------------------ #
-
-    def insert(self, ident: int) -> None:
-        """Insert a new member, keeping the vector sorted."""
-        self.space.validate(ident)
-        pos = int(np.searchsorted(self._ids, ident))
-        if pos < self._ids.size and int(self._ids[pos]) == ident:
-            raise DuplicateNodeError(f"duplicate node identifier {ident}")
-        self._ids = np.insert(self._ids, pos, ident)
-
-    def delete(self, ident: int) -> None:
-        """Remove a member."""
-        pos = self.index_of(ident)
-        self._ids = np.delete(self._ids, pos)
-
-    # ------------------------------------------------------------------ #
-    # Consistent-hashing queries
-    # ------------------------------------------------------------------ #
 
     def _require_nodes(self) -> None:
         if not self._ids.size:
@@ -137,57 +93,6 @@ class RingArray:
         self.space.validate(key)
         pos = int(np.searchsorted(self._ids, key, side="left"))
         return 0 if pos == self._ids.size else pos
-
-    def successor(self, key: int) -> int:
-        """First member whose identifier equals or follows ``key`` clockwise."""
-        return int(self._ids[self.successor_index(key)])
-
-    def predecessor(self, key: int) -> int:
-        """Last member whose identifier strictly precedes ``key`` clockwise."""
-        self._require_nodes()
-        self.space.validate(key)
-        pos = int(np.searchsorted(self._ids, key, side="left"))
-        return int(self._ids[pos - 1])  # pos==0 wraps to the top via -1
-
-    def successor_of_index(self, index: int) -> int:
-        """The member immediately following the member at ``index``."""
-        self._require_nodes()
-        return int(self._ids[(index + 1) % self._ids.size])
-
-    def predecessor_of_index(self, index: int) -> int:
-        """The member immediately preceding the member at ``index``."""
-        self._require_nodes()
-        return int(self._ids[index - 1])  # index-1 == -1 wraps correctly
-
-    def successor_indices(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`successor_index` over an int64 key vector."""
-        self._require_nodes()
-        pos = np.searchsorted(self._ids, keys, side="left")
-        pos[pos == self._ids.size] = 0
-        return pos
-
-    def successors(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`successor` over an int64 key vector."""
-        return self._ids[self.successor_indices(keys)]
-
-    def slice_closed(self, lo: int, hi: int) -> np.ndarray:
-        """Members in the clockwise closed interval ``[lo, hi]``.
-
-        Mirrors :meth:`StaticRing.nodes_in_interval`: wraps when
-        ``lo > hi``; ``lo == hi`` denotes the single-identifier interval.
-        """
-        self.space.validate(lo)
-        self.space.validate(hi)
-        ids = self._ids
-        if not ids.size:
-            return ids[:0]
-        if lo <= hi:
-            left = int(np.searchsorted(ids, lo, side="left"))
-            right = int(np.searchsorted(ids, hi, side="right"))
-            return ids[left:right]
-        left = int(np.searchsorted(ids, lo, side="left"))
-        right = int(np.searchsorted(ids, hi, side="right"))
-        return np.concatenate([ids[left:], ids[:right]])
 
     def gaps(self) -> np.ndarray:
         """Clockwise gap from each member's predecessor, aligned with ``ids``.

@@ -21,7 +21,7 @@ from repro.chord.fingers import FingerTable
 from repro.chord.ring import StaticRing
 from repro.errors import RoutingError
 
-__all__ = ["RouteResult", "closest_preceding_finger", "finger_route", "route_lengths"]
+__all__ = ["RouteResult", "finger_route", "route_lengths"]
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,6 @@ class RouteResult:
     def hops(self) -> int:
         """Number of messages: ``len(path) - 1``."""
         return len(self.path) - 1
-
-
-def closest_preceding_finger(
-    table: FingerTable, key: int, max_slot: int | None = None
-) -> int | None:
-    """The owner's best next hop toward ``key`` (None if no finger precedes it).
-
-    Thin wrapper over :meth:`FingerTable.closest_preceding` so callers that
-    only hold a table (protocol nodes) share one implementation with the
-    static model.
-    """
-    return table.closest_preceding(key, max_slot=max_slot)
 
 
 def finger_route(

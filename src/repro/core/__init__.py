@@ -8,9 +8,8 @@ Construction (paper Sec. 3):
   finger limiting function ``g(x) = ceil(log2((x + 2*d0)/3))`` (Sec. 3.4).
 
 Aggregation (paper Sec. 4): mergeable aggregate functions
-(:mod:`repro.core.aggregates`), the per-node aggregation table
-(:mod:`repro.core.aggtable`), and on-demand / continuous protocol modes
-(:mod:`repro.core.service`).
+(:mod:`repro.core.aggregates`) and the on-demand / continuous protocol
+modes with their per-node aggregation table (:mod:`repro.core.service`).
 
 Analysis (paper Sec. 3.3/3.5): closed-form branching factors and tree
 metrics in :mod:`repro.core.analysis`.
@@ -39,7 +38,6 @@ from repro.core.aggregates import (
     get_aggregate,
     register_aggregate,
 )
-from repro.core.aggtable import AggregationTable, AggregationEntry, AggregationMode
 from repro.core.service import DatNodeService, StandaloneDatHost, OnDemandRound
 from repro.core.multitree import DatForest, ForestLoadReport
 from repro.core.overlay import DatOverlay
@@ -74,9 +72,6 @@ __all__ = [
     "TopKAggregate",
     "get_aggregate",
     "register_aggregate",
-    "AggregationTable",
-    "AggregationEntry",
-    "AggregationMode",
     "DatNodeService",
     "StandaloneDatHost",
     "OnDemandRound",

@@ -14,22 +14,21 @@ at the tree root ``r = successor(k)``:
   as recorded in DESIGN.md Sec. 5 (largest qualifying finger wins; ``x`` is
   the distance to the root per the Sec. 3.4 prose).
 
-Both functions operate on any :class:`~repro.chord.fingers.FingerLike`
-view (a per-node :class:`~repro.chord.fingers.FingerTable` or a
-:class:`~repro.chord.block.MatrixFingerView` row of the shared matrix), so
-the same code serves the static analytical model and the protocol nodes.
+Both functions read a :class:`~repro.chord.fingers.FingerTable`, converged
+snapshot or live, so the same code serves the static analytical model and
+the protocol nodes.
 """
 
 from __future__ import annotations
 
-from repro.chord.fingers import FingerLike
+from repro.chord.fingers import FingerTable
 from repro.core.limiting import FingerLimiter
 from repro.errors import TreeError
 
 __all__ = ["select_parent_basic", "select_parent_balanced"]
 
 
-def select_parent_basic(table: FingerLike, root: int) -> int | None:
+def select_parent_basic(table: FingerTable, root: int) -> int | None:
     """Parent of ``table.owner`` in the basic DAT rooted at ``root``.
 
     Returns ``None`` for the root itself. For every other node the finger
@@ -50,7 +49,7 @@ def select_parent_basic(table: FingerLike, root: int) -> int | None:
 
 
 def select_parent_balanced(
-    table: FingerLike, root: int, limiter: FingerLimiter
+    table: FingerTable, root: int, limiter: FingerLimiter
 ) -> int | None:
     """Parent of ``table.owner`` in the balanced DAT rooted at ``root``.
 

@@ -20,6 +20,12 @@ tables without protocol noise. The service implements both aggregate modes:
   extension; here they come from an injected ``children_resolver``
   (equivalent converged-neighbor information — see DESIGN.md).
 
+The service *is* the per-node aggregation table of Sec. 4 / Fig. 6: one
+``_ContinuousState`` per rendezvous key in ``DatNodeService._continuous``
+(aggregate, interval, the freshest partial state per child) and one
+:class:`OnDemandRound` per collection in flight (aggregate, children still
+expected, states received). There is no separate table object.
+
 Message kinds: ``agg_push`` (continuous upward push), ``agg_collect``
 (on-demand downward request), ``agg_partial`` (on-demand upward response).
 """
@@ -30,13 +36,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, cast
 
 from repro import telemetry
-from repro.chord.fingers import FingerLike
+from repro.chord.fingers import FingerTable
 from repro.chord.host import ChordHost
 from repro.chord.idspace import IdSpace
 from repro.core.aggregates import Aggregate, get_aggregate
 from repro.core.limiting import FingerLimiter
-from repro.core.parent import select_parent_balanced, select_parent_basic
-from repro.errors import AggregationError, TreeError
+from repro.errors import AggregationError
 from repro.net import (
     UNBOUNDED_POLICY,
     Batcher,
@@ -165,7 +170,7 @@ class DatNodeService:
     def __init__(
         self,
         host: ChordHost,
-        finger_provider: Callable[[], FingerLike],
+        finger_provider: Callable[[], FingerTable],
         value_provider: Callable[[], float],
         scheme: str = "balanced",
         d0_provider: Callable[[], float] | None = None,
@@ -252,23 +257,6 @@ class DatNodeService:
             self._limiter = limiter = FingerLimiter.for_gap(d0)
             self._limiter_d0 = d0
         return limiter
-
-    def parent_for(self, root: int) -> int | None:
-        """This node's parent in the DAT rooted at ``root``.
-
-        Returns ``None`` at the root, and also during churn transients when
-        the live finger table is momentarily inconsistent (e.g. the
-        successor pointer overshoots the root mid-failover). The caller
-        skips that round; stabilization restores a parent within a few
-        intervals — the adaptiveness property of Sec. 3.2.
-        """
-        table = self.finger_provider()
-        try:
-            if self.scheme == "basic":
-                return select_parent_basic(table, root)
-            return select_parent_balanced(table, root, self._current_limiter())
-        except TreeError:
-            return None
 
     def owns_key(self, key: int, root_hint: int | None = None) -> bool:
         """Algorithm 1 line 5: is this node ``successor(key)``?

@@ -5,7 +5,6 @@ rows/series the paper plots; ``benchmarks/`` wraps them with pytest-benchmark
 and asserts the paper's shape claims; EXPERIMENTS.md records paper-vs-measured.
 """
 
-from repro.experiments.common import SweepPoint, seeded_sweep
 from repro.experiments.fig7_tree_properties import (
     Fig7Point,
     run_fig7_tree_properties,
@@ -30,8 +29,6 @@ from repro.experiments.scale import (
 )
 
 __all__ = [
-    "SweepPoint",
-    "seeded_sweep",
     "Fig7Point",
     "run_fig7_tree_properties",
     "POWER_OF_TWO_SIZES",

@@ -36,7 +36,7 @@ from repro.sim.transport import Transport, MessageHandler
 from repro.sim.inproc import InprocTransport
 from repro.sim.simnet import SimTransport
 from repro.sim.udprpc import UdpRpcTransport
-from repro.sim.tracing import MessageTracer, TraceRecord, get_logger, trace
+from repro.sim.tracing import get_logger, trace
 
 __all__ = [
     "Event",
@@ -54,8 +54,6 @@ __all__ = [
     "InprocTransport",
     "SimTransport",
     "UdpRpcTransport",
-    "MessageTracer",
-    "TraceRecord",
     "get_logger",
     "trace",
 ]

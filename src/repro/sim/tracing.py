@@ -1,28 +1,18 @@
-"""Message tracing and the library's logging layer.
+"""The library's logging layer.
 
-Two facilities:
-
-* :class:`MessageTracer` wraps any transport's ``send`` with a recorder so
-  experiments and tests can inspect exact message sequences — who talked to
-  whom, when, and why — and render them as a text timeline. Zero overhead
-  when not attached.
-* :func:`trace` / :func:`get_logger` — the stdout-free diagnostic channel
-  for library code. datlint's DAT004 bans ``print()`` outside CLIs; library
-  modules emit through the ``repro`` logging tree instead, which stays
-  silent unless the application configures a handler.
+:func:`trace` / :func:`get_logger` are the stdout-free diagnostic channel
+for library code. datlint's DAT004 bans ``print()`` outside CLIs; library
+modules emit through the ``repro`` logging tree instead, which stays
+silent unless the application configures a handler. (Message-level
+tracing — who talked to whom, when, and why — is :mod:`repro.telemetry`'s
+job: spans, the per-transport ``stats`` ledger and ``telemetry.traces``.)
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
-from repro.sim.messages import Message
-from repro.sim.transport import Transport
-from repro.telemetry.hotspot import HotspotAccountant
-
-__all__ = ["TraceRecord", "MessageTracer", "get_logger", "trace"]
+__all__ = ["get_logger", "trace"]
 
 #: Root of the library's logger tree; silent by default (no handler).
 _ROOT_LOGGER_NAME = "repro"
@@ -51,124 +41,3 @@ def trace(message: str, *args: object) -> None:
         engine.schedule(1.5, lambda: trace("fires at t=1.5"))
     """
     logging.getLogger(_ROOT_LOGGER_NAME + ".sim").debug(message, *args)
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One observed message."""
-
-    time: float
-    kind: str
-    source: int
-    destination: int
-    size: int
-
-    def format(self) -> str:
-        return (
-            f"t={self.time:10.4f}  {self.kind:<16} "
-            f"{self.source} -> {self.destination}  ({self.size} B)"
-        )
-
-
-class MessageTracer:
-    """Records every message a transport sends.
-
-    Usage::
-
-        tracer = MessageTracer(transport)          # starts recording
-        ... run the scenario ...
-        tracer.detach()
-        get_logger("sim").info(tracer.timeline(kinds={"agg_push"}))
-
-    Filters: ``kinds`` restricts which message kinds are recorded at all
-    (cheaper than filtering afterwards for chatty protocols).
-
-    Traced messages also feed :attr:`accountant`, a private
-    :class:`~repro.telemetry.hotspot.HotspotAccountant`, so a filtered
-    trace gets the same load statistics (``loads()``, ``imbalance()``,
-    per-kind counts) as a transport's full counters — and plugs straight
-    into :func:`repro.viz.render_load_histogram`.
-    """
-
-    def __init__(
-        self, transport: Transport, kinds: Iterable[str] | None = None
-    ) -> None:
-        self.transport = transport
-        self.kinds = set(kinds) if kinds is not None else None
-        self.records: list[TraceRecord] = []
-        self.accountant = HotspotAccountant()
-        self._original_send: Callable[[Message], None] = transport.send
-        transport.send = self._recording_send  # type: ignore[method-assign]
-        self._attached = True
-
-    def _recording_send(self, message: Message) -> None:
-        if self.kinds is None or message.kind in self.kinds:
-            size = message.encoded_size()
-            self.records.append(
-                TraceRecord(
-                    time=self.transport.now(),
-                    kind=message.kind,
-                    source=message.source,
-                    destination=message.destination,
-                    size=size,
-                )
-            )
-            self.accountant.record_send(message.source, size, kind=message.kind)
-            self.accountant.record_receive(message.destination, size)
-        self._original_send(message)
-
-    def detach(self) -> None:
-        """Stop recording and restore the transport's send."""
-        if self._attached:
-            self.transport.send = self._original_send  # type: ignore[method-assign]
-            self._attached = False
-
-    def __enter__(self) -> "MessageTracer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.detach()
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-
-    def count(self, kind: str | None = None) -> int:
-        """Recorded messages (optionally of one kind)."""
-        if kind is None:
-            return len(self.records)
-        return sum(1 for record in self.records if record.kind == kind)
-
-    def between(self, source: int, destination: int) -> list[TraceRecord]:
-        """Messages on one directed edge."""
-        return [
-            record
-            for record in self.records
-            if record.source == source and record.destination == destination
-        ]
-
-    def timeline(
-        self, kinds: set[str] | None = None, limit: int | None = None
-    ) -> str:
-        """Chronological text rendering (optionally filtered / truncated)."""
-        selected = [
-            record
-            for record in self.records
-            if kinds is None or record.kind in kinds
-        ]
-        if limit is not None and len(selected) > limit:
-            shown = selected[:limit]
-            suffix = f"\n... {len(selected) - limit} more"
-        else:
-            shown = selected
-            suffix = ""
-        return "\n".join(record.format() for record in shown) + suffix
-
-    def loads(self) -> dict[int, int]:
-        """Per-node total (sent + received) message counts over the trace."""
-        return self.accountant.loads()
-
-    def clear(self) -> None:
-        """Drop recorded messages (keep recording)."""
-        self.records.clear()
-        self.accountant.reset()

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.chord.idspace import IdSpace
 from repro.chord.incremental import DatUpdateEngine
 from repro.chord.ring import StaticRing
-from repro.chord.ringarray import ARRAY_MAX_BITS
 from repro.core.builder import build_balanced_dat
 
 BITS = [4, 8, 24, 32, 160]
@@ -71,16 +70,14 @@ def _random_members(rng, space, n):
     n=st.integers(min_value=1, max_value=64),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     join=st.booleans(),
-    array_backed=st.booleans(),
+    adopted=st.booleans(),
 )
-def test_patches_equal_table_diff(bits, n, seed, join, array_backed):
+def test_patches_equal_table_diff(bits, n, seed, join, adopted):
     rng = random.Random(seed)
     space = IdSpace(bits)
     n = min(n, space.size - 1)  # leave room for a joiner in the 4-bit space
     members = _random_members(rng, space, n)
-    ring = StaticRing(
-        space, members, array_backed=array_backed and bits <= ARRAY_MAX_BITS
-    )
+    ring = StaticRing.from_sorted_ids(space, members) if adopted else StaticRing(space, members)
     if join:
         ident = rng.randrange(space.size)
         while ident in ring:

@@ -48,7 +48,7 @@ def _assert_state_matches(engine, space, live, keys, scheme, step):
         assert tree.parent == ref_tree.parent, (step, key)
 
 
-def _churn_and_compare(bits, n_initial, n_events, seed, scheme, array_backed):
+def _churn_and_compare(bits, n_initial, n_events, seed, scheme, adopted=False):
     rng = random.Random(seed)
     space = IdSpace(bits)
     live = set()
@@ -57,7 +57,7 @@ def _churn_and_compare(bits, n_initial, n_events, seed, scheme, array_backed):
     idents = sorted(live)
     keys = [rng.randrange(space.size) for _ in range(3)]
 
-    ring = StaticRing(space, idents, array_backed=array_backed)
+    ring = StaticRing.from_sorted_ids(space, idents) if adopted else StaticRing(space, idents)
     engine = DatUpdateEngine(ring, scheme=scheme)
     for key in keys:
         engine.track(key)
@@ -83,7 +83,7 @@ def _churn_and_compare(bits, n_initial, n_events, seed, scheme, array_backed):
 def test_random_churn_matches_rebuild_after_every_event(
     bits, n_initial, n_events, seed, scheme
 ):
-    _churn_and_compare(bits, n_initial, n_events, seed, scheme, array_backed=False)
+    _churn_and_compare(bits, n_initial, n_events, seed, scheme)
 
 
 @settings(max_examples=10, deadline=None)
@@ -94,7 +94,8 @@ def test_random_churn_matches_rebuild_after_every_event(
     scheme=st.sampled_from([DatScheme.BASIC, DatScheme.BALANCED]),
 )
 def test_random_churn_on_array_backed_ring(n_initial, n_events, seed, scheme):
-    _churn_and_compare(24, n_initial, n_events, seed, scheme, array_backed=True)
+    """The ring starts as an adopted ``int64`` vector (``from_sorted_ids``)."""
+    _churn_and_compare(24, n_initial, n_events, seed, scheme, adopted=True)
 
 
 @settings(max_examples=10, deadline=None)
@@ -106,7 +107,7 @@ def test_random_churn_on_array_backed_ring(n_initial, n_events, seed, scheme):
 )
 def test_random_churn_in_160_bit_space(n_initial, n_events, seed, scheme):
     """Past ``FAST_PATH_MAX_BITS`` the engine's rebuilds are scalar too."""
-    _churn_and_compare(160, n_initial, n_events, seed, scheme, array_backed=False)
+    _churn_and_compare(160, n_initial, n_events, seed, scheme)
 
 
 @settings(max_examples=10, deadline=None)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.chord.fastbuild import fast_finger_matrix, fast_tree_arrays
 from repro.chord.idgen import ProbingIdAssigner, make_assigner
 from repro.chord.idspace import IdSpace
+from repro.chord.probing import probe_split_identifier
 from repro.chord.ring import StaticRing
 from repro.chord.ringarray import fast_probing_ids
 from repro.core.builder import (
@@ -118,6 +119,15 @@ class TestTreeArraysIdentity:
         assert list(arrays.subtree_size_array()) == [1]
 
 
+def _joined_one_by_one(space, n_nodes, seed):
+    """The reference: ``n_nodes`` single joins through ``chord.probing``."""
+    rng = np.random.default_rng(seed)
+    ring = StaticRing(space)
+    for _ in range(n_nodes):
+        ring.add(probe_split_identifier(ring, rng))
+    return ring.nodes
+
+
 class TestFastProbingIdentity:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -126,19 +136,20 @@ class TestFastProbingIdentity:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_membership_identity(self, n_nodes, bits, seed):
-        # Bisect-based generator is bit-identical to the join-by-join
-        # object path: same RNG consumption, same tie-breaking.
+        # Bisect-based generator is bit-identical to joining one node at a
+        # time on a ring object: same RNG consumption, same tie-breaking.
         space = IdSpace(bits)
         fast = fast_probing_ids(space, n_nodes, rng=seed)
-        ring = ProbingIdAssigner().build_ring(space, n_nodes, rng=seed)
-        assert fast == sorted(ring.nodes)
-        assert fast == sorted(fast)
+        assert fast == _joined_one_by_one(space, n_nodes, seed)
+        assert fast == ProbingIdAssigner().build_ring(space, n_nodes, rng=seed).nodes
 
     def test_membership_identity_at_2048(self):
         space = IdSpace(32)
-        fast = fast_probing_ids(space, 2048, rng=2007)
-        ring = ProbingIdAssigner().build_ring(space, 2048, rng=2007)
-        assert fast == sorted(ring.nodes)
+        assert fast_probing_ids(space, 2048, rng=2007) == _joined_one_by_one(space, 2048, 2007)
+
+    def test_membership_identity_at_4100(self):
+        space = IdSpace(32)
+        assert fast_probing_ids(space, 4100, rng=11) == _joined_one_by_one(space, 4100, 11)
 
 
 class TestStorageModeEquivalence:
@@ -156,8 +167,8 @@ class TestStorageModeEquivalence:
                 max_size=64,
             )
         )
-        obj = StaticRing(space, idents, array_backed=False)
-        arr = StaticRing(space, idents, array_backed=True)
+        obj = StaticRing(space, idents)
+        arr = StaticRing.from_sorted_ids(space, sorted(idents))
         assert obj.nodes == arr.nodes
 
         keys = data.draw(

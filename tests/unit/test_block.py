@@ -1,10 +1,9 @@
-"""ChordNodeBlock / MatrixFingerView — exact equivalence with the object path.
+"""ChordNodeBlock — exact equivalence with the object path.
 
 The block is the protocol path's shared routing state; every query it
 answers must match the scalar :class:`~repro.chord.fingers.FingerTable`
 machinery bit for bit. These tests assert that identity over full rings:
-finger views slot-for-slot, ``closest_preceding`` for swept keys and slot
-caps, ``key_parents`` against the scalar key-addressed rule of
+``key_parents`` against the scalar key-addressed rule of
 ``DatNodeService.parent_toward_key``, and the vectorized balanced limits
 against the exact scalar :class:`~repro.core.limiting.FingerLimiter`.
 """
@@ -12,8 +11,7 @@ against the exact scalar :class:`~repro.core.limiting.FingerLimiter`.
 import numpy as np
 import pytest
 
-from repro.chord.block import ChordNodeBlock, MatrixFingerView, balanced_limits
-from repro.chord.fingers import FingerLike, FingerTable
+from repro.chord.block import ChordNodeBlock, balanced_limits
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
@@ -39,53 +37,6 @@ def scalar_parent_toward_key(table, key, scheme, d0):
         successor = table.successor
         return successor if successor != table.owner else None
     return parent
-
-
-class TestMatrixFingerView:
-    def test_implements_finger_like(self):
-        block = ChordNodeBlock.from_ring(build_ring(32))
-        assert isinstance(block.finger_view(0), FingerLike)
-
-    @pytest.mark.parametrize("n", [2, 3, 17, 64, 300])
-    def test_matches_finger_table_slot_for_slot(self, n):
-        ring = build_ring(n)
-        block = ChordNodeBlock.from_ring(ring)
-        for i, ident in enumerate(block.ids.tolist()):
-            view = block.finger_view(i)
-            table = ring.finger_table(ident)
-            assert view.owner == table.owner == ident
-            assert view.successor == table.successor
-            assert len(view) == len(table.entries)
-            for j, entry in enumerate(table.entries):
-                assert view.finger(j) == entry
-
-    @pytest.mark.parametrize("n", [2, 17, 128])
-    def test_closest_preceding_matches(self, n):
-        ring = build_ring(n, seed=n)
-        block = ChordNodeBlock.from_ring(ring)
-        rng = np.random.default_rng(7)
-        keys = rng.integers(0, ring.space.size, size=40).tolist()
-        keys += block.ids.tolist()  # include every member id (distance 0)
-        for i, ident in enumerate(block.ids.tolist()):
-            view = block.finger_view(i)
-            table = ring.finger_table(ident)
-            for key in keys:
-                for max_slot in (None, 0, 1, 3, ring.space.bits - 1):
-                    assert view.closest_preceding(
-                        key, max_slot=max_slot
-                    ) == table.closest_preceding(key, max_slot=max_slot), (
-                        ident,
-                        key,
-                        max_slot,
-                    )
-
-    def test_finger_index_bounds(self):
-        block = ChordNodeBlock.from_ring(build_ring(8))
-        view = block.finger_view(0)
-        with pytest.raises(IdentifierError):
-            view.finger(-1)
-        with pytest.raises(IdentifierError):
-            view.finger(block.space.bits)
 
 
 class TestBalancedLimits:

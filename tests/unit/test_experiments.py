@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments.common import geometric_sizes, mean, seeded_sweep
 from repro.experiments.churn_overhead import run_churn_overhead
 from repro.experiments.fig7_tree_properties import measure_tree, run_fig7_tree_properties
 from repro.experiments.fig8_load_balance import (
@@ -12,36 +11,6 @@ from repro.experiments.fig8_load_balance import (
 from repro.experiments.fig9_accuracy import run_fig9_accuracy
 from repro.experiments.maan_routing import run_maan_routing
 from repro.experiments.report import format_table
-
-
-class TestCommon:
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-        with pytest.raises(ValueError):
-            mean([])
-
-    def test_geometric_sizes(self):
-        assert geometric_sizes(16, 128) == [16, 32, 64, 128]
-        with pytest.raises(ValueError):
-            geometric_sizes(0, 10)
-
-    def test_seeded_sweep_shape(self):
-        points = seeded_sweep([1, 2], lambda x, seed: x * 10.0, n_seeds=3)
-        assert len(points) == 2
-        assert points[0].y == 10.0
-        assert points[0].y_min == points[0].y_max == 10.0
-        assert points[1].as_row()["x"] == 2
-
-    def test_seeded_sweep_deterministic(self):
-        calls: list[tuple] = []
-
-        def measure(x, seed):
-            calls.append((x, seed))
-            return float(seed % 7)
-
-        a = seeded_sweep([1], measure, n_seeds=2, master_seed=5)
-        b = seeded_sweep([1], measure, n_seeds=2, master_seed=5)
-        assert a[0].y == b[0].y
 
 
 class TestFig7:

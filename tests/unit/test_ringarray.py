@@ -1,11 +1,14 @@
-"""Unit tests for the array-backed ring index and StaticRing's dual storage."""
+"""Unit tests for the ring's array view and StaticRing's two views of one membership."""
 
 import numpy as np
 import pytest
 
+from repro.chord.block import ChordNodeBlock
+from repro.chord.fastbuild import fast_tree_arrays
 from repro.chord.idspace import IdSpace
-from repro.chord.ring import ARRAY_BACKED_THRESHOLD, StaticRing
+from repro.chord.ring import StaticRing
 from repro.chord.ringarray import ARRAY_MAX_BITS, RingArray, fast_probing_ids
+from repro.core.builder import DatTreeBuilder
 from repro.errors import (
     DuplicateNodeError,
     EmptyRingError,
@@ -45,65 +48,18 @@ class TestConstruction:
         ring = make([])
         assert len(ring) == 0
         with pytest.raises(EmptyRingError):
-            ring.successor(0)
-
-
-class TestMembership:
-    def test_contains_and_index(self):
-        ring = make([10, 40, 200])
-        assert ring.contains(40)
-        assert not ring.contains(41)
-        assert not ring.contains(-1)
-        assert not ring.contains(999)
-        assert ring.index_of(200) == 2
-        with pytest.raises(UnknownNodeError):
-            ring.index_of(7)
-
-    def test_insert_keeps_sorted(self):
-        ring = make([10, 200])
-        ring.insert(40)
-        assert list(ring.ids) == [10, 40, 200]
-        with pytest.raises(DuplicateNodeError):
-            ring.insert(40)
-
-    def test_delete(self):
-        ring = make([10, 40, 200])
-        ring.delete(40)
-        assert list(ring.ids) == [10, 200]
-        with pytest.raises(UnknownNodeError):
-            ring.delete(40)
+            ring.successor_index(0)
 
 
 class TestQueries:
     def test_successor_wraps(self):
         ring = make([10, 40, 200])
-        assert ring.successor(10) == 10  # inclusive
-        assert ring.successor(11) == 40
-        assert ring.successor(201) == 10  # wraps past the top
+        assert ring.successor_index(10) == 0  # inclusive
+        assert ring.successor_index(11) == 1
+        assert ring.successor_index(201) == 0  # wraps past the top
         assert ring.successor_index(250) == 0
-
-    def test_predecessor_wraps(self):
-        ring = make([10, 40, 200])
-        assert ring.predecessor(10) == 200  # strict, wraps below the bottom
-        assert ring.predecessor(11) == 10
-        assert ring.predecessor(0) == 200
-
-    def test_neighbors_by_index(self):
-        ring = make([10, 40, 200])
-        assert ring.successor_of_index(2) == 10
-        assert ring.predecessor_of_index(0) == 200
-
-    def test_vectorized_successors(self):
-        ring = make([10, 40, 200])
-        keys = np.array([0, 10, 11, 201, 255], dtype=np.int64)
-        assert list(ring.successors(keys)) == [10, 10, 40, 10, 10]
-
-    def test_slice_closed(self):
-        ring = make([10, 40, 200])
-        assert list(ring.slice_closed(10, 40)) == [10, 40]
-        assert list(ring.slice_closed(11, 39)) == []
-        assert list(ring.slice_closed(200, 40)) == [200, 10, 40]  # wrap
-        assert list(ring.slice_closed(40, 40)) == [40]
+        with pytest.raises(IdentifierError):
+            ring.successor_index(256)
 
     def test_gaps(self):
         ring = make([10, 40, 200])
@@ -111,57 +67,108 @@ class TestQueries:
         assert list(make([7]).gaps()) == [256]  # sole member owns the space
 
 
-class TestStaticRingDualStorage:
-    def test_auto_mode_by_threshold(self):
-        small = StaticRing(IdSpace(32), range(100))
-        assert not small.array_backed
-        ids = list(range(ARRAY_BACKED_THRESHOLD))
-        big = StaticRing.from_sorted_ids(IdSpace(32), ids)
-        assert big.array_backed
-
-    def test_wide_space_stays_object_backed(self):
-        ring = StaticRing(IdSpace(128), range(64), array_backed=None)
-        assert not ring.array_backed
-        with pytest.raises(IdentifierError):
-            StaticRing(IdSpace(128), range(64), array_backed=True)
-        with pytest.raises(IdentifierError):
-            ring.id_index()
-
-    def test_forced_modes_answer_identically(self):
+class TestStaticRingViews:
+    def test_both_constructions_answer_identically(self):
         space = IdSpace(16)
         idents = [5, 99, 1000, 40000, 65000]
-        obj = StaticRing(space, idents, array_backed=False)
-        arr = StaticRing(space, idents, array_backed=True)
+        listed = StaticRing(space, reversed(idents))
+        adopted = StaticRing.from_sorted_ids(space, np.array(idents))
+        assert len(listed) == len(adopted) == 5
         for key in [0, 5, 6, 64999, 65001, 65535]:
-            assert obj.successor(key) == arr.successor(key)
-            assert obj.predecessor(key) == arr.predecessor(key)
-        assert obj.nodes == arr.nodes
-        assert obj.nodes_in_interval(40000, 99) == arr.nodes_in_interval(40000, 99)
+            assert listed.successor(key) == adopted.successor(key)
+            assert listed.predecessor(key) == adopted.predecessor(key)
+        assert listed.nodes == adopted.nodes == idents
+        assert listed.nodes_in_interval(40000, 99) == adopted.nodes_in_interval(40000, 99)
+        assert listed.id_index().ids.tolist() == adopted.id_index().ids.tolist()
+        assert listed.gaps() == adopted.gaps()
         for ident in idents:
-            assert obj.gap_before(ident) == arr.gap_before(ident)
+            assert listed.index_of(ident) == adopted.index_of(ident)
+            assert listed.gap_before(ident) == adopted.gap_before(ident)
+            assert listed.finger_entries(ident) == adopted.finger_entries(ident)
+        for ring in (listed, adopted):
+            with pytest.raises(UnknownNodeError):
+                ring.index_of(6)
+            with pytest.raises(IdentifierError):
+                ring.successor(65536)
 
     def test_id_index_view_is_cached_and_version_aware(self):
-        ring = StaticRing(IdSpace(16), [1, 2, 3], array_backed=False)
+        ring = StaticRing(IdSpace(16), [1, 2, 3])
         first = ring.id_index()
         assert first is ring.id_index()  # cached until membership changes
         ring.add(7)
+        assert ring.version == 1
         second = ring.id_index()
         assert second is not first
+        assert list(first.ids) == [1, 2, 3]  # a held vector is a snapshot
         assert list(second.ids) == [1, 2, 3, 7]
 
-    def test_array_mode_mutation(self):
-        ring = StaticRing(IdSpace(16), [10, 20, 30], array_backed=True)
+    def test_adopted_vector_survives_add_and_remove(self):
+        vector = np.array([10, 20, 30], dtype=np.int64)
+        ring = StaticRing.from_sorted_ids(IdSpace(16), vector)
+        assert ring.id_index().ids is vector  # adopted as-is, no copy
         ring.add(25)
         ring.remove(10)
+        assert ring.version == 2
         assert ring.nodes == [20, 25, 30]
+        assert ring.id_index().ids.tolist() == [20, 25, 30]
         assert ring.successor(26) == 30
         assert 25 in ring and 10 not in ring
+        assert vector.tolist() == [10, 20, 30]
+        with pytest.raises(DuplicateNodeError):
+            ring.add(25)
+        with pytest.raises(UnknownNodeError):
+            ring.remove(10)
+
+    def test_wide_space_has_no_array_view(self):
+        space = IdSpace(128)
+        for ring in (
+            StaticRing(space, range(64)),
+            StaticRing.from_sorted_ids(space, [3, 2**100, 2**127]),
+        ):
+            assert ring.successor(2**127 + 1) == ring.nodes[0]
+            assert ring.gap_ratio() >= 1.0
+            with pytest.raises(IdentifierError):
+                ring.id_index()
 
     def test_from_sorted_ids_rejects_bad_input(self):
         with pytest.raises(DuplicateNodeError):
             StaticRing.from_sorted_ids(IdSpace(16), [3, 2])
+        with pytest.raises(DuplicateNodeError):
+            StaticRing.from_sorted_ids(IdSpace(16), [3, 3])
         with pytest.raises(IdentifierError):
             StaticRing.from_sorted_ids(IdSpace(8), [0, 256])
+        with pytest.raises(DuplicateNodeError):
+            StaticRing.from_sorted_ids(IdSpace(128), [3, 2])
+        with pytest.raises(IdentifierError):
+            StaticRing.from_sorted_ids(IdSpace(128), [0, 2**128])
+
+    def test_empty_ring_has_no_gaps(self):
+        space = IdSpace(16)
+        emptied = StaticRing(space, [9])
+        emptied.remove(9)
+        for ring in (StaticRing(space), StaticRing.from_sorted_ids(space, []), emptied):
+            assert len(ring) == 0
+            assert ring.gaps() == {}
+            with pytest.raises(EmptyRingError):
+                ring.gaps_array()
+
+    def test_vector_pipeline_never_builds_the_list(self):
+        # The 10^6-node memory property, pinned without a 10^6-node run: a
+        # ring adopted as a vector feeds the whole array pipeline without
+        # ever boxing its members into a Python list.
+        space = IdSpace(32)
+        ids = np.arange(2**17, dtype=np.int64) * 32749 + 11
+        ring = StaticRing.from_sorted_ids(space, ids)
+        assert len(ring) == 2**17
+        assert ring.id_index().ids is ids
+        assert ring.gaps_array().sum() == space.size
+        assert ring.gap_ratio() > 1.0
+        assert len(fast_tree_arrays(ring, 12345)) == 2**17
+        assert len(ChordNodeBlock.from_ring(ring)) == 2**17
+        assert DatTreeBuilder(ring).tree_stats(12345).n_nodes == 2**17
+        assert ring._nodes is None
+        assert ring.successor(12) == 32749 + 11  # a scalar query builds it
+        assert ring._nodes is not None
 
 
 class TestFastProbingIds:

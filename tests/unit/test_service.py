@@ -47,8 +47,11 @@ class TestParentComputation:
     def test_matches_static_builder(self):
         _space, ring, _transport, tree, services, _values = build_services()
         for node, service in services.items():
-            expected = tree.parent.get(node)
-            assert service.parent_for(tree.root) == expected
+            # A member key makes the key-addressed rule the root-addressed
+            # one at every non-root node; the root (which finalizes instead
+            # of pushing) gets the documented successor fallback.
+            expected = tree.parent.get(node, ring.successor_of_node(node))
+            assert service.parent_toward_key(tree.root) == expected
 
     def test_basic_scheme(self):
         _space, ring, _transport, _tree, services, _values = build_services(
@@ -58,7 +61,8 @@ class TestParentComputation:
 
         basic = build_basic_dat(ring, 0)
         for node, service in services.items():
-            assert service.parent_for(basic.root) == basic.parent.get(node)
+            expected = basic.parent.get(node, ring.successor_of_node(node))
+            assert service.parent_toward_key(basic.root) == expected
 
     def test_gap_change_between_pushes_moves_the_parent(self):
         # A live overlay revises d0 under churn: the provider is asked on
@@ -92,11 +96,9 @@ class TestParentComputation:
             d0_provider=d0_provider,
         )
         assert service.parent_toward_key(0) == parent_under(node, gaps[0])
-        assert service.parent_for(tree.root) == parent_under(node, gaps[0])
         gaps.reverse()
         assert service.parent_toward_key(0) == parent_under(node, gaps[0])
-        assert service.parent_for(tree.root) == parent_under(node, gaps[0])
-        assert len(asked) == 4
+        assert len(asked) == 2
 
     def test_balanced_requires_d0(self):
         space = IdSpace(8)

@@ -1,89 +1,8 @@
-"""Unit tests for the message tracer and the library logging layer."""
+"""Unit tests for the library logging layer."""
 
 import logging
 
-from repro.sim.inproc import InprocTransport
-from repro.sim.messages import Message
-from repro.sim.tracing import MessageTracer, get_logger, trace
-
-
-def make_pair():
-    transport = InprocTransport()
-    transport.register(1, lambda m: None)
-    transport.register(2, lambda m: m.response(ok=True))
-    return transport
-
-
-class TestRecording:
-    def test_records_sends(self):
-        transport = make_pair()
-        tracer = MessageTracer(transport)
-        transport.send(Message(kind="hello", source=1, destination=2))
-        assert tracer.count() == 2  # request + auto response
-        assert tracer.count("hello") == 1
-        assert tracer.count("hello_reply") == 1
-
-    def test_kind_filter(self):
-        transport = make_pair()
-        tracer = MessageTracer(transport, kinds={"hello"})
-        transport.send(Message(kind="hello", source=1, destination=2))
-        transport.send(Message(kind="other", source=1, destination=2))
-        assert tracer.count() == 1
-
-    def test_detach_stops_recording(self):
-        transport = make_pair()
-        tracer = MessageTracer(transport)
-        tracer.detach()
-        transport.send(Message(kind="hello", source=1, destination=2))
-        assert tracer.count() == 0
-
-    def test_context_manager(self):
-        transport = make_pair()
-        with MessageTracer(transport) as tracer:
-            transport.send(Message(kind="hello", source=1, destination=2))
-        transport.send(Message(kind="hello", source=1, destination=2))
-        assert tracer.count("hello") == 1
-
-    def test_messages_still_delivered(self):
-        transport = make_pair()
-        received = []
-        transport.unregister(1)
-        transport.register(3, lambda m: received.append(m) or None)
-        MessageTracer(transport)
-        transport.send(Message(kind="x", source=2, destination=3))
-        assert len(received) == 1
-
-
-class TestQueries:
-    def test_between(self):
-        transport = make_pair()
-        tracer = MessageTracer(transport)
-        transport.send(Message(kind="a", source=1, destination=2))
-        transport.send(Message(kind="b", source=2, destination=1))
-        edge = tracer.between(1, 2)
-        assert [r.kind for r in edge] == ["a"]
-
-    def test_timeline_format(self):
-        transport = make_pair()
-        tracer = MessageTracer(transport)
-        transport.send(Message(kind="hello", source=1, destination=2))
-        text = tracer.timeline()
-        assert "hello" in text and "1 -> 2" in text
-
-    def test_timeline_limit(self):
-        transport = make_pair()
-        tracer = MessageTracer(transport, kinds={"ping"})
-        for _ in range(10):
-            transport.send(Message(kind="ping", source=1, destination=2))
-        text = tracer.timeline(limit=3)
-        assert "7 more" in text
-
-    def test_clear(self):
-        transport = make_pair()
-        tracer = MessageTracer(transport)
-        transport.send(Message(kind="x", source=1, destination=2))
-        tracer.clear()
-        assert tracer.count() == 0
+from repro.sim.tracing import get_logger, trace
 
 
 class TestLoggingLayer:
