@@ -14,7 +14,7 @@ Runs two ways:
 * under pytest (tier-2 bench suite): ``pytest benchmarks/bench_scale.py``
 * standalone for the CI scale-smoke job::
 
-      python benchmarks/bench_scale.py --sizes 16384 \\
+      python benchmarks/bench_scale.py --sizes 16384,262144 \\
           --protocol-sizes 4096,65536 \\
           --check benchmarks/scale_threshold.json \\
           --out BENCH_scale.json

@@ -118,11 +118,12 @@ class ProbingIdAssigner(IdAssigner):
     Each join probes ``ceil(probe_multiplier * log2(n))`` neighbors of a
     random point and splits the largest owned interval among them.
 
-    Built through :func:`repro.chord.ringarray.fast_probing_ids`, a
-    bisect-based replica of joining with
-    :func:`~repro.chord.probing.probe_split_identifier` node by node: it
-    consumes the RNG identically, so the membership is bit-identical (the
-    property suite asserts the identity).
+    Built through :func:`repro.chord.ringarray.fast_probing_ids`, which
+    replays joining with
+    :func:`~repro.chord.probing.probe_split_identifier` node by node over
+    blocked id and gap lists: it consumes ``rng`` identically, so the
+    membership and the generator's state afterwards are bit-identical (the
+    property suite asserts both).
     """
 
     name = "probing"

@@ -104,9 +104,9 @@ class RingDelta:
 def _arc_members(nodes: list[int], lo: int, hi: int) -> list[int]:
     """Members of the clockwise closed arc ``[lo, hi]`` of a sorted ring.
 
-    ``StaticRing.nodes_in_interval`` without the per-call validation (two
-    bisects; ``lo > hi`` wraps past 0) — the per-event hot path calls this
-    once per slot and once per limiting threshold.
+    Two bisects and no validation of ``lo``/``hi``; ``lo > hi`` wraps past
+    0 and ``lo == hi`` is the single-identifier arc. The per-event hot path
+    calls this once per slot and once per limiting threshold.
     """
     if lo <= hi:
         return nodes[bisect_left(nodes, lo) : bisect_right(nodes, hi)]

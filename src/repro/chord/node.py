@@ -104,7 +104,9 @@ class ChordProtocolNode:
         self._running = False
         #: Set by leave() / crash(); a departed node never restarts.
         self._departed = False
-        self._timer_cancels: list[Callable[[], None]] = []
+        #: Pending timer per periodic loop (and the join retry): a re-arm
+        #: overwrites its fired predecessor, so the table stays at <= 4.
+        self._timer_cancels: dict[str, Callable[[], None]] = {}
         #: RPC surface: every remote interaction goes through the session
         #: layer, which owns deadlines, retries, and per-call telemetry.
         self.net = RpcClient(transport, ident, policy=self.config.rpc_policy())
@@ -160,10 +162,8 @@ class ChordProtocolNode:
                 if remaining > 1:
                     # Tracked with the maintenance timers, so leave() and
                     # crash() cancel a retry that has not fired yet.
-                    self._timer_cancels.append(
-                        self.transport.schedule(
-                            self.config.rpc_timeout, lambda: attempt(remaining - 1)
-                        )
+                    self._timer_cancels["join_retry"] = self.transport.schedule(
+                        self.config.rpc_timeout, lambda: attempt(remaining - 1)
                     )
                 else:
                     # Give up on clean join but still start maintenance:
@@ -230,7 +230,7 @@ class ChordProtocolNode:
     def stop_maintenance(self) -> None:
         """Cancel periodic timers."""
         self._running = False
-        for cancel in self._timer_cancels:
+        for cancel in self._timer_cancels.values():
             cancel()
         self._timer_cancels.clear()
 
@@ -398,10 +398,9 @@ class ChordProtocolNode:
     def _schedule_stabilize(self) -> None:
         if not self._running:
             return
-        cancel = self.transport.schedule(
+        self._timer_cancels["stabilize"] = self.transport.schedule(
             self.config.stabilize_interval, self._stabilize_tick
         )
-        self._timer_cancels.append(cancel)
 
     def _stabilize_tick(self) -> None:
         if not self._running:
@@ -515,10 +514,9 @@ class ChordProtocolNode:
     def _schedule_check_predecessor(self) -> None:
         if not self._running:
             return
-        cancel = self.transport.schedule(
+        self._timer_cancels["check_predecessor"] = self.transport.schedule(
             self.config.check_predecessor_interval, self._check_predecessor_tick
         )
-        self._timer_cancels.append(cancel)
 
     def _check_predecessor_tick(self) -> None:
         if not self._running:
@@ -553,10 +551,9 @@ class ChordProtocolNode:
     def _schedule_fix_fingers(self) -> None:
         if not self._running:
             return
-        cancel = self.transport.schedule(
+        self._timer_cancels["fix_fingers"] = self.transport.schedule(
             self.config.fix_fingers_interval, self._fix_fingers_tick
         )
-        self._timer_cancels.append(cancel)
 
     def _fix_fingers_tick(self) -> None:
         if not self._running:

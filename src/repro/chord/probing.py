@@ -17,6 +17,8 @@ logic through its RPC layer.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.chord.ring import StaticRing
@@ -30,7 +32,7 @@ def default_probe_count(n_nodes: int, multiplier: float = 2.0) -> int:
     """Number of neighbors to probe: ``ceil(multiplier * log2(n))``, >= 1."""
     if n_nodes <= 1:
         return 1
-    return max(1, int(np.ceil(multiplier * ceil_log2(max(n_nodes, 2)))))
+    return max(1, math.ceil(multiplier * ceil_log2(n_nodes)))
 
 
 def probe_neighbors(ring: StaticRing, start: int, count: int) -> list[int]:

@@ -25,7 +25,7 @@ array pipeline never holds per-node Python objects.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -130,14 +130,6 @@ class StaticRing:
         """
         return self._version
 
-    def node_array(self) -> np.ndarray:
-        """Sorted node identifiers as a NumPy array (uint64 when it fits)."""
-        if self.space.bits <= ARRAY_MAX_BITS:
-            return self.id_index().ids.astype(np.uint64)
-        if self.space.bits <= 63:
-            return np.asarray(self.nodes, dtype=np.uint64)
-        return np.asarray(self.nodes, dtype=object)
-
     def id_index(self) -> RingArray:
         """Array view of the membership (``bits <= 62`` only).
 
@@ -214,23 +206,6 @@ class StaticRing:
         if index == len(nodes) or nodes[index] != ident:
             raise UnknownNodeError(ident)
         return index
-
-    def nodes_in_interval(self, lo: int, hi: int) -> list[int]:
-        """Members in the clockwise *closed* interval ``[lo, hi]``.
-
-        The interval wraps past the top of the space when ``lo > hi``;
-        ``lo == hi`` denotes the single-identifier interval (matching
-        :meth:`IdSpace.in_closed`). Used by the incremental maintenance
-        engine to enumerate the nodes whose finger-limit ``g(x)`` value
-        shifted after a membership change.
-        """
-        self.space.validate(lo)
-        self.space.validate(hi)
-        nodes = self.nodes
-        left, right = bisect_left(nodes, lo), bisect_right(nodes, hi)
-        if lo <= hi:
-            return nodes[left:right]
-        return nodes[left:] + nodes[:right]
 
     def gap_before(self, ident: int) -> int:
         """Clockwise distance from ``ident``'s predecessor to ``ident``.

@@ -10,12 +10,13 @@ the ring's list view, and the next ``id_index()`` builds a new vector.
 Scalar queries (successor, predecessor, membership, intervals) live on
 ``StaticRing`` alone.
 
-The module also hosts :func:`fast_probing_ids`, the bisect-based replica of
-:func:`~repro.chord.probing.probe_split_identifier`'s join-by-join
-procedure that :class:`~repro.chord.idgen.ProbingIdAssigner` builds every
-ring with. It consumes the RNG identically and therefore produces
-bit-identical rings; the ring-object procedure stays as the single-join
-API and the reference the property suite compares against.
+The module also hosts :func:`fast_probing_ids`, which
+:class:`~repro.chord.idgen.ProbingIdAssigner` builds every ring with: the
+join-by-join procedure of
+:func:`~repro.chord.probing.probe_split_identifier` over identifiers and
+gaps kept in short parallel blocks. It consumes the RNG identically and
+therefore produces bit-identical rings; the ring-object procedure stays as
+the single-join API and the reference the property suite compares against.
 
 Restriction: identifiers must fit in ``int64``, i.e. ``space.bits <= 62``.
 Wider spaces have the list view only.
@@ -23,12 +24,13 @@ Wider spaces have the list view only.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from repro.chord.idspace import IdSpace
 from repro.errors import DuplicateNodeError, EmptyRingError, IdentifierError
+from repro.util.bits import next_power_of_two
 from repro.util.rng import ensure_rng
 
 __all__ = ["ARRAY_MAX_BITS", "RingArray", "fast_probing_ids"]
@@ -113,62 +115,13 @@ class RingArray:
         return f"RingArray(bits={self.space.bits}, n={len(self)})"
 
 
-def _fast_probe_split(
-    ids: list[int],
-    space: IdSpace,
-    generator: np.random.Generator,
-    probe_multiplier: float,
-) -> int:
-    """One probing join against a sorted identifier list.
-
-    Bit-identical replica of
-    :func:`repro.chord.probing.probe_split_identifier` — same RNG draws in
-    the same order, same candidate ordering and tie-breaking — with plain
-    ``bisect`` bookkeeping instead of ring-object calls.
-    """
-    # Imported here: probing imports the ring module, which imports us.
-    from repro.chord.probing import default_probe_count
-
-    size = space.size
-    k = len(ids)
-    if k == 0:
-        return int(generator.integers(0, size))
-
-    point = int(generator.integers(0, size))
-    count = min(default_probe_count(k, probe_multiplier), k)
-    start = bisect_left(ids, point)
-    if start == k:
-        start = 0
-
-    # max() keeps the first strictly-greatest gap, in clockwise candidate
-    # order from successor(point) — the object path's tie-breaking.
-    best = -1
-    best_gap = -1
-    for j in range(count):
-        index = start + j
-        if index >= k:
-            index -= k
-        if k == 1:
-            gap = size
-        elif index > 0:
-            gap = ids[index] - ids[index - 1]
-        else:
-            gap = ids[0] + size - ids[k - 1]
-        if gap > best_gap:
-            best = index
-            best_gap = gap
-
-    if best_gap < 2:
-        # Space is locally saturated; retry with fresh random points.
-        for _ in range(64):
-            candidate = int(generator.integers(0, size))
-            pos = bisect_left(ids, candidate)
-            if pos >= k or ids[pos] != candidate:
-                return candidate
-        raise RuntimeError("identifier space saturated; cannot place new node")
-
-    predecessor = ids[best - 1] if best > 0 else ids[k - 1]
-    return space.wrap(predecessor + best_gap // 2)
+#: Most entries an id/gap block of :func:`fast_probing_ids` holds before it
+#: is split in half: a join moves at most 8 KiB of pointers, not n/2 words.
+_BLOCK = 1024
+#: Random points drawn per generator call. Keeps every allocation of ring
+#: generation below glibc's 128 KiB mmap threshold, so a set-up leaves the
+#: allocator as the join-by-join loop left it (docs/PERFORMANCE.md).
+_DRAW_CHUNK = 4096
 
 
 def fast_probing_ids(
@@ -179,11 +132,16 @@ def fast_probing_ids(
 ) -> list[int]:
     """``n_nodes`` probing-assigned identifiers, sorted ascending.
 
-    Produces exactly the membership
-    :meth:`repro.chord.idgen.ProbingIdAssigner.build_ring` would, an order
-    of magnitude faster — the property suite
-    (``tests/property/test_prop_scale.py``) asserts the identity over
-    random sizes and spaces.
+    Produces exactly the membership that joining node by node with
+    :func:`repro.chord.probing.probe_split_identifier` would, and leaves
+    ``rng`` in exactly the state that loop leaves it in (callers keep
+    drawing from it) — ``tests/property/test_prop_scale.py`` asserts both.
+    Only on the saturation ``RuntimeError``, which is terminal, may the
+    generator have advanced further than the reference's.
+
+    Identifiers and each member's predecessor gap live in parallel blocks
+    of at most ``_BLOCK`` entries: a join bisects twice, takes ``max`` and
+    ``index`` of one gap slice and inserts into one short list.
     """
     if n_nodes < 0:
         raise ValueError(f"n_nodes must be non-negative, got {n_nodes}")
@@ -191,8 +149,84 @@ def fast_probing_ids(
         raise ValueError(
             f"cannot place {n_nodes} distinct nodes in a space of {space.size}"
         )
+    # Imported here: probing imports the ring module, which imports us.
+    from repro.chord.probing import default_probe_count
+
     generator = ensure_rng(rng)
-    ids: list[int] = []
-    for _ in range(n_nodes):
-        insort(ids, _fast_probe_split(ids, space, generator, probe_multiplier))
-    return ids
+    size, mask = space.size, space.max_id
+    draws: list[int] = []  # drawn, unconsumed random points, last one first
+
+    def draw(k: int) -> int:
+        # Every remaining join consumes at least one point, in order, so a
+        # chunk never draws past where the join-by-join reference stops.
+        if not draws:
+            chunk = min(n_nodes - k, _DRAW_CHUNK)
+            draws.extend(generator.integers(0, size, size=chunk).tolist()[::-1])
+        return draws.pop()
+
+    if n_nodes == 0:
+        return []
+    first = draw(0)  # the first node owns the whole space
+    id_blocks = [[first]]
+    gap_blocks = [[size]]  # gap_blocks[b][o]: gap before id_blocks[b][o]
+    heads = [first]  # heads[b] == id_blocks[b][0]
+
+    def successor_slot(point: int) -> tuple[int, int]:
+        b = max(bisect_right(heads, point) - 1, 0)
+        o = bisect_left(id_blocks[b], point)
+        if o == len(id_blocks[b]):
+            return (b + 1) % len(heads), 0
+        return b, o
+
+    count = count_valid_to = 0
+    for k in range(1, n_nodes):
+        if k > count_valid_to:  # ceil(log2 k) only moves past a power of two
+            count = default_probe_count(k, probe_multiplier)
+            count_valid_to = next_power_of_two(k)
+        probes = count if count < k else k
+        b, o = successor_slot(draw(k))
+        window = gap_blocks[b][o : o + probes]
+        stitch = b
+        while len(window) < probes:  # across block ends, cyclically
+            stitch = (stitch + 1) % len(heads)
+            window += gap_blocks[stitch][: probes - len(window)]
+        # max() and index() keep the first strictly-greatest gap, clockwise
+        # from successor(point) — the reference's tie-breaking.
+        gap = max(window)
+        if gap >= 2:
+            o += window.index(gap)
+            while o >= len(id_blocks[b]):
+                o -= len(id_blocks[b])
+                b = (b + 1) % len(heads)
+            owner = id_blocks[b][o]
+            new_gap = gap // 2
+            new_id = (owner - gap + new_gap) & mask
+        else:
+            # Space is locally saturated; retry with fresh random points.
+            for _ in range(64):
+                new_id = draw(k)
+                b, o = successor_slot(new_id)
+                owner = id_blocks[b][o]
+                if owner != new_id:
+                    break
+            else:
+                raise RuntimeError("identifier space saturated; cannot place new node")
+            gap = gap_blocks[b][o]
+            new_gap = gap - ((owner - new_id) & mask)
+        gap_blocks[b][o] = gap - new_gap
+        if new_id > owner:
+            # Only the wrap gap before ids[0], split short of 0: new largest id.
+            b = len(heads) - 1
+            o = len(id_blocks[b])
+        elif o == 0:
+            heads[b] = new_id
+        ids, gaps = id_blocks[b], gap_blocks[b]
+        ids.insert(o, new_id)
+        gaps.insert(o, new_gap)
+        if len(ids) > _BLOCK:
+            half = len(ids) // 2
+            id_blocks.insert(b + 1, ids[half:])
+            gap_blocks.insert(b + 1, gaps[half:])
+            heads.insert(b + 1, ids[half])
+            del ids[half:], gaps[half:]
+    return [ident for ids in id_blocks for ident in ids]

@@ -13,11 +13,14 @@ oracle), for both schemes, random and probing identifier strategies, at sizes
 up to 2048.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chord import ringarray
 from repro.chord.fastbuild import fast_finger_matrix, fast_tree_arrays
 from repro.chord.idgen import ProbingIdAssigner, make_assigner
 from repro.chord.idspace import IdSpace
@@ -119,13 +122,37 @@ class TestTreeArraysIdentity:
         assert list(arrays.subtree_size_array()) == [1]
 
 
-def _joined_one_by_one(space, n_nodes, seed):
-    """The reference: ``n_nodes`` single joins through ``chord.probing``."""
+_SATURATED = "saturated"
+
+
+def _joined_one_by_one(space, n_nodes, seed, probe_multiplier=2.0):
+    """The reference: ``n_nodes`` single joins through ``chord.probing``.
+
+    Returns the membership and the generator's next draw after the build, or
+    ``_SATURATED`` when a join finds no free identifier.
+    """
     rng = np.random.default_rng(seed)
     ring = StaticRing(space)
-    for _ in range(n_nodes):
-        ring.add(probe_split_identifier(ring, rng))
-    return ring.nodes
+    try:
+        for _ in range(n_nodes):
+            ring.add(probe_split_identifier(ring, rng, probe_multiplier))
+    except RuntimeError:
+        return _SATURATED
+    return ring.nodes, int(rng.integers(0, 2**62))
+
+
+def _built_at_once(space, n_nodes, seed, probe_multiplier=2.0, block=None, chunk=None):
+    """``fast_probing_ids`` in the same shape, optionally with tiny blocks/chunks."""
+    rng = np.random.default_rng(seed)
+    with (
+        mock.patch.object(ringarray, "_BLOCK", block or ringarray._BLOCK),
+        mock.patch.object(ringarray, "_DRAW_CHUNK", chunk or ringarray._DRAW_CHUNK),
+    ):
+        try:
+            ids = fast_probing_ids(space, n_nodes, rng, probe_multiplier)
+        except RuntimeError:
+            return _SATURATED
+    return ids, int(rng.integers(0, 2**62))
 
 
 class TestFastProbingIdentity:
@@ -136,20 +163,105 @@ class TestFastProbingIdentity:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_membership_identity(self, n_nodes, bits, seed):
-        # Bisect-based generator is bit-identical to joining one node at a
-        # time on a ring object: same RNG consumption, same tie-breaking.
+        # The blocked generator is bit-identical to joining one node at a
+        # time on a ring object: same RNG consumption (callers keep drawing
+        # from the generator afterwards), same tie-breaking.
         space = IdSpace(bits)
-        fast = fast_probing_ids(space, n_nodes, rng=seed)
-        assert fast == _joined_one_by_one(space, n_nodes, seed)
-        assert fast == ProbingIdAssigner().build_ring(space, n_nodes, rng=seed).nodes
+        reference = _joined_one_by_one(space, n_nodes, seed)
+        assert _built_at_once(space, n_nodes, seed) == reference
+        assigned = ProbingIdAssigner().build_ring(space, n_nodes, rng=seed)
+        assert assigned.nodes == reference[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_nodes=st.integers(min_value=0, max_value=220),
+        bits=st.integers(min_value=9, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        block=st.integers(min_value=2, max_value=8),
+        chunk=st.integers(min_value=1, max_value=9),
+        multiplier=st.sampled_from([0.5, 1.0, 2.0, 2.5]),
+    )
+    def test_identity_across_block_and_chunk_boundaries(
+        self, n_nodes, bits, seed, block, chunk, multiplier
+    ):
+        # Tiny blocks: probe windows stitch across many blocks and wrap the
+        # head block, winners sit in another block than successor(point),
+        # blocks split every few joins. Tiny chunks: the draw buffer refills
+        # mid-build.
+        space = IdSpace(bits)
+        fast = _built_at_once(space, n_nodes, seed, multiplier, block, chunk)
+        assert fast == _joined_one_by_one(space, n_nodes, seed, multiplier)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.integers(min_value=3, max_value=6),
+        fill=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        block=st.sampled_from([None, 2, 3, 5, 8]),
+        chunk=st.sampled_from([None, 1, 3]),
+        multiplier=st.sampled_from([0.5, 2.0]),
+    )
+    def test_identity_in_nearly_full_spaces(
+        self, bits, fill, seed, block, chunk, multiplier
+    ):
+        # Gaps of 1 take the ``best_gap < 2`` fallback (64 redraws); where the
+        # reference gives up with "saturated", so does the fast routine.
+        space = IdSpace(bits)
+        n_nodes = round(fill * space.size)
+        fast = _built_at_once(space, n_nodes, seed, multiplier, block, chunk)
+        assert fast == _joined_one_by_one(space, n_nodes, seed, multiplier)
+
+    @pytest.mark.parametrize(
+        ("multiplier", "bits", "seed"),
+        [
+            # A fallback join leaves an odd gap that a later probe splits:
+            # G//2 goes to the new node, G - G//2 stays with the old owner.
+            (0.5, 5, 60),
+            (0.5, 6, 9),
+            # The 64th and last redraw is the one that finds a free identifier.
+            (2.0, 5, 65),
+            (2.0, 6, 135),
+        ],
+    )
+    def test_full_space_cases_an_off_by_one_would_change(self, multiplier, bits, seed):
+        space = IdSpace(bits)
+        fast = _built_at_once(space, space.size, seed, multiplier)
+        assert fast == _joined_one_by_one(space, space.size, seed, multiplier)
+
+    def test_fallback_and_saturation_are_reached(self):
+        # The property above is vacuous unless both outcomes occur.
+        space = IdSpace(6)
+        outcomes = [_built_at_once(space, 64, seed) for seed in range(12)]
+        assert outcomes == [_joined_one_by_one(space, 64, seed) for seed in range(12)]
+        assert _SATURATED in outcomes
+        assert any(outcome != _SATURATED for outcome in outcomes)
+
+    def test_wrap_gap_winner_goes_to_tail_or_head(self):
+        # Splitting the gap before ids[0] yields the new largest identifier
+        # when the midpoint stays short of 0 and the new smallest when it
+        # passes 0; both must occur and both must match the reference.
+        space = IdSpace(6)
+        seen = set()
+        for seed in range(60):
+            for n_nodes in range(2, 12):
+                before, _ = _built_at_once(space, n_nodes - 1, seed, block=4)
+                after, _ = _built_at_once(space, n_nodes, seed, block=4)
+                assert after == _joined_one_by_one(space, n_nodes, seed)[0]
+                (joined,) = set(after) - set(before)
+                if joined > before[-1]:
+                    seen.add("tail")
+                elif joined < before[0]:
+                    seen.add("head")
+        assert seen == {"tail", "head"}
 
     def test_membership_identity_at_2048(self):
         space = IdSpace(32)
-        assert fast_probing_ids(space, 2048, rng=2007) == _joined_one_by_one(space, 2048, 2007)
+        assert _built_at_once(space, 2048, 2007) == _joined_one_by_one(space, 2048, 2007)
 
     def test_membership_identity_at_4100(self):
+        # Crosses one full-size block split and one full-size draw chunk.
         space = IdSpace(32)
-        assert fast_probing_ids(space, 4100, rng=11) == _joined_one_by_one(space, 4100, 11)
+        assert _built_at_once(space, 4100, 11) == _joined_one_by_one(space, 4100, 11)
 
 
 class TestStorageModeEquivalence:
@@ -181,8 +293,6 @@ class TestStorageModeEquivalence:
         for key in keys:
             assert obj.successor(key) == arr.successor(key)
             assert obj.predecessor(key) == arr.predecessor(key)
-        lo, hi = keys[0], keys[-1]
-        assert obj.nodes_in_interval(lo, hi) == arr.nodes_in_interval(lo, hi)
         for ident in obj.nodes[:8]:
             assert obj.gap_before(ident) == arr.gap_before(ident)
             assert obj.successor_of_node(ident) == arr.successor_of_node(ident)

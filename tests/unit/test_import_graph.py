@@ -5,9 +5,12 @@ Layer order (low to high): ``util, telemetry -> sim -> net -> chord -> core
 at load time (not under ``TYPE_CHECKING``, not inside a function) of a module
 in a higher layer. An orphan is a module under ``src/repro/`` that no
 non-``__init__`` module under ``src/``, ``benchmarks/`` or ``examples/``
-imports: a second implementation only its own tests run. Both lists below
-may only shrink: an entry that is not listed fails, and so does a listed
-entry that no longer exists.
+imports: a second implementation only its own tests run. The same goes one
+level down for ``repro.chord`` and ``repro.core``: an orphan name is a public
+function or method whose name no other module under those three trees
+mentions (as a name, an attribute or an import). All three lists below may
+only shrink: an entry that is not listed fails, and so does a listed entry
+that no longer exists.
 """
 
 import ast
@@ -74,14 +77,21 @@ def _imported_names(tree):
             yield from (alias.name for alias in node.names)
 
 
-def test_every_module_has_an_importer_outside_its_tests():
+def _non_test_sources():
+    """``(path, tree)`` of every non-``__init__`` module outside ``tests/``."""
     root = pathlib.Path(repro.__file__).parent
     repo = root.parent.parent
-    imported = set()
     for top in (root, repo / "benchmarks", repo / "examples"):
         for path in top.rglob("*.py"):
             if path.name != "__init__.py":
-                imported.update(_imported_names(ast.parse(path.read_text())))
+                yield path, ast.parse(path.read_text())
+
+
+def test_every_module_has_an_importer_outside_its_tests():
+    root = pathlib.Path(repro.__file__).parent
+    imported = set()
+    for _path, tree in _non_test_sources():
+        imported.update(_imported_names(tree))
     orphans = set()
     for path in root.rglob("*.py"):
         parts = path.relative_to(root).with_suffix("").parts
@@ -90,3 +100,112 @@ def test_every_module_has_an_importer_outside_its_tests():
         if "repro." + ".".join(parts) not in imported:
             orphans.add(".".join(parts))
     assert orphans == set(ALLOWED_ORPHANS)
+
+
+# Public names of repro.chord / repro.core that only their own module and
+# tests/ mention. Most are documented API (docs/API.md) or paper formulas the
+# tests check; the rest is debt. Delete the name or find it a caller — do not
+# add to this list.
+ALLOWED_ORPHAN_NAMES = {
+    "chord.block:ChordNodeBlock.successors",
+    "chord.broadcast:broadcast_children",
+    "chord.fastbuild:DatTreeArrays.branching_counts",
+    "chord.fastbuild:DatTreeArrays.depth_array",
+    "chord.fastbuild:DatTreeArrays.subtree_size_array",
+    "chord.fof:FofCache.best_toward",
+    "chord.fof:FofCache.forget",
+    "chord.fof:FofCache.known_nodes",
+    "chord.fof:FofMaintainer.refresh_next",
+    "chord.hashing:LocalityPreservingHash.invert_approx",
+    "chord.idspace:IdSpace.ccw",
+    "chord.idspace:IdSpace.contains",
+    "chord.idspace:IdSpace.in_closed",
+    "chord.idspace:IdSpace.in_half_open_left",
+    "chord.idspace:IdSpace.inbound_finger_point",
+    "chord.idspace:IdSpace.ring_distance",
+    "chord.incremental:DatUpdateEngine.full_build",
+    "chord.incremental:DatUpdateEngine.untrack",
+    "chord.incremental:RingDelta.is_join",
+    "chord.incremental:RingDelta.touched_owners",
+    "chord.network:ChordNetwork.add_node_probing",
+    "chord.network:ChordNetwork.create_first",
+    "chord.network:ChordNetwork.finger_convergence_fraction",
+    "chord.network:ChordNetwork.is_converged",
+    "chord.network:ChordNetwork.probe_join",
+    "chord.network:ChordNetwork.snapshot_finger_tables",
+    "chord.node:ChordConfig.rpc_policy",
+    "chord.node:ChordProtocolNode.check_predecessor",
+    "chord.node:ChordProtocolNode.fix_next_finger",
+    "chord.node:ChordProtocolNode.lookup_via",
+    "chord.node:ChordProtocolNode.owned_gap",
+    "chord.node:ChordProtocolNode.stabilize",
+    "chord.node:ChordProtocolNode.start_maintenance",
+    "chord.probing:probe_neighbors",
+    "chord.probing:probe_split_identifier",  # fast_probing_ids' reference
+    "chord.ring:StaticRing.gaps_array",
+    "chord.ring:StaticRing.index_of",
+    "chord.ring:StaticRing.mean_gap",
+    "core.aggregates:HistogramAggregate.bin_edges",
+    "core.aggregates:HistogramAggregate.bin_index",
+    "core.aggregates:available_aggregates",
+    "core.aggregates:register_aggregate",
+    "core.analysis:load_rank_array",
+    "core.analysis:theoretical_balanced_height_bound",
+    "core.analysis:theoretical_balanced_max_branching",
+    "core.analysis:theoretical_basic_branching",
+    "core.analysis:theoretical_basic_depth",
+    "core.analysis:theoretical_basic_internal_count",
+    "core.analysis:theoretical_max_branching_basic",
+    "core.limiting:FingerLimiter.max_finger_offset",
+    "core.limiting:finger_limit",
+    "core.multitree:DatForest.apply_event",
+    "core.multitree:DatForest.invalidate",
+    "core.multitree:DatForest.per_tree_stats",
+    "core.redundant:RedundantAggregator.replica_keys",
+    "core.service:DatNodeService.owns_key",
+    "core.tree:DatTree.internal_nodes",
+    "core.tree:DatTree.leaves",
+    "core.tree:DatTree.path_to_root",
+    "core.tree:DatTree.subtree_sizes",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _mentioned_names(tree):
+    """Every identifier a module mentions: names, attributes, imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rpartition(".")[2] for alias in node.names)
+
+
+def _public_defs(tree):
+    """``name`` / ``Class.name`` of a module's public functions and methods."""
+    for node in tree.body:
+        if isinstance(node, _DEFS) and not node.name.startswith("_"):
+            yield node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, _DEFS) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}"
+
+
+def test_every_public_chord_and_core_name_is_mentioned_outside_its_module():
+    root = pathlib.Path(repro.__file__).parent
+    mentions = {path: set(_mentioned_names(tree)) for path, tree in _non_test_sources()}
+    orphans = set()
+    for package in ("chord", "core"):
+        for path in (root / package).glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            elsewhere = set().union(
+                *(names for other, names in mentions.items() if other != path)
+            )
+            for name in _public_defs(ast.parse(path.read_text())):
+                if name.rpartition(".")[2] not in elsewhere:
+                    orphans.add(f"{package}.{path.stem}:{name}")
+    assert orphans == ALLOWED_ORPHAN_NAMES

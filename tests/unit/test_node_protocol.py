@@ -210,3 +210,26 @@ class TestDepartedStaysDeparted:
         node.start_maintenance()
         assert not node._running
         assert transport.engine.pending == 0
+
+
+class TestTimerHandlesStayBounded:
+    def test_one_handle_per_loop_after_a_thousand_ticks(self):
+        # Each re-arm used to append a cancel handle (pinning its fired
+        # event) that nothing dropped before stop_maintenance().
+        _space, transport, nodes = make_overlay([10, 80, 200], settle=0.0)
+        node = nodes[80]
+        config = node.config
+        ticks_per_s = (
+            1 / config.stabilize_interval
+            + 1 / config.fix_fingers_interval
+            + 1 / config.check_predecessor_interval
+        )
+        transport.run(until=transport.now() + 1000 / ticks_per_s + 1.0)
+        assert node._running
+        assert len(node._timer_cancels) <= 4
+
+        for other in nodes.values():
+            other.stop_maintenance()
+        assert not node._timer_cancels
+        transport.run(until=transport.now() + 5.0)  # in-flight RPCs drain
+        assert transport.engine.pending == 0

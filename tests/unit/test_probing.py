@@ -1,5 +1,6 @@
 """Unit tests for identifier probing (Sec. 3.5 / Adler et al.)."""
 
+import numpy as np
 import pytest
 
 from repro.chord.idspace import IdSpace
@@ -9,6 +10,7 @@ from repro.chord.probing import (
     probe_split_identifier,
 )
 from repro.chord.ring import StaticRing
+from repro.util.bits import ceil_log2
 
 
 class TestDefaultProbeCount:
@@ -21,6 +23,16 @@ class TestDefaultProbeCount:
 
     def test_multiplier(self):
         assert default_probe_count(1024, multiplier=1.0) == 10
+
+    @pytest.mark.parametrize("multiplier", [0.5, 1.0, 2.0, 2.5])
+    def test_equals_the_numpy_expression_it_replaced(self, multiplier):
+        # math.ceil on the same float product; the count only moves at powers
+        # of two, so those and their neighbours cover every k <= 2^20.
+        for exponent in range(21):
+            for k in (2**exponent - 1, 2**exponent, 2**exponent + 1):
+                if 2 <= k <= 2**20:
+                    old = max(1, int(np.ceil(multiplier * ceil_log2(max(k, 2)))))
+                    assert default_probe_count(k, multiplier) == old
 
 
 class TestProbeNeighbors:

@@ -1,6 +1,5 @@
 """Unit tests for the static (converged) Chord ring."""
 
-import numpy as np
 import pytest
 
 from repro.chord.idspace import IdSpace
@@ -25,11 +24,6 @@ class TestConstruction:
     def test_iteration_order(self, space4):
         ring = StaticRing(space4, [9, 0, 4])
         assert list(ring) == [0, 4, 9]
-
-    def test_node_array_dtype(self, space4, space32):
-        assert StaticRing(space4, [1, 2]).node_array().dtype == np.uint64
-        wide = StaticRing(IdSpace(160), [1, 2])
-        assert wide.node_array().dtype == object
 
 
 class TestMembershipChanges:
