@@ -17,7 +17,7 @@ overshoot; if ``2^j > x`` the target is past ``r`` and its successor lies in
 ``[i + 2^j, i]``, at distance 0 or ``> x``. So the eligible slots are exactly
 ``0 .. floor(log2 x)``, the farthest non-overshooting finger is slot
 ``floor(log2 x)`` (basic) or ``min(floor(log2 x), g(x))`` (Algorithm 1), and
-a build is one ``frexp``, one array ``g(x)`` and one ``searchsorted``.
+a build is one ``frexp``, one array ``g(x)`` and one ``successor_indices``.
 
 The *key*-addressed rule on a converged ring has the same shape: a key need
 not be a member, but the last member ``p*`` at or before it bounds the
@@ -138,8 +138,8 @@ class DatTreeArrays:
     with whole-array operations:
 
     * branching factors — one ``bincount`` of the parent indices;
-    * depths/height — absorbing parent-pointer chase, ``height`` passes of
-      one fancy-index each;
+    * depths/height — pointer doubling, ``ceil(log2 height)`` rounds of two
+      gathers each;
     * per-round message loads — ``children + 1`` (root: ``children``);
     * subtree sizes — bottom-up accumulation, one scatter-add per depth
       level.
@@ -193,7 +193,7 @@ class DatTreeArrays:
         if self._counts is None:
             counts = np.bincount(
                 self.parent_index, minlength=self.nodes.size
-            ).astype(np.int64)
+            ).astype(np.int64, copy=False)
             counts[self.root_index] -= 1  # the root's absorbing self-loop
             self._counts = counts
         return self._counts
@@ -201,26 +201,25 @@ class DatTreeArrays:
     def depth_array(self) -> np.ndarray:
         """Edge distance to the root per node, aligned with ``nodes`` (cached).
 
-        Absorbing pointer chase: each pass advances every chase one edge
-        and counts the ones not yet at the root, so the loop runs ``height``
-        times (logarithmic for DATs). Raises :class:`TreeError` if a chase
-        cannot converge — a cycle in the parent map.
+        Pointer doubling: ``depth[i]`` counts the edges from ``i`` to
+        ``hop[i]`` and a round makes every hop the hop's hop, ``ceil(log2
+        height)`` rounds in all. Raises :class:`TreeError` if the hops are
+        not all on the root after ``log2 n`` — a cycle in the parent map.
         """
         if self._depths is None:
-            par = self.parent_index
             n = int(self.nodes.size)
-            depth = (np.arange(n) != self.root_index).astype(np.int64)
-            cur = par
-            for _ in range(n + 1):
-                alive = cur != self.root_index
-                if not bool(alive.any()):
+            depth = np.ones(n, dtype=np.int64)
+            depth[self.root_index] = 0
+            hop = self.parent_index
+            for _ in range(n.bit_length() + 1):
+                if int(hop.min()) == self.root_index == int(hop.max()):
                     self._depths = depth
                     return depth
-                depth += alive
-                cur = par[cur]
+                depth += depth.take(hop)
+                hop = hop.take(hop)
             raise TreeError(
-                f"parent chase did not converge in {n} steps "
-                f"(cycle in the parent-index array)"
+                f"parent hops did not reach the root in {n.bit_length()} "
+                f"doublings (cycle in the parent-index array)"
             )
         return self._depths
 
@@ -257,21 +256,19 @@ class DatTreeArrays:
     def stats(self) -> TreeStats:
         """Sec. 5.2 summary, bit-identical to :meth:`DatTree.stats`.
 
-        The only float is ``avg_branching``; it is computed as one exact
-        integer sum divided by an exact integer count — the same single
-        IEEE division the object path performs.
+        The only float is ``avg_branching``: the children of any tree sum to
+        ``n - 1``, and that exact integer over an exact integer count is the
+        same single IEEE division the object path performs.
         """
         counts = self.branching_counts()
-        internal = counts[counts > 0]
-        n_internal = int(internal.size)
+        n = int(self.nodes.size)
+        n_internal = int(np.count_nonzero(counts))
         return TreeStats(
-            n_nodes=int(self.nodes.size),
+            n_nodes=n,
             height=self.height(),
             max_branching=int(counts.max()),
-            avg_branching=(
-                int(internal.sum()) / n_internal if n_internal else 0.0
-            ),
-            n_leaves=int(self.nodes.size) - n_internal,
+            avg_branching=(n - 1) / n_internal if n_internal else 0.0,
+            n_leaves=n - n_internal,
             n_internal=n_internal,
         )
 
@@ -292,10 +289,10 @@ def fast_tree_arrays(
 
     Every node's parent toward ``r = successor(key)`` in O(n) int64 storage
     and temporaries: the slot is the closed form ``min(floor(log2 x), g(x))``
-    (module docstring) and the parent is that one finger, resolved with the
-    ``searchsorted`` definition :func:`fast_finger_matrix` uses. The parent
-    map never leaves index space: no Python dict, no per-node boxing, no
-    finger matrix.
+    (module docstring) and the parent is that one finger, resolved for every
+    node at once by :meth:`RingArray.successor_indices` (what ``searchsorted``
+    returns, read off the ring's cached grid). The parent map never leaves
+    index space: no Python dict, no per-node boxing, no finger matrix.
     """
     scheme = DatScheme(scheme)
     _require_fast_capable(ring)
@@ -310,12 +307,13 @@ def fast_tree_arrays(
     balanced = scheme is DatScheme.BALANCED
     slot = _parent_slots(x, Fraction(space.size, n) if balanced else None)
     slot[root_index] = 0  # any valid shift: the root's row is overwritten below
-    fingers = (ids + (np.int64(1) << slot)) & np.int64(mask)
-    parent_index = np.searchsorted(ids, fingers).astype(np.int64, copy=False)
-    parent_index[parent_index == n] = 0  # wrap past the top of the ring
+    fingers = np.left_shift(np.int64(1), slot, out=slot)
+    fingers += ids
+    fingers &= np.int64(mask)
+    parent_index = index.successor_indices(fingers)
     parent_index[root_index] = root_index
     # The proof's conclusion as an O(n) check: every parent lies in (i, r].
-    dist = _cw(mask, ids, ids[parent_index])
+    dist = _cw(mask, ids, ids.take(parent_index, out=fingers, mode="clip"))
     bad = (dist == 0) | (dist > x)
     bad[root_index] = False
     if bool(bad.any()):

@@ -4,8 +4,9 @@
 :class:`~repro.chord.ring.StaticRing` (``StaticRing.id_index()``): the
 entire membership as one sorted ``int64`` NumPy vector, no per-node Python
 objects. It carries exactly what the vectorized consumers read — the
-vector, its length, the root lookup :meth:`RingArray.successor_index` and
-the gap vector — and is never mutated: a membership change goes through
+vector, its length, the successor lookups (:meth:`RingArray.successor_index`
+for a root, :meth:`RingArray.successor_indices` for every finger at once)
+and the gap vector — and is never mutated: a membership change goes through
 the ring's list view, and the next ``id_index()`` builds a new vector.
 Scalar queries (successor, predecessor, membership, intervals) live on
 ``StaticRing`` alone.
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.chord.idspace import IdSpace
 from repro.errors import DuplicateNodeError, EmptyRingError, IdentifierError
-from repro.util.bits import next_power_of_two
+from repro.util.bits import ceil_log2, next_power_of_two
 from repro.util.rng import ensure_rng
 
 __all__ = ["ARRAY_MAX_BITS", "RingArray", "fast_probing_ids"]
@@ -52,7 +53,7 @@ class RingArray:
         that construct identifiers valid-by-construction).
     """
 
-    __slots__ = ("space", "_ids")
+    __slots__ = ("space", "_ids", "_grid")
 
     def __init__(
         self, space: IdSpace, ids: np.ndarray, *, trusted: bool = False
@@ -76,6 +77,7 @@ class RingArray:
                     "ids must be sorted and strictly increasing"
                 )
         self._ids = arr
+        self._grid: tuple[int, int, np.ndarray] | None = None
 
     @property
     def ids(self) -> np.ndarray:
@@ -95,6 +97,46 @@ class RingArray:
         self.space.validate(key)
         pos = int(np.searchsorted(self._ids, key, side="left"))
         return 0 if pos == self._ids.size else pos
+
+    def _successor_grid(self) -> tuple[int, int, np.ndarray]:
+        """``(shift, rounds, starts)``, built on first use: the vector never changes.
+
+        ``2^k`` equal cells, ``2n <= 2^k < 4n`` (at most one per identifier);
+        the members of cell ``c`` sit at ``[starts[c], starts[c + 1])`` and
+        ``rounds`` halving steps search the fullest cell.
+        """
+        if self._grid is None:
+            n, bits = int(self._ids.size), self.space.bits
+            shift = max(bits - ceil_log2(2 * n), 0)
+            occupancy = np.bincount(self._ids >> shift, minlength=1 << (bits - shift))
+            rounds = int(occupancy.max()).bit_length()
+            starts = np.zeros(occupancy.size + 1, dtype=np.min_scalar_type(n))
+            starts[1:] = np.cumsum(occupancy, out=occupancy)
+            self._grid = (shift, rounds, starts)
+        return self._grid
+
+    def successor_indices(self, targets: np.ndarray) -> np.ndarray:
+        """Index of ``successor(t)`` per target: ``searchsorted``, wrapped to 0.
+
+        The grid bounds each target to the members of its cell; a lower-bound
+        search inside the cell, all targets in step, does the rest (one round
+        when no cell holds two members, as on probing rings).
+        """
+        self._require_nodes()
+        if targets.size and not 0 <= targets.min() <= targets.max() <= self.space.max_id:
+            raise IdentifierError(f"targets outside [0, 2^{self.space.bits})")
+        shift, rounds, starts = self._successor_grid()
+        cell = targets >> shift
+        pos = starts[:-1].take(cell).astype(np.intp)
+        end = starts[1:].take(cell).astype(np.intp)
+        for step in (1 << r for r in reversed(range(rounds))):
+            # The next ``step`` members are below the target if the last of them is.
+            probe = np.add(pos, step - 1, out=cell)
+            below = self._ids.take(probe, mode="clip") < targets
+            below &= probe < end
+            np.add(pos, step, out=pos, where=below)
+        pos[pos == self._ids.size] = 0  # wrap past the top of the ring
+        return pos
 
     def gaps(self) -> np.ndarray:
         """Clockwise gap from each member's predecessor, aligned with ``ids``.

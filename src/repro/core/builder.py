@@ -139,7 +139,7 @@ def build_dat(
         if tables is None and d0 is None and fast_capable(ring):
             arrays = fast_tree_arrays(ring, key, scheme=scheme)
             tree = DatTree(root=arrays.root, parent=arrays.parent_map(), key=key)
-            # Seed the height cache from the index-space chase so the span
+            # Seed the height cache from the index-space depths so the span
             # attribute below never triggers the Python BFS.
             tree._height = arrays.height()
         elif scheme is DatScheme.BASIC:

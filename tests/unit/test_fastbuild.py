@@ -7,6 +7,7 @@ import pytest
 
 from repro.chord.fastbuild import (
     FAST_PATH_MAX_BITS,
+    DatTreeArrays,
     fast_finger_matrix,
     fast_tree_arrays,
 )
@@ -14,6 +15,7 @@ from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner, UniformIdAssi
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.core.builder import (
+    DatScheme,
     DatTreeBuilder,
     build_balanced_dat,
     build_basic_dat,
@@ -161,8 +163,9 @@ class TestSharedMatrix:
 
 
 class TestMatrixFreeBuild:
-    """Counts and bytes, no wall-clock: a tree build allocates O(n), never
-    an ``(n, bits)`` temporary, and never asks for the finger matrix."""
+    """Counts and bytes, no wall-clock: a tree and its statistics allocate
+    O(n), never an ``(n, bits)`` temporary, and never ask for the finger
+    matrix; the successor grid the ring caches is O(n) too."""
 
     @pytest.mark.parametrize("scheme", ["basic", "balanced"])
     def test_peak_allocation_is_linear(self, scheme):
@@ -170,16 +173,26 @@ class TestMatrixFreeBuild:
 
         n, bits = 16384, 32
         ring = ProbingIdAssigner().build_ring(IdSpace(bits), n, rng=3)
-        ring.id_index()  # the sorted id vector is the ring's, not the build's
+        # The sorted id vector and its successor grid are the ring's, built
+        # once, not the build's.
+        index = ring.id_index()
+        index.successor_indices(index.ids[:1])
         tracemalloc.start()
         try:
-            arrays = fast_tree_arrays(ring, 0xA5A5A5, scheme=scheme)
+            stats = fast_tree_arrays(ring, 0xA5A5A5, scheme=scheme).stats()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(arrays) == n
+        assert stats.n_nodes == n
         # One (n, bits) int64 temporary alone is 32 * n * 8 bytes.
         assert peak < 16 * n * 8, peak
+
+    @pytest.mark.parametrize("n", [1, 1000, 16384, 16385])
+    def test_cached_successor_grid_is_linear(self, n):
+        index = ProbingIdAssigner().build_ring(IdSpace(32), n, rng=3).id_index()
+        index.successor_indices(index.ids)
+        _shift, _rounds, starts = index._grid
+        assert starts.nbytes <= 4 * n * 8, starts.nbytes
 
     def test_tree_stats_never_builds_a_finger_matrix(self, monkeypatch):
         import repro.chord.fastbuild as fastbuild
@@ -194,6 +207,54 @@ class TestMatrixFreeBuild:
             assert stats.n_nodes == 512
             assert build_dat(ring, 777, scheme=scheme).stats() == stats
         assert fastbuild.fast_centralized_load_array(ring, 777).size == 512
+
+
+class TestDepthDoubling:
+    """``depth_array`` takes ``log2 height`` rounds on a tree and gives up
+    after ``log2 n`` on anything else (the chase it replaced made ``n + 1``
+    full-width passes before it raised: O(n^2), minutes at this size)."""
+
+    N = 1 << 17
+
+    def _arrays(self, parent_index, root_index=0):
+        nodes = np.arange(self.N, dtype=np.int64)
+        return DatTreeArrays(nodes, parent_index, root_index, 0, DatScheme.BASIC)
+
+    def _star(self):
+        return np.zeros(self.N, dtype=np.int64)
+
+    def test_two_cycle_off_the_root_raises(self):
+        parent = self._star()
+        parent[[5, 9]] = [9, 5]
+        with pytest.raises(TreeError, match="cycle"):
+            self._arrays(parent).depth_array()
+
+    def test_self_loop_off_the_root_raises(self):
+        parent = self._star()
+        parent[77] = 77
+        parent[78] = 77  # and a node hanging off the loop
+        with pytest.raises(TreeError, match="cycle"):
+            self._arrays(parent).height()
+
+    def test_whole_ring_cycle_raises(self):
+        parent = (np.arange(self.N, dtype=np.int64) + 1) % self.N
+        with pytest.raises(TreeError, match="cycle"):
+            self._arrays(parent).stats()
+
+    def test_chain_is_exact(self):
+        # Height n - 1: the most rounds a tree can need, one short of the cap.
+        parent = np.maximum(np.arange(self.N, dtype=np.int64) - 1, 0)
+        arrays = self._arrays(parent)
+        assert np.array_equal(arrays.depth_array(), np.arange(self.N))
+        assert arrays.height() == self.N - 1
+
+    def test_star_is_exact(self):
+        arrays = self._arrays(self._star())
+        depths = arrays.depth_array()
+        assert int(depths[0]) == 0 and bool((depths[1:] == 1).all())
+        stats = arrays.stats()
+        assert (stats.height, stats.max_branching) == (1, self.N - 1)
+        assert (stats.n_internal, stats.avg_branching) == (1, float(self.N - 1))
 
 
 class TestScaleIdentity:
