@@ -93,10 +93,11 @@ class StandaloneDatHost:
 class _ContinuousState:
     """Continuous-mode cache for one rendezvous key.
 
-    ``child_states`` maps child -> (receipt time, partial state). Entries
-    older than ``stale_after`` push intervals are dropped before each
-    merge, so contributions from departed or re-parented children age out
-    instead of being double-counted forever.
+    ``child_states`` maps child -> (receipt time, partial state), kept in
+    ascending child id (the merge's fold order). Entries older than
+    ``stale_after`` push intervals are dropped before each merge, so
+    contributions from departed or re-parented children age out instead
+    of being double-counted forever.
     """
 
     aggregate: Aggregate
@@ -385,10 +386,21 @@ class DatNodeService:
         with telemetry.remote_span(
             message, "dat.push_recv", node=self.ident, key=key, child=message.source
         ):
-            state.child_states[message.source] = (
+            entry = (
                 self.host.transport.now(),
                 _decode_state(message.payload["state"], state.aggregate),
             )
+            children = state.child_states
+            if message.source in children:
+                children[message.source] = entry
+            else:
+                # A new child: rebuild in ascending child id — the merge's
+                # fold order, so a float fold does not depend on which
+                # pushes were lost — and leave the old dict whole for a
+                # tick that may be reading it.
+                state.child_states = dict(
+                    sorted([*children.items(), (message.source, entry)])
+                )
         return None
 
     def root_estimate(self, key: int) -> Any:

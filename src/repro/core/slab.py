@@ -3,10 +3,11 @@
 This is the core-layer piece of the bulk-simulation path. One
 :class:`SlabContinuousRun` replaces ``n`` :class:`~repro.core.service.DatNodeService`
 instances for a single rendezvous key on a static converged ring: node
-state lives in a handful of shared NumPy columns (local values, per-child
-cached partial states, receipt clocks), tree structure is the immutable
-parent array derived from one shared :class:`~repro.chord.block.ChordNodeBlock`,
-and each push interval executes as
+state lives in a handful of shared NumPy columns (local values per node;
+cached partial state, receipt clock and presence flag per *push row*, one
+for every node that pushes), tree structure is the immutable parent array
+derived from one shared :class:`~repro.chord.block.ChordNodeBlock`, and
+each push interval executes as
 
 1. one vectorized merge (local lift + scatter-add of fresh child states,
    in ascending-child order — the exact fold order of the object path),
@@ -15,15 +16,17 @@ and each push interval executes as
    sizes computed arithmetically, one engine event per latency group),
 3. one vectorized cache update when the batch delivers.
 
+A batch's rows, the cache and ``parent_index`` share the push-row order,
+so a steady-state round scatters the cache as it is and takes a delivery
+as a block copy; only loss, expiry or a split delivery index anything.
+
 **Equivalence contract.** :func:`run_protocol_slab` is bit-identical to
 :func:`run_protocol_oracle` — the same scenario driven through real
 ``DatNodeService`` objects — in root estimate, per-node message/byte
-accounting, and push counts, for the loss-free case with any supported
-aggregate and for lossy runs with order-insensitive aggregates
-(``count``/``min``/``max``; under loss the object path's child-dict
-*insertion order* depends on which pushes survived, so float-sum fold
-order is not reproducible by any fixed-order kernel). Asserted in
-``tests/property/test_prop_protocol.py`` at n <= 4096 for both schemes.
+accounting, and per-node push counts, for every supported aggregate, with
+or without message loss, expiry and multi-group delivery (the object path
+folds its children in ascending id, whichever pushes survived). Asserted
+in ``tests/property/test_prop_protocol.py`` for both schemes.
 
 Supported aggregates: ``sum``, ``count``, ``min``, ``max``, ``avg``.
 The long-tail aggregates (histogram, top-k, std) keep the object path.
@@ -63,16 +66,18 @@ __all__ = [
 
 #: Aggregates the slab path supports (partial state fits in 1-2 columns).
 SLAB_AGGREGATES = ("sum", "count", "min", "max", "avg")
+#: The merge of the aggregates that do not add.
+_SCATTER = {"min": np.minimum, "max": np.maximum}
 
 
 @dataclass(frozen=True)
 class ProtocolRunResult:
     """Outcome of one continuous-push protocol run (either path).
 
-    Per-node arrays are aligned with ``ids`` (ascending identifiers); they
-    come from the transport's :class:`~repro.telemetry.hotspot.HotspotAccountant`,
-    so the equivalence tests compare the *accounted wire traffic*, not an
-    internal proxy.
+    Per-node arrays are aligned with ``ids`` (ascending identifiers); all
+    but ``pushes_sent`` (the protocol's own count) come from the transport's
+    :class:`~repro.telemetry.hotspot.HotspotAccountant`, so the equivalence
+    tests compare the *accounted wire traffic*, not an internal proxy.
     """
 
     n_nodes: int
@@ -82,13 +87,17 @@ class ProtocolRunResult:
     root: int
     rounds: int
     estimate: Any
-    pushes_total: int
+    pushes_sent: np.ndarray
     ids: np.ndarray
     sent: np.ndarray
     received: np.ndarray
     bytes_sent: np.ndarray
     bytes_received: np.ndarray
     state_bytes: int
+
+    @property
+    def pushes_total(self) -> int:
+        return int(self.pushes_sent.sum())
 
     @property
     def messages_total(self) -> int:
@@ -125,6 +134,11 @@ class SlabContinuousRun:
         overlay's convention ``space.size / n`` (a float, deliberately —
         the limiter's float-to-Fraction conversion is part of the
         bit-exactness contract with the object path).
+
+    ``push_rows`` are the nodes that push (every node but the owner,
+    ascending); ``source_ids``, ``parent_ids``, ``parent_index`` and the
+    child cache (``cache``, ``cached_at``, ``has_entry``) are aligned with
+    them, ``values`` and :attr:`pushes_sent` with ``block.ids``.
     """
 
     def __init__(
@@ -174,22 +188,22 @@ class SlabContinuousRun:
 
         # Per-child cache: the partial state each node last *delivered* to
         # its parent, plus the receipt clock — the slab analogue of every
-        # parent's ``child_states`` dict, keyed by child since each child
-        # has exactly one parent for this key.
-        self.cached_at = np.full(n, -np.inf, dtype=np.float64)
-        self.has_entry = np.zeros(n, dtype=bool)
-        if aggregate == "count":
-            self._lift = np.ones(n, dtype=np.int64)
-            self.cache = [np.zeros(n, dtype=np.int64)]
-        elif aggregate == "avg":
-            self._lift = None
-            self.cache = [np.zeros(n, dtype=np.float64), np.zeros(n, dtype=np.int64)]
-        else:
-            self._lift = None
-            self.cache = [np.zeros(n, dtype=np.float64)]
+        # parent's ``child_states`` dict. Each child has exactly one parent
+        # for this key, so the cache is keyed by child, and by *push row*
+        # (position in ``push_rows``) rather than node: a batch's columns,
+        # the delivered row indices and ``parent_index`` all are, so a
+        # round reads and writes it without translating.
+        n_push = len(self.push_rows)
+        self.cached_at = np.full(n_push, -np.inf, dtype=np.float64)
+        self.has_entry = np.zeros(n_push, dtype=bool)
+        self._lift = np.ones(n, dtype=np.int64) if aggregate == "count" else None
+        column_types = {"count": [np.int64], "avg": [np.float64, np.int64]}
+        self.cache = [
+            np.zeros(n_push, dtype=dtype)
+            for dtype in column_types.get(aggregate, [np.float64])
+        ]
 
         self.estimate: Any = None
-        self.pushes_sent = np.zeros(n, dtype=np.int64)
         self.rounds_run = 0
 
         # Wire-size constants (see sim.messages): everything but the
@@ -216,49 +230,36 @@ class SlabContinuousRun:
     def _merged_columns(self, now: float) -> list[np.ndarray]:
         """Every node's merge of local lift + fresh child states.
 
-        The scatter ops apply per-edge in ascending-child order (edges are
-        materialized sorted by child index), which reproduces the object
-        path's dict-ordered left fold exactly for the loss-free case.
+        The scatter ops apply per-edge in ascending-child order (push rows
+        ascend), which is the object path's left fold over its child dict
+        (kept in ascending child id). Once every child's entry is fresh —
+        the steady state — the cache columns are scattered as they are;
+        only a stale or never-delivered entry pays for a mask.
         """
         horizon = now - self.stale_after * self.interval
         fresh = self.has_entry & ~(self.cached_at < horizon)
-        included = fresh[self.push_rows]
-        child = self.push_rows[included]
-        parent = self.parent_index[included]
-        if self.aggregate == "count":
-            merged = self._lift.copy()
-            np.add.at(merged, parent, self.cache[0][child])
-            return [merged]
-        if self.aggregate == "sum":
-            merged = self.values.copy()
-            np.add.at(merged, parent, self.cache[0][child])
-            return [merged]
-        if self.aggregate == "min":
-            merged = self.values.copy()
-            np.minimum.at(merged, parent, self.cache[0][child])
-            return [merged]
-        if self.aggregate == "max":
-            merged = self.values.copy()
-            np.maximum.at(merged, parent, self.cache[0][child])
+        parent, cached = self.parent_index, self.cache
+        if not fresh.all():
+            parent = parent[fresh]
+            cached = [column[fresh] for column in cached]
+        merged = (self.values if self._lift is None else self._lift).copy()
+        _SCATTER.get(self.aggregate, np.add).at(merged, parent, cached[0])
+        if self.aggregate != "avg":
             return [merged]
         # avg: (sum, count) componentwise
-        totals = self.values.copy()
         counts = np.ones(len(self.block), dtype=np.int64)
-        np.add.at(totals, parent, self.cache[0][child])
-        np.add.at(counts, parent, self.cache[1][child])
-        return [totals, counts]
+        np.add.at(counts, parent, cached[1])
+        return [merged, counts]
 
     def _state_lengths(self, states: list[np.ndarray]) -> np.ndarray:
-        """JSON byte length of each pushed state body."""
+        """JSON byte length of each pushed state body (a fresh array)."""
         if self.aggregate == "count":
             return int_digit_counts(states[0])
+        lengths = float_repr_lengths(states[0])
         if self.aggregate == "avg":
-            return (
-                self._tuple_overhead
-                + float_repr_lengths(states[0])
-                + int_digit_counts(states[1])
-            )
-        return float_repr_lengths(states[0])
+            lengths += int_digit_counts(states[1])
+            lengths += self._tuple_overhead
+        return lengths
 
     def _finalize(self, cols: list[np.ndarray], i: int) -> Any:
         if self.aggregate == "count":
@@ -276,15 +277,12 @@ class SlabContinuousRun:
         n_push = len(rows)
         if n_push == 0:
             return
-        self.pushes_sent[rows] += 1
         telemetry.count("agg_pushes_total", float(n_push))
         msg_id_start = reserve_msg_ids(n_push)
-        states = [col[rows] for col in cols]
-        sizes = (
-            self._static_sizes
-            + block_digit_counts(msg_id_start, n_push)
-            + self._state_lengths(states)
-        )
+        states = [col.take(rows) for col in cols]
+        sizes = self._state_lengths(states)
+        sizes += self._static_sizes
+        sizes += block_digit_counts(msg_id_start, n_push)
         state_cols = {f"state{j}": state for j, state in enumerate(states)}
         batch = MessageBatch(
             kind="agg_push",
@@ -315,12 +313,26 @@ class SlabContinuousRun:
         return float(state_cols["state0"][i])
 
     def _on_deliver(self, batch: MessageBatch, rows: np.ndarray) -> None:
-        """Fold a delivered batch into the per-child caches."""
-        child = take_rows(self.push_rows, rows)
+        """Fold a delivered batch into the per-child caches.
+
+        Batch rows are push rows, so the states are *copied* row for row
+        (the batch keeps its columns): a whole round arriving at once is
+        one block copy and two fills, a partial delivery — loss, or a
+        latency model that splits the round — indexed writes.
+        """
+        where = slice(None) if len(rows) == len(self.push_rows) else rows
         for j, column in enumerate(self.cache):
-            column[child] = take_rows(batch.payload_columns[f"state{j}"], rows)
-        self.cached_at[child] = self.transport.now()
-        self.has_entry[child] = True
+            column[where] = take_rows(batch.payload_columns[f"state{j}"], rows)
+        self.cached_at[where] = self.transport.now()
+        self.has_entry[where] = True
+
+    @property
+    def pushes_sent(self) -> np.ndarray:
+        """Pushes sent per node, aligned with ``block.ids``: every push row
+        pushes once per round, so the vector is materialised on read."""
+        sent = np.zeros(len(self.block), dtype=np.int64)
+        sent[self.push_rows] = self.rounds_run
+        return sent
 
     # ------------------------------------------------------------------ #
 
@@ -346,7 +358,6 @@ class SlabContinuousRun:
             self.values.nbytes
             + self.cached_at.nbytes
             + self.has_entry.nbytes
-            + self.pushes_sent.nbytes
             + self.push_rows.nbytes
             + self.source_ids.nbytes
             + self.parent_ids.nbytes
@@ -402,7 +413,7 @@ def run_protocol_slab(
         root=run.root,
         rounds=rounds,
         estimate=run.estimate,
-        pushes_total=int(run.pushes_sent.sum()),
+        pushes_sent=run.pushes_sent,
         ids=block.ids,
         sent=sent,
         received=received,
@@ -462,7 +473,7 @@ def run_protocol_oracle(
 
     root_pos = int(np.searchsorted(ids, np.int64(root)))
     estimate = services[root_pos].root_estimate(key)
-    pushes = sum(s._continuous[key].pushes_sent for s in services)
+    pushes = np.array([s._continuous[key].pushes_sent for s in services])
     for service in services:
         service.close()
     for host in hosts:
@@ -476,7 +487,7 @@ def run_protocol_oracle(
         root=int(root),
         rounds=rounds,
         estimate=estimate,
-        pushes_total=int(pushes),
+        pushes_sent=pushes,
         ids=ids,
         sent=sent,
         received=received,

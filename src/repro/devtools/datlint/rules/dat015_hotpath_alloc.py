@@ -25,8 +25,8 @@ column back into Python objects: iterating ``<array>.tolist()`` (directly
 or through ``zip``/``enumerate``), in a ``for`` statement or a
 comprehension, and ``np.fromiter(<generator>)``. Both cost one interpreter
 round trip per element; at 65 536 nodes they were 96 % of a push round.
-An exact fallback that has no array form carries a line-level
-suppression with its reason.
+An exact fallback that has no array form would carry a line-level
+suppression with its reason; today none does.
 """
 
 from __future__ import annotations

@@ -193,11 +193,16 @@ _DIGIT_EDGES = np.concatenate(([0], _POW10, [np.iinfo(np.int64).max]))
 _POW10_FLOAT = _POW10[:15].astype(np.float64)
 
 
-def _digit_counts(magnitudes: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """One plus how many of ``powers`` (ascending powers of ten) each
+def _digit_counts(
+    magnitudes: np.ndarray, powers: np.ndarray, start: int = 1
+) -> np.ndarray:
+    """``start`` plus how many of ``powers`` (ascending powers of ten) each
     magnitude reaches: one vector compare per power up to the largest
-    magnitude, which beats a binary search per element on a table this small."""
-    digits = np.ones(magnitudes.shape, dtype=np.int64)
+    magnitude, which beats a binary search per element on a table this
+    small. The tally is ``int8`` — a numeral is at most 19 digits, ``.0``
+    and a sign — so each pass adds a byte per element, not a word; the
+    caller widens it once."""
+    digits = np.full(magnitudes.shape, start, dtype=np.int8)
     if magnitudes.size:
         reached = np.searchsorted(powers, magnitudes.max(), side="right")
         for power in powers[:reached]:
@@ -214,7 +219,7 @@ def int_digit_counts(values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=np.int64)
     if arr.size and int(arr.min()) < 0:
         raise ValueError("int_digit_counts requires non-negative values")
-    return _digit_counts(arr, _POW10)
+    return _digit_counts(arr, _POW10).astype(np.int64)
 
 
 def block_digit_counts(start: int, count: int) -> np.ndarray:
@@ -230,31 +235,31 @@ def block_digit_counts(start: int, count: int) -> np.ndarray:
 
 
 def float_repr_lengths(values: np.ndarray) -> np.ndarray:
-    """JSON numeral length of each float64 (``json.dumps`` uses ``repr``).
+    """Length of each float64 as the wire's JSON encoder writes it.
 
     An integer-valued float below 1e16 in magnitude prints as
     ``<digits>.0`` (with a sign when its sign bit is set, ``-0.0``
-    included), so its length is arithmetic on the digit count. Only the
-    residual — fractional values, ``|v| >= 1e16`` (exponent notation),
-    ``inf``/``nan`` — pays a per-element ``repr``, at ~0.2 us each; a
-    round of integer-valued sums or counts has none.
+    included), so its length is arithmetic on the digit count. The
+    residual — fractional values, ``|v| >= 1e16`` (exponent notation) and
+    the non-finite values, which JSON spells ``Infinity`` / ``-Infinity``
+    / ``NaN`` rather than as ``repr`` does — has no closed form: it is
+    encoded (as one list, by the encoder :func:`encode_message` uses) and
+    the numerals measured, ~0.6 us each; a round of integer-valued sums
+    or counts has none.
     """
     arr = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(arr)
     whole = (magnitude < 1e16) & (np.rint(arr) == arr)
     # Powers of ten up to 1e15 are exact in float64, so the digits are
-    # counted on the magnitudes as they are; a non-whole entry's count is
-    # overwritten below.
-    lengths = _digit_counts(magnitude, _POW10_FLOAT)
-    lengths += 2
-    lengths += np.signbit(arr)
+    # counted on the magnitudes as they are (from 3: one digit and the
+    # ".0"); a non-whole entry's count is overwritten below.
+    tally = _digit_counts(magnitude, _POW10_FLOAT, start=3)
+    tally += np.signbit(arr)
+    lengths = tally.astype(np.int64)
     if not whole.all():
         residual = np.flatnonzero(~whole)
-        # Shortest round-trip repr of a fractional or exponent-form float
-        # has no closed form; the per-element call is exact by definition.
-        lengths[residual] = [
-            len(repr(v)) for v in arr[residual].tolist()  # datlint: disable=DAT015
-        ]
+        numerals = _WIRE_JSON.encode(arr[residual].tolist())[1:-1].split(",")
+        lengths[residual] = list(map(len, numerals))
     return lengths
 
 

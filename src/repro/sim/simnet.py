@@ -170,18 +170,16 @@ class SimTransport(Transport):
             return
         self.stats.record_send_bulk(batch.sources, batch.sizes, kind=batch.kind)
         telemetry.count("messages_sent_total", float(n), kind=batch.kind)
-        alive = np.ones(n, dtype=bool)
+        survivors = np.arange(n)
         if self._failed:
             failed = np.fromiter(self._failed, dtype=np.int64, count=len(self._failed))
-            alive = ~(np.isin(batch.sources, failed) | np.isin(batch.destinations, failed))
+            survivors = np.flatnonzero(
+                ~(np.isin(batch.sources, failed) | np.isin(batch.destinations, failed))
+            )
         if self.loss_rate > 0:
             # One draw per failure-survivor, in row order — the exact RNG
             # consumption of the equivalent scalar send sequence.
-            draws = self._rng.random(int(alive.sum()))
-            kept = draws >= self.loss_rate
-            survivors = np.flatnonzero(alive)[kept]
-        else:
-            survivors = np.flatnonzero(alive)
+            survivors = survivors[self._rng.random(len(survivors)) >= self.loss_rate]
         if len(survivors) == 0:
             return
         delays = self.latency.sample_array(

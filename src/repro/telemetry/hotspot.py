@@ -16,9 +16,9 @@ Counters live in two stores that are summed on the read side only:
   :meth:`~HotspotAccountant.record_receive_bulk` with a fixed number of
   array passes per batch and no per-message Python work. The ledger grows
   by ``union1d`` when a batch names ids it has not seen, and the row index
-  resolved for a batch is kept so the next batch over the same ids (every
-  round of a continuous push) verifies it with one gather instead of
-  searching again.
+  resolved for a batch is kept, with a copy of the ids it was resolved
+  for, so the next batch over the same ids (every round of a continuous
+  push) re-validates it with one compare instead of searching again.
 
 :meth:`~HotspotAccountant.load_arrays` reads both stores for a whole id
 vector at once; the population statistics are computed from it.
@@ -137,9 +137,11 @@ class HotspotAccountant:
         # summed with the tables on the read side only.
         self._ids = np.empty(0, dtype=np.int64)
         self._counters = np.zeros((4, 0), dtype=np.int64)
-        # (ledger row index, messages per ledger row) of the last bulk send
-        # and bulk receive, keyed by counter row; reused only once re-verified.
-        self._resolved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # (ledger row index, messages per ledger row, a copy of the ids they
+        # were resolved for) of the last bulk send and bulk receive, keyed
+        # by counter row. Whatever changes the ledger clears this, so a
+        # batch naming the same ids again may reuse the index as it is.
+        self._resolved: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._by_kind: dict[str, int] = defaultdict(int)
         self.series: list[LoadSample] = []
         # The UDP transport updates counters from caller threads and its
@@ -192,14 +194,16 @@ class HotspotAccountant:
     ) -> None:
         """Add one message per pair to counter ``row`` and to its byte row."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        index, counts = self._resolved.get(row, (_NO_ROWS, _NO_ROWS))
-        # A continuous push names the same ids every round: one gather
-        # re-verifies last round's index (and its per-row message counts)
-        # where a search and a scatter would rebuild them.
-        if len(index) != len(nodes) or not np.array_equal(self._ids[index], nodes):
+        index, counts, seen = self._resolved.get(row, (_NO_ROWS, _NO_ROWS, _NO_ROWS))
+        # A continuous push names the same ids every round: one compare
+        # against the ids last round's index (and its per-row message
+        # counts) was resolved for, where a search and a scatter would
+        # rebuild them. The copy is the ledger's own — the caller may
+        # reuse its array.
+        if not np.array_equal(seen, nodes):
             index = self._ledger_index_locked(nodes)
             counts = np.bincount(index, minlength=len(self._ids))
-            self._resolved[row] = index, counts
+            self._resolved[row] = index, counts, nodes.copy()
         # Bytes first: mismatched column lengths raise before any counter moves.
         np.add.at(self._counters[row + 2], index, np.asarray(sizes, dtype=np.int64))
         self._counters[row] += counts

@@ -1,13 +1,17 @@
 """Property tests for the slab path's vectorised wire-size arithmetic.
 
 ``float_repr_lengths`` claims the JSON numeral length of a float64 without
-calling ``repr`` on it whenever the value is whole and below 1e16, and
+encoding it whenever the value is whole and below 1e16, and
 ``block_digit_counts`` claims the digit counts of a contiguous id block
 without materialising the ids. Both must equal the per-element reference
 for *every* input: a single wrong byte breaks the slab/oracle byte
-accounting identity. The reference (``len(repr(v))``, ``len(str(i))``)
-lives here, in the test.
+accounting identity. The reference (``len(json.dumps(v))`` — the wire is
+JSON, which spells the non-finite values ``Infinity`` / ``-Infinity`` /
+``NaN``, not as ``repr`` does — and ``len(str(i))``) lives here, in the
+test.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ EDGE_VALUES = [
 
 
 def reference_lengths(values):
-    return [len(repr(v)) for v in np.asarray(values, dtype=np.float64).tolist()]
+    return [len(json.dumps(v)) for v in np.asarray(values, dtype=np.float64).tolist()]
 
 
 class TestFloatReprLengths:

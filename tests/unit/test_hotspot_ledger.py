@@ -161,6 +161,49 @@ def test_same_ids_every_round_reuse_the_resolved_rows():
     assert_same_reads(acc, ref, sorted(set(senders.tolist()) | {5000, 33, 66}))
 
 
+def test_caller_may_reuse_its_id_array_between_records():
+    # The resolved index is validated against the ids it was resolved for;
+    # keeping the caller's array instead of a copy would compare the new
+    # ids with themselves and charge them to the old rows.
+    acc, ref = HotspotAccountant(), ReferenceAccountant()
+    nodes = np.arange(10, 20, dtype=np.int64)
+    sizes = np.full(len(nodes), 7, dtype=np.int64)
+    for side in (acc, ref):
+        side.record_send_bulk(nodes, sizes, kind="agg_push")
+        side.record_receive_bulk(nodes, sizes)
+    nodes += 5  # in place: 15..24, half old ids, half new
+    for side in (acc, ref):
+        side.record_send_bulk(nodes, sizes, kind="agg_push")
+        side.record_receive_bulk(nodes, sizes)
+    nodes[:] = nodes[::-1]  # same ids, another order, no growth
+    for side in (acc, ref):
+        side.record_send_bulk(nodes, sizes + 1)
+    assert_same_reads(acc, ref, list(range(5, 30)))
+
+
+def test_growth_by_one_direction_invalidates_both_resolved_indexes():
+    acc, ref = HotspotAccountant(), ReferenceAccountant()
+    senders = np.arange(100, 140, dtype=np.int64)
+    parents = senders // 2
+    sizes = np.full(len(senders), 50, dtype=np.int64)
+    for side in (acc, ref):
+        side.record_send_bulk(senders, sizes)
+        side.record_receive_bulk(parents, sizes)
+    # Receivers below every known id: each ledger row shifts right, so the
+    # send index resolved above is stale although the senders are the same.
+    low = np.arange(1, 6, dtype=np.int64)
+    for side in (acc, ref):
+        side.record_receive_bulk(low, sizes[:5])
+        side.record_send_bulk(senders, sizes)
+        side.record_receive_bulk(parents, sizes)
+    # ... and the other way round: new senders, same receivers.
+    for side in (acc, ref):
+        side.record_send_bulk(np.array([7, 8, 9], dtype=np.int64), sizes[:3])
+        side.record_receive_bulk(parents, sizes)
+        side.record_send_bulk(senders, sizes)
+    assert_same_reads(acc, ref, list(range(0, 145)))
+
+
 def test_sample_statistics_match_reference():
     acc = HotspotAccountant(percentiles=(0.5, 0.9))
     nodes = np.array([1, 2, 2, 3, 3, 3, 4, 4, 4, 4], dtype=np.int64)
