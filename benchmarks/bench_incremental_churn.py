@@ -40,7 +40,7 @@ from repro.chord.ring import StaticRing
 from repro.core.builder import DatScheme, build_dat
 
 BITS = 32
-DEFAULT_SIZES = [256, 1024, 4096]
+DEFAULT_SIZES = [256, 1024, 4096, 16384, 65536]
 RESULT_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_incremental_churn.json"
 THRESHOLD_PATH = pathlib.Path(__file__).parent / "incremental_churn_threshold.json"
 
@@ -177,7 +177,7 @@ def test_single_event_identity_both_schemes():
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--sizes", default="256,1024,4096",
+        "--sizes", default=",".join(map(str, DEFAULT_SIZES)),
         help="comma-separated ring sizes",
     )
     parser.add_argument("--events", type=int, default=200)

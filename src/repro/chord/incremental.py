@@ -15,17 +15,23 @@ Which fingers an event rewrites (the interval identity):
    ``p`` changes the same targets back.
 2. ``v + 2^j`` lies in ``(q, p]`` iff ``v`` lies in ``(q - 2^j, p - 2^j]``.
 3. So the rewritten slots are, for each ``j``, the members of one clockwise
-   arc of the sorted ring: ``bits`` bisect pairs, in expectation ``bits =
-   O(log N)`` owners in total, with nothing stored or indexed.
+   arc of the sorted ring: in expectation ``bits = O(log N)`` owners in
+   total, with nothing stored or indexed.
 
 Which parents an event rewrites: the owners above, the joining node, and —
 for the balanced scheme — the nodes whose finger-limit ``g(x)`` shifted when
 the mean gap ``d0 = 2^bits/n`` changed. ``g(x) <= j`` iff
 ``x <= 3*2^j - c(n)`` where ``c(n) = ceil(2*2^bits / n)``, so every limiting
 threshold shifts by the *same* offset when ``n`` changes and the flipped
-nodes lie in at most ``bits - 1`` thin arcs, again two bisects each. Root
-handovers (the event lands on ``successor(key)``) fall back to a full
-rebuild of that one tree.
+nodes lie in at most ``bits - 1`` arcs. Root handovers (the event lands on
+``successor(key)``) fall back to a full rebuild of that one tree.
+
+Both scans search *thin* arcs, no wider than the mean gap ``2^bits/n``: a
+finger arc is one gap wide, a limit-shift arc ``|c_old - c_new|``, about
+``2*2^bits/n^2`` identifiers (512 against a gap of 2^20 at n = 4096, bits =
+32: 1 arc in 400 holds a member). One ``bisect_left`` for the low end decides
+such an arc: it is empty unless the member found there is also ``<=`` the
+high end, and only then are the second bisect and the slice paid for.
 
 Parent selection is the root-addressed closed form proved in
 :mod:`repro.chord.fastbuild`: the tracked root is a member, so a node at
@@ -49,17 +55,19 @@ that leaves.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, overload
 
 from repro import telemetry
 from repro.chord.ring import StaticRing
 from repro.core.builder import DatScheme, build_dat
 from repro.errors import DuplicateNodeError, TreeError, UnknownNodeError
 from repro.sim.tracing import get_logger
-from repro.util.bits import ceil_div, ceil_log2
+from repro.util.bits import ceil_div
 
 if TYPE_CHECKING:
+    from repro.chord.idspace import IdSpace
     from repro.core.tree import DatTree
 
 __all__ = ["FingerPatch", "RingDelta", "DatUpdateReport", "DatUpdateEngine"]
@@ -82,40 +90,75 @@ class FingerPatch:
     new: int
 
 
+@dataclass(eq=False)
+class _PatchRuns(Sequence[FingerPatch]):
+    """The value of :attr:`RingDelta.patches`: ``owners[i]`` rewrote slot
+    ``slots[i]`` from ``old`` to ``new`` (slots ascend, owners ascend along
+    each arc). A report needs only ``len``; a :class:`FingerPatch` is built
+    when somebody iterates, and ``==`` compares with a tuple."""
+
+    slots: list[int]
+    owners: list[list[int]]
+    old: int
+    new: int
+
+    def __len__(self) -> int:
+        return sum(map(len, self.owners))
+
+    def __iter__(self) -> Iterator[FingerPatch]:
+        for slot, owners in zip(self.slots, self.owners):
+            for owner in owners:
+                yield FingerPatch(owner, slot, self.old, self.new)
+
+    @overload
+    def __getitem__(self, index: int) -> FingerPatch: ...
+    @overload
+    def __getitem__(self, index: slice) -> Sequence[FingerPatch]: ...
+    def __getitem__(self, index: int | slice) -> FingerPatch | Sequence[FingerPatch]:
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _PatchRuns)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class RingDelta:
     """Everything a single membership event changed in the ring state."""
 
-    kind: str  # "join" or "leave"
+    kind: str  # "join", "leave" or "crash"
     ident: int
-    patches: tuple[FingerPatch, ...]
+    patches: _PatchRuns
     n_before: int
     n_after: int
 
-    @property
-    def is_join(self) -> bool:
-        return self.kind in JOIN_KINDS
 
-    def touched_owners(self) -> set[int]:
-        """Owners of finger entries rewritten by this event."""
-        return {patch.owner for patch in self.patches}
+def _arc_runs(
+    nodes: list[int], arcs: list[tuple[int, int]]
+) -> tuple[list[int], list[list[int]]]:
+    """Indices of the clockwise closed arcs ``(lo, hi)`` of a sorted ring
+    that hold a member, and each one's members: the module docstring's
+    thin-arc test. ``lo == hi`` is the single-identifier arc; ``lo > hi``
+    wraps past 0 and keeps the general two-slice form. No validation."""
+    n = len(nodes)
+    hits: list[int] = []
+    members: list[list[int]] = []
+    for i, (lo, hi) in enumerate(arcs):
+        first = bisect_left(nodes, lo)
+        if lo > hi:
+            found = nodes[first:] + nodes[: bisect_right(nodes, hi)]
+        elif first < n and nodes[first] <= hi:
+            found = nodes[first : bisect_right(nodes, hi, first)]
+        else:
+            continue
+        if found:
+            hits.append(i)
+            members.append(found)
+    return hits, members
 
 
-def _arc_members(nodes: list[int], lo: int, hi: int) -> list[int]:
-    """Members of the clockwise closed arc ``[lo, hi]`` of a sorted ring.
-
-    Two bisects and no validation of ``lo``/``hi``; ``lo > hi`` wraps past
-    0 and ``lo == hi`` is the single-identifier arc. The per-event hot path
-    calls this once per slot and once per limiting threshold.
-    """
-    if lo <= hi:
-        return nodes[bisect_left(nodes, lo) : bisect_right(nodes, hi)]
-    return nodes[bisect_left(nodes, lo) :] + nodes[: bisect_right(nodes, hi)]
-
-
-def _rewritten_fingers(
-    ring: StaticRing, ident: int, join: bool
-) -> tuple[FingerPatch, ...]:
+def _rewritten_fingers(ring: StaticRing, ident: int, join: bool) -> _PatchRuns:
     """Finger entries a join or departure of ``ident`` rewrites.
 
     ``ring`` holds every member *but* ``ident`` (before the join, after the
@@ -127,55 +170,40 @@ def _rewritten_fingers(
     """
     nodes = ring.nodes
     if not nodes:
-        return ()
+        return _PatchRuns([], [], ident, ident)
     mask = ring.space.max_id
-    successor = ring.successor(ident)
-    after_predecessor = ring.predecessor(ident) + 1
-    old, new = (successor, ident) if join else (ident, successor)
-    return tuple(
-        FingerPatch(owner, slot, old, new)
+    position = bisect_left(nodes, ident)  # ident is not a member
+    successor = nodes[position] if position < len(nodes) else nodes[0]
+    after_predecessor = nodes[position - 1] + 1  # -1 wraps to the top
+    arcs = [
+        ((after_predecessor - (1 << slot)) & mask, (ident - (1 << slot)) & mask)
         for slot in range(ring.space.bits)
-        for owner in _arc_members(
-            nodes,
-            (after_predecessor - (1 << slot)) & mask,
-            (ident - (1 << slot)) & mask,
-        )
-    )
+    ]
+    old, new = (successor, ident) if join else (ident, successor)
+    return _PatchRuns(*_arc_runs(nodes, arcs), old, new)
 
 
-def _limit_shift_members(
-    ring: StaticRing, root: int, n_before: int, n_after: int
-) -> list[int]:
-    """Current members whose finger limit ``g(x)`` changed with ``n``.
-
-    ``g(x) <= j  iff  x <= 3*2^j - c(n)`` with ``c(n) = ceil(2*2^bits/n)``,
-    so a change of ``n`` shifts every threshold by ``c_old - c_new`` and the
-    flipped nodes lie in the clockwise identifier intervals
-    ``(3*2^j - c_hi, 3*2^j - c_lo]`` measured as distance-to-root. Only
-    thresholds with ``j <= bits - 2`` can alter a parent choice (the
-    eligible-slot cap is ``min(g(x), bits - 1)``).
-    """
-    if n_before == n_after or n_before == 0 or n_after == 0:
+def _limit_shift_spans(
+    space: IdSpace, n_before: int, n_after: int
+) -> list[tuple[int, int]]:
+    """Closed intervals ``(near, far)`` of distance-to-root on which the
+    finger limit ``g(x)`` changed with ``n`` (module docstring): the
+    distances in ``(3*2^j - c_hi, 3*2^j - c_lo]`` per threshold that can
+    alter a parent choice. That is ``j <= bits - 2`` (the eligible-slot cap
+    is ``min(g(x), bits - 1)``; hence ``3*2^j < 2^bits`` and nothing needs
+    clamping to the ring), from the first ``j`` with ``3*2^j > c_lo`` (below
+    it the interval holds no positive distance)."""
+    if n_before == 0 or n_after == 0:
         return []
-    space = ring.space
-    size = space.size
-    c_old = ceil_div(2 * size, n_before)
-    c_new = ceil_div(2 * size, n_after)
+    c_old = ceil_div(2 * space.size, n_before)
+    c_new = ceil_div(2 * space.size, n_after)
     if c_old == c_new:
         return []
     c_lo, c_hi = min(c_old, c_new), max(c_old, c_new)
-    mask = size - 1
-    nodes = ring.nodes
-    members: list[int] = []
-    for j in range(space.bits - 1):
-        boundary = 3 << j
-        x_lo = max(boundary - c_hi, 0)  # exclusive
-        x_hi = min(boundary - c_lo, size - 1)  # inclusive
-        if x_hi > x_lo:
-            members.extend(
-                _arc_members(nodes, (root - x_hi) & mask, (root - (x_lo + 1)) & mask)
-            )
-    return members
+    return [
+        (max((3 << j) - c_hi, 0) + 1, (3 << j) - c_lo)
+        for j in range((c_lo // 3).bit_length(), space.bits - 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -322,10 +350,7 @@ class DatUpdateEngine:
                 rebuilt.append(key)
                 reparented[key] = 0
             self._pending.clear()
-        for key, tree in list(self._trees.items()):
-            if key in reparented:
-                continue  # just rematerialized from pending, already current
-            count = self._patch_tree(key, tree, delta)
+        for key, count in self._patch_trees(delta, skip=reparented).items():
             if count is None:
                 self._trees[key] = self.full_build(key)
                 rebuilt.append(key)
@@ -369,27 +394,26 @@ class DatUpdateEngine:
         self._version = ring.version
         return RingDelta(kind, ident, patches, n_before, len(ring))
 
-    def _patch_tree(self, key: int, tree: DatTree, delta: RingDelta) -> int | None:
-        """Patch one tree in place for a delta and count the parents it
-        recomputed; ``None`` requests a full rebuild."""
-        ring = self.ring
-        new_root = ring.successor(key)
-        if new_root != tree.root:
-            return None  # root handover: rare, amortized O(1/n) per event
-
-        affected = delta.touched_owners()
-        if delta.is_join:
-            affected.add(delta.ident)
-        if self.scheme is DatScheme.BALANCED:
-            affected.update(
-                _limit_shift_members(ring, new_root, delta.n_before, delta.n_after)
-            )
-
-        # Patch the parent map in place: tracked trees are live views owned
-        # by the engine (copy-per-event would reintroduce O(n) work).
-        parent = tree.parent
-        if not delta.is_join:
-            parent.pop(delta.ident, None)
+    def _patch_trees(
+        self, delta: RingDelta, skip: dict[int, int]
+    ) -> dict[int, int | None]:
+        """Patch every tracked tree outside ``skip`` in place: key -> parents
+        recomputed, ``None`` where the tree needs a full rebuild. What does
+        not depend on the tree is worked out once, ahead of the loop."""
+        if not self._trees:
+            return {}  # nothing tracked, or the ring drained away
+        nodes = self.ring.nodes
+        n = len(nodes)
+        space = self.ring.space
+        mask = space.max_id
+        leave = delta.kind in LEAVE_KINDS
+        # The owners of rewritten fingers and the joiner; the balanced scheme
+        # adds, per tree, the members whose finger limit shifted with n.
+        owners: set[int] = set() if leave else {delta.ident}
+        owners.update(*delta.patches.owners)
+        balanced = self.scheme is DatScheme.BALANCED
+        spans = _limit_shift_spans(space, delta.n_before, delta.n_after) if balanced else []
+        c_plus_2 = ceil_div(2 * space.size, delta.n_after) + 2
 
         # Inlined parent selection, bit-identical to select_parent_basic /
         # select_parent_balanced: the root is a member, so the farthest
@@ -397,35 +421,53 @@ class DatUpdateEngine:
         # closed form proved in chord/fastbuild.py) and only that one finger
         # is resolved (successor(node + 2^slot), one bisect) and checked.
         # The balanced limit uses the pure-integer form
-        # g(x) = ceil_log2(max(ceil((x + c)/3), 1)), c = ceil(2*2^b/n):
+        # g(x) = ceil_log2(ceil((x + c)/3)), c = ceil(2*2^b/n):
         # ceil((x + 2S/n)/3) = ceil(ceil((x*n + 2S)/n)/3) = ceil((x + c)/3)
         # by the nested-ceiling identity, so no Fraction arithmetic is
-        # needed on the per-event hot path.
-        space = ring.space
-        mask = space.max_id
-        balanced = self.scheme is DatScheme.BALANCED
-        c = ceil_div(2 * space.size, delta.n_after) if balanced else 0
-        nodes = ring.nodes
-        n = len(nodes)
-        count = 0
-        for node in affected:
-            if node == new_root:
+        # needed on the per-event hot path (x >= 1, c >= 2: the ceiling is
+        # positive and its ceil_log2 is (ceiling - 1).bit_length()).
+        counts: dict[int, int | None] = {}
+        for key, tree in self._trees.items():
+            if key in skip:
+                continue  # just rematerialized from pending, already current
+            position = bisect_left(nodes, key)  # key was validated by track()
+            root = nodes[position] if position < n else nodes[0]
+            if root != tree.root:
+                counts[key] = None  # root handover: rare, O(1/n) per event
                 continue
-            x = (new_root - node) & mask
-            slot = x.bit_length() - 1
-            if balanced:
-                slot = min(slot, ceil_log2(max((x + c + 2) // 3, 1)))
-            position = bisect_left(nodes, (node + (1 << slot)) & mask)
-            finger = nodes[position] if position < n else nodes[0]
-            if finger == node or (finger - node) & mask > x:
-                raise TreeError(
-                    f"node {node} has no eligible finger toward root "
-                    f"{new_root}; the ring is inconsistent"
-                )
-            parent[node] = finger
-            count += 1
-        tree.invalidate_caches()
-        return count
+            affected = owners
+            if spans:  # ~11 thin arcs, one bisect each
+                arcs = [((root - far) & mask, (root - near) & mask) for near, far in spans]
+                shifted = _arc_runs(nodes, arcs)[1]
+                if shifted:
+                    affected = owners.union(*shifted)
+            # Patch the parent map in place: tracked trees are live views
+            # owned by the engine (copy-per-event would reintroduce O(n)).
+            parent = tree.parent
+            if leave:
+                parent.pop(delta.ident, None)
+            count = 0
+            for node in affected:
+                if node == root:
+                    continue
+                x = (root - node) & mask
+                slot = x.bit_length() - 1
+                if balanced:
+                    limit = ((x + c_plus_2) // 3 - 1).bit_length()
+                    if limit < slot:
+                        slot = limit
+                position = bisect_left(nodes, (node + (1 << slot)) & mask)
+                finger = nodes[position] if position < n else nodes[0]
+                if finger == node or (finger - node) & mask > x:
+                    raise TreeError(
+                        f"node {node} has no eligible finger toward root "
+                        f"{root}; the ring is inconsistent"
+                    )
+                parent[node] = finger
+                count += 1
+            tree.invalidate_caches()
+            counts[key] = count
+        return counts
 
     def _verify_all(self) -> tuple[int, ...]:
         """Oracle cross-check: rebuild each tree; the rebuild wins on mismatch."""

@@ -84,6 +84,7 @@ class DatForest:
             raise ValueError(f"duplicate attributes: {attributes}")
         self.ring = ring
         self.attributes = list(attributes)
+        self._keys = {a: sha1_id(a, ring.space) for a in self.attributes}
         self._builder = DatTreeBuilder(ring, scheme=scheme)
         self._trees: dict[str, DatTree] | None = None
 
@@ -92,8 +93,8 @@ class DatForest:
         """attribute -> its DAT tree (built lazily, shared finger tables)."""
         if self._trees is None:
             self._trees = {
-                attribute: self._builder.build(sha1_id(attribute, self.ring.space))
-                for attribute in self.attributes
+                attribute: self._builder.build(key)
+                for attribute, key in self._keys.items()
             }
         return self._trees
 
@@ -130,11 +131,10 @@ class DatForest:
         """
         self.trees  # ensure every tree exists and is tracked by the engine
         report = self._builder.apply_event(kind, ident)
-        refreshed = {
-            attribute: self._builder.build(sha1_id(attribute, self.ring.space))
-            for attribute in self.attributes
+        self._trees = {
+            attribute: self._builder.build(key)
+            for attribute, key in self._keys.items()
         }
-        self._trees = refreshed
         return report
 
     # ------------------------------------------------------------------ #

@@ -8,6 +8,7 @@ maintenance traffic and tree-repair latency.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -131,7 +132,7 @@ def plan_churn(
 
     :class:`ChurnEvent` carries only a kind; resolving *who* joins or
     departs needs the evolving membership, which this planner simulates as
-    a plain sorted set: joins pick an unused random identifier, departures
+    one sorted list: joins pick an unused random identifier, departures
     a random current member (indexed into the sorted membership), and
     departures that would shrink the ring below ``min_nodes`` are dropped
     without consuming randomness. The RNG consumption is exactly the
@@ -143,8 +144,8 @@ def plan_churn(
     relies on.
     """
     rng = ensure_rng(seed)
-    members: list[int] | None = sorted(int(m) for m in initial_members)
-    member_set = set(members)
+    member_set = {int(m) for m in initial_members}
+    members = sorted(member_set)
     plan: list[PlannedChurnEvent] = []
     for event in events:
         if event.kind is ChurnKind.JOIN:
@@ -153,16 +154,11 @@ def plan_churn(
                 candidate = int(rng.integers(0, space.size))
             plan.append(PlannedChurnEvent(event.time, event.kind, candidate))
             member_set.add(candidate)
-            members = None  # sorted view invalidated lazily
-        else:
-            if len(member_set) <= min_nodes:
-                continue
-            if members is None:
-                members = sorted(member_set)
-            victim = members[int(rng.integers(0, len(members)))]
+            insort(members, candidate)
+        elif len(members) > min_nodes:
+            victim = members.pop(int(rng.integers(0, len(members))))
             plan.append(PlannedChurnEvent(event.time, event.kind, victim))
             member_set.discard(victim)
-            members = None
     return plan
 
 

@@ -18,7 +18,14 @@ from repro.fleet.plan import (
     plan_fleet_churn,
     plan_fleet_fig9,
 )
-from repro.workloads.churn import ChurnKind, plan_churn, replay_churn
+from repro.util.rng import ensure_rng
+from repro.workloads.churn import (
+    ChurnKind,
+    ChurnWorkload,
+    PlannedChurnEvent,
+    plan_churn,
+    replay_churn,
+)
 from repro.workloads.scenarios import scenario
 
 SPACE = IdSpace(16)
@@ -68,6 +75,59 @@ class TestSeedThreading:
         a = plan_churn(events, SPACE, members, seed=3)
         b = plan_churn(events, SPACE, members, seed=4)
         assert a != b  # identity resolution is seed-driven
+
+
+def _plan_churn_resorting(events, space, initial_members, seed, min_nodes):
+    """``plan_churn`` as first written: the membership re-sorted per event."""
+    rng = ensure_rng(seed)
+    member_set = {int(m) for m in initial_members}
+    plan = []
+    for event in events:
+        if event.kind is ChurnKind.JOIN:
+            ident = int(rng.integers(0, space.size))
+            while ident in member_set:
+                ident = int(rng.integers(0, space.size))
+            member_set.add(ident)
+        elif len(member_set) > min_nodes:
+            members = sorted(member_set)
+            ident = members[int(rng.integers(0, len(members)))]
+            member_set.discard(ident)
+        else:
+            continue
+        plan.append(PlannedChurnEvent(event.time, event.kind, ident))
+    return plan
+
+
+class TestSortedMembership:
+    """``plan_churn`` edits one sorted list; the plan and the RNG draws are
+    those of the version that re-sorted the membership after every event."""
+
+    def test_plan_equals_the_resorting_reference(self):
+        # 6-bit spaces make joiners collide with members (extra draws); a
+        # floor near the start size makes departures hit ``min_nodes``.
+        hit_floor = 0
+        for seed in range(60):
+            space = IdSpace([6, 10, 16][seed % 3])
+            members = list(range(1, space.size, space.size // (8 + seed % 7)))
+            min_nodes = [2, len(members) - 1, len(members) + 3][seed // 3 % 3]
+            events = ChurnWorkload(
+                duration=60.0, join_rate=0.8, leave_rate=1.2, crash_fraction=0.3, seed=seed
+            ).generate()
+            plan = plan_churn(events, space, members, seed=seed + 1, min_nodes=min_nodes)
+            assert plan == _plan_churn_resorting(
+                events, space, members, seed + 1, min_nodes
+            )
+            assert len(plan) > 10
+            hit_floor += len(plan) < len(events)
+        assert hit_floor >= 20
+
+    def test_unsorted_initial_members_and_exhausted_generator(self):
+        events = ChurnWorkload(30.0, join_rate=1.0, leave_rate=1.0, seed=9).generate()
+        members = build_members(8)
+        shuffled = members[3:] + members[:3]
+        assert plan_churn(iter(events), SPACE, shuffled, seed=2) == plan_churn(
+            events, SPACE, members, seed=2
+        )
 
 
 class TestChurnPlan:

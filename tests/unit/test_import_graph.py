@@ -125,8 +125,6 @@ ALLOWED_ORPHAN_NAMES = {
     "chord.idspace:IdSpace.ring_distance",
     "chord.incremental:DatUpdateEngine.full_build",
     "chord.incremental:DatUpdateEngine.untrack",
-    "chord.incremental:RingDelta.is_join",
-    "chord.incremental:RingDelta.touched_owners",
     "chord.network:ChordNetwork.add_node_probing",
     "chord.network:ChordNetwork.create_first",
     "chord.network:ChordNetwork.finger_convergence_fraction",

@@ -1,12 +1,18 @@
 """Unit tests for the incremental DAT maintenance engine."""
 
+import random
+import sys
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
 
+import repro.chord.incremental as incremental
+from repro.chord.hashing import sha1_id
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.chord.fastbuild import fast_tree_arrays
-from repro.chord.incremental import DatUpdateEngine
+from repro.chord.incremental import DatUpdateEngine, FingerPatch
 from repro.chord.ring import StaticRing
 from repro.core.builder import (
     DatScheme,
@@ -33,6 +39,47 @@ def _table_entries(ring):
     return {n: t.entries for n, t in ring.all_finger_tables().items()}
 
 
+def _seeded_events(ring, count, seed):
+    """``count`` join/leave/crash events that apply cleanly to ``ring`` in order."""
+    rng = random.Random(seed)
+    live = list(ring.nodes)
+    known = set(live)
+    events = []
+    while len(events) < count:
+        if rng.random() < 0.5 or len(live) <= 2:
+            ident = rng.randrange(ring.space.size)
+            if ident in known:
+                continue
+            known.add(ident)
+            live.append(ident)
+            events.append(("join", ident))
+        else:
+            victim = live.pop(rng.randrange(len(live)))
+            known.discard(victim)
+            events.append((rng.choice(["leave", "crash"]), victim))
+    return events
+
+
+def _eager_patches(ring, ident, join):
+    """The patch tuple as it was built per event before the lazy view: two
+    bisects per slot, one frozen ``FingerPatch`` per rewritten entry. ``ring``
+    holds every member but ``ident``."""
+    nodes, mask = ring.nodes, ring.space.max_id
+    if not nodes:
+        return ()
+    successor, after_predecessor = ring.successor(ident), ring.predecessor(ident) + 1
+    old, new = (successor, ident) if join else (ident, successor)
+    patches = []
+    for slot in range(ring.space.bits):
+        lo, hi = (after_predecessor - (1 << slot)) & mask, (ident - (1 << slot)) & mask
+        if lo <= hi:
+            owners = nodes[bisect_left(nodes, lo) : bisect_right(nodes, hi)]
+        else:
+            owners = nodes[bisect_left(nodes, lo) :] + nodes[: bisect_right(nodes, hi)]
+        patches.extend(FingerPatch(owner, slot, old, new) for owner in owners)
+    return tuple(patches)
+
+
 class TestRingMaintainer:
     """Ring maintenance through ``DatUpdateEngine.apply``: the ring is the
     only finger state, so each case checks the event's delta and the ring."""
@@ -51,12 +98,12 @@ class TestRingMaintainer:
         before = _table_entries(ring)
         newcomer = _newcomer(ring)
         joined = engine.apply("join", newcomer).delta
-        assert joined.is_join and joined.n_after == joined.n_before + 1
+        assert joined.kind == "join" and joined.n_after == joined.n_before + 1
         for patch in joined.patches:  # every patch is a real table change
             assert before[patch.owner][patch.slot] == patch.old
             assert patch.new == newcomer
         left = engine.apply("leave", newcomer).delta
-        assert not left.is_join and left.n_after == left.n_before - 1
+        assert left.kind == "leave" and left.n_after == left.n_before - 1
         # The leave undoes exactly the slots the join rewrote.
         undone = {(p.owner, p.slot, p.new, p.old) for p in left.patches}
         assert undone == {(p.owner, p.slot, p.old, p.new) for p in joined.patches}
@@ -114,6 +161,92 @@ class TestRingMaintainer:
         assert engine.tree(123).parent == reference.parent
 
 
+class TestPatchView:
+    """``delta.patches`` is a lazy sequence over ``(slot, owners)`` runs."""
+
+    @pytest.mark.parametrize("bits,n", [(5, 12), (16, 48), (32, 300)])
+    def test_equals_the_eager_tuple_on_seeded_events(self, bits, n):
+        ring = RandomIdAssigner().build_ring(IdSpace(bits), n, rng=5)
+        engine = DatUpdateEngine(ring)
+        for kind, ident in _seeded_events(ring, 100, seed=bits):
+            without = StaticRing(ring.space, [v for v in ring.nodes if v != ident])
+            expected = _eager_patches(without, ident, kind == "join")
+            report = engine.apply(kind, ident)
+            patches = report.delta.patches
+            assert patches == expected and expected == tuple(patches)
+            assert len(patches) == len(expected) == report.finger_updates
+            assert list(patches) == list(expected)  # same order, twice iterable
+            assert patches[-1] == expected[-1] and patches[:3] == expected[:3]
+
+    def test_order_is_slot_major_and_along_the_arc(self):
+        # 4-bit ring: joining 6 between 2 and 9 rewrites slot j of the owners
+        # in (2 - 2^j, 6 - 2^j]. For slot 2 that is (14, 2], which wraps past
+        # 0: its owners run along the arc, 15 then 0 then 2.
+        ring = StaticRing(IdSpace(4), [0, 2, 9, 11, 15])
+        patches = DatUpdateEngine(ring).apply("join", 6).delta.patches
+        assert [(p.slot, p.owner) for p in patches] == [
+            (0, 2), (1, 2), (2, 15), (2, 0), (2, 2), (3, 11),
+        ]
+        assert {(p.old, p.new) for p in patches} == {(9, 6)}
+        assert patches != () and patches != tuple(patches)[:-1]
+
+    def test_empty_views_equal_the_empty_tuple(self):
+        ring = StaticRing(IdSpace(8))
+        engine = DatUpdateEngine(ring)
+        first = engine.apply("join", 42).delta.patches
+        last = engine.apply("leave", 42).delta.patches
+        for patches in (first, last):
+            assert patches == () and len(patches) == 0 and list(patches) == []
+
+
+class TestEventCost:
+    """What one membership event costs, counted rather than timed.
+
+    200 steady-state events at n = 4096 with four balanced trees, every call
+    made — Python or builtin — divided by the events. The arc scans cost one
+    bisect per arc and a second one per hit, each recomputed parent three
+    calls, and what does not depend on the tree is done once per event:
+    about 400 calls. Two bisects plus two slices per arc, a ``FingerPatch``
+    per rewritten entry and a ``ring.successor`` per tree made it 1 090.
+    """
+
+    N_NODES = 4096
+    MAX_CALLS_PER_EVENT = 500
+
+    def test_steady_state_event_call_count(self, monkeypatch):
+        space = IdSpace(32)
+        ring = ProbingIdAssigner().build_ring(space, self.N_NODES, rng=3)
+        engine = DatUpdateEngine(ring, "balanced")
+        for index in range(4):
+            engine.track(sha1_id(f"attr-{index}", space))
+        events = _seeded_events(ring, 300, seed=4)
+        for kind, ident in events[:100]:
+            engine.apply(kind, ident)
+
+        built = []
+        monkeypatch.setattr(
+            incremental, "FingerPatch", lambda *fields: built.append(fields) or fields
+        )
+        counts = {"call": 0, "c_call": 0}
+
+        def profile(frame, event, arg):
+            if event in counts:
+                counts[event] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            reports = [engine.apply(kind, ident) for kind, ident in events[100:]]
+        finally:
+            sys.setprofile(previous)
+        per_event = (counts["call"] + counts["c_call"]) / len(reports)
+        assert per_event < self.MAX_CALLS_PER_EVENT, counts
+        assert sum(report.finger_updates for report in reports) > 200 * 20
+        assert built == []  # counted, never constructed ...
+        assert len(list(reports[0].delta.patches)) == reports[0].finger_updates
+        assert len(built) == reports[0].finger_updates  # ... until somebody reads one
+
+
 class TestDatUpdateEngine:
     def test_untracked_key_raises(self, ring):
         engine = DatUpdateEngine(ring)
@@ -154,7 +287,7 @@ class TestDatUpdateEngine:
         engine = DatUpdateEngine(ring)
         victim = ring.nodes[3]
         delta = engine.apply("crash", victim).delta
-        assert delta.kind == "crash" and not delta.is_join
+        assert delta.kind == "crash" and delta.n_after == delta.n_before - 1
         assert victim not in engine.ring
 
     def test_unknown_kind_rejected(self, ring):
@@ -198,15 +331,7 @@ class TestBuilderIntegration:
         builder = DatTreeBuilder(ring)
         keys = [7, 7000, 42000]
         builder.build_many(keys)
-        rng = np.random.default_rng(2007)
-        for _ in range(40):
-            kind = ("join", "leave", "crash")[int(rng.integers(0, 3))]
-            if kind == "join":
-                ident = int(rng.integers(0, ring.space.size))
-                if ident in ring:
-                    continue
-            else:
-                ident = ring.nodes[int(rng.integers(0, len(ring)))]
+        for kind, ident in _seeded_events(ring, 40, seed=2007):
             builder.apply_event(kind, ident)
         fresh = StaticRing(ring.space, ring.nodes)
         for key in keys:
@@ -257,8 +382,6 @@ class TestBuilderIntegration:
 
 class TestForestIntegration:
     def test_apply_event_updates_every_tree(self, ring):
-        from repro.chord.hashing import sha1_id
-
         attributes = ["cpu", "mem", "disk"]
         forest = DatForest(ring, attributes)
         newcomer = next(
@@ -275,6 +398,20 @@ class TestForestIntegration:
             assert tree.root == reference.root
             assert tree.parent == reference.parent
         forest.load_report()  # combined-load analysis still works
+
+    def test_attribute_keys_are_hashed_once(self, ring, monkeypatch):
+        import repro.core.multitree as multitree
+
+        forest = DatForest(ring, ["cpu", "mem"])
+
+        def refuse(attribute, space):
+            raise AssertionError("attribute keys are hashed in __init__ only")
+
+        monkeypatch.setattr(multitree, "sha1_id", refuse)
+        before = {a: dict(t.parent) for a, t in forest.trees.items()}
+        forest.apply_event("join", _newcomer(ring))
+        assert forest.trees.keys() == before.keys()
+        assert any(forest.tree(a).parent != before[a] for a in before)
 
 
 class TestChurnReplay:
