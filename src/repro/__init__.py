@@ -28,9 +28,8 @@ Quickstart::
     monitor.register_all()
     cpu_avg = monitor.consumer().global_aggregate("cpu-usage", "avg")
 
-Library modules never write to stdout (enforced by datlint's DAT004);
-diagnostics flow through the ``repro`` logging tree — see
-:func:`repro.sim.tracing.get_logger`.
+Library modules never write to stdout; diagnostics flow through the
+``repro`` logging tree — see :func:`repro.sim.tracing.get_logger`.
 """
 
 from repro.chord import IdSpace, StaticRing, sha1_id, make_assigner

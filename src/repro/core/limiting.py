@@ -132,7 +132,7 @@ def _vectorized_ceil_log2(values: np.ndarray) -> np.ndarray:
     result = exponent.astype(np.int64)
     # frexp mantissae are exact binary fractions, so 0.5 is representable
     # and the power-of-two test is safe as an exact comparison.
-    result[mantissa == 0.5] -= 1  # datlint: disable=DAT003
+    result[mantissa == 0.5] -= 1
     return np.maximum(result, 0)
 
 

@@ -363,8 +363,7 @@ def run_scale_sweep(
     Publishes per-point ``scale_max_branching`` / ``scale_height`` /
     ``scale_imbalance`` gauges when telemetry is enabled; the wall-clock
     ``scale_build_seconds`` gauge is set by ``benchmarks/bench_scale.py``,
-    which owns the timing (library code never reads wall clocks —
-    datlint DAT008).
+    which owns the timing (library code never reads wall clocks).
     """
     sizes = sizes if sizes is not None else SCALE_SIZES
     points: list[ScalePoint] = []

@@ -22,9 +22,9 @@ thread applies supervision commands — the same looseness the transport's
 timer callbacks already have (protocol state is only ever mutated by
 short, idempotent steps; see ``docs/FLEET.md``).
 
-``repro.fleet`` is a sanctioned wall-clock boundary (datlint DAT008): a
-real deployment *is* wall-clocked, exactly like the one sanctioned
-``time.monotonic()`` inside :mod:`repro.sim.udprpc`.
+``repro.fleet`` may read the wall clock (library code may not; see
+``tests/unit/test_import_graph.py``): a real deployment *is* wall-clocked,
+exactly like ``UdpRpcTransport.now`` in :mod:`repro.sim.udprpc`.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ class FleetAgent:
             result = handler(request.args)
         except FleetError as exc:
             return Reply(req_id=request.req_id, ok=False, error=str(exc))
-        except Exception as exc:  # datlint: disable=DAT007 - the control
-            # plane is a fault barrier: any exception from an op handler
+        except Exception as exc:
+            # The control plane is a fault barrier: any exception from an op handler
             # (bad args, protocol state, ...) must become an error Reply,
             # not kill the agent; the supervisor decides what to do.
             logger.exception("op %s failed", request.op)

@@ -1,8 +1,8 @@
 """Per-node RPC client: one retry/deadline implementation for every layer.
 
-:class:`RpcClient` wraps a transport for one node. Protocol services no
-longer touch ``Transport.call`` (datlint rule DAT009 flags that); they
-hold a client and issue :meth:`RpcClient.call`, which layers a
+:class:`RpcClient` wraps a transport for one node. Protocol services never
+touch ``Transport.call`` (``tests/unit/test_import_graph.py`` holds them to
+it); they hold a client and issue :meth:`RpcClient.call`, which layers a
 :class:`~repro.net.retry.RetryPolicy` over the transport's pending-reply
 table:
 

@@ -11,8 +11,8 @@ is behavior-preserving.
 
 Backoff jitter is deterministic: the client draws it from a
 :mod:`repro.util.rng` generator seeded per node, so a seeded simulation
-replays the identical retry schedule run-to-run (the same property datlint
-rule DAT001 enforces everywhere else). Bounded attempts plus exponential
+replays the identical retry schedule run-to-run (every random draw under
+``src/`` comes from a seeded generator). Bounded attempts plus exponential
 backoff are also the retry-storm guard — under total loss a call makes at
 most ``max_attempts`` sends, spaced increasingly far apart, instead of
 hammering the network on a fixed period.

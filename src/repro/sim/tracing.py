@@ -1,11 +1,11 @@
 """The library's logging layer.
 
 :func:`trace` / :func:`get_logger` are the stdout-free diagnostic channel
-for library code. datlint's DAT004 bans ``print()`` outside CLIs; library
-modules emit through the ``repro`` logging tree instead, which stays
-silent unless the application configures a handler. (Message-level
-tracing — who talked to whom, when, and why — is :mod:`repro.telemetry`'s
-job: spans, the per-transport ``stats`` ledger and ``telemetry.traces``.)
+for library code. Only CLIs ``print()``; library modules emit through the
+``repro`` logging tree instead, which stays silent unless the application
+configures a handler. (Message-level tracing — who talked to whom, when,
+and why — is :mod:`repro.telemetry`'s job: spans, the per-transport
+``stats`` ledger and ``telemetry.traces``.)
 """
 
 from __future__ import annotations

@@ -17,11 +17,11 @@ against pending calls in both cases).
 Protocol services should not call :meth:`Transport.call` directly — the
 session layer in :mod:`repro.net` (``RpcClient`` / ``gather`` / ``Batcher``)
 owns request-path policy (deadlines, retries, backoff, batching) and is the
-sanctioned way to issue RPCs; datlint rule DAT009 flags raw ``transport.call``
-use outside that layer. :meth:`expect` is the lower-level primitive the net
-layer builds on: it arms reply correlation for a message *without* sending
-it, so a retrying caller can re-send the same request (same ``msg_id``)
-under a fresh deadline.
+sanctioned way to issue RPCs; ``tests/unit/test_import_graph.py`` fails on a
+raw ``transport.call`` outside ``repro.net`` and ``repro.sim``.
+:meth:`expect` is the lower-level primitive the net layer builds on: it arms
+reply correlation for a message *without* sending it, so a retrying caller
+can re-send the same request (same ``msg_id``) under a fresh deadline.
 """
 
 from __future__ import annotations

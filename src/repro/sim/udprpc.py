@@ -55,7 +55,7 @@ class UdpRpcTransport(Transport):
         self._selector = selectors.DefaultSelector()
         self._lock = threading.RLock()
         # Insertion-ordered on purpose: timers are iterated during close()
-        # and pruning, and set order would be hash-dependent (DAT012).
+        # and pruning, and set order would be hash-dependent.
         self._timers: dict[threading.Timer, None] = {}  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
         # A wakeup socket lets register() update the selector while the
@@ -69,7 +69,7 @@ class UdpRpcTransport(Transport):
         if tel is not None:
             # Counters always; the clock only behind the explicit opt-in.
             # By default the telemetry clock stays unbound here — the sim
-            # clock is the only sanctioned timestamp source (DAT008), and
+            # clock is the only sanctioned timestamp source, and
             # wall-clocked exports are not replay-deterministic. With
             # ``allow_wall_clock`` the clock binds to an offset from this
             # transport's start, built on the already-sanctioned
@@ -186,9 +186,9 @@ class UdpRpcTransport(Transport):
     # ------------------------------------------------------------------ #
 
     def now(self) -> float:
-        # The real-socket substrate's time *is* the wall clock — this is
-        # the one sanctioned boundary; telemetry never binds to it.
-        return time.monotonic()  # datlint: disable=DAT008
+        # The real-socket substrate's time *is* the wall clock: the one library
+        # wall-clock read (test_import_graph.py names it); telemetry never binds it.
+        return time.monotonic()
 
     def send(self, message: Message) -> None:
         if self._closed:
@@ -267,7 +267,7 @@ class UdpRpcTransport(Transport):
                 telemetry.count("messages_received_total", kind=message.kind)
                 try:
                     self._dispatch(message)
-                except Exception:  # noqa: BLE001  # datlint: disable=DAT007 - a handler bug must not
-                    # kill the shared receive loop; the failed RPC will
-                    # surface as a timeout at the caller.
+                except Exception:  # noqa: BLE001
+                    # A handler bug must not kill the shared receive loop;
+                    # the failed RPC will surface as a timeout at the caller.
                     continue

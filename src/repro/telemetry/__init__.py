@@ -2,7 +2,7 @@
 
 The runtime analogue of the paper's evaluation machinery (Sec. 5, Fig. 8):
 labeled metrics and span traces timestamped from the *sim clock* (never the
-wall clock — enforced by datlint rule DAT008), per-node hotspot accounting
+wall clock, which no library module reads), per-node hotspot accounting
 with a rolling imbalance-factor series, and deterministic JSONL/Prometheus
 exporters, all behind a disabled-by-default global whose no-op overhead is
 gated in CI.

@@ -63,8 +63,8 @@ class TelemetryConfig:
         sampling.
     allow_wall_clock:
         Opt-in for real-time transports to bind the telemetry clock to a
-        wall-clock offset (``sim.udprpc`` is the one sanctioned DAT008
-        boundary). Off by default: wall-clocked exports are not
+        wall-clock offset (``UdpRpcTransport.now`` is the one library
+        wall-clock read). Off by default: wall-clocked exports are not
         replay-deterministic.
     tracing:
         Opt-in distributed tracing. When ``True``, every root span is

@@ -12,7 +12,7 @@ at ≤3% overhead on the balanced-DAT build hot path.
 The runtime's clock defaults to a constant 0.0; hosts that own a time
 source bind it with :func:`bind_clock` (``SimTransport`` binds the
 discrete-event engine's virtual ``now`` on construction). Wall clocks are
-banned here by datlint rule DAT008 — a telemetry stream stamped from
+never read here — a telemetry stream stamped from
 ``time.time()`` would differ across replays of the same seeded run.
 """
 

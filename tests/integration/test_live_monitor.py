@@ -96,7 +96,7 @@ class TestLiveTelemetry:
 
 class TestLiveTeardown:
     def test_close_detaches_every_layer(self):
-        # Regression (DAT011): broadcast services were constructed as
+        # Regression: broadcast services were constructed as
         # locals and never closed — their `bcast` upcall registrations
         # outlived the monitor, so a second monitor built on the same
         # process inherited ghost broadcast handlers.
@@ -110,6 +110,7 @@ class TestLiveTeardown:
         assert not monitor.dat
         assert not monitor.maan
         for host in hosts.values():
-            for kind in ("bcast", "gather_push", "agg_push", "agg_collect"):
+            for kind in ("bcast", "gather_push", "agg_push", "agg_collect", "maan_store",
+                         "maan_scan"):
                 assert kind not in host.upcalls, kind
         monitor.close()  # idempotent

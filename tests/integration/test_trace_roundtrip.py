@@ -5,7 +5,8 @@ overlay on the discrete-event simulator runs continuous pushes and an
 on-demand collect round with tracing enabled, streams spans to a JSONL
 file, and the assembly side must reconstruct complete causal trees —
 every non-root span's parent resolves, hop counts climb the tree, and
-the critical path tiles each root's duration exactly.
+the critical path tiles each root's duration exactly. On a live Chord ring,
+a multi-hop lookup and a MAAN range scan must chain hop by hop.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ import pytest
 
 from repro import telemetry
 from repro.chord.idspace import IdSpace
+from repro.chord.network import ChordNetwork
+from repro.chord.node import ChordConfig
 from repro.chord.ring import StaticRing
 from repro.core.builder import build_balanced_dat
 from repro.core.service import DatNodeService, StandaloneDatHost
+from repro.maan.attrs import AttributeSchema
+from repro.maan.query import RangeQuery
+from repro.maan.service import MaanNodeService
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
 from repro.telemetry import LiveExport
@@ -70,7 +76,64 @@ def run_traced_overlay(jsonl_path, n=16, bits=8, until=6.0):
         telemetry.disable()
 
 
+def run_traced_walks(jsonl_path, n=16, bits=12):
+    """One Chord lookup and one MAAN range scan on a converged live ring.
+
+    Returns the looked-up key. The ring is built untraced; only the two
+    walks (and whatever maintenance runs beside them) reach the export.
+    """
+    space = IdSpace(bits)
+    transport = SimTransport(latency=ConstantLatency(0.001))
+    network = ChordNetwork(
+        space, transport, ChordConfig(stabilize_interval=0.25, fix_fingers_interval=0.05)
+    )
+    for i in range(n):
+        network.add_node((i * space.size) // n + 3)
+        network.settle(1.0)
+    network.settle_until_converged()
+    for node in network.nodes.values():
+        node.fix_all_fingers()
+    schemas = {"cpu": AttributeSchema("cpu", low=0.0, high=100.0)}
+    services = {ident: MaanNodeService(node, schemas) for ident, node in network.nodes.items()}
+    origin = min(network.nodes)
+    key = space.wrap(origin - 1)  # owned by the origin: the longest route there is
+    telemetry.configure(enabled=True, tracing=True)
+    export = LiveExport(telemetry.active(), jsonl_path=str(jsonl_path))
+    try:
+        paths, scans = [], []
+        network.nodes[origin].lookup(key, lambda _owner, path: paths.append(path))
+        services[origin].range_query(RangeQuery("cpu", 0.0, 100.0), scans.append)
+        transport.run(until=transport.now() + 2.0)
+        assert len(paths) == len(scans) == 1
+        return key
+    finally:
+        export.close()
+        telemetry.disable()
+
+
 class TestTraceRoundtrip:
+    def test_multi_hop_forwards_chain_hop_by_hop(self, tmp_path):
+        # Regression: a forward built as {**payload, ...} carried the
+        # incoming hop's trace context; without re-propagating, every hop
+        # of a walk hung off the first and the chain flattened.
+        path = tmp_path / "walks.jsonl"
+        key = run_traced_walks(path)
+        result = assemble_files([path])
+        (lookup,) = [t for t in result.rooted("chord.lookup") if t.root.attrs["key"] == key]
+        (scan,) = result.rooted("maan.live_query")
+        for trace, hop_name, counter in (
+            (lookup, "chord.lookup_hop", "hops"),
+            (scan, "maan.scan_hop", "visited"),
+        ):
+            hops = sorted(
+                (s for s in trace.spans if s.name == hop_name), key=lambda s: s.attrs[counter]
+            )
+            assert len(hops) >= 3, hop_name
+            for previous, span in zip(hops, hops[1:]):
+                assert span.attrs[counter] == previous.attrs[counter] + 1
+                assert span.trace_parent == previous.sid
+                assert span.hop == previous.hop + 1
+
     def test_every_push_and_collect_assembles_rooted(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         run_traced_overlay(path)

@@ -105,7 +105,7 @@ class TestBroadcastService:
         assert transport.stats.by_kind().get("bcast", 0) == 15
 
     def test_close_releases_upcall_registration(self):
-        # Regression (DAT011): the service had no close(), so a departed
+        # Regression: the service had no close(), so a departed
         # host kept handling `bcast` messages for as long as it lived.
         ring, transport, services = self.build(4)
         node = ring.nodes[0]

@@ -122,7 +122,7 @@ class TestFofMaintainer:
         # No crash; periodic refresh ran and stopped.
 
     def test_close_stops_and_releases_upcall(self, fof_overlay):
-        # Regression (DAT011): stop() cancelled the timer but the
+        # Regression: stop() cancelled the timer but the
         # `get_fingers` upcall registration survived the maintainer.
         network, maintainers = fof_overlay
         ident, maintainer = next(iter(maintainers.items()))

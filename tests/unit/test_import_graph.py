@@ -1,4 +1,4 @@
-"""Import-graph ratchets: packages import downward, and nothing is orphaned.
+"""Import-graph ratchets and source rules over every module under ``src/repro/``.
 
 Layer order (low to high): ``util, telemetry -> sim -> net -> chord -> core
 -> maan, gma -> experiments, fleet``. A back-edge is an import a module runs
@@ -11,12 +11,18 @@ function or method whose name no other module under those three trees
 mentions (as a name, an attribute or an import). All three lists below may
 only shrink: an entry that is not listed fails, and so does a listed entry
 that no longer exists.
+
+The four source rules at the end keep seeded runs replayable and RPC policy
+in the session layer: each is one AST pattern plus the modules allowed to use
+it.
 """
 
 import ast
 import pathlib
 
 import repro
+
+SRC = pathlib.Path(repro.__file__).parent
 
 LAYERS = [{"util", "telemetry"}, {"sim"}, {"net"}, {"chord"}, {"core"},
           {"maan", "gma"}, {"experiments", "fleet"}]
@@ -42,10 +48,9 @@ def _load_time_imports(tree):
 
 
 def test_back_edges_are_exactly_the_allowed_ones():
-    root = pathlib.Path(repro.__file__).parent
     found = set()
-    for path in sorted(root.rglob("*.py")):
-        parts = path.relative_to(root).with_suffix("").parts
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
         if parts[0] not in RANK:
             continue
         for target in _load_time_imports(ast.parse(path.read_text())):
@@ -79,23 +84,21 @@ def _imported_names(tree):
 
 def _non_test_sources():
     """``(path, tree)`` of every non-``__init__`` module outside ``tests/``."""
-    root = pathlib.Path(repro.__file__).parent
-    repo = root.parent.parent
-    for top in (root, repo / "benchmarks", repo / "examples"):
+    repo = SRC.parent.parent
+    for top in (SRC, repo / "benchmarks", repo / "examples"):
         for path in top.rglob("*.py"):
             if path.name != "__init__.py":
                 yield path, ast.parse(path.read_text())
 
 
 def test_every_module_has_an_importer_outside_its_tests():
-    root = pathlib.Path(repro.__file__).parent
     imported = set()
     for _path, tree in _non_test_sources():
         imported.update(_imported_names(tree))
     orphans = set()
-    for path in root.rglob("*.py"):
-        parts = path.relative_to(root).with_suffix("").parts
-        if parts[-1] in ("__init__", "__main__") or parts[0] == "devtools":
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] in ("__init__", "__main__"):
             continue
         if "repro." + ".".join(parts) not in imported:
             orphans.add(".".join(parts))
@@ -193,11 +196,10 @@ def _public_defs(tree):
 
 
 def test_every_public_chord_and_core_name_is_mentioned_outside_its_module():
-    root = pathlib.Path(repro.__file__).parent
     mentions = {path: set(_mentioned_names(tree)) for path, tree in _non_test_sources()}
     orphans = set()
     for package in ("chord", "core"):
-        for path in (root / package).glob("*.py"):
+        for path in (SRC / package).glob("*.py"):
             if path.name == "__init__.py":
                 continue
             elsewhere = set().union(
@@ -207,3 +209,138 @@ def test_every_public_chord_and_core_name_is_mentioned_outside_its_module():
                 if name.rpartition(".")[2] not in elsewhere:
                     orphans.add(f"{package}.{path.stem}:{name}")
     assert orphans == ALLOWED_ORPHAN_NAMES
+
+
+# Source rules. A finding is ``(module, enclosing class/def, line)``; modules
+# in (or under) ``allowed`` are the ones that implement the guarded primitive.
+_SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scoped_nodes(node, scope=""):
+    """``(enclosing qualified name, node)`` for every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, _SCOPES) else scope
+        yield from _scoped_nodes(child, inner)
+
+
+def _offenders(predicate, allowed):
+    """Every node ``predicate`` flags in a module outside the ``allowed`` packages."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        module = ".".join(("repro", *parts)).removesuffix(".__init__")
+        if any(module == pkg or module.startswith(pkg + ".") for pkg in allowed):
+            continue
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            if predicate(node):
+                found.append((module, scope, node.lineno))
+    return found
+
+
+def _dotted(node):
+    """``a.b.c`` for a name/attribute chain (a call or subscript root is dropped)."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+_ENTROPY = ("random", "secrets")
+_GLOBAL_RNG = {"seed", "rand", "randn", "randint", "random", "random_sample", "choice",
+               "shuffle", "permutation", "normal", "uniform"}
+
+
+def _draws_unseeded(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] in _ENTROPY for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").partition(".")[0] in _ENTROPY
+    if not isinstance(node, ast.Call):
+        return False
+    *owner, name = _dotted(node.func).split(".")
+    if name == "default_rng":
+        return not node.args and not node.keywords
+    return owner[-2:] in (["np", "random"], ["numpy", "random"]) and name in _GLOBAL_RNG
+
+
+def test_randomness_is_seeded_through_util_rng():
+    """Figs. 7-9 replay bit for bit only if every draw flows from a seed that
+    ``repro.util.rng`` threads: no stdlib ``random``/``secrets``, no argless
+    ``default_rng()``, no call on numpy's global RNG."""
+    assert _offenders(_draws_unseeded, allowed=("repro.util.rng",)) == []
+
+
+_CLOCKS = {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+           "perf_counter_ns", "process_time", "process_time_ns", "clock_gettime",
+           "clock_gettime_ns"}
+
+
+def _reads_wall_clock(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "time":
+        return any(alias.name in _CLOCKS for alias in node.names)
+    if not isinstance(node, ast.Call):
+        return False
+    owner, _, name = _dotted(node.func).rpartition(".")
+    if owner == "time":
+        return name in _CLOCKS
+    calendar = owner.rpartition(".")[2] in ("datetime", "date")
+    return calendar and name in ("now", "utcnow", "today")
+
+
+def test_wall_clock_is_read_only_by_the_fleet_and_the_udp_substrate():
+    """Timestamps come from the transport's virtual clock or the bound
+    telemetry clock. ``repro.fleet`` runs real processes in real time, and
+    ``UdpRpcTransport.now`` is the real-socket substrate's clock, which is the
+    wall clock."""
+    found = _offenders(_reads_wall_clock, allowed=("repro.fleet",))
+    assert [where[:2] for where in found] == [("repro.sim.udprpc", "UdpRpcTransport.now")]
+
+
+def _calls_transport_directly(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    receiver = _dotted(node.func.value).rpartition(".")[2]
+    return node.func.attr in ("call", "expect") and receiver in ("transport", "_transport")
+
+
+def test_requests_go_through_the_session_layer():
+    """Deadlines, retries and fan-out belong to ``repro.net``'s ``RpcClient``;
+    a raw ``transport.call``/``expect`` elsewhere bypasses its retry policy and
+    per-call counters. ``repro.sim`` implements the primitives."""
+    assert _offenders(_calls_transport_directly, allowed=("repro.net", "repro.sim")) == []
+
+
+_MODULUS_NAMES = {"size", "max_id", "ring_size", "space_size", "id_space_size"}
+
+
+def _is_ring_modulus(node):
+    """``2 ** b``, ``1 << b``, a bare ``size``, or ``<...space...>.size/max_id/bits``."""
+    if isinstance(node, ast.BinOp):
+        base = node.left.value if isinstance(node.left, ast.Constant) else None
+        return (isinstance(node.op, ast.Pow) and base == 2) or (
+            isinstance(node.op, ast.LShift) and base == 1)
+    if isinstance(node, ast.Name):
+        return node.id in _MODULUS_NAMES
+    *owner, attr = _dotted(node).split(".")
+    return (isinstance(node, ast.Attribute) and attr in ("size", "max_id", "bits")
+            and any(part.lower() in ("space", "idspace", "id_space") for part in owner))
+
+
+def _wraps_ring_by_hand(node):
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.BitAnd):
+        return isinstance(node.right, ast.Attribute) and _is_ring_modulus(node.right)
+    return isinstance(node.op, ast.Mod) and _is_ring_modulus(node.right)
+
+
+def test_ring_arithmetic_goes_through_idspace():
+    """Clockwise distances and wraparound go through ``IdSpace.wrap``/``cw``/
+    ``ccw`` or ``repro.util.bits``; a raw ``%`` by the ring modulus or ``&`` by
+    ``space.max_id`` is how a swapped-operand orientation bug lands."""
+    allowed = ("repro.chord.idspace", "repro.util.bits")
+    assert _offenders(_wraps_ring_by_hand, allowed) == []

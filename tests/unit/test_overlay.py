@@ -39,7 +39,7 @@ class TestMembership:
         assert len(overlay) == 3
 
     def test_remove_node_fully_detaches_service(self):
-        # Regression (DAT011): remove_node only stopped continuous pushes;
+        # Regression: remove_node only stopped continuous pushes;
         # the departed node's host kept the service's upcall registrations
         # and batcher.
         overlay = make_overlay(4)
@@ -51,7 +51,7 @@ class TestMembership:
             assert kind not in host.upcalls
 
     def test_close_tears_down_every_service(self):
-        # Regression (DAT011): close() finalized telemetry but left every
+        # Regression: close() finalized telemetry but left every
         # DatNodeService registered on its host.
         overlay = make_overlay(4)
         hosts = dict(overlay.network.nodes)

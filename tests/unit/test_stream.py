@@ -149,10 +149,10 @@ class TestTelemetryStream:
         assert len(tel.spans.finished) == 1
 
     def test_close_reads_shared_state_through_snapshots(self):
-        # Regression (DAT010): close() used to read the recorder's
-        # `finished` list and the stream's sampling counters directly —
-        # fields the udprpc receive thread mutates under their locks. The
-        # snapshot accessors return consistent copies.
+        # Regression: close() used to read the recorder's `finished` list
+        # and the stream's sampling counters directly — fields the udprpc
+        # receive thread mutates under their locks. The snapshot accessors
+        # return consistent copies.
         tel = _tel()
         with tel.span("early"):
             pass
@@ -173,6 +173,30 @@ class TestTelemetryStream:
         assert stream.stream.sampling_snapshot()[1] == {"late": 2}
         lines = stream.close()
         assert lines == stream.stream.lines_written()
+
+    def test_close_reads_the_sampling_counters_at_one_moment(self):
+        # Regression: close() read `sampled_out` and `sampled_out_by_name`
+        # as two unlocked loads, so an offer() on another thread between
+        # its two counter updates left a drop record whose total and
+        # per-name counts disagree.
+        tel = _tel()
+        out = io.StringIO()
+        stream = TelemetryStream(tel, out, sample_every=2)
+        for _ in range(2):
+            with tel.span("late"):
+                pass
+        shared = stream.stream
+        with shared._lock:  # an offer() between its two counter updates
+            shared.sampled_out += 1
+            closer = threading.Thread(target=stream.close)
+            closer.start()
+            closer.join(timeout=0.2)
+            shared.sampled_out_by_name["late"] += 1
+        closer.join(timeout=5.0)
+        assert not closer.is_alive()
+        (drops,) = _records(out.getvalue(), "span_drops")
+        assert drops["sampled_out"] == 2
+        assert drops["sampled_out_by_name"] == {"late": 2}
 
     def test_drop_accounting_combines_eviction_and_sampling(self):
         tel = _tel(max_spans=2)

@@ -28,6 +28,7 @@ from repro.telemetry import (
     prometheus_text,
     write_jsonl,
 )
+from repro.telemetry.export import span_drops_record
 from repro.telemetry.hotspot import percentile
 from repro.telemetry.report import main as report_main
 from repro.telemetry.report import (
@@ -428,6 +429,40 @@ class TestExport:
         a = list(jsonl_lines(_populated_telemetry()))
         b = list(jsonl_lines(_populated_telemetry()))
         assert a == b
+
+    def test_jsonl_exports_the_spans_retained_when_it_reaches_them(self):
+        # Regression: the export iterated the recorder's live list, so a
+        # span finishing mid-export (the udprpc receive thread does that)
+        # evicted a retained span from under the iterator and lost it.
+        tel = Telemetry(TelemetryConfig(enabled=True, max_spans=2))
+        tel.span("a").finish()
+        tel.span("b").finish()
+        names = []
+        for line in jsonl_lines(tel):
+            event = json.loads(line)
+            if event["type"] == "span":
+                names.append(event["name"])
+                if names == ["a"]:
+                    tel.span("c").finish()  # evicts "a"
+        assert names == ["a", "b"]
+
+    def test_drop_record_reads_both_counters_at_one_moment(self):
+        # Regression: span_drops_record read `dropped` and `streamed` as two
+        # unlocked loads, so a writer between its two updates produced a
+        # pair no single moment had.
+        spans = Telemetry(TelemetryConfig(enabled=True)).spans
+        records = []
+        with spans._lock:  # a writer between its two counter updates
+            spans.dropped += 1
+            reader = threading.Thread(
+                target=lambda: records.append(span_drops_record(spans))
+            )
+            reader.start()
+            reader.join(timeout=0.2)
+            spans.streamed += 1
+        reader.join(timeout=5.0)
+        assert not reader.is_alive()
+        assert (records[0]["evicted"], records[0]["streamed"]) == (1, 1)
 
     def test_write_jsonl_counts_lines(self):
         out = io.StringIO()

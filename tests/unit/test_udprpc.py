@@ -4,6 +4,7 @@ These exchange datagrams over 127.0.0.1 and use short real-time waits; they
 are kept small and deterministic (single transport, few messages).
 """
 
+import threading
 import time
 
 import pytest
@@ -248,9 +249,9 @@ class TestRouting:
 
 class TestLifecycle:
     def test_timers_are_insertion_ordered(self):
-        # Regression (DAT012): timers were kept in a set, making the
-        # cancel-on-close iteration order hash-dependent; the dict
-        # replacement preserves scheduling order.
+        # Regression: timers were kept in a set, making the cancel-on-close
+        # iteration order hash-dependent; the dict replacement preserves
+        # scheduling order.
         with UdpRpcTransport() as transport:
             cancels = [
                 transport.schedule(30.0 + i, lambda: None) for i in range(8)
@@ -264,14 +265,36 @@ class TestLifecycle:
                 assert not transport._timers
 
     def test_schedule_after_close_is_noop(self):
-        # Regression (DAT010): _closed is written and checked under the
-        # lock, so a timer scheduled against a closed transport must not
-        # be retained (it would be a leak close() can no longer cancel).
+        # A timer scheduled against a closed transport must not be retained
+        # (it would be a leak close() can no longer cancel).
         transport = UdpRpcTransport()
         transport.close()
         cancel = transport.schedule(30.0, lambda: None)
         cancel()
         assert not transport._timers
+
+    def test_register_racing_close_leaks_no_socket(self):
+        # Regression: register() checked _closed before taking the lock, so
+        # a close() landing between the check and the registration left a
+        # bound socket behind on a closed transport.
+        transport = UdpRpcTransport()
+        refused: list[TransportError] = []
+
+        def register() -> None:
+            try:
+                transport.register(5, lambda m: None)
+            except TransportError as exc:
+                refused.append(exc)
+
+        with transport._lock:
+            worker = threading.Thread(target=register)
+            worker.start()
+            worker.join(timeout=0.2)  # an unlocked check would pass by now
+            transport.close()  # re-entrant: this thread holds the lock
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert len(refused) == 1
+        assert not transport._sockets
 
     def test_close_idempotent(self):
         transport = UdpRpcTransport()
