@@ -14,7 +14,7 @@ notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import IdentifierError
 
@@ -34,10 +34,14 @@ class IdSpace:
     """
 
     bits: int
+    #: ``2^bits - 1``, stored: every ring operation reduces mod ``2^bits``
+    #: with one ``&`` against it.
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 512:
             raise IdentifierError(f"bits must be in [1, 512], got {self.bits}")
+        object.__setattr__(self, "_mask", (1 << self.bits) - 1)
 
     @property
     def size(self) -> int:
@@ -47,11 +51,11 @@ class IdSpace:
     @property
     def max_id(self) -> int:
         """Largest valid identifier, ``2^bits - 1``."""
-        return self.size - 1
+        return self._mask
 
     def contains(self, ident: int) -> bool:
         """True if ``ident`` is a valid identifier in this space."""
-        return isinstance(ident, int) and 0 <= ident < self.size
+        return isinstance(ident, int) and 0 <= ident <= self._mask
 
     def validate(self, ident: int) -> int:
         """Return ``ident`` unchanged, raising :class:`IdentifierError` if invalid."""
@@ -63,7 +67,7 @@ class IdSpace:
 
     def wrap(self, value: int) -> int:
         """Reduce an arbitrary integer into the space (mod ``2^bits``)."""
-        return value & self.max_id
+        return value & self._mask
 
     # ------------------------------------------------------------------ #
     # Distances
@@ -75,11 +79,11 @@ class IdSpace:
         ``cw(a, a) == 0`` and ``cw(a, b) + cw(b, a) == 2^bits`` for
         ``a != b``.
         """
-        return (b - a) & self.max_id
+        return (b - a) & self._mask
 
     def ccw(self, a: int, b: int) -> int:
         """Counter-clockwise distance from ``a`` to ``b`` (= ``cw(b, a)``)."""
-        return (a - b) & self.max_id
+        return (a - b) & self._mask
 
     def ring_distance(self, a: int, b: int) -> int:
         """Shortest distance around the ring between ``a`` and ``b``."""
@@ -98,7 +102,8 @@ class IdSpace:
         """
         if a == b:
             return x != a
-        return 0 < self.cw(a, x) < self.cw(a, b)
+        mask = self._mask
+        return 0 < ((x - a) & mask) < ((b - a) & mask)
 
     def in_half_open_right(self, x: int, a: int, b: int) -> bool:
         """True if ``x`` lies in the clockwise interval ``(a, b]``.
@@ -108,7 +113,8 @@ class IdSpace:
         """
         if a == b:
             return True
-        return 0 < self.cw(a, x) <= self.cw(a, b)
+        mask = self._mask
+        return 0 < ((x - a) & mask) <= ((b - a) & mask)
 
     def in_half_open_left(self, x: int, a: int, b: int) -> bool:
         """True if ``x`` lies in the clockwise interval ``[a, b)``."""

@@ -119,6 +119,19 @@ class _ContinuousState:
             del self.child_states[child]
         return [state for _when, state in self.child_states.values()]
 
+    def record(self, push: Message, now: float) -> None:
+        """Cache ``push``'s partial state as its sender's freshest entry."""
+        entry = (now, _decode_state(push.payload["state"], self.aggregate))
+        children = self.child_states
+        if push.source in children:
+            children[push.source] = entry
+        else:
+            # A new child: rebuild in ascending child id — the merge's fold
+            # order, so a float fold does not depend on which pushes were
+            # lost — and leave the old dict whole for a tick that may be
+            # reading it.
+            self.child_states = dict(sorted([*children.items(), (push.source, entry)]))
+
 
 @dataclass
 class OnDemandRound:
@@ -266,13 +279,14 @@ class DatNodeService:
         (``key in (pred, self]``); otherwise falls back to comparing
         against ``root_hint`` (static deployments).
         """
+        ident = self.host.ident
         if self.predecessor_provider is not None:
             pred = self.predecessor_provider()
             if pred is not None:
-                if pred == self.ident:
+                if pred == ident:
                     return True  # lone ring
-                return self.host.space.in_half_open_right(key, pred, self.ident)
-        return root_hint == self.ident
+                return self.host.space.in_half_open_right(key, pred, ident)
+        return root_hint == ident
 
     def parent_toward_key(self, key: int) -> int | None:
         """Next hop toward the key's owner (key-addressed parent selection).
@@ -284,15 +298,15 @@ class DatNodeService:
         Returns ``None`` on a lone ring or mid-churn inconsistency.
         """
         table = self.finger_provider()
-        space = table.space
+        ident = self.host.ident
         if self.scheme == "balanced":
-            max_slot = self._current_limiter()(space.cw(self.ident, key))
+            max_slot = self._current_limiter()(table.space.cw(ident, key))
         else:
             max_slot = None
         parent = table.closest_preceding(key, max_slot=max_slot)
         if parent is None:
             successor = table.successor
-            return successor if successor != self.ident else None
+            return successor if successor != ident else None
         return parent
 
     # ------------------------------------------------------------------ #
@@ -362,7 +376,7 @@ class DatNodeService:
         # immediate send; with a window, same-parent pushes coalesce.
         push = Message(
             kind="agg_push",
-            source=self.ident,
+            source=self.host.ident,
             destination=parent,
             payload={"key": key, "state": _encode_state(merged)},
         )
@@ -383,24 +397,14 @@ class DatNodeService:
         state = self._continuous.get(key)
         if state is None:
             return  # not participating (yet): drop
-        with telemetry.remote_span(
-            message, "dat.push_recv", node=self.ident, key=key, child=message.source
-        ):
-            entry = (
-                self.host.transport.now(),
-                _decode_state(message.payload["state"], state.aggregate),
-            )
-            children = state.child_states
-            if message.source in children:
-                children[message.source] = entry
-            else:
-                # A new child: rebuild in ascending child id — the merge's
-                # fold order, so a float fold does not depend on which
-                # pushes were lost — and leave the old dict whole for a
-                # tick that may be reading it.
-                state.child_states = dict(
-                    sorted([*children.items(), (message.source, entry)])
-                )
+        if telemetry.tracing_enabled():
+            with telemetry.remote_span(
+                message, "dat.push_recv", node=self.host.ident, key=key,
+                child=message.source,
+            ):
+                state.record(message, self.host.transport.now())
+        else:
+            state.record(message, self.host.transport.now())
         return None
 
     def root_estimate(self, key: int) -> Any:

@@ -20,7 +20,6 @@ its message and session graph while the tombstone waits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import inf
@@ -158,10 +157,14 @@ class EventQueue:
         """Take ``event`` out of the live count; compact if tombstones win."""
         event._heap = None
         self._live = live = self._live - 1
+        if len(self._entries) > 2 * live + TOMBSTONE_SLACK:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every tombstone and re-heapify, in place."""
         entries = self._entries
-        if len(entries) > 2 * live + TOMBSTONE_SLACK:
-            entries[:] = [entry for entry in entries if entry[2]._heap is self]
-            heapify(entries)
+        entries[:] = [entry for entry in entries if entry[2]._heap is self]
+        heapify(entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EventQueue(n={self._live})"
@@ -204,7 +207,8 @@ class SimulationEngine:
     def __init__(self) -> None:
         self._now = 0.0
         self._heap = EventQueue()
-        self._sequence = itertools.count()
+        #: The last sequence number handed out (the first event gets 0).
+        self._sequence = -1
         self._events_fired = 0
         self._running = False
         self._hooks: list[TickHook] = []
@@ -253,21 +257,36 @@ class SimulationEngine:
         self, time: float, callback: Callable[[], Any], label: str = ""
     ) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
+        # Negated so that NaN, which compares false both ways, is refused.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        event = Event(time, next(self._sequence), callback, label)
+        self._sequence = sequence = self._sequence + 1
+        event = Event(time, sequence, callback, label)
         self._heap.push(event)
         return event
 
     def schedule(
         self, delay: float, callback: Callable[[], Any], label: str = ""
     ) -> Event:
-        """Schedule ``callback`` after ``delay`` units of virtual time."""
-        if delay < 0:
+        """Schedule ``callback`` after ``delay`` units of virtual time.
+
+        The per-message path: builds the event and pushes it onto the
+        queue's heap here, as :meth:`schedule_at` and
+        :meth:`EventQueue.push` would, without the two calls.
+        """
+        if not delay >= 0:  # NaN included
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self._now + delay, callback, label=label)
+        time = self._now + delay
+        queue = self._heap
+        self._sequence = sequence = self._sequence + 1
+        event = Event(time, sequence, callback, label, False, queue)
+        heappush(queue._entries, (time, sequence, event))
+        queue._live = live = queue._live + 1
+        if live > queue.peak:
+            queue.peak = live
+        return event
 
     def add_tick_hook(
         self, interval: float, callback: Callable[[float], Any], label: str = ""
@@ -280,7 +299,7 @@ class SimulationEngine:
         exactly one call even across idle stretches. Cancel via the
         returned handle.
         """
-        if interval <= 0:
+        if not interval > 0:  # NaN included
             raise SimulationError(f"interval must be positive, got {interval}")
         hook = TickHook(
             interval=interval,
@@ -314,13 +333,34 @@ class SimulationEngine:
         return self._fire_next(inf)
 
     def _fire_next(self, horizon: float) -> bool:
-        """Fire the next event if it is due by ``horizon``, tick hooks first."""
-        event = self._heap.pop(horizon)
-        if event is None:
+        """Fire the next event if it is due by ``horizon``, tick hooks first.
+
+        A live head is popped and unlinked here, as :meth:`EventQueue.pop`
+        would; a tombstone or canary head goes through ``pop``, which
+        discards it.
+        """
+        queue = self._heap
+        entries = queue._entries
+        if not entries:
             return False
+        time, _sequence, event = entries[0]
+        if event._heap is queue and not event.cancelled:
+            if time > horizon:
+                return False
+            heappop(entries)
+            event._heap = None
+            queue._live = live = queue._live - 1
+            if len(entries) > 2 * live + TOMBSTONE_SLACK:
+                queue._compact()
+        else:
+            popped = queue.pop(horizon)
+            if popped is None:
+                return False
+            event = popped
+            time = event.time
         if self._hooks:
-            self._fire_hooks(event.time)
-        self._now = event.time
+            self._fire_hooks(time)
+        self._now = time
         self._events_fired += 1
         event.callback()
         return True

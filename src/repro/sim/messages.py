@@ -25,8 +25,10 @@ arithmetically from the same encoding rules (:func:`int_digit_counts` /
 from __future__ import annotations
 
 import json
+import json.encoder
 from dataclasses import dataclass, field
-from typing import Any
+from functools import lru_cache
+from typing import Any, Callable, Iterable, cast
 
 import numpy as np
 
@@ -139,29 +141,92 @@ class Message:
         )
 
     def encoded_size(self) -> int:
-        """Byte size of this message on the wire (JSON encoding)."""
-        return len(encode_message(self))
+        """Byte size of this message on the wire (JSON encoding).
+
+        ``len(encode_message(self))`` without building the envelope: the
+        kind's cached :func:`envelope_overhead`, the envelope numerals and
+        the encoded payload. An envelope field of another type than the
+        wire's plain ``str`` kind and ``int`` numerals is measured by the
+        full encoding.
+        """
+        src = self.source
+        dst = self.destination
+        msg_id = self.msg_id
+        reply_to = self.reply_to
+        if not (
+            type(self.kind) is str and type(src) is int and type(dst) is int
+            and type(msg_id) is int and (reply_to is None or type(reply_to) is int)
+        ):
+            return len(encode_message(self))
+        try:
+            size = (
+                envelope_overhead(self.kind)
+                + len(f"{src}{dst}{msg_id}")
+                + len("".join(_wire_chunks(self.payload, 0)))
+            )
+            # The overhead spells a request's ``"reply_to":null``.
+            return size if reply_to is None else size - 4 + len(f"{reply_to}")
+        except _ENCODE_ERRORS as exc:
+            raise _not_serializable(exc) from exc
 
 
 #: Built once: ``json.dumps(..., separators=...)`` makes an encoder per call.
 _WIRE_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
+#: ``chunks(obj, 0)``: the pieces of ``obj``'s wire encoding.
+_Chunker = Callable[[Any, int], Iterable[str]]
+
+
+def _wire_chunker() -> _Chunker:
+    """``_WIRE_JSON``'s encoding as a chunker, built once.
+
+    ``JSONEncoder.encode`` constructs a C encoder per call; this one is made
+    up front with the same settings. It keeps no circular-reference
+    markers (a markers dict would be shared across calls and threads), so a
+    cycle ends in the encoder's recursion guard instead: a
+    :class:`RecursionError`, caught with the other encoding errors. Without
+    the C accelerator it is ``_WIRE_JSON.iterencode``, whose second
+    positional argument (``_one_shot``) is then false.
+    """
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _WIRE_JSON.iterencode
+    wire = _WIRE_JSON
+    encoder = make(
+        None, wire.default, json.encoder.encode_basestring_ascii, wire.indent,
+        wire.key_separator, wire.item_separator, wire.sort_keys,
+        wire.skipkeys, wire.allow_nan,
+    )
+    return cast(_Chunker, encoder)
+
+
+_wire_chunks = _wire_chunker()
+_ENCODE_ERRORS = (TypeError, ValueError, RecursionError)
+
+
+def _not_serializable(exc: Exception) -> TransportError:
+    return TransportError(f"message payload is not JSON-serializable: {exc}")
+
+
 def encode_message(message: Message) -> bytes:
     """Serialize to the JSON wire format used by the UDP transport."""
     try:
-        return _WIRE_JSON.encode(
-            {
-                "kind": message.kind,
-                "src": message.source,
-                "dst": message.destination,
-                "payload": message.payload,
-                "msg_id": message.msg_id,
-                "reply_to": message.reply_to,
-            }
+        return "".join(
+            _wire_chunks(
+                {
+                    "kind": message.kind,
+                    "src": message.source,
+                    "dst": message.destination,
+                    "payload": message.payload,
+                    "msg_id": message.msg_id,
+                    "reply_to": message.reply_to,
+                },
+                0,
+            )
         ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise TransportError(f"message payload is not JSON-serializable: {exc}") from exc
+    except _ENCODE_ERRORS as exc:
+        raise _not_serializable(exc) from exc
 
 
 def decode_message(data: bytes) -> Message:
@@ -258,7 +323,7 @@ def float_repr_lengths(values: np.ndarray) -> np.ndarray:
     lengths = tally.astype(np.int64)
     if not whole.all():
         residual = np.flatnonzero(~whole)
-        numerals = _WIRE_JSON.encode(arr[residual].tolist())[1:-1].split(",")
+        numerals = "".join(_wire_chunks(arr[residual].tolist(), 0))[1:-1].split(",")
         lengths[residual] = list(map(len, numerals))
     return lengths
 
@@ -270,6 +335,7 @@ def take_rows(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return column if len(rows) == len(column) else column[rows]
 
 
+@lru_cache(maxsize=256)
 def envelope_overhead(kind: str) -> int:
     """Wire bytes of a :class:`Message` envelope excluding the variable parts.
 
@@ -279,12 +345,13 @@ def envelope_overhead(kind: str) -> int:
 
     This returns the byte length of everything but the ``S``/``D``/``M``
     numerals and the payload body ``P``, so a batch computes
-    ``size = overhead + digits(S) + digits(D) + digits(M) + len(P)``.
+    ``size = overhead + digits(S) + digits(D) + digits(M) + len(P)``, and
+    so does :meth:`Message.encoded_size`. Cached per kind.
     """
     probe = Message(kind=kind, source=0, destination=0, payload={}, msg_id=0)
     # The probe contributes one "0" numeral each for src/dst/msg_id (3
     # bytes) and "{}" for the payload (2 bytes).
-    return probe.encoded_size() - 3 - 2
+    return len(encode_message(probe)) - 3 - 2
 
 
 @dataclass(slots=True)

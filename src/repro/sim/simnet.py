@@ -94,7 +94,9 @@ class SimTransport(Transport):
                 )
 
     def now(self) -> float:
-        return self.engine.now
+        # The engine's clock attribute, not its ``now`` property: this is
+        # read on every push and every timer.
+        return self.engine._now
 
     # ------------------------------------------------------------------ #
     # Failure injection (churn experiments)
@@ -128,7 +130,7 @@ class SimTransport(Transport):
         def deliver() -> None:
             if message.destination in self._failed:
                 return
-            if not message.is_response and not self.is_registered(message.destination):
+            if message.reply_to is None and message.destination not in self._handlers:
                 return
             self.stats.record_receive(message.destination, size)
             telemetry.count("messages_received_total", kind=message.kind)

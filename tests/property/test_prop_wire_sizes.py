@@ -9,9 +9,16 @@ accounting identity. The reference (``len(json.dumps(v))`` — the wire is
 JSON, which spells the non-finite values ``Infinity`` / ``-Infinity`` /
 ``NaN``, not as ``repr`` does — and ``len(str(i))``) lives here, in the
 test.
+
+``Message.encoded_size`` likewise claims ``len(encode_message(m))``
+without encoding the envelope; it is checked against the full encoding
+for arbitrary messages, with and without the C JSON accelerator.
 """
 
 import json
+import json.encoder
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +26,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.errors import TransportError
+from repro.sim import messages
 from repro.sim.messages import (
+    Message,
     block_digit_counts,
+    encode_message,
     float_repr_lengths,
     int_digit_counts,
 )
@@ -116,3 +127,88 @@ class TestDigitCounts:
         ids = start + np.arange(count, dtype=np.int64)
         assert np.array_equal(block_digit_counts(start, count), int_digit_counts(ids))
         assert int_digit_counts(ids).tolist() == [len(str(i)) for i in ids.tolist()]
+
+
+@contextmanager
+def wire_encoder(accelerated: bool):
+    """The wire encoder as built with or without the C accelerator."""
+    if accelerated:
+        yield
+        return
+    with mock.patch.object(json.encoder, "c_make_encoder", None), mock.patch.object(
+        json.encoder, "encode_basestring_ascii", json.encoder.py_encode_basestring_ascii
+    ):
+        chunker = messages._wire_chunker()
+        assert chunker == messages._WIRE_JSON.iterencode
+        with mock.patch.object(messages, "_wire_chunks", chunker):
+            yield
+
+
+#: Strings the encoder must escape: quotes, backslashes, controls, non-ASCII
+#: (astral and a lone surrogate included).
+AWKWARD_TEXT = ['"', "\\", '\\"', "\x00\n\t", "é", "日本語", " ", "\U0001f600", "\ud800"]
+texts = st.text() | st.sampled_from(AWKWARD_TEXT)
+#: Envelope numerals: negative, beyond 2^64 both ways, plus booleans, which
+#: are ints but not plain ints (the full-encode path).
+numerals = (
+    st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1, 10**30])
+    | st.booleans()
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan"), 1e16, 5e-324])
+    | texts,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(texts, children, max_size=4),
+    max_leaves=12,
+)
+message_strategy = st.builds(
+    Message,
+    kind=texts,
+    source=numerals,
+    destination=numerals,
+    payload=st.dictionaries(texts, json_values, max_size=5),
+    msg_id=st.integers(min_value=0, max_value=2**70) | st.integers(),
+    reply_to=st.none() | numerals,
+)
+
+
+def circular_payload() -> dict:
+    payload: dict = {"state": 1.0}
+    payload["self"] = payload
+    return payload
+
+
+class TestMessageSize:
+    @pytest.mark.parametrize("accelerated", [True, False], ids=["c", "pure"])
+    @settings(max_examples=300, deadline=None)
+    @given(message=message_strategy)
+    @example(message=Message("agg_push", 7, 9, {"key": 3, "state": 2.0}, msg_id=11))
+    @example(message=Message('q"\\é', -1, 2**65, {}, msg_id=0, reply_to=12345))
+    def test_size_equals_encoded_length(self, accelerated, message):
+        with wire_encoder(accelerated):
+            assert message.encoded_size() == len(encode_message(message))
+
+    @pytest.mark.parametrize("accelerated", [True, False], ids=["c", "pure"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Message("x", 0, 1, {"s": {1, 2}}),
+            lambda: Message("x", 0, 1, {"o": object()}),
+            lambda: Message("x", 0, 1, circular_payload()),
+            lambda: Message("x", np.int64(3), 1, {}),
+        ],
+        ids=["set", "object", "circular", "np_int64_source"],
+    )
+    def test_unencodable_raises_transport_error(self, accelerated, build):
+        message = build()
+        with wire_encoder(accelerated):
+            with pytest.raises(TransportError):
+                encode_message(message)
+            with pytest.raises(TransportError):
+                message.encoded_size()

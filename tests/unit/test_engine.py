@@ -52,6 +52,25 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             SimulationEngine().schedule(-1, lambda: None)
 
+    def test_nan_times_rejected(self):
+        # NaN compares false against everything, so it slipped past the
+        # "< now" / "< 0" guards; queued, it fired between the t=1 and t=2
+        # events and set the clock to NaN mid-run.
+        engine = SimulationEngine()
+        fired: list[float] = []
+        for t in (1.0, 2.0):
+            engine.schedule(t, lambda: fired.append(engine.now))
+        with pytest.raises(SimulationError):
+            engine.schedule(float("nan"), lambda: fired.append(engine.now))
+        with pytest.raises(SimulationError):
+            engine.schedule_at(float("nan"), lambda: fired.append(engine.now))
+        with pytest.raises(SimulationError):
+            engine.add_tick_hook(float("nan"), lambda at: None)
+        assert engine.pending == 2
+        engine.run()
+        assert fired == [1.0, 2.0]
+        assert engine.now == 2.0
+
     def test_events_can_schedule_events(self):
         engine = SimulationEngine()
         fired: list[float] = []
