@@ -9,7 +9,9 @@ block, every remote interaction is continuation-passing.
 Message kinds
 -------------
 ``lookup``            recursive find_successor; forwarded greedily, the
-                      terminal node replies directly to the origin.
+                      terminal node replies directly to the origin. An
+                      origin that owns the key answers itself in place and
+                      sends nothing.
 ``get_neighbors``     returns predecessor + successor list (stabilization).
 ``notify``            Chord's notify: "I might be your predecessor".
 ``ping``              liveness check.
@@ -110,6 +112,10 @@ class ChordProtocolNode:
         #: RPC surface: every remote interaction goes through the session
         #: layer, which owns deadlines, retries, and per-call telemetry.
         self.net = RpcClient(transport, ident, policy=self.config.rpc_policy())
+        #: One deadline for a whole recursive lookup, however many hops.
+        self._lookup_policy = RetryPolicy(
+            timeout=self.config.rpc_timeout * self.config.max_lookup_hops / 8
+        )
         #: Extra upcall hooks: message kind -> handler(message) -> reply|None.
         #: The DAT service layers register their kinds here (paper Fig. 6's
         #: 'upcall' routine).
@@ -268,7 +274,13 @@ class ChordProtocolNode:
         on_result: Callable[[int, list[int]], None],
         on_failure: Callable[[int], None] | None = None,
     ) -> None:
-        """Resolve ``successor(key)``; ``on_result(node, path)`` on success."""
+        """Resolve ``successor(key)``; ``on_result(node, path)`` on success.
+
+        A key this node owns the successor of (``key == ident`` or ``key``
+        in ``(ident, successor]``) is answered from local state:
+        ``on_result`` then runs before this call returns, and nothing is
+        sent.
+        """
         self._start_lookup(key, self.ident, on_result, on_failure)
 
     def lookup_via(
@@ -278,7 +290,11 @@ class ChordProtocolNode:
         on_result: Callable[[int, list[int]], None],
         on_failure: Callable[[int], None] | None = None,
     ) -> None:
-        """Resolve ``successor(key)`` through another node (used by join)."""
+        """Resolve ``successor(key)`` through another node (used by join).
+
+        With ``gateway == ident`` this is :meth:`lookup`, including its
+        local answer: ``on_result`` may run before this call returns.
+        """
         self._start_lookup(key, gateway, on_result, on_failure)
 
     def _start_lookup(
@@ -289,6 +305,13 @@ class ChordProtocolNode:
         on_failure: Callable[[int], None] | None,
     ) -> None:
         self.space.validate(key)
+        if first_hop == self.ident and self._owns_key_successor(key):
+            # The first hop would terminate here: answer in place, with the
+            # result and path a self-addressed lookup_result would carry.
+            if telemetry.tracing_enabled():
+                telemetry.span("chord.lookup", node=self.ident, key=key).finish(hops=0)
+            on_result(self.ident if key == self.ident else self.successor, [self.ident])
+            return
         message = Message(
             kind="lookup",
             source=self.ident,
@@ -325,9 +348,7 @@ class ChordProtocolNode:
             message,
             deliver,
             on_timeout=fail,
-            policy=RetryPolicy(
-                timeout=self.config.rpc_timeout * self.config.max_lookup_hops / 8
-            ),
+            policy=self._lookup_policy,
             send=self._forward_lookup if first_hop == self.ident else None,
         )
         span.detach()

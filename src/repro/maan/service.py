@@ -159,15 +159,16 @@ class MaanNodeService:
                 done(True)
                 return
             store_span = (
-                telemetry.span(
+                telemetry.trace_span(
                     "maan.store_route", node=self.ident, attribute=attribute, owner=owner
                 )
                 if telemetry.tracing_enabled()
                 else telemetry.NULL_SPAN
             )
             with store_span:
-                # on_owner runs from the lookup's continuation — no span is
-                # open here, so the store leg roots its own trace.
+                # on_owner runs from the lookup's continuation — a reply
+                # event, or register() itself when this node answered the
+                # lookup — so the store leg roots its own trace.
                 self.net.send(
                     Message(
                         kind="maan_store",
@@ -206,7 +207,11 @@ class MaanNodeService:
     def range_query(
         self, query: RangeQuery, on_result: Callable[[QueryResult], None]
     ) -> None:
-        """Resolve ``query`` over the live overlay; asynchronous result."""
+        """Resolve ``query`` over the live overlay.
+
+        ``on_result`` usually runs later, from the walk's reply; a walk that
+        starts and ends at this node completes before this call returns.
+        """
         schema = self.schemas.get(query.attribute)
         if schema is None:
             raise SchemaError(f"undeclared attribute {query.attribute!r}")
@@ -273,9 +278,9 @@ class MaanNodeService:
             # The walk's terminal node answers the original scan directly
             # (``reply_to=token``); the session layer owns the wait.
             scan.payload["token"] = scan.msg_id
-            # This continuation runs after the query span left the nesting
-            # stack, so thread its context explicitly: the walk's hops
-            # chain under the live query.
+            # This continuation usually runs after the query span left the
+            # nesting stack, so thread its context explicitly: the walk's
+            # hops chain under the live query.
             span.propagate(scan)
             self.net.call(
                 scan,
@@ -332,16 +337,19 @@ class MaanNodeService:
             ):
                 # Terminal hop: answer the originator's scan request
                 # directly (the reply joins this hop's trace via the send
-                # path's automatic threading).
-                self.net.send(
-                    Message(
-                        kind="maan_result",
-                        source=self.ident,
-                        destination=payload["originator"],
-                        payload={"matches": matches, "visited": visited},
-                        reply_to=payload["token"],
-                    )
+                # path's automatic threading). A walk that ended at its own
+                # originator completes the waiting call in place.
+                result = Message(
+                    kind="maan_result",
+                    source=self.ident,
+                    destination=payload["originator"],
+                    payload={"matches": matches, "visited": visited},
+                    reply_to=payload["token"],
                 )
+                if result.destination == self.ident:
+                    self.net.transport.resolve(result)
+                else:
+                    self.net.send(result)
                 return None
             forward = Message(
                 kind="maan_scan",

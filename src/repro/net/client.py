@@ -22,7 +22,10 @@ forwarding path as ``payload["token"]`` and the terminal node answers
 with ``reply_to=token`` — correlation is still the transport's pending
 table, deadline and retries are still the policy. Pass ``send=`` to
 short-circuit the first hop locally (a node routing through itself must
-not pay a network delay it never paid before).
+not pay a network delay it never paid before). Nor does the answer travel:
+a conversation the first hop can finish is finished before any call (an
+owned Chord key), and a terminal hop that is the originator completes
+the call with ``Transport.resolve`` instead of mailing itself.
 
 Every call is observable with zero service-side instrumentation:
 ``rpc_calls_total`` / ``rpc_retries_total`` / ``rpc_timeouts_total`` /

@@ -72,7 +72,7 @@ class Transport(ABC):
         self._pending[msg_id] = entry
         self._pending_by_source.setdefault(entry.source, {})[msg_id] = None
 
-    def _pending_pop(self, msg_id: int) -> _PendingCall | None:
+    def _pending_pop(self, msg_id: int | None) -> _PendingCall | None:
         entry = self._pending.pop(msg_id, None)
         if entry is not None:
             bucket = self._pending_by_source.get(entry.source)
@@ -198,6 +198,19 @@ class Transport(ABC):
                 entry.cancel()
         return len(bucket)
 
+    def resolve(self, reply: Message) -> None:
+        """Complete the pending call ``reply`` answers, in place.
+
+        What delivering ``reply`` would do, without sending it: the call's
+        deadline is revoked and its ``on_reply`` runs now. For a multi-hop
+        conversation that ends at the node that opened it; an unmatched
+        reply is dropped, as on the wire.
+        """
+        entry = self._pending_pop(reply.reply_to)
+        if entry is not None:
+            entry.cancel()
+            entry.on_reply(reply)
+
     def cancel_all_calls(self) -> int:
         """Cancel every pending call, whoever originated it.
 
@@ -224,11 +237,8 @@ class Transport(ABC):
         it knows the wire size.
         """
         if message.reply_to is not None:
-            entry = self._pending_pop(message.reply_to)
-            if entry is not None:
-                entry.cancel()
-                entry.on_reply(message)
             # Unmatched responses (late after timeout) are dropped, as in UDP.
+            self.resolve(message)
             return
         handler = self._handlers.get(message.destination)
         if handler is None:

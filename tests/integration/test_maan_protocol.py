@@ -9,6 +9,7 @@ from repro.maan.attrs import AttributeSchema, Resource
 from repro.maan.query import QueryResult, RangeQuery
 from repro.maan.service import MaanNodeService
 from repro.sim.latency import ConstantLatency
+from repro.sim.messages import Message
 from repro.sim.simnet import SimTransport
 from repro.util.bits import ceil_log2
 
@@ -119,6 +120,32 @@ class TestRangeQueries:
         for service in list(services.values())[:4]:
             result = self.run_query(transport, service, query)
             assert result.resource_ids() == expected
+
+    def test_no_query_mails_its_originator(self, populated, monkeypatch):
+        # A walk that ends at its originator (whether it started there or
+        # came round to it) completes in place; it used to send the
+        # originator a maan_result from itself.
+        _network, transport, services, resources = populated
+        self_addressed: list[Message] = []
+        send = transport.send
+
+        def recording_send(message: Message) -> None:
+            if message.source == message.destination:
+                self_addressed.append(message)
+            send(message)
+
+        monkeypatch.setattr(transport, "send", recording_send)
+        queries = [
+            RangeQuery("cpu-usage", 20.0, 60.0),
+            RangeQuery("cpu-usage", 10.0, 12.0),
+            RangeQuery("memory-size", 0.0, 64.0),
+        ]
+        for service in services.values():
+            for query in queries:
+                result = self.run_query(transport, service, query)
+                expected = {r.resource_id for r in resources if query.matches(r)}
+                assert result.resource_ids() == expected
+        assert self_addressed == []
 
     def test_undeclared_attribute_rejected(self, populated):
         from repro.errors import SchemaError

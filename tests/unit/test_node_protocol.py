@@ -117,6 +117,106 @@ class TestLookup:
         assert paths[0][0] == 10  # starts at the origin
 
 
+class TestOwnedLookup:
+    """A key whose successor the origin knows is answered without a message."""
+
+    @staticmethod
+    def counters(transport):
+        return (
+            transport.stats.total_messages(),
+            transport.pending_calls(),
+            transport.engine.pending,
+        )
+
+    def lookup_now(self, node, key):
+        results: list[tuple[int, list[int]]] = []
+        node.lookup(key, lambda result, path: results.append((result, path)))
+        return results
+
+    @pytest.mark.parametrize("key, expected", [(30, 60), (60, 60), (10, 10)])
+    def test_answered_before_lookup_returns(self, key, expected):
+        _space, transport, nodes = make_overlay([10, 60, 120, 180, 240])
+        assert nodes[10].successor == 60
+        before = self.counters(transport)
+        assert self.lookup_now(nodes[10], key) == [(expected, [10])]
+        assert self.counters(transport) == before
+
+    @pytest.mark.parametrize("key", [42, 100])
+    def test_single_node_ring(self, key):
+        transport = SimTransport()
+        node = ChordProtocolNode(42, IdSpace(8), transport)
+        node.create()
+        before = self.counters(transport)
+        assert self.lookup_now(node, key) == [(42, [42])]
+        assert self.counters(transport) == before
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_one_lookup_span_only_under_tracing(self, tracing):
+        from repro import telemetry
+
+        telemetry.configure(enabled=True, tracing=tracing)
+        try:
+            transport = SimTransport()
+            node = ChordProtocolNode(42, IdSpace(8), transport)
+            node.create()
+            self.lookup_now(node, 100)
+            spans = [
+                span.attrs
+                for span in telemetry.active().spans.finished_snapshot()
+                if span.name.startswith("chord.lookup")
+            ]
+        finally:
+            telemetry.disable()
+        assert spans == ([{"node": 42, "key": 100, "hops": 0}] if tracing else [])
+
+    def test_key_outside_the_owned_arc_sends_one_lookup(self):
+        _space, transport, nodes = make_overlay([10, 60, 120, 180, 240])
+        total, pending, _events = self.counters(transport)
+        lookups = transport.stats.by_kind()["lookup"]
+        results = self.lookup_now(nodes[10], 119)
+        assert results == []
+        assert transport.stats.total_messages() == total + 1
+        assert transport.stats.by_kind()["lookup"] == lookups + 1
+        assert transport.pending_calls() == pending + 1
+        transport.run(until=transport.now() + 5.0)
+        assert [result for result, _path in results] == [120]
+
+
+class TestNoSelfAddressedMessages:
+    def test_converged_overlay_never_mails_itself(self):
+        from repro.chord.network import ChordNetwork
+        from repro.chord.ring import StaticRing
+
+        space = IdSpace(12)
+        transport = SimTransport(latency=ConstantLatency(0.002))
+        network = ChordNetwork(
+            space, transport, ChordConfig(stabilize_interval=0.25, fix_fingers_interval=0.05)
+        )
+        n = 16
+        for i in range(n):
+            network.add_node((i * space.size) // n + 3)
+            network.settle(1.0)
+        network.settle_until_converged()
+        for node in network.nodes.values():
+            node.fix_all_fingers()
+        network.settle(5.0)
+
+        sent: list[Message] = []
+        send = transport.send
+
+        def recording_send(message: Message) -> None:
+            sent.append(message)
+            send(message)
+
+        transport.send = recording_send
+        network.settle(10.0)
+        assert sent
+        assert [m for m in sent if m.source == m.destination] == []
+        ideal = StaticRing(space, network.nodes)
+        for ident, node in network.nodes.items():
+            assert node.finger_table().entries == ideal.finger_entries(ident), ident
+
+
 class TestDepartures:
     def test_graceful_leave_repairs_ring(self):
         idents = [10, 60, 120]

@@ -128,6 +128,22 @@ class TestRpcOverSim:
         assert len(replies) == 1
         assert len(timeouts) == 1
 
+    def test_resolve_completes_a_call_in_place(self):
+        transport = SimTransport(latency=ConstantLatency(0.1))
+        replies: list[Message] = []
+        timeouts: list[Message] = []
+        request = Message(kind="q", source=1, destination=1)
+        transport.expect(request, replies.append, on_timeout=timeouts.append, timeout=5.0)
+        reply = Message(kind="a", source=1, destination=1, reply_to=request.msg_id)
+        transport.resolve(reply)
+        assert replies == [reply]
+        assert transport.pending_calls() == 0
+        assert transport.engine.pending == 0  # deadline revoked
+        transport.resolve(reply)  # unmatched: dropped
+        transport.run(until=10.0)
+        assert replies == [reply] and timeouts == []
+        assert transport.stats.total_messages() == 0
+
     def test_kind_accounting(self):
         transport = SimTransport()
         transport.register(2, lambda m: None)
