@@ -5,9 +5,9 @@ rings, the matrix-free O(n) tree kernel, and
 :class:`~repro.chord.fastbuild.DatTreeArrays` statistics — claims fig-grade
 measurements at n in {16k, 65k, 131k, 262k} in minutes on one core. This
 benchmark measures wall-clock and peak RSS per size, asserts the results
-are *equal* (floats bit-identical) to the object-based oracle at every
-size where the oracle is affordable, and records the trajectory in
-``benchmarks/results/BENCH_scale.json``.
+are *equal* (floats bit-identical) to the object-based oracle of
+``tests/oracles.py`` at every size where the oracle is affordable, and
+records the trajectory in ``benchmarks/results/BENCH_scale.json``.
 
 Runs two ways:
 
@@ -63,6 +63,14 @@ from repro.experiments.scale import (
     measure_protocol_point,
     measure_scale_point,
 )
+
+# The oracles live in tests/: put the repo root on the path, here and in
+# every row spawned below (a spawned interpreter re-imports this module).
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.oracles import protocol_point_oracle, scale_point_oracle  # noqa: E402
 
 BITS = 32
 #: Largest size where the object-based oracle runs alongside the fast path
@@ -139,8 +147,8 @@ def _statistics_row(
     row["seconds"] = round(elapsed, 3)
     row["peak_rss_mb"] = round(_peak_rss_mb(), 1)  # before the oracle's object webs
     if n_nodes <= oracle_max:
-        oracle = measure_scale_point(
-            n_nodes, bits=BITS, seed=seed, id_strategy=id_strategy, oracle=True
+        oracle = scale_point_oracle(
+            n_nodes, bits=BITS, seed=seed, id_strategy=id_strategy
         )
         row["oracle_checked"] = True
         row["oracle_identical"] = point == oracle
@@ -221,8 +229,8 @@ def _protocol_row(
     row["peak_rss_mb"] = round(_peak_rss_mb(), 1)  # before the oracle's object webs
     if n_nodes <= oracle_max:
         oracle_start = time.perf_counter()
-        oracle = measure_protocol_point(
-            n_nodes, bits=BITS, seed=seed, id_strategy=id_strategy, oracle=True
+        oracle = protocol_point_oracle(
+            n_nodes, bits=BITS, seed=seed, id_strategy=id_strategy
         )
         row["oracle_seconds"] = round(time.perf_counter() - oracle_start, 3)
         row["oracle_checked"] = True

@@ -3,56 +3,45 @@
 The object path gives every node a :class:`~repro.chord.node.ChordNode` with
 its own finger list — fine to ~10^4 nodes, prohibitive at 10^5+. In
 bulk-simulation mode the whole converged ring is represented once, here, as
-
-* the sorted identifier vector (shared with :class:`~repro.chord.ring.StaticRing`
-  / :class:`~repro.chord.ringarray.RingArray`), and
-* the fastbuild finger matrix (``(n, bits)`` int64 — row ``i`` is node
-  ``i``'s finger table), built with two ``searchsorted`` passes.
-
-Per-node state is ~``8 * bits`` bytes of one shared matrix instead of a
-Python object graph, and the protocol's parent rule runs for *all* nodes at
-once (:meth:`ChordNodeBlock.key_parents`).
+the sorted identifier vector (shared with :class:`~repro.chord.ring.StaticRing`
+/ :class:`~repro.chord.ringarray.RingArray`), and the protocol's parent rule
+runs for *all* nodes at once (:meth:`ChordNodeBlock.key_parents`) as the
+closed form of :func:`repro.core.limiting.parent_slots`: two
+``searchsorted`` passes over the ids, no finger read.
 
 Bit-exactness contract: :meth:`ChordNodeBlock.key_parents` reproduces
 ``DatNodeService.parent_toward_key`` — the *key-addressed* Algorithm 1
 rule, including the balanced scheme's float-estimated ``d0`` path through
 :class:`~repro.core.limiting.FingerLimiter.for_gap` — for every node,
-asserted in ``tests/unit/test_block.py`` and the protocol property suite.
+asserted in ``tests/unit/test_block.py``, against the ``(n, bits)`` finger
+scan it replaced in ``tests/property/test_prop_key_parent_slot.py``, and by
+the protocol property suite.
 
-The closed form of the root-addressed kernel (:mod:`repro.chord.fastbuild`)
-transfers to this rule on a converged block: with ``p*`` the last member at
-or before ``key``, node ``i``'s slot is ``min(floor(log2 cw(i, p*)),
-g(cw(i, key)))``, and row ``p*`` falls back to its successor (``-1`` on a
-lone ring). ``tests/property/test_prop_key_parent_slot.py`` proves it
-against the scan below, which stays as the reference. The matrix stays too:
-the frozen ledger (``benchmarks/perf/micro.py``) reads ``block.matrix``, and
-the 64k workloads' per-op times depend on the allocator state its
-construction leaves behind (ROADMAP item 1), so going matrix-free needs a
-``[benchmark]`` PR first.
+The block still carries the fastbuild finger matrix (``(n, bits)`` int64,
+row ``i`` is node ``i``'s finger table), which nothing here reads: the
+frozen perf ledger reads ``block.matrix`` and :meth:`state_nbytes` counts
+it (see :mod:`repro.core.limiting` for which callers keep which form).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from repro.chord.fastbuild import FAST_PATH_MAX_BITS, _cw, fast_finger_matrix
+from repro.chord.fastbuild import FAST_PATH_MAX_BITS, fast_finger_matrix
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.limiting import balanced_limits
+from repro.core.limiting import parent_slots
 from repro.errors import IdentifierError, TreeError
 
-__all__ = ["ChordNodeBlock", "balanced_limits"]
+__all__ = ["ChordNodeBlock"]
 
 
 class ChordNodeBlock:
     """All protocol nodes of one converged ring, array-backed.
 
-    Construction is two ``searchsorted`` passes over the sorted identifier
-    vector (via :func:`~repro.chord.fastbuild.fast_finger_matrix`); the
-    block is immutable and shared by every consumer — the slab protocol
-    runner and the scale benchmarks read the same ``(n, bits)`` matrix.
+    Construction snapshots the ring's sorted identifier vector (and builds
+    the finger matrix, module docstring); the block is immutable and shared
+    by every consumer.
     """
 
     __slots__ = ("space", "ids", "matrix")
@@ -95,19 +84,10 @@ class ChordNodeBlock:
 
     def owner_index(self, key: int) -> int:
         """Position of ``successor(key)`` — the key's owner/root."""
-        i = int(np.searchsorted(self.ids, np.int64(self.space.wrap(key))))
+        i = int(np.searchsorted(self.ids, np.int64(self.space.validate(key))))
         return 0 if i == len(self.ids) else i
 
-    def successors(self) -> np.ndarray:
-        """Every node's immediate successor (matrix slot 0)."""
-        return self.matrix[:, 0]
-
-    def key_parents(
-        self,
-        key: int,
-        scheme: str = "balanced",
-        d0: float | Fraction | None = None,
-    ) -> np.ndarray:
+    def key_parents(self, key: int, scheme: str = "balanced") -> np.ndarray:
         """Every node's ``parent_toward_key(key)`` in one pass.
 
         Returns an int64 array aligned with :attr:`ids`: element ``i`` is
@@ -117,32 +97,32 @@ class ChordNodeBlock:
         own successor-ward parent too, exactly like the scalar rule, and
         callers exclude it because the owner finalizes instead of pushing).
 
-        ``d0`` defaults to the overlay's estimate ``space.size / n`` —
-        passed through :class:`FingerLimiter.for_gap` float conversion so
-        balanced limits match ``DatNodeService`` bit-for-bit.
+        The slot is :func:`~repro.core.limiting.parent_slots` at ``reach =
+        cw(i, p*)``, ``p*`` the last member at or before ``key`` (row ``p*``
+        reaches nothing and takes slot 0, its successor), with the balanced
+        limit at ``x = cw(i, key)`` and the overlay's gap estimate ``space.size
+        / n`` — a float, as ``DatNodeService``'s ``d0_provider`` returns it.
+        Reads :attr:`ids` only.
         """
         if scheme not in ("basic", "balanced"):
             raise ValueError(f"unknown scheme {scheme!r}")
         space = self.space
-        mask = space.max_id
-        n = len(self)
-        x = _cw(mask, self.ids, np.broadcast_to(np.int64(key), self.ids.shape))
-        finger_dist = _cw(mask, self.ids[:, np.newaxis], self.matrix)
-        eligible = (finger_dist > 0) & (finger_dist <= x[:, np.newaxis])
-        slots = np.arange(space.bits, dtype=np.int64)[np.newaxis, :]
-        if scheme == "balanced":
-            gap = space.size / n if d0 is None else d0
-            limits = balanced_limits(x, gap)
-            eligible &= slots <= limits[:, np.newaxis]
-        best = np.where(eligible, slots, np.int64(-1)).max(axis=1)
-        parents = self.matrix[np.arange(n), np.maximum(best, 0)].copy()
-        # No eligible finger: fall back to the successor (the owner's
-        # predecessor lands here), or no parent at all on a lone ring.
-        fallback = best < 0
-        successor = self.matrix[:, 0]
-        parents[fallback] = np.where(
-            successor[fallback] != self.ids[fallback], successor[fallback], np.int64(-1)
-        )
+        ids = self.ids
+        n = ids.size
+        mask = np.int64(space.max_id)
+        key = space.validate(key)
+        last = ids[np.searchsorted(ids, key, side="right") - 1]  # p*; -1 wraps
+        reach = np.maximum((last - ids) & mask, 1)
+        balanced = scheme == "balanced"
+        x = (np.int64(key) - ids) & mask if balanced else None
+        slot = parent_slots(reach, x, space.size / n if balanced else None)
+        finger = np.left_shift(np.int64(1), slot, out=slot)
+        finger += ids
+        finger &= mask
+        position = np.searchsorted(ids, finger)
+        position[position == n] = 0  # wrap past the top of the ring
+        parents = ids.take(position)
+        parents[parents == ids] = -1  # a lone ring: the node is its own successor
         return parents
 
     def state_nbytes(self) -> int:

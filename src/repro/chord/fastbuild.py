@@ -10,24 +10,10 @@ scalar path wins.
 
 The tree kernel (:func:`fast_tree_arrays`) is O(n) and matrix-free. The DAT
 is the union of the finger routes toward ``r = successor(key)``, and ``r`` is
-a *member*: with ``x = cw(i, r) >= 1``, finger ``j`` of node ``i`` is
-``successor(i + 2^j)``. If ``2^j <= x`` the target lies in ``(i, r]`` and so
-does its successor (``r`` itself bounds it), i.e. the finger does not
-overshoot; if ``2^j > x`` the target is past ``r`` and its successor lies in
-``[i + 2^j, i]``, at distance 0 or ``> x``. So the eligible slots are exactly
-``0 .. floor(log2 x)``, the farthest non-overshooting finger is slot
-``floor(log2 x)`` (basic) or ``min(floor(log2 x), g(x))`` (Algorithm 1), and
+a *member*, so every node's parent finger is the closed-form slot
+:func:`repro.core.limiting.parent_slots` at ``reach = x = cw(i, r)`` (that
+module's docstring has the proof and the list of callers that keep a scan):
 a build is one ``frexp``, one array ``g(x)`` and one ``successor_indices``.
-
-The *key*-addressed rule on a converged ring has the same shape: a key need
-not be a member, but the last member ``p*`` at or before it bounds the
-fingers instead, and ``ChordNodeBlock.key_parents``'s slot is
-``min(floor(log2 cw(i, p*)), g(cw(i, key)))``
-(``tests/property/test_prop_key_parent_slot.py``; the block keeps its scan as
-the reference, see :mod:`repro.chord.block`). The live rules —
-``DatNodeService.parent_toward_key``, ``FingerTable.closest_preceding`` —
-read tables that may be stale, so no closed form holds there and their scan
-stays.
 
 Restrictions: identifier width ``bits <= 48`` so that the exact integer
 ``log2`` read off ``frexp`` stays within float64's 2^53 exact-integer
@@ -45,7 +31,7 @@ import numpy as np
 from repro import telemetry
 from repro.chord.ring import StaticRing
 from repro.core.builder import DatScheme
-from repro.core.limiting import balanced_limits
+from repro.core.limiting import parent_slots
 from repro.core.tree import TreeStats
 from repro.errors import TreeError
 
@@ -81,10 +67,9 @@ def _require_fast_capable(ring: StaticRing) -> None:
 def _check_matrix(ring: StaticRing, matrix: np.ndarray | None) -> None:
     """Shape-check a caller-supplied finger matrix; the kernel never reads it.
 
-    ``matrix=`` survives in the public signatures only for positional
-    callers that predate the closed form (ROADMAP "One DAT kernel" records
-    its removal); a wrong-shaped one still means the caller is confused
-    about which ring it is building on.
+    ``matrix=`` survives in the public signatures only for that positional
+    caller, which predates the closed form; a wrong-shaped one still means
+    the caller is confused about which ring it is building on.
     """
     if matrix is not None and matrix.shape != (len(ring), ring.space.bits):
         raise TreeError(
@@ -113,19 +98,6 @@ def fast_finger_matrix(ring: StaticRing) -> np.ndarray:
 def _cw(space_mask: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized clockwise distance ``(b - a) mod 2^bits``."""
     return (b - a) & np.int64(space_mask)
-
-
-def _parent_slots(x: np.ndarray, gap: Fraction | None) -> np.ndarray:
-    """``min(floor(log2 x), g(x))`` per distance — the closed-form parent slot.
-
-    ``gap=None`` is the basic scheme (no limit). ``floor(log2 x)`` is
-    ``frexp``'s exponent minus one, exact for ``x < 2^53``; ``x = 0`` (the
-    root, which has no parent) comes out as ``-1``.
-    """
-    slot = np.frexp(x)[1].astype(np.int64) - 1
-    if gap is not None:
-        np.minimum(slot, balanced_limits(x, gap), out=slot)
-    return slot
 
 
 class DatTreeArrays:
@@ -288,8 +260,8 @@ def fast_tree_arrays(
     """Build a :class:`DatTreeArrays` snapshot — the one root-addressed kernel.
 
     Every node's parent toward ``r = successor(key)`` in O(n) int64 storage
-    and temporaries: the slot is the closed form ``min(floor(log2 x), g(x))``
-    (module docstring) and the parent is that one finger, resolved for every
+    and temporaries: the slot is :func:`~repro.core.limiting.parent_slots`
+    and the parent is that one finger, resolved for every
     node at once by :meth:`RingArray.successor_indices` (what ``searchsorted``
     returns, read off the ring's cached grid). The parent map never leaves
     index space: no Python dict, no per-node boxing, no finger matrix.
@@ -305,7 +277,7 @@ def fast_tree_arrays(
     root_index = index.successor_index(key)
     x = _cw(mask, ids, ids[root_index])
     balanced = scheme is DatScheme.BALANCED
-    slot = _parent_slots(x, Fraction(space.size, n) if balanced else None)
+    slot = parent_slots(x, x, Fraction(space.size, n) if balanced else None)
     slot[root_index] = 0  # any valid shift: the root's row is overwritten below
     fingers = np.left_shift(np.int64(1), slot, out=slot)
     fingers += ids

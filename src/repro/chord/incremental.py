@@ -33,12 +33,10 @@ finger arc is one gap wide, a limit-shift arc ``|c_old - c_new|``, about
 such an arc: it is empty unless the member found there is also ``<=`` the
 high end, and only then are the second bisect and the slice paid for.
 
-Parent selection is the root-addressed closed form proved in
-:mod:`repro.chord.fastbuild`: the tracked root is a member, so a node at
-clockwise distance ``x`` has exactly one parent finger, slot
-``min(floor(log2 x), g(x))``, resolved with a single bisect on the ring.
-The key-addressed rules are a different matter (see that module's
-docstring).
+Parent selection is the closed-form slot of
+:func:`repro.core.limiting.parent_slots` on Python ints, inlined, with the
+root as the bound (``reach = x``), resolved with a single bisect on the
+ring; that module's docstring says why it is inlined here.
 
 The full rebuild (:func:`repro.core.builder.build_dat`) remains the
 reference oracle: ``verify=True`` cross-checks every event against it, and
@@ -417,9 +415,9 @@ class DatUpdateEngine:
 
         # Inlined parent selection, bit-identical to select_parent_basic /
         # select_parent_balanced: the root is a member, so the farthest
-        # non-overshooting finger is slot min(floor(log2 x), g(x)) (the
-        # closed form proved in chord/fastbuild.py) and only that one finger
-        # is resolved (successor(node + 2^slot), one bisect) and checked.
+        # non-overshooting finger is slot min(floor(log2 x), g(x))
+        # (core.limiting.parent_slots) and only that one finger is resolved
+        # (successor(node + 2^slot), one bisect) and checked.
         # The balanced limit uses the pure-integer form
         # g(x) = ceil_log2(ceil((x + c)/3)), c = ceil(2*2^b/n):
         # ceil((x + 2S/n)/3) = ceil(ceil((x*n + 2S)/n)/3) = ceil((x + c)/3)

@@ -12,10 +12,31 @@ distributed identifiers.
 
 All arithmetic here is exact: with ``d0 = p/q`` the limit is
 ``ceil_log2(max(1, ceil((x*q + 2p) / (3q))))`` — :class:`FingerLimiter` on
-Python ints, :func:`balanced_limits` on int64 arrays (the one array ``g(x)``
-behind ``chord.fastbuild`` and ``chord.block``). For ``b = 160`` the
+Python ints, :func:`_balanced_limits` on int64 arrays. For ``b = 160`` the
 quantities overflow doubles, and an off-by-one in ``ceil(log2(.))`` flips a
 parent choice and breaks the balance proof.
+
+**The parent slot, and who computes it how.** On a converged ring finger
+``j`` of node ``i`` is ``successor(i + 2^j)``. Let ``reach = cw(i, p)`` for
+the last member ``p`` at or before the target (the root ``r`` itself when
+the target is a member). The finger lands in ``(i, target]`` exactly when
+``2^j <= reach``: below that ``p`` bounds the successor, above it the
+finger is already past ``p`` and so past the target. The eligible slots are
+a prefix, and Algorithm 1's parent is finger ``min(floor(log2 reach),
+g(x))`` with ``x = cw(i, target)`` — :func:`parent_slots`, no scan. Two
+array callers use it: ``chord.fastbuild.fast_tree_arrays`` (root-addressed,
+``reach = x``) and ``chord.block.ChordNodeBlock.key_parents``
+(key-addressed, ``reach = cw(i, p*)``). The scans they replaced are the
+references in ``tests/property/test_prop_parent_slot.py`` and
+``test_prop_key_parent_slot.py``. The rest keep their own form on purpose:
+
+* ``chord.incremental.DatUpdateEngine._patch_trees`` evaluates the same
+  closed form on Python ints, inline, for one node at a time — a call per
+  node through :class:`FingerLimiter` measured ~20 % slower per membership
+  event and pushes its call count past ``TestEventCost``'s bound;
+* ``core.service.DatNodeService.parent_toward_key`` and
+  ``core.parent.select_parent_*`` scan a finger table: a live one that may
+  be stale mid-churn, or one a caller supplies, where no closed form holds.
 """
 
 from __future__ import annotations
@@ -27,7 +48,7 @@ import numpy as np
 
 from repro.util.bits import ceil_log2
 
-__all__ = ["ceil_log2_fraction", "finger_limit", "FingerLimiter", "balanced_limits"]
+__all__ = ["ceil_log2_fraction", "finger_limit", "FingerLimiter", "parent_slots"]
 
 
 def ceil_log2_fraction(value: Fraction) -> int:
@@ -136,7 +157,7 @@ def _vectorized_ceil_log2(values: np.ndarray) -> np.ndarray:
     return np.maximum(result, 0)
 
 
-def balanced_limits(x: np.ndarray, d0: float | Fraction) -> np.ndarray:
+def _balanced_limits(x: np.ndarray, d0: float | Fraction) -> np.ndarray:
     """``g(x)`` for an array of distances, exactly.
 
     The array form of :class:`FingerLimiter`, which evaluates the same
@@ -161,3 +182,21 @@ def balanced_limits(x: np.ndarray, d0: float | Fraction) -> np.ndarray:
     return np.fromiter(
         (limiter(xi) for xi in x.tolist()), dtype=np.int64, count=x.size
     )
+
+
+def parent_slots(
+    reach: np.ndarray, x: np.ndarray | None, gap: float | Fraction | None
+) -> np.ndarray:
+    """``min(floor(log2 reach), g(x))`` per node — Algorithm 1's parent slot.
+
+    ``reach`` bounds the non-overshooting fingers and ``x`` is the distance
+    the limit is measured at (module docstring); ``gap=None`` is the basic
+    scheme, which has no limit and does not read ``x``. ``floor(log2
+    reach)`` is ``frexp``'s exponent minus one, exact for ``reach < 2^53``;
+    ``reach = 0`` comes out as ``-1``. Returns a fresh int64 array.
+    """
+    slot = np.frexp(reach)[1].astype(np.int64)
+    slot -= 1
+    if gap is not None:
+        np.minimum(slot, _balanced_limits(x, gap), out=slot)
+    return slot

@@ -21,12 +21,13 @@ so a steady-state round scatters the cache as it is and takes a delivery
 as a block copy; only loss, expiry or a split delivery index anything.
 
 **Equivalence contract.** :func:`run_protocol_slab` is bit-identical to
-:func:`run_protocol_oracle` — the same scenario driven through real
-``DatNodeService`` objects — in root estimate, per-node message/byte
-accounting, and per-node push counts, for every supported aggregate, with
-or without message loss, expiry and multi-group delivery (the object path
-folds its children in ascending id, whichever pushes survived). Asserted
-in ``tests/property/test_prop_protocol.py`` for both schemes.
+``run_protocol_oracle`` in ``tests/oracles.py`` — the same scenario driven
+through real ``DatNodeService`` objects — in root estimate, per-node
+message/byte accounting, and per-node push counts, for every supported
+aggregate, with or without message loss, expiry and multi-group delivery
+(the object path folds its children in ascending id, whichever pushes
+survived). Asserted in ``tests/property/test_prop_protocol.py`` for both
+schemes.
 
 Supported aggregates: ``sum``, ``count``, ``min``, ``max``, ``avg``.
 The long-tail aggregates (histogram, top-k, std) keep the object path.
@@ -43,7 +44,6 @@ import numpy as np
 from repro import telemetry
 from repro.chord.block import ChordNodeBlock
 from repro.chord.ring import StaticRing
-from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.errors import AggregationError
 from repro.sim.messages import (
     MessageBatch,
@@ -61,7 +61,6 @@ __all__ = [
     "ProtocolRunResult",
     "SlabContinuousRun",
     "run_protocol_slab",
-    "run_protocol_oracle",
 ]
 
 #: Aggregates the slab path supports (partial state fits in 1-2 columns).
@@ -118,8 +117,8 @@ class SlabContinuousRun:
     transport:
         Simulated transport; rounds ride its engine and its accounting.
     key:
-        Rendezvous key; the owner (``successor(key)``) finalizes instead
-        of pushing.
+        Rendezvous key, in ``[0, 2^bits)``; the owner (``successor(key)``)
+        finalizes instead of pushing.
     aggregate:
         One of :data:`SLAB_AGGREGATES`.
     values:
@@ -129,11 +128,6 @@ class SlabContinuousRun:
     interval, stale_after:
         As in :meth:`DatNodeService.start_continuous`: push period and the
         child-state expiry horizon in intervals.
-    d0:
-        Mean-gap estimate for the balanced limiter; defaults to the
-        overlay's convention ``space.size / n`` (a float, deliberately —
-        the limiter's float-to-Fraction conversion is part of the
-        bit-exactness contract with the object path).
 
     ``push_rows`` are the nodes that push (every node but the owner,
     ascending); ``source_ids``, ``parent_ids``, ``parent_index`` and the
@@ -151,7 +145,6 @@ class SlabContinuousRun:
         scheme: str = "balanced",
         interval: float = 1.0,
         stale_after: float = 4.0,
-        d0: float | None = None,
     ) -> None:
         if aggregate not in SLAB_AGGREGATES:
             raise AggregationError(
@@ -172,8 +165,7 @@ class SlabContinuousRun:
         self.stale_after = float(stale_after)
         self.values = np.asarray(values, dtype=np.float64)
 
-        d0_est = block.space.size / n if d0 is None else d0
-        parents = block.key_parents(self.key, scheme=scheme, d0=d0_est)
+        parents = block.key_parents(self.key, scheme=scheme)
         self.owner_index = block.owner_index(self.key)
         self.root = int(block.ids[self.owner_index])
         # Push rows: every node with a parent except the owner, ascending —
@@ -420,78 +412,4 @@ def run_protocol_slab(
         bytes_sent=bytes_sent,
         bytes_received=bytes_received,
         state_bytes=run.state_nbytes(),
-    )
-
-
-def run_protocol_oracle(
-    ring: StaticRing,
-    key: int,
-    rounds: int,
-    aggregate: str = "sum",
-    scheme: str = "balanced",
-    values: np.ndarray | None = None,
-    interval: float = 1.0,
-    stale_after: float = 4.0,
-    transport: SimTransport | None = None,
-) -> ProtocolRunResult:
-    """The same scenario through real per-node ``DatNodeService`` objects.
-
-    This is the bit-exactness oracle for :func:`run_protocol_slab`:
-    services start in ascending-ident order at t=0 (first push after one
-    interval), finger tables are the converged ring's, ``d0`` is the
-    overlay convention ``space.size / n``. O(n) object state — intended
-    for n <= a few thousand.
-    """
-    transport = transport if transport is not None else SimTransport()
-    space = ring.space
-    ids = ring.id_index().ids
-    n = len(ids)
-    if values is None:
-        values = np.ones(n, dtype=np.float64)
-    root = ring.successor(key)
-    d0 = space.size / n
-
-    services: list[DatNodeService] = []
-    hosts: list[StandaloneDatHost] = []
-    for i, ident in enumerate(ids.tolist()):
-        host = StandaloneDatHost(ident, space, transport)
-        table = ring.finger_table(ident)
-        service = DatNodeService(
-            host,
-            finger_provider=lambda table=table: table,
-            value_provider=lambda v=float(values[i]): v,
-            scheme=scheme,
-            d0_provider=(lambda: d0) if scheme == "balanced" else None,
-        )
-        hosts.append(host)
-        services.append(service)
-    for service in services:
-        service.start_continuous(
-            key, root, aggregate, interval, stale_after=stale_after
-        )
-    transport.run(until=rounds * interval)
-
-    root_pos = int(np.searchsorted(ids, np.int64(root)))
-    estimate = services[root_pos].root_estimate(key)
-    pushes = np.array([s._continuous[key].pushes_sent for s in services])
-    for service in services:
-        service.close()
-    for host in hosts:
-        host.shutdown()
-    sent, received, bytes_sent, bytes_received = transport.stats.load_arrays(ids)
-    return ProtocolRunResult(
-        n_nodes=n,
-        scheme=scheme,
-        aggregate=aggregate,
-        key=int(key),
-        root=int(root),
-        rounds=rounds,
-        estimate=estimate,
-        pushes_sent=pushes,
-        ids=ids,
-        sent=sent,
-        received=received,
-        bytes_sent=bytes_sent,
-        bytes_received=bytes_received,
-        state_bytes=0,
     )

@@ -9,12 +9,13 @@ the matrix-free O(n) tree kernel, and
 :class:`~repro.chord.fastbuild.DatTreeArrays` statistics that never
 materialize per-node Python objects.
 
-Every point can also be measured with ``oracle=True``, which runs the
-object-based reference path (:func:`~repro.core.builder.build_dat`,
-:func:`~repro.baselines.centralized.centralized_routed_loads`) on the same
-ring. The two modes return *equal* :class:`ScalePoint` values — floats
-bit-identical — which is the exactness gate ``benchmarks/bench_scale.py``
-enforces at every size where the oracle is affordable.
+The object-based references in ``tests/oracles.py`` measure the same points
+through :func:`~repro.core.builder.build_dat`,
+:func:`~repro.baselines.centralized.centralized_routed_loads` and one
+``DatNodeService`` per node. They return *equal* :class:`ScalePoint` values
+(floats bit-identical) and equal :meth:`ProtocolScalePoint.exactness_key`s,
+which is the exactness gate ``benchmarks/bench_scale.py`` enforces at every
+size where they are affordable.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import telemetry
-from repro.baselines.centralized import centralized_routed_loads
 from repro.chord.fastbuild import fast_centralized_load_array, fast_tree_arrays
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
-from repro.chord.ring import StaticRing
 from repro.core.analysis import imbalance_factor
-from repro.core.builder import DatScheme, build_balanced_dat, build_basic_dat
-from repro.core.slab import run_protocol_oracle, run_protocol_slab
+from repro.core.builder import DatScheme
+from repro.core.slab import ProtocolRunResult, run_protocol_slab
 from repro.core.tree import TreeStats
 from repro.sim.messages import reset_msg_ids
 
@@ -61,8 +60,8 @@ PROTOCOL_ROUNDS = 30
 class ScalePoint:
     """Fig. 7 + Fig. 8 statistics for one (size, strategy, seed) ring.
 
-    Instances compare equal across the fast and oracle paths — including
-    the float fields, which both paths compute with the same IEEE
+    Instances compare equal across the array path and the object reference
+    — including the float fields, which both compute with the same IEEE
     operation sequence (one integer-exact division per mean, one ratio).
     """
 
@@ -98,88 +97,34 @@ class ScalePoint:
         }
 
 
-def _measure_fast(
-    ring: StaticRing, rendezvous: int
-) -> tuple[TreeStats, TreeStats, int, int, int, float, float, float]:
-    basic = fast_tree_arrays(ring, rendezvous, scheme=DatScheme.BASIC)
-    balanced = fast_tree_arrays(ring, rendezvous, scheme=DatScheme.BALANCED)
-    basic_loads = basic.message_load_array()
-    balanced_loads = balanced.message_load_array()
-    central_loads = fast_centralized_load_array(ring, rendezvous)
-    return (
-        basic.stats(),
-        balanced.stats(),
-        int(basic_loads.max()),
-        int(balanced_loads.max()),
-        int(central_loads.max()),
-        imbalance_factor(basic_loads),
-        imbalance_factor(balanced_loads),
-        imbalance_factor(central_loads),
-    )
-
-
-def _measure_oracle(
-    ring: StaticRing, rendezvous: int
-) -> tuple[TreeStats, TreeStats, int, int, int, float, float, float]:
-    tables = ring.all_finger_tables()
-    basic = build_basic_dat(ring, rendezvous, tables=tables)
-    balanced = build_balanced_dat(ring, rendezvous, tables=tables)
-    basic_loads = basic.message_loads()
-    balanced_loads = balanced.message_loads()
-    central_loads = centralized_routed_loads(ring, rendezvous, tables=tables)
-    return (
-        basic.stats(),
-        balanced.stats(),
-        max(basic_loads.values()),
-        max(balanced_loads.values()),
-        max(central_loads.values()),
-        imbalance_factor(basic_loads),
-        imbalance_factor(balanced_loads),
-        imbalance_factor(central_loads),
-    )
-
-
 def measure_scale_point(
     n_nodes: int,
     bits: int = 32,
     seed: int = 2007,
     id_strategy: str = "probing",
     key: int = 0xA5A5A5,
-    oracle: bool = False,
 ) -> ScalePoint:
-    """Measure one ring's Fig. 7/8 statistics.
-
-    ``oracle=True`` runs the object-based reference path instead of the
-    array-native one; the returned :class:`ScalePoint` is equal either way
-    (the benchmark asserts this), so the flag exists purely to *prove* the
-    equality and to measure the speedup.
-    """
+    """Measure one ring's Fig. 7/8 statistics on the array-native pipeline."""
     space = IdSpace(bits)
     ring = make_assigner(id_strategy).build_ring(space, n_nodes, rng=seed)
     rendezvous = space.wrap(key)
-    measure = _measure_oracle if oracle else _measure_fast
-    (
-        basic_stats,
-        balanced_stats,
-        basic_max,
-        balanced_max,
-        central_max,
-        basic_imb,
-        balanced_imb,
-        central_imb,
-    ) = measure(ring, rendezvous)
+    basic = fast_tree_arrays(ring, rendezvous, scheme=DatScheme.BASIC)
+    balanced = fast_tree_arrays(ring, rendezvous, scheme=DatScheme.BALANCED)
+    basic_loads = basic.message_load_array()
+    balanced_loads = balanced.message_load_array()
+    central_loads = fast_centralized_load_array(ring, rendezvous)
     return ScalePoint(
         n_nodes=n_nodes,
         id_strategy=id_strategy,
         seed=seed,
-        basic=basic_stats,
-        balanced=balanced_stats,
-        basic_max_load=basic_max,
-        balanced_max_load=balanced_max,
-        centralized_max_load=central_max,
-        basic_imbalance=basic_imb,
-        balanced_imbalance=balanced_imb,
-        centralized_imbalance=central_imb,
+        basic=basic.stats(),
+        balanced=balanced.stats(),
+        basic_max_load=int(basic_loads.max()),
+        balanced_max_load=int(balanced_loads.max()),
+        centralized_max_load=int(central_loads.max()),
+        basic_imbalance=imbalance_factor(basic_loads),
+        balanced_imbalance=imbalance_factor(balanced_loads),
+        centralized_imbalance=imbalance_factor(central_loads),
     )
 
 
@@ -190,8 +135,8 @@ class ProtocolScalePoint:
     Unlike :class:`ScalePoint` (converged analytical statistics), every
     number here comes from simulated message exchange — ``rounds``
     continuous-push intervals with per-message wire accounting. The slab
-    and oracle modes agree exactly on every field except
-    ``state_bytes_per_node`` (the slab's array footprint; the oracle's
+    and the per-node service reference agree exactly on every field except
+    ``state_bytes_per_node`` (the slab's array footprint; the reference's
     object webs are not meaningfully comparable and report 0.0).
     """
 
@@ -229,6 +174,38 @@ class ProtocolScalePoint:
             "state_bytes_per_node": self.state_bytes_per_node,
         }
 
+    @classmethod
+    def from_run(
+        cls, result: ProtocolRunResult, id_strategy: str, seed: int
+    ) -> "ProtocolScalePoint":
+        """The point one run measured, checked against the all-ones truth."""
+        n_nodes = result.n_nodes
+        loads = result.sent + result.received
+        expected: Any = float(n_nodes) if result.aggregate == "sum" else None
+        if result.aggregate == "count":
+            expected = n_nodes
+        elif result.aggregate in ("min", "max", "avg"):
+            expected = 1.0
+        return cls(
+            n_nodes=n_nodes,
+            id_strategy=id_strategy,
+            seed=seed,
+            scheme=result.scheme,
+            aggregate=result.aggregate,
+            rounds=result.rounds,
+            estimate=result.estimate,
+            expected=expected,
+            converged=result.estimate == expected,
+            messages_total=result.messages_total,
+            bytes_total=result.bytes_total,
+            pushes_total=result.pushes_total,
+            max_load=int(loads.max()),
+            imbalance=imbalance_factor(loads),
+            state_bytes_per_node=(
+                result.state_bytes / n_nodes if result.state_bytes else 0.0
+            ),
+        )
+
     def exactness_key(self) -> tuple[Any, ...]:
         """The fields both modes must agree on bit-for-bit."""
         return (
@@ -251,55 +228,26 @@ def measure_protocol_point(
     aggregate: str = "sum",
     rounds: int = PROTOCOL_ROUNDS,
     interval: float = 1.0,
-    oracle: bool = False,
 ) -> ProtocolScalePoint:
-    """Run one live continuous-push protocol point.
+    """Run one live continuous-push protocol point on the slab path.
 
     Local values are all 1.0, so the converged SUM equals the membership
-    size — a self-evident correctness check at any scale. ``oracle=True``
-    drives real per-node :class:`~repro.core.service.DatNodeService`
-    objects instead of the slab (affordable to a few thousand nodes); the
-    message-id sequence is reset at the start of each point so the two
-    modes produce byte-identical wire traffic.
+    size — a self-evident correctness check at any scale. The message-id
+    sequence is reset at the start of each point, so a reference run of the
+    same point produces byte-identical wire traffic.
     """
     space = IdSpace(bits)
     ring = make_assigner(id_strategy).build_ring(space, n_nodes, rng=seed)
-    rendezvous = space.wrap(key)
     reset_msg_ids()
-    run = run_protocol_oracle if oracle else run_protocol_slab
-    result = run(
+    result = run_protocol_slab(
         ring,
-        rendezvous,
+        space.wrap(key),
         rounds,
         aggregate=aggregate,
         scheme=scheme,
         interval=interval,
     )
-    loads = result.sent + result.received
-    expected: Any = float(n_nodes) if aggregate == "sum" else None
-    if aggregate == "count":
-        expected = n_nodes
-    elif aggregate in ("min", "max", "avg"):
-        expected = 1.0
-    return ProtocolScalePoint(
-        n_nodes=n_nodes,
-        id_strategy=id_strategy,
-        seed=seed,
-        scheme=scheme,
-        aggregate=aggregate,
-        rounds=rounds,
-        estimate=result.estimate,
-        expected=expected,
-        converged=result.estimate == expected,
-        messages_total=result.messages_total,
-        bytes_total=result.bytes_total,
-        pushes_total=result.pushes_total,
-        max_load=int(loads.max()),
-        imbalance=imbalance_factor(loads),
-        state_bytes_per_node=(
-            result.state_bytes / n_nodes if result.state_bytes else 0.0
-        ),
-    )
+    return ProtocolScalePoint.from_run(result, id_strategy, seed)
 
 
 def run_protocol_sweep(
@@ -311,7 +259,6 @@ def run_protocol_sweep(
     scheme: str = "balanced",
     aggregate: str = "sum",
     rounds: int = PROTOCOL_ROUNDS,
-    oracle: bool = False,
 ) -> list[ProtocolScalePoint]:
     """Measure the live-protocol sweep (the ``--protocol`` experiment mode).
 
@@ -321,9 +268,7 @@ def run_protocol_sweep(
     """
     sizes = sizes if sizes is not None else PROTOCOL_SIZES
     points: list[ProtocolScalePoint] = []
-    with telemetry.span(
-        "experiment.scale_protocol", n_sizes=len(sizes), oracle=oracle
-    ):
+    with telemetry.span("experiment.scale_protocol", n_sizes=len(sizes)):
         for n_nodes in sizes:
             point = measure_protocol_point(
                 n_nodes,
@@ -334,7 +279,6 @@ def run_protocol_sweep(
                 scheme=scheme,
                 aggregate=aggregate,
                 rounds=rounds,
-                oracle=oracle,
             )
             points.append(point)
             if telemetry.is_enabled():
@@ -356,7 +300,6 @@ def run_scale_sweep(
     seed: int = 2007,
     id_strategy: str = "probing",
     key: int = 0xA5A5A5,
-    oracle: bool = False,
 ) -> list[ScalePoint]:
     """Measure the full scale sweep (one seed — points are already huge).
 
@@ -367,9 +310,7 @@ def run_scale_sweep(
     """
     sizes = sizes if sizes is not None else SCALE_SIZES
     points: list[ScalePoint] = []
-    with telemetry.span(
-        "experiment.scale", n_sizes=len(sizes), oracle=oracle
-    ):
+    with telemetry.span("experiment.scale", n_sizes=len(sizes)):
         for n_nodes in sizes:
             point = measure_scale_point(
                 n_nodes,
@@ -377,7 +318,6 @@ def run_scale_sweep(
                 seed=seed,
                 id_strategy=id_strategy,
                 key=key,
-                oracle=oracle,
             )
             points.append(point)
             if telemetry.is_enabled():

@@ -1,16 +1,17 @@
 """The key-addressed parent slot has a closed form on a converged block.
 
-``ChordNodeBlock.key_parents`` finds every node's ``parent_toward_key(k)`` by
-scanning the ``(n, bits)`` finger matrix for the highest slot whose finger
-lands in ``(i, k]``. ``k`` need not be a member, but the ring is converged:
-``successor(i + 2^j)`` lands in ``(i, k]`` exactly when some member lies in
-``[i + 2^j, k]``, i.e. when ``2^j <= cw(i, p*)`` with ``p*`` the last member
-at or before ``k``. The eligible slots are a prefix, so the slot is
-``min(floor(log2 cw(i, p*)), g(cw(i, k)))``; row ``p*`` has no eligible slot
-and falls back to its successor (``-1`` on a lone ring). The formula lives
-here; the scan in ``src/`` is the reference it is proved against, over the
-ring families of ``test_prop_parent_slot.py`` plus uniform rings, a key in
-every gap, on every member, one past the top member, and ``n = 1``.
+``ChordNodeBlock.key_parents`` finds every node's ``parent_toward_key(k)`` as
+``successor(i + 2^slot)`` with ``slot = min(floor(log2 cw(i, p*)),
+g(cw(i, k)))``, ``p*`` the last member at or before ``k``: ``k`` need not be
+a member, but the ring is converged, so ``successor(i + 2^j)`` lands in
+``(i, k]`` exactly when some member lies in ``[i + 2^j, k]``, i.e. when
+``2^j <= cw(i, p*)``. Row ``p*`` has no eligible slot and falls back to its
+successor (``-1`` on a lone ring). The block used to scan the ``(n, bits)``
+finger matrix for the highest slot whose finger lands in ``(i, k]``; that
+scan lives on here, written out as the reference, over the ring families of
+``test_prop_parent_slot.py`` plus uniform rings, a key in every gap, on every
+member, one past the top member, ``n = 1``, and the perf ledger's shape (a
+2^16-node probing ring at 32 bits).
 """
 
 import numpy as np
@@ -19,35 +20,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chord.block import ChordNodeBlock
-from repro.chord.idgen import UniformIdAssigner
+from repro.chord.fastbuild import fast_finger_matrix
+from repro.chord.idgen import ProbingIdAssigner, UniformIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.limiting import balanced_limits
+from repro.core.limiting import _balanced_limits
 from tests.property.test_prop_parent_slot import BITS, _rings
 
 SCHEMES = ["basic", "balanced"]
 
 
-def _closed_form_key_parents(ring, key, scheme):
+def _scan_key_parents(ring, key, scheme):
+    """The old ``key_parents``: highest eligible slot of each matrix row."""
     space = ring.space
     mask = np.int64(space.max_id)
     ids = ring.id_index().ids
     n = ids.size
-    last = ids[np.searchsorted(ids, key, side="right") - 1]  # p*; -1 wraps
-    # cw(i, p*); row p* itself has no eligible finger and takes slot 0, its successor.
-    reach = np.maximum((last - ids) & mask, 1)
-    slot = np.frexp(reach.astype(np.float64))[1].astype(np.int64) - 1
+    matrix = fast_finger_matrix(ring)  # (n, bits): checked against the scalar tables
+    x = (np.int64(key) - ids) & mask
+    finger_dist = (matrix - ids[:, np.newaxis]) & mask
+    eligible = (finger_dist > 0) & (finger_dist <= x[:, np.newaxis])
+    slots = np.arange(space.bits, dtype=np.int64)[np.newaxis, :]
     if scheme == "balanced":
-        slot = np.minimum(slot, balanced_limits((np.int64(key) - ids) & mask, space.size / n))
-    parents = ids[np.searchsorted(ids, (ids + (np.int64(1) << slot)) & mask) % n]
-    return np.where(parents != ids, parents, -1)
+        eligible &= slots <= _balanced_limits(x, space.size / n)[:, np.newaxis]
+    best = np.where(eligible, slots, np.int64(-1)).max(axis=1)
+    parents = matrix[np.arange(n), np.maximum(best, 0)]
+    # No eligible finger: fall back to the successor (the owner's
+    # predecessor lands here), or no parent at all on a lone ring.
+    fallback = best < 0
+    successor = matrix[:, 0]
+    parents[fallback] = np.where(
+        successor[fallback] != ids[fallback], successor[fallback], np.int64(-1)
+    )
+    return parents
 
 
 def _assert_closed_form_matches_scan(ring, keys, scheme):
     block = ChordNodeBlock.from_ring(ring)
     for key in keys:
-        scan = block.key_parents(key, scheme=scheme)
-        assert _closed_form_key_parents(ring, key, scheme).tolist() == scan.tolist()
+        closed = block.key_parents(key, scheme=scheme)
+        assert closed.tolist() == _scan_key_parents(ring, key, scheme).tolist()
 
 
 def _probe_keys(ring, extra):
@@ -94,5 +106,15 @@ class TestKeyAddressedClosedFormEqualsScan:
     def test_lone_ring_has_no_parent(self, bits, scheme):
         ring = StaticRing(IdSpace(bits), [5])
         keys = (0, 4, 5, 6, ring.space.max_id)
-        assert {int(_closed_form_key_parents(ring, key, scheme)[0]) for key in keys} == {-1}
+        block = ChordNodeBlock.from_ring(ring)
+        assert {int(block.key_parents(key, scheme)[0]) for key in keys} == {-1}
+        _assert_closed_form_matches_scan(ring, keys, scheme)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_ledger_shape_probing_65536_at_32_bits(self, scheme):
+        # The slab_push_64k ring: n = 2^16, so the gap is a power of two.
+        space = IdSpace(32)
+        ring = ProbingIdAssigner().build_ring(space, 1 << 16, rng=2007)
+        ids = ring.nodes
+        keys = (0xA5A5A5, ids[777], space.wrap(ids[-1] + 1), space.max_id)
         _assert_closed_form_matches_scan(ring, keys, scheme)

@@ -2,10 +2,16 @@
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.limiting import FingerLimiter, ceil_log2_fraction, finger_limit
+from repro.core.limiting import (
+    FingerLimiter,
+    _balanced_limits,
+    ceil_log2_fraction,
+    finger_limit,
+)
 
 POSITIVE_FRACTIONS = st.fractions(
     min_value=Fraction(1, 10**6), max_value=Fraction(10**9)
@@ -115,11 +121,7 @@ class TestIntegerFormMatchesRationalReference:
         ),
     )
     def test_block_limits_agree_elementwise(self, xs, d0):
-        import numpy as np
-
-        from repro.chord.block import balanced_limits
-
-        limits = balanced_limits(np.array(xs, dtype=np.int64), d0)
+        limits = _balanced_limits(np.array(xs, dtype=np.int64), d0)
         assert limits.tolist() == [reference_limit(x, d0) for x in xs]
 
     def test_short_float_gaps_are_exact_and_long_ones_reduced(self):

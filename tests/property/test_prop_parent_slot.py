@@ -23,17 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chord.fastbuild import (
-    DatTreeArrays,
-    _parent_slots,
-    fast_finger_matrix,
-    fast_tree_arrays,
-)
+from repro.chord.fastbuild import DatTreeArrays, fast_finger_matrix, fast_tree_arrays
 from repro.chord.idgen import ProbingIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.core.builder import DatScheme
-from repro.core.limiting import FingerLimiter
+from repro.core.limiting import FingerLimiter, parent_slots
 
 BITS = [4, 8, 16, 32, 48]
 SCHEMES = [DatScheme.BASIC, DatScheme.BALANCED]
@@ -66,7 +61,7 @@ def _assert_closed_form_matches_scan(ring, key, scheme):
 
     x = (np.int64(root) - ids) & np.int64(ring.space.max_id)
     gap = Fraction(ring.space.size, len(ring))
-    closed = _parent_slots(x, gap if scheme is DatScheme.BALANCED else None)
+    closed = parent_slots(x, x, gap if scheme is DatScheme.BALANCED else None)
     assert closed.tolist() == best.tolist()
 
     arrays = fast_tree_arrays(ring, key, scheme=scheme)

@@ -15,14 +15,11 @@ from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordConfig
-from repro.core.slab import (
-    SLAB_AGGREGATES,
-    run_protocol_oracle,
-    run_protocol_slab,
-)
+from repro.core.slab import SLAB_AGGREGATES, run_protocol_slab
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.messages import reset_msg_ids
 from repro.sim.simnet import SimTransport
+from tests.oracles import run_protocol_oracle
 
 
 @st.composite

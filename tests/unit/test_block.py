@@ -8,14 +8,16 @@ machinery bit for bit. These tests assert that identity over full rings:
 against the exact scalar :class:`~repro.core.limiting.FingerLimiter`.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.chord.block import ChordNodeBlock, balanced_limits
+from repro.chord.block import ChordNodeBlock
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.limiting import FingerLimiter
+from repro.core.limiting import FingerLimiter, _balanced_limits
 from repro.errors import IdentifierError, TreeError
 
 
@@ -46,7 +48,7 @@ class TestBalancedLimits:
         for d0 in (1.0, 2.0, 4096.0, 2.0**32 / 300):
             limiter = FingerLimiter.for_gap(d0)
             expected = np.array([limiter(int(v)) for v in x], dtype=np.int64)
-            np.testing.assert_array_equal(balanced_limits(x, d0), expected)
+            np.testing.assert_array_equal(_balanced_limits(x, d0), expected)
 
     def test_matches_scalar_limiter_fractional_gap(self):
         # Non-power-of-two populations give fractional d0 (q > 1).
@@ -56,7 +58,7 @@ class TestBalancedLimits:
             d0 = 2.0**20 / n
             limiter = FingerLimiter.for_gap(d0)
             expected = np.array([limiter(int(v)) for v in x], dtype=np.int64)
-            np.testing.assert_array_equal(balanced_limits(x, d0), expected)
+            np.testing.assert_array_equal(_balanced_limits(x, d0), expected)
 
     def test_scalar_fallback_on_wide_values(self):
         # Force the int64 guard to fail: huge x times a large denominator.
@@ -64,11 +66,11 @@ class TestBalancedLimits:
         d0 = 3.0000000001  # limit_denominator gives a large q
         limiter = FingerLimiter.for_gap(d0)
         expected = np.array([limiter(int(v)) for v in x], dtype=np.int64)
-        np.testing.assert_array_equal(balanced_limits(x, d0), expected)
+        np.testing.assert_array_equal(_balanced_limits(x, d0), expected)
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValueError):
-            balanced_limits(np.array([1]), 0.0)
+            _balanced_limits(np.array([1]), 0.0)
 
 
 class TestChordNodeBlock:
@@ -77,10 +79,6 @@ class TestChordNodeBlock:
         block = ChordNodeBlock.from_ring(ring)
         assert len(block) == 100
         assert block.ids.tolist() == sorted(ring.nodes)
-        np.testing.assert_array_equal(
-            block.successors(),
-            np.array([ring.successor_of_node(i) for i in block.ids.tolist()]),
-        )
         rng = np.random.default_rng(9)
         for key in rng.integers(0, ring.space.size, size=50).tolist():
             owner = int(block.ids[block.owner_index(key)])
@@ -121,7 +119,7 @@ class TestChordNodeBlock:
         keys = rng.integers(0, ring.space.size, size=8).tolist()
         keys += block.ids.tolist()[:4]  # keys landing on members
         for key in keys:
-            parents = block.key_parents(key, scheme=scheme, d0=d0)
+            parents = block.key_parents(key, scheme=scheme)
             for i, ident in enumerate(block.ids.tolist()):
                 table = ring.finger_table(ident)
                 expected = scalar_parent_toward_key(table, key, scheme, d0)
@@ -138,13 +136,39 @@ class TestChordNodeBlock:
         parents = block.key_parents(7, scheme="basic")
         assert parents.tolist() == [-1]
 
+    @pytest.mark.parametrize("key", [2**16 + 5, -3])
+    def test_keys_outside_the_space_raise(self, key):
+        # Not ``key mod 2^bits``: the closed form's searchsorted would pick
+        # the wrong p* for such a key, and StaticRing.successor refuses it.
+        block = ChordNodeBlock.from_ring(build_ring(32, bits=16))
+        for scheme in ("basic", "balanced"):
+            with pytest.raises(IdentifierError):
+                block.key_parents(key, scheme)
+        with pytest.raises(IdentifierError):
+            block.owner_index(key)
+
     def test_key_parents_rejects_unknown_scheme(self):
         block = ChordNodeBlock.from_ring(build_ring(8))
         with pytest.raises(ValueError):
             block.key_parents(0, scheme="bogus")
+
+    def test_key_parents_traced_peak_at_65536(self):
+        # The closed form's temporaries are a few int64 vectors (68 B/node
+        # balanced, 33 basic); the (n, bits) scan it replaced peaked at 568.
+        ring = build_ring(1 << 16, bits=32, seed=7, strategy="probing")
+        block = ChordNodeBlock.from_ring(ring)
+        for scheme in ("basic", "balanced"):
+            tracemalloc.start()
+            try:
+                block.key_parents(0xA5A5A5, scheme)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / len(block) < 128, (scheme, peak / len(block))
 
     def test_state_nbytes_is_shared_and_small(self):
         ring = build_ring(512, bits=32, seed=2)
         block = ChordNodeBlock.from_ring(ring)
         # ids (8 B) + one matrix row (8 * bits B) per node.
         assert block.state_nbytes() == 512 * 8 * (1 + 32)
+

@@ -21,7 +21,7 @@ from repro.core.builder import (
     build_basic_dat,
     build_dat,
 )
-from repro.core.limiting import balanced_limits
+from repro.core.limiting import _balanced_limits
 from repro.errors import TreeError
 
 
@@ -109,7 +109,7 @@ class TestVectorizedCeilLog2:
 
 class TestExactCeilQ:
     """``g(x) = ceil_log2(max(1, q))``, ``q = ceil((x*n + 2*size) / (3n))``:
-    the kernel's array form is ``balanced_limits`` with ``d0 = size/n``."""
+    the kernel's array form is ``_balanced_limits`` with ``d0 = size/n``."""
 
     @staticmethod
     def _expected(x, n, size):
@@ -122,7 +122,7 @@ class TestExactCeilQ:
     def test_matches_ceil_div_in_vector_range(self):
         x = np.array([0, 1, 2, 5, 1000, 2**20, 2**30], dtype=np.int64)
         n, size = 4096, 2**32
-        got = balanced_limits(x, Fraction(size, n))
+        got = _balanced_limits(x, Fraction(size, n))
         assert got.tolist() == self._expected(x, n, size)
 
     def test_overflow_branch_stays_exact(self):
@@ -132,12 +132,12 @@ class TestExactCeilQ:
         n = 2**16 - 1
         x = np.array([size - 1, size - 2, size // 2], dtype=np.int64)
         assert int(x.max()) * n + 2 * size >= 2**62
-        got = balanced_limits(x, Fraction(size, n))
+        got = _balanced_limits(x, Fraction(size, n))
         assert got.tolist() == self._expected(x, n, size)
 
     def test_empty_input(self):
         empty = np.array([], dtype=np.int64)
-        assert balanced_limits(empty, Fraction(256, 8)).size == 0
+        assert _balanced_limits(empty, Fraction(256, 8)).size == 0
 
 
 class TestSharedMatrix:

@@ -110,7 +110,6 @@ def test_every_module_has_an_importer_outside_its_tests():
 # tests check; the rest is debt. Delete the name or find it a caller — do not
 # add to this list.
 ALLOWED_ORPHAN_NAMES = {
-    "chord.block:ChordNodeBlock.successors",
     "chord.broadcast:broadcast_children",
     "chord.fastbuild:DatTreeArrays.branching_counts",
     "chord.fastbuild:DatTreeArrays.depth_array",

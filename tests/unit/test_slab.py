@@ -19,15 +19,11 @@ import pytest
 from repro.chord.block import ChordNodeBlock
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
-from repro.core.slab import (
-    SLAB_AGGREGATES,
-    SlabContinuousRun,
-    run_protocol_oracle,
-    run_protocol_slab,
-)
-from repro.errors import AggregationError
+from repro.core.slab import SLAB_AGGREGATES, SlabContinuousRun, run_protocol_slab
+from repro.errors import AggregationError, IdentifierError
 from repro.sim.messages import reset_msg_ids
 from repro.sim.simnet import SimTransport
+from tests.oracles import run_protocol_oracle
 
 
 def build_ring(n, bits=16, seed=3):
@@ -167,6 +163,18 @@ class TestSlabRunValidation:
     def test_run_protocol_rejects_unsupported_aggregate(self):
         with pytest.raises(AggregationError):
             run_protocol_slab(build_ring(8), 1, rounds=1, aggregate="std")
+
+    @pytest.mark.parametrize("key", [2**16 + 5, -3])
+    def test_rejects_keys_outside_the_space_like_the_oracle(self, key):
+        # The slab used to run such a key as key mod 2^bits and converge on
+        # that key's root; the per-node services raise.
+        ring = build_ring(8)
+        block = ChordNodeBlock.from_ring(ring)
+        with pytest.raises(IdentifierError):
+            SlabContinuousRun(block, SimTransport(), key, "sum", np.ones(8))
+        for run in (run_protocol_slab, run_protocol_oracle):
+            with pytest.raises(IdentifierError):
+                run(ring, key, rounds=1)
 
 
 class TestRunResults:
