@@ -10,10 +10,8 @@ simulations.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable
 
-from repro import telemetry
 from repro.chord.idspace import IdSpace
 from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordConfig
@@ -41,13 +39,6 @@ class DatOverlay:
     value_provider:
         ``node_ident -> current local reading``; defaults to 1.0 per node
         (so SUM == COUNT == live membership — handy for dynamics studies).
-    telemetry_jsonl, telemetry_prom:
-        Optional output paths for the live telemetry pipeline
-        (:class:`~repro.telemetry.stream.LiveExport`). When either is set
-        and no global runtime is installed, the overlay enables telemetry
-        itself (and disables it again in :meth:`close`). The JSONL file
-        streams spans as they finish; :meth:`close` appends the final
-        metric/hotspot snapshot and writes the Prometheus text file.
     """
 
     def __init__(
@@ -57,24 +48,8 @@ class DatOverlay:
         config: ChordConfig | None = None,
         scheme: str = "balanced",
         value_provider: Callable[[int], float] | None = None,
-        telemetry_jsonl: str | os.PathLike | None = None,
-        telemetry_prom: str | os.PathLike | None = None,
     ) -> None:
         self.space = space
-        # Telemetry wiring happens before the default transport is built so
-        # the transport registers its hotspot accountant and binds the sim
-        # clock against the runtime the export will read.
-        self.live_export: telemetry.LiveExport | None = None
-        self._owns_telemetry = False
-        if telemetry_jsonl is not None or telemetry_prom is not None:
-            tel = telemetry.active()
-            if tel is None:
-                tel = telemetry.configure(enabled=True)
-                self._owns_telemetry = True
-            assert tel is not None
-            self.live_export = telemetry.LiveExport(
-                tel, jsonl_path=telemetry_jsonl, prom_path=telemetry_prom
-            )
         self.transport = transport if transport is not None else SimTransport()
         self.config = config or ChordConfig()
         self.scheme = scheme
@@ -83,28 +58,14 @@ class DatOverlay:
         self.services: dict[int, DatNodeService] = {}
 
     # ------------------------------------------------------------------ #
-    # Live telemetry export
+    # Teardown
     # ------------------------------------------------------------------ #
 
-    def close(self) -> dict[str, int]:
-        """Tear down every node service, then finalize telemetry (idempotent).
-
-        Services are closed first so their final spans land in the export.
-        Returns the exporter's line counts (empty when no export was
-        configured). Disables the global runtime only if this overlay
-        enabled it.
-        """
+    def close(self) -> None:
+        """Tear down every node service (idempotent)."""
         for service in list(self.services.values()):
             service.close()
         self.services.clear()
-        stats: dict[str, int] = {}
-        if self.live_export is not None:
-            stats = self.live_export.close()
-            self.live_export = None
-        if self._owns_telemetry:
-            telemetry.disable()
-            self._owns_telemetry = False
-        return stats
 
     def __enter__(self) -> "DatOverlay":
         return self

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "enable distributed tracing and stream span JSONL here; "
-            "assemble with python -m repro.telemetry.traces PATH"
+            "read with python -m repro.telemetry.report PATH --section traces"
         ),
     )
     parser.add_argument(

@@ -24,7 +24,7 @@ It has four layers:
 
 ``python -m repro.fleet`` is the operator CLI (``up`` / ``status`` /
 ``join`` / ``leave`` / ``kill`` / ``route`` / ``replay`` / ``smoke`` /
-``down``). See ``docs/FLEET.md`` for the architecture tour.
+``down`` / ``report``). See ``docs/FLEET.md`` for the architecture tour.
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ Two modes share one wire protocol:
 * ``up`` and ``smoke`` run a :class:`~repro.fleet.supervisor.
   FleetSupervisor` in the foreground (``up`` until SIGINT, ``smoke`` as a
   scripted one-shot used by CI);
-* every other subcommand (``status`` / ``join`` / ``leave`` / ``kill`` /
-  ``route`` / ``replay`` / ``down``) is a thin client that connects to a
-  running supervisor's admin Unix socket under ``--state-dir`` and prints
-  the JSON reply.
+* ``status`` / ``join`` / ``leave`` / ``kill`` / ``route`` / ``replay`` /
+  ``down`` are thin clients that connect to a running supervisor's admin
+  Unix socket under ``--state-dir`` and print the JSON reply;
+* ``report`` reads ``--state-dir`` offline (live fleet or torn down): the
+  per-agent table from the supervisor's telemetry streams, then the trace
+  roll-up and gate of :mod:`repro.telemetry.report`.
 
 The walkthrough lives in ``docs/FLEET.md``.
 """
@@ -18,17 +20,26 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import re
 import socket
 import sys
+from pathlib import Path
 from typing import Any
 
 from repro.errors import FleetError
 from repro.fleet.compare import compare_fig9, run_fig9_sim_twin
 from repro.fleet.plan import plan_fleet_churn, plan_fleet_fig9
-from repro.fleet.report import build_fleet_report, check_traces, render_fleet_report
 from repro.fleet.replay import replay_churn_live, replay_fig9_live
 from repro.fleet.supervisor import FleetConfig, FleetSupervisor, RestartPolicy
 from repro.fleet.wire import Reply, Request, decode_frame, encode_frame
+from repro.telemetry.report import (
+    check_traces,
+    load,
+    render_traces,
+    trace_rollup,
+    trace_set,
+)
+from repro.telemetry.traces import TraceSet
 
 __all__ = ["main", "build_parser"]
 
@@ -85,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="merge the state dir's telemetry + span exports into one fleet report",
+        help="per-agent rollups plus the trace roll-up of the state dir's exports",
     )
     report.add_argument("--json", action="store_true", help="machine-readable output")
     report.add_argument(
@@ -223,6 +234,117 @@ def install_replay_op(supervisor: FleetSupervisor) -> None:
 
 
 # --------------------------------------------------------------------- #
+# Offline report over a state dir
+# --------------------------------------------------------------------- #
+
+_TELEMETRY_RE = re.compile(r"telemetry-(\d+)\.jsonl$")
+
+
+def _agent_rollups(
+    control: dict[Path, list[dict[str, Any]]],
+) -> dict[str, dict[str, Any]]:
+    """Per-agent activity from the supervisor's ``telemetry-<ident>`` streams."""
+    rollups: dict[str, dict[str, Any]] = {}
+    for path, records in control.items():
+        match = _TELEMETRY_RE.search(path.name)
+        if match is None:
+            continue
+        ident = match.group(1)
+        samples = [
+            record["data"]
+            for record in records
+            if record.get("event") == "telemetry"
+            and isinstance(record.get("data"), dict)
+        ]
+        if not samples:
+            rollups[ident] = {"samples": 0}
+            continue
+        last = samples[-1]
+        pushes = last.get("pushes") or {}
+        rollups[ident] = {
+            "samples": len(samples),
+            "last_t": last.get("t"),
+            "sent": last.get("sent"),
+            "received": last.get("received"),
+            "fingers_filled": last.get("fingers_filled"),
+            "pushes": sum(int(v) for v in pushes.values()) if pushes else 0,
+            "estimates": last.get("estimates") or {},
+        }
+    return rollups
+
+
+def _fleet_report(state_dir: str) -> tuple[dict[str, Any], TraceSet | None]:
+    """The agents table and the shared trace roll-up of one state dir.
+
+    The directory is read by :func:`repro.telemetry.report.load`, so span
+    exports are aligned by its ``clock-offsets.json`` and truncated or
+    malformed lines follow the report's one policy. Traces are ``None``
+    when the fleet ran without ``--trace-spans``.
+    """
+    path = Path(state_dir)
+    if not path.is_dir():
+        raise FleetError(f"{path}: no such fleet state directory")
+    try:
+        export = load([path])
+    except (OSError, ValueError) as exc:
+        raise FleetError(str(exc)) from exc
+    for note in export.notes:
+        sys.stderr.write(f"note: {note}\n")
+    agents = _agent_rollups(export.control)
+    if not agents:
+        raise FleetError(f"no telemetry-*.jsonl streams in {state_dir}")
+    traces = trace_set(export.events) if export.files else None
+    report: dict[str, Any] = {
+        "state_dir": str(path),
+        "agents": agents,
+        "n_agents": len(agents),
+        "total_pushes": sum(int(a.get("pushes", 0)) for a in agents.values()),
+        "traces": None
+        if traces is None
+        else {**trace_rollup(traces), "offsets": export.offsets},
+    }
+    return report, traces
+
+
+def _trace_checks(
+    state_dir: str, traces: TraceSet | None, root: str
+) -> list[tuple[bool, str]]:
+    """The report's trace gate with the fleet's two conditions added.
+
+    A ``root`` trace must have crossed a process boundary, and orphans must
+    stay a minority (parents resolved across the per-agent files). Depth is
+    not required: pushes still in flight at teardown end shallow.
+    """
+    if traces is None:
+        return [(False, f"no span exports in {state_dir}")]
+    return check_traces(
+        traces, require_root=root, min_depth=0, cross_node=True, orphan_minority=True
+    )
+
+
+def _render_fleet_report(report: dict[str, Any], traces: TraceSet | None) -> str:
+    lines = [
+        f"fleet report: {report['state_dir']} — {report['n_agents']} agents, "
+        f"{report['total_pushes']} pushes",
+    ]
+    for ident in sorted(report["agents"], key=int):
+        agent = report["agents"][ident]
+        if not agent.get("samples"):
+            lines.append(f"  agent {ident}: no telemetry samples")
+            continue
+        lines.append(
+            f"  agent {ident}: samples={agent['samples']} "
+            f"t={agent.get('last_t')} sent={agent.get('sent')} "
+            f"recv={agent.get('received')} pushes={agent.get('pushes')}"
+        )
+    if traces is None:
+        lines.append("traces: none (fleet ran without --trace-spans)")
+    else:
+        lines.extend(render_traces(traces))
+    return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------------- #
 # Foreground commands
 # --------------------------------------------------------------------- #
 
@@ -282,8 +404,13 @@ async def _run_smoke(config: FleetConfig, slots: int, report_path: str) -> int:
     }
     passed = report.passed and reconverged
     if config.trace_spans:
-        fleet_report = build_fleet_report(config.state_dir)
-        trace_failures = check_traces(fleet_report, "dat.push")
+        state_dir = str(config.state_dir)
+        fleet_report, traces = _fleet_report(state_dir)
+        trace_failures = [
+            message
+            for passed, message in _trace_checks(state_dir, traces, "dat.push")
+            if not passed
+        ]
         payload["fleet_report"] = fleet_report
         payload["trace_failures"] = trace_failures
         passed = passed and not trace_failures
@@ -334,23 +461,17 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
         elif args.command == "report":
-            try:
-                fleet_report = build_fleet_report(args.state_dir)
-            except FileNotFoundError as exc:
-                raise FleetError(str(exc)) from exc
-            if not fleet_report["agents"]:
-                raise FleetError(
-                    f"no telemetry-*.jsonl streams in {args.state_dir}"
-                )
+            fleet_report, traces = _fleet_report(args.state_dir)
             if args.json:
                 _emit(fleet_report)
             else:
-                sys.stdout.write(render_fleet_report(fleet_report))
+                sys.stdout.write(_render_fleet_report(fleet_report, traces))
             if args.require_traces:
-                failures = check_traces(fleet_report, args.require_traces)
-                for failure in failures:
-                    sys.stderr.write(f"CHECK FAIL: {failure}\n")
-                if failures:
+                results = _trace_checks(args.state_dir, traces, args.require_traces)
+                for passed, message in results:
+                    prefix = "check ok: " if passed else "CHECK FAIL: "
+                    sys.stdout.write(prefix + message + "\n")
+                if not all(passed for passed, _message in results):
                     return 1
         elif args.command == "down":
             _emit(admin_call(args.state_dir, "down"))

@@ -11,7 +11,6 @@ continuous monitoring — the configuration the paper's prototype calls the
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.gma.producer import Producer
 from repro.maan.attrs import AttributeSchema, Resource
 from repro.maan.query import QueryResult, RangeQuery
 from repro.maan.service import MaanNodeService
-from repro.net import RetryPolicy
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
 
@@ -49,18 +47,6 @@ class LiveGridMonitor:
         Declared MAAN attributes.
     latency:
         One-way message delay (default 2 ms LAN-ish).
-    telemetry_jsonl, telemetry_prom:
-        Optional live-telemetry output paths (see
-        :class:`~repro.telemetry.stream.LiveExport`). When either is set
-        and no global runtime is installed, the monitor enables telemetry
-        itself and disables it again in :meth:`close`.
-    retry_policy:
-        Optional :class:`~repro.net.RetryPolicy` for the MAAN walk and the
-        DAT on-demand paths (default: the services' historical unbounded
-        wait). Makes the whole deployment loss-robust in one knob.
-    push_batch_window:
-        Flush window handed to every DAT service's push
-        :class:`~repro.net.Batcher` (default ``0.0`` — no batching).
     """
 
     def __init__(
@@ -69,27 +55,10 @@ class LiveGridMonitor:
         schemas: Mapping[str, AttributeSchema],
         latency: float = 0.002,
         rng: int | np.random.Generator | None = None,
-        telemetry_jsonl: str | os.PathLike | None = None,
-        telemetry_prom: str | os.PathLike | None = None,
-        retry_policy: RetryPolicy | None = None,
-        push_batch_window: float = 0.0,
     ) -> None:
         self.config = config
         self.schemas = dict(schemas)
         self.space = IdSpace(config.bits)
-        # Wire the live export before the transport exists so the transport
-        # registers hotspots / binds the sim clock against the runtime.
-        self.live_export: telemetry.LiveExport | None = None
-        self._owns_telemetry = False
-        if telemetry_jsonl is not None or telemetry_prom is not None:
-            tel = telemetry.active()
-            if tel is None:
-                tel = telemetry.configure(enabled=True)
-                self._owns_telemetry = True
-            assert tel is not None
-            self.live_export = telemetry.LiveExport(
-                tel, jsonl_path=telemetry_jsonl, prom_path=telemetry_prom
-            )
         self.transport = SimTransport(latency=ConstantLatency(latency))
         self.chord_config = ChordConfig(
             stabilize_interval=0.25, fix_fingers_interval=0.05
@@ -114,17 +83,13 @@ class LiveGridMonitor:
         self.broadcasts: dict[int, BroadcastService] = {}
         self.collectors: dict[int, GatherCollector] = {}
         for ident, node in self.network.nodes.items():
-            self.maan[ident] = MaanNodeService(
-                node, self.schemas, retry_policy=retry_policy
-            )
+            self.maan[ident] = MaanNodeService(node, self.schemas)
             dat = DatNodeService(
                 node,
                 finger_provider=node.finger_table,
                 value_provider=lambda ident=ident: self._read_local(ident),
                 scheme=config.dat_scheme,
                 d0_provider=self._mean_gap,
-                retry_policy=retry_policy,
-                push_batch_window=push_batch_window,
             )
             self.dat[ident] = dat
             broadcast = BroadcastService(node, finger_provider=node.finger_table)
@@ -141,14 +106,12 @@ class LiveGridMonitor:
         """Advance virtual time."""
         self.transport.run(until=self.transport.now() + duration)
 
-    def close(self) -> dict[str, int]:
-        """Tear down services and finalize the telemetry export (idempotent).
+    def close(self) -> None:
+        """Tear down every service (idempotent).
 
         Detaches every collector / DAT / MAAN service from its host so a
         fresh monitor can be built on the same process without leaked
-        upcalls or timers, then closes the live export. Returns the
-        exporter's line counts (empty when no export was configured).
-        Disables the global runtime only if this monitor enabled it.
+        upcalls or timers.
         """
         for collector in self.collectors.values():
             collector.close()
@@ -164,14 +127,6 @@ class LiveGridMonitor:
         for maan in self.maan.values():
             maan.close()
         self.maan.clear()
-        stats: dict[str, int] = {}
-        if self.live_export is not None:
-            stats = self.live_export.close()
-            self.live_export = None
-        if self._owns_telemetry:
-            telemetry.disable()
-            self._owns_telemetry = False
-        return stats
 
     def __enter__(self) -> "LiveGridMonitor":
         return self

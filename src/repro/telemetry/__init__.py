@@ -33,12 +33,7 @@ from repro.telemetry.config import (
     DEFAULT_PERCENTILES,
     TelemetryConfig,
 )
-from repro.telemetry.export import (
-    jsonl_lines,
-    prometheus_text,
-    write_jsonl,
-    write_prometheus,
-)
+from repro.telemetry.export import prometheus_text, write_prometheus
 from repro.telemetry.hotspot import HotspotAccountant, LoadSample, NodeLoad
 from repro.telemetry.metrics import (
     Counter,
@@ -117,9 +112,7 @@ __all__ = [
     "HotspotAccountant",
     "NodeLoad",
     "LoadSample",
-    "jsonl_lines",
     "prometheus_text",
-    "write_jsonl",
     "write_prometheus",
     "JsonlSpanStream",
     "TelemetryStream",

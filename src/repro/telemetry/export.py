@@ -1,6 +1,6 @@
-"""Exporters: JSONL event stream and Prometheus text exposition format.
+"""JSONL record builders and the Prometheus text exposition format.
 
-Both exports are pure functions of a :class:`~repro.telemetry.runtime.Telemetry`
+Both are pure functions of a :class:`~repro.telemetry.runtime.Telemetry`
 instance's current state, fully ordered (families by name, series by label
 values, spans by finish order), so a seeded run exports byte-identical
 streams across replays — the property the fig8-from-telemetry integration
@@ -11,9 +11,8 @@ JSONL: one JSON object per line, discriminated by ``"type"``:
 ``span_drops`` (drop accounting: evicted/streamed/sampled-out span
 counts, so a truncated export is never silently mistaken for a complete
 one). The per-record builders (:func:`config_record`, :func:`span_record`,
-...) are shared with the streaming exporter in
-:mod:`repro.telemetry.stream`, which emits the same records
-incrementally.
+...) are what :class:`repro.telemetry.stream.TelemetryStream`, the one
+JSONL writer, emits.
 
 Prometheus: the text exposition format — ``# HELP`` / ``# TYPE`` headers,
 one line per labeled series; histogram buckets are emitted cumulatively
@@ -44,8 +43,6 @@ __all__ = [
     "span_record",
     "span_drops_record",
     "hotspot_records",
-    "jsonl_lines",
-    "write_jsonl",
     "prometheus_text",
     "write_prometheus",
 ]
@@ -187,29 +184,6 @@ def hotspot_records(
         sample_record["type"] = "hotspot_sample"
         sample_record["accountant"] = name
         yield sample_record
-
-
-def jsonl_lines(tel: "Telemetry") -> Iterator[str]:
-    """Yield the telemetry state as JSONL lines (no trailing newlines)."""
-    yield encode_record(config_record(tel))
-    for sample in tel.metrics.samples():
-        yield encode_record(metric_record(sample))
-    for span in tel.spans.finished_snapshot():
-        yield encode_record(span_record(span))
-    yield encode_record(span_drops_record(tel.spans))
-    for name in tel.hotspot_names():
-        for record in hotspot_records(name, tel.hotspots(name)):
-            yield encode_record(record)
-
-
-def write_jsonl(tel: "Telemetry", out: IO[str]) -> int:
-    """Write the JSONL export to ``out``; returns the line count."""
-    n = 0
-    for line in jsonl_lines(tel):
-        out.write(line)
-        out.write("\n")
-        n += 1
-    return n
 
 
 # -- Prometheus text format -------------------------------------------------

@@ -1,41 +1,43 @@
-"""Summary-table CLI over one or many telemetry JSONL exports.
+"""The one reader of telemetry JSONL exports: loader, views, trace gate, CLI.
 
 Usage::
 
     python -m repro.telemetry.report run.jsonl
-    python -m repro.telemetry.report run.jsonl --section spans
-    python -m repro.telemetry.report run.jsonl --top 10
-    python -m repro.telemetry.report .fleet/            # merge dir/*.jsonl
+    python -m repro.telemetry.report run.jsonl --section spans --top 10
+    python -m repro.telemetry.report .fleet/            # a fleet state dir
     python -m repro.telemetry.report a.jsonl b.jsonl --offsets offs.json
+    python -m repro.telemetry.report trace.jsonl --tree 3
+    python -m repro.telemetry.report trace.jsonl --json
+    python -m repro.telemetry.report trace.jsonl \\
+        --require-root dat.push --min-depth 1 --tail-grace 2.0 \\
+        --check-critical-path      # CI trace gate (exit 1 on failure)
 
-Reads the JSONL event stream written by
-:func:`repro.telemetry.export.write_jsonl` or streamed live by
-:class:`repro.telemetry.stream.TelemetryStream` (e.g. via the experiment
-CLI's ``--telemetry-jsonl`` flag) and prints aligned summary tables:
-metric values, span durations aggregated by name (plus the export's
-``span_drops`` accounting), per-accountant hotspot load distributions
-with the Fig. 8 imbalance factor, and the rolling per-window load
-samples (``--section samples``) that periodic in-run sampling produces.
+Reads the JSONL event stream :class:`repro.telemetry.stream.TelemetryStream`
+writes — the experiment CLI's ``--telemetry-jsonl`` / ``--trace-jsonl``, a
+fleet agent's ``spans-<ident>.jsonl`` — and prints aligned summary tables:
+metric values, span durations by name (plus the export's ``span_drops``
+accounting), causal traces rolled up per root name with critical-path time
+by node, per-accountant hotspot load distributions with the Fig. 8
+imbalance factor, and the rolling per-window load samples.
 
-``--require-samples [SUBSTRING]`` makes the exit status assert a
-non-empty rolling-imbalance series — the CI round-trip smoke job uses it
-to prove dynamics runs really emitted per-window samples.
+:func:`load` is the one loader every view reads through:
 
-``--rolling-csv PATH`` / ``--rolling-json PATH`` additionally write the
-rolling-imbalance time series to a plot-ready artifact (one row/record
-per sample, across all accountants) so figure scripts can consume the
-Fig. 8b-style dynamics series without re-parsing the raw event stream.
+* Several paths merge onto one timeline. A directory expands to its
+  ``*.jsonl`` exports, setting aside fleet control-plane streams (their
+  records carry ``event``/``data`` instead of ``type``), and its
+  ``clock-offsets.json``, if present, gives each file's clock offset.
+  ``--offsets FILE`` replaces those offsets.
+* A final line with no trailing newline that does not parse is a truncated
+  write — what a killed process leaves behind — and is skipped with a note
+  on stderr. Any other malformed line exits ``2``, naming the file and the
+  line, as do missing paths, unreadable offsets and inputs with no events.
 
-Multiple positional paths are merged into one report; a directory path
-expands to its ``*.jsonl`` files (sorted) — the fleet case, one export
-per agent. ``--offsets`` maps file stems (or the trailing ident of
-``spans-<ident>``-style names) to per-file clock offsets so fleet
-exports line up on the supervisor timeline; see
-:mod:`repro.telemetry.traces`. Missing files, directories without any
-``*.jsonl``, and inputs with zero events all exit ``2`` with a clear
-error. The ``traces`` section assembles causal trees from traced spans
-and shows per-root-name depth/hop/critical-path rollups plus where the
-critical-path time went per node.
+``--require-samples [SUBSTRING]`` exits 1 unless the export carries a
+rolling-imbalance series (the CI telemetry round trip), and
+``--rolling-csv`` / ``--rolling-json`` write that series to plot-ready
+files. ``--require-root`` / ``--min-depth`` / ``--tail-grace`` /
+``--check-critical-path`` run :func:`check_traces`, the trace gate that
+``python -m repro.fleet report --require-traces`` also calls.
 """
 
 from __future__ import annotations
@@ -45,16 +47,28 @@ import csv
 import json
 import sys
 from collections import defaultdict
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Sequence
 
-from repro.telemetry.traces import TraceSpan, assemble, offset_for
+from repro.telemetry.traces import (
+    Trace,
+    TraceSet,
+    TraceSpan,
+    assemble,
+    offset_for,
+    render_tree,
+)
 
 __all__ = [
     "main",
     "build_parser",
-    "resolve_inputs",
-    "load_merged_events",
+    "Export",
+    "load",
+    "trace_set",
+    "trace_rollup",
+    "check_traces",
+    "render_traces",
     "render_report",
     "rolling_imbalance",
     "rolling_samples",
@@ -70,101 +84,221 @@ ROLLING_FIELDS = (
 
 _SECTIONS = ("metrics", "spans", "traces", "hotspots", "samples")
 
-
-def _load_events(lines: Iterable[str]) -> list[dict[str, object]]:
-    events = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: not valid JSON ({exc})") from exc
-        if not isinstance(record, dict) or "type" not in record:
-            raise ValueError(f"line {lineno}: not a telemetry event")
-        events.append(record)
-    return events
+#: The fleet supervisor's per-agent clock offsets, inside a state dir.
+_OFFSETS_FILE = "clock-offsets.json"
 
 
-def _looks_like_export(path: Path) -> bool:
-    """True unless the file's first record is a fleet control-plane frame.
+def _read_jsonl(path: Path, notes: list[str]) -> list[dict[str, Any]]:
+    """The JSON objects of one JSONL file, one per line; blank lines skipped.
 
-    A fleet state dir mixes telemetry exports (``spans-*.jsonl``) with the
-    supervisor's persisted control streams (``telemetry-*.jsonl``, whose
-    records carry ``event``/``data`` instead of ``type``); directory
-    expansion keeps only the former. Unreadable or malformed files are
-    kept — their error should surface at load time, not vanish here.
+    A final line with no trailing newline that is not a JSON object is a
+    truncated write: it is skipped and named in ``notes``. Any other line
+    that is not a JSON object raises :class:`ValueError` naming the file
+    and the line.
     """
+    records: list[dict[str, Any]] = []
+    with path.open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"a JSON {type(record).__name__}")
+            except ValueError as exc:
+                if not line.endswith("\n"):
+                    notes.append(f"{path}: line {lineno}: truncated final line skipped")
+                    break
+                raise ValueError(
+                    f"{path}: line {lineno}: not a JSON object ({exc})"
+                ) from exc
+            records.append(record)
+    return records
+
+
+def _load_offsets(path: Path) -> dict[str, float]:
+    """A clock-offsets file: JSON object of file stem or node ident -> seconds."""
     try:
         with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    return True
-                return not (isinstance(record, dict) and "type" not in record)
-    except OSError:
-        return True
-    return True  # empty file: kept (contributes zero events)
+            raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError("not a JSON object")
+        return {str(k): float(v) for k, v in raw.items()}
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot read offsets {path}: {exc}") from exc
 
 
-def resolve_inputs(paths: Sequence[str]) -> list[Path]:
-    """Expand the positional arguments into concrete JSONL files.
+@dataclass
+class Export:
+    """Exports merged onto one timeline by :func:`load`."""
 
-    A directory expands to its sorted ``*.jsonl`` children (the fleet
-    state dir, one export per agent), skipping control-plane streams that
-    are not telemetry exports. Raises :class:`ValueError` with a clear
-    message for a missing path or a directory with no exports.
+    #: Files read as telemetry exports, in merge order.
+    files: list[Path] = field(default_factory=list)
+    #: Their records; span timestamps are shifted by each file's offset.
+    events: list[dict[str, Any]] = field(default_factory=list)
+    #: The clock offsets applied (file stem or node ident -> seconds).
+    offsets: dict[str, float] = field(default_factory=dict)
+    #: Records of the fleet control-plane streams found in a directory.
+    control: dict[Path, list[dict[str, Any]]] = field(default_factory=dict)
+    #: One note per truncated final line skipped.
+    notes: list[str] = field(default_factory=list)
+
+
+def load(
+    paths: Sequence[str | Path], offsets_path: str | Path | None = None
+) -> Export:
+    """Read, check and merge exports onto one timeline.
+
+    ``offsets_path`` replaces the offsets each directory's
+    ``clock-offsets.json`` would give. Each file's offset
+    (:func:`~repro.telemetry.traces.offset_for`) is added to its span
+    records' ``start``/``end``, so span and trace views read one clock.
+    Raises :class:`ValueError` naming the file for a missing path,
+    unreadable offsets or a malformed line.
     """
-    files: list[Path] = []
+    export = Export()
+    if offsets_path is not None:
+        export.offsets = _load_offsets(Path(offsets_path))
+    candidates: list[tuple[Path, bool]] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            found = [p for p in sorted(path.glob("*.jsonl")) if _looks_like_export(p)]
-            if not found:
-                raise ValueError(
-                    f"{path}: directory contains no telemetry *.jsonl exports"
-                )
-            files.extend(found)
+            candidates.extend((p, True) for p in sorted(path.glob("*.jsonl")))
+            if offsets_path is None and (path / _OFFSETS_FILE).is_file():
+                export.offsets.update(_load_offsets(path / _OFFSETS_FILE))
         elif path.is_file():
-            files.append(path)
+            candidates.append((path, False))
         else:
             raise ValueError(f"{path}: no such file or directory")
-    return files
+    for path, in_dir in candidates:
+        records = _read_jsonl(path, export.notes)
+        if in_dir and records and "type" not in records[0]:
+            export.control[path] = records
+            continue
+        shift = offset_for(path, export.offsets)
+        for index, record in enumerate(records, start=1):
+            if "type" not in record:
+                raise ValueError(f"{path}: record {index}: not a telemetry event")
+            if shift and record["type"] == "span":
+                for key in ("start", "end"):
+                    if isinstance(record.get(key), (int, float)):
+                        record[key] = float(record[key]) + shift
+        export.files.append(path)
+        export.events.extend(records)
+    return export
 
 
-def load_merged_events(
-    files: Sequence[Path], offsets: dict[str, float] | None = None
-) -> list[dict[str, object]]:
-    """Load and merge several exports onto one timeline.
+def trace_set(events: Sequence[dict[str, Any]]) -> TraceSet:
+    """Causal traces assembled from the traced ``span`` records of ``events``."""
+    spans = (TraceSpan.from_record(e) for e in events if e.get("type") == "span")
+    return assemble(span for span in spans if span is not None)
 
-    Each file's clock offset (see :func:`repro.telemetry.traces.offset_for`)
-    is added to its span records' ``start``/``end`` before merging, so
-    span and trace sections read a single consistent clock. Raises
-    :class:`ValueError` (with the file named) for malformed lines.
+
+def trace_rollup(traces: TraceSet) -> dict[str, Any]:
+    """Assembly counts plus one roll-up per root name.
+
+    ``roots`` maps each root name of a non-orphaned trace (sorted) to its
+    trace ``count``, ``max_depth``, ``max_hops``, ``mean_critical_path``,
+    ``max_critical_path`` and ``cross_node`` (traces spanning more than one
+    node). The ``traces`` section, ``--json`` and ``python -m repro.fleet
+    report`` all read it.
     """
-    merged: list[dict[str, object]] = []
-    for path in files:
-        with open(path, encoding="utf-8") as handle:
-            try:
-                events = _load_events(handle)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-        offset = offset_for(path, offsets)
-        if offset:
-            for event in events:
-                if event.get("type") != "span":
-                    continue
-                for field in ("start", "end"):
-                    value = event.get(field)
-                    if isinstance(value, (int, float)):
-                        event[field] = float(value) + offset
-        merged.extend(events)
-    return merged
+    groups: dict[str, list[Trace]] = defaultdict(list)
+    for trace in traces.traces:
+        if not trace.orphaned:
+            groups[trace.root.name].append(trace)
+    roots: dict[str, dict[str, Any]] = {}
+    for name in sorted(groups):
+        group = groups[name]
+        cps = [t.critical_path_latency() for t in group]
+        roots[name] = {
+            "count": len(group),
+            "max_depth": max(t.depth() for t in group),
+            "max_hops": max(t.hops() for t in group),
+            "mean_critical_path": sum(cps) / len(cps),
+            "max_critical_path": max(cps),
+            "cross_node": sum(1 for t in group if len(t.nodes()) > 1),
+        }
+    return {
+        "spans": traces.total_spans,
+        "traces": len(traces.traces),
+        "orphans": len(traces.orphans()),
+        "duplicates": traces.duplicates,
+        "roots": roots,
+    }
+
+
+def check_traces(
+    traces: TraceSet,
+    *,
+    require_root: str | None = None,
+    min_depth: int = 1,
+    tail_grace: float = 0.0,
+    check_critical_path: bool = False,
+    cross_node: bool = False,
+    orphan_minority: bool = False,
+) -> list[tuple[bool, str]]:
+    """The trace gate: one ``(passed, message)`` per condition checked.
+
+    * ``require_root``: some non-orphaned trace is rooted there, and each
+      one starting before ``max_end - tail_grace`` (those still in flight
+      at shutdown are exempt) reaches ``min_depth``; with ``cross_node``,
+      at least one of them spans more than one node.
+    * ``orphan_minority``: at most half the traces are orphaned, i.e.
+      parents resolved across the merged files.
+    * ``check_critical_path``: every trace's critical path sums to its
+      root's duration.
+    """
+    results: list[tuple[bool, str]] = []
+    if require_root is not None:
+        rooted = traces.rooted(require_root)
+        horizon = traces.max_end() - tail_grace
+        in_window = [t for t in rooted if t.root.start <= horizon]
+        shallow = [t for t in in_window if t.depth() < min_depth]
+        if not rooted:
+            results.append((False, f"no traces rooted at {require_root!r}"))
+        elif shallow:
+            sample = ", ".join(t.trace_id for t in shallow[:5])
+            results.append((False, (
+                f"{len(shallow)}/{len(in_window)} {require_root!r} traces "
+                f"shallower than {min_depth} (e.g. {sample})"
+            )))
+        else:
+            results.append((True, (
+                f"{len(in_window)} {require_root!r} traces at depth >= "
+                f"{min_depth} ({len(rooted) - len(in_window)} in tail grace)"
+            )))
+        if cross_node and rooted:
+            crossed = sum(1 for t in rooted if len(t.nodes()) > 1)
+            results.append(
+                (True, f"{crossed} {require_root!r} traces crossed a process boundary")
+                if crossed
+                else (False, f"no {require_root!r} trace crossed a process boundary")
+            )
+    if orphan_minority:
+        orphans, total = len(traces.orphans()), len(traces.traces)
+        results.append(
+            (False, (
+                f"{orphans}/{total} traces orphaned — parent spans missing "
+                "from the merged files"
+            ))
+            if orphans > total / 2
+            else (True, f"{orphans}/{total} traces orphaned")
+        )
+    if check_critical_path:
+        bad = sum(
+            1
+            for t in traces.traces
+            if abs(t.critical_path_latency() - t.duration) > 1e-9
+        )
+        results.append(
+            (False, f"{bad} traces with inconsistent critical path")
+            if bad
+            else (True, (
+                f"critical path == root duration for {len(traces.traces)} traces"
+            ))
+        )
+    return results
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
@@ -264,54 +398,36 @@ def _drops_lines(events: list[dict[str, object]]) -> list[str]:
     return lines
 
 
-def _traces_section(events: list[dict[str, object]], top: int) -> list[str]:
-    """Causal-trace rollup: per-root-name trees and critical-path time.
-
-    Only spans exported with tracing enabled carry the ``sid`` /
-    ``trace_parent`` fields assembly needs; an untraced export renders a
-    hint instead of an empty table.
-    """
-    spans = []
-    for event in events:
-        if event.get("type") != "span":
-            continue
-        span = TraceSpan.from_record(event)
-        if span is not None:
-            spans.append(span)
-    if not spans:
-        return ["(no traced spans — produce the export with tracing enabled,"
-                " e.g. --trace-jsonl)"]
-    traces = assemble(spans)
-    groups: dict[str, list] = defaultdict(list)
-    for trace in traces.traces:
-        if not trace.orphaned:
-            groups[trace.root.name].append(trace)
-    rows = []
+def render_traces(traces: TraceSet, top: int = 20) -> list[str]:
+    """The traces view: per-root roll-up, assembly counts, time by node."""
+    rollup = trace_rollup(traces)
     ranked = sorted(
-        groups.items(), key=lambda kv: -sum(t.duration for t in kv[1])
+        rollup["roots"].items(),
+        key=lambda kv: -kv[1]["count"] * kv[1]["mean_critical_path"],
     )
-    for name, group in ranked[:top] if top else ranked:
-        cps = [t.critical_path_latency() for t in group]
-        rows.append(
-            [
-                name,
-                str(len(group)),
-                str(max(t.depth() for t in group)),
-                str(max(t.hops() for t in group)),
-                f"{sum(cps) / len(cps):.6g}",
-                f"{max(cps):.6g}",
-            ]
-        )
+    rows = [
+        [
+            name,
+            str(r["count"]),
+            str(r["max_depth"]),
+            str(r["max_hops"]),
+            str(r["cross_node"]),
+            f"{r['mean_critical_path']:.6g}",
+            f"{r['max_critical_path']:.6g}",
+        ]
+        for name, r in (ranked[:top] if top else ranked)
+    ]
     lines = _table(
-        ["root", "traces", "depth", "hops", "mean_crit_path", "max_crit_path"],
+        ["root", "traces", "depth", "hops", "cross_node", "mean_crit_path",
+         "max_crit_path"],
         rows,
     )
     if top and len(ranked) > top:
         lines.append(f"... ({len(ranked) - top} more root names)")
     lines.append(
-        f"assembly: {len(traces.traces)} traces from {traces.total_spans} "
-        f"spans, {len(traces.orphans())} orphaned, "
-        f"{traces.duplicates} duplicate ids"
+        f"assembly: {rollup['traces']} traces from {rollup['spans']} "
+        f"spans, {rollup['orphans']} orphaned, "
+        f"{rollup['duplicates']} duplicate ids"
     )
     # Where the latency went: critical-path time attributed per node.
     by_node: dict[object, float] = defaultdict(float)
@@ -332,6 +448,20 @@ def _traces_section(events: list[dict[str, object]], top: int) -> list[str]:
         if top and len(ranked_nodes) > top:
             lines.append(f"  ... ({len(ranked_nodes) - top} more nodes)")
     return lines
+
+
+def _traces_section(events: list[dict[str, object]], top: int) -> list[str]:
+    """Causal-trace roll-up (:func:`render_traces`) of the traced spans.
+
+    Only spans exported with tracing enabled carry the ``sid`` /
+    ``trace_parent`` fields assembly needs; an untraced export renders a
+    hint instead of an empty table.
+    """
+    traces = trace_set(events)
+    if not traces.total_spans:
+        return ["(no traced spans — produce the export with tracing enabled,"
+                " e.g. --trace-jsonl)"]
+    return render_traces(traces, top)
 
 
 def _hotspots_section(events: list[dict[str, object]], top: int) -> list[str]:
@@ -524,14 +654,14 @@ def render_report(
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry.report",
-        description="Summarize a telemetry JSONL export.",
+        description="Summarize, assemble and gate telemetry JSONL exports.",
     )
     parser.add_argument(
         "paths",
         nargs="+",
         help=(
             "JSONL exports to merge; a directory expands to its *.jsonl "
-            "files (e.g. a fleet state dir)"
+            "exports and its clock-offsets.json (e.g. a fleet state dir)"
         ),
     )
     parser.add_argument(
@@ -539,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "JSON mapping of file stem (or node ident) to a clock offset "
-            "added to that file's span timestamps before merging"
+            "added to that file's span timestamps before merging; replaces "
+            "any directory's clock-offsets.json"
         ),
     )
     parser.add_argument(
@@ -553,6 +684,44 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=20,
         help="rows per table, 0 for unlimited (default: 20)",
+    )
+    parser.add_argument(
+        "--tree",
+        type=int,
+        default=0,
+        metavar="N",
+        help="after the report, print the first N assembled trace trees",
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="print the trace roll-up as JSON instead of the tables",
+    )
+    parser.add_argument(
+        "--require-root",
+        metavar="NAME",
+        help="exit 1 unless traces rooted at NAME exist and reach --min-depth",
+    )
+    parser.add_argument(
+        "--min-depth",
+        type=int,
+        default=1,
+        help="depth bar for --require-root (default: 1)",
+    )
+    parser.add_argument(
+        "--tail-grace",
+        type=float,
+        default=0.0,
+        metavar="S",
+        help=(
+            "exempt roots starting within S of the export's end (in flight "
+            "at shutdown) from --min-depth"
+        ),
+    )
+    parser.add_argument(
+        "--check-critical-path",
+        action="store_true",
+        help="exit 1 unless every trace's critical path sums to its root duration",
     )
     parser.add_argument(
         "--require-samples",
@@ -580,29 +749,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    offsets: dict[str, float] | None = None
-    if args.offsets:
-        try:
-            with open(args.offsets, encoding="utf-8") as handle:
-                offsets = {
-                    str(k): float(v) for k, v in json.load(handle).items()
-                }
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read offsets {args.offsets}: {exc}",
-                  file=sys.stderr)
-            return 2
     try:
-        files = resolve_inputs(args.paths)
-        events = load_merged_events(files, offsets)
+        export = load(args.paths, args.offsets)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for note in export.notes:
+        print(f"note: {note}", file=sys.stderr)
+    events = export.events
     if not events:
-        listed = ", ".join(str(f) for f in files)
+        listed = ", ".join(str(p) for p in export.files or args.paths)
         print(f"error: no telemetry events in {listed}", file=sys.stderr)
         return 2
-    sections = tuple(args.section) if args.section else _SECTIONS
-    print(render_report(events, sections=sections, top=args.top), end="")
+    traces = trace_set(events)
+    gated = args.require_root is not None or args.check_critical_path
+    if gated and not traces.total_spans:
+        print(
+            "error: no traced spans found (was the run made with tracing "
+            "enabled, e.g. --trace-jsonl?)",
+            file=sys.stderr,
+        )
+        return 2
+    if args.json:
+        rollup = {**trace_rollup(traces), "offsets": export.offsets}
+        print(json.dumps(rollup, sort_keys=True))
+    else:
+        sections = tuple(args.section) if args.section else _SECTIONS
+        print(render_report(events, sections=sections, top=args.top), end="")
+        for trace in traces.traces[: args.tree]:
+            print()
+            render_tree(trace, sys.stdout)
     try:
         if args.rolling_csv:
             n_rows = write_rolling_csv(events, args.rolling_csv)
@@ -627,6 +803,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"rolling-imbalance series: {len(series)} accountant(s), "
             f"{n_points} sample(s)"
         )
+    if gated:
+        results = check_traces(
+            traces,
+            require_root=args.require_root,
+            min_depth=args.min_depth,
+            tail_grace=args.tail_grace,
+            check_critical_path=args.check_critical_path,
+        )
+        for passed, message in results:
+            print(("check ok: " if passed else "CHECK FAIL: ") + message)
+        if not all(passed for passed, _message in results):
+            return 1
     return 0
 
 

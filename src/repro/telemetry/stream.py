@@ -1,10 +1,9 @@
-"""Streaming telemetry export: bounded-memory JSONL span pipelines.
+"""The JSONL writer: bounded-memory span pipelines and end-of-run snapshots.
 
-The bulk exporter (:func:`repro.telemetry.export.jsonl_lines`) is a pure
-function of end-of-run state — it materializes every retained span, which
-for million-event runs means either unbounded memory or silent
-``max_spans`` eviction. This module turns the export into a *live
-pipeline*:
+An export taken only at the end of a run materializes every retained span,
+which for million-event runs means either unbounded memory or silent
+``max_spans`` eviction. This module, the one JSONL writer, turns the export
+into a *live pipeline*:
 
 * :class:`JsonlSpanStream` attaches to the
   :class:`~repro.telemetry.spans.SpanRecorder` as its sink. Finished
@@ -17,13 +16,13 @@ pipeline*:
   silently evicted.
 * :class:`TelemetryStream` is the whole session: it writes the
   ``config`` header, installs the span stream, and on :meth:`close`
-  appends the end-of-run snapshot (metrics, hotspot nodes + rolling
-  samples, drop accounting) so ``repro.telemetry.report`` reads a
-  streamed file exactly like a bulk export.
-* :class:`LiveExport` owns the files for ``--telemetry-jsonl`` /
-  ``--telemetry-prom`` wiring in long-running deployments
-  (:class:`repro.core.overlay.DatOverlay`, ``repro.gma.live``, the
-  experiments CLI).
+  appends the end-of-run snapshot (metrics, retained spans, hotspot nodes
+  + rolling samples, drop accounting), so a file is complete whether its
+  spans streamed or were retained; closing a stream right after opening
+  it writes a plain end-of-run snapshot.
+* :class:`LiveExport` owns the files: the experiments CLI's
+  ``--telemetry-jsonl`` / ``--telemetry-prom`` / ``--trace-jsonl`` and a
+  fleet agent's span export.
 """
 
 from __future__ import annotations

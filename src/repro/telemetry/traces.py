@@ -3,23 +3,28 @@
 The propagation side (:class:`~repro.telemetry.spans.TraceContext` threaded
 through message payloads by ``repro.net``) stamps every exported span with
 a ``trace_id``, a globally qualified ``sid`` (``"<site>:<span_id>"``), and
-its ``trace_parent``. This module is the read side: given one or many JSONL
-span files — a single simulator stream, or per-node fleet exports — it
+its ``trace_parent``. This module is the read side's model: given the span
+records of one or many JSONL exports — a single simulator stream, or
+per-node fleet exports merged by :func:`repro.telemetry.report.load` — it
 reconstructs the causal trees and answers the questions the paper's
 evaluation asks of multi-hop behaviour: how many hops did this aggregate
 take, where did the latency go, which node spent it.
 
 Inputs may disagree on clocks: fleet agents stamp spans from their own
-monotonic offset. Pass per-file ``offset`` values (the fleet supervisor
-derives them from each agent's ``Hello`` handshake and writes
-``clock-offsets.json``) and every timestamp is shifted onto the common
-supervisor timeline before assembly.
+monotonic offset. The fleet supervisor derives per-agent offsets from each
+``Hello`` handshake and writes ``clock-offsets.json``; :func:`offset_for`
+resolves one file's offset from such a mapping, and the report's loader
+shifts every timestamp onto the common supervisor timeline before assembly.
 
 Assembly is defensive by construction:
 
 * **orphaned spans** — a span whose ``trace_parent`` never resolves (the
   parent was sampled out, evicted, or its node's file is missing) becomes
   the root of its own tree, flagged ``orphaned``;
+* **parent cycles** — corrupt links that loop (``A -> B -> A``, or a span
+  naming itself) leave no root to reach them from; each cycle becomes one
+  orphaned tree rooted at its earliest ``(start, sid)`` member, so every
+  distinct span lands in exactly one trace;
 * **duplicate ids** — retransmitted or re-merged records with an
   already-seen ``sid`` are dropped (first record wins) and counted;
 * **clock skew** — child intervals are clamped into their parent's when
@@ -33,35 +38,23 @@ segment, recursively. By construction the segment durations sum exactly to
 the root span's duration — the acceptance self-check — and grouping the
 segments by node yields the per-node latency attribution.
 
-CLI::
-
-    python -m repro.telemetry.traces run.jsonl            # summary table
-    python -m repro.telemetry.traces .fleet/spans-*.jsonl \
-        --offsets .fleet/clock-offsets.json --tree 3
-    python -m repro.telemetry.traces run.jsonl \
-        --require-root dat.push --min-depth 1 --tail-grace 2.0 \
-        --check-critical-path      # CI smoke gate (nonzero exit on failure)
+The CLI over all of this is ``python -m repro.telemetry.report`` (its
+``traces`` section, ``--tree``, ``--json`` and the trace gates).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable
 
 __all__ = [
     "TraceSpan",
     "Trace",
     "TraceSet",
-    "load_trace_spans",
-    "iter_span_records",
     "assemble",
-    "assemble_files",
     "offset_for",
-    "main",
+    "render_tree",
 ]
 
 
@@ -79,7 +72,6 @@ class TraceSpan:
     node: object | None = None
     error: str | None = None
     attrs: dict[str, object] = field(default_factory=dict)
-    source: str = ""
     children: list["TraceSpan"] = field(default_factory=list)
 
     @property
@@ -88,9 +80,7 @@ class TraceSpan:
         return 0.0 if self.end is None else self.end - self.start
 
     @classmethod
-    def from_record(
-        cls, record: dict[str, object], *, offset: float = 0.0, source: str = ""
-    ) -> "TraceSpan | None":
+    def from_record(cls, record: dict[str, object]) -> "TraceSpan | None":
         """Build from one exported ``span`` JSONL record.
 
         Returns ``None`` for records without trace fields (spans exported
@@ -113,15 +103,14 @@ class TraceSpan:
         return cls(
             sid=sid,
             name=name,
-            start=float(start) + offset,
-            end=float(end) + offset if isinstance(end, (int, float)) else None,
+            start=float(start),
+            end=float(end) if isinstance(end, (int, float)) else None,
             trace_parent=parent if isinstance(parent, str) else None,
             trace_id=trace_id if isinstance(trace_id, str) else None,
             hop=hop if isinstance(hop, int) else 0,
             node=record.get("node"),
             error=error if isinstance(error, str) else None,
             attrs=dict(attrs) if isinstance(attrs, dict) else {},
-            source=source,
         )
 
 
@@ -252,43 +241,6 @@ class TraceSet:
         return best
 
 
-def iter_span_records(lines: Iterable[str]) -> Iterator[dict[str, object]]:
-    """Yield ``span``-type records from JSONL lines; skip everything else.
-
-    Malformed lines are skipped, not fatal: a live stream truncated
-    mid-write must still assemble.
-    """
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict) and record.get("type") == "span":
-            yield record
-
-
-def load_trace_spans(
-    path: str | Path, *, offset: float = 0.0, source: str | None = None
-) -> list[TraceSpan]:
-    """Parse one JSONL export into trace spans (non-traced spans skipped).
-
-    ``offset`` shifts every timestamp (fleet clock alignment); ``source``
-    labels where each span came from (defaults to the file name).
-    """
-    path = Path(path)
-    label = source if source is not None else path.name
-    spans: list[TraceSpan] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for record in iter_span_records(handle):
-            span = TraceSpan.from_record(record, offset=offset, source=label)
-            if span is not None:
-                spans.append(span)
-    return spans
-
-
 def offset_for(path: str | Path, offsets: dict[str, float] | None) -> float:
     """Resolve a file's clock offset from an offsets mapping.
 
@@ -305,8 +257,23 @@ def offset_for(path: str | Path, offsets: dict[str, float] | None) -> float:
     return float(offsets.get(tail, 0.0))
 
 
+def _tree(root: TraceSpan, orphaned: bool) -> Trace:
+    members: list[TraceSpan] = []
+    stack = [root]
+    while stack:
+        span = stack.pop()
+        members.append(span)
+        stack.extend(span.children)
+    members.sort(key=lambda s: (s.start, s.sid))
+    return Trace(root=root, spans=members, orphaned=orphaned)
+
+
 def assemble(spans: Iterable[TraceSpan]) -> TraceSet:
-    """Reconstruct causal trees from (possibly merged, skewed) spans."""
+    """Reconstruct causal trees from (possibly merged, skewed) spans.
+
+    Every distinct span lands in exactly one trace:
+    ``sum(len(t.spans) for t in result.traces) == result.total_spans``.
+    """
     by_sid: dict[str, TraceSpan] = {}
     duplicates = 0
     for span in spans:
@@ -316,6 +283,7 @@ def assemble(spans: Iterable[TraceSpan]) -> TraceSet:
         by_sid[span.sid] = span
 
     roots: list[tuple[TraceSpan, bool]] = []
+    parent_of: dict[str, TraceSpan] = {}
     for span in by_sid.values():
         parent_sid = span.trace_parent
         if parent_sid is None:
@@ -325,42 +293,37 @@ def assemble(spans: Iterable[TraceSpan]) -> TraceSet:
         if parent is None:
             roots.append((span, True))  # orphan: parent never exported
             continue
+        parent_of[span.sid] = parent
         parent.children.append(span)
 
     for span in by_sid.values():
         span.children.sort(key=lambda c: (c.start, c.sid))
 
-    traces: list[Trace] = []
-    for root, orphaned in roots:
-        members: list[TraceSpan] = []
-        stack = [root]
-        seen: set[str] = set()
-        while stack:
-            span = stack.pop()
-            if span.sid in seen:
-                continue  # cycle guard: corrupt parent links can't hang us
-            seen.add(span.sid)
-            members.append(span)
-            stack.extend(span.children)
-        members.sort(key=lambda s: (s.start, s.sid))
-        traces.append(Trace(root=root, spans=members, orphaned=orphaned))
+    traces = [_tree(root, orphaned) for root, orphaned in roots]
+    # A span no root reaches hangs off a parent cycle: every span has one
+    # parent, so following parents from it must loop. Cut each cycle at
+    # its earliest member, which then roots an orphaned tree.
+    reached = {span.sid for trace in traces for span in trace.spans}
+    for span in sorted(by_sid.values(), key=lambda s: (s.start, s.sid)):
+        if span.sid in reached:
+            continue
+        walked: set[str] = set()
+        on_cycle = span
+        while on_cycle.sid not in walked:
+            walked.add(on_cycle.sid)
+            on_cycle = parent_of[on_cycle.sid]
+        cycle = [on_cycle]
+        member = parent_of[on_cycle.sid]
+        while member is not on_cycle:
+            cycle.append(member)
+            member = parent_of[member.sid]
+        root = min(cycle, key=lambda s: (s.start, s.sid))
+        parent_of[root.sid].children.remove(root)
+        trace = _tree(root, orphaned=True)
+        reached.update(s.sid for s in trace.spans)
+        traces.append(trace)
     traces.sort(key=lambda t: (t.root.start, t.root.sid))
     return TraceSet(traces=traces, duplicates=duplicates, total_spans=len(by_sid))
-
-
-def assemble_files(
-    paths: Sequence[str | Path], *, offsets: dict[str, float] | None = None
-) -> TraceSet:
-    """Load, align, merge, and assemble one or many span exports."""
-    spans: list[TraceSpan] = []
-    for path in paths:
-        spans.extend(load_trace_spans(path, offset=offset_for(path, offsets)))
-    return assemble(spans)
-
-
-# ---------------------------------------------------------------------- #
-# Rendering
-# ---------------------------------------------------------------------- #
 
 
 def render_tree(trace: Trace, out: IO[str], *, max_spans: int = 64) -> None:
@@ -384,183 +347,3 @@ def render_tree(trace: Trace, out: IO[str], *, max_spans: int = 64) -> None:
     emit(trace.root, 0)
     if shown >= max_spans and len(trace.spans) > shown:
         out.write(f"  ... {len(trace.spans) - shown} more spans\n")
-
-
-def summarize(traces: TraceSet, out: IO[str]) -> None:
-    """Per-root-name rollup: counts, depth, hops, critical-path latency."""
-    groups: dict[str, list[Trace]] = {}
-    for trace in traces.traces:
-        if not trace.orphaned:
-            groups.setdefault(trace.root.name, []).append(trace)
-    out.write(
-        f"{len(traces.traces)} traces from {traces.total_spans} spans "
-        f"({len(traces.orphans())} orphaned, {traces.duplicates} duplicate ids)\n"
-    )
-    if not groups:
-        return
-    header = f"{'root':<20} {'count':>6} {'depth':>6} {'hops':>5} {'mean_cp':>10} {'max_cp':>10}"
-    out.write(header + "\n")
-    out.write("-" * len(header) + "\n")
-    for name in sorted(groups):
-        group = groups[name]
-        cps = [t.critical_path_latency() for t in group]
-        out.write(
-            f"{name:<20} {len(group):>6} "
-            f"{max(t.depth() for t in group):>6} "
-            f"{max(t.hops() for t in group):>5} "
-            f"{sum(cps) / len(cps):>10.6f} {max(cps):>10.6f}\n"
-        )
-
-
-# ---------------------------------------------------------------------- #
-# CLI (the trace-roundtrip CI gate drives this)
-# ---------------------------------------------------------------------- #
-
-
-def _check(
-    traces: TraceSet,
-    *,
-    require_root: str | None,
-    min_depth: int,
-    tail_grace: float,
-    check_critical_path: bool,
-    out: IO[str],
-) -> int:
-    failures = 0
-    if require_root is not None:
-        rooted = traces.rooted(require_root)
-        if not rooted:
-            out.write(f"CHECK FAIL: no trace rooted at {require_root!r}\n")
-            failures += 1
-        horizon = traces.max_end() - tail_grace
-        shallow = [
-            t for t in rooted if t.depth() < min_depth and t.root.start <= horizon
-        ]
-        in_window = [t for t in rooted if t.root.start <= horizon]
-        if shallow:
-            sample = ", ".join(t.trace_id for t in shallow[:5])
-            out.write(
-                f"CHECK FAIL: {len(shallow)}/{len(in_window)} {require_root!r} "
-                f"traces shallower than {min_depth} (e.g. {sample})\n"
-            )
-            failures += 1
-        else:
-            out.write(
-                f"check ok: {len(in_window)} {require_root!r} traces at depth "
-                f">= {min_depth} ({len(rooted) - len(in_window)} in tail grace)\n"
-            )
-    if check_critical_path:
-        bad = 0
-        for trace in traces.traces:
-            if abs(trace.critical_path_latency() - trace.duration) > 1e-9:
-                bad += 1
-        if bad:
-            out.write(f"CHECK FAIL: {bad} traces with inconsistent critical path\n")
-            failures += 1
-        else:
-            out.write(
-                f"check ok: critical path == root duration for "
-                f"{len(traces.traces)} traces\n"
-            )
-    return failures
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.traces",
-        description="Assemble causal traces from JSONL span exports.",
-    )
-    parser.add_argument("paths", nargs="+", help="span export files (JSONL)")
-    parser.add_argument(
-        "--offsets",
-        metavar="FILE",
-        help="JSON file mapping file stem (or node ident) -> clock offset "
-        "added to that file's timestamps (fleet clock-offsets.json)",
-    )
-    parser.add_argument(
-        "--tree", type=int, default=0, metavar="N", help="print the first N trace trees"
-    )
-    parser.add_argument(
-        "--require-root",
-        metavar="NAME",
-        help="fail unless traces rooted at NAME exist and reach --min-depth",
-    )
-    parser.add_argument(
-        "--min-depth", type=int, default=1, help="depth bar for --require-root"
-    )
-    parser.add_argument(
-        "--tail-grace",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="exempt roots starting within S of the export's end "
-        "(in-flight at shutdown) from --min-depth",
-    )
-    parser.add_argument(
-        "--check-critical-path",
-        action="store_true",
-        help="fail unless every trace's critical path sums to its root duration",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit a machine-readable summary"
-    )
-    args = parser.parse_args(argv)
-
-    paths = [Path(p) for p in args.paths]
-    missing = [p for p in paths if not p.is_file()]
-    if missing:
-        print(
-            f"error: no such span export: {', '.join(str(p) for p in missing)}",
-            file=sys.stderr,
-        )
-        return 2
-    offsets: dict[str, float] | None = None
-    if args.offsets:
-        try:
-            with open(args.offsets, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read offsets {args.offsets}: {exc}", file=sys.stderr)
-            return 2
-        offsets = {str(k): float(v) for k, v in raw.items()}
-
-    traces = assemble_files(paths, offsets=offsets)
-    if traces.total_spans == 0:
-        print(
-            "error: no traced spans found (was the run made with tracing enabled, "
-            "e.g. --trace-jsonl?)",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.json:
-        payload = {
-            "traces": len(traces.traces),
-            "spans": traces.total_spans,
-            "orphans": len(traces.orphans()),
-            "duplicates": traces.duplicates,
-            "roots": {
-                name: len(traces.rooted(name))
-                for name in sorted({t.root.name for t in traces.traces})
-            },
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        summarize(traces, sys.stdout)
-        for trace in traces.traces[: args.tree]:
-            sys.stdout.write("\n")
-            render_tree(trace, sys.stdout)
-
-    failures = _check(
-        traces,
-        require_root=args.require_root,
-        min_depth=args.min_depth,
-        tail_grace=args.tail_grace,
-        check_critical_path=args.check_critical_path,
-        out=sys.stdout,
-    )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI smoke
-    raise SystemExit(main())

@@ -21,7 +21,7 @@ from repro.experiments.fig8_load_balance import (
     run_fig8a_message_distribution,
     run_fig8b_imbalance_sweep,
 )
-from repro.telemetry.export import write_jsonl
+from repro.telemetry import TelemetryStream
 
 N_NODES = 64
 SCHEMES = ("centralized", "basic", "balanced")
@@ -35,7 +35,7 @@ def exported(tmp_path_factory):
         distribution = run_fig8a_message_distribution(n_nodes=N_NODES, seed=2007)
         points = run_fig8b_imbalance_sweep(sizes=[N_NODES], n_seeds=2)
         with open(path, "w", encoding="utf-8") as handle:
-            write_jsonl(tel, handle)
+            TelemetryStream(tel, handle).close()
     with open(path, encoding="utf-8") as handle:
         events = [json.loads(line) for line in handle if line.strip()]
     return distribution, points, events

@@ -26,8 +26,8 @@ from repro.maan.service import MaanNodeService
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
 from repro.telemetry import LiveExport
-from repro.telemetry.traces import assemble_files
-from repro.telemetry.traces import main as traces_main
+from repro.telemetry.report import load, trace_set
+from repro.telemetry.report import main as report_main
 
 
 @pytest.fixture(autouse=True)
@@ -118,7 +118,7 @@ class TestTraceRoundtrip:
         # of a walk hung off the first and the chain flattened.
         path = tmp_path / "walks.jsonl"
         key = run_traced_walks(path)
-        result = assemble_files([path])
+        result = trace_set(load([path]).events)
         (lookup,) = [t for t in result.rooted("chord.lookup") if t.root.attrs["key"] == key]
         (scan,) = result.rooted("maan.live_query")
         for trace, hop_name, counter in (
@@ -137,7 +137,7 @@ class TestTraceRoundtrip:
     def test_every_push_and_collect_assembles_rooted(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         run_traced_overlay(path)
-        result = assemble_files([path])
+        result = trace_set(load([path]).events)
 
         assert result.total_spans > 0
         assert result.duplicates == 0
@@ -179,7 +179,7 @@ class TestTraceRoundtrip:
     def test_cli_gate_passes_on_real_export(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
         run_traced_overlay(path)
-        rc = traces_main(
+        rc = report_main(
             [
                 str(path),
                 "--require-root",

@@ -6,9 +6,10 @@ at load time (not under ``TYPE_CHECKING``, not inside a function) of a module
 in a higher layer. An orphan is a module under ``src/repro/`` that no
 non-``__init__`` module under ``src/``, ``benchmarks/`` or ``examples/``
 imports: a second implementation only its own tests run. The same goes one
-level down for ``repro.chord`` and ``repro.core``: an orphan name is a public
-function or method whose name no other module under those three trees
-mentions (as a name, an attribute or an import). All three lists below may
+level down for ``repro.chord``, ``repro.core``, ``repro.telemetry`` and
+``repro.fleet``: an orphan name is a public function or method whose name no
+other module under those three trees mentions (as a name, an attribute or an
+import). All three lists below may
 only shrink: an entry that is not listed fails, and so does a listed entry
 that no longer exists.
 
@@ -64,7 +65,6 @@ def test_back_edges_are_exactly_the_allowed_ones():
 
 ALLOWED_ORPHANS = {
     "fleet.agent": "run with python -m",
-    "telemetry.report": "run with python -m",
     "gma.live": "public API, docs/API.md",
     "maan.softstate": "public API, docs/API.md",
     "net.fanout": "reached through the repro.net package",
@@ -105,8 +105,8 @@ def test_every_module_has_an_importer_outside_its_tests():
     assert orphans == set(ALLOWED_ORPHANS)
 
 
-# Public names of repro.chord / repro.core that only their own module and
-# tests/ mention. Most are documented API (docs/API.md) or paper formulas the
+# Public names of repro.chord / repro.core / repro.telemetry / repro.fleet that
+# only their own module and tests/ mention. Most are documented API (docs/API.md) or paper formulas the
 # tests check; the rest is debt. Delete the name or find it a caller — do not
 # add to this list.
 ALLOWED_ORPHAN_NAMES = {
@@ -167,6 +167,46 @@ ALLOWED_ORPHAN_NAMES = {
     "core.tree:DatTree.leaves",
     "core.tree:DatTree.path_to_root",
     "core.tree:DatTree.subtree_sizes",
+    # telemetry and fleet: the census taken when the ratchet reached them.
+    "fleet.cli:admin_call",
+    "fleet.cli:config_from_args",
+    "fleet.cli:install_replay_op",
+    "fleet.compare:FleetComparisonReport.render_text",
+    "fleet.supervisor:AgentHandle.alive",
+    "fleet.supervisor:AgentHandle.fail_pending",
+    "fleet.supervisor:FleetConfig.agent_argv",
+    "fleet.supervisor:FleetSupervisor.broadcast_routes",
+    "fleet.supervisor:FleetSupervisor.pick_ident",
+    "fleet.supervisor:FleetSupervisor.spawn_agent",
+    "telemetry.export:prometheus_lines",
+    "telemetry.export:prometheus_text",
+    "telemetry.metrics:Histogram.count_of",
+    "telemetry.metrics:Histogram.sum_of",
+    "telemetry.metrics:linear_buckets",
+    "telemetry.metrics:log_buckets",
+    "telemetry.report:render_report",
+    "telemetry.report:rolling_imbalance",
+    "telemetry.report:rolling_samples",
+    "telemetry.report:write_rolling_csv",
+    "telemetry.report:write_rolling_json",
+    "telemetry.runtime:Telemetry.attach_stream",
+    "telemetry.runtime:Telemetry.counter",
+    "telemetry.runtime:Telemetry.gauge",
+    "telemetry.runtime:Telemetry.histogram",
+    "telemetry.runtime:Telemetry.sample_hotspots",
+    "telemetry.runtime:current_span",
+    "telemetry.runtime:sample_hotspots",
+    "telemetry.spans:Span.trace_context",
+    "telemetry.spans:SpanBase.trace_context",
+    "telemetry.spans:TraceContext.from_wire",
+    "telemetry.spans:TraceContext.to_wire",
+    "telemetry.stream:JsonlSpanStream.buffered",
+    "telemetry.stream:JsonlSpanStream.flush",
+    "telemetry.stream:JsonlSpanStream.lines_written",
+    "telemetry.stream:JsonlSpanStream.offer",
+    "telemetry.stream:JsonlSpanStream.sampling_snapshot",
+    "telemetry.stream:JsonlSpanStream.write_record",
+    "telemetry.traces:Trace.critical_path",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -197,7 +237,7 @@ def _public_defs(tree):
 def test_every_public_chord_and_core_name_is_mentioned_outside_its_module():
     mentions = {path: set(_mentioned_names(tree)) for path, tree in _non_test_sources()}
     orphans = set()
-    for package in ("chord", "core"):
+    for package in ("chord", "core", "telemetry", "fleet"):
         for path in (SRC / package).glob("*.py"):
             if path.name == "__init__.py":
                 continue

@@ -23,16 +23,16 @@ from repro.telemetry import (
     SpanRecorder,
     Telemetry,
     TelemetryConfig,
-    jsonl_lines,
+    TelemetryStream,
     log_buckets,
     prometheus_text,
-    write_jsonl,
 )
 from repro.telemetry.export import span_drops_record
 from repro.telemetry.hotspot import percentile
 from repro.telemetry.report import main as report_main
 from repro.telemetry.report import (
     ROLLING_FIELDS,
+    load,
     render_report,
     rolling_samples,
     write_rolling_csv,
@@ -407,10 +407,23 @@ def _populated_telemetry() -> Telemetry:
     return tel
 
 
+def _export_lines(tel: Telemetry) -> list[str]:
+    """``tel``'s JSONL export, written by the one writer, as lines."""
+    out = io.StringIO()
+    TelemetryStream(tel, out).close()
+    return out.getvalue().splitlines()
+
+
+def _write_export(path):
+    with open(path, "w", encoding="utf-8") as handle:
+        TelemetryStream(_populated_telemetry(), handle).close()
+    return path
+
+
 class TestExport:
     def test_jsonl_event_types_and_roundtrip(self):
         tel = _populated_telemetry()
-        events = [json.loads(line) for line in jsonl_lines(tel)]
+        events = [json.loads(line) for line in _export_lines(tel)]
         by_type = {e["type"] for e in events}
         assert by_type == {
             "config",
@@ -426,8 +439,8 @@ class TestExport:
         assert node1["total"] == 4
 
     def test_jsonl_is_deterministic(self):
-        a = list(jsonl_lines(_populated_telemetry()))
-        b = list(jsonl_lines(_populated_telemetry()))
+        a = _export_lines(_populated_telemetry())
+        b = _export_lines(_populated_telemetry())
         assert a == b
 
     def test_jsonl_exports_the_spans_retained_when_it_reaches_them(self):
@@ -438,12 +451,18 @@ class TestExport:
         tel.span("a").finish()
         tel.span("b").finish()
         names = []
-        for line in jsonl_lines(tel):
-            event = json.loads(line)
-            if event["type"] == "span":
-                names.append(event["name"])
-                if names == ["a"]:
-                    tel.span("c").finish()  # evicts "a"
+
+        class Out(io.StringIO):
+            def write(self, text):
+                for line in text.splitlines():
+                    event = json.loads(line)
+                    if event["type"] == "span":
+                        names.append(event["name"])
+                        if names == ["a"]:
+                            tel.span("c").finish()  # evicts "a"
+                return super().write(text)
+
+        TelemetryStream(tel, Out(), chunk_size=1).close()
         assert names == ["a", "b"]
 
     def test_drop_record_reads_both_counters_at_one_moment(self):
@@ -464,9 +483,9 @@ class TestExport:
         assert not reader.is_alive()
         assert (records[0]["evicted"], records[0]["streamed"]) == (1, 1)
 
-    def test_write_jsonl_counts_lines(self):
+    def test_stream_close_counts_lines(self):
         out = io.StringIO()
-        n = write_jsonl(_populated_telemetry(), out)
+        n = TelemetryStream(_populated_telemetry(), out).close()
         # config + 2 metrics + span + span_drops + 2 nodes + sample
         assert n == len(out.getvalue().splitlines()) == 8
 
@@ -501,18 +520,10 @@ class TestExport:
 
 class TestReport:
     def _export(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            write_jsonl(_populated_telemetry(), handle)
-        return path
+        return _write_export(tmp_path / "run.jsonl")
 
     def test_render_report_sections(self, tmp_path):
-        path = self._export(tmp_path)
-        with open(path, encoding="utf-8") as handle:
-            from repro.telemetry.report import _load_events
-
-            events = _load_events(handle)
-        text = render_report(events)
+        text = render_report(load([self._export(tmp_path)]).events)
         assert "== metrics ==" in text
         assert "repro_events_total" in text
         assert "dat.build" in text
@@ -540,7 +551,7 @@ class TestRollingArtifacts:
     """The plot-ready CSV/JSON emitters for the rolling-imbalance series."""
 
     def _events(self):
-        return [json.loads(line) for line in jsonl_lines(_populated_telemetry())]
+        return [json.loads(line) for line in _export_lines(_populated_telemetry())]
 
     def test_rolling_samples_shape(self):
         records = rolling_samples(self._events())
@@ -583,9 +594,7 @@ class TestRollingArtifacts:
         assert document["samples"][0]["imbalance"] == 1.6
 
     def test_cli_flags_write_artifacts(self, tmp_path, capsys):
-        export = tmp_path / "run.jsonl"
-        with open(export, "w", encoding="utf-8") as handle:
-            write_jsonl(_populated_telemetry(), handle)
+        export = _write_export(tmp_path / "run.jsonl")
         csv_path = tmp_path / "out.csv"
         json_path = tmp_path / "out.json"
         code = report_main(
@@ -602,9 +611,7 @@ class TestRollingArtifacts:
         assert csv_path.exists() and json_path.exists()
 
     def test_cli_unwritable_artifact_exits_2(self, tmp_path, capsys):
-        export = tmp_path / "run.jsonl"
-        with open(export, "w", encoding="utf-8") as handle:
-            write_jsonl(_populated_telemetry(), handle)
+        export = _write_export(tmp_path / "run.jsonl")
         bad = tmp_path / "no-such-dir" / "out.csv"
         assert report_main([str(export), "--rolling-csv", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err

@@ -6,8 +6,9 @@ recorder's tracing semantics (root minting, inheritance, `start_trace`,
 batched-push per-message fan-out), causal assembly (`repro.telemetry.
 traces`) with its edge cases — orphaned spans, duplicate span ids from
 retransmissions, skewed per-node clock offsets — the critical-path tiling
-invariant, the traces CLI, the multi-file report merge, and the fleet
-report built from a synthetic state directory.
+invariant, the report CLI's trace options, its multi-file merge and its one
+loading policy (directory clock offsets, truncated and malformed lines),
+and the fleet report built from a synthetic state directory.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ from repro.telemetry import (
     SpanRecorder,
     TraceContext,
 )
+from repro.fleet.cli import main as fleet_main
+from repro.telemetry.report import check_traces, load, trace_set
 from repro.telemetry.report import main as report_main
-from repro.telemetry.traces import (
-    TraceSpan,
-    assemble,
-    assemble_files,
-    load_trace_spans,
-    offset_for,
-)
-from repro.telemetry.traces import main as traces_main
+from repro.telemetry.traces import TraceSpan, assemble, offset_for
 
 
 @pytest.fixture(autouse=True)
@@ -293,7 +289,24 @@ class TestAssemble:
         b = tspan("0:2", parent="0:1")
         result = assemble([a, b])  # corrupt links: no root, no infinite loop
         assert result.total_spans == 2
-        assert result.traces == []
+        (trace,) = result.traces
+        assert trace.orphaned and trace.root.sid == "0:1"
+        assert [s.sid for s in trace.spans] == ["0:1", "0:2"]
+
+    def test_parent_cycles_become_orphaned_traces(self):
+        # Regression: spans on a parent cycle were reachable from no root,
+        # so they vanished from the traces while total_spans counted them.
+        a = tspan("0:1", start=2.0, end=3.0, parent="0:2")
+        b = tspan("0:2", start=1.0, end=2.0, parent="0:1")
+        c = tspan("0:3", start=0.5, end=1.0, parent="0:3")
+        d = tspan("0:4", start=3.0, end=4.0, parent="0:1")  # hangs off a-b
+        result = assemble([a, b, c, d])
+        assert sum(len(t.spans) for t in result.traces) == result.total_spans == 4
+        assert [(t.root.sid, t.orphaned) for t in result.traces] == [
+            ("0:3", True),
+            ("0:2", True),
+        ]
+        assert [s.sid for s in result.traces[1].spans] == ["0:2", "0:1", "0:4"]
 
     def test_nodes_first_seen_order(self):
         root = tspan("0:1", start=0.0, end=3.0, node=7)
@@ -393,8 +406,9 @@ class TestOffsets:
             child_file,
             [span_line("2:1", "dat.push_recv", 100.2, 100.4, parent="1:1", hop=1, node=2)],
         )
-        offsets = {"1": 0.0, "2": -94.9}
-        result = assemble_files([parent_file, child_file], offsets=offsets)
+        offsets_file = tmp_path / "offsets.json"
+        offsets_file.write_text(json.dumps({"1": 0.0, "2": -94.9}))
+        result = trace_set(load([parent_file, child_file], offsets_file).events)
         assert len(result.traces) == 1 and not result.traces[0].orphaned
         trace = result.traces[0]
         child = trace.root.children[0]
@@ -402,20 +416,20 @@ class TestOffsets:
         assert trace.root.start <= child.start <= child.end <= trace.root.end
         assert trace.critical_path_latency() == pytest.approx(trace.duration)
 
-    def test_load_trace_spans_skips_untraced_and_garbage(self, tmp_path):
+    def test_trace_set_skips_untraced_spans(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"type": "metric", "name": "x"}) + "\n")
-            handle.write("not json at all\n")
-            # A span exported with tracing off: no sid — skipped.
-            handle.write(
-                json.dumps({"type": "span", "name": "plain", "start": 0.0, "end": 1.0})
-                + "\n"
-            )
-            handle.write(json.dumps(span_line("0:1", "traced", 0.0, 1.0)) + "\n")
-        spans = load_trace_spans(path)
-        assert [s.name for s in spans] == ["traced"]
-        assert spans[0].source == "mixed.jsonl"
+        write_export(
+            path,
+            [
+                {"type": "metric", "name": "x"},
+                # A span exported with tracing off: no sid — skipped.
+                {"type": "span", "name": "plain", "start": 0.0, "end": 1.0},
+                span_line("0:1", "traced", 0.0, 1.0),
+            ],
+        )
+        traces = trace_set(load([path]).events)
+        assert traces.total_spans == 1
+        assert [t.root.name for t in traces.traces] == ["traced"]
 
 
 # --------------------------------------------------------------------- #
@@ -424,14 +438,16 @@ class TestOffsets:
 
 
 class TestTracesCli:
+    """The trace options of ``python -m repro.telemetry.report``."""
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
-        assert traces_main([str(tmp_path / "nope.jsonl")]) == 2
-        assert "no such span export" in capsys.readouterr().err
+        assert report_main([str(tmp_path / "nope.jsonl")]) == 2
+        assert "no such file or directory" in capsys.readouterr().err
 
     def test_no_traced_spans_exits_2(self, tmp_path, capsys):
         path = tmp_path / "plain.jsonl"
         write_export(path, [{"type": "span", "name": "p", "start": 0.0, "end": 1.0}])
-        assert traces_main([str(path)]) == 2
+        assert report_main([str(path), "--check-critical-path"]) == 2
         assert "tracing enabled" in capsys.readouterr().err
 
     def test_summary_and_json(self, tmp_path, capsys):
@@ -443,18 +459,19 @@ class TestTracesCli:
                 span_line("1:1", "dat.push_recv", 0.5, 1.5, parent="0:1", hop=1),
             ],
         )
-        assert traces_main([str(path)]) == 0
+        assert report_main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "1 traces from 2 spans" in out
-        assert traces_main([str(path), "--json"]) == 0
+        assert report_main([str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["roots"] == {"dat.push": 1}
+        assert list(payload["roots"]) == ["dat.push"]
+        assert payload["roots"]["dat.push"]["count"] == 1
         assert payload["orphans"] == 0
 
     def test_require_root_failure_exits_1(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
         write_export(path, [span_line("0:1", "dat.push", 0.0, 2.0)])
-        assert traces_main([str(path), "--require-root", "chord.lookup"]) == 1
+        assert report_main([str(path), "--require-root", "chord.lookup"]) == 1
         assert "CHECK FAIL" in capsys.readouterr().out
 
     def test_min_depth_with_tail_grace(self, tmp_path, capsys):
@@ -469,9 +486,9 @@ class TestTracesCli:
             ],
         )
         argv = [str(path), "--require-root", "dat.push", "--min-depth", "1"]
-        assert traces_main(argv) == 1  # the tail push is shallow
+        assert report_main(argv) == 1  # the tail push is shallow
         capsys.readouterr()
-        assert traces_main(argv + ["--tail-grace", "0.5"]) == 0
+        assert report_main(argv + ["--tail-grace", "0.5"]) == 0
         assert "in tail grace" in capsys.readouterr().out
 
     def test_check_critical_path_and_tree(self, tmp_path, capsys):
@@ -483,7 +500,7 @@ class TestTracesCli:
                 span_line("1:1", "dat.push_recv", 0.5, 1.5, parent="0:1", hop=1, node=9),
             ],
         )
-        assert traces_main([str(path), "--check-critical-path", "--tree", "1"]) == 0
+        assert report_main([str(path), "--check-critical-path", "--tree", "1"]) == 0
         out = capsys.readouterr().out
         assert "critical path == root duration" in out
         assert "dat.push_recv [1:1]" in out  # rendered tree
@@ -495,9 +512,12 @@ class TestTracesCli:
         )
         offsets_file = tmp_path / "clock-offsets.json"
         offsets_file.write_text(json.dumps({"2": -100.0}))
-        assert traces_main([str(span_file), "--offsets", str(offsets_file), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["traces"] == 1
-        assert traces_main([str(span_file), "--offsets", str(tmp_path / "gone.json")]) == 2
+        assert report_main([str(span_file), "--offsets", str(offsets_file), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["traces"] == 1
+        assert payload["roots"]["dat.push"]["max_critical_path"] == pytest.approx(1.0)
+        assert report_main([str(span_file), "--offsets", str(tmp_path / "gone.json")]) == 2
+        assert "cannot read offsets" in capsys.readouterr().err
 
 
 class TestReportMerge:
@@ -560,58 +580,85 @@ def state_dir(tmp_path):
     return tmp_path
 
 
-class TestFleetReport:
-    def test_build_merges_rollups_and_traces(self, state_dir):
-        from repro.fleet.report import build_fleet_report
+def fleet_report(state_dir, *flags):
+    return fleet_main(["--state-dir", str(state_dir), "report", *flags])
 
-        report = build_fleet_report(state_dir)
+
+class TestFleetReport:
+    """``python -m repro.fleet report``: agents table plus the shared roll-up."""
+
+    def test_build_merges_rollups_and_traces(self, state_dir, capsys):
+        assert fleet_report(state_dir, "--json") == 0
+        report = json.loads(capsys.readouterr().out)
         assert report["n_agents"] == 2
         assert report["agents"]["1"]["samples"] == 2
         assert report["agents"]["1"]["pushes"] == 5  # last sample wins
         assert report["total_pushes"] == 6
         traces = report["traces"]
         assert traces["spans"] == 2 and traces["orphans"] == 0
+        assert traces["offsets"] == {"1": 0.0, "2": -10.0}
         stats = traces["roots"]["dat.push"]
         assert stats["count"] == 1
         assert stats["cross_node"] == 1  # offset alignment linked node 2's recv
         assert stats["max_hops"] == 1
 
     def test_check_traces_passes_and_fails(self, state_dir):
-        from repro.fleet.report import build_fleet_report, check_traces
+        traces = trace_set(load([state_dir]).events)
+        fleet_gate = {"min_depth": 0, "cross_node": True, "orphan_minority": True}
+        results = check_traces(traces, require_root="dat.push", **fleet_gate)
+        assert results and all(passed for passed, _message in results)
+        passed, message = check_traces(traces, require_root="chord.lookup", **fleet_gate)[0]
+        assert not passed and "no traces rooted" in message
 
-        report = build_fleet_report(state_dir)
-        assert check_traces(report, "dat.push") == []
-        failures = check_traces(report, "chord.lookup")
-        assert failures and "no traces rooted" in failures[0]
-
-    def test_no_span_files_reports_none(self, state_dir):
-        from repro.fleet.report import build_fleet_report, check_traces
-
+    def test_no_span_files_reports_none(self, state_dir, capsys):
         for path in state_dir.glob("spans-*.jsonl"):
             path.unlink()
-        report = build_fleet_report(state_dir)
-        assert report["traces"] is None
-        assert check_traces(report, "dat.push") == [
-            f"no span exports in {state_dir}"
-        ]
+        assert fleet_report(state_dir, "--json") == 0
+        assert json.loads(capsys.readouterr().out)["traces"] is None
+        assert fleet_report(state_dir, "--require-traces", "dat.push") == 1
+        assert f"CHECK FAIL: no span exports in {state_dir}" in capsys.readouterr().out
 
     def test_cli_json_and_require_traces(self, state_dir, capsys):
-        from repro.fleet.report import main as fleet_report_main
-
-        assert fleet_report_main([str(state_dir), "--json"]) == 0
+        assert fleet_report(state_dir, "--json") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_agents"] == 2
-        assert (
-            fleet_report_main([str(state_dir), "--require-traces", "dat.push"]) == 0
-        )
-        capsys.readouterr()
-        assert (
-            fleet_report_main([str(state_dir), "--require-traces", "nope"]) == 1
-        )
-        assert "CHECK FAIL" in capsys.readouterr().err
+        assert fleet_report(state_dir, "--require-traces", "dat.push") == 0
+        assert "check ok" in capsys.readouterr().out
+        assert fleet_report(state_dir, "--require-traces", "nope") == 1
+        assert "CHECK FAIL" in capsys.readouterr().out
 
     def test_cli_missing_dir_exits_2(self, tmp_path, capsys):
-        from repro.fleet.report import main as fleet_report_main
-
-        assert fleet_report_main([str(tmp_path / "ghost")]) == 2
+        assert fleet_report(tmp_path / "ghost") == 2
         assert "no such fleet state directory" in capsys.readouterr().err
+
+
+class TestOneLoader:
+    """``report`` and ``fleet report`` read a state dir the same way."""
+
+    def test_state_dir_offsets_apply_without_flag(self, state_dir, capsys):
+        # Regression: the report ignored the directory's clock-offsets.json
+        # and charged node 2's 0.4 s on the critical path to node 1.
+        assert report_main([str(state_dir), "--section", "traces"]) == 0
+        out = capsys.readouterr().out
+        assert "60.0%" in out and "40.0%" in out
+        assert fleet_report(state_dir) == 0
+        out = capsys.readouterr().out
+        assert "60.0%" in out and "40.0%" in out
+
+    def test_truncated_final_line_is_skipped_and_named(self, state_dir, capsys):
+        with open(state_dir / "spans-2.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"type": "span", "name": "dat.pu')  # a killed writer
+        note = "spans-2.jsonl: line 2: truncated final line skipped"
+        assert report_main([str(state_dir)]) == 0
+        assert note in capsys.readouterr().err
+        assert fleet_report(state_dir) == 0
+        assert note in capsys.readouterr().err
+
+    def test_malformed_middle_line_exits_2(self, state_dir, capsys):
+        path = state_dir / "spans-2.jsonl"
+        record = path.read_text()
+        path.write_text(record + "not json\n" + record)
+        assert report_main([str(state_dir)]) == 2
+        assert "spans-2.jsonl: line 2: not a JSON object" in capsys.readouterr().err
+        assert fleet_report(state_dir) == 2
+        assert "spans-2.jsonl: line 2: not a JSON object" in capsys.readouterr().err
