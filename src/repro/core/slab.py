@@ -188,6 +188,8 @@ class SlabContinuousRun:
         n_push = len(self.push_rows)
         self.cached_at = np.full(n_push, -np.inf, dtype=np.float64)
         self.has_entry = np.zeros(n_push, dtype=bool)
+        # When the last delivery of a whole round arrived (None: none yet).
+        self._fresh_since: float | None = None
         self._lift = np.ones(n, dtype=np.int64) if aggregate == "count" else None
         column_types = {"count": [np.int64], "avg": [np.float64, np.int64]}
         self.cache = [
@@ -224,16 +226,20 @@ class SlabContinuousRun:
 
         The scatter ops apply per-edge in ascending-child order (push rows
         ascend), which is the object path's left fold over its child dict
-        (kept in ascending child id). Once every child's entry is fresh —
-        the steady state — the cache columns are scattered as they are;
-        only a stale or never-delivered entry pays for a mask.
+        (kept in ascending child id). Every entry is at least as fresh as
+        the last whole-round delivery (an entry only ever gets newer), so
+        while that is within the horizon — the steady state — the cache
+        columns are scattered as they are without looking at them; only
+        otherwise is the freshness mask built, and only a stale or
+        never-delivered entry makes it cut the columns.
         """
         horizon = now - self.stale_after * self.interval
-        fresh = self.has_entry & ~(self.cached_at < horizon)
         parent, cached = self.parent_index, self.cache
-        if not fresh.all():
-            parent = parent[fresh]
-            cached = [column[fresh] for column in cached]
+        if self._fresh_since is None or self._fresh_since < horizon:
+            fresh = self.has_entry & ~(self.cached_at < horizon)
+            if not fresh.all():
+                parent = parent[fresh]
+                cached = [column[fresh] for column in cached]
         merged = (self.values if self._lift is None else self._lift).copy()
         _SCATTER.get(self.aggregate, np.add).at(merged, parent, cached[0])
         if self.aggregate != "avg":
@@ -304,18 +310,24 @@ class SlabContinuousRun:
             }
         return float(state_cols["state0"][i])
 
-    def _on_deliver(self, batch: MessageBatch, rows: np.ndarray) -> None:
+    def _on_deliver(self, batch: MessageBatch, rows: np.ndarray | None) -> None:
         """Fold a delivered batch into the per-child caches.
 
         Batch rows are push rows, so the states are *copied* row for row
         (the batch keeps its columns): a whole round arriving at once is
-        one block copy and two fills, a partial delivery — loss, or a
-        latency model that splits the round — indexed writes.
+        one block copy and two fills, and moves the freshness watermark to
+        now; a partial delivery — loss, or a latency model that splits the
+        round — is indexed writes.
         """
-        where = slice(None) if len(rows) == len(self.push_rows) else rows
+        now = self.transport.now()
+        where: slice | np.ndarray = slice(None)
+        if rows is not None and len(rows) < len(self.push_rows):
+            where = rows
+        else:
+            self._fresh_since = now
         for j, column in enumerate(self.cache):
             column[where] = take_rows(batch.payload_columns[f"state{j}"], rows)
-        self.cached_at[where] = self.transport.now()
+        self.cached_at[where] = now
         self.has_entry[where] = True
 
     @property
@@ -329,7 +341,9 @@ class SlabContinuousRun:
     # ------------------------------------------------------------------ #
 
     def start(self) -> None:
-        """Arm the periodic round timer (first round after one interval)."""
+        """Arm the periodic round timer (first round after one interval);
+        a timer armed by an earlier call is cancelled first."""
+        self.stop()
 
         def tick() -> None:
             self.push_round()

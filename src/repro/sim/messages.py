@@ -233,6 +233,8 @@ def decode_message(data: bytes) -> Message:
     """Parse a wire message; raises :class:`TransportError` on malformed input."""
     try:
         obj = json.loads(data.decode("utf-8"))
+        if not isinstance(obj, dict):
+            raise ValueError(f"envelope is a JSON {type(obj).__name__}, not an object")
         return Message(
             kind=obj["kind"],
             source=obj["src"],
@@ -328,11 +330,11 @@ def float_repr_lengths(values: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def take_rows(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def take_rows(column: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     """``column[rows]`` for ascending distinct ``rows`` (what transports hand
-    to delivery callbacks): the column itself, uncopied, when that is every
-    row, so a loss-free round gathers nothing."""
-    return column if len(rows) == len(column) else column[rows]
+    to delivery callbacks; ``None`` is every row): the column itself,
+    uncopied, when that is every row, so a loss-free round gathers nothing."""
+    return column if rows is None or len(rows) == len(column) else column[rows]
 
 
 @lru_cache(maxsize=256)

@@ -146,7 +146,7 @@ class SimTransport(Transport):
     def send_batch(
         self,
         batch: MessageBatch,
-        deliver: Callable[[MessageBatch, np.ndarray], None],
+        deliver: Callable[[MessageBatch, np.ndarray | None], None],
     ) -> None:
         """Send every row of ``batch`` in one shot (the slab hot path).
 
@@ -157,22 +157,26 @@ class SimTransport(Transport):
         draw per failure-survivor, consuming the RNG stream exactly as the
         scalar path would), identical latency sampling — but the per-row
         cost is a few vector ops, and delivery is scheduled as one engine
-        event per distinct delay instead of one per message.
+        event per distinct delay instead of one per message. A plain round
+        — no failed node, no loss, a :class:`ConstantLatency` — does no
+        per-row work here at all: nothing is filtered, no delay vector is
+        drawn, and the whole batch is one delivery group.
 
         Delivery bypasses per-node handler registration: surviving rows are
-        handed back to ``deliver(batch, row_indices)`` at arrival time,
-        after per-destination receive accounting and a re-check of the
-        failure set (a destination crashed mid-flight drops its rows, just
-        as the scalar path drops its message). Batch endpoints (the slab
-        protocol runner) own their own routing, so responses, timers, and
-        the pending-call table are not involved.
+        handed back to ``deliver(batch, rows)`` at arrival time — ascending
+        row indices, or ``None`` when every row arrives — after
+        per-destination receive accounting and a re-check of the failure
+        set (a destination crashed mid-flight drops its rows, just as the
+        scalar path drops its message). Batch endpoints (the slab protocol
+        runner) own their own routing, so responses, timers, and the
+        pending-call table are not involved.
         """
         n = len(batch)
         if n == 0:
             return
         self.stats.record_send_bulk(batch.sources, batch.sizes, kind=batch.kind)
         telemetry.count("messages_sent_total", float(n), kind=batch.kind)
-        survivors = np.arange(n)
+        survivors: np.ndarray | None = None  # every row
         if self._failed:
             failed = np.fromiter(self._failed, dtype=np.int64, count=len(self._failed))
             survivors = np.flatnonzero(
@@ -181,22 +185,28 @@ class SimTransport(Transport):
         if self.loss_rate > 0:
             # One draw per failure-survivor, in row order — the exact RNG
             # consumption of the equivalent scalar send sequence.
+            if survivors is None:
+                survivors = np.arange(n)
             survivors = survivors[self._rng.random(len(survivors)) >= self.loss_rate]
-        if len(survivors) == 0:
+        if survivors is not None and len(survivors) == 0:
             return
-        delays = self.latency.sample_array(
-            take_rows(batch.sources, survivors),
-            take_rows(batch.destinations, survivors),
-        )
-        # A uniform delay (the constant-latency LAN) is one delivery group,
-        # found without sorting.
-        if delays.min() == delays.max():
-            groups = [(delays[0], survivors)]
+        groups: list[tuple[float, np.ndarray | None]]
+        # The exact type: a subclass may override how delays are drawn.
+        if type(self.latency) is ConstantLatency:
+            groups = [(self.latency.delay, survivors)]
         else:
-            groups = [(d, survivors[delays == d]) for d in np.unique(delays)]
+            index = np.arange(n) if survivors is None else survivors
+            delays = self.latency.sample_array(
+                take_rows(batch.sources, index), take_rows(batch.destinations, index)
+            )
+            # A uniform delay is one delivery group, found without sorting.
+            if delays.min() == delays.max():
+                groups = [(float(delays[0]), survivors)]
+            else:
+                groups = [(float(d), index[delays == d]) for d in np.unique(delays)]
         for delay, rows in groups:
             self.engine.schedule(
-                float(delay),
+                delay,
                 lambda rows=rows: self._deliver_batch(batch, rows, deliver),
                 label=f"deliver:{batch.kind}:batch",
             )
@@ -204,18 +214,21 @@ class SimTransport(Transport):
     def _deliver_batch(
         self,
         batch: MessageBatch,
-        rows: np.ndarray,
-        deliver: Callable[[MessageBatch, np.ndarray], None],
+        rows: np.ndarray | None,
+        deliver: Callable[[MessageBatch, np.ndarray | None], None],
     ) -> None:
         if self._failed:
+            if rows is None:
+                rows = np.arange(len(batch))
             failed = np.fromiter(self._failed, dtype=np.int64, count=len(self._failed))
             rows = rows[~np.isin(batch.destinations[rows], failed)]
-        if len(rows) == 0:
-            return
+            if len(rows) == 0:
+                return
         self.stats.record_receive_bulk(
             take_rows(batch.destinations, rows), take_rows(batch.sizes, rows)
         )
-        telemetry.count("messages_received_total", float(len(rows)), kind=batch.kind)
+        arrived = len(batch) if rows is None else len(rows)
+        telemetry.count("messages_received_total", float(arrived), kind=batch.kind)
         deliver(batch, rows)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Callable[[], None]:

@@ -19,6 +19,16 @@ Counters live in two stores that are summed on the read side only:
   resolved for a batch is kept, with a copy of the ids it was resolved
   for, so the next batch over the same ids (every round of a continuous
   push) re-validates it with one compare instead of searching again.
+  Such a batch is not scattered into the ledger either: its bytes are
+  added densely to a pending column aligned with the batch, and the
+  pending batches are folded in — one scatter of the column plus the
+  per-row message counts times the number of batches — only when
+  something needs the totals: a read, or a batch over other ids (which
+  may grow the ledger). The counters are integers, so folding late
+  changes no total, and a reader that reads every round pays what
+  recording used to. ``reset`` zeroes the rows and the pending columns
+  but keeps the ids and their indexes; a ledger id with no message since
+  then is simply not seen.
 
 :meth:`~HotspotAccountant.load_arrays` reads both stores for a whole id
 vector at once; the population statistics are computed from it.
@@ -108,7 +118,23 @@ def _interpolate(ordered: Sequence[int] | Sequence[float] | np.ndarray, q: float
 
 #: Row order of the bulk ledger's counters and of :meth:`HotspotAccountant.load_arrays`.
 _SENT, _RECEIVED, _BYTES_SENT, _BYTES_RECEIVED = range(4)
-_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+@dataclass(slots=True)
+class _Resolved:
+    """The last bulk batch of one direction, resolved against the ledger,
+    and what batches over the same ids recorded since the last fold."""
+
+    #: Ledger row of each batch row.
+    index: np.ndarray
+    #: Messages per ledger row in one batch.
+    counts: np.ndarray
+    #: A copy of the ids ``index`` was resolved for.
+    ids: np.ndarray
+    #: Bytes per batch row not yet in the ledger.
+    pending: np.ndarray
+    #: Batches whose messages are not yet in the ledger.
+    batches: int
 
 
 class HotspotAccountant:
@@ -137,11 +163,11 @@ class HotspotAccountant:
         # summed with the tables on the read side only.
         self._ids = np.empty(0, dtype=np.int64)
         self._counters = np.zeros((4, 0), dtype=np.int64)
-        # (ledger row index, messages per ledger row, a copy of the ids they
-        # were resolved for) of the last bulk send and bulk receive, keyed
-        # by counter row. Whatever changes the ledger clears this, so a
-        # batch naming the same ids again may reuse the index as it is.
-        self._resolved: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # The last bulk send and bulk receive, keyed by counter row, with
+        # their pending bytes and messages. Ledger growth folds and clears
+        # this, so a batch naming the same ids again may reuse the index as
+        # it is.
+        self._resolved: dict[int, _Resolved] = {}
         self._by_kind: dict[str, int] = defaultdict(int)
         self.series: list[LoadSample] = []
         # The UDP transport updates counters from caller threads and its
@@ -194,22 +220,36 @@ class HotspotAccountant:
     ) -> None:
         """Add one message per pair to counter ``row`` and to its byte row."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        index, counts, seen = self._resolved.get(row, (_NO_ROWS, _NO_ROWS, _NO_ROWS))
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if len(sizes) != len(nodes):
+            raise ValueError(f"{len(nodes)} ids but {len(sizes)} sizes")
+        resolved = self._resolved.get(row)
         # A continuous push names the same ids every round: one compare
-        # against the ids last round's index (and its per-row message
-        # counts) was resolved for, where a search and a scatter would
-        # rebuild them. The copy is the ledger's own — the caller may
-        # reuse its array.
-        if not np.array_equal(seen, nodes):
-            index = self._ledger_index_locked(nodes)
-            counts = np.bincount(index, minlength=len(self._ids))
-            self._resolved[row] = index, counts, nodes.copy()
-        # Bytes first: mismatched column lengths raise before any counter moves.
-        np.add.at(self._counters[row + 2], index, np.asarray(sizes, dtype=np.int64))
-        self._counters[row] += counts
+        # against the ids last round's index was resolved for, and its
+        # bytes join the pending column — no search, no scatter. The copy
+        # of the ids is the ledger's own: the caller may reuse its array.
+        if resolved is not None and np.array_equal(resolved.ids, nodes):
+            resolved.pending += sizes
+            resolved.batches += 1
+            return
+        # The pending batches were counted against the old index.
+        self._fold_locked()
+        index = self._ledger_index_locked(nodes)
+        counts = np.bincount(index, minlength=len(self._ids))
+        self._resolved[row] = _Resolved(index, counts, nodes.copy(), sizes.copy(), 1)
+
+    def _fold_locked(self) -> None:
+        """Add the pending bytes and messages of both directions to the ledger."""
+        for row, resolved in self._resolved.items():
+            if resolved.batches:
+                np.add.at(self._counters[row + 2], resolved.index, resolved.pending)
+                self._counters[row] += resolved.counts * resolved.batches
+                resolved.pending[:] = 0
+                resolved.batches = 0
 
     def _ledger_index_locked(self, nodes: np.ndarray) -> np.ndarray:
-        """Ledger row of each of ``nodes``, adding rows for ids not seen yet."""
+        """Ledger row of each of ``nodes``, adding rows for ids not seen yet
+        (nothing may be pending: growth moves every row)."""
         index, known = self._lookup_locked(nodes)
         if known.all():
             return index
@@ -250,6 +290,7 @@ class HotspotAccountant:
 
     def _columns_locked(self, population: Sequence[int] | np.ndarray) -> np.ndarray:
         """The four counters (rows) of every node of ``population`` (columns)."""
+        self._fold_locked()
         out = np.zeros((4, len(population)), dtype=np.int64)
         if len(self._ids):
             index, known = self._lookup_locked(np.asarray(population, dtype=np.int64))
@@ -263,7 +304,10 @@ class HotspotAccountant:
         return out
 
     def _seen_locked(self) -> set[int]:
-        return set(self._sent) | set(self._received) | set(self._ids.tolist())
+        """Every id with a message counted (a ledger id may have none)."""
+        self._fold_locked()
+        recorded = (self._counters[_SENT] | self._counters[_RECEIVED]) != 0
+        return set(self._sent) | set(self._received) | set(self._ids[recorded].tolist())
 
     def _totals(self, nodes: list[int] | None) -> tuple[list[int], np.ndarray]:
         """The population (every node seen when ``nodes`` is ``None``) and
@@ -298,6 +342,7 @@ class HotspotAccountant:
     def total_messages(self) -> int:
         """Total messages observed (each counted once, at the sender)."""
         with self._lock:
+            self._fold_locked()
             return sum(self._sent.values()) + int(self._counters[_SENT].sum())
 
     def loads(self, nodes: list[int] | None = None) -> dict[int, int]:
@@ -329,13 +374,16 @@ class HotspotAccountant:
             return dict(self._by_kind)
 
     def reset(self) -> None:
-        """Zero every counter and drop the sample series."""
+        """Zero every counter, pending ones included, and drop the sample series."""
         with self._lock:
             for table in self._tables:
                 table.clear()
-            self._ids = np.empty(0, dtype=np.int64)
-            self._counters = np.zeros((4, 0), dtype=np.int64)
-            self._resolved.clear()
+            # The ledger keeps its ids and resolved indexes: a run measured
+            # from here re-sends over the same ids and need not rebuild them.
+            self._counters[:] = 0
+            for resolved in self._resolved.values():
+                resolved.pending[:] = 0
+                resolved.batches = 0
             self._by_kind.clear()
             self.series.clear()
 

@@ -204,6 +204,53 @@ def test_growth_by_one_direction_invalidates_both_resolved_indexes():
     assert_same_reads(acc, ref, list(range(0, 145)))
 
 
+def test_batches_pending_between_reads_fold_to_the_reference():
+    # Same-id batches add their bytes to a pending column and reach the
+    # ledger only when something reads it. Here reads are rare, so dozens
+    # of batches pile up between them, with scalar records in between,
+    # growth from the other direction and a reset while bytes are pending.
+    rng = np.random.default_rng(17)
+    acc, ref = HotspotAccountant(), ReferenceAccountant()
+    senders = np.arange(100, 160, dtype=np.int64)
+    parents = senders // 3
+    population = list(range(0, 170)) + [5000]
+
+    def rounds(count):
+        for _ in range(count):
+            sizes = rng.integers(0, 300, size=len(senders))
+            for side in (acc, ref):
+                side.record_send_bulk(senders, sizes, kind="agg_push")
+                side.record_receive_bulk(parents, sizes + 1)
+            node = int(rng.choice(senders))
+            for side in (acc, ref):
+                side.record_send(node, 40, "probe")
+                side.record_receive(node // 3, 41)
+
+    rounds(30)
+    assert_same_reads(acc, ref, population)
+    rounds(25)
+    # New receivers below every known id while 25 send batches are pending:
+    # every ledger row moves, so they must be folded first.
+    low = np.array([1, 2, 3], dtype=np.int64)
+    for side in (acc, ref):
+        side.record_receive_bulk(low, np.array([7, 8, 9]))
+    rounds(20)
+    # ... and new senders while 20 receive batches are pending.
+    for side in (acc, ref):
+        side.record_send_bulk(np.array([5000], dtype=np.int64), np.array([11]))
+    rounds(40)
+    assert_same_reads(acc, ref, population)
+    rounds(15)
+    acc.reset()
+    ref.reset()
+    rounds(33)
+    assert_same_reads(acc, ref, population)
+    rounds(9)
+    acc.reset()
+    ref.reset()
+    assert_same_reads(acc, ref, population)
+
+
 def test_sample_statistics_match_reference():
     acc = HotspotAccountant(percentiles=(0.5, 0.9))
     nodes = np.array([1, 2, 2, 3, 3, 3, 4, 4, 4, 4], dtype=np.int64)
@@ -235,29 +282,44 @@ def test_bulk_records_from_one_thread_reads_from_another():
     parents = senders // 4
     sizes = np.full(len(senders), 100, dtype=np.int64)
     rounds = 400
+    early = 12  # recorded before the reader starts: its first read folds them
     torn: list[str] = []
+    batches_per_read: list[int] = []
     done = threading.Event()
 
     def record():
-        for _ in range(rounds):
+        for _ in range(rounds - early):
             acc.record_send_bulk(senders, sizes, kind="agg_push")
             acc.record_receive_bulk(parents, sizes)
         done.set()
 
     def read():
         population = senders.tolist()
-        while not done.is_set():
+        folded = 0
+        while True:
+            finished = done.is_set()
             sent, received, bytes_sent, bytes_received = acc.load_arrays(senders)
             # One lock hold per batch and per read: a reader sees whole
-            # batches only, and counts and bytes of the same batches.
+            # batches only, and counts and bytes of the same batches, however
+            # many of them were pending when it read.
             if len(set(sent.tolist())) != 1:
                 torn.append(f"partial send batch visible: {set(sent.tolist())}")
             if (bytes_sent != sent * 100).any():
                 torn.append("sent counts and bytes from different batches")
+            if (bytes_received != received * 100).any():
+                torn.append("received counts and bytes from different batches")
+            batches_per_read.append(int(sent[0]) - folded)
+            folded = int(sent[0])
             if acc.total_messages() % len(senders):
                 torn.append("total_messages saw a partial batch")
             acc.imbalance(population)
             acc.loads(population)
+            if finished:
+                return
+
+    for _ in range(early):
+        acc.record_send_bulk(senders, sizes, kind="agg_push")
+        acc.record_receive_bulk(parents, sizes)
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -272,6 +334,7 @@ def test_bulk_records_from_one_thread_reads_from_another():
         done.set()
     assert not any(thread.is_alive() for thread in threads)
     assert not torn, torn[:3]
+    assert batches_per_read[0] >= early and sum(batches_per_read) == rounds
     assert acc.total_messages() == rounds * len(senders)
     assert acc.by_kind() == {"agg_push": rounds * len(senders)}
     sent, received, bytes_sent, bytes_received = acc.load_arrays(np.arange(0, 257))

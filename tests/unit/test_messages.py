@@ -62,3 +62,10 @@ class TestWireCoding:
             decode_message(b"not json")
         with pytest.raises(TransportError):
             decode_message(b'{"kind": "x"}')  # missing fields
+
+    @pytest.mark.parametrize("data", [b"[1]", b"5", b"null", b'"x"'])
+    def test_valid_json_that_is_not_an_object(self, data):
+        # Any of these used to escape as a TypeError, which the UDP receive
+        # loop does not catch.
+        with pytest.raises(TransportError, match="not an object"):
+            decode_message(data)

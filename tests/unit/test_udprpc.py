@@ -4,6 +4,7 @@ These exchange datagrams over 127.0.0.1 and use short real-time waits; they
 are kept small and deterministic (single transport, few messages).
 """
 
+import socket
 import threading
 import time
 
@@ -77,6 +78,21 @@ class TestDelivery:
         transport.send(Message(kind="x", source=1, destination=2))
         transport.send(Message(kind="x", source=1, destination=3))
         assert wait_until(lambda: len(received) == 1)
+
+    def test_stray_non_object_datagram_does_not_kill_loop(self, transport):
+        transport.register(1, lambda m: None)
+        transport.register(2, lambda m: m.response(double=m.payload["x"] * 2))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
+            for data in (b"[1]", b"5", b"null", b'"x"'):
+                stray.sendto(data, transport.address_of(2))
+        replies: list[int] = []
+        transport.call(
+            Message(kind="calc", source=1, destination=2, payload={"x": 21}),
+            lambda reply: replies.append(reply.payload["double"]),
+            timeout=3.0,
+        )
+        assert wait_until(lambda: replies == [42])
+        assert transport._thread.is_alive()
 
 
 class TestTimeoutRetry:
