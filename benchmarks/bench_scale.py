@@ -27,8 +27,9 @@ Runs two ways:
 (:func:`repro.core.slab.run_protocol_slab`) exchanging real continuous-push
 messages through :class:`~repro.sim.simnet.SimTransport`, compared
 bit-for-bit against one :class:`~repro.core.service.DatNodeService` per
-node up to ``PROTOCOL_ORACLE_MAX`` nodes, with peak RSS and a slab-state
-memory gate (``protocol.max_state_bytes_per_node``). Every row, statistics
+node up to ``PROTOCOL_ORACLE_MAX`` nodes, with peak-RSS and slab-state
+memory gates (``protocol.max_peak_rss_mb``, keyed by size, and
+``protocol.max_state_bytes_per_node``). Every row, statistics
 or protocol, runs in a fresh interpreter, so its ``peak_rss_mb`` is its own
 high-water mark and not that of whatever ran before it in this process.
 
@@ -377,13 +378,17 @@ def _check(payload: dict[str, object], threshold_path: pathlib.Path) -> list[str
 def _check_protocol(
     payload: dict[str, object], threshold: dict[str, object]
 ) -> list[str]:
-    """Protocol-mode gate: time budgets, oracle exactness, memory per node."""
+    """Protocol-mode gate: time and peak-RSS budgets, oracle exactness,
+    slab state per node."""
     gate = threshold.get("protocol")
     rows = payload.get("protocol_results") or []  # type: ignore[union-attr]
     if not isinstance(gate, dict) or not rows:
         return []
     failures: list[str] = []
     budgets = {int(k): float(v) for k, v in gate.get("max_seconds", {}).items()}
+    rss_budgets = {
+        int(k): float(v) for k, v in gate.get("max_peak_rss_mb", {}).items()
+    }
     max_state = gate.get("max_state_bytes_per_node")
     for row in rows:
         n = int(row["n"])  # type: ignore[arg-type]
@@ -391,6 +396,13 @@ def _check_protocol(
         if budget is not None and float(row["seconds"]) > budget:  # type: ignore[arg-type]
             failures.append(
                 f"protocol n={n}: {row['seconds']}s exceeds budget {budget}s"
+            )
+        rss = float(row["peak_rss_mb"])  # type: ignore[arg-type]
+        rss_budget = rss_budgets.get(n)
+        if rss_budget is not None and rss > rss_budget:
+            failures.append(
+                f"protocol n={n}: peak RSS {rss} MiB exceeds "
+                f"budget {rss_budget} MiB"
             )
         if not row["converged"]:
             failures.append(f"protocol n={n}: estimate did not converge")
@@ -492,6 +504,19 @@ def test_protocol_slab_budget_at_65536(emit):
     assert float(row["state_bytes_per_node"]) <= gate["max_state_bytes_per_node"], row
 
 
+def test_protocol_gate_enforces_peak_rss_budget():
+    """A protocol row above its size's ``max_peak_rss_mb`` fails the gate."""
+    gate = {"protocol": {"max_peak_rss_mb": {"65536": 80.0}}}
+    row = {"n": 65536, "seconds": 0.3, "converged": True,
+           "state_bytes_per_node": 73.0, "oracle_checked": False}
+    over = {"protocol_results": [{**row, "peak_rss_mb": 91.8}]}
+    under = {"protocol_results": [{**row, "peak_rss_mb": 62.3}]}
+    assert _check_protocol(over, gate) == [
+        "protocol n=65536: peak RSS 91.8 MiB exceeds budget 80.0 MiB"
+    ]
+    assert _check_protocol(under, gate) == []
+
+
 # --------------------------------------------------------------------- #
 # Standalone CLI (CI scale-smoke job)
 # --------------------------------------------------------------------- #
@@ -541,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: {failure}")
         if failures:
             return 1
-        print("scale gate: all time budgets met, oracle comparisons identical")
+        print("scale gate: all time and memory budgets met, oracle comparisons identical")
     return 0
 
 

@@ -17,10 +17,9 @@ asserted in ``tests/unit/test_block.py``, against the ``(n, bits)`` finger
 scan it replaced in ``tests/property/test_prop_key_parent_slot.py``, and by
 the protocol property suite.
 
-The block still carries the fastbuild finger matrix (``(n, bits)`` int64,
-row ``i`` is node ``i``'s finger table), which nothing here reads: the
-frozen perf ledger reads ``block.matrix`` and :meth:`state_nbytes` counts
-it (see :mod:`repro.core.limiting` for which callers keep which form).
+The block holds ``space`` and the sorted ``ids`` (8 B/node, shared with
+the ring). :attr:`ChordNodeBlock.matrix`, the ``(n, bits)`` finger matrix,
+is built on first read for the frozen perf ledger, its one reader.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.chord.fastbuild import FAST_PATH_MAX_BITS, fast_finger_matrix
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.core.limiting import parent_slots
-from repro.errors import IdentifierError, TreeError
+from repro.errors import TreeError
 
 __all__ = ["ChordNodeBlock"]
 
@@ -39,22 +38,16 @@ __all__ = ["ChordNodeBlock"]
 class ChordNodeBlock:
     """All protocol nodes of one converged ring, array-backed.
 
-    Construction snapshots the ring's sorted identifier vector (and builds
-    the finger matrix, module docstring); the block is immutable and shared
-    by every consumer.
+    Construction snapshots the ring's sorted identifier vector; the block
+    is immutable and shared by every consumer.
     """
 
-    __slots__ = ("space", "ids", "matrix")
+    __slots__ = ("space", "ids", "_matrix")
 
-    def __init__(self, space: IdSpace, ids: np.ndarray, matrix: np.ndarray) -> None:
-        if matrix.shape != (len(ids), space.bits):
-            raise TreeError(
-                f"finger matrix shape {matrix.shape} does not match "
-                f"({len(ids)} nodes, {space.bits} bits)"
-            )
+    def __init__(self, space: IdSpace, ids: np.ndarray) -> None:
         self.space = space
         self.ids = ids
-        self.matrix = matrix
+        self._matrix: np.ndarray | None = None
 
     @classmethod
     def from_ring(cls, ring: StaticRing) -> "ChordNodeBlock":
@@ -66,21 +59,24 @@ class ChordNodeBlock:
             )
         if len(ring) == 0:
             raise TreeError("protocol block requires a non-empty ring")
-        return cls(
-            space=ring.space,
-            ids=ring.id_index().ids,
-            matrix=fast_finger_matrix(ring),
-        )
+        return cls(ring.space, ring.id_index().ids)
 
     def __len__(self) -> int:
         return int(self.ids.size)
 
-    def index_of(self, ident: int) -> int:
-        """Position of ``ident`` in the sorted identifier vector."""
-        i = int(np.searchsorted(self.ids, np.int64(ident)))
-        if i == len(self.ids) or int(self.ids[i]) != ident:
-            raise IdentifierError(f"identifier {ident} is not in the block")
-        return i
+    @property
+    def matrix(self) -> np.ndarray:
+        """The ``(n, bits)`` finger matrix of :attr:`ids`, built on first read.
+
+        Only the frozen perf ledger reads it. When ROADMAP item 1(b) frees
+        the ledger, this, ``_check_matrix``, ``fast_tree_arrays(matrix=)``,
+        ``fast_finger_matrix`` and ``DatTreeBuilder.finger_matrix`` leave
+        ``src/`` in one commit.
+        """
+        if self._matrix is None:  # from the snapshot: the ring may have changed
+            ring = StaticRing.from_sorted_ids(self.space, self.ids)
+            self._matrix = fast_finger_matrix(ring)
+        return self._matrix
 
     def owner_index(self, key: int) -> int:
         """Position of ``successor(key)`` — the key's owner/root."""
@@ -126,8 +122,9 @@ class ChordNodeBlock:
         return parents
 
     def state_nbytes(self) -> int:
-        """Bytes of array state held by the block (ids + finger matrix)."""
-        return int(self.ids.nbytes + self.matrix.nbytes)
+        """Bytes of array state held: the ids, plus the matrix once read."""
+        matrix = 0 if self._matrix is None else self._matrix.nbytes
+        return int(self.ids.nbytes + matrix)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ChordNodeBlock(n={len(self)}, bits={self.space.bits})"

@@ -358,8 +358,8 @@ class SlabContinuousRun:
             self._cancel = None
 
     def state_nbytes(self) -> int:
-        """Bytes of array state this run owns, including its share of the
-        block (ids + finger matrix) — the protocol-mode memory gate input."""
+        """Bytes of array state this run owns plus what its block holds —
+        the protocol-mode memory gate input."""
         owned = (
             self.values.nbytes
             + self.cached_at.nbytes

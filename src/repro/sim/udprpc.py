@@ -263,6 +263,8 @@ class UdpRpcTransport(Transport):
                     message = decode_message(data)
                 except TransportError:
                     continue  # malformed datagram: drop
+                if message.destination != key.data:
+                    continue  # names a node other than this socket's: drop
                 self.stats.record_receive(message.destination, len(data))
                 telemetry.count("messages_received_total", kind=message.kind)
                 try:

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from repro.chord.block import ChordNodeBlock
+from repro.chord.fastbuild import fast_finger_matrix
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.core.limiting import FingerLimiter, _balanced_limits
+from repro.core.slab import run_protocol_slab
 from repro.errors import IdentifierError, TreeError
 
 
@@ -84,30 +86,11 @@ class TestChordNodeBlock:
             owner = int(block.ids[block.owner_index(key)])
             assert owner == ring.successor(key)
 
-    def test_index_of(self):
-        block = ChordNodeBlock.from_ring(build_ring(16))
-        for i, ident in enumerate(block.ids.tolist()):
-            assert block.index_of(ident) == i
-        missing = next(
-            v for v in range(block.space.size) if v not in set(block.ids.tolist())
-        )
-        with pytest.raises(IdentifierError):
-            block.index_of(missing)
-
     def test_rejects_wide_space_and_empty_ring(self):
         with pytest.raises(TreeError):
             ChordNodeBlock.from_ring(StaticRing(IdSpace(64), [1, 2]))
         with pytest.raises(TreeError):
             ChordNodeBlock.from_ring(StaticRing(IdSpace(16)))
-
-    def test_shape_validation(self):
-        space = IdSpace(8)
-        with pytest.raises(TreeError):
-            ChordNodeBlock(
-                space,
-                np.array([1, 2], dtype=np.int64),
-                np.zeros((2, 4), dtype=np.int64),
-            )
 
     @pytest.mark.parametrize("scheme", ["basic", "balanced"])
     @pytest.mark.parametrize("n", [2, 3, 33, 256])
@@ -166,9 +149,62 @@ class TestChordNodeBlock:
                 tracemalloc.stop()
             assert peak / len(block) < 128, (scheme, peak / len(block))
 
-    def test_state_nbytes_is_shared_and_small(self):
+    def test_state_nbytes_counts_the_matrix_only_once_read(self):
         ring = build_ring(512, bits=32, seed=2)
         block = ChordNodeBlock.from_ring(ring)
+        assert block.ids is ring.id_index().ids  # shared, not copied
+        assert block.state_nbytes() == 512 * 8
+        block.matrix  # noqa: B018
         # ids (8 B) + one matrix row (8 * bits B) per node.
         assert block.state_nbytes() == 512 * 8 * (1 + 32)
 
+
+class TestIdsOnlyBlock:
+    """The block holds ids; the finger matrix is built only when read."""
+
+    def test_matrix_is_built_on_first_read_and_cached(self):
+        ring = build_ring(300, bits=20, seed=4)
+        block = ChordNodeBlock.from_ring(ring)
+        first = block.matrix
+        np.testing.assert_array_equal(first, fast_finger_matrix(ring))
+        assert block.matrix is first
+
+    @pytest.mark.parametrize("change", ["add", "remove"])
+    def test_matrix_reads_the_snapshot_not_the_changed_ring(self, change):
+        ring = build_ring(200, bits=20, seed=8)
+        block = ChordNodeBlock.from_ring(ring)
+        snapshot = fast_finger_matrix(ring)
+        if change == "add":
+            ring.add(next(v for v in range(1, 1 << 20) if v not in ring))
+        else:
+            ring.remove(ring.nodes[len(ring) // 2])
+        np.testing.assert_array_equal(block.matrix, snapshot)
+
+    def test_protocol_path_never_builds_a_finger_matrix(self, monkeypatch):
+        import repro.chord.block as block_module
+        import repro.chord.fastbuild as fastbuild
+
+        def refuse(ring):
+            raise AssertionError("the protocol path must not build a finger matrix")
+
+        monkeypatch.setattr(fastbuild, "fast_finger_matrix", refuse)
+        monkeypatch.setattr(block_module, "fast_finger_matrix", refuse)
+        ring = build_ring(256, bits=32, seed=3)
+        block = ChordNodeBlock.from_ring(ring)
+        for scheme in ("basic", "balanced"):
+            assert block.key_parents(12345, scheme).size == 256
+        result = run_protocol_slab(ring, key=12345, rounds=3)
+        assert result.n_nodes == 256
+        assert block.state_nbytes() == 256 * 8
+
+    def test_from_ring_traced_peak_at_65536(self):
+        # The block adopts the ring's id vector and builds no matrix (one
+        # would peak at 768 B/node), so construction allocates ~nothing.
+        ring = build_ring(1 << 16, bits=32, seed=7, strategy="probing")
+        tracemalloc.start()
+        try:
+            block = ChordNodeBlock.from_ring(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(block) < 16, peak / len(block)

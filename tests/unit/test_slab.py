@@ -211,7 +211,7 @@ class TestRunResults:
         reset_msg_ids()
         ring = build_ring(256, bits=32, seed=6)
         result = run_protocol_slab(ring, key=5, rounds=2)
-        assert 0 < result.state_bytes / result.n_nodes <= 4096
+        assert 0 < result.state_bytes / result.n_nodes <= 128
 
     def test_oracle_small_ring_agrees(self):
         # The cheapest end-to-end cross-check; the property suite sweeps.

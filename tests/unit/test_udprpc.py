@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.errors import TransportError
-from repro.sim.messages import Message
+from repro.sim.messages import Message, encode_message
 from repro.sim.udprpc import UdpRpcTransport
 
 
@@ -255,6 +255,43 @@ class TestRouting:
             a.add_route(2, host, port)
             a.send(Message(kind="x", source=1, destination=2))
             assert wait_until(lambda: len(received) == 1)
+
+    @staticmethod
+    def _misaddressed_then_exchange(transport, dst):
+        """Send node 1's socket a datagram naming ``dst``, then a normal
+        1 -> 2 call. The reply reaches node 1's socket after the stray
+        datagram did, so once it lands the stray one has been handled."""
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
+            stray.sendto(
+                encode_message(Message(kind="stray", source=3, destination=dst)),
+                transport.address_of(1),
+            )
+        replies: list[int] = []
+        transport.call(
+            Message(kind="calc", source=1, destination=2, payload={"x": 21}),
+            lambda reply: replies.append(reply.payload["double"]),
+            timeout=3.0,
+        )
+        assert wait_until(lambda: replies == [42])
+
+    def test_datagram_naming_another_local_node_is_dropped(self, transport):
+        kinds: list[str] = []
+
+        def node2(message: Message):
+            kinds.append(message.kind)
+            return message.response(double=message.payload["x"] * 2)
+
+        transport.register(1, lambda m: None)
+        transport.register(2, node2)
+        self._misaddressed_then_exchange(transport, dst=2)
+        assert kinds == ["calc"]  # node 2's handler never saw the stray one
+
+    def test_datagram_naming_an_unhosted_node_adds_no_phantom_load(self, transport):
+        transport.register(1, lambda m: None)
+        transport.register(2, lambda m: m.response(double=m.payload["x"] * 2))
+        self._misaddressed_then_exchange(transport, dst=999)
+        assert transport.stats.nodes() == {1, 2}
+        assert transport.stats.load(999).received == 0
 
     def test_unregister_closes_socket(self, transport):
         transport.register(9, lambda m: None)
