@@ -20,8 +20,8 @@ Runs two ways:
           --out BENCH_scale.json
 
   With ``--check`` the exit code is non-zero when a size exceeds its
-  stored time budget or any oracle comparison diverges — the regression
-  gate.
+  stored time or peak-RSS budget or any oracle comparison diverges — the
+  regression gate.
 
 ``--protocol-sizes`` adds *live-protocol* rows: the slab path
 (:func:`repro.core.slab.run_protocol_slab`) exchanging real continuous-push
@@ -29,7 +29,8 @@ messages through :class:`~repro.sim.simnet.SimTransport`, compared
 bit-for-bit against one :class:`~repro.core.service.DatNodeService` per
 node up to ``PROTOCOL_ORACLE_MAX`` nodes, with peak-RSS and slab-state
 memory gates (``protocol.max_peak_rss_mb``, keyed by size, and
-``protocol.max_state_bytes_per_node``). Every row, statistics
+``protocol.max_state_bytes_per_node``); statistics rows have their own
+peak-RSS gate, the top-level ``max_peak_rss_mb``. Every row, statistics
 or protocol, runs in a fresh interpreter, so its ``peak_rss_mb`` is its own
 high-water mark and not that of whatever ran before it in this process.
 
@@ -347,16 +348,27 @@ def _format(payload: dict[str, object]) -> str:
 
 
 def _check(payload: dict[str, object], threshold_path: pathlib.Path) -> list[str]:
-    """Regression gate: per-size time budgets + oracle exactness (both modes)."""
+    """Regression gate: per-size time and peak-RSS budgets + oracle
+    exactness (both modes)."""
     threshold = json.loads(threshold_path.read_text())
     budgets = {int(k): float(v) for k, v in threshold["max_seconds"].items()}
+    rss_budgets = {
+        int(k): float(v) for k, v in threshold.get("max_peak_rss_mb", {}).items()
+    }
     failures: list[str] = []
     rows = payload["results"]
     for row in rows:  # type: ignore[union-attr]
-        budget = budgets.get(int(row["n"]))  # type: ignore[arg-type]
+        n = int(row["n"])  # type: ignore[arg-type]
+        budget = budgets.get(n)
         if budget is not None and float(row["seconds"]) > budget:  # type: ignore[arg-type]
             failures.append(
                 f"n={row['n']}: {row['seconds']}s exceeds budget {budget}s"
+            )
+        rss = float(row["peak_rss_mb"])  # type: ignore[arg-type]
+        rss_budget = rss_budgets.get(n)
+        if rss_budget is not None and rss > rss_budget:
+            failures.append(
+                f"n={n}: peak RSS {rss} MiB exceeds budget {rss_budget} MiB"
             )
     if threshold.get("require_oracle_identical", False):
         checked = [r for r in rows if r["oracle_checked"]]  # type: ignore[union-attr]
@@ -502,6 +514,18 @@ def test_protocol_slab_budget_at_65536(emit):
     assert row["converged"], row
     assert float(row["seconds"]) < gate["max_seconds"]["65536"], row
     assert float(row["state_bytes_per_node"]) <= gate["max_state_bytes_per_node"], row
+
+
+def test_statistics_gate_enforces_peak_rss_budget(tmp_path):
+    """A statistics row above its size's top-level ``max_peak_rss_mb`` fails
+    the gate (a finger matrix back in the analytic path would)."""
+    gate = tmp_path / "threshold.json"
+    gate.write_text(json.dumps({"max_seconds": {}, "max_peak_rss_mb": {"262144": 95.0}}))
+    row = {"n": 262144, "seconds": 2.1, "oracle_checked": False}
+    over = {"results": [{**row, "peak_rss_mb": 141.0}]}
+    under = {"results": [{**row, "peak_rss_mb": 77.1}]}
+    assert _check(over, gate) == ["n=262144: peak RSS 141.0 MiB exceeds budget 95.0 MiB"]
+    assert _check(under, gate) == []
 
 
 def test_protocol_gate_enforces_peak_rss_budget():

@@ -19,8 +19,8 @@ through the vectorized fast builder:
 Two gates read ``benchmarks/telemetry_overhead_threshold.json``:
 ``noop_us / build_us`` must stay under ``max_disabled_overhead`` (3%),
 and ``enabled_us / build_us - 1`` under ``max_enabled_overhead`` (30% —
-the span attrs are lazy and the tree height is seeded by the vectorized
-builder, so the enabled cost is span/counter bookkeeping only). The
+the span attrs are lazy and the tree height is computed only when an
+exporter reads it, so the enabled cost is span/counter bookkeeping only). The
 disabled-mode marginal cost is measured directly rather than by
 differencing two end-to-end timings: the no-op path costs well under a
 microsecond while a 512-node build costs hundreds, so an A/B difference

@@ -82,17 +82,22 @@ def fast_finger_matrix(ring: StaticRing) -> np.ndarray:
     """All finger tables as an ``(n, bits)`` int64 matrix.
 
     Row ``i``, column ``j`` is ``successor(nodes[i] + 2^j)`` — identical to
-    :meth:`StaticRing.finger_entries` for every node, computed with two
-    searchsorted passes instead of ``n * bits`` bisects.
+    :meth:`StaticRing.finger_entries` for every node. Filled one column at
+    a time from the ring's successor grid (:meth:`RingArray.successor_indices`,
+    which wraps past the top of the ring), so the result is the only
+    allocation of ``(n, bits)`` size.
     """
     _require_fast_capable(ring)
     space = ring.space
-    nodes = ring.id_index().ids
-    offsets = (np.int64(1) << np.arange(space.bits, dtype=np.int64))[np.newaxis, :]
-    targets = (nodes[:, np.newaxis] + offsets) & np.int64(space.max_id)
-    indices = np.searchsorted(nodes, targets, side="left")
-    indices[indices == len(nodes)] = 0  # wrap past the top of the ring
-    return nodes[indices]
+    index = ring.id_index()
+    nodes = index.ids
+    matrix = np.empty((nodes.size, space.bits), dtype=np.int64)
+    target = np.empty_like(nodes)
+    for j in range(space.bits):
+        np.add(nodes, np.int64(1) << j, out=target)
+        target &= np.int64(space.max_id)
+        matrix[:, j] = nodes.take(index.successor_indices(target))
+    return matrix
 
 
 def _cw(space_mask: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

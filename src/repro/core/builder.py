@@ -139,9 +139,6 @@ def build_dat(
         if tables is None and d0 is None and fast_capable(ring):
             arrays = fast_tree_arrays(ring, key, scheme=scheme)
             tree = DatTree(root=arrays.root, parent=arrays.parent_map(), key=key)
-            # Seed the height cache from the index-space depths so the span
-            # attribute below never triggers the Python BFS.
-            tree._height = arrays.height()
         elif scheme is DatScheme.BASIC:
             tree = build_basic_dat(ring, key, tables=tables)
         else:
@@ -161,14 +158,13 @@ class DatTreeBuilder:
     Building multiple DATs on one overlay (one per monitored attribute —
     the paper's 'multiple aggregation trees' scenario) shares the ring's
     finger state. Default builds go through the matrix-free kernel and need
-    the ring alone; the scalar ``{node: FingerTable}`` dict serves custom
-    ``d0`` and wide spaces, and :attr:`finger_matrix` is cached for callers
-    that read finger state itself.
+    the ring alone; the scalar ``{node: FingerTable}`` dict, cached, serves
+    custom ``d0`` and wide spaces.
 
     :meth:`apply_event` switches the builder to incremental maintenance
     (:class:`~repro.chord.incremental.DatUpdateEngine`): each membership
     event then patches every previously built tree in O(log n) expected
-    time instead of invalidating it, and drops the lazy finger caches (the
+    time instead of invalidating it, and drops the lazy finger tables (the
     engine keeps no finger state; they rebuild on next access). After the
     first event, trees returned by :meth:`build` are live views patched in
     place by subsequent events.
@@ -180,7 +176,6 @@ class DatTreeBuilder:
         self.ring = ring
         self.scheme = DatScheme(scheme)
         self._tables: dict[int, FingerTable] | None = None
-        self._matrix: np.ndarray | None = None
         self._built: dict[int, DatTree] = {}
         self._engine: DatUpdateEngine | None = None
 
@@ -193,13 +188,18 @@ class DatTreeBuilder:
 
     @property
     def finger_matrix(self) -> np.ndarray | None:
-        """Cached :func:`~repro.chord.fastbuild.fast_finger_matrix` of the
-        ring; ``None`` when the space is too wide or the ring is trivial."""
+        """A fresh :func:`~repro.chord.fastbuild.fast_finger_matrix` of the
+        ring on every read; ``None`` when the space is too wide or the ring
+        is trivial.
+
+        Nothing in ``src/`` reads it and the builder keeps no copy. It stays
+        only for the frozen perf ledger (``benchmarks/perf/workloads.py``'s
+        ``ForestStats.setup`` and ``micro.py``), and leaves ``src/`` with the
+        rest of the matrix API when ROADMAP item 1(b) frees the ledger.
+        """
         from repro.chord.fastbuild import fast_capable, fast_finger_matrix
 
-        if self._matrix is None and fast_capable(self.ring):
-            self._matrix = fast_finger_matrix(self.ring)
-        return self._matrix
+        return fast_finger_matrix(self.ring) if fast_capable(self.ring) else None
 
     def build(self, key: int, d0: float | Fraction | None = None) -> DatTree:
         """Build the DAT for one rendezvous key.
@@ -259,7 +259,7 @@ class DatTreeBuilder:
         :class:`~repro.chord.incremental.DatUpdateEngine` and registers
         every tree previously built with the default ``d0`` (the latest
         build per key); every call costs O(log n) expected per tree and
-        drops the lazy finger caches. Returns the engine's
+        drops the lazy finger tables. Returns the engine's
         :class:`~repro.chord.incremental.DatUpdateReport`.
         """
         if self._engine is None:
@@ -271,7 +271,6 @@ class DatTreeBuilder:
             self._built.clear()
         report = self._engine.apply(kind, ident)
         self._tables = None
-        self._matrix = None
         return report
 
     def invalidate(self) -> None:
@@ -281,6 +280,5 @@ class DatTreeBuilder:
         incremental engine is that built trees stay valid across events.
         """
         self._tables = None
-        self._matrix = None
         self._built.clear()
         self._engine = None

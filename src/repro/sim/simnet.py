@@ -33,6 +33,23 @@ from repro.util.validation import check_probability
 __all__ = ["SimTransport"]
 
 
+def _delay_groups(
+    index: np.ndarray, delays: np.ndarray
+) -> list[tuple[float, np.ndarray]]:
+    """``(delay, rows of index)`` per distinct delay, ascending.
+
+    Each group keeps its rows in ``index`` order. One stable sort and a
+    split wherever the sorted delay changes, so the cost does not grow
+    with the number of distinct delays (a jittered model has about one per
+    row).
+    """
+    order = np.argsort(delays, kind="stable")
+    ordered = delays[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    starts = [0, *cuts.tolist()]
+    return list(zip(ordered[starts].tolist(), np.split(index[order], cuts)))
+
+
 class SimTransport(Transport):
     """Transport backed by a discrete-event engine.
 
@@ -203,7 +220,7 @@ class SimTransport(Transport):
             if delays.min() == delays.max():
                 groups = [(float(delays[0]), survivors)]
             else:
-                groups = [(float(d), index[delays == d]) for d in np.unique(delays)]
+                groups = _delay_groups(index, delays)
         for delay, rows in groups:
             self.engine.schedule(
                 delay,

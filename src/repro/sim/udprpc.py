@@ -16,7 +16,10 @@ clock); request-path policy — deadlines, retries, backoff — lives in
 :mod:`repro.net` and is identical over UDP and the simulator. A lost
 datagram here is indistinguishable from simulated loss: the pending call
 expires and the caller's :class:`~repro.net.RetryPolicy` decides whether
-to retransmit.
+to retransmit. A datagram this transport itself drops is counted in
+``messages_dropped_total`` under one ``reason``: ``no_route`` and
+``send_error`` on send; ``malformed``, ``misaddressed`` and
+``handler_error`` on receive.
 """
 
 from __future__ import annotations
@@ -204,7 +207,9 @@ class UdpRpcTransport(Transport):
             route = self._routes.get(message.destination)
             sock = self._sockets.get(message.source)
         if route is None:
-            return  # unknown destination: dropped, like a lost datagram
+            # Unknown destination: dropped, like a lost datagram.
+            telemetry.count("messages_dropped_total", reason="no_route")
+            return
         try:
             if sock is not None:
                 sock.sendto(data, route)
@@ -215,7 +220,8 @@ class UdpRpcTransport(Transport):
                 tmp.sendto(data, route)
                 tmp.close()
         except OSError:
-            pass  # UDP semantics: losses surface as call timeouts
+            # UDP semantics: losses surface as call timeouts.
+            telemetry.count("messages_dropped_total", reason="send_error")
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Callable[[], None]:
         timer = threading.Timer(delay, self._run_timer, args=(callback,))
@@ -262,9 +268,12 @@ class UdpRpcTransport(Transport):
                 try:
                     message = decode_message(data)
                 except TransportError:
-                    continue  # malformed datagram: drop
+                    telemetry.count("messages_dropped_total", reason="malformed")
+                    continue
                 if message.destination != key.data:
-                    continue  # names a node other than this socket's: drop
+                    # Names a node other than this socket's.
+                    telemetry.count("messages_dropped_total", reason="misaddressed")
+                    continue
                 self.stats.record_receive(message.destination, len(data))
                 telemetry.count("messages_received_total", kind=message.kind)
                 try:
@@ -272,4 +281,4 @@ class UdpRpcTransport(Transport):
                 except Exception:  # noqa: BLE001
                     # A handler bug must not kill the shared receive loop;
                     # the failed RPC will surface as a timeout at the caller.
-                    continue
+                    telemetry.count("messages_dropped_total", reason="handler_error")

@@ -21,12 +21,14 @@ Counters live in two stores that are summed on the read side only:
   push) re-validates it with one compare instead of searching again.
   Such a batch is not scattered into the ledger either: its bytes are
   added densely to a pending column aligned with the batch, and the
-  pending batches are folded in — one scatter of the column plus the
-  per-row message counts times the number of batches — only when
-  something needs the totals: a read, or a batch over other ids (which
-  may grow the ledger). The counters are integers, so folding late
-  changes no total, and a reader that reads every round pays what
-  recording used to. ``reset`` zeroes the rows and the pending columns
+  pending batches are folded in — one scatter of the column and one of
+  the number of batches, over the batch's rows — only when something
+  needs the totals: a read, or a batch over other ids (which may grow the
+  ledger). Recording and folding a batch cost O(its rows), never O(the
+  ledger), so many small batches (a jittered latency model delivers a
+  round in about one group per message) stay linear. The counters are
+  integers, so folding late changes no total, and a reader that reads
+  every round pays what recording used to. ``reset`` zeroes the rows and the pending columns
   but keeps the ids and their indexes; a ledger id with no message since
   then is simply not seen.
 
@@ -127,8 +129,6 @@ class _Resolved:
 
     #: Ledger row of each batch row.
     index: np.ndarray
-    #: Messages per ledger row in one batch.
-    counts: np.ndarray
     #: A copy of the ids ``index`` was resolved for.
     ids: np.ndarray
     #: Bytes per batch row not yet in the ledger.
@@ -235,15 +235,14 @@ class HotspotAccountant:
         # The pending batches were counted against the old index.
         self._fold_locked()
         index = self._ledger_index_locked(nodes)
-        counts = np.bincount(index, minlength=len(self._ids))
-        self._resolved[row] = _Resolved(index, counts, nodes.copy(), sizes.copy(), 1)
+        self._resolved[row] = _Resolved(index, nodes.copy(), sizes.copy(), 1)
 
     def _fold_locked(self) -> None:
         """Add the pending bytes and messages of both directions to the ledger."""
         for row, resolved in self._resolved.items():
             if resolved.batches:
                 np.add.at(self._counters[row + 2], resolved.index, resolved.pending)
-                self._counters[row] += resolved.counts * resolved.batches
+                np.add.at(self._counters[row], resolved.index, resolved.batches)
                 resolved.pending[:] = 0
                 resolved.batches = 0
 

@@ -31,6 +31,11 @@ RING_CASES = [
     ("random", IdSpace(32), lambda s: RandomIdAssigner().build_ring(s, 200, rng=3)),
     ("probing", IdSpace(32), lambda s: ProbingIdAssigner().build_ring(s, 150, rng=4)),
     ("sparse", IdSpace(20), lambda s: StaticRing(s, [5, 1000, 99999, 524287])),
+    # Fingers that wrap past the top of the space, and the smallest rings.
+    ("two", IdSpace(8), lambda s: StaticRing(s, [3, 200])),
+    ("ends", IdSpace(8), lambda s: StaticRing(s, [0, 255])),
+    ("top-run", IdSpace(6), lambda s: StaticRing(s, [1, 2, 3, 60, 61, 62, 63])),
+    ("one", IdSpace(8), lambda s: StaticRing(s, [42])),
 ]
 
 
@@ -62,7 +67,7 @@ class TestEquivalence:
             slow = scalar(ring, 7 % space.size)
             assert fast.root == slow.root
             assert fast.parent == slow.parent
-            assert fast.height == slow.height  # seeded from the array chase
+            assert fast.height == slow.height  # computed on first read
 
 
 class TestFallbacksAndLimits:
@@ -207,6 +212,50 @@ class TestMatrixFreeBuild:
             assert stats.n_nodes == 512
             assert build_dat(ring, 777, scheme=scheme).stats() == stats
         assert fastbuild.fast_centralized_load_array(ring, 777).size == 512
+
+
+class TestColumnBuiltMatrix:
+    """``fast_finger_matrix`` fills its ``(n, bits)`` result one column at a
+    time, so nothing else of that size is allocated (``RING_CASES`` holds
+    it equal to the scalar tables), and tree statistics stay O(n) beside a
+    builder whose ``finger_matrix`` was read."""
+
+    def test_traced_peak_is_the_result_plus_vectors(self):
+        import tracemalloc
+
+        n, bits = 65536, 32
+        ring = ProbingIdAssigner().build_ring(IdSpace(bits), n, rng=3)
+        index = ring.id_index()
+        index.successor_indices(index.ids[:1])  # the ring's grid, not the build's
+        tracemalloc.start()
+        try:
+            matrix = fast_finger_matrix(ring)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.nbytes == n * bits * 8  # 256 B/node of result
+        # Measured ~297 B/node; the two-pass build it replaced read 768
+        # (the result plus two temporaries of its shape).
+        assert peak / n <= 320, peak / n
+
+    @pytest.mark.parametrize("scheme", ["basic", "balanced"])
+    def test_builder_tree_stats_traced_peak_is_linear(self, scheme):
+        import tracemalloc
+
+        n = 65536
+        ring = ProbingIdAssigner().build_ring(IdSpace(32), n, rng=3)
+        builder = DatTreeBuilder(ring, scheme)
+        builder.finger_matrix  # noqa: B018  (read and dropped: the builder keeps none)
+        tracemalloc.start()
+        try:
+            stats = builder.tree_stats(0xA5A5A5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.n_nodes == n
+        # Measured ~60 B/node, the ring's successor grid included; one
+        # (n, 32) int64 matrix alone is 256.
+        assert peak / n <= 96, peak / n
 
 
 class TestDepthDoubling:

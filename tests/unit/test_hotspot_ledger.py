@@ -7,6 +7,7 @@ had each bulk call been a loop of ``record_send`` / ``record_receive`` —
 that plain accountant is :class:`ReferenceAccountant`, kept here.
 """
 
+import dataclasses
 import sys
 import threading
 
@@ -159,6 +160,25 @@ def test_same_ids_every_round_reuse_the_resolved_rows():
     for side in (acc, ref):
         side.record_send_bulk(changed, np.ones(len(changed), dtype=np.int64))
     assert_same_reads(acc, ref, sorted(set(senders.tolist()) | {5000, 33, 66}))
+
+
+def test_small_batches_on_a_large_ledger_stay_the_size_of_the_batch():
+    # A jittered latency model delivers a round in about one group per
+    # message. Each such batch must cost O(its rows): what the ledger keeps
+    # per resolved batch is batch-sized, never ledger-sized.
+    acc, ref = HotspotAccountant(), ReferenceAccountant()
+    senders = np.arange(0, 3 * 4096, 3, dtype=np.int64)
+    for side in (acc, ref):
+        side.record_send_bulk(senders, np.full(len(senders), 64, dtype=np.int64))
+    for group in np.array_split(senders[::-1] // 2, 700):
+        sizes = np.arange(len(group), dtype=np.int64) + 50
+        for side in (acc, ref):
+            side.record_receive_bulk(group, sizes)
+        for resolved in acc._resolved.values():
+            kept = [getattr(resolved, f.name) for f in dataclasses.fields(resolved)]
+            sizes_kept = {a.size for a in kept if isinstance(a, np.ndarray)}
+            assert sizes_kept <= {len(group), len(senders)}
+    assert_same_reads(acc, ref, sorted(set(senders.tolist()) | set((senders // 2).tolist())))
 
 
 def test_caller_may_reuse_its_id_array_between_records():

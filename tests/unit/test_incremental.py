@@ -2,6 +2,7 @@
 
 import random
 import sys
+import weakref
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -11,7 +12,7 @@ import repro.chord.incremental as incremental
 from repro.chord.hashing import sha1_id
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner
 from repro.chord.idspace import IdSpace
-from repro.chord.fastbuild import fast_tree_arrays
+from repro.chord.fastbuild import fast_finger_matrix, fast_tree_arrays
 from repro.chord.incremental import DatUpdateEngine, FingerPatch
 from repro.chord.ring import StaticRing
 from repro.core.builder import (
@@ -359,11 +360,17 @@ class TestBuilderIntegration:
             assert tree.root == reference.root
             assert tree.parent == reference.parent
 
-    def test_finger_matrix_cached_across_keys(self, ring):
+    def test_finger_matrix_is_equal_per_read_and_not_retained(self, ring):
         builder = DatTreeBuilder(ring)
         first = builder.finger_matrix
         second = builder.finger_matrix
-        assert first is second and first is not None
+        assert first is not None
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, fast_finger_matrix(ring))
+        # The builder holds no reference: the caller's is the last one.
+        gone = weakref.ref(first)
+        del first
+        assert gone() is None
 
     def test_build_uses_fast_path_output(self, ring):
         builder = DatTreeBuilder(ring, scheme=DatScheme.BALANCED)

@@ -1,10 +1,11 @@
 """Unit tests for the discrete-event transport."""
 
+import numpy as np
 import pytest
 
 from repro.sim.latency import ConstantLatency
 from repro.sim.messages import Message
-from repro.sim.simnet import SimTransport
+from repro.sim.simnet import SimTransport, _delay_groups
 
 
 def collector(sink: list) -> callable:
@@ -151,3 +152,36 @@ class TestRpcOverSim:
         transport.send(Message(kind="lookup", source=1, destination=2))
         transport.run()
         assert transport.stats.by_kind()["lookup"] == 2
+
+
+def _mask_loop_groups(index, delays):
+    """The grouping ``send_batch`` ran before: one mask per distinct delay."""
+    return [(float(d), index[delays == d]) for d in np.unique(delays)]
+
+
+class TestDelayGroups:
+    """One stable sort replaces a mask per distinct delay: same groups, same
+    group order, same rows in the same order within each group."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_mask_loop_on_random_delays_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 400))
+        index = np.sort(rng.choice(5 * m, size=m, replace=False))
+        pool = rng.uniform(0.0005, 0.002, size=int(rng.integers(2, m + 1)))
+        delays = rng.choice(pool, size=m)  # ties whenever the pool is small
+        got = _delay_groups(index, delays)
+        expected = _mask_loop_groups(index, delays)
+        assert [d for d, _ in got] == [d for d, _ in expected]
+        for (_, rows), (_, want) in zip(got, expected):
+            assert rows.dtype == want.dtype
+            assert rows.tolist() == want.tolist()
+
+    def test_all_distinct_and_two_valued(self):
+        index = np.arange(6)
+        for delays in (np.array([6.0, 5, 4, 3, 2, 1]), np.array([2.0, 1, 2, 1, 1, 2])):
+            got = _delay_groups(index, delays)
+            expected = _mask_loop_groups(index, delays)
+            assert [(d, r.tolist()) for d, r in got] == [
+                (d, r.tolist()) for d, r in expected
+            ]

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.errors import TransportError
 from repro.sim.messages import Message, encode_message
 from repro.sim.udprpc import UdpRpcTransport
@@ -298,6 +299,92 @@ class TestRouting:
         transport.unregister(9)
         with pytest.raises(TransportError):
             transport.address_of(9)
+
+
+class TestDropCounters:
+    """Every datagram the transport drops is counted once under its reason,
+    and a normal exchange follows each case. The dropped datagram reaches
+    node 2's socket before the exchange's request does, and the receive
+    loop is serial, so once the reply lands the drop has been counted."""
+
+    REASONS = ("malformed", "misaddressed", "handler_error", "no_route", "send_error")
+
+    @pytest.fixture
+    def tel(self):
+        with telemetry.enabled() as tel:
+            yield tel
+
+    @staticmethod
+    def _dropped(tel) -> dict[str, float]:
+        family = tel.counter("messages_dropped_total", labels=("reason",))
+        counted = {reason: family.value(reason=reason) for reason in TestDropCounters.REASONS}
+        return {reason: value for reason, value in counted.items() if value}
+
+    @staticmethod
+    def _exchange(transport) -> None:
+        """A 1 -> 2 call that must complete; waits on its reply, not a clock."""
+        replied = threading.Event()
+        transport.call(
+            Message(kind="calc", source=1, destination=2, payload={"x": 21}),
+            lambda reply: replied.set() if reply.payload["double"] == 42 else None,
+            timeout=3.0,
+        )
+        assert replied.wait(3.0)
+
+    @pytest.fixture
+    def pair(self, tel):
+        def node2(message: Message):
+            if message.kind == "boom":
+                raise RuntimeError("handler bug")
+            return message.response(double=message.payload["x"] * 2)
+
+        with UdpRpcTransport() as transport:
+            transport.register(1, lambda m: None)
+            transport.register(2, node2)
+            self._exchange(transport)  # the sockets work before any drop
+            yield transport
+
+    @staticmethod
+    def _stray(transport, data: bytes, node: int) -> None:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
+            stray.sendto(data, transport.address_of(node))
+
+    def test_malformed(self, tel, pair):
+        self._stray(pair, b"\xffnot json", 2)
+        self._exchange(pair)
+        assert self._dropped(tel) == {"malformed": 1.0}
+
+    def test_misaddressed(self, tel, pair):
+        stray = Message(kind="stray", source=3, destination=999)
+        self._stray(pair, encode_message(stray), 2)
+        self._exchange(pair)
+        assert self._dropped(tel) == {"misaddressed": 1.0}
+
+    def test_handler_error(self, tel, pair):
+        pair.send(Message(kind="boom", source=1, destination=2))
+        self._exchange(pair)
+        assert self._dropped(tel) == {"handler_error": 1.0}
+
+    def test_no_route(self, tel, pair):
+        pair.send(Message(kind="hi", source=1, destination=42))
+        assert self._dropped(tel) == {"no_route": 1.0}
+        self._exchange(pair)
+        assert self._dropped(tel) == {"no_route": 1.0}
+
+    def test_send_error(self, tel, pair):
+        pair.add_route(5, "127.0.0.1", 0)  # sendto port 0 fails with EINVAL
+        pair.send(Message(kind="hi", source=1, destination=5))
+        assert self._dropped(tel) == {"send_error": 1.0}
+        self._exchange(pair)
+        assert self._dropped(tel) == {"send_error": 1.0}
+
+    def test_wakeups_and_the_success_path_count_nothing(self, tel, pair):
+        for node in (6, 7):
+            pair.register(node, lambda m: None)  # each register wakes the loop
+        pair.unregister(7)
+        for _ in range(3):
+            self._exchange(pair)
+        assert self._dropped(tel) == {}
 
 
 class TestLifecycle:
