@@ -13,7 +13,8 @@ is the union of the finger routes toward ``r = successor(key)``, and ``r`` is
 a *member*, so every node's parent finger is the closed-form slot
 :func:`repro.core.limiting.parent_slots` at ``reach = x = cw(i, r)`` (that
 module's docstring has the proof and the list of callers that keep a scan):
-a build is one ``frexp``, one array ``g(x)`` and one ``successor_indices``.
+a build is one ``parent_slots`` (one ``frexp``) and one
+``successor_indices`` (one gather per grid round).
 
 Restrictions: identifier width ``bits <= 48`` so that the exact integer
 ``log2`` read off ``frexp`` stays within float64's 2^53 exact-integer
@@ -78,31 +79,34 @@ def _check_matrix(ring: StaticRing, matrix: np.ndarray | None) -> None:
         )
 
 
+_ROWS = 4096  #: finger-matrix rows per block: 1 MiB of int64 at 32 bits
+
+
 def fast_finger_matrix(ring: StaticRing) -> np.ndarray:
     """All finger tables as an ``(n, bits)`` int64 matrix.
 
     Row ``i``, column ``j`` is ``successor(nodes[i] + 2^j)`` — identical to
-    :meth:`StaticRing.finger_entries` for every node. Filled one column at
-    a time from the ring's successor grid (:meth:`RingArray.successor_indices`,
-    which wraps past the top of the ring), so the result is the only
-    allocation of ``(n, bits)`` size.
+    :meth:`StaticRing.finger_entries` for every node. A ``(bits, _ROWS)``
+    block takes one finger column per row from the ring's successor grid
+    (:meth:`RingArray.successor_indices`, which wraps past the top of the
+    ring) and is copied in transposed: the result is the only ``(n, bits)``
+    allocation, and no store strides down its columns.
     """
     _require_fast_capable(ring)
     space = ring.space
     index = ring.id_index()
     nodes = index.ids
     matrix = np.empty((nodes.size, space.bits), dtype=np.int64)
-    target = np.empty_like(nodes)
-    for j in range(space.bits):
-        np.add(nodes, np.int64(1) << j, out=target)
-        target &= np.int64(space.max_id)
-        matrix[:, j] = nodes.take(index.successor_indices(target))
+    block = np.empty((space.bits, min(nodes.size, _ROWS)), dtype=np.int64)
+    for lo in range(0, nodes.size, _ROWS):
+        ids = nodes[lo : lo + _ROWS]
+        columns = block[:, : ids.size]
+        for j, column in enumerate(columns):
+            np.add(ids, np.int64(1) << j, out=column)
+            column &= np.int64(space.max_id)
+            nodes.take(index.successor_indices(column), out=column)
+        matrix[lo : lo + ids.size] = columns.T
     return matrix
-
-
-def _cw(space_mask: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized clockwise distance ``(b - a) mod 2^bits``."""
-    return (b - a) & np.int64(space_mask)
 
 
 class DatTreeArrays:
@@ -280,7 +284,8 @@ def fast_tree_arrays(
     ids = index.ids
     n = int(ids.size)
     root_index = index.successor_index(key)
-    x = _cw(mask, ids, ids[root_index])
+    x = ids[root_index] - ids
+    x &= np.int64(mask)  # cw(i, r)
     balanced = scheme is DatScheme.BALANCED
     slot = parent_slots(x, x, Fraction(space.size, n) if balanced else None)
     slot[root_index] = 0  # any valid shift: the root's row is overwritten below
@@ -289,9 +294,13 @@ def fast_tree_arrays(
     fingers &= np.int64(mask)
     parent_index = index.successor_indices(fingers)
     parent_index[root_index] = root_index
-    # The proof's conclusion as an O(n) check: every parent lies in (i, r].
-    dist = _cw(mask, ids, ids.take(parent_index, out=fingers, mode="clip"))
-    bad = (dist == 0) | (dist > x)
+    # The proof's conclusion as an O(n) check: every parent lies in (i, r],
+    # i.e. cw(i, parent) - 1 mod 2^bits (a self-parent wraps to the top) < x.
+    dist = ids.take(parent_index, out=fingers, mode="clip")
+    dist -= ids
+    dist -= 1
+    dist &= np.int64(mask)
+    bad = dist >= x
     bad[root_index] = False
     if bool(bad.any()):
         raise TreeError(

@@ -418,12 +418,10 @@ class DatUpdateEngine:
         # non-overshooting finger is slot min(floor(log2 x), g(x))
         # (core.limiting.parent_slots) and only that one finger is resolved
         # (successor(node + 2^slot), one bisect) and checked.
-        # The balanced limit uses the pure-integer form
-        # g(x) = ceil_log2(ceil((x + c)/3)), c = ceil(2*2^b/n):
-        # ceil((x + 2S/n)/3) = ceil(ceil((x*n + 2S)/n)/3) = ceil((x + c)/3)
-        # by the nested-ceiling identity, so no Fraction arithmetic is
-        # needed on the per-event hot path (x >= 1, c >= 2: the ceiling is
-        # positive and its ceil_log2 is (ceiling - 1).bit_length()).
+        # The balanced limit is core.limiting's one integer expression
+        # g(x) = ((x + c + 2)//3 - 1).bit_length(), c = ceil(2*2^b/n):
+        # c_plus_2 is FingerLimiter.for_ring(b, n)'s own constant, so no
+        # Fraction arithmetic is needed on the per-event hot path.
         counts: dict[int, int | None] = {}
         for key, tree in self._trees.items():
             if key in skip:

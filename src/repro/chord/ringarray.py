@@ -119,23 +119,28 @@ class RingArray:
         """Index of ``successor(t)`` per target: ``searchsorted``, wrapped to 0.
 
         The grid bounds each target to the members of its cell; a lower-bound
-        search inside the cell, all targets in step, does the rest (one round
-        when no cell holds two members, as on probing rings).
+        search inside the cell, all targets in step, does the rest. A probe
+        past the cell meets a later cell's member (above the target) or,
+        clipped, the last member: past ``n`` only if all are below, so the
+        cell's end needs no check and ``>= n`` wraps to 0.
         """
         self._require_nodes()
         if targets.size and not 0 <= targets.min() <= targets.max() <= self.space.max_id:
             raise IdentifierError(f"targets outside [0, 2^{self.space.bits})")
         shift, rounds, starts = self._successor_grid()
-        cell = targets >> shift
-        pos = starts[:-1].take(cell).astype(np.intp)
-        end = starts[1:].take(cell).astype(np.intp)
-        for step in (1 << r for r in reversed(range(rounds))):
-            # The next ``step`` members are below the target if the last of them is.
-            probe = np.add(pos, step - 1, out=cell)
-            below = self._ids.take(probe, mode="clip") < targets
-            below &= probe < end
-            np.add(pos, step, out=pos, where=below)
-        pos[pos == self._ids.size] = 0  # wrap past the top of the ring
+        cell = np.right_shift(targets, shift, dtype=np.intp)
+        if rounds == 1:  # at most one member per cell, as on probing rings
+            start = starts.take(cell)
+            below = self._ids.take(start, mode="clip", out=cell) < targets
+            pos = np.add(start, below, out=cell, dtype=np.intp)
+        else:
+            pos = starts.take(cell).astype(np.intp)
+            for step in (1 << r for r in reversed(range(rounds))):
+                # The next ``step`` members are below the target if the last of them is.
+                probe = np.add(pos, step - 1, out=cell)
+                below = self._ids.take(probe, mode="clip") < targets
+                np.add(pos, step, out=pos, where=below)
+        pos[pos >= self._ids.size] = 0  # wrap past the top of the ring
         return pos
 
     def gaps(self) -> np.ndarray:

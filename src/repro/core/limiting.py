@@ -10,11 +10,15 @@ for the limit that makes exactly the j-th and (j+1)-th inbound fingers of
 every node choose it as parent, yielding branching factor <= 2 on evenly
 distributed identifiers.
 
-All arithmetic here is exact: with ``d0 = p/q`` the limit is
-``ceil_log2(max(1, ceil((x*q + 2p) / (3q))))`` — :class:`FingerLimiter` on
-Python ints, :func:`_balanced_limits` on int64 arrays. For ``b = 160`` the
-quantities overflow doubles, and an off-by-one in ``ceil(log2(.))`` flips a
-parent choice and breaks the balance proof.
+**One integer expression.** ``x`` is an integer, so ``ceil((x + 2*d0)/3)
+= ceil((x + c)/3)`` with ``c = ceil(2*d0)`` (nested ceilings), and::
+
+    g(x) = ((x + c + 2) // 3 - 1).bit_length()
+
+with ``c`` taken once, exactly, from ``d0``'s ``Fraction``. It has three
+evaluators: :class:`FingerLimiter` (Python ints), :func:`parent_slots`
+(int64 arrays, one ``frexp``) and ``DatUpdateEngine._patch_trees`` (inline,
+below), all exact: an off-by-one flips a parent and breaks the balance.
 
 **The parent slot, and who computes it how.** On a converged ring finger
 ``j`` of node ``i`` is ``successor(i + 2^j)``. Let ``reach = cw(i, p)`` for
@@ -31,9 +35,10 @@ references in ``tests/property/test_prop_parent_slot.py`` and
 ``test_prop_key_parent_slot.py``. The rest keep their own form on purpose:
 
 * ``chord.incremental.DatUpdateEngine._patch_trees`` evaluates the same
-  closed form on Python ints, inline, for one node at a time — a call per
-  node through :class:`FingerLimiter` measured ~20 % slower per membership
-  event and pushes its call count past ``TestEventCost``'s bound;
+  closed form on Python ints, inline, for one node at a time, with the
+  same ``c + 2`` (``ceil_div(2*2^b, n) + 2``) — a call per node through
+  :class:`FingerLimiter` measured ~20 % slower per membership event and
+  pushes its call count past ``TestEventCost``'s bound;
 * ``core.service.DatNodeService.parent_toward_key`` and
   ``core.parent.select_parent_*`` scan a finger table: a live one that may
   be stale mid-churn, or one a caller supplies, where no closed form holds.
@@ -99,19 +104,18 @@ class FingerLimiter:
         limiter = FingerLimiter.for_ring(bits=32, n_nodes=512)
         limiter(x)   # max eligible finger slot for distance x
 
-    ``q`` and ``2p`` are taken at construction; a call builds no ``Fraction``.
+    ``c + 2 = ceil(2*d0) + 2`` is taken at construction; a call builds no
+    ``Fraction``.
     """
 
     d0: Fraction
-    _q: int = field(init=False, repr=False, compare=False)
-    _two_p: int = field(init=False, repr=False, compare=False)
+    _c_plus_2: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p, q = self.d0.numerator, self.d0.denominator
         if p <= 0:
             raise ValueError(f"d0 must be positive, got {self.d0}")
-        object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "_two_p", 2 * p)
+        object.__setattr__(self, "_c_plus_2", -(-2 * p // q) + 2)
 
     @classmethod
     def for_ring(cls, bits: int, n_nodes: int) -> "FingerLimiter":
@@ -133,55 +137,11 @@ class FingerLimiter:
     def __call__(self, x: int) -> int:
         if x < 0:
             raise ValueError(f"x must be non-negative, got {x}")
-        q = self._q
-        return ceil_log2(max(1, -(-(x * q + self._two_p) // (3 * q))))
+        return ((x + self._c_plus_2) // 3 - 1).bit_length()
 
     def max_finger_offset(self, x: int) -> int:
         """Largest finger offset ``2^{g(x)}`` eligible at distance ``x``."""
         return 1 << self(x)
-
-
-def _vectorized_ceil_log2(values: np.ndarray) -> np.ndarray:
-    """Exact ``ceil(log2(v))`` for positive int64 values < 2^53.
-
-    ``frexp`` decomposes ``v = m * 2^e`` with ``m`` in [0.5, 1); the
-    decomposition is exact for integers below 2^53, so
-    ``ceil(log2(v)) = e - 1`` when ``v`` is a power of two (m == 0.5) and
-    ``e`` otherwise — no floating-point rounding anywhere.
-    """
-    mantissa, exponent = np.frexp(values)
-    result = exponent.astype(np.int64)
-    # frexp mantissae are exact binary fractions, so 0.5 is representable
-    # and the power-of-two test is safe as an exact comparison.
-    result[mantissa == 0.5] -= 1
-    return np.maximum(result, 0)
-
-
-def _balanced_limits(x: np.ndarray, d0: float | Fraction) -> np.ndarray:
-    """``g(x)`` for an array of distances, exactly.
-
-    The array form of :class:`FingerLimiter`, which evaluates the same
-    identity on Python ints: with ``d0 = p/q``, the limit is
-    ``ceil_log2(max(ceil((x*q + 2p)/(3q)), 1))``. The int64 path runs
-    whenever the numerators provably fit in int64 and the ceilings stay
-    inside float64's exact range (always true for the power-of-two
-    populations the scale benchmarks use, where ``q == 1``); otherwise each
-    element goes through the scalar limiter's arbitrary-precision ints,
-    trading speed for the same exact answers.
-    """
-    limiter = FingerLimiter.for_gap(d0)
-    x = np.asarray(x, dtype=np.int64)
-    p, q = limiter.d0.numerator, limiter.d0.denominator
-    x_max = int(x.max()) if x.size else 0
-    if x_max * q + 2 * p < 2**62:
-        numerator = x * np.int64(q) + np.int64(2 * p)
-        m = np.maximum(-((-numerator) // np.int64(3 * q)), np.int64(1))
-        m_max = int(m.max()) if m.size else 0
-        if m_max < 2**53:
-            return _vectorized_ceil_log2(m)
-    return np.fromiter(
-        (limiter(xi) for xi in x.tolist()), dtype=np.int64, count=x.size
-    )
 
 
 def parent_slots(
@@ -191,12 +151,18 @@ def parent_slots(
 
     ``reach`` bounds the non-overshooting fingers and ``x`` is the distance
     the limit is measured at (module docstring); ``gap=None`` is the basic
-    scheme, which has no limit and does not read ``x``. ``floor(log2
-    reach)`` is ``frexp``'s exponent minus one, exact for ``reach < 2^53``;
-    ``reach = 0`` comes out as ``-1``. Returns a fresh int64 array.
+    scheme, which has no limit and does not read ``x``. With ``m = (x + c
+    + 2) // 3 >= 1``, ``g(x) = ceil_log2(m) = floor(log2(2m - 1))``, so the
+    slot is ``floor(log2(min(reach, 2m - 1)))``: ``frexp``'s exponent minus
+    one, exact for ``0 <= reach < 2^53`` (``reach = 0`` comes out as
+    ``-1``) and ``0 <= x < 2^62``. ``c + 2`` is capped at ``2^54``: past
+    it ``2m - 1 > 2^53 > reach`` either way. Returns a fresh int64 array.
     """
-    slot = np.frexp(reach)[1].astype(np.int64)
-    slot -= 1
+    bound = reach
     if gap is not None:
-        np.minimum(slot, _balanced_limits(x, gap), out=slot)
-    return slot
+        bound = np.add(x, min(FingerLimiter.for_gap(gap)._c_plus_2, 1 << 54))
+        bound //= 3
+        bound <<= 1
+        bound -= 1
+        np.minimum(bound, reach, out=bound)
+    return np.subtract(np.frexp(bound)[1], 1, dtype=np.int64)

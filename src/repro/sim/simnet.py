@@ -9,6 +9,10 @@ batched slab path (:meth:`SimTransport.send_batch`, driven by
 :mod:`repro.core.slab`) runs full protocol rounds at 10^5+ nodes
 (see ``docs/PERFORMANCE.md``, "Protocol-path scaling").
 
+Each drop counts once in ``messages_dropped_total`` (as in ``sim.udprpc``)
+under ``reason``: ``failed`` (an end crashed, also in flight), ``loss`` or
+``no_handler`` (a request to an unregistered node); batches count in bulk.
+
 Loss injected here surfaces to protocol code as RPC timeouts; the session
 layer in :mod:`repro.net` decides what happens next (give up, or retransmit
 under a :class:`~repro.net.RetryPolicy`). Its retries re-send the same
@@ -48,6 +52,12 @@ def _delay_groups(
     cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
     starts = [0, *cuts.tolist()]
     return list(zip(ordered[starts].tolist(), np.split(index[order], cuts)))
+
+
+def _count_dropped(rows: int, reason: str) -> None:
+    """Count ``rows`` dropped batch rows under ``reason``, if there are any."""
+    if rows:
+        telemetry.count("messages_dropped_total", float(rows), reason=reason)
 
 
 class SimTransport(Transport):
@@ -140,14 +150,18 @@ class SimTransport(Transport):
         self.stats.record_send(message.source, size, kind=message.kind)
         telemetry.count("messages_sent_total", kind=message.kind)
         if message.source in self._failed or message.destination in self._failed:
+            telemetry.count("messages_dropped_total", reason="failed")
             return
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
+            telemetry.count("messages_dropped_total", reason="loss")
             return
 
         def deliver() -> None:
             if message.destination in self._failed:
+                telemetry.count("messages_dropped_total", reason="failed")
                 return
             if message.reply_to is None and message.destination not in self._handlers:
+                telemetry.count("messages_dropped_total", reason="no_handler")
                 return
             self.stats.record_receive(message.destination, size)
             telemetry.count("messages_received_total", kind=message.kind)
@@ -199,12 +213,15 @@ class SimTransport(Transport):
             survivors = np.flatnonzero(
                 ~(np.isin(batch.sources, failed) | np.isin(batch.destinations, failed))
             )
+            _count_dropped(n - len(survivors), "failed")
         if self.loss_rate > 0:
             # One draw per failure-survivor, in row order — the exact RNG
             # consumption of the equivalent scalar send sequence.
             if survivors is None:
                 survivors = np.arange(n)
-            survivors = survivors[self._rng.random(len(survivors)) >= self.loss_rate]
+            drawn = len(survivors)
+            survivors = survivors[self._rng.random(drawn) >= self.loss_rate]
+            _count_dropped(drawn - len(survivors), "loss")
         if survivors is not None and len(survivors) == 0:
             return
         groups: list[tuple[float, np.ndarray | None]]
@@ -238,7 +255,9 @@ class SimTransport(Transport):
             if rows is None:
                 rows = np.arange(len(batch))
             failed = np.fromiter(self._failed, dtype=np.int64, count=len(self._failed))
+            sent = len(rows)
             rows = rows[~np.isin(batch.destinations[rows], failed)]
+            _count_dropped(sent - len(rows), "failed")
             if len(rows) == 0:
                 return
         self.stats.record_receive_bulk(

@@ -24,7 +24,7 @@ from repro.chord.fastbuild import fast_finger_matrix
 from repro.chord.idgen import ProbingIdAssigner, UniformIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.limiting import _balanced_limits
+from repro.core.limiting import FingerLimiter
 from tests.property.test_prop_parent_slot import BITS, _rings
 
 SCHEMES = ["basic", "balanced"]
@@ -42,7 +42,9 @@ def _scan_key_parents(ring, key, scheme):
     eligible = (finger_dist > 0) & (finger_dist <= x[:, np.newaxis])
     slots = np.arange(space.bits, dtype=np.int64)[np.newaxis, :]
     if scheme == "balanced":
-        eligible &= slots <= _balanced_limits(x, space.size / n)[:, np.newaxis]
+        limiter = FingerLimiter.for_gap(space.size / n)
+        limits = np.array([limiter(v) for v in x.tolist()], dtype=np.int64)
+        eligible &= slots <= limits[:, np.newaxis]
     best = np.where(eligible, slots, np.int64(-1)).max(axis=1)
     parents = matrix[np.arange(n), np.maximum(best, 0)]
     # No eligible finger: fall back to the successor (the owner's

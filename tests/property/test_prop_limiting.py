@@ -3,15 +3,17 @@
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.limiting import (
     FingerLimiter,
-    _balanced_limits,
     ceil_log2_fraction,
     finger_limit,
+    parent_slots,
 )
+from repro.util.bits import ceil_div
 
 POSITIVE_FRACTIONS = st.fractions(
     min_value=Fraction(1, 10**6), max_value=Fraction(10**9)
@@ -110,7 +112,14 @@ class TestIntegerFormMatchesRationalReference:
         assert finger_limit(x, d0) == expected
 
     @given(
-        st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=32),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**62),
+                st.integers(min_value=0, max_value=2**53 - 1),
+            ),
+            min_size=1,
+            max_size=32,
+        ),
         st.one_of(
             st.floats(min_value=1e-3, max_value=2.0**40),
             st.builds(
@@ -120,9 +129,13 @@ class TestIntegerFormMatchesRationalReference:
             ),
         ),
     )
-    def test_block_limits_agree_elementwise(self, xs, d0):
-        limits = _balanced_limits(np.array(xs, dtype=np.int64), d0)
-        assert limits.tolist() == [reference_limit(x, d0) for x in xs]
+    def test_block_limits_agree_elementwise(self, pairs, d0):
+        # The array form is parent_slots: min(floor(log2 reach), g(x)).
+        x = np.array([x for x, _ in pairs], dtype=np.int64)
+        reach = np.array([r for _, r in pairs], dtype=np.int64)
+        assert parent_slots(reach, x, d0).tolist() == [
+            min(r.bit_length() - 1, reference_limit(x, d0)) for x, r in pairs
+        ]
 
     def test_short_float_gaps_are_exact_and_long_ones_reduced(self):
         # A dyadic float keeps its exact value; one whose denominator
@@ -133,3 +146,62 @@ class TestIntegerFormMatchesRationalReference:
         assert FingerLimiter.for_gap(third).d0 == Fraction(third).limit_denominator(
             10**12
         )
+
+
+#: Rationals with odd denominators: ``c = ceil(2*d0)`` rounds a fraction up.
+ODD_GAPS = st.builds(
+    Fraction,
+    st.integers(min_value=1, max_value=2**50),
+    st.integers(min_value=0, max_value=5 * 10**11).map(lambda k: 2 * k + 1),
+)
+#: Float gaps; most have a denominator past ``10**12`` and are reduced.
+WIDE_FLOAT_GAPS = st.one_of(
+    st.floats(min_value=1e-3, max_value=2.0**48),
+    st.sampled_from([1 / 3, 2.0**32 / 3, 2.0**48 / 65535, 3.0000000001]),
+)
+FAST_DISTANCES = st.integers(min_value=0, max_value=2**48 - 1)
+REACHES = st.integers(min_value=1, max_value=2**53 - 1)
+
+
+def inline_limit(x: int, bits: int, n: int) -> int:
+    """``DatUpdateEngine._patch_trees``' inline form, verbatim."""
+    c_plus_2 = ceil_div(2 * (1 << bits), n) + 2
+    return ((x + c_plus_2) // 3 - 1).bit_length()
+
+
+class TestOneIntegerG:
+    """Every evaluator of ``g(x)`` equals ``ceil_log2_fraction((x + 2*d0)/3)``."""
+
+    @given(FAST_DISTANCES, REACHES, st.one_of(ODD_GAPS, WIDE_FLOAT_GAPS))
+    @example(0, 1, Fraction(1, 3))
+    @example(2**48 - 1, 2**53 - 1, Fraction(2**48, 65535))
+    @example(2**48 - 1, 2**47, 1 / 3)
+    @settings(max_examples=400)
+    def test_limiter_and_parent_slots(self, x, reach, d0):
+        expected = reference_limit(x, d0)
+        assert FingerLimiter.for_gap(d0)(x) == expected
+        floor_reach = reach.bit_length() - 1
+        xs, reaches = np.array([x], dtype=np.int64), np.array([reach], dtype=np.int64)
+        assert parent_slots(reaches, xs, None).tolist() == [floor_reach]
+        assert parent_slots(reaches, xs, d0).tolist() == [min(floor_reach, expected)]
+
+    @given(
+        FAST_DISTANCES,
+        st.integers(min_value=1, max_value=48),
+        st.integers(min_value=1, max_value=2**20),
+    )
+    @example(0, 48, 1)
+    @example(2**48 - 1, 48, 2**16 - 1)
+    @settings(max_examples=300)
+    def test_incremental_inline_form(self, x, bits, n):
+        d0 = Fraction(1 << bits, n)
+        expected = ceil_log2_fraction((x + 2 * d0) / 3)
+        assert inline_limit(x, bits, n) == expected
+        assert FingerLimiter.for_ring(bits, n)(x) == expected
+
+    @pytest.mark.parametrize("gap", [0, 0.0, Fraction(0)])
+    def test_zero_gap_raises(self, gap):
+        with pytest.raises(ValueError):
+            FingerLimiter.for_gap(gap)
+        with pytest.raises(ValueError):
+            parent_slots(np.array([4]), np.array([4]), gap)

@@ -4,8 +4,9 @@ The block is the protocol path's shared routing state; every query it
 answers must match the scalar :class:`~repro.chord.fingers.FingerTable`
 machinery bit for bit. These tests assert that identity over full rings:
 ``key_parents`` against the scalar key-addressed rule of
-``DatNodeService.parent_toward_key``, and the vectorized balanced limits
-against the exact scalar :class:`~repro.core.limiting.FingerLimiter`.
+``DatNodeService.parent_toward_key``, and the balanced limits of
+:func:`~repro.core.limiting.parent_slots` against the exact scalar
+:class:`~repro.core.limiting.FingerLimiter`.
 """
 
 import tracemalloc
@@ -18,7 +19,7 @@ from repro.chord.fastbuild import fast_finger_matrix
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.limiting import FingerLimiter, _balanced_limits
+from repro.core.limiting import FingerLimiter, parent_slots
 from repro.core.slab import run_protocol_slab
 from repro.errors import IdentifierError, TreeError
 
@@ -43,6 +44,11 @@ def scalar_parent_toward_key(table, key, scheme, d0):
     return parent
 
 
+def balanced_limits(x, d0):
+    """``g(x)`` read off ``parent_slots`` with a reach no limit here meets."""
+    return parent_slots(np.full(x.shape, 2**53 - 1, dtype=np.int64), x, d0)
+
+
 class TestBalancedLimits:
     def test_matches_scalar_limiter_integer_gap(self):
         rng = np.random.default_rng(3)
@@ -50,7 +56,7 @@ class TestBalancedLimits:
         for d0 in (1.0, 2.0, 4096.0, 2.0**32 / 300):
             limiter = FingerLimiter.for_gap(d0)
             expected = np.array([limiter(int(v)) for v in x], dtype=np.int64)
-            np.testing.assert_array_equal(_balanced_limits(x, d0), expected)
+            np.testing.assert_array_equal(balanced_limits(x, d0), expected)
 
     def test_matches_scalar_limiter_fractional_gap(self):
         # Non-power-of-two populations give fractional d0 (q > 1).
@@ -60,19 +66,24 @@ class TestBalancedLimits:
             d0 = 2.0**20 / n
             limiter = FingerLimiter.for_gap(d0)
             expected = np.array([limiter(int(v)) for v in x], dtype=np.int64)
-            np.testing.assert_array_equal(_balanced_limits(x, d0), expected)
+            np.testing.assert_array_equal(balanced_limits(x, d0), expected)
 
-    def test_scalar_fallback_on_wide_values(self):
-        # Force the int64 guard to fail: huge x times a large denominator.
-        x = np.array([2**61, 2**61 + 12345], dtype=np.int64)
+    def test_wide_values_need_no_fallback(self):
+        # x * q + 2p overflows int64 here (the array form once fell back to
+        # Python ints per element); x + c + 2 stays far inside it.
+        x = np.array([2**61, 2**61 + 12345, 2**48 - 1, 2**47 + 3], dtype=np.int64)
+        reach = np.array([2**53 - 1, 12345, 2**53 - 1, 2**40], dtype=np.int64)
         d0 = 3.0000000001  # limit_denominator gives a large q
         limiter = FingerLimiter.for_gap(d0)
-        expected = np.array([limiter(int(v)) for v in x], dtype=np.int64)
-        np.testing.assert_array_equal(_balanced_limits(x, d0), expected)
+        assert int(x.max()) * limiter.d0.denominator >= 2**63
+        expected = [
+            min(int(r).bit_length() - 1, limiter(int(v))) for r, v in zip(reach, x)
+        ]
+        assert parent_slots(reach, x, d0).tolist() == expected
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValueError):
-            _balanced_limits(np.array([1]), 0.0)
+            balanced_limits(np.array([1]), 0.0)
 
 
 class TestChordNodeBlock:

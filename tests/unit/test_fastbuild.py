@@ -21,7 +21,7 @@ from repro.core.builder import (
     build_basic_dat,
     build_dat,
 )
-from repro.core.limiting import _balanced_limits
+from repro.core.limiting import parent_slots
 from repro.errors import TreeError
 
 
@@ -99,22 +99,31 @@ class TestFallbacksAndLimits:
         assert fast_tree_arrays(ring, 12345).parent_map() == scalar
 
 
-class TestVectorizedCeilLog2:
+def _limits(x, d0):
+    """``g(x)`` read off ``parent_slots`` with a reach no limit here meets."""
+    return parent_slots(np.full(x.shape, 2**53 - 1, dtype=np.int64), x, d0)
+
+
+class TestOneFrexp:
     def test_exact_on_powers_and_neighbors(self):
-        from repro.core.limiting import _vectorized_ceil_log2
         from repro.util.bits import ceil_log2
 
         values = []
         for k in range(1, 50):
             values.extend([(1 << k) - 1, 1 << k, (1 << k) + 1])
         arr = np.array(values, dtype=np.int64)
+        # d0 = 1 (c = 2): x = 3v - 4 makes m = (x + c + 2) // 3 equal v.
+        x = np.maximum(3 * arr - 4, 0)
         expected = np.array([ceil_log2(int(v)) for v in values])
-        assert np.array_equal(_vectorized_ceil_log2(arr), expected)
+        assert np.array_equal(_limits(x, 1), expected)
+        # The basic slot is the same frexp at reach = v: floor(log2 v).
+        floors = np.array([int(v).bit_length() - 1 for v in values])
+        assert np.array_equal(parent_slots(arr, None, None), floors)
 
 
 class TestExactCeilQ:
     """``g(x) = ceil_log2(max(1, q))``, ``q = ceil((x*n + 2*size) / (3n))``:
-    the kernel's array form is ``_balanced_limits`` with ``d0 = size/n``."""
+    the kernel reads it off ``parent_slots`` with ``d0 = size/n``."""
 
     @staticmethod
     def _expected(x, n, size):
@@ -127,22 +136,22 @@ class TestExactCeilQ:
     def test_matches_ceil_div_in_vector_range(self):
         x = np.array([0, 1, 2, 5, 1000, 2**20, 2**30], dtype=np.int64)
         n, size = 4096, 2**32
-        got = _balanced_limits(x, Fraction(size, n))
+        got = _limits(x, Fraction(size, n))
         assert got.tolist() == self._expected(x, n, size)
 
     def test_overflow_branch_stays_exact(self):
-        # x*q + 2p >= 2^62 (q = n: odd, so size/n does not reduce) forces
-        # the arbitrary-precision fallback.
+        # x*q + 2p >= 2^62 (q = n: odd, so size/n does not reduce) overflowed
+        # the q-scaled form; x + c + 2 does not.
         size = 2**48
         n = 2**16 - 1
         x = np.array([size - 1, size - 2, size // 2], dtype=np.int64)
         assert int(x.max()) * n + 2 * size >= 2**62
-        got = _balanced_limits(x, Fraction(size, n))
+        got = _limits(x, Fraction(size, n))
         assert got.tolist() == self._expected(x, n, size)
 
     def test_empty_input(self):
         empty = np.array([], dtype=np.int64)
-        assert _balanced_limits(empty, Fraction(256, 8)).size == 0
+        assert _limits(empty, Fraction(256, 8)).size == 0
 
 
 class TestSharedMatrix:
@@ -215,8 +224,8 @@ class TestMatrixFreeBuild:
 
 
 class TestColumnBuiltMatrix:
-    """``fast_finger_matrix`` fills its ``(n, bits)`` result one column at a
-    time, so nothing else of that size is allocated (``RING_CASES`` holds
+    """``fast_finger_matrix`` fills its ``(n, bits)`` result a block of rows
+    at a time, so nothing else of that size is allocated (``RING_CASES`` holds
     it equal to the scalar tables), and tree statistics stay O(n) beside a
     builder whose ``finger_matrix`` was read."""
 
@@ -234,8 +243,9 @@ class TestColumnBuiltMatrix:
         finally:
             tracemalloc.stop()
         assert matrix.nbytes == n * bits * 8  # 256 B/node of result
-        # Measured ~297 B/node; the two-pass build it replaced read 768
-        # (the result plus two temporaries of its shape).
+        # Measured ~274 B/node (~297 filled column by column); the two-pass
+        # build it replaced read 768 (the result plus two temporaries of its
+        # shape).
         assert peak / n <= 320, peak / n
 
     @pytest.mark.parametrize("scheme", ["basic", "balanced"])

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.chord.idgen import ProbingIdAssigner
+from repro.chord.idspace import IdSpace
+from repro.core.slab import run_protocol_slab
 from repro.sim.latency import ConstantLatency
-from repro.sim.messages import Message
+from repro.sim.messages import Message, MessageBatch
 from repro.sim.simnet import SimTransport, _delay_groups
 
 
@@ -104,6 +108,81 @@ class TestFailureInjection:
         transport.fail(2)
         transport.run()
         assert received == []
+
+
+class TestDropCounters:
+    """Every dropped message counts once in ``messages_dropped_total`` under
+    its reason, on the scalar and the batched path alike."""
+
+    @pytest.fixture
+    def tel(self):
+        with telemetry.enabled() as tel:
+            yield tel
+
+    @staticmethod
+    def _dropped(tel) -> dict[str, float]:
+        family = tel.counter("messages_dropped_total", labels=("reason",))
+        return {dict(s.labels)["reason"]: s.value for s in family.samples()}
+
+    @staticmethod
+    def _batch(n: int) -> MessageBatch:
+        sources = np.arange(n, dtype=np.int64)
+        return MessageBatch(
+            kind="x",
+            sources=sources,
+            destinations=(sources + 1) % n,
+            sizes=np.full(n, 10, dtype=np.int64),
+            msg_id_start=0,
+        )
+
+    def test_scalar_failed_and_no_handler(self, tel):
+        transport = SimTransport(latency=ConstantLatency(1.0))
+        transport.register(2, lambda message: None)
+        transport.fail(7)
+        transport.send(Message(kind="x", source=7, destination=2))  # source down
+        transport.send(Message(kind="x", source=1, destination=7))  # destination down
+        transport.send(Message(kind="x", source=1, destination=9))  # no handler
+        transport.send(Message(kind="x", source=1, destination=2))  # dies in flight
+        transport.send(Message(kind="x", source=1, destination=2))
+        assert self._dropped(tel) == {"failed": 2.0}
+        transport.fail(2)
+        transport.run()
+        assert self._dropped(tel) == {"failed": 4.0, "no_handler": 1.0}
+
+    def test_scalar_loss(self, tel):
+        transport = SimTransport(loss_rate=0.5, rng=1)
+        received: list[Message] = []
+        transport.register(2, collector(received))
+        for _ in range(400):
+            transport.send(Message(kind="x", source=1, destination=2))
+        transport.run()
+        assert self._dropped(tel) == {"loss": float(400 - len(received))}
+
+    def test_batch_failed_and_loss(self, tel):
+        transport = SimTransport(loss_rate=0.5, rng=2)
+        arrived: list[int] = []
+        transport.fail(3)  # rows 2 -> 3 and 3 -> 4
+        transport.send_batch(self._batch(40), lambda batch, rows: arrived.append(len(rows)))
+        # One loss draw per failure survivor, in row order.
+        lost = int((np.random.default_rng(2).random(38) < 0.5).sum())
+        assert self._dropped(tel) == {"failed": 2.0, "loss": float(lost)}
+        transport.run()
+        assert sum(arrived) == 38 - lost
+        assert self._dropped(tel) == {"failed": 2.0, "loss": float(lost)}
+
+    def test_batch_in_flight_counts_every_row(self, tel):
+        transport = SimTransport()
+        transport.send_batch(self._batch(8), lambda batch, rows: None)
+        for node in (1, 2, 5):
+            transport.fail(node)
+        transport.run()
+        assert self._dropped(tel) == {"failed": 3.0}
+
+    def test_plain_slab_round_counts_nothing(self, tel):
+        ring = ProbingIdAssigner().build_ring(IdSpace(16), 64, rng=3)
+        run_protocol_slab(ring, 1234, 2)
+        assert tel.counter("messages_sent_total", labels=("kind",)).samples()
+        assert self._dropped(tel) == {}
 
 
 class TestRpcOverSim:
