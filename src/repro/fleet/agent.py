@@ -16,10 +16,9 @@ protocol:
   interval — the per-node JSONL feed the supervisor persists and the
   comparison report aggregates.
 
-Threading model: the UDP receive thread dispatches protocol handlers, the
-transport's timer threads run maintenance ticks, and the control-reader
-thread applies supervision commands — the same looseness the transport's
-timer callbacks already have (protocol state is only ever mutated by
+Threading model: the UDP receive thread runs protocol handlers and
+maintenance timers one at a time, and the control-reader thread applies
+supervision commands alongside it (protocol state is only ever mutated by
 short, idempotent steps; see ``docs/FLEET.md``).
 
 ``repro.fleet`` may read the wall clock (library code may not; see

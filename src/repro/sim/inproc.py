@@ -1,16 +1,17 @@
 """Zero-latency in-process transport for unit tests.
 
 Delivery is synchronous: ``send`` invokes the destination handler before
-returning. Timers are queued and fired manually with :meth:`advance`, so
-tests control time explicitly without a full simulation engine.
+returning. Timers wait in the simulator's
+:class:`~repro.sim.engine.EventQueue` and fire only from :meth:`advance`,
+so tests control time explicitly without a full simulation engine.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Callable
 
+from repro.sim.engine import Event, EventQueue
 from repro.sim.messages import Message
 from repro.sim.transport import Transport
 
@@ -23,9 +24,8 @@ class InprocTransport(Transport):
     def __init__(self) -> None:
         super().__init__()
         self._time = 0.0
-        self._timers: list[tuple[float, int, Callable[[], None]]] = []
+        self._timers = EventQueue()
         self._timer_seq = itertools.count()
-        self._cancelled: set[int] = set()
 
     def now(self) -> float:
         return self._time
@@ -45,22 +45,14 @@ class InprocTransport(Transport):
         self._dispatch(message)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Callable[[], None]:
-        seq = next(self._timer_seq)
-        heapq.heappush(self._timers, (self._time + delay, seq, callback))
-
-        def cancel() -> None:
-            self._cancelled.add(seq)
-
-        return cancel
+        event = Event(self._time + delay, next(self._timer_seq), callback)
+        self._timers.push(event)
+        return event.cancel
 
     def advance(self, delta: float) -> None:
         """Move the manual clock forward, firing due timers in order."""
         target = self._time + delta
-        while self._timers and self._timers[0][0] <= target:
-            when, seq, callback = heapq.heappop(self._timers)
-            self._time = when
-            if seq not in self._cancelled:
-                callback()
-            else:
-                self._cancelled.discard(seq)
+        while (event := self._timers.pop(target)) is not None:
+            self._time = event.time
+            event.callback()
         self._time = target

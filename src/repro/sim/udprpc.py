@@ -4,9 +4,10 @@ The prototype's RPC manager "is implemented at the socket-level to send and
 receive UDP packets"; the cluster experiments ran up to 64 DAT instances
 per machine. This transport reproduces that setup on localhost: every
 registered node binds its own UDP socket on 127.0.0.1; a single receive
-thread multiplexes all sockets with a selector and dispatches handlers
-serially (so protocol code needs no locking, matching the DES substrate's
-execution model).
+thread multiplexes all sockets with a selector and runs every handler and
+timer callback serially (so protocol code needs no locking, matching the DES
+substrate's execution model): timers wait in the simulator's
+:class:`~repro.sim.engine.EventQueue`, and ``select`` sleeps until the next.
 
 Routes to nodes hosted by *other* processes can be added explicitly with
 :meth:`UdpRpcTransport.add_route`, enabling genuine multi-process clusters.
@@ -19,11 +20,12 @@ expires and the caller's :class:`~repro.net.RetryPolicy` decides whether
 to retransmit. A datagram this transport itself drops is counted in
 ``messages_dropped_total`` under one ``reason``: ``no_route`` and
 ``send_error`` on send; ``malformed``, ``misaddressed`` and
-``handler_error`` on receive.
+``handler_error`` on receive; a timer callback that raises is logged.
 """
 
 from __future__ import annotations
 
+import itertools
 import selectors
 import socket
 import threading
@@ -32,12 +34,17 @@ from typing import Callable
 
 from repro import telemetry
 from repro.errors import TransportError
+from repro.sim.engine import Event, EventQueue
 from repro.sim.messages import Message, decode_message, encode_message
+from repro.sim.tracing import get_logger
 from repro.sim.transport import MessageHandler, Transport
 
 __all__ = ["UdpRpcTransport"]
 
 _MAX_DATAGRAM = 65000
+_MAX_SLEEP_S = 0.25  # the loop re-checks ``_closed`` at least this often
+
+logger = get_logger("sim.udprpc")
 
 
 class UdpRpcTransport(Transport):
@@ -57,15 +64,16 @@ class UdpRpcTransport(Transport):
         self._routes: dict[int, tuple[str, int]] = {}
         self._selector = selectors.DefaultSelector()
         self._lock = threading.RLock()
-        # Insertion-ordered on purpose: timers are iterated during close()
-        # and pruning, and set order would be hash-dependent.
-        self._timers: dict[threading.Timer, None] = {}  # guarded-by: _lock
+        self._timers = EventQueue()  # guarded-by: _lock
+        self._timer_seq = itertools.count()
         self._closed = False  # guarded-by: _lock
-        # A wakeup socket lets register() update the selector while the
-        # receive loop is blocked in select().
+        # A wakeup socket lets register() and other threads' schedule()
+        # reach the receive loop while it is blocked in select().
         self._wake_recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._wake_recv.bind((bind_host, 0))
         self._wake_recv.setblocking(False)
+        # Unbound: sends wakeups, and datagrams no local socket can send.
+        self._spare = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._wake_addr = self._wake_recv.getsockname()
         self._selector.register(self._wake_recv, selectors.EVENT_READ, None)
         tel = telemetry.active()
@@ -99,12 +107,12 @@ class UdpRpcTransport(Transport):
     def close(self) -> None:
         """Stop the receive loop, cancel pending calls and timers, close sockets.
 
-        Calls still in flight are cancelled through the same path
-        :meth:`Transport.unregister` uses (:meth:`Transport.cancel_all_calls`):
+        The receive loop, the one thread that runs handlers and timers, is
+        joined first. Calls still in flight are then cancelled through the
+        path :meth:`Transport.unregister` uses (:meth:`Transport.cancel_all_calls`):
         each pending entry's deadline timer is revoked and neither its reply
-        nor its timeout continuation ever fires. Only then are the remaining
-        maintenance timers cancelled and the sockets/selector released, so no
-        stray selector or timer callback can run after ``close()`` returns.
+        nor its timeout continuation ever fires. Last the timer queue is
+        cleared and the sockets/selector released.
         """
         with self._lock:
             if self._closed:
@@ -114,28 +122,17 @@ class UdpRpcTransport(Transport):
         self._thread.join(timeout=2.0)
         self.cancel_all_calls()
         with self._lock:
-            for timer in list(self._timers):
-                timer.cancel()
             self._timers.clear()
+            self._selector.close()
             for sock in self._sockets.values():
-                try:
-                    self._selector.unregister(sock)
-                except (KeyError, ValueError):
-                    pass
                 sock.close()
             self._sockets.clear()
-        try:
-            self._selector.unregister(self._wake_recv)
-        except (KeyError, ValueError):
-            pass
         self._wake_recv.close()
-        self._selector.close()
+        self._spare.close()
 
     def _wakeup(self) -> None:
         try:
-            wake = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            wake.sendto(b"\x00", self._wake_addr)
-            wake.close()
+            self._spare.sendto(b"\x00", self._wake_addr)
         except OSError:
             pass
 
@@ -211,48 +208,57 @@ class UdpRpcTransport(Transport):
             telemetry.count("messages_dropped_total", reason="no_route")
             return
         try:
-            if sock is not None:
-                sock.sendto(data, route)
-            else:
-                # Source is not locally hosted (e.g. responses generated on
-                # behalf of a departed node); use a throwaway socket.
-                tmp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-                tmp.sendto(data, route)
-                tmp.close()
+            # A source not hosted here (e.g. a response on behalf of a
+            # departed node) sends from the spare socket.
+            (sock or self._spare).sendto(data, route)
         except OSError:
             # UDP semantics: losses surface as call timeouts.
             telemetry.count("messages_dropped_total", reason="send_error")
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Callable[[], None]:
-        timer = threading.Timer(delay, self._run_timer, args=(callback,))
-        timer.daemon = True
+        # Fired by the receive loop; equal deadlines fire in scheduling order.
+        event = Event(self.now() + delay, next(self._timer_seq), callback)
         with self._lock:
             if self._closed:
                 return lambda: None
-            self._timers[timer] = None
-        timer.start()
+            self._timers.push(event)
+            earliest = self._timers.peek() is event
+        if earliest and threading.get_ident() != self._thread.ident:
+            self._wakeup()  # the loop may be sleeping past the new deadline
 
         def cancel() -> None:
-            timer.cancel()
             with self._lock:
-                self._timers.pop(timer, None)
+                event.cancel()
 
         return cancel
 
-    def _run_timer(self, callback: Callable[[], None]) -> None:
-        with self._lock:
-            self._timers = {t: None for t in self._timers if t.is_alive()}
-        if not self._closed:
-            callback()
+    def _run_due_timers(self) -> float:
+        """Fire every timer due now; return how long ``select`` may sleep."""
+        now = self.now()
+        while self._timers:  # unlocked read: a timer pushed after it wakes the loop
+            with self._lock:
+                event = None if self._closed else self._timers.pop(now)
+                if event is None:
+                    head = self._timers.peek()
+                    wait = _MAX_SLEEP_S if head is None else head.time - self.now()
+                    return min(wait, _MAX_SLEEP_S)
+                callback = event.callback
+            try:
+                callback()
+            except Exception:
+                # A timer bug must not kill the shared loop, like a handler's.
+                logger.exception("timer callback failed")
+        return _MAX_SLEEP_S
 
     # ------------------------------------------------------------------ #
     # Receive loop
     # ------------------------------------------------------------------ #
 
     def _receive_loop(self) -> None:
+        timeout = _MAX_SLEEP_S
         while not self._closed:
             try:
-                ready = self._selector.select(timeout=0.25)
+                ready = self._selector.select(timeout=timeout)
             except (OSError, ValueError):
                 return
             for key, _ in ready:
@@ -282,3 +288,4 @@ class UdpRpcTransport(Transport):
                     # A handler bug must not kill the shared receive loop;
                     # the failed RPC will surface as a timeout at the caller.
                     telemetry.count("messages_dropped_total", reason="handler_error")
+            timeout = self._run_due_timers()

@@ -1,5 +1,7 @@
 """Unit tests for the in-process transport and base Transport RPC plumbing."""
 
+import weakref
+
 import pytest
 
 from repro.errors import TransportError
@@ -129,6 +131,31 @@ class TestTimers:
         assert fired == []
         transport.advance(3.0)
         assert fired == ["x"]
+
+    def test_cancel_releases_the_callback(self):
+        # A cancelled timer lets go of its callback at once, not when its
+        # deadline comes up.
+        class Callback:
+            def __call__(self) -> None:
+                pass
+
+        transport = InprocTransport()
+        callback = Callback()
+        cancel = transport.schedule(1.0, callback)
+        released = weakref.ref(callback)
+        del callback
+        cancel()
+        assert released() is None
+
+    def test_cancel_after_fire_is_a_noop(self):
+        transport = InprocTransport()
+        fired: list[str] = []
+        cancel = transport.schedule(1.0, lambda: fired.append("x"))
+        transport.advance(1.0)
+        cancel()
+        transport.schedule(1.0, lambda: fired.append("y"))
+        transport.advance(1.0)
+        assert fired == ["x", "y"]
 
 
 class TestAccounting:

@@ -4,6 +4,7 @@ These exchange datagrams over 127.0.0.1 and use short real-time waits; they
 are kept small and deterministic (single transport, few messages).
 """
 
+import logging
 import socket
 import threading
 import time
@@ -389,29 +390,71 @@ class TestDropCounters:
 
 class TestLifecycle:
     def test_timers_are_insertion_ordered(self):
-        # Regression: timers were kept in a set, making the cancel-on-close
-        # iteration order hash-dependent; the dict replacement preserves
-        # scheduling order.
+        # Earlier deadlines fire first; equal deadlines fire in scheduling
+        # order. The clock is held still while scheduling, so equal delays
+        # are equal deadlines, and the lock keeps the loop from firing any
+        # timer before all are queued.
+        plan = [(0.06, "c1"), (0.02, "a"), (0.06, "c2"), (0.04, "b"), (0.06, "c3")]
+        fired: list[str] = []
+        done = threading.Event()
         with UdpRpcTransport() as transport:
-            cancels = [
-                transport.schedule(30.0 + i, lambda: None) for i in range(8)
-            ]
+            start = transport.now()
             with transport._lock:
-                delays = [t.interval for t in transport._timers]
-            assert delays == sorted(delays)
-            for cancel in cancels:
-                cancel()
-            with transport._lock:
-                assert not transport._timers
+                transport.now = lambda: start
+                for delay, name in plan:
+                    transport.schedule(delay, lambda name=name: fired.append(name))
+                transport.schedule(0.06, done.set)
+                del transport.now
+            assert done.wait(3.0)
+        assert fired == ["a", "b", "c1", "c2", "c3"]
 
     def test_schedule_after_close_is_noop(self):
         # A timer scheduled against a closed transport must not be retained
-        # (it would be a leak close() can no longer cancel).
+        # (it would be a leak close() can no longer cancel), and never runs.
         transport = UdpRpcTransport()
         transport.close()
-        cancel = transport.schedule(30.0, lambda: None)
+        fired: list[int] = []
+        transport.schedule(0.0, lambda: fired.append(1))
+        cancel = transport.schedule(30.0, lambda: fired.append(2))
         cancel()
-        assert not transport._timers
+        assert len(transport._timers) == 0
+        time.sleep(0.05)  # a retained zero-delay timer would have fired by now
+        assert fired == []
+
+    def test_pending_timers_add_no_threads(self):
+        # One thread per transport: pending timers wait on its receive loop.
+        before = set(threading.enumerate())
+        transport = UdpRpcTransport()
+        for i in range(8):
+            transport.schedule(30.0 + i, lambda: None)
+        assert set(threading.enumerate()) - before == {transport._thread}
+        transport.close()
+        assert set(threading.enumerate()) - before == set()
+
+    def test_raising_timer_does_not_kill_loop(self, transport, caplog):
+        transport.register(1, lambda m: None)
+        transport.register(2, lambda m: m.response(double=m.payload["x"] * 2))
+        raised, fired, replied = threading.Event(), threading.Event(), threading.Event()
+
+        def bad_timer() -> None:
+            raised.set()
+            raise RuntimeError("timer bug")
+
+        with caplog.at_level(logging.ERROR, logger="repro.sim.udprpc"):
+            transport.schedule(0.0, bad_timer)
+            assert raised.wait(3.0)
+            transport.schedule(0.0, fired.set)
+            transport.call(
+                Message(kind="calc", source=1, destination=2, payload={"x": 21}),
+                lambda reply: replied.set() if reply.payload["double"] == 42 else None,
+                timeout=3.0,
+            )
+            assert fired.wait(3.0)
+            assert replied.wait(3.0)
+        assert transport._thread.is_alive()
+        [record] = caplog.records
+        assert record.getMessage() == "timer callback failed"
+        assert record.exc_info[0] is RuntimeError
 
     def test_register_racing_close_leaks_no_socket(self):
         # Regression: register() checked _closed before taking the lock, so
@@ -460,7 +503,7 @@ class TestLifecycle:
         assert transport.pending_calls() == 1
         transport.close()
         assert transport.pending_calls() == 0
-        assert not transport._timers
+        assert len(transport._timers) == 0
         time.sleep(0.3)  # past the call deadline: the expiry must not fire
         assert outcome == []
 
