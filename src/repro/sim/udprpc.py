@@ -235,7 +235,7 @@ class UdpRpcTransport(Transport):
     def _run_due_timers(self) -> float:
         """Fire every timer due now; return how long ``select`` may sleep."""
         now = self.now()
-        while self._timers:  # unlocked read: a timer pushed after it wakes the loop
+        while True:
             with self._lock:
                 event = None if self._closed else self._timers.pop(now)
                 if event is None:
@@ -248,7 +248,6 @@ class UdpRpcTransport(Transport):
             except Exception:
                 # A timer bug must not kill the shared loop, like a handler's.
                 logger.exception("timer callback failed")
-        return _MAX_SLEEP_S
 
     # ------------------------------------------------------------------ #
     # Receive loop

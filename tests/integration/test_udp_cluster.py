@@ -27,10 +27,30 @@ def wait_until(predicate, timeout=20.0, interval=0.05) -> bool:
     return predicate()
 
 
+class ThreadRecordingTransport(UdpRpcTransport):
+    """Records the thread of every handler dispatch and timer callback."""
+
+    def __init__(self) -> None:
+        self.handler_threads: set[int] = set()
+        self.timer_threads: set[int] = set()
+        super().__init__()
+
+    def _dispatch(self, message) -> None:
+        self.handler_threads.add(threading.get_ident())
+        super()._dispatch(message)
+
+    def schedule(self, delay, callback):
+        def fire() -> None:
+            self.timer_threads.add(threading.get_ident())
+            callback()
+
+        return super().schedule(delay, fire)
+
+
 @pytest.fixture(scope="module")
 def cluster():
     space = IdSpace(12)
-    transport = UdpRpcTransport()
+    transport = ThreadRecordingTransport()
     config = ChordConfig(
         stabilize_interval=0.05,
         fix_fingers_interval=0.02,
@@ -115,101 +135,11 @@ class TestUdpOverlay:
         for service in services.values():
             service.stop_continuous(key)
 
-
-class ThreadRecordingTransport(UdpRpcTransport):
-    """Records the thread of every handler dispatch and timer callback."""
-
-    def __init__(self) -> None:
-        self.handler_threads: set[int] = set()
-        self.timer_threads: set[int] = set()
-        super().__init__()
-
-    def _dispatch(self, message) -> None:
-        self.handler_threads.add(threading.get_ident())
-        super()._dispatch(message)
-
-    def schedule(self, delay, callback):
-        def fire() -> None:
-            self.timer_threads.add(threading.get_ident())
-            callback()
-
-        return super().schedule(delay, fire)
-
-
-class TestOneThread:
-    def test_every_handler_and_timer_runs_on_the_receive_loop(self):
-        """An 8-node overlay with continuous push runs on one thread.
-
-        The test thread only queues work on the loop and waits on events:
-        the joins, the convergence checks and the pushes all run there.
-        """
-        space = IdSpace(12)
-        config = ChordConfig(
-            stabilize_interval=0.05,
-            fix_fingers_interval=0.02,
-            check_predecessor_interval=0.1,
-            rpc_timeout=0.5,
-        )
-        idents = [(i * space.size) // 8 + 3 for i in range(8)]
-        ideal = StaticRing(space, idents)
-        key = 100
-        root = ideal.successor(key)
-        values = {ident: float(i + 1) for i, ident in enumerate(idents)}
-        services: dict[int, DatNodeService] = {}
-        with ThreadRecordingTransport() as transport:
-            nodes = {i: ChordProtocolNode(i, space, transport, config) for i in idents}
-
-            def on_loop(action) -> None:
-                transport.schedule(0.0, action)
-
-            def holds_on_loop(predicate) -> bool:
-                seen = threading.Event()
-
-                def poll() -> None:
-                    if predicate():
-                        seen.set()
-                    else:
-                        transport.schedule(0.02, poll)
-
-                on_loop(poll)
-                return seen.wait(20.0)
-
-            def join_from(index: int) -> None:
-                if index < len(idents):
-                    nodes[idents[index]].join(
-                        idents[0], on_joined=lambda: join_from(index + 1)
-                    )
-
-            def start_pushes() -> None:
-                for ident, node in nodes.items():
-                    services[ident] = DatNodeService(
-                        node,
-                        finger_provider=node.finger_table,
-                        value_provider=lambda ident=ident: values[ident],
-                        scheme="balanced",
-                        d0_provider=lambda: space.size / len(idents),
-                    )
-                    services[ident].start_continuous(key, root, "sum", interval=0.05)
-
-            on_loop(lambda: (nodes[idents[0]].create(), join_from(1)))
-            assert holds_on_loop(
-                lambda: all(
-                    node.successor == ideal.successor_of_node(ident)
-                    and node.predecessor == ideal.predecessor_of_node(ident)
-                    for ident, node in nodes.items()
-                )
-            ), "UDP overlay failed to stabilize"
-            on_loop(lambda: [node.fix_all_fingers() for node in nodes.values()])
-            assert holds_on_loop(
-                lambda: all(
-                    node.finger_table().entries == ideal.finger_entries(ident)
-                    for ident, node in nodes.items()
-                )
-            ), "UDP fingers failed to converge"
-            on_loop(start_pushes)
-            assert holds_on_loop(
-                lambda: services[root].root_estimate(key) == sum(values.values())
-            )
-            loop = transport._thread.ident
+    def test_every_handler_and_timer_runs_on_the_receive_loop(self, cluster):
+        # One thread per transport: every dispatch and timer callback so far
+        # (joins, stabilization, fix-fingers, RPC deadlines and, after the
+        # test above, the continuous pushes) ran on the receive loop.
+        _space, transport, _nodes, _ideal = cluster
+        loop = transport._thread.ident
         assert transport.handler_threads == {loop}
         assert transport.timer_threads == {loop}
