@@ -12,8 +12,10 @@ each push interval executes as
 1. one vectorized merge (local lift + scatter-add of fresh child states,
    in ascending-child order — the exact fold order of the object path),
 2. one :class:`~repro.sim.messages.MessageBatch` through
-   :meth:`~repro.sim.simnet.SimTransport.send_batch` (per-message wire
-   sizes computed arithmetically, one engine event per latency group),
+   :meth:`~repro.sim.simnet.SimTransport.send_batch` (one engine event per
+   latency group), whose wire sizes are kept per push row from round to
+   round: only rows whose state differs bit for bit from what they sent
+   last round are measured again, so a converged round measures none,
 3. one vectorized cache update when the batch delivers.
 
 A batch's rows, the cache and ``parent_index`` share the push-row order,
@@ -47,7 +49,6 @@ from repro.chord.ring import StaticRing
 from repro.errors import AggregationError
 from repro.sim.messages import (
     MessageBatch,
-    block_digit_counts,
     envelope_overhead,
     float_repr_lengths,
     int_digit_counts,
@@ -200,22 +201,25 @@ class SlabContinuousRun:
         self.estimate: Any = None
         self.rounds_run = 0
 
-        # Wire-size constants (see sim.messages): everything but the
-        # src/dst/msg_id numerals and the state body is fixed per key.
-        base = envelope_overhead("agg_push")
+        # Wire sizes (see sim.messages), per push row: the bytes of its last
+        # agg_push minus the msg_id numeral (before the first round, minus
+        # the state body too) and the state body's share of them. ``_sent``
+        # is the state columns that round sent: the batch's own arrays,
+        # read only, which the next round compares its states with.
         payload_probe = json.dumps(
             {"key": self.key, "state": 0}, separators=(",", ":")
         )
         self._tuple_overhead = (
             len(json.dumps({"__tuple__": [0, 0]}, separators=(",", ":"))) - 2
         )
-        # Per-row bytes that never change: envelope + src and dst numerals.
-        self._static_sizes = (
-            base
+        self._row_sizes = (
+            envelope_overhead("agg_push")
             + len(payload_probe) - 1  # minus the "0"
             + int_digit_counts(self.source_ids)
             + int_digit_counts(self.parent_ids)
         )
+        self._state_sizes = np.zeros(n_push, dtype=np.int8)
+        self._sent: list[np.ndarray] | None = None
 
         self._cancel: Callable[[], None] | None = None
 
@@ -259,12 +263,19 @@ class SlabContinuousRun:
             lengths += self._tuple_overhead
         return lengths
 
+    def _changed_rows(self, states: list[np.ndarray]) -> np.ndarray:
+        """Push rows whose state differs from the last round's, compared as
+        bits (``-0.0`` prints longer than ``0.0``); every row on the first."""
+        if self._sent is None:
+            return np.arange(len(states[0]))
+        differ = states[0].view(np.int64) != self._sent[0].view(np.int64)
+        for new, old in zip(states[1:], self._sent[1:]):
+            differ |= new.view(np.int64) != old.view(np.int64)
+        return np.flatnonzero(differ)
+
     def _finalize(self, cols: list[np.ndarray], i: int) -> Any:
-        if self.aggregate == "count":
-            return int(cols[0][i])
-        if self.aggregate == "avg":
-            return float(cols[0][i]) / int(cols[1][i])
-        return float(cols[0][i])
+        value = cols[0][i].item()  # an int for count, else a float
+        return value / cols[1][i].item() if self.aggregate == "avg" else value
 
     def push_round(self) -> None:
         """Execute one push interval for every node (the slab hot path)."""
@@ -278,9 +289,20 @@ class SlabContinuousRun:
         telemetry.count("agg_pushes_total", float(n_push))
         msg_id_start = reserve_msg_ids(n_push)
         states = [col.take(rows) for col in cols]
-        sizes = self._state_lengths(states)
-        sizes += self._static_sizes
-        sizes += block_digit_counts(msg_id_start, n_push)
+        changed = self._changed_rows(states)
+        if len(changed):
+            lengths = self._state_lengths([state[changed] for state in states])
+            self._row_sizes[changed] += lengths - self._state_sizes[changed]
+            self._state_sizes[changed] = lengths
+        self._sent = states
+        # msg_id numerals: the first id's digits, one more from each power
+        # of ten inside the block on.
+        digits = len(str(msg_id_start))
+        sizes = self._row_sizes + digits
+        power = 10**digits
+        while power < msg_id_start + n_push:
+            sizes[power - msg_id_start:] += 1
+            power *= 10
         state_cols = {f"state{j}": state for j, state in enumerate(states)}
         batch = MessageBatch(
             kind="agg_push",
@@ -299,16 +321,8 @@ class SlabContinuousRun:
 
     def _encode_row(self, state_cols: dict[str, np.ndarray], i: int) -> Any:
         """Wire encoding of one pushed state (materialization/debug only)."""
-        if self.aggregate == "count":
-            return int(state_cols["state0"][i])
-        if self.aggregate == "avg":
-            return {
-                "__tuple__": [
-                    float(state_cols["state0"][i]),
-                    int(state_cols["state1"][i]),
-                ]
-            }
-        return float(state_cols["state0"][i])
+        state = [column[i].item() for column in state_cols.values()]
+        return {"__tuple__": state} if self.aggregate == "avg" else state[0]
 
     def _on_deliver(self, batch: MessageBatch, rows: np.ndarray | None) -> None:
         """Fold a delivered batch into the per-child caches.
@@ -368,8 +382,10 @@ class SlabContinuousRun:
             + self.source_ids.nbytes
             + self.parent_ids.nbytes
             + self.parent_index.nbytes
-            + self._static_sizes.nbytes
+            + self._row_sizes.nbytes
+            + self._state_sizes.nbytes
             + sum(col.nbytes for col in self.cache)
+            + sum(col.nbytes for col in self._sent or ())
         )
         if self._lift is not None:
             owned += self._lift.nbytes

@@ -20,6 +20,8 @@ arithmetically from the same encoding rules (:func:`int_digit_counts` /
 :func:`float_repr_lengths` plus :func:`envelope_overhead`), and
 ``tests/unit/test_slab.py`` asserts the computed sizes equal
 ``Message.encoded_size()`` of the materialized equivalents byte-for-byte.
+A caller that sends the same rows every round keeps each row's size and
+measures again only the rows whose content changed.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "reserve_msg_ids",
     "reset_msg_ids",
     "int_digit_counts",
-    "block_digit_counts",
     "float_repr_lengths",
     "take_rows",
     "envelope_overhead",
@@ -253,9 +254,6 @@ def decode_message(data: bytes) -> Message:
 
 #: ``10^1 .. 10^18`` — the digit-count grid for int64 values.
 _POW10 = np.array([10**k for k in range(1, 19)], dtype=np.int64)
-#: Digit classes ``1..19`` and the int64 values that bound them.
-_DIGITS = np.arange(1, 20, dtype=np.int64)
-_DIGIT_EDGES = np.concatenate(([0], _POW10, [np.iinfo(np.int64).max]))
 #: ``10^1 .. 10^15`` as floats: the digit-count grid below 1e16.
 _POW10_FLOAT = _POW10[:15].astype(np.float64)
 
@@ -287,18 +285,6 @@ def int_digit_counts(values: np.ndarray) -> np.ndarray:
     if arr.size and int(arr.min()) < 0:
         raise ValueError("int_digit_counts requires non-negative values")
     return _digit_counts(arr, _POW10).astype(np.int64)
-
-
-def block_digit_counts(start: int, count: int) -> np.ndarray:
-    """``int_digit_counts(start + arange(count))`` for a contiguous id block.
-
-    Runs of equal digit count are cut at the block's power-of-ten
-    boundaries; the ids themselves are never materialized.
-    """
-    if start < 0 or count < 0:
-        raise ValueError(f"block must be non-negative, got {start=}, {count=}")
-    edges = np.clip(_DIGIT_EDGES, start, start + count)
-    return np.repeat(_DIGITS, np.diff(edges))
 
 
 def float_repr_lengths(values: np.ndarray) -> np.ndarray:
@@ -407,10 +393,3 @@ class MessageBatch:
             payload=payload,
             msg_id=self.msg_id_start + i,
         )
-
-    def nbytes(self) -> int:
-        """Slab memory footprint (arrays only), for memory accounting."""
-        total = self.sources.nbytes + self.destinations.nbytes + self.sizes.nbytes
-        for column in self.payload_columns.values():
-            total += column.nbytes
-        return total

@@ -2,10 +2,10 @@
 
 ``float_repr_lengths`` claims the JSON numeral length of a float64 without
 encoding it whenever the value is whole and below 1e16, and
-``block_digit_counts`` claims the digit counts of a contiguous id block
-without materialising the ids. Both must equal the per-element reference
-for *every* input: a single wrong byte breaks the slab/oracle byte
-accounting identity. The reference (``len(json.dumps(v))`` — the wire is
+``int_digit_counts`` the digit count of an int64 by comparison against the
+powers of ten. Both must equal the per-element reference for *every*
+input: a single wrong byte breaks the slab/oracle byte accounting
+identity. The reference (``len(json.dumps(v))`` — the wire is
 JSON, which spells the non-finite values ``Infinity`` / ``-Infinity`` /
 ``NaN``, not as ``repr`` does — and ``len(str(i))``) lives here, in the
 test.
@@ -30,7 +30,6 @@ from repro.errors import TransportError
 from repro.sim import messages
 from repro.sim.messages import (
     Message,
-    block_digit_counts,
     encode_message,
     float_repr_lengths,
     int_digit_counts,
@@ -98,26 +97,13 @@ class TestDigitCounts:
         for count in (0, 1, 7, 8, 20):
             ids = np.arange(start, start + count, dtype=np.int64)
             expected = [len(str(i)) for i in ids.tolist()]
-            assert block_digit_counts(start, count).tolist() == expected
             assert int_digit_counts(ids).tolist() == expected
-
-    def test_block_spanning_several_boundaries(self):
-        ids = np.arange(0, 100_500, dtype=np.int64)
-        expected = int_digit_counts(ids)
-        got = block_digit_counts(0, len(ids))
-        assert got.dtype == np.int64
-        assert np.array_equal(got, expected)
 
     def test_top_of_int64(self):
         top = np.iinfo(np.int64).max
-        assert block_digit_counts(top - 3, 3).tolist() == [19, 19, 19]
         assert int_digit_counts(np.array([top])).tolist() == [19]
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            block_digit_counts(-1, 4)
-        with pytest.raises(ValueError):
-            block_digit_counts(4, -1)
         with pytest.raises(ValueError):
             int_digit_counts(np.array([3, -1]))
 
@@ -125,7 +111,6 @@ class TestDigitCounts:
     @given(st.integers(0, 10**18), st.integers(0, 3000))
     def test_block_equals_per_element(self, start, count):
         ids = start + np.arange(count, dtype=np.int64)
-        assert np.array_equal(block_digit_counts(start, count), int_digit_counts(ids))
         assert int_digit_counts(ids).tolist() == [len(str(i)) for i in ids.tolist()]
 
 

@@ -19,6 +19,7 @@ import pytest
 from repro.chord.block import ChordNodeBlock
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
+from repro.core import slab
 from repro.core.slab import SLAB_AGGREGATES, SlabContinuousRun, run_protocol_slab
 from repro.errors import AggregationError, IdentifierError
 from repro.sim.messages import reset_msg_ids
@@ -47,31 +48,52 @@ class TestBatchWireSizes:
     @pytest.mark.parametrize("aggregate", SLAB_AGGREGATES)
     @pytest.mark.parametrize("scheme", ["basic", "balanced"])
     def test_sizes_equal_materialized_encoded_size(self, aggregate, scheme):
-        reset_msg_ids()
+        # A round keeps each row's size and measures only the rows whose
+        # state changed, so readings are rewritten between rounds: signed
+        # zeros (same value, one byte apart on the wire), a NaN and
+        # fractional values, each held long enough for some states to
+        # repeat and others to change. Id blocks start just below 100 and
+        # 10 000 and cross those powers of ten.
         ring = build_ring(40)
-        transport = SimTransport()
-        captured = capture_batches(transport)
         rng = np.random.default_rng(8)
-        values = rng.uniform(-50.0, 50.0, size=40)  # varied repr lengths
-        run_protocol_slab(
-            ring,
-            key=0x3A7,
-            rounds=4,
-            aggregate=aggregate,
-            scheme=scheme,
-            values=values,
-            transport=transport,
-        )
-        assert captured, "no batches captured"
-        for batch in captured:
-            for i in range(len(batch)):
-                message = batch.message(i)
-                assert int(batch.sizes[i]) == message.encoded_size(), (
-                    aggregate,
-                    scheme,
-                    i,
-                    message,
-                )
+        signed = np.where(np.arange(40) % 2 == 0, 0.0, -0.0)
+        with_nan = rng.uniform(-50.0, 50.0, size=40)
+        with_nan[7] = np.nan
+        readings = [
+            np.zeros(40),  # avg: the count column grows under a fixed sum
+            rng.uniform(-50.0, 50.0, size=40),  # varied repr lengths
+            np.full(40, -0.0),
+            signed,
+            -signed,
+            with_nan,
+            np.round(rng.uniform(-50.0, 50.0, size=40)),
+        ]
+        for first_id in (1, 95, 9_990):
+            reset_msg_ids(first_id)
+            transport = SimTransport()
+            captured = capture_batches(transport)
+            block = ChordNodeBlock.from_ring(ring)
+            run = SlabContinuousRun(
+                block, transport, 0x3A7, aggregate, readings[0].copy(), scheme=scheme
+            )
+            run.start()
+            with np.errstate(invalid="ignore"):  # min/max of a NaN
+                for held, values in enumerate(readings):
+                    run.values[:] = values
+                    transport.run(until=3 * held + 3.5)
+            run.stop()
+            assert len(captured) == 3 * len(readings)
+            assert captured[0].msg_id_start == first_id
+            for batch in captured:
+                for i in range(len(batch)):
+                    message = batch.message(i)
+                    assert int(batch.sizes[i]) == message.encoded_size(), (
+                        aggregate,
+                        scheme,
+                        first_id,
+                        i,
+                        message,
+                    )
 
     @pytest.mark.parametrize("aggregate", ["min", "max"])
     def test_infinite_state_is_sized_as_json_writes_it(self, aggregate):
@@ -100,6 +122,62 @@ class TestBatchWireSizes:
         run_protocol_slab(ring, key=1, rounds=3, transport=transport)
         all_ids = np.concatenate([batch.msg_ids() for batch in captured])
         assert all_ids.tolist() == list(range(1, len(all_ids) + 1))
+
+
+class TestRemeasuredRows:
+    """A round measures the wire size of only the rows whose state changed.
+
+    Counted through the float-numeral kernel, the one call a round makes
+    per measured ``sum`` state: the rows it is handed are the rows that
+    round measured.
+    """
+
+    def test_steady_rounds_measure_nothing_and_a_change_its_path(self, monkeypatch):
+        block = ChordNodeBlock.from_ring(build_ring(64, seed=5))
+        transport = SimTransport()
+        captured = capture_batches(transport)
+        run = SlabContinuousRun(block, transport, 0x77, "sum", np.arange(1.0, 65.0))
+        measured: list[float] = []
+        kernel = slab.float_repr_lengths
+
+        def spy(values):
+            measured.extend(np.asarray(values).tolist())
+            return kernel(values)
+
+        monkeypatch.setattr(slab, "float_repr_lengths", spy)
+
+        def measured_per_round(rounds):
+            per_round = []
+            for _ in range(rounds):
+                measured.clear()
+                transport.run(until=run.rounds_run + 1.5)
+                per_round.append(list(measured))
+            return per_round
+
+        run.start()
+        first = measured_per_round(1)
+        assert len(first[0]) == len(run.push_rows)  # nothing to compare with yet
+        measured_per_round(20)
+        assert run.estimate == float(np.arange(1.0, 65.0).sum())
+        assert measured_per_round(4) == [[]] * 4
+
+        # The deepest push row: its path to the root, one push row per hop.
+        row_of = {int(node): row for row, node in enumerate(run.push_rows)}
+        paths = []
+        for row in range(len(run.push_rows)):
+            path = [row]
+            while int(run.parent_index[path[-1]]) != run.owner_index:
+                path.append(row_of[int(run.parent_index[path[-1]])])
+            paths.append(path)
+        path = max(paths, key=len)
+        assert len(path) >= 3
+        run.values[run.push_rows[path[0]]] += 1000.0
+        changed = measured_per_round(len(path) + 3)
+        assert run.estimate == float(np.arange(1.0, 65.0).sum()) + 1000.0
+        # One row per round, hop by hop up the path, then nothing again:
+        # each the state that row now pushes.
+        states = captured[-1].payload_columns["state0"]
+        assert changed == [[float(states[row])] for row in path] + [[]] * 3
 
 
 class TestBatchOwnership:
@@ -235,8 +313,8 @@ class TestRoundCost:
     at n = 16384. Per-message work on any layer costs at least n of one or
     the other — a ``repr`` per state is a call, a dict update per sender in
     a ``for`` loop is a line. Measured with numpy 2.4 (whose own Python
-    wrappers are in the count): 132 calls / 357 lines for ``sum``, 158 /
-    398 for ``avg``, 132 / 344 for ``count``; the bounds leave a quarter
+    wrappers are in the count): 128 calls / 313 lines for ``sum``, 156 /
+    357 for ``avg``, 128 / 300 for ``count``; the bounds leave a quarter
     on top for another numpy's wrappers. Of the ``ufunc.at`` scatters only
     the merge's are left: the hotspot ledger's are deferred to its reads.
     """

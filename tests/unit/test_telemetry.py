@@ -8,13 +8,16 @@ no-op path, both exporters, and the report CLI.
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
+import pathlib
 import threading
 
 import pytest
 
+import repro
 from repro import telemetry
 from repro.telemetry import (
     NULL_SPAN,
@@ -615,3 +618,40 @@ class TestRollingArtifacts:
         bad = tmp_path / "no-such-dir" / "out.csv"
         assert report_main([str(export), "--rolling-csv", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestMetricCatalogue:
+    """Every metric name the library emits has a row in the catalogue."""
+
+    EMITTERS = {"count", "observe", "gauge_set"}
+
+    def _emitted_names(self):
+        names: dict[str, str] = {}
+        src = pathlib.Path(repro.__file__).parent
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in self.EMITTERS
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "telemetry"
+                    and node.args
+                ):
+                    continue
+                first = node.args[0]
+                if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                    names.setdefault(first.value, f"{path.relative_to(src)}:{node.lineno}")
+        return names
+
+    def test_every_emitted_name_is_catalogued(self):
+        doc = pathlib.Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+        text = doc.read_text(encoding="utf-8")
+        catalogue = text.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
+        names = self._emitted_names()
+        assert "agg_pushes_total" in names and "net_batch_occupancy" in names
+        missing = {
+            name: where for name, where in names.items()
+            if f"`repro_{name}`" not in catalogue
+        }
+        assert not missing, f"no row in docs/OBSERVABILITY.md for {missing}"
