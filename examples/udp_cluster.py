@@ -12,9 +12,8 @@ Run:  python examples/udp_cluster.py
 import time
 
 from repro.chord import IdSpace
-from repro.chord.node import ChordConfig, ChordProtocolNode
-from repro.chord.ring import StaticRing
-from repro.core.service import DatNodeService
+from repro.chord.node import ChordConfig
+from repro.core.overlay import DatOverlay
 from repro.sim.udprpc import UdpRpcTransport
 
 
@@ -22,60 +21,38 @@ def main() -> None:
     n = 16
     space = IdSpace(16)
     idents = [(i * space.size) // n + 5 for i in range(n)]
-    ideal = StaticRing(space, idents)
+    values = {ident: float(i + 1) for i, ident in enumerate(idents)}
     config = ChordConfig(
         stabilize_interval=0.05, fix_fingers_interval=0.02,
         check_predecessor_interval=0.1, rpc_timeout=0.5,
     )
 
     with UdpRpcTransport() as transport:
+        overlay = DatOverlay(
+            space, transport, config, value_provider=values.__getitem__
+        )
         print(f"booting {n} UDP nodes on 127.0.0.1...")
-        nodes: dict[int, ChordProtocolNode] = {}
-        first = ChordProtocolNode(idents[0], space, transport, config)
-        first.create()
-        nodes[idents[0]] = first
-        for ident in idents[1:]:
-            node = ChordProtocolNode(ident, space, transport, config)
-            node.join(idents[0])
-            nodes[ident] = node
+        for ident in idents:
+            overlay.add_node(ident)
             time.sleep(0.05)
 
         deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            if all(
-                node.successor == ideal.successor_of_node(ident)
-                for ident, node in nodes.items()
-            ):
-                break
+        while time.monotonic() < deadline and not overlay.network.is_converged():
             time.sleep(0.1)
         print("overlay stabilized; refreshing fingers...")
-        for node in nodes.values():
+        for node in overlay.network.nodes.values():
             node.fix_all_fingers()
         time.sleep(1.0)
 
         key = 1000
-        root = ideal.successor(key)
-        values = {ident: float(i + 1) for i, ident in enumerate(idents)}
-        services = {
-            ident: DatNodeService(
-                node,
-                finger_provider=node.finger_table,
-                value_provider=lambda ident=ident: values[ident],
-                scheme="balanced",
-                d0_provider=lambda: space.size / n,
-            )
-            for ident, node in nodes.items()
-        }
-        for service in services.values():
-            service.start_continuous(key, root, "sum", interval=0.05)
-
+        root = overlay.start_continuous_everywhere(key, "sum", interval=0.05)
         expected = sum(values.values())
         print(f"continuous SUM aggregation toward root {root} "
               f"(expected {expected:.0f})...")
         deadline = time.monotonic() + 15.0
         estimate = None
         while time.monotonic() < deadline:
-            estimate = services[root].root_estimate(key)
+            estimate = overlay.root_estimate(key)
             if estimate is not None and abs(estimate - expected) < 1e-9:
                 break
             time.sleep(0.1)
@@ -84,10 +61,7 @@ def main() -> None:
 
         sent = transport.stats.total_messages()
         print(f"total UDP datagrams exchanged: {sent}")
-        for service in services.values():
-            service.stop_continuous(key)
-        for node in nodes.values():
-            node.stop_maintenance()
+        overlay.close()
     print("cluster shut down cleanly")
 
 

@@ -29,7 +29,6 @@ from typing import Any, Callable
 from repro import telemetry
 from repro.chord.fingers import FingerTable
 from repro.chord.idspace import IdSpace
-from repro.errors import RoutingError
 from repro.net import RetryPolicy, RpcClient, UpcallRegistry
 from repro.util.bits import cyclic_increment
 from repro.sim.messages import Message
@@ -655,10 +654,7 @@ class ChordProtocolNode:
             return None
         if kind == "probe_join":
             return self._on_probe_join(message)
-        upcall = self.upcalls.get(kind)
-        if upcall is not None:
-            return upcall(message)
-        raise RoutingError(f"node {self.ident}: unknown message kind {kind!r}")
+        return self.upcalls.dispatch(message)
 
     def _on_notify(self, candidate: int) -> None:
         if candidate == self.ident:

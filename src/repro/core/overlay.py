@@ -1,16 +1,17 @@
 """DatOverlay — a live protocol overlay with DAT services on every node.
 
-Convenience wiring for the common experiment/application pattern: a
+The one assembly of the DAT layer on live Chord nodes, on any transport: a
 :class:`~repro.chord.network.ChordNetwork` plus one
 :class:`~repro.core.service.DatNodeService` per node, kept consistent as
-members join and leave. Used by the extreme-dynamics experiment (the
-paper's suggested future work) and available as public API for downstream
-simulations.
+members join and leave. :meth:`DatOverlay.close` removes every member, so
+nothing the overlay built sends another message. Used by the
+extreme-dynamics experiment (the paper's suggested future work),
+:class:`~repro.gma.live.LiveGridMonitor` and the UDP example.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.chord.idspace import IdSpace
 from repro.chord.network import ChordNetwork
@@ -62,10 +63,11 @@ class DatOverlay:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Tear down every node service (idempotent)."""
-        for service in list(self.services.values()):
-            service.close()
-        self.services.clear()
+        """Remove every member: its DAT service, then its Chord node
+        (maintenance stopped, unregistered, pending RPCs cancelled).
+        Idempotent."""
+        for ident in list(self.network.nodes):
+            self.remove_node(ident, graceful=False)
 
     def __enter__(self) -> "DatOverlay":
         return self
@@ -90,6 +92,18 @@ class DatOverlay:
             scheme=self.scheme,
             d0_provider=self._estimate_d0,
         )
+
+    def boot(self, idents: Iterable[int], spacing: float) -> None:
+        """Join ``idents`` one by one, ``spacing`` sim-s apart, then settle
+        the ring, refresh every finger and run 5 sim-s (SimTransport only).
+        """
+        for ident in idents:
+            self.add_node(ident)
+            self.run(spacing)
+        self.network.settle_until_converged()
+        for node in self.network.nodes.values():
+            node.fix_all_fingers()
+        self.run(5.0)
 
     def remove_node(self, ident: int, graceful: bool = True) -> None:
         """Depart a node (closes its DAT service first).

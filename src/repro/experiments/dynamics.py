@@ -94,13 +94,7 @@ def _measure_one_rate(
     overlay = DatOverlay(space, transport, config)
 
     idents = sorted(int(i) for i in rng.choice(space.size, n_nodes, replace=False))
-    for ident in idents:
-        overlay.add_node(ident)
-        overlay.run(1.0)
-    overlay.network.settle_until_converged()
-    for node in overlay.network.nodes.values():
-        node.fix_all_fingers()
-    overlay.run(5.0)
+    overlay.boot(idents, spacing=1.0)
 
     overlay.start_continuous_everywhere(
         key, "count", interval, stale_after=stale_after

@@ -7,6 +7,11 @@ the discrete-event simulator: protocol Chord nodes, routed MAAN
 registration and queries, broadcast-gather on-demand aggregation, and
 continuous monitoring — the configuration the paper's prototype calls the
 "simulator-based setup" (Sec. 5.1).
+
+The Chord nodes and their DAT services are a
+:class:`~repro.core.overlay.DatOverlay`: it boots the ring, answers the
+continuous-monitoring calls and, on :meth:`LiveGridMonitor.close`, removes
+every node after the MAAN, broadcast and gather layers have detached.
 """
 
 from __future__ import annotations
@@ -20,10 +25,9 @@ from repro.chord.broadcast import BroadcastService
 from repro.chord.hashing import sha1_id
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
-from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordConfig
 from repro.core.gathercast import GatherCollector
-from repro.core.service import DatNodeService
+from repro.core.overlay import DatOverlay
 from repro.errors import MonitoringError
 from repro.gma.monitor import MonitorConfig
 from repro.gma.producer import Producer
@@ -63,38 +67,31 @@ class LiveGridMonitor:
         self.chord_config = ChordConfig(
             stabilize_interval=0.25, fix_fingers_interval=0.05
         )
-        self.network = ChordNetwork(self.space, self.transport, self.chord_config)
+        self.overlay = DatOverlay(
+            self.space,
+            self.transport,
+            self.chord_config,
+            scheme=config.dat_scheme,
+            value_provider=self._read_local,
+        )
+        self.network = self.overlay.network
+        self.dat = self.overlay.services
 
         seed = rng if rng is not None else config.seed
         idents = make_assigner(config.id_strategy).build_ring(
             self.space, config.n_nodes, rng=seed
         )
-        for ident in idents:
-            self.network.add_node(ident)
-            self.run(0.5)
-        self.network.settle_until_converged()
-        for node in self.network.nodes.values():
-            node.fix_all_fingers()
-        self.run(5.0)
+        self.overlay.boot(idents, spacing=0.5)
 
         self.producers: dict[int, Producer] = {}
         self.maan: dict[int, MaanNodeService] = {}
-        self.dat: dict[int, DatNodeService] = {}
         self.broadcasts: dict[int, BroadcastService] = {}
         self.collectors: dict[int, GatherCollector] = {}
         for ident, node in self.network.nodes.items():
             self.maan[ident] = MaanNodeService(node, self.schemas)
-            dat = DatNodeService(
-                node,
-                finger_provider=node.finger_table,
-                value_provider=lambda ident=ident: self._read_local(ident),
-                scheme=config.dat_scheme,
-                d0_provider=self._mean_gap,
-            )
-            self.dat[ident] = dat
             broadcast = BroadcastService(node, finger_provider=node.finger_table)
             self.broadcasts[ident] = broadcast
-            self.collectors[ident] = GatherCollector(dat, broadcast)
+            self.collectors[ident] = GatherCollector(self.dat[ident], broadcast)
 
         self._clock = 0.0  # monitoring time fed to sensors
 
@@ -104,14 +101,14 @@ class LiveGridMonitor:
 
     def run(self, duration: float) -> None:
         """Advance virtual time."""
-        self.transport.run(until=self.transport.now() + duration)
+        self.overlay.run(duration)
 
     def close(self) -> None:
-        """Tear down every service (idempotent).
+        """Tear down every layer and node (idempotent).
 
-        Detaches every collector / DAT / MAAN service from its host so a
-        fresh monitor can be built on the same process without leaked
-        upcalls or timers.
+        Detaches every collector / broadcast / MAAN service from its host,
+        then closes the overlay, which removes each DAT service and Chord
+        node — no upcall, timer or pending RPC outlives the monitor.
         """
         for collector in self.collectors.values():
             collector.close()
@@ -121,12 +118,10 @@ class LiveGridMonitor:
         for broadcast in self.broadcasts.values():
             broadcast.close()
         self.broadcasts.clear()
-        for service in self.dat.values():
-            service.close()
-        self.dat.clear()
         for maan in self.maan.values():
             maan.close()
         self.maan.clear()
+        self.overlay.close()
 
     def __enter__(self) -> "LiveGridMonitor":
         return self
@@ -137,9 +132,6 @@ class LiveGridMonitor:
     def set_monitor_time(self, t: float) -> None:
         """Set the timestamp producers read their sensors at."""
         self._clock = t
-
-    def _mean_gap(self) -> float:
-        return self.space.size / max(len(self.network.nodes), 1)
 
     def _read_local(self, ident: int) -> float:
         producer = self.producers.get(ident)
@@ -224,7 +216,7 @@ class LiveGridMonitor:
         self._monitored_attribute = attribute
         self.set_monitor_time(t)
         key = self.rendezvous_key(attribute)
-        root = self.network.ideal_ring().successor(key)
+        root = self.overlay.current_root(key)
         from repro.util.bits import ceil_log2
 
         n_waves = (
@@ -257,20 +249,13 @@ class LiveGridMonitor:
     ) -> int:
         """Start continuous aggregation of ``attribute`` on every node."""
         self._monitored_attribute = attribute
-        key = self.rendezvous_key(attribute)
-        root = self.network.ideal_ring().successor(key)
-        for service in self.dat.values():
-            service.start_continuous(key, root, aggregate, interval)
-        return root
+        return self.overlay.start_continuous_everywhere(
+            self.rendezvous_key(attribute), aggregate, interval
+        )
 
     def read_monitoring(self, attribute: str) -> Any:
         """Latest continuous estimate at the attribute's current root."""
-        key = self.rendezvous_key(attribute)
-        root = self.network.ideal_ring().successor(key)
-        service = self.dat.get(root)
-        if service is None or key not in service._continuous:
-            return None
-        return service.root_estimate(key)
+        return self.overlay.root_estimate(self.rendezvous_key(attribute))
 
     def actual_aggregate(self, attribute: str, aggregate: str, t: float) -> Any:
         """Ground truth straight from the producers."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Hashable, Iterator, MutableMapping, Optional
 
+from repro import telemetry
 from repro.sim.messages import Message
 from repro.sim.transport import Transport
 from repro.telemetry.spans import SpanBase
@@ -63,9 +64,9 @@ class UpcallRegistry(MutableMapping[str, Upcall]):
     A drop-in replacement for the plain ``dict[str, Upcall]`` hosts used
     to hold: services keep assigning ``registry["agg_push"] = handler``.
     Hosts call :meth:`dispatch` instead of open-coding the lookup; the
-    registry owns the unknown-kind policy (drop, like the UDP prototype)
-    and leaves handler exceptions to propagate — a handler bug should
-    surface loudly in the simulator, exactly as before.
+    registry owns the unknown-kind policy (drop and count, like the UDP
+    prototype) and leaves handler exceptions to propagate — a handler bug
+    should surface loudly in the simulator, exactly as before.
     """
 
     def __init__(self) -> None:
@@ -93,11 +94,13 @@ class UpcallRegistry(MutableMapping[str, Upcall]):
     def dispatch(self, message: Message) -> Message | None:
         """Route ``message`` to its kind's handler.
 
-        Unknown kinds are dropped (``None``) — UDP semantics: the caller's
-        deadline, if any, surfaces the mismatch as a timeout.
+        Unknown kinds are dropped (``None``) and counted as
+        ``messages_dropped_total{reason="no_handler"}`` — UDP semantics:
+        the caller's deadline, if any, surfaces the mismatch as a timeout.
         """
         handler = self._handlers.get(message.kind)
         if handler is None:
+            telemetry.count("messages_dropped_total", reason="no_handler")
             return None
         return handler(message)
 

@@ -100,10 +100,14 @@ class TestLiveTeardown:
         # locals and never closed — their `bcast` upcall registrations
         # outlived the monitor, so a second monitor built on the same
         # process inherited ghost broadcast handlers.
+        # Later regression: close() left every Chord node registered and
+        # maintaining, and in-flight pushes reached hosts with no DAT upcall.
         config = MonitorConfig(n_nodes=4, bits=12, id_strategy="probing", seed=7)
         monitor = LiveGridMonitor(config, default_schemas())
         hosts = dict(monitor.network.nodes)
         assert monitor.broadcasts  # one service per node while live
+        monitor.start_monitoring("cpu-usage", "count", interval=0.5)
+        monitor.run(4.0)
         monitor.close()
         assert not monitor.broadcasts
         assert not monitor.collectors
@@ -113,4 +117,9 @@ class TestLiveTeardown:
             for kind in ("bcast", "gather_push", "agg_push", "agg_collect", "maan_store",
                          "maan_scan"):
                 assert kind not in host.upcalls, kind
+        transport = monitor.transport
+        sent = transport.stats.total_messages()
+        monitor.run(10.0)
+        assert transport.stats.total_messages() == sent
+        assert transport.pending_calls() == 0
         monitor.close()  # idempotent

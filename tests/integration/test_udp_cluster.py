@@ -6,8 +6,12 @@ time, then aggregating over the live overlay. Kept small (8 nodes, short
 timers) so the test finishes in a few seconds.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +147,19 @@ class TestUdpOverlay:
         loop = transport._thread.ident
         assert transport.handler_threads == {loop}
         assert transport.timer_threads == {loop}
+
+
+def test_udp_cluster_example_runs():
+    # The example builds its cluster on DatOverlay over real sockets. Its
+    # convergence waits are deadline polls, so the timeout only bounds a hang.
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, str(root / "examples" / "udp_cluster.py")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "(exact)" in done.stdout, done.stdout

@@ -130,7 +130,6 @@ ALLOWED_ORPHAN_NAMES = {
     "chord.network:ChordNetwork.add_node_probing",
     "chord.network:ChordNetwork.create_first",
     "chord.network:ChordNetwork.finger_convergence_fraction",
-    "chord.network:ChordNetwork.is_converged",
     "chord.network:ChordNetwork.probe_join",
     "chord.network:ChordNetwork.snapshot_finger_tables",
     "chord.node:ChordConfig.rpc_policy",

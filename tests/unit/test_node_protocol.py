@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.chord.idspace import IdSpace
 from repro.chord.node import ChordConfig, ChordProtocolNode
 from repro.sim.latency import ConstantLatency
@@ -152,8 +153,6 @@ class TestOwnedLookup:
 
     @pytest.mark.parametrize("tracing", [False, True])
     def test_one_lookup_span_only_under_tracing(self, tracing):
-        from repro import telemetry
-
         telemetry.configure(enabled=True, tracing=tracing)
         try:
             transport = SimTransport()
@@ -246,15 +245,20 @@ class TestUpcalls:
         transport.run(until=1.0)
         assert len(seen) == 1
 
-    def test_unknown_kind_raises(self):
+    def test_unknown_kind_dropped_and_counted(self):
+        # A DAT push reaching a Chord node with no DAT service is dropped
+        # and counted, the same rule as every other host (it used to raise
+        # out of the transport's run loop).
         space = IdSpace(8)
         transport = SimTransport()
         node = ChordProtocolNode(5, space, transport)
         node.create()
-        from repro.errors import RoutingError
-
-        with pytest.raises(RoutingError):
-            node._handle(Message(kind="bogus", source=1, destination=5))
+        with telemetry.enabled() as tel:
+            transport.send(Message(kind="agg_push", source=99, destination=5))
+            transport.run(until=1.0)
+            family = tel.counter("messages_dropped_total", labels=("reason",))
+            dropped = {dict(x.labels)["reason"]: x.value for x in family.samples()}
+        assert dropped == {"no_handler": 1.0}
 
 
 class TestProbeJoin:

@@ -15,13 +15,7 @@ def make_overlay(n: int = 8, bits: int = 12) -> DatOverlay:
     transport = SimTransport(latency=ConstantLatency(0.005))
     config = ChordConfig(stabilize_interval=0.25, fix_fingers_interval=0.05)
     overlay = DatOverlay(space, transport, config)
-    for i in range(n):
-        overlay.add_node((i * space.size) // n + 1)
-        overlay.run(1.0)
-    overlay.network.settle_until_converged()
-    for node in overlay.network.nodes.values():
-        node.fix_all_fingers()
-    overlay.run(3.0)
+    overlay.boot([(i * space.size) // n + 1 for i in range(n)], spacing=1.0)
     return overlay
 
 
@@ -52,14 +46,25 @@ class TestMembership:
 
     def test_close_tears_down_every_service(self):
         # Regression: close() finalized telemetry but left every
-        # DatNodeService registered on its host.
+        # DatNodeService registered on its host; later, it closed the
+        # services but left every Chord node registered and maintaining,
+        # so the next run kept sending and delivered pushes to hosts with
+        # no DAT upcall.
         overlay = make_overlay(4)
+        overlay.start_continuous_everywhere(17, "count", 0.5)
+        overlay.run(4.0)
         hosts = dict(overlay.network.nodes)
         overlay.close()
         assert not overlay.services
+        assert len(overlay) == 0
         for host in hosts.values():
             for kind in ("agg_push", "agg_collect", "net_batch"):
                 assert kind not in host.upcalls
+        transport = overlay.transport
+        sent = transport.stats.total_messages()
+        transport.run(until=transport.now() + 10.0)
+        assert transport.stats.total_messages() == sent
+        assert transport.pending_calls() == 0
         overlay.close()  # idempotent
 
     def test_enroll_requires_membership(self):
@@ -83,13 +88,7 @@ class TestAggregation:
         overlay = DatOverlay(
             space, transport, config, value_provider=lambda ident: 2.0
         )
-        for i in range(4):
-            overlay.add_node((i * space.size) // 4 + 1)
-            overlay.run(1.0)
-        overlay.network.settle_until_converged()
-        for node in overlay.network.nodes.values():
-            node.fix_all_fingers()
-        overlay.run(3.0)
+        overlay.boot([(i * space.size) // 4 + 1 for i in range(4)], spacing=1.0)
         overlay.start_continuous_everywhere(5, "sum", 0.5)
         overlay.run(6.0)
         assert overlay.root_estimate(5) == pytest.approx(8.0)
