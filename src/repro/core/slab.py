@@ -15,12 +15,17 @@ each push interval executes as
    :meth:`~repro.sim.simnet.SimTransport.send_batch` (one engine event per
    latency group), whose wire sizes are kept per push row from round to
    round: only rows whose state differs bit for bit from what they sent
-   last round are measured again, so a converged round measures none,
-3. one vectorized cache update when the batch delivers.
+   last round are measured again,
+3. one cache update when the batch delivers: a whole round's state
+   columns become the cache as they are.
 
-A batch's rows, the cache and ``parent_index`` share the push-row order,
-so a steady-state round scatters the cache as it is and takes a delivery
-as a block copy; only loss, expiry or a split delivery index anything.
+A round whose merge inputs — the readings, the cached child states and
+which of them are fresh — are bit for bit the last merge's re-sends the
+last round's state columns: a converged round with fixed readings merges,
+gathers and measures nothing. A batch's rows, the cache and
+``parent_index`` share the push-row order, so a steady-state round
+scatters the cache as it is; only loss, expiry or a split delivery index
+anything.
 
 **Equivalence contract.** :func:`run_protocol_slab` is bit-identical to
 ``run_protocol_oracle`` in ``tests/oracles.py`` — the same scenario driven
@@ -53,7 +58,6 @@ from repro.sim.messages import (
     float_repr_lengths,
     int_digit_counts,
     reserve_msg_ids,
-    take_rows,
 )
 from repro.sim.simnet import SimTransport
 
@@ -68,6 +72,12 @@ __all__ = [
 SLAB_AGGREGATES = ("sum", "count", "min", "max", "avg")
 #: The merge of the aggregates that do not add.
 _SCATTER = {"min": np.minimum, "max": np.maximum}
+
+
+def _bits_differ(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Elementwise ``new != old`` on the bits of 8-byte values: ``-0.0``
+    differs from ``0.0`` (it prints one byte longer), a NaN equals itself."""
+    return new.view(np.int64) != old.view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,10 @@ class SlabContinuousRun:
     aggregate:
         One of :data:`SLAB_AGGREGATES`.
     values:
-        Local reading per node, aligned with ``block.ids``.
+        Local reading per node, aligned with ``block.ids``. Kept as
+        :attr:`values` (as float64, uncopied when it already is), which may
+        be rewritten in place between rounds: each round compares it bit for
+        bit with the readings the last merge lifted.
     scheme:
         ``"basic"`` or ``"balanced"`` parent selection.
     interval, stale_after:
@@ -131,9 +144,10 @@ class SlabContinuousRun:
         child-state expiry horizon in intervals.
 
     ``push_rows`` are the nodes that push (every node but the owner,
-    ascending); ``source_ids``, ``parent_ids``, ``parent_index`` and the
-    child cache (``cache``, ``cached_at``, ``has_entry``) are aligned with
-    them, ``values`` and :attr:`pushes_sent` with ``block.ids``.
+    ascending); ``source_ids``, ``parent_ids`` (both read only: every batch
+    sends these very arrays), ``parent_index`` and the child cache
+    (``cache``, ``cached_at``) are aligned with them, ``values`` and
+    :attr:`pushes_sent` with ``block.ids``.
     """
 
     def __init__(
@@ -177,6 +191,9 @@ class SlabContinuousRun:
         self.push_rows = np.flatnonzero(has_parent)
         self.source_ids = block.ids[self.push_rows]
         self.parent_ids = parents[self.push_rows]
+        # Read only, so the hotspot ledger may trust them by identity.
+        self.source_ids.flags.writeable = False
+        self.parent_ids.flags.writeable = False
         self.parent_index = np.searchsorted(block.ids, self.parent_ids)
 
         # Per-child cache: the partial state each node last *delivered* to
@@ -185,11 +202,13 @@ class SlabContinuousRun:
         # for this key, so the cache is keyed by child, and by *push row*
         # (position in ``push_rows``) rather than node: a batch's columns,
         # the delivered row indices and ``parent_index`` all are, so a
-        # round reads and writes it without translating.
+        # round reads and writes it without translating. A delivery of a
+        # whole round makes its batch's columns the cache and moves only
+        # ``_fresh_since``; ``cached_at`` is the receipt clock of a partial
+        # delivery (NaN: none), and an entry was received at the later of
+        # the two (``_fresh_since`` None: no whole round has arrived).
         n_push = len(self.push_rows)
-        self.cached_at = np.full(n_push, -np.inf, dtype=np.float64)
-        self.has_entry = np.zeros(n_push, dtype=bool)
-        # When the last delivery of a whole round arrived (None: none yet).
+        self.cached_at = np.full(n_push, np.nan, dtype=np.float64)
         self._fresh_since: float | None = None
         self._lift = np.ones(n, dtype=np.int64) if aggregate == "count" else None
         column_types = {"count": [np.int64], "avg": [np.float64, np.int64]}
@@ -197,6 +216,13 @@ class SlabContinuousRun:
             np.zeros(n_push, dtype=dtype)
             for dtype in column_types.get(aggregate, [np.float64])
         ]
+        # The last merge's inputs: a copy of the readings it lifted (count
+        # lifts a constant), its freshness mask (None: every entry fresh),
+        # and whether a delivery has since changed a cached state bit for
+        # bit. While all three hold, a round re-sends ``_sent``.
+        self._lifted: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
+        self._cache_moved = True
 
         self.estimate: Any = None
         self.rounds_run = 0
@@ -204,8 +230,9 @@ class SlabContinuousRun:
         # Wire sizes (see sim.messages), per push row: the bytes of its last
         # agg_push minus the msg_id numeral (before the first round, minus
         # the state body too) and the state body's share of them. ``_sent``
-        # is the state columns that round sent: the batch's own arrays,
-        # read only, which the next round compares its states with.
+        # is the state columns the last merge made: read-only arrays that
+        # every batch since has sent, which the next merge compares its
+        # states with.
         payload_probe = json.dumps(
             {"key": self.key, "state": 0}, separators=(",", ":")
         )
@@ -219,32 +246,60 @@ class SlabContinuousRun:
             + int_digit_counts(self.parent_ids)
         )
         self._state_sizes = np.zeros(n_push, dtype=np.int8)
-        self._sent: list[np.ndarray] | None = None
+        self._sent: list[np.ndarray] = []
 
         self._cancel: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------ #
 
-    def _merged_columns(self, now: float) -> list[np.ndarray]:
-        """Every node's merge of local lift + fresh child states.
+    def _fresh_mask(self, now: float) -> np.ndarray | None:
+        """Which cache entries are within the expiry horizon; ``None`` when
+        all are.
+
+        Every entry is at least as fresh as the last whole-round delivery
+        (an entry only ever gets newer), so while that is within the
+        horizon — the steady state — this is one comparison; only
+        otherwise is the mask built, and only a stale or never-delivered
+        entry makes it cut the columns.
+        """
+        horizon = now - self.stale_after * self.interval
+        if self._fresh_since is not None and self._fresh_since >= horizon:
+            return None
+        received = self.cached_at
+        if self._fresh_since is not None:
+            received = np.fmax(received, self._fresh_since)
+        # A NaN (never received) is not fresh even under an unbounded horizon.
+        fresh = received >= horizon
+        return None if fresh.all() else fresh
+
+    def _inputs_moved(self, mask: np.ndarray | None) -> bool:
+        """Whether this round's merge inputs differ from the last merge's:
+        a cached state, the freshness ``mask`` or (bit for bit) a reading."""
+        if self._cache_moved or (mask is None) != (self._mask is None):
+            return True
+        if mask is not None and (mask != self._mask).any():
+            return True
+        return self._lifted is not None and bool(
+            _bits_differ(self.values, self._lifted).any()
+        )
+
+    def _merged_columns(self, mask: np.ndarray | None) -> list[np.ndarray]:
+        """Every node's merge of local lift + the child states ``mask``
+        keeps (every one when ``None``).
 
         The scatter ops apply per-edge in ascending-child order (push rows
         ascend), which is the object path's left fold over its child dict
-        (kept in ascending child id). Every entry is at least as fresh as
-        the last whole-round delivery (an entry only ever gets newer), so
-        while that is within the horizon — the steady state — the cache
-        columns are scattered as they are without looking at them; only
-        otherwise is the freshness mask built, and only a stale or
-        never-delivered entry makes it cut the columns.
+        (kept in ascending child id).
         """
-        horizon = now - self.stale_after * self.interval
         parent, cached = self.parent_index, self.cache
-        if self._fresh_since is None or self._fresh_since < horizon:
-            fresh = self.has_entry & ~(self.cached_at < horizon)
-            if not fresh.all():
-                parent = parent[fresh]
-                cached = [column[fresh] for column in cached]
-        merged = (self.values if self._lift is None else self._lift).copy()
+        if mask is not None:
+            parent = parent[mask]
+            cached = [column[mask] for column in cached]
+        if self._lift is None:
+            self._lifted = self.values.copy()
+            merged = self._lifted.copy()
+        else:
+            merged = self._lift.copy()
         _SCATTER.get(self.aggregate, np.add).at(merged, parent, cached[0])
         if self.aggregate != "avg":
             return [merged]
@@ -266,35 +321,45 @@ class SlabContinuousRun:
     def _changed_rows(self, states: list[np.ndarray]) -> np.ndarray:
         """Push rows whose state differs from the last round's, compared as
         bits (``-0.0`` prints longer than ``0.0``); every row on the first."""
-        if self._sent is None:
+        if not self._sent:
             return np.arange(len(states[0]))
-        differ = states[0].view(np.int64) != self._sent[0].view(np.int64)
+        differ = _bits_differ(states[0], self._sent[0])
         for new, old in zip(states[1:], self._sent[1:]):
-            differ |= new.view(np.int64) != old.view(np.int64)
+            differ |= _bits_differ(new, old)
         return np.flatnonzero(differ)
 
     def _finalize(self, cols: list[np.ndarray], i: int) -> Any:
         value = cols[0][i].item()  # an int for count, else a float
         return value / cols[1][i].item() if self.aggregate == "avg" else value
 
-    def push_round(self) -> None:
-        """Execute one push interval for every node (the slab hot path)."""
-        now = self.transport.now()
-        cols = self._merged_columns(now)
+    def _merge(self, mask: np.ndarray | None) -> None:
+        """Merge and finalize the estimate. The push rows' merged states
+        become the columns every round sends until the inputs move; the
+        rows whose state changed are measured again."""
+        cols = self._merged_columns(mask)
         self.estimate = self._finalize(cols, self.owner_index)
-        rows = self.push_rows
-        n_push = len(rows)
-        if n_push == 0:
-            return
-        telemetry.count("agg_pushes_total", float(n_push))
-        msg_id_start = reserve_msg_ids(n_push)
-        states = [col.take(rows) for col in cols]
+        states = [col.take(self.push_rows) for col in cols]
+        for state in states:
+            state.flags.writeable = False
         changed = self._changed_rows(states)
         if len(changed):
             lengths = self._state_lengths([state[changed] for state in states])
             self._row_sizes[changed] += lengths - self._state_sizes[changed]
             self._state_sizes[changed] = lengths
         self._sent = states
+        self._mask = mask
+        self._cache_moved = False
+
+    def push_round(self) -> None:
+        """Execute one push interval for every node (the slab hot path)."""
+        mask = self._fresh_mask(self.transport.now())
+        if self._inputs_moved(mask):
+            self._merge(mask)
+        n_push = len(self.push_rows)
+        if n_push == 0:
+            return
+        telemetry.count("agg_pushes_total", float(n_push))
+        msg_id_start = reserve_msg_ids(n_push)
         # msg_id numerals: the first id's digits, one more from each power
         # of ten inside the block on.
         digits = len(str(msg_id_start))
@@ -303,7 +368,7 @@ class SlabContinuousRun:
         while power < msg_id_start + n_push:
             sizes[power - msg_id_start:] += 1
             power *= 10
-        state_cols = {f"state{j}": state for j, state in enumerate(states)}
+        state_cols = {f"state{j}": state for j, state in enumerate(self._sent)}
         batch = MessageBatch(
             kind="agg_push",
             sources=self.source_ids,
@@ -327,22 +392,33 @@ class SlabContinuousRun:
     def _on_deliver(self, batch: MessageBatch, rows: np.ndarray | None) -> None:
         """Fold a delivered batch into the per-child caches.
 
-        Batch rows are push rows, so the states are *copied* row for row
-        (the batch keeps its columns): a whole round arriving at once is
-        one block copy and two fills, and moves the freshness watermark to
-        now; a partial delivery — loss, or a latency model that splits the
-        round — is indexed writes.
+        Batch rows are push rows. A whole round arriving at once is adopted:
+        its state columns become the cache as they are (compared first,
+        unless they already are it) and the freshness watermark moves to
+        now. A partial delivery — loss, or a latency model that splits the
+        round — is indexed writes, into a copy of any column the cache
+        shares with a sent batch (those are read only): a batch's columns
+        are never written.
         """
         now = self.transport.now()
-        where: slice | np.ndarray = slice(None)
-        if rows is not None and len(rows) < len(self.push_rows):
-            where = rows
-        else:
+        delivered = [batch.payload_columns[f"state{j}"] for j in range(len(self.cache))]
+        if rows is None or len(rows) == len(self.push_rows):
+            if not self._cache_moved:
+                self._cache_moved = any(
+                    new is not old and bool(_bits_differ(new, old).any())
+                    for new, old in zip(delivered, self.cache)
+                )
+            self.cache = delivered
             self._fresh_since = now
+            return
         for j, column in enumerate(self.cache):
-            column[where] = take_rows(batch.payload_columns[f"state{j}"], rows)
-        self.cached_at[where] = now
-        self.has_entry[where] = True
+            if not column.flags.writeable:
+                column = self.cache[j] = column.copy()
+            states = delivered[j][rows]
+            if not self._cache_moved:
+                self._cache_moved = bool(_bits_differ(states, column[rows]).any())
+            column[rows] = states
+        self.cached_at[rows] = now
 
     @property
     def pushes_sent(self) -> np.ndarray:
@@ -374,22 +450,14 @@ class SlabContinuousRun:
     def state_nbytes(self) -> int:
         """Bytes of array state this run owns plus what its block holds —
         the protocol-mode memory gate input."""
-        owned = (
-            self.values.nbytes
-            + self.cached_at.nbytes
-            + self.has_entry.nbytes
-            + self.push_rows.nbytes
-            + self.source_ids.nbytes
-            + self.parent_ids.nbytes
-            + self.parent_index.nbytes
-            + self._row_sizes.nbytes
-            + self._state_sizes.nbytes
-            + sum(col.nbytes for col in self.cache)
-            + sum(col.nbytes for col in self._sent or ())
-        )
-        if self._lift is not None:
-            owned += self._lift.nbytes
-        return owned + self.block.state_nbytes()
+        arrays = [
+            self.values, self._lift, self._lifted, self._mask, self.cached_at,
+            self.push_rows, self.source_ids, self.parent_ids, self.parent_index,
+            self._row_sizes, self._state_sizes, *self.cache, *self._sent,
+        ]
+        # An adopted cache column is also a sent one: count each array once.
+        unique = {id(array): array for array in arrays if array is not None}
+        return sum(a.nbytes for a in unique.values()) + self.block.state_nbytes()
 
 
 def run_protocol_slab(

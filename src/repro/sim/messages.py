@@ -354,6 +354,13 @@ class MessageBatch:
     transports never interpret them — delivery hands the batch plus the
     surviving row indices back to the caller's endpoint.
 
+    The id and payload columns are read only once sent: a sender may hand
+    the same arrays to the next batch (the slab sends its ``sources`` and
+    ``destinations`` every round, and its state columns again while they
+    do not change), and an endpoint may keep a delivered column as it is.
+    Read-only id vectors also let the hotspot ledger recognise a repeated
+    batch by identity.
+
     ``message(i)`` materializes one row as a :class:`Message` for
     debugging and for the size-exactness tests; the hot path never does.
     """

@@ -16,21 +16,30 @@ Counters live in two stores that are summed on the read side only:
   :meth:`~HotspotAccountant.record_receive_bulk` with a fixed number of
   array passes per batch and no per-message Python work. The ledger grows
   by ``union1d`` when a batch names ids it has not seen, and the row index
-  resolved for a batch is kept, with a copy of the ids it was resolved
-  for, so the next batch over the same ids (every round of a continuous
-  push) re-validates it with one compare instead of searching again.
-  Such a batch is not scattered into the ledger either: its bytes are
-  added densely to a pending column aligned with the batch, and the
-  pending batches are folded in — one scatter of the column and one of
-  the number of batches, over the batch's rows — only when something
-  needs the totals: a read, or a batch over other ids (which may grow the
-  ledger). Recording and folding a batch cost O(its rows), never O(the
-  ledger), so many small batches (a jittered latency model delivers a
-  round in about one group per message) stay linear. The counters are
-  integers, so folding late changes no total, and a reader that reads
-  every round pays what recording used to. ``reset`` zeroes the rows and the pending columns
-  but keeps the ids and their indexes; a ledger id with no message since
-  then is simply not seen.
+  resolved for a batch is kept, with the ids it was resolved for, so the
+  next batch over the same ids (every round of a continuous push) reuses
+  it instead of searching again. The ids are kept by identity or by copy:
+  an id vector that is read only and owns its memory (``base is None``)
+  is kept by reference, and a later batch passing that very object, still
+  read only, reuses the index with no compare at all: freezing a vector
+  is the caller's promise that it will not change while frozen, and a
+  caller that writes one makes it writeable and records it so before it
+  freezes it again. A kept vector passed writeable is trusted no more, in
+  either direction (it may have changed, and there is no copy to compare
+  with); it is resolved afresh. Any other vector is copied, and a later
+  batch is compared with the copy. A batch over the same ids is not
+  scattered into the ledger either: its bytes are added densely to a
+  pending column aligned with the batch, and the pending batches are
+  folded in — one scatter of the column and one of the number of
+  batches, over the batch's rows — only when something needs the totals:
+  a read, or a batch over other ids (which may grow the ledger).
+  Recording and folding a batch cost O(its rows), never O(the ledger), so
+  many small batches (a jittered latency model delivers a round in about
+  one group per message) stay linear. The counters are integers, so
+  folding late changes no total, and a reader that reads every round
+  pays what recording used to. ``reset`` zeroes the rows and the pending
+  columns but keeps the ids and their indexes; a ledger id with no
+  message since then is simply not seen.
 
 :meth:`~HotspotAccountant.load_arrays` reads both stores for a whole id
 vector at once; the population statistics are computed from it.
@@ -129,7 +138,8 @@ class _Resolved:
 
     #: Ledger row of each batch row.
     index: np.ndarray
-    #: A copy of the ids ``index`` was resolved for.
+    #: The ids ``index`` was resolved for: the caller's own vector when it
+    #: was read only and owned its memory, else a copy.
     ids: np.ndarray
     #: Bytes per batch row not yet in the ledger.
     pending: np.ndarray
@@ -223,19 +233,33 @@ class HotspotAccountant:
         sizes = np.asarray(sizes, dtype=np.int64)
         if len(sizes) != len(nodes):
             raise ValueError(f"{len(nodes)} ids but {len(sizes)} sizes")
+        if nodes.flags.writeable:
+            # A vector kept by reference, writeable again, may have been
+            # written: no direction trusts it any more. What is pending was
+            # counted against the ids it held, which the indexes still map.
+            stale = [key for key, kept in self._resolved.items() if kept.ids is nodes]
+            if stale:
+                self._fold_locked()
+                for key in stale:
+                    del self._resolved[key]
         resolved = self._resolved.get(row)
-        # A continuous push names the same ids every round: one compare
-        # against the ids last round's index was resolved for, and its
-        # bytes join the pending column — no search, no scatter. The copy
-        # of the ids is the ledger's own: the caller may reuse its array.
-        if resolved is not None and np.array_equal(resolved.ids, nodes):
+        # A continuous push names the same ids every round: the very vector
+        # last round's index was resolved for, or a copy to compare with,
+        # and its bytes join the pending column — no search, no scatter. A
+        # writeable vector is copied: the caller may reuse its array.
+        if resolved is not None and (
+            resolved.ids is nodes or np.array_equal(resolved.ids, nodes)
+        ):
             resolved.pending += sizes
             resolved.batches += 1
             return
         # The pending batches were counted against the old index.
         self._fold_locked()
         index = self._ledger_index_locked(nodes)
-        self._resolved[row] = _Resolved(index, nodes.copy(), sizes.copy(), 1)
+        frozen = not nodes.flags.writeable and nodes.base is None
+        self._resolved[row] = _Resolved(
+            index, nodes if frozen else nodes.copy(), sizes.copy(), 1
+        )
 
     def _fold_locked(self) -> None:
         """Add the pending bytes and messages of both directions to the ledger."""

@@ -8,6 +8,7 @@ rings, few examples) because each case runs a discrete-event simulation.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,9 +119,24 @@ class _SteppedLatency(LatencyModel):
         return self.DELAYS[source % 4]
 
 
+class _FadingTransport(SimTransport):
+    """Loses no push before t=14, half of them until t=18 and every one
+    from then on: entries expire one by one while nothing is delivered, so
+    the freshness mask is the one merge input that moves."""
+
+    @property
+    def loss_rate(self):
+        now = self.now()
+        return 0.0 if now < 14.0 else 0.5 if now < 18.0 else 1.0
+
+    @loss_rate.setter
+    def loss_rate(self, rate):
+        """The constructor's rate; the clock sets this transport's."""
+
+
 def _run_both(
     ring, key, scheme, aggregate, values, rounds=6, loss=0.0,
-    latency=None, stale_after=4.0,
+    latency=None, stale_after=4.0, transport_type=SimTransport,
 ):
     """Run slab and oracle with identical seeds and message-id streams."""
     results = []
@@ -129,7 +145,7 @@ def _run_both(
         results.append(runner(
             ring, key, rounds, aggregate=aggregate, scheme=scheme,
             values=values, stale_after=stale_after,
-            transport=SimTransport(
+            transport=transport_type(
                 loss_rate=loss, rng=1234,
                 latency=latency() if latency else None,
             ),
@@ -178,7 +194,7 @@ class TestSlabOracleEquivalence:
     @given(
         slab_scenarios(),
         st.floats(min_value=0.0, max_value=0.4),
-        st.sampled_from([0.5, 1.0, 1.5, 4.0]),
+        st.sampled_from([0.5, 1.0, 1.5, 4.0, float("inf")]),
     )
     def test_split_delivery_loss_and_expiry_bit_identical(
         self, scenario, loss, stale_after
@@ -186,7 +202,8 @@ class TestSlabOracleEquivalence:
         # The partial paths of the push-row layout: a round delivered in
         # groups (row-indexed cache writes), lost pushes and a horizon
         # short enough that entries expire between deliveries (masked
-        # merge), against the object path's per-message dict updates.
+        # merge), or none at all (an entry never delivered is still not
+        # folded in), against the object path's per-message dict updates.
         ring, key, scheme, aggregate, values = scenario
         slab, oracle = _run_both(
             ring, key, scheme, aggregate, values, rounds=8, loss=loss,
@@ -196,13 +213,49 @@ class TestSlabOracleEquivalence:
         # Every push is accounted at its sender, delivered or not.
         np.testing.assert_array_equal(slab.pushes_sent, slab.sent)
 
-    def test_converged_sum_at_1024_both_schemes(self):
-        # Fixed mid-size anchor: full convergence and exact equality.
+    def test_unbounded_horizon_folds_only_delivered_entries(self):
+        # With no expiry, a child whose first push has not arrived yet is
+        # still absent: its empty cache entry must not enter a min.
+        ring = make_assigner("probing").build_ring(IdSpace(16), 40, rng=3)
+        values = np.random.default_rng(1).uniform(1.0, 100.0, size=40)
+        slab, oracle = _run_both(
+            ring, 77, "balanced", "min", values, rounds=8,
+            latency=_SteppedLatency, stale_after=float("inf"),
+        )
+        _assert_identical(slab, oracle)
+
+    @pytest.mark.parametrize(
+        ("loss", "latency"),
+        [(0.0, None), (0.1, None), (0.0, _SteppedLatency)],
+        ids=["loss_free", "loss", "stepped"],
+    )
+    def test_converged_sum_at_1024_both_schemes(self, loss, latency):
+        # Fixed mid-size anchor: full convergence and exact equality. Both
+        # trees are 10 hops deep, so most of the 32 rounds come after the
+        # states have converged, where a round whose merge inputs did not
+        # move re-sends the last round's states without merging.
         ring = make_assigner("probing").build_ring(IdSpace(32), 1024, rng=2007)
         for scheme in ("basic", "balanced"):
             slab, oracle = _run_both(
                 ring, 0xA5A5A5, scheme, "sum",
-                np.ones(1024, dtype=np.float64), rounds=24,
+                np.ones(1024, dtype=np.float64), rounds=32,
+                loss=loss, latency=latency,
             )
             _assert_identical(slab, oracle)
-            assert slab.estimate == 1024.0
+            if not loss:
+                assert slab.estimate == 1024.0
+
+    def test_entries_expiring_after_convergence_bit_identical(self):
+        # Converged by t=14 (the trees are 8 hops deep), then pushes fade
+        # out: each round from t=18 on, another set of entries leaves the
+        # horizon with no delivery to move the cache, and every one of
+        # those rounds must merge again, down to the root's own reading.
+        ring = make_assigner("probing").build_ring(IdSpace(32), 256, rng=41)
+        values = np.random.default_rng(41).uniform(0.0, 10.0, size=256)
+        for scheme in ("basic", "balanced"):
+            slab, oracle = _run_both(
+                ring, 0x5A5A5A5A, scheme, "sum", values, rounds=24,
+                transport_type=_FadingTransport,
+            )
+            _assert_identical(slab, oracle)
+            assert slab.estimate == values[np.searchsorted(slab.ids, slab.root)]

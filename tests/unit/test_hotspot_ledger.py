@@ -106,6 +106,7 @@ def test_random_interleaving_equals_scalar_reference(seed):
     rng = np.random.default_rng(seed)
     acc, ref = HotspotAccountant(), ReferenceAccountant()
     never_seen = 10**9
+    last = None  # the previous bulk call's ids, read only since
     for step in range(120):
         # The id pool widens as the run goes on: later bulk calls name ids
         # the ledger has not seen, earlier ones are repeated within a call.
@@ -115,9 +116,19 @@ def test_random_interleaving_equals_scalar_reference(seed):
             p=[0.15, 0.15, 0.3, 0.3, 0.07, 0.03],
         )
         if op in ("send_bulk", "receive_bulk"):
-            length = int(rng.choice([0, 1, 5, 40]))
-            nodes = rng.choice(pool, size=length, replace=True)
-            sizes = rng.integers(0, 200, size=length)
+            # New ids; or the previous call's read-only vector again, which
+            # the ledger may know by identity; or that vector made
+            # writeable, rewritten and recorded so, then read only again.
+            ids = "new" if last is None else rng.choice(["new", "again", "rewrite"])
+            if ids == "new":
+                length = int(rng.choice([0, 1, 5, 40]))
+                nodes = rng.choice(pool, size=length, replace=True)
+            else:
+                nodes = last
+                if ids == "rewrite":
+                    nodes.flags.writeable = True
+                    nodes[:] = rng.choice(pool, size=len(nodes), replace=True)
+            sizes = rng.integers(0, 200, size=len(nodes))
             if op == "send_bulk":
                 kind = [None, "agg_push", "probe"][int(rng.integers(3))]
                 acc.record_send_bulk(nodes, sizes, kind=kind)
@@ -125,6 +136,8 @@ def test_random_interleaving_equals_scalar_reference(seed):
             else:
                 acc.record_receive_bulk(nodes, sizes)
                 ref.record_receive_bulk(nodes, sizes)
+            nodes.flags.writeable = False
+            last = nodes
         elif op == "send":
             args = (int(rng.choice(pool)), int(rng.integers(200)), "agg_push")
             acc.record_send(*args)

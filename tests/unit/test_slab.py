@@ -179,36 +179,94 @@ class TestRemeasuredRows:
         states = captured[-1].payload_columns["state0"]
         assert changed == [[float(states[row])] for row in path] + [[]] * 3
 
+        # A converged round re-sends what it sent unless a reading moved bit
+        # for bit: 0.0 -> -0.0 is the same value, one byte longer on the
+        # wire. The deepest row is a leaf, so only its own state changes.
+        leaf = path[0]
+        total = run.estimate - float(run.values[run.push_rows[leaf]])
+        run.values[run.push_rows[leaf]] = 0.0
+        measured_per_round(len(path) + 3)
+        assert run.estimate == total
+        assert measured_per_round(2) == [[]] * 2
+        run.values[run.push_rows[leaf]] = -0.0
+        changed = measured_per_round(3)
+        assert changed == [[0.0], [], []]
+        assert np.signbit(changed[0][0])
+        assert run.estimate == total
+        batch = captured[-3]  # the round that measured the leaf again
+        assert np.signbit(batch.payload_columns["state0"][leaf])
+        assert int(batch.sizes[leaf]) == batch.message(leaf).encoded_size()
+        # One byte more than the round before, apart from the msg_id numeral.
+        before = captured[-4]
+        id_digits = len(str(batch.msg_id_start + leaf)) - len(
+            str(before.msg_id_start + leaf)
+        )
+        assert int(batch.sizes[leaf]) - int(before.sizes[leaf]) == 1 + id_digits
+
+
+class TestConvergedRounds:
+    def test_entries_fresh_again_are_merged_in(self):
+        # The root is cut off for longer than the expiry horizon, then
+        # reachable again. The rest of the tree keeps pushing its converged
+        # states, so its children's entries come back unchanged; the
+        # entries being fresh again is still a change the root must merge.
+        block = ChordNodeBlock.from_ring(build_ring(64, seed=5))
+        transport = SimTransport()
+        run = SlabContinuousRun(block, transport, 0x77, "sum", np.arange(1.0, 65.0))
+        run.start()
+        transport.run(until=20.5)
+        total = float(np.arange(1.0, 65.0).sum())
+        assert run.estimate == total
+        transport.fail(run.root)
+        transport.run(until=30.5)
+        assert run.estimate == float(run.values[run.owner_index])
+        transport.recover(run.root)
+        transport.run(until=32.5)
+        assert run.estimate == total
+
 
 class TestBatchOwnership:
     def test_delivered_batch_columns_survive_later_rounds(self):
-        # The cache copies a delivered state column; it must not adopt it
-        # (a later delivery would then write through into an old batch).
+        # A whole-round delivery makes the batch's state columns the cache,
+        # and a converged round sends those very columns again; a partial
+        # delivery (here: loss) then writes rows into the cache. No write
+        # may reach a column some batch sent.
         reset_msg_ids()
-        transport = SimTransport()
-        captured = capture_batches(transport)
+        transport = SimTransport(rng=5)
+        sent = []
+        send_batch = transport.send_batch
+
+        def snapshot_at_send(batch, deliver):
+            columns = {name: col.copy() for name, col in batch.payload_columns.items()}
+            sent.append((batch, columns))
+            send_batch(batch, deliver)
+
+        transport.send_batch = snapshot_at_send
         values = np.random.default_rng(4).uniform(1.0, 9.0, size=48)
         ring = build_ring(48, seed=12)
         block = ChordNodeBlock.from_ring(ring)
         run = SlabContinuousRun(block, transport, 0x51, "avg", values)
         run.start()
-        transport.run(until=2.5)
-        snapshot = [
-            {name: col.copy() for name, col in batch.payload_columns.items()}
-            for batch in captured
-        ]
-        assert len(snapshot) == 2
-        transport.run(until=9.5)
-        assert len(captured) == 9
-        for batch, before in zip(captured, snapshot):
-            for name, column in batch.payload_columns.items():
-                np.testing.assert_array_equal(column, before[name])
-                assert not any(np.shares_memory(column, c) for c in run.cache)
-        # ... and the early rounds did differ from the converged state.
-        assert not np.array_equal(
-            captured[0].payload_columns["state0"],
-            captured[-1].payload_columns["state0"],
+        transport.run(until=12.5)
+        assert len(sent) == 12
+        # Converged: the last round re-sent the columns it had sent, and
+        # their delivery is the cache.
+        last = sent[-1][0].payload_columns
+        assert last["state0"] is sent[-2][0].payload_columns["state0"]
+        assert run.cache[0] is last["state0"] and run.cache[1] is last["state1"]
+        transport.loss_rate = 0.3
+        transport.run(until=20.5)
+        assert len(sent) == 20
+        assert not any(
+            np.shares_memory(column, cached)
+            for column in last.values() for cached in run.cache
         )
+        for batch, at_send in sent:
+            for name, column in batch.payload_columns.items():
+                assert not column.flags.writeable
+                np.testing.assert_array_equal(column, at_send[name])
+        # ... and the early rounds did differ from the converged state.
+        assert not np.array_equal(sent[0][1]["state0"], last["state0"])
 
     def test_pushes_sent_counts_rounds_on_push_rows_only(self):
         ring = build_ring(20, seed=2)
@@ -313,35 +371,50 @@ class TestRoundCost:
     at n = 16384. Per-message work on any layer costs at least n of one or
     the other — a ``repr`` per state is a call, a dict update per sender in
     a ``for`` loop is a line. Measured with numpy 2.4 (whose own Python
-    wrappers are in the count): 128 calls / 313 lines for ``sum``, 156 /
-    357 for ``avg``, 128 / 300 for ``count``; the bounds leave a quarter
+    wrappers are in the count): 128 calls / 320 lines for ``sum``, 157 /
+    365 for ``avg``, 127 / 307 for ``count``; the bounds leave a quarter
     on top for another numpy's wrappers. Of the ``ufunc.at`` scatters only
     the merge's are left: the hotspot ledger's are deferred to its reads.
+
+    Once converged (the root exact, two more rounds delivered), a round
+    with the same readings re-sends what it sent: no merge scatter, no
+    gather, and no ``array_equal`` of the ledger's id vectors, which it
+    knows by identity. Measured: 81 calls / 239 lines for ``sum``, 82 / 245
+    for ``avg``, 75 / 232 for ``count``, bounded with the same quarter.
     """
 
     N_NODES = 16384
     MAX_CALLS = 198
     MAX_LINES = 498
+    MAX_CONVERGED_CALLS = 103
+    MAX_CONVERGED_LINES = 307
     MERGE_SCATTERS = {"sum": ["add"], "avg": ["add", "add"], "count": ["add"]}
 
-    @pytest.mark.parametrize("aggregate", ["sum", "avg", "count"])
-    def test_steady_state_round_call_and_line_count(self, aggregate):
+    def start_run(self, aggregate):
         ring = build_ring(self.N_NODES, bits=32, seed=11)
         block = ChordNodeBlock.from_ring(ring)
         values = np.arange(self.N_NODES, dtype=np.float64) % 100 + 1
         transport = SimTransport()
         run = SlabContinuousRun(block, transport, 0xA5A5A5, aggregate, values)
         run.start()
-        transport.run(until=3.5)  # ledger grown, three rounds delivered
+        return run, transport
 
+    @staticmethod
+    def count_round(transport, until):
+        """Calls and lines of ``transport.run(until)``, and the names of
+        the ``ufunc.at``, ``ndarray.take`` and ``array_equal`` it calls."""
         counts = {"call": 0, "c_call": 0, "line": 0}
-        scatters: list[str] = []
+        named: list[str] = []
 
         def profile(frame, event, arg):
             if event in counts:
                 counts[event] += 1
             if event == "c_call" and getattr(arg, "__qualname__", "") == "ufunc.at":
-                scatters.append(arg.__self__.__name__)
+                named.append(f"at:{arg.__self__.__name__}")
+            elif event == "c_call" and getattr(arg, "__qualname__", "") == "ndarray.take":
+                named.append("take")
+            elif event == "call" and frame.f_code.co_name == "array_equal":
+                named.append("array_equal")
 
         def trace(frame, event, arg):
             if event == "line":
@@ -352,14 +425,40 @@ class TestRoundCost:
         sys.setprofile(profile)
         sys.settrace(trace)
         try:
-            transport.run(until=4.5)  # round four: sent at 4.0, delivered at 4.001
+            transport.run(until=until)
         finally:
             sys.setprofile(previous[0])
             sys.settrace(previous[1])
+        return counts, named
+
+    @pytest.mark.parametrize("aggregate", ["sum", "avg", "count"])
+    def test_steady_state_round_call_and_line_count(self, aggregate):
+        run, transport = self.start_run(aggregate)
+        transport.run(until=3.5)  # ledger grown, three rounds delivered
+        # Round four: sent at 4.0, delivered at 4.001.
+        counts, named = self.count_round(transport, 4.5)
         assert run.rounds_run == 4
         assert transport.stats.total_messages() == 4 * (self.N_NODES - 1)
         # The merge's scatters and nothing else: the hotspot ledger adds up
         # its bytes when it is read, not every round.
+        scatters = [name[3:] for name in named if name.startswith("at:")]
         assert scatters == self.MERGE_SCATTERS[aggregate]
         assert counts["call"] + counts["c_call"] < self.MAX_CALLS, counts
         assert counts["line"] < self.MAX_LINES, counts
+
+    @pytest.mark.parametrize("aggregate", ["sum", "avg", "count"])
+    def test_converged_round_merges_gathers_and_compares_nothing(self, aggregate):
+        run, transport = self.start_run(aggregate)
+        total = float(run.values.sum())
+        truth = {"sum": total, "avg": total / self.N_NODES, "count": self.N_NODES}
+        while run.estimate != truth[aggregate]:
+            transport.run(until=run.rounds_run + 1.5)
+            assert run.rounds_run < 40
+        transport.run(until=run.rounds_run + 2.5)
+        rounds = run.rounds_run
+        counts, named = self.count_round(transport, rounds + 1.5)
+        assert run.rounds_run == rounds + 1
+        assert run.estimate == truth[aggregate]
+        assert named == []
+        assert counts["call"] + counts["c_call"] < self.MAX_CONVERGED_CALLS, counts
+        assert counts["line"] < self.MAX_CONVERGED_LINES, counts
