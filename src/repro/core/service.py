@@ -369,9 +369,9 @@ class DatNodeService:
             return  # lone ring or mid-churn transient: skip this round
         state.pushes_sent += 1
         telemetry.count("agg_pushes_total")
-        # Partial states are JSON-encodable for the built-in aggregates
-        # (numbers / tuples of numbers / dataclass-free forms); the wire
-        # layer enforces it when the transport actually serializes.
+        # Partial states are numbers or flat tuples of numbers for the
+        # built-in aggregates (the wire's ``state`` type); the wire layer
+        # checks it when the transport actually serializes.
         # Pushes ride the batcher: with a zero window (default) this is an
         # immediate send; with a window, same-parent pushes coalesce.
         push = Message(
@@ -577,9 +577,9 @@ class DatNodeService:
 # ---------------------------------------------------------------------- #
 #
 # Built-in aggregate states are numbers, (sum, count) pairs, count tuples,
-# or moment dataclasses. JSON keeps numbers and lists; tuples and the
-# moment state need explicit tagging so decode restores the exact type the
-# aggregate's merge expects.
+# or moment dataclasses. The wire's ``state`` type carries a number or a
+# flat tuple of numbers as it is; the moment state is tagged, and a state in
+# a JSON body (an int beyond 64 bits, a nested tuple) comes back as a list.
 
 from repro.core.aggregates import _MomentState  # noqa: E402  (private by design)
 
@@ -587,8 +587,6 @@ from repro.core.aggregates import _MomentState  # noqa: E402  (private by design
 def _encode_state(state: Any) -> Any:
     if isinstance(state, _MomentState):
         return {"__moment__": [state.count, state.mean, state.m2]}
-    if isinstance(state, tuple):
-        return {"__tuple__": list(state)}
     return state
 
 
@@ -596,8 +594,6 @@ def _decode_state(encoded: Any, aggregate: Aggregate) -> Any:
     if isinstance(encoded, dict) and "__moment__" in encoded:
         count, mean, m2 = encoded["__moment__"]
         return _MomentState(count=int(count), mean=float(mean), m2=float(m2))
-    if isinstance(encoded, dict) and "__tuple__" in encoded:
-        return tuple(encoded["__tuple__"])
     if isinstance(encoded, list):
         return tuple(encoded)
     return encoded

@@ -13,16 +13,16 @@ each push interval executes as
    in ascending-child order — the exact fold order of the object path),
 2. one :class:`~repro.sim.messages.MessageBatch` through
    :meth:`~repro.sim.simnet.SimTransport.send_batch` (one engine event per
-   latency group), whose wire sizes are kept per push row from round to
-   round: only rows whose state differs bit for bit from what they sent
-   last round are measured again,
+   latency group). Every ``agg_push`` of a run has one wire size, read off
+   its binary layout — header, key and the aggregate's state width — so
+   every batch sends the one read-only size column built with the run,
 3. one cache update when the batch delivers: a whole round's state
    columns become the cache as they are.
 
 A round whose merge inputs — the readings, the cached child states and
 which of them are fresh — are bit for bit the last merge's re-sends the
-last round's state columns: a converged round with fixed readings merges,
-gathers and measures nothing. A batch's rows, the cache and
+last round's state columns: a converged round with fixed readings merges
+and gathers nothing. A batch's rows, the cache and
 ``parent_index`` share the push-row order, so a steady-state round
 scatters the cache as it is; only loss, expiry or a split delivery index
 anything.
@@ -42,7 +42,6 @@ The long-tail aggregates (histogram, top-k, std) keep the object path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -52,13 +51,7 @@ from repro import telemetry
 from repro.chord.block import ChordNodeBlock
 from repro.chord.ring import StaticRing
 from repro.errors import AggregationError
-from repro.sim.messages import (
-    MessageBatch,
-    envelope_overhead,
-    float_repr_lengths,
-    int_digit_counts,
-    reserve_msg_ids,
-)
+from repro.sim.messages import Message, MessageBatch, reserve_msg_ids
 from repro.sim.simnet import SimTransport
 
 __all__ = [
@@ -76,7 +69,7 @@ _SCATTER = {"min": np.minimum, "max": np.maximum}
 
 def _bits_differ(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Elementwise ``new != old`` on the bits of 8-byte values: ``-0.0``
-    differs from ``0.0`` (it prints one byte longer), a NaN equals itself."""
+    differs from ``0.0``, a NaN equals itself."""
     return new.view(np.int64) != old.view(np.int64)
 
 
@@ -227,26 +220,15 @@ class SlabContinuousRun:
         self.estimate: Any = None
         self.rounds_run = 0
 
-        # Wire sizes (see sim.messages), per push row: the bytes of its last
-        # agg_push minus the msg_id numeral (before the first round, minus
-        # the state body too) and the state body's share of them. ``_sent``
-        # is the state columns the last merge made: read-only arrays that
-        # every batch since has sent, which the next merge compares its
-        # states with.
-        payload_probe = json.dumps(
-            {"key": self.key, "state": 0}, separators=(",", ":")
-        )
-        self._tuple_overhead = (
-            len(json.dumps({"__tuple__": [0, 0]}, separators=(",", ":"))) - 2
-        )
-        self._row_sizes = (
-            envelope_overhead("agg_push")
-            + len(payload_probe) - 1  # minus the "0"
-            + int_digit_counts(self.source_ids)
-            + int_digit_counts(self.parent_ids)
-        )
-        self._state_sizes = np.zeros(n_push, dtype=np.int8)
+        # ``_sent`` is the state columns the last merge made: read-only
+        # arrays that every batch since has sent. Every push is as long as
+        # a probe push with the aggregate's state shape (int64 ids are never
+        # wide), so every batch sends one read-only size column.
         self._sent: list[np.ndarray] = []
+        state = (0.0, 0) if aggregate == "avg" else 0.0
+        probe = Message("agg_push", 0, 0, {"key": self.key, "state": state}, msg_id=0)
+        self._sizes = np.full(n_push, probe.encoded_size(), dtype=np.int64)
+        self._sizes.flags.writeable = False
 
         self._cancel: Callable[[], None] | None = None
 
@@ -308,44 +290,18 @@ class SlabContinuousRun:
         np.add.at(counts, parent, cached[1])
         return [merged, counts]
 
-    def _state_lengths(self, states: list[np.ndarray]) -> np.ndarray:
-        """JSON byte length of each pushed state body (a fresh array)."""
-        if self.aggregate == "count":
-            return int_digit_counts(states[0])
-        lengths = float_repr_lengths(states[0])
-        if self.aggregate == "avg":
-            lengths += int_digit_counts(states[1])
-            lengths += self._tuple_overhead
-        return lengths
-
-    def _changed_rows(self, states: list[np.ndarray]) -> np.ndarray:
-        """Push rows whose state differs from the last round's, compared as
-        bits (``-0.0`` prints longer than ``0.0``); every row on the first."""
-        if not self._sent:
-            return np.arange(len(states[0]))
-        differ = _bits_differ(states[0], self._sent[0])
-        for new, old in zip(states[1:], self._sent[1:]):
-            differ |= _bits_differ(new, old)
-        return np.flatnonzero(differ)
-
     def _finalize(self, cols: list[np.ndarray], i: int) -> Any:
         value = cols[0][i].item()  # an int for count, else a float
         return value / cols[1][i].item() if self.aggregate == "avg" else value
 
     def _merge(self, mask: np.ndarray | None) -> None:
         """Merge and finalize the estimate. The push rows' merged states
-        become the columns every round sends until the inputs move; the
-        rows whose state changed are measured again."""
+        become the columns every round sends until the inputs move."""
         cols = self._merged_columns(mask)
         self.estimate = self._finalize(cols, self.owner_index)
         states = [col.take(self.push_rows) for col in cols]
         for state in states:
             state.flags.writeable = False
-        changed = self._changed_rows(states)
-        if len(changed):
-            lengths = self._state_lengths([state[changed] for state in states])
-            self._row_sizes[changed] += lengths - self._state_sizes[changed]
-            self._state_sizes[changed] = lengths
         self._sent = states
         self._mask = mask
         self._cache_moved = False
@@ -360,20 +316,12 @@ class SlabContinuousRun:
             return
         telemetry.count("agg_pushes_total", float(n_push))
         msg_id_start = reserve_msg_ids(n_push)
-        # msg_id numerals: the first id's digits, one more from each power
-        # of ten inside the block on.
-        digits = len(str(msg_id_start))
-        sizes = self._row_sizes + digits
-        power = 10**digits
-        while power < msg_id_start + n_push:
-            sizes[power - msg_id_start:] += 1
-            power *= 10
         state_cols = {f"state{j}": state for j, state in enumerate(self._sent)}
         batch = MessageBatch(
             kind="agg_push",
             sources=self.source_ids,
             destinations=self.parent_ids,
-            sizes=sizes,
+            sizes=self._sizes,
             msg_id_start=msg_id_start,
             payload_columns=state_cols,
             payload_of=lambda i: {
@@ -385,9 +333,9 @@ class SlabContinuousRun:
         self.rounds_run += 1
 
     def _encode_row(self, state_cols: dict[str, np.ndarray], i: int) -> Any:
-        """Wire encoding of one pushed state (materialization/debug only)."""
-        state = [column[i].item() for column in state_cols.values()]
-        return {"__tuple__": state} if self.aggregate == "avg" else state[0]
+        """One pushed state as the object path sends it (materialization only)."""
+        state = tuple(column[i].item() for column in state_cols.values())
+        return state if self.aggregate == "avg" else state[0]
 
     def _on_deliver(self, batch: MessageBatch, rows: np.ndarray | None) -> None:
         """Fold a delivered batch into the per-child caches.
@@ -453,7 +401,7 @@ class SlabContinuousRun:
         arrays = [
             self.values, self._lift, self._lifted, self._mask, self.cached_at,
             self.push_rows, self.source_ids, self.parent_ids, self.parent_index,
-            self._row_sizes, self._state_sizes, *self.cache, *self._sent,
+            self._sizes, *self.cache, *self._sent,
         ]
         # An adopted cache column is also a sent one: count each array once.
         unique = {id(array): array for array in arrays if array is not None}

@@ -13,10 +13,10 @@ Two traffic shapes dominate the aggregation protocols:
   Batching is strictly opt-in: a window of ``0`` degenerates to immediate
   sends so the default message economics are untouched.
 
-Batched messages travel inside a ``net_batch`` envelope whose payload is
-the JSON encoding of each queued message; the receiving host unwraps the
-envelope (see :func:`install_batch_unwrapper`) and dispatches the inner
-messages exactly as if they had arrived one by one.
+Batched messages travel as encoded frames inside ``net_batch`` envelopes,
+each under the datagram budget; the receiving host unwraps them (see
+:func:`install_batch_unwrapper`) and dispatches the inner messages, in
+order, exactly as if they had arrived one by one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro import telemetry
 from repro.net.client import RpcClient
 from repro.net.envelope import Upcall
 from repro.net.retry import RetryPolicy
-from repro.sim.messages import Message, decode_message, encode_message
+from repro.sim.messages import MAX_DATAGRAM, Message
 from repro.sim.transport import Transport
 
 __all__ = ["gather", "Batcher", "BATCH_KIND", "install_batch_unwrapper"]
@@ -106,8 +106,9 @@ class Batcher:
 
     Each enqueued message joins a per-destination queue; the first message
     for a destination arms one flush timer ``window`` transport-seconds
-    out, and the flush wraps everything queued for that destination into a
-    single :data:`BATCH_KIND` envelope. With ``window=0`` the batcher is a
+    out, and the flush wraps everything queued for that destination into
+    :data:`BATCH_KIND` envelopes, in order, each under the datagram budget
+    (one, unless the queue outgrows it). With ``window=0`` the batcher is a
     passthrough — every message is sent immediately, unchanged, so
     enabling the code path costs nothing until a window is configured.
 
@@ -148,17 +149,24 @@ class Batcher:
         queue = self._queues.pop(destination, None)
         if not queue:
             return
-        telemetry.observe("net_batch_occupancy", len(queue))
-        if len(queue) == 1:
-            self.transport.send(queue[0])
-            return
-        envelope = Message(
-            kind=BATCH_KIND,
-            source=queue[0].source,
-            destination=destination,
-            payload={"messages": [encode_message(m).decode("utf-8") for m in queue]},
-        )
-        self.transport.send(envelope)
+        empty = Message(BATCH_KIND, queue[0].source, destination, {"messages": []}, msg_id=0)
+        budget, size = MAX_DATAGRAM - empty.encoded_size(), 0
+        frames: list[Message] = []
+        for message in queue:
+            frame = 4 + message.encoded_size()  # a u32 length, then the message
+            if frames and size + frame > budget:
+                self._send(frames)
+                frames, size = [], 0
+            frames.append(message)
+            size += frame
+        self._send(frames)
+
+    def _send(self, frames: list[Message]) -> None:
+        telemetry.observe("net_batch_occupancy", len(frames))
+        first = frames[0]
+        self.transport.send(first if len(frames) == 1 else Message(
+            BATCH_KIND, first.source, first.destination, {"messages": frames}
+        ))
 
     def flush_all(self) -> None:
         """Flush every queue now (the armed timers become no-ops)."""
@@ -187,8 +195,8 @@ def install_batch_unwrapper(
     """
 
     def unwrap(envelope: Message) -> None:
-        for encoded in envelope.payload["messages"]:
-            dispatch(decode_message(encoded.encode("utf-8")))
+        for message in envelope.payload["messages"]:
+            dispatch(message)
         return None
 
     upcalls[BATCH_KIND] = unwrap

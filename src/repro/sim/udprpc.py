@@ -9,7 +9,9 @@ timer callback serially (so protocol code needs no locking, matching the DES
 substrate's execution model): timers wait in the simulator's
 :class:`~repro.sim.engine.EventQueue`, and ``select`` sleeps until the next.
 
-Routes to nodes hosted by *other* processes can be added explicitly with
+A message is one datagram of :func:`~repro.sim.messages.encode_message`'s
+binary format, at most :data:`~repro.sim.messages.MAX_DATAGRAM` bytes. Routes
+to nodes hosted by *other* processes can be added explicitly with
 :meth:`UdpRpcTransport.add_route`, enabling genuine multi-process clusters.
 
 This class implements only the substrate (sockets, timers, the wall
@@ -19,7 +21,8 @@ datagram here is indistinguishable from simulated loss: the pending call
 expires and the caller's :class:`~repro.net.RetryPolicy` decides whether
 to retransmit. A datagram this transport itself drops is counted in
 ``messages_dropped_total`` under one ``reason``: ``no_route`` and
-``send_error`` on send; ``malformed``, ``misaddressed`` and
+``send_error`` on send; ``malformed`` (any datagram
+:func:`~repro.sim.messages.decode_message` rejects), ``misaddressed`` and
 ``handler_error`` on receive; a timer callback that raises is logged.
 """
 
@@ -35,13 +38,12 @@ from typing import Callable
 from repro import telemetry
 from repro.errors import TransportError
 from repro.sim.engine import Event, EventQueue
-from repro.sim.messages import Message, decode_message, encode_message
+from repro.sim.messages import MAX_DATAGRAM, Message, decode_message, encode_message
 from repro.sim.tracing import get_logger
 from repro.sim.transport import MessageHandler, Transport
 
 __all__ = ["UdpRpcTransport"]
 
-_MAX_DATAGRAM = 65000
 _MAX_SLEEP_S = 0.25  # the loop re-checks ``_closed`` at least this often
 
 logger = get_logger("sim.udprpc")
@@ -194,7 +196,7 @@ class UdpRpcTransport(Transport):
         if self._closed:
             return
         data = encode_message(message)
-        if len(data) > _MAX_DATAGRAM:
+        if len(data) > MAX_DATAGRAM:
             raise TransportError(
                 f"message of {len(data)} bytes exceeds the UDP datagram budget"
             )
@@ -265,7 +267,7 @@ class UdpRpcTransport(Transport):
                     return
                 sock: socket.socket = key.fileobj  # type: ignore[assignment]
                 try:
-                    data, _addr = sock.recvfrom(_MAX_DATAGRAM)
+                    data, _addr = sock.recvfrom(MAX_DATAGRAM)
                 except (BlockingIOError, OSError):
                     continue
                 if key.data is None:

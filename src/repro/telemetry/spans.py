@@ -57,9 +57,9 @@ __all__ = [
     "TRACE_KEY",
 ]
 
-#: Payload key the wire-encoded trace context rides under. Message payloads
-#: are plain JSON objects on every substrate, so the context survives
-#: encode/decode — including each inner message of a ``net_batch`` envelope.
+#: Payload key the wire-encoded trace context rides under. The wire codec
+#: carries it as its own section, so the context survives encode/decode —
+#: including each inner message of a ``net_batch`` envelope.
 TRACE_KEY = "_trace"
 
 

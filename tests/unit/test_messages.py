@@ -61,11 +61,15 @@ class TestWireCoding:
         with pytest.raises(TransportError):
             decode_message(b"not json")
         with pytest.raises(TransportError):
-            decode_message(b'{"kind": "x"}')  # missing fields
+            decode_message(b'{"kind": "x"}')  # JSON is not the wire format
+        with pytest.raises(TransportError):
+            decode_message(b"")
 
     @pytest.mark.parametrize("data", [b"[1]", b"5", b"null", b'"x"'])
     def test_valid_json_that_is_not_an_object(self, data):
-        # Any of these used to escape as a TypeError, which the UDP receive
-        # loop does not catch.
+        # A JSON body must be an object; any other JSON value used to
+        # escape as a TypeError, which the UDP receive loop does not catch.
+        empty = encode_message(Message(kind="x", source=1, destination=2))
+        assert empty.endswith(b"{}")
         with pytest.raises(TransportError, match="not an object"):
-            decode_message(data)
+            decode_message(empty[:-2] + data)

@@ -8,6 +8,7 @@ and transport-level teardown (unregister cancels pending calls).
 """
 
 import math
+import threading
 
 import pytest
 
@@ -26,8 +27,9 @@ from repro.net import (
     is_error_reply,
 )
 from repro.sim.inproc import InprocTransport
-from repro.sim.messages import Message
+from repro.sim.messages import MAX_DATAGRAM, Message
 from repro.sim.simnet import SimTransport
+from repro.sim.udprpc import UdpRpcTransport
 from repro.util.rng import ensure_rng
 
 
@@ -459,6 +461,37 @@ class TestBatcher:
         assert len(delivered) == 1
         batcher.enqueue(self._push(2))
         assert len(delivered) == 2  # sent immediately after close
+
+    def test_queue_over_the_datagram_budget_splits_and_all_arrive(self):
+        # 3 000 pushes (a 44-byte layout each, plus a 4-byte frame length)
+        # outgrow one 65 000-byte datagram. Over UDP an oversize envelope
+        # raised inside the flush timer and the whole queue was lost.
+        with UdpRpcTransport() as transport:
+            delivered: list[int] = []
+            done = threading.Event()
+
+            def on_push(message: Message) -> None:
+                delivered.append(message.payload["key"])
+                if len(delivered) == 3000:
+                    done.set()
+
+            upcalls = UpcallRegistry()
+            upcalls["agg_push"] = on_push
+            install_batch_unwrapper(upcalls, lambda m: upcalls.dispatch(m))
+            transport.register(5, upcalls.dispatch)
+            transport.register(1, lambda m: None)
+            envelopes: list[int] = []
+            send = transport.send
+            transport.send = lambda m: envelopes.append(m.encoded_size()) or send(m)  # type: ignore[method-assign]
+            batcher = Batcher(transport, 0.05)
+            for key in range(3000):
+                batcher.enqueue(
+                    Message(kind="agg_push", source=1, destination=5,
+                            payload={"key": key, "state": 1.0})
+                )
+            assert done.wait(5.0)
+        assert delivered == list(range(3000))
+        assert len(envelopes) == 3 and max(envelopes) <= MAX_DATAGRAM
 
     def test_envelope_kind_on_wire(self):
         transport = InprocTransport()

@@ -1,13 +1,14 @@
-"""Slab protocol runner — wire-size arithmetic and batch mechanics.
+"""Slab protocol runner — wire sizes and batch mechanics.
 
-The slab path never JSON-encodes a message, yet claims byte-exact traffic
+The slab path never encodes a message, yet claims byte-exact traffic
 accounting: every row of a :class:`~repro.sim.messages.MessageBatch` must
 carry exactly the size its materialized scalar
-:class:`~repro.sim.messages.Message` would put on the wire. These tests
-capture the batches a run emits and compare row sizes against
-``message(i).encoded_size()`` for every aggregate, which pins the whole
-arithmetic chain (envelope overhead, digit counts, float numeral lengths,
-tuple-state overhead). Full slab-vs-oracle protocol equivalence lives in
+:class:`~repro.sim.messages.Message` would put on the wire. An ``agg_push``
+layout has no variable part for a given aggregate, so a run builds one
+read-only size column and sends it every round; these tests capture the
+batches a run emits and compare row sizes against
+``message(i).encoded_size()`` for every aggregate and any readings. Full
+slab-vs-oracle protocol equivalence lives in
 ``tests/property/test_prop_protocol.py``.
 """
 
@@ -19,10 +20,9 @@ import pytest
 from repro.chord.block import ChordNodeBlock
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
-from repro.core import slab
 from repro.core.slab import SLAB_AGGREGATES, SlabContinuousRun, run_protocol_slab
 from repro.errors import AggregationError, IdentifierError
-from repro.sim.messages import reset_msg_ids
+from repro.sim.messages import Message, reset_msg_ids
 from repro.sim.simnet import SimTransport
 from tests.oracles import run_protocol_oracle
 
@@ -48,12 +48,11 @@ class TestBatchWireSizes:
     @pytest.mark.parametrize("aggregate", SLAB_AGGREGATES)
     @pytest.mark.parametrize("scheme", ["basic", "balanced"])
     def test_sizes_equal_materialized_encoded_size(self, aggregate, scheme):
-        # A round keeps each row's size and measures only the rows whose
-        # state changed, so readings are rewritten between rounds: signed
-        # zeros (same value, one byte apart on the wire), a NaN and
+        # Every round sends the one size column built with the run, so
+        # readings are rewritten between rounds: signed zeros, a NaN and
         # fractional values, each held long enough for some states to
-        # repeat and others to change. Id blocks start just below 100 and
-        # 10 000 and cross those powers of ten.
+        # repeat and others to change; none may move a row's size. Id
+        # blocks start at several points of the msg_id sequence.
         ring = build_ring(40)
         rng = np.random.default_rng(8)
         signed = np.where(np.arange(40) % 2 == 0, 0.0, -0.0)
@@ -84,6 +83,8 @@ class TestBatchWireSizes:
             run.stop()
             assert len(captured) == 3 * len(readings)
             assert captured[0].msg_id_start == first_id
+            assert all(batch.sizes is run._sizes for batch in captured)
+            assert not run._sizes.flags.writeable
             for batch in captured:
                 for i in range(len(batch)):
                     message = batch.message(i)
@@ -96,9 +97,8 @@ class TestBatchWireSizes:
                     )
 
     @pytest.mark.parametrize("aggregate", ["min", "max"])
-    def test_infinite_state_is_sized_as_json_writes_it(self, aggregate):
-        # An unbounded reading travels as ``Infinity`` / ``-Infinity`` (8 / 9
-        # bytes), not as ``repr``'s ``inf`` / ``-inf``.
+    def test_infinite_state_is_sized_like_a_finite_one(self, aggregate):
+        # An unbounded reading is an f64 like any other.
         reset_msg_ids()
         transport = SimTransport()
         captured = capture_batches(transport)
@@ -125,41 +125,41 @@ class TestBatchWireSizes:
 
 
 class TestRemeasuredRows:
-    """A round measures the wire size of only the rows whose state changed.
-
-    Counted through the float-numeral kernel, the one call a round makes
-    per measured ``sum`` state: the rows it is handed are the rows that
-    round measured.
-    """
+    """No round measures a wire size: the run measured one probe push when
+    it was built. What a changed reading moves is the pushed states, one
+    row per round up its path to the root."""
 
     def test_steady_rounds_measure_nothing_and_a_change_its_path(self, monkeypatch):
         block = ChordNodeBlock.from_ring(build_ring(64, seed=5))
         transport = SimTransport()
         captured = capture_batches(transport)
         run = SlabContinuousRun(block, transport, 0x77, "sum", np.arange(1.0, 65.0))
-        measured: list[float] = []
-        kernel = slab.float_repr_lengths
+        measured = []
+        monkeypatch.setattr(
+            Message, "encoded_size", lambda message: measured.append(message) or 0
+        )
 
-        def spy(values):
-            measured.extend(np.asarray(values).tolist())
-            return kernel(values)
-
-        monkeypatch.setattr(slab, "float_repr_lengths", spy)
-
-        def measured_per_round(rounds):
+        def changed_per_round(rounds):
+            """The push rows whose state differs, bit for bit, from what
+            the round before sent (every row in the first round)."""
             per_round = []
             for _ in range(rounds):
-                measured.clear()
+                before = captured[-1].payload_columns["state0"] if captured else None
                 transport.run(until=run.rounds_run + 1.5)
-                per_round.append(list(measured))
+                states = captured[-1].payload_columns["state0"]
+                if before is None:
+                    per_round.append(list(range(len(states))))
+                else:
+                    differ = states.view(np.int64) != before.view(np.int64)
+                    per_round.append(np.flatnonzero(differ).tolist())
             return per_round
 
         run.start()
-        first = measured_per_round(1)
-        assert len(first[0]) == len(run.push_rows)  # nothing to compare with yet
-        measured_per_round(20)
+        first = changed_per_round(1)
+        assert len(first[0]) == len(run.push_rows)
+        changed_per_round(20)
         assert run.estimate == float(np.arange(1.0, 65.0).sum())
-        assert measured_per_round(4) == [[]] * 4
+        assert changed_per_round(4) == [[]] * 4
 
         # The deepest push row: its path to the root, one push row per hop.
         row_of = {int(node): row for row, node in enumerate(run.push_rows)}
@@ -172,36 +172,25 @@ class TestRemeasuredRows:
         path = max(paths, key=len)
         assert len(path) >= 3
         run.values[run.push_rows[path[0]]] += 1000.0
-        changed = measured_per_round(len(path) + 3)
+        changed = changed_per_round(len(path) + 3)
         assert run.estimate == float(np.arange(1.0, 65.0).sum()) + 1000.0
-        # One row per round, hop by hop up the path, then nothing again:
-        # each the state that row now pushes.
-        states = captured[-1].payload_columns["state0"]
-        assert changed == [[float(states[row])] for row in path] + [[]] * 3
+        # One row per round, hop by hop up the path, then nothing again.
+        assert changed == [[row] for row in path] + [[]] * 3
 
         # A converged round re-sends what it sent unless a reading moved bit
-        # for bit: 0.0 -> -0.0 is the same value, one byte longer on the
-        # wire. The deepest row is a leaf, so only its own state changes.
+        # for bit: 0.0 -> -0.0 is the same value and the same size. The
+        # deepest row is a leaf, so only its own state changes.
         leaf = path[0]
         total = run.estimate - float(run.values[run.push_rows[leaf]])
         run.values[run.push_rows[leaf]] = 0.0
-        measured_per_round(len(path) + 3)
+        changed_per_round(len(path) + 3)
         assert run.estimate == total
-        assert measured_per_round(2) == [[]] * 2
         run.values[run.push_rows[leaf]] = -0.0
-        changed = measured_per_round(3)
-        assert changed == [[0.0], [], []]
-        assert np.signbit(changed[0][0])
+        assert changed_per_round(3) == [[leaf], [], []]
+        assert np.signbit(captured[-3].payload_columns["state0"][leaf])
         assert run.estimate == total
-        batch = captured[-3]  # the round that measured the leaf again
-        assert np.signbit(batch.payload_columns["state0"][leaf])
-        assert int(batch.sizes[leaf]) == batch.message(leaf).encoded_size()
-        # One byte more than the round before, apart from the msg_id numeral.
-        before = captured[-4]
-        id_digits = len(str(batch.msg_id_start + leaf)) - len(
-            str(before.msg_id_start + leaf)
-        )
-        assert int(batch.sizes[leaf]) - int(before.sizes[leaf]) == 1 + id_digits
+        assert measured == []
+        assert all(batch.sizes is captured[0].sizes for batch in captured)
 
 
 class TestConvergedRounds:
@@ -371,9 +360,10 @@ class TestRoundCost:
     at n = 16384. Per-message work on any layer costs at least n of one or
     the other — a ``repr`` per state is a call, a dict update per sender in
     a ``for`` loop is a line. Measured with numpy 2.4 (whose own Python
-    wrappers are in the count): 128 calls / 320 lines for ``sum``, 157 /
-    365 for ``avg``, 127 / 307 for ``count``; the bounds leave a quarter
-    on top for another numpy's wrappers. Of the ``ufunc.at`` scatters only
+    wrappers are in the count): 90 calls / 253 lines for ``sum``, 98 / 266
+    for ``avg``, 89 / 252 for ``count`` (128 / 320, 157 / 365 and 127 / 307
+    while rounds measured changed rows' JSON sizes); the bounds were set a
+    quarter above the latter for another numpy's wrappers. Of the ``ufunc.at`` scatters only
     the merge's are left: the hotspot ledger's are deferred to its reads.
 
     Once converged (the root exact, two more rounds delivered), a round

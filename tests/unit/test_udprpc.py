@@ -351,9 +351,28 @@ class TestDropCounters:
             stray.sendto(data, transport.address_of(node))
 
     def test_malformed(self, tel, pair):
-        self._stray(pair, b"\xffnot json", 2)
+        self._stray(pair, b"\xffnot a wire message", 2)
         self._exchange(pair)
         assert self._dropped(tel) == {"malformed": 1.0}
+
+    def test_every_malformed_datagram_is_counted(self, tel, pair):
+        push = encode_message(Message("agg_push", 1, 2, {"key": 3, "state": 2.5}))
+        collect = encode_message(Message(
+            "agg_collect", 1, 2, {"key": 3, "root": 4, "round_id": 5, "aggregate": "sum"}
+        ))
+        malformed = [
+            push[:-1],  # truncated
+            push + b"\x00",  # trailing bytes
+            b"\x09" + push[1:],  # unknown version
+            push[:1] + b"\xc8" + push[2:],  # unknown layout code
+            push[:35] + b"\x07" + push[36:],  # bad state tag
+            collect[:-3] + b"\xff" + collect[-2:],  # invalid UTF-8
+            collect[:51] + b"\xff\x00" + collect[53:],  # a length past the end
+        ]
+        for data in malformed:
+            self._stray(pair, data, 2)
+        self._exchange(pair)
+        assert self._dropped(tel) == {"malformed": float(len(malformed))}
 
     def test_misaddressed(self, tel, pair):
         stray = Message(kind="stray", source=3, destination=999)
