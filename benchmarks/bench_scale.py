@@ -59,6 +59,8 @@ from typing import Any
 import repro
 
 from repro import telemetry
+from repro.chord.idgen import make_assigner
+from repro.chord.idspace import IdSpace
 from repro.experiments.scale import (
     PROTOCOL_SIZES,
     SCALE_SIZES,
@@ -148,6 +150,10 @@ def _statistics_row(
     row: dict[str, object] = dict(point.as_row())
     row["seconds"] = round(elapsed, 3)
     row["peak_rss_mb"] = round(_peak_rss_mb(), 1)  # before the oracle's object webs
+    # Ring generation on its own, after the row's own time and peak RSS.
+    start = time.perf_counter()
+    make_assigner(id_strategy).build_ring(IdSpace(BITS), n_nodes, rng=seed)
+    row["ring_seconds"] = round(time.perf_counter() - start, 3)
     if n_nodes <= oracle_max:
         oracle = scale_point_oracle(
             n_nodes, bits=BITS, seed=seed, id_strategy=id_strategy
@@ -306,7 +312,7 @@ def write_result(
 def _format(payload: dict[str, object]) -> str:
     lines = ["Scale sweep — fig-7/8 statistics on the array-native pipeline"]
     lines.append(
-        f"{'n':>7} {'sec':>8} {'rss_mb':>8} {'b_max':>6} {'b_h':>4} "
+        f"{'n':>7} {'sec':>8} {'ring_s':>7} {'rss_mb':>8} {'b_max':>6} {'b_h':>4} "
         f"{'bal_max':>8} {'bal_h':>6} {'imb_c':>10} {'imb_b':>7} "
         f"{'imb_bal':>8} {'oracle':>7}"
     )
@@ -317,7 +323,8 @@ def _format(payload: dict[str, object]) -> str:
             else ("DIFF" if row["oracle_checked"] else "-")
         )
         lines.append(
-            f"{row['n']:>7} {row['seconds']:>8} {row['peak_rss_mb']:>8} "
+            f"{row['n']:>7} {row['seconds']:>8} {row['ring_seconds']:>7} "
+            f"{row['peak_rss_mb']:>8} "
             f"{row['basic_max_branching']:>6} {row['basic_height']:>4} "
             f"{row['balanced_max_branching']:>8} {row['balanced_height']:>6} "
             f"{row['centralized_imbalance']:>10.1f} "

@@ -115,15 +115,17 @@ class UniformIdAssigner(IdAssigner):
 class ProbingIdAssigner(IdAssigner):
     """Incremental joins with identifier probing (Sec. 3.5).
 
-    Each join probes ``ceil(probe_multiplier * log2(n))`` neighbors of a
-    random point and splits the largest owned interval among them.
+    The join into a ring of ``k`` members probes
+    ``ceil(probe_multiplier * ceil_log2(k))`` neighbors of a random point
+    (the count moves only past powers of two) and splits the largest owned
+    interval among them.
 
     Built through :func:`repro.chord.ringarray.fast_probing_ids`, which
     replays joining with
-    :func:`~repro.chord.probing.probe_split_identifier` node by node over
-    blocked id and gap lists: it consumes ``rng`` identically, so the
-    membership and the generator's state afterwards are bit-identical (the
-    property suite asserts both).
+    :func:`~repro.chord.probing.probe_split_identifier` node by node, large
+    rings in rounds of independent joins: it consumes ``rng`` identically,
+    so the membership and the generator's state afterwards are
+    bit-identical (the property suite asserts both).
     """
 
     name = "probing"

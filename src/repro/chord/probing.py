@@ -29,7 +29,11 @@ __all__ = ["probe_neighbors", "probe_split_identifier", "default_probe_count"]
 
 
 def default_probe_count(n_nodes: int, multiplier: float = 2.0) -> int:
-    """Number of neighbors to probe: ``ceil(multiplier * log2(n))``, >= 1."""
+    """Number of neighbors to probe: ``ceil(multiplier * ceil_log2(n))``, >= 1.
+
+    ``n`` is the ring size the join sees, so the count only moves when
+    ``n`` passes a power of two.
+    """
     if n_nodes <= 1:
         return 1
     return max(1, math.ceil(multiplier * ceil_log2(n_nodes)))
@@ -59,7 +63,7 @@ def probe_split_identifier(
     Procedure (Sec. 3.5 / Sec. 4):
 
     1. Draw a random point ``p`` in the identifier space.
-    2. Probe ``ceil(probe_multiplier * log2(n))`` consecutive neighbors of
+    2. Probe ``default_probe_count(n)`` consecutive neighbors of
        ``successor(p)``.
     3. Among the probed nodes, find the one owning the largest interval
        (largest clockwise gap from its predecessor).

@@ -14,10 +14,11 @@ Scalar queries (successor, predecessor, membership, intervals) live on
 The module also hosts :func:`fast_probing_ids`, which
 :class:`~repro.chord.idgen.ProbingIdAssigner` builds every ring with: the
 join-by-join procedure of
-:func:`~repro.chord.probing.probe_split_identifier` over identifiers and
-gaps kept in short parallel blocks. It consumes the RNG identically and
-therefore produces bit-identical rings; the ring-object procedure stays as
-the single-join API and the reference the property suite compares against.
+:func:`~repro.chord.probing.probe_split_identifier`, large rings in rounds
+of joins whose probe windows are disjoint. It consumes the RNG identically
+and therefore produces bit-identical rings; the ring-object procedure stays
+as the single-join API and the reference the property suite compares
+against.
 
 Restriction: identifiers must fit in ``int64``, i.e. ``space.bits <= 62``.
 Wider spaces have the list view only.
@@ -25,7 +26,7 @@ Wider spaces have the list view only.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 import numpy as np
 
@@ -162,12 +163,10 @@ class RingArray:
         return f"RingArray(bits={self.space.bits}, n={len(self)})"
 
 
-#: Most entries an id/gap block of :func:`fast_probing_ids` holds before it
-#: is split in half: a join moves at most 8 KiB of pointers, not n/2 words.
-_BLOCK = 1024
-#: Random points drawn per generator call. Keeps every allocation of ring
-#: generation below glibc's 128 KiB mmap threshold, so a set-up leaves the
-#: allocator as the join-by-join loop left it (docs/PERFORMANCE.md).
+#: Fewest new joins a round of :func:`fast_probing_ids` takes: below it
+#: (about 2.3k members at the default multiplier) joins go one at a time.
+_ROUND_MIN = 32
+#: Random points drawn per generator call.
 _DRAW_CHUNK = 4096
 
 
@@ -186,9 +185,16 @@ def fast_probing_ids(
     Only on the saturation ``RuntimeError``, which is terminal, may the
     generator have advanced further than the reference's.
 
-    Identifiers and each member's predecessor gap live in parallel blocks
-    of at most ``_BLOCK`` entries: a join bisects twice, takes ``max`` and
-    ``index`` of one gap slice and inserts into one short list.
+    Small rings (and spaces wider than ``ARRAY_MAX_BITS``) join one node at
+    a time on sorted ``ids``/``gaps`` lists. From ``_ROUND_MIN`` joins per
+    round on, each round probes the pending joins at once and applies
+    every join whose probe window ``[s, s + probes)`` is disjoint from the
+    windows of all earlier pending joins; the rest wait for the next round.
+    Such a join reads and writes only its window, and a window only
+    shrinks as members arrive, so it gets the answer it gets in sequence.
+    A window whose largest gap is below 2 would redraw points and shift
+    every later join's: the rounds then give up and the ring is replayed
+    join by join from the generator's state on entry.
     """
     if n_nodes < 0:
         raise ValueError(f"n_nodes must be non-negative, got {n_nodes}")
@@ -199,81 +205,120 @@ def fast_probing_ids(
     # Imported here: probing imports the ring module, which imports us.
     from repro.chord.probing import default_probe_count
 
-    generator = ensure_rng(rng)
-    size, mask = space.size, space.max_id
-    draws: list[int] = []  # drawn, unconsumed random points, last one first
-
-    def draw(k: int) -> int:
-        # Every remaining join consumes at least one point, in order, so a
-        # chunk never draws past where the join-by-join reference stops.
-        if not draws:
-            chunk = min(n_nodes - k, _DRAW_CHUNK)
-            draws.extend(generator.integers(0, size, size=chunk).tolist()[::-1])
-        return draws.pop()
-
     if n_nodes == 0:
         return []
-    first = draw(0)  # the first node owns the whole space
-    id_blocks = [[first]]
-    gap_blocks = [[size]]  # gap_blocks[b][o]: gap before id_blocks[b][o]
-    heads = [first]  # heads[b] == id_blocks[b][0]
+    generator = ensure_rng(rng)
+    entry_state = generator.bit_generator.state
+    size, mask = space.size, space.max_id
+    chunk: list[int] = []  # drawn points, the first ``used`` consumed
+    used = 0
 
-    def successor_slot(point: int) -> tuple[int, int]:
-        b = max(bisect_right(heads, point) - 1, 0)
-        o = bisect_left(id_blocks[b], point)
-        if o == len(id_blocks[b]):
-            return (b + 1) % len(heads), 0
-        return b, o
+    def draw(k: int, most: int = 1) -> list[int]:
+        """Up to ``most`` next points for join ``k`` on, from one chunk."""
+        # Every remaining join consumes at least one point, in order, so a
+        # chunk never draws past where the join-by-join reference stops.
+        nonlocal chunk, used
+        if used == len(chunk):
+            chunk = generator.integers(0, size, size=min(n_nodes - k, _DRAW_CHUNK)).tolist()
+            used = 0
+        got = chunk[used : used + most]
+        used += len(got)
+        return got
 
-    count = count_valid_to = 0
-    for k in range(1, n_nodes):
-        if k > count_valid_to:  # ceil(log2 k) only moves past a power of two
-            count = default_probe_count(k, probe_multiplier)
-            count_valid_to = next_power_of_two(k)
-        probes = count if count < k else k
-        b, o = successor_slot(draw(k))
-        window = gap_blocks[b][o : o + probes]
-        stitch = b
-        while len(window) < probes:  # across block ends, cyclically
-            stitch = (stitch + 1) % len(heads)
-            window += gap_blocks[stitch][: probes - len(window)]
-        # max() and index() keep the first strictly-greatest gap, clockwise
-        # from successor(point) — the reference's tie-breaking.
-        gap = max(window)
-        if gap >= 2:
-            o += window.index(gap)
-            while o >= len(id_blocks[b]):
-                o -= len(id_blocks[b])
-                b = (b + 1) % len(heads)
-            owner = id_blocks[b][o]
-            new_gap = gap // 2
-            new_id = (owner - gap + new_gap) & mask
-        else:
-            # Space is locally saturated; retry with fresh random points.
-            for _ in range(64):
-                new_id = draw(k)
-                b, o = successor_slot(new_id)
-                owner = id_blocks[b][o]
-                if owner != new_id:
-                    break
+    rounds = space.bits <= ARRAY_MAX_BITS
+    while True:  # at most twice: saturated rounds replay join by join
+        ids, gaps = draw(0), [size]  # the first node owns the space
+        k = count = count_valid_to = 0
+        for k in range(1, n_nodes):
+            if k > count_valid_to:  # ceil(log2 k) only moves past a power of two
+                count = default_probe_count(k, probe_multiplier)
+                count_valid_to = next_power_of_two(k)
+            if rounds and k // (3 * count) >= _ROUND_MIN:
+                break
+            probes = count if count < k else k
+            s = bisect_left(ids, draw(k)[0]) % k  # successor(point)
+            window = gaps[s : s + probes]
+            if len(window) < probes:  # past the top of the ring
+                window += gaps[: probes - len(window)]
+            # max() and index() keep the first strictly-greatest gap, clockwise
+            # from successor(point) — the reference's tie-breaking.
+            gap = max(window)
+            if gap >= 2:
+                o = (s + window.index(gap)) % k
+                owner = ids[o]
+                new_gap = gap // 2
+                new_id = (owner - gap + new_gap) & mask
             else:
-                raise RuntimeError("identifier space saturated; cannot place new node")
-            gap = gap_blocks[b][o]
-            new_gap = gap - ((owner - new_id) & mask)
-        gap_blocks[b][o] = gap - new_gap
-        if new_id > owner:
-            # Only the wrap gap before ids[0], split short of 0: new largest id.
-            b = len(heads) - 1
-            o = len(id_blocks[b])
-        elif o == 0:
-            heads[b] = new_id
-        ids, gaps = id_blocks[b], gap_blocks[b]
-        ids.insert(o, new_id)
-        gaps.insert(o, new_gap)
-        if len(ids) > _BLOCK:
-            half = len(ids) // 2
-            id_blocks.insert(b + 1, ids[half:])
-            gap_blocks.insert(b + 1, gaps[half:])
-            heads.insert(b + 1, ids[half])
-            del ids[half:], gaps[half:]
-    return [ident for ids in id_blocks for ident in ids]
+                # Space is locally saturated; retry with fresh random points.
+                for _ in range(64):
+                    new_id = draw(k)[0]
+                    o = bisect_left(ids, new_id) % k
+                    owner = ids[o]
+                    if owner != new_id:
+                        break
+                else:
+                    raise RuntimeError(
+                        "identifier space saturated; cannot place new node"
+                    )
+                gap = gaps[o]
+                new_gap = gap - ((owner - new_id) & mask)
+            gaps[o] = gap - new_gap
+            # new_id > owner: the wrap gap before ids[0] split short of 0.
+            o = k if new_id > owner else o
+            ids.insert(o, new_id)
+            gaps.insert(o, new_gap)
+        else:
+            return ids
+        # Rows: ids, gaps. A round merges ``now`` and its joins into ``spare``.
+        now, spare = np.empty((2, 2, n_nodes), dtype=np.int64)
+        now[:, :k] = ids, gaps
+        keep = np.empty(n_nodes, dtype=bool)
+        points = np.empty(0, np.int64)  # pending joins' points, in join order
+        m = k  # members
+        while m < n_nodes:
+            if k > count_valid_to and not points.size:  # one probe count a round
+                count = default_probe_count(k, probe_multiplier)
+                count_valid_to = next_power_of_two(k)
+            if k < n_nodes and k <= count_valid_to:
+                fresh = draw(k, min(max(m // (3 * count), 1), count_valid_to + 1 - k))
+                k += len(fresh)
+                points = np.concatenate((points, fresh))
+            ring, ring_gaps = now[0, :m], now[1, :m]
+            order = points.argsort()
+            starts = ring.searchsorted(points[order])  # successor(point); m wraps to 0
+            windows = ring_gaps.take(np.add.outer(starts, np.arange(count)), mode="wrap")
+            first = windows.argmax(axis=1)  # the first largest gap, clockwise
+            best = windows[np.arange(first.size), first]
+            if best.min() < 2:
+                break
+            # Equal-width windows overlap when their starts lie within
+            # ``count`` of each other, cyclically: a join goes ahead when it is
+            # the earliest of the joins whose starts lie that close to its own
+            # (even reduceat outputs are the minima over those [lo, hi) runs).
+            around = np.concatenate((starts - m, starts, starts + m))
+            bounds = around.searchsorted(np.add.outer(starts, (1 - count, count)).ravel())
+            earliest = np.minimum.reduceat(np.concatenate((order, order, order)), bounds)
+            go = earliest[::2] == order
+            wait = np.ones(order.size, dtype=bool)
+            wait[order[go]] = False
+            owners = (starts[go] + first[go]) % m
+            split, owner_ids = best[go], ring[owners]
+            halves = split // 2
+            joined = (owner_ids - split + halves) & mask
+            ring_gaps[owners] = split - halves
+            # A joined id above its owner's: the wrap gap split short of 0.
+            at = np.where(joined > owner_ids, m, owners)
+            rank = at.argsort()
+            slots = at[rank] + np.arange(rank.size)
+            m += rank.size
+            keep[:m] = True
+            keep[slots] = False
+            for row in (0, 1):
+                spare[row, :m][keep[:m]] = now[row, : m - rank.size]
+            spare[:, slots] = joined[rank], halves[rank]
+            now, spare = spare, now
+            points = points[wait]
+        else:
+            return now[0].tolist()
+        generator.bit_generator.state = entry_state
+        chunk, used, rounds = [], 0, False

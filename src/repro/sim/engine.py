@@ -51,7 +51,6 @@ class Event:
     time: float
     sequence: int
     callback: Callable[[], Any]
-    label: str = ""
     cancelled: bool = False
     #: The queue that holds the event while it is live; ``None`` once it
     #: fired or was unlinked. Maintained by :class:`EventQueue` only.
@@ -184,7 +183,6 @@ class TickHook:
     interval: float
     next_due: float
     callback: Callable[[float], Any] = field(compare=False)
-    label: str = ""
     cancelled: bool = False
 
     def cancel(self) -> None:
@@ -253,9 +251,7 @@ class SimulationEngine:
     # Scheduling
     # ------------------------------------------------------------------ #
 
-    def schedule_at(
-        self, time: float, callback: Callable[[], Any], label: str = ""
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time``."""
         # Negated so that NaN, which compares false both ways, is refused.
         if not time >= self._now:
@@ -263,13 +259,11 @@ class SimulationEngine:
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
         self._sequence = sequence = self._sequence + 1
-        event = Event(time, sequence, callback, label)
+        event = Event(time, sequence, callback)
         self._heap.push(event)
         return event
 
-    def schedule(
-        self, delay: float, callback: Callable[[], Any], label: str = ""
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` after ``delay`` units of virtual time.
 
         The per-message path: builds the event and pushes it onto the
@@ -281,7 +275,7 @@ class SimulationEngine:
         time = self._now + delay
         queue = self._heap
         self._sequence = sequence = self._sequence + 1
-        event = Event(time, sequence, callback, label, False, queue)
+        event = Event(time, sequence, callback, False, queue)
         heappush(queue._entries, (time, sequence, event))
         queue._live = live = queue._live + 1
         if live > queue.peak:
@@ -289,7 +283,7 @@ class SimulationEngine:
         return event
 
     def add_tick_hook(
-        self, interval: float, callback: Callable[[float], Any], label: str = ""
+        self, interval: float, callback: Callable[[float], Any]
     ) -> TickHook:
         """Fire ``callback(boundary_time)`` every ``interval`` of virtual time.
 
@@ -302,10 +296,7 @@ class SimulationEngine:
         if not interval > 0:  # NaN included
             raise SimulationError(f"interval must be positive, got {interval}")
         hook = TickHook(
-            interval=interval,
-            next_due=self._now + interval,
-            callback=callback,
-            label=label,
+            interval=interval, next_due=self._now + interval, callback=callback
         )
         self._hooks.append(hook)
         return hook

@@ -116,9 +116,7 @@ class SimTransport(Transport):
                 # Periodic in-run sampling: every window boundary the
                 # engine crosses appends a LoadSample to stats.series,
                 # building the rolling imbalance-factor time series.
-                self.load_sampler = self.engine.add_tick_hook(
-                    window, self.stats.sample, label=f"sample:{hotspot_name}"
-                )
+                self.load_sampler = self.engine.add_tick_hook(window, self.stats.sample)
 
     def now(self) -> float:
         # The engine's clock attribute, not its ``now`` property: this is
@@ -168,7 +166,7 @@ class SimTransport(Transport):
             self._dispatch(message)
 
         delay = self.latency.sample(message.source, message.destination)
-        self.engine.schedule(delay, deliver, label=f"deliver:{message.kind}")
+        self.engine.schedule(delay, deliver)
 
     # ------------------------------------------------------------------ #
     # Batched slab path
@@ -240,9 +238,7 @@ class SimTransport(Transport):
                 groups = _delay_groups(index, delays)
         for delay, rows in groups:
             self.engine.schedule(
-                delay,
-                lambda rows=rows: self._deliver_batch(batch, rows, deliver),
-                label=f"deliver:{batch.kind}:batch",
+                delay, lambda rows=rows: self._deliver_batch(batch, rows, deliver)
             )
 
     def _deliver_batch(
@@ -268,7 +264,7 @@ class SimTransport(Transport):
         deliver(batch, rows)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Callable[[], None]:
-        event = self.engine.schedule(delay, callback, label="timer")
+        event = self.engine.schedule(delay, callback)
         return event.cancel
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:

@@ -141,11 +141,14 @@ def _joined_one_by_one(space, n_nodes, seed, probe_multiplier=2.0):
     return ring.nodes, int(rng.integers(0, 2**62))
 
 
-def _built_at_once(space, n_nodes, seed, probe_multiplier=2.0, block=None, chunk=None):
-    """``fast_probing_ids`` in the same shape, optionally with tiny blocks/chunks."""
+def _built_at_once(
+    space, n_nodes, seed, probe_multiplier=2.0, round_min=None, chunk=None
+):
+    """``fast_probing_ids`` in the same shape, optionally with joins in rounds
+    from ``round_min`` joins a round on and tiny draw chunks."""
     rng = np.random.default_rng(seed)
     with (
-        mock.patch.object(ringarray, "_BLOCK", block or ringarray._BLOCK),
+        mock.patch.object(ringarray, "_ROUND_MIN", round_min or ringarray._ROUND_MIN),
         mock.patch.object(ringarray, "_DRAW_CHUNK", chunk or ringarray._DRAW_CHUNK),
     ):
         try:
@@ -163,7 +166,7 @@ class TestFastProbingIdentity:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_membership_identity(self, n_nodes, bits, seed):
-        # The blocked generator is bit-identical to joining one node at a
+        # The generator is bit-identical to joining one node at a
         # time on a ring object: same RNG consumption (callers keep drawing
         # from the generator afterwards), same tie-breaking.
         space = IdSpace(bits)
@@ -177,19 +180,18 @@ class TestFastProbingIdentity:
         n_nodes=st.integers(min_value=0, max_value=220),
         bits=st.integers(min_value=9, max_value=40),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        block=st.integers(min_value=2, max_value=8),
+        round_min=st.integers(min_value=1, max_value=4),
         chunk=st.integers(min_value=1, max_value=9),
         multiplier=st.sampled_from([0.5, 1.0, 2.0, 2.5]),
     )
     def test_identity_across_block_and_chunk_boundaries(
-        self, n_nodes, bits, seed, block, chunk, multiplier
+        self, n_nodes, bits, seed, round_min, chunk, multiplier
     ):
-        # Tiny blocks: probe windows stitch across many blocks and wrap the
-        # head block, winners sit in another block than successor(point),
-        # blocks split every few joins. Tiny chunks: the draw buffer refills
-        # mid-build.
+        # Rounds from a few joins on: windows wrap past the top of the ring,
+        # neighbouring joins wait a round or several, rounds cross a power
+        # of two. Tiny chunks: the draw buffer refills mid-round.
         space = IdSpace(bits)
-        fast = _built_at_once(space, n_nodes, seed, multiplier, block, chunk)
+        fast = _built_at_once(space, n_nodes, seed, multiplier, round_min, chunk)
         assert fast == _joined_one_by_one(space, n_nodes, seed, multiplier)
 
     @settings(max_examples=60, deadline=None)
@@ -197,18 +199,20 @@ class TestFastProbingIdentity:
         bits=st.integers(min_value=3, max_value=6),
         fill=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        block=st.sampled_from([None, 2, 3, 5, 8]),
+        round_min=st.sampled_from([None, 1, 2, 3]),
         chunk=st.sampled_from([None, 1, 3]),
         multiplier=st.sampled_from([0.5, 2.0]),
     )
     def test_identity_in_nearly_full_spaces(
-        self, bits, fill, seed, block, chunk, multiplier
+        self, bits, fill, seed, round_min, chunk, multiplier
     ):
         # Gaps of 1 take the ``best_gap < 2`` fallback (64 redraws); where the
-        # reference gives up with "saturated", so does the fast routine.
+        # reference gives up with "saturated", so does the fast routine. In
+        # rounds, a window of gaps below 2 restores the generator and replays
+        # the ring join by join.
         space = IdSpace(bits)
         n_nodes = round(fill * space.size)
-        fast = _built_at_once(space, n_nodes, seed, multiplier, block, chunk)
+        fast = _built_at_once(space, n_nodes, seed, multiplier, round_min, chunk)
         assert fast == _joined_one_by_one(space, n_nodes, seed, multiplier)
 
     @pytest.mark.parametrize(
@@ -225,16 +229,36 @@ class TestFastProbingIdentity:
     )
     def test_full_space_cases_an_off_by_one_would_change(self, multiplier, bits, seed):
         space = IdSpace(bits)
-        fast = _built_at_once(space, space.size, seed, multiplier)
-        assert fast == _joined_one_by_one(space, space.size, seed, multiplier)
+        reference = _joined_one_by_one(space, space.size, seed, multiplier)
+        for round_min in (None, 1):
+            fast = _built_at_once(space, space.size, seed, multiplier, round_min)
+            assert fast == reference
 
     def test_fallback_and_saturation_are_reached(self):
         # The property above is vacuous unless both outcomes occur.
         space = IdSpace(6)
-        outcomes = [_built_at_once(space, 64, seed) for seed in range(12)]
-        assert outcomes == [_joined_one_by_one(space, 64, seed) for seed in range(12)]
-        assert _SATURATED in outcomes
-        assert any(outcome != _SATURATED for outcome in outcomes)
+        reference = [_joined_one_by_one(space, 64, seed) for seed in range(12)]
+        for round_min in (None, 1):
+            built = [_built_at_once(space, 64, seed, 2.0, round_min) for seed in range(12)]
+            assert built == reference
+        assert _SATURATED in reference
+        assert any(outcome != _SATURATED for outcome in reference)
+
+    @pytest.mark.parametrize(
+        ("bits", "n_nodes", "multiplier", "replayed"),
+        [(32, 200, 2.0, False), (32, 200, 0.5, False), (5, 30, 0.5, True)],
+    )
+    def test_rounds_and_replay_are_reached(self, bits, n_nodes, multiplier, replayed):
+        # Joins one at a time bisect once each (plus once per redraw); joins in
+        # rounds never do. So a build in rounds bisects fewer times than it
+        # joins, and a build whose rounds saturate and replay more.
+        space = IdSpace(bits)
+        with mock.patch.object(
+            ringarray, "bisect_left", wraps=ringarray.bisect_left
+        ) as bisect:
+            fast = _built_at_once(space, n_nodes, 7, multiplier, round_min=1)
+        assert fast == _joined_one_by_one(space, n_nodes, 7, multiplier)
+        assert (bisect.call_count >= n_nodes) is replayed
 
     def test_wrap_gap_winner_goes_to_tail_or_head(self):
         # Splitting the gap before ids[0] yields the new largest identifier
@@ -244,9 +268,9 @@ class TestFastProbingIdentity:
         seen = set()
         for seed in range(60):
             for n_nodes in range(2, 12):
-                before, _ = _built_at_once(space, n_nodes - 1, seed, block=4)
-                after, _ = _built_at_once(space, n_nodes, seed, block=4)
-                assert after == _joined_one_by_one(space, n_nodes, seed)[0]
+                before, _ = _built_at_once(space, n_nodes - 1, seed, 0.5, 1)
+                after, _ = _built_at_once(space, n_nodes, seed, 0.5, 1)
+                assert after == _joined_one_by_one(space, n_nodes, seed, 0.5)[0]
                 (joined,) = set(after) - set(before)
                 if joined > before[-1]:
                     seen.add("tail")
@@ -259,7 +283,7 @@ class TestFastProbingIdentity:
         assert _built_at_once(space, 2048, 2007) == _joined_one_by_one(space, 2048, 2007)
 
     def test_membership_identity_at_4100(self):
-        # Crosses one full-size block split and one full-size draw chunk.
+        # Joins in rounds from 2304 members on, across one full-size draw chunk.
         space = IdSpace(32)
         assert _built_at_once(space, 4100, 11) == _joined_one_by_one(space, 4100, 11)
 

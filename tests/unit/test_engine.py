@@ -126,7 +126,7 @@ class TestCancellation:
         # loop is ~10k * O(log n); the old path would do ~10^8 scan steps.
         engine = SimulationEngine()
         timers = [
-            engine.schedule(float(i % 97) + 1.0, lambda: None, label=f"t{i}")
+            engine.schedule(float(i % 97) + 1.0, lambda: None)
             for i in range(10_000)
         ]
         survivor = engine.schedule(1000.0, lambda: None)

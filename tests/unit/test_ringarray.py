@@ -221,10 +221,14 @@ class TestFastProbingIds:
             (32, 65536, 2007, "b27ae65c217679e6", 1449900054),
             (32, 4096, 2007, "192421dfdd98bdb1", 399583395),
             (20, 500, 3, "680c9627e175cdcb", 3176560526),
+            # Joins in rounds meet gaps below 2: the ring is replayed join by
+            # join, redraws included.
+            (14, 12000, 2007, "f9974744ba818189", 2538614926),
         ],
     )
     def test_pinned_rings(self, bits, n_nodes, seed, digest, next_draw):
-        # Computed at the commit before the blocked rewrite: every ring, hence
+        # Computed with an earlier generator (the first three before the
+        # blocked rewrite, the 14-bit ring before rounds): every ring, hence
         # every seeded digest in the repo, rests on these staying put — and on
         # the generator being left where the join-by-join loop leaves it.
         rng = np.random.default_rng(seed)
