@@ -28,6 +28,7 @@ from repro.core.builder import (
 from repro.core.aggregates import (
     Aggregate,
     AverageAggregate,
+    ColumnAggregate,
     CountAggregate,
     HistogramAggregate,
     MaxAggregate,
@@ -62,6 +63,7 @@ __all__ = [
     "build_balanced_dat",
     "build_dat",
     "Aggregate",
+    "ColumnAggregate",
     "SumAggregate",
     "CountAggregate",
     "MinAggregate",

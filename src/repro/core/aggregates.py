@@ -8,23 +8,34 @@ commutative — the tree shape and child arrival order must not change the
 result — which the property-based tests assert for every registered
 aggregate.
 
-Built-ins: SUM, COUNT, MIN, MAX, AVG, STD (Chan et al. parallel variance),
-HISTOGRAM (fixed bins), TOP-K. Custom aggregates register via
+A *column aggregate* (:class:`ColumnAggregate`) declares its partial state
+once, as columns: each has a dtype and one elementwise ufunc that merges it
+(``np.add``, ``np.minimum`` or ``np.maximum``). The scalar ``merge`` comes
+from the ufuncs, and the slab (:mod:`repro.core.slab`) runs the same spec
+on arrays through ``lift_columns`` and ``row``.
+
+Built-ins: SUM, COUNT, MIN, MAX, AVG, HISTOGRAM (fixed bins) and QUANTILE
+(over histogram bins) are column aggregates; STD (Chan et al. parallel
+variance) and TOP-K are not. Custom aggregates register via
 :func:`register_aggregate`.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import AggregationError, UnknownAggregateError
 
 __all__ = [
     "Aggregate",
+    "ColumnAggregate",
     "SumAggregate",
     "CountAggregate",
     "MinAggregate",
@@ -82,85 +93,116 @@ class Aggregate(ABC):
         return f"{type(self).__name__}()"
 
 
-class SumAggregate(Aggregate):
-    """Global sum."""
+#: The scalar twin of each column ufunc: what a merge of two rows applies.
+_SCALAR_MERGE = {np.add: operator.add, np.minimum: min, np.maximum: max}
 
-    name = "sum"
+
+class ColumnAggregate(Aggregate):
+    """An aggregate whose partial state is a row of typed columns.
+
+    A subclass declares ``columns``, one ``(dtype, ufunc)`` pair per state
+    column (per instance when its parameters set them), and defines
+    :meth:`lift`, which fixes the state's shape (a number, or a tuple with
+    one entry per column), and :meth:`lift_columns`.
+    """
+
+    columns: tuple[tuple[type, np.ufunc], ...] = ()
+    #: Whether :meth:`lift` reads its reading (count's does not): the slab
+    #: merges again on a changed reading only when it does.
+    lift_reads_value: bool = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if len(cls.columns) == 1 and "merge" not in cls.__dict__:
+            # A number merges with the scalar op itself: no frame per merge.
+            cls.merge = staticmethod(_SCALAR_MERGE[cls.columns[0][1]])  # type: ignore[method-assign]
+
+    @functools.cached_property
+    def _merge_columns(self) -> Callable[[Sequence[Any], Sequence[Any]], Iterator[Any]]:
+        ops = [_SCALAR_MERGE[ufunc] for _dtype, ufunc in self.columns]
+        if len(set(ops)) == 1:  # one map of the shared op, all in C
+            return functools.partial(map, ops[0])
+        return functools.partial(map, lambda op, left, right: op(left, right), ops)
+
+    def merge(self, left: tuple[Any, ...], right: tuple[Any, ...]) -> tuple[Any, ...]:
+        if len(left) != len(right):
+            raise AggregationError(f"{self.name}: state widths {len(left)}, {len(right)}")
+        return tuple(self._merge_columns(left, right))
+
+    @abstractmethod
+    def lift_columns(self, values: np.ndarray) -> list[np.ndarray]:
+        """:meth:`lift` over a vector of readings: fresh state columns, one
+        row per reading, with the declared dtypes."""
+
+    @functools.cached_property
+    def _tuple_state(self) -> bool:
+        return isinstance(self.lift(0.0), tuple)
+
+    def row(self, columns: Sequence[np.ndarray], i: int) -> Any:
+        """Row ``i`` of state ``columns`` in the shape :meth:`lift` gives."""
+        state = tuple(column[i].item() for column in columns)
+        return state if self._tuple_state else state[0]
+
+    def finalize(self, state: Any) -> Any:
+        return state
+
+
+class _ReadingAggregate(ColumnAggregate):
+    """A one-column aggregate whose state is a reading: sum, min, max."""
 
     def lift(self, value: float) -> float:
         return float(value)
 
-    def merge(self, left: float, right: float) -> float:
-        return left + right
-
-    def finalize(self, state: float) -> float:
-        return state
+    def lift_columns(self, values: np.ndarray) -> list[np.ndarray]:
+        return [np.array(values, dtype=np.float64)]
 
 
-class CountAggregate(Aggregate):
+class SumAggregate(_ReadingAggregate):
+    """Global sum."""
+
+    name = "sum"
+    columns = ((np.float64, np.add),)
+
+
+class CountAggregate(ColumnAggregate):
     """Number of contributing nodes (each local reading counts once)."""
 
     name = "count"
+    columns = ((np.int64, np.add),)
+    lift_reads_value = False
 
     def lift(self, value: float) -> int:
         return 1
 
-    def merge(self, left: int, right: int) -> int:
-        return left + right
-
-    def finalize(self, state: int) -> int:
-        return state
+    def lift_columns(self, values: np.ndarray) -> list[np.ndarray]:
+        return [np.ones(len(values), dtype=np.int64)]
 
 
-class MinAggregate(Aggregate):
+class MinAggregate(_ReadingAggregate):
     """Global minimum."""
 
     name = "min"
-
-    def lift(self, value: float) -> float:
-        return float(value)
-
-    def merge(self, left: float, right: float) -> float:
-        return min(left, right)
-
-    def finalize(self, state: float) -> float:
-        return state
+    columns = ((np.float64, np.minimum),)
 
 
-class MaxAggregate(Aggregate):
+class MaxAggregate(_ReadingAggregate):
     """Global maximum."""
 
     name = "max"
-
-    def lift(self, value: float) -> float:
-        return float(value)
-
-    def merge(self, left: float, right: float) -> float:
-        return max(left, right)
-
-    def finalize(self, state: float) -> float:
-        return state
+    columns = ((np.float64, np.maximum),)
 
 
-@dataclass(frozen=True)
-class _MomentState:
-    """(count, mean, M2) running-moment state (Chan et al. 1979)."""
-
-    count: int
-    mean: float
-    m2: float
-
-
-class AverageAggregate(Aggregate):
+class AverageAggregate(ColumnAggregate):
     """Global arithmetic mean, carried as (sum, count)."""
 
     name = "avg"
+    columns = ((np.float64, np.add), (np.int64, np.add))
 
     def lift(self, value: float) -> tuple[float, int]:
         return (float(value), 1)
 
-    def merge(self, left: tuple[float, int], right: tuple[float, int]) -> tuple[float, int]:
-        return (left[0] + right[0], left[1] + right[1])
+    def lift_columns(self, values: np.ndarray) -> list[np.ndarray]:
+        return [np.array(values, dtype=np.float64), np.ones(len(values), dtype=np.int64)]
 
     def finalize(self, state: tuple[float, int]) -> float:
         total, count = state
@@ -170,29 +212,33 @@ class AverageAggregate(Aggregate):
 class StdAggregate(Aggregate):
     """Global population standard deviation via parallel moment merging.
 
-    Uses the numerically stable pairwise update of Chan, Golub & LeVeque —
-    the textbook mergeable form, exact under merge reordering up to
-    floating-point noise.
+    The state ``(count, mean, M2)`` merges by the numerically stable
+    pairwise update of Chan, Golub & LeVeque — exact under reordering up
+    to floating-point noise, and 0 on constant readings, where power sums
+    (an elementwise, column merge) cancel catastrophically.
     """
 
     name = "std"
 
-    def lift(self, value: float) -> _MomentState:
-        return _MomentState(count=1, mean=float(value), m2=0.0)
+    def lift(self, value: float) -> tuple[int, float, float]:
+        return (1, float(value), 0.0)
 
-    def merge(self, left: _MomentState, right: _MomentState) -> _MomentState:
-        count = left.count + right.count
-        delta = right.mean - left.mean
-        mean = left.mean + delta * right.count / count
-        m2 = left.m2 + right.m2 + delta * delta * left.count * right.count / count
-        return _MomentState(count=count, mean=mean, m2=m2)
+    def merge(self, left: tuple[Any, ...], right: tuple[Any, ...]) -> tuple[Any, ...]:
+        (left_count, left_mean, left_m2), (right_count, right_mean, right_m2) = left, right
+        count = left_count + right_count
+        delta = right_mean - left_mean
+        mean = left_mean + delta * right_count / count
+        m2 = left_m2 + right_m2 + delta * delta * left_count * right_count / count
+        return (count, mean, m2)
 
-    def finalize(self, state: _MomentState) -> float:
-        return math.sqrt(state.m2 / state.count)
+    def finalize(self, state: tuple[int, float, float]) -> float:
+        count, _mean, m2 = state
+        return math.sqrt(m2 / count)
 
 
-class HistogramAggregate(Aggregate):
-    """Fixed-bin histogram over a known value domain.
+class HistogramAggregate(ColumnAggregate):
+    """Fixed-bin histogram over a known value domain: one ``int64`` count
+    column per bin.
 
     Values outside ``[low, high)`` clamp into the boundary bins — live
     sensors drift slightly past nominal bounds and a dropped reading would
@@ -203,12 +249,13 @@ class HistogramAggregate(Aggregate):
 
     def __init__(self, low: float, high: float, n_bins: int = 10) -> None:
         if not high > low:
-            raise ValueError(f"histogram domain requires high > low, got [{low}, {high}]")
+            raise ValueError(f"{self.name} domain requires high > low, got [{low}, {high}]")
         if n_bins <= 0:
             raise ValueError(f"n_bins must be positive, got {n_bins}")
         self.low = float(low)
         self.high = float(high)
         self.n_bins = int(n_bins)
+        self.columns = ((np.int64, np.add),) * self.n_bins
 
     def bin_index(self, value: float) -> int:
         """Bin index of one value (clamped into range)."""
@@ -224,15 +271,17 @@ class HistogramAggregate(Aggregate):
         counts[self.bin_index(float(value))] = 1
         return tuple(counts)
 
-    def merge(self, left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-        if len(left) != len(right):
-            raise AggregationError(
-                f"histogram states of unequal width: {len(left)} vs {len(right)}"
-            )
-        return tuple(a + b for a, b in zip(left, right))
-
-    def finalize(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        return state
+    def lift_columns(self, values: np.ndarray) -> list[np.ndarray]:
+        values = np.asarray(values, dtype=np.float64)
+        if np.isnan(values).any():
+            raise ValueError("cannot bin a NaN reading")
+        # Clipped to the domain, an out-of-range reading lands in its
+        # boundary bin (high: fraction 1.0, then the last bin), and an
+        # in-range one takes bin_index's very float operations.
+        clipped = np.clip(values, self.low, self.high)
+        fraction = (clipped - self.low) / (self.high - self.low)
+        index = np.minimum((fraction * self.n_bins).astype(np.int64), self.n_bins - 1)
+        return [(index == b).astype(np.int64) for b in range(self.n_bins)]
 
     def bin_edges(self) -> list[float]:
         """The ``n_bins + 1`` bin boundary values."""
@@ -240,7 +289,7 @@ class HistogramAggregate(Aggregate):
         return [self.low + i * width for i in range(self.n_bins + 1)]
 
 
-class QuantileAggregate(Aggregate):
+class QuantileAggregate(HistogramAggregate):
     """Approximate quantile over a known value domain, via a fixed grid.
 
     The state is a histogram over ``n_bins`` equal-width bins; the quantile
@@ -257,21 +306,8 @@ class QuantileAggregate(Aggregate):
                  n_bins: int = 100) -> None:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {q}")
-        if not high > low:
-            raise ValueError(f"quantile domain requires high > low, got [{low}, {high}]")
-        if n_bins <= 0:
-            raise ValueError(f"n_bins must be positive, got {n_bins}")
+        super().__init__(low, high, n_bins)
         self.q = float(q)
-        self.low = float(low)
-        self.high = float(high)
-        self.n_bins = int(n_bins)
-        self._hist = HistogramAggregate(low=low, high=high, n_bins=n_bins)
-
-    def lift(self, value: float) -> tuple[int, ...]:
-        return self._hist.lift(value)
-
-    def merge(self, left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-        return self._hist.merge(left, right)
 
     def finalize(self, state: tuple[int, ...]) -> float:
         total = sum(state)

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # runtime import would cycle: broadcast uses core.tree
 
 from repro import telemetry
 from repro.core.aggregates import Aggregate, get_aggregate
-from repro.core.service import DatNodeService, _decode_state, _encode_state
+from repro.core.service import DatNodeService, _decode_state
 from repro.errors import AggregationError
 from repro.sim.messages import Message
 from repro.telemetry.spans import SpanBase
@@ -197,7 +197,7 @@ class GatherCollector:
                         destination=parent,
                         payload={
                             "round_id": round_id,
-                            "state": _encode_state(merged),
+                            "state": merged,
                         },
                     )
                 )
@@ -215,9 +215,7 @@ class GatherCollector:
         round_state = self._rounds.get(round_id)
         if round_state is None:
             return None  # round over or never seen (late broadcast)
-        round_state.child_states[message.source] = _decode_state(
-            message.payload["state"], round_state.aggregate
-        )
+        round_state.child_states[message.source] = _decode_state(message.payload["state"])
         return None
 
 

@@ -121,7 +121,7 @@ class _ContinuousState:
 
     def record(self, push: Message, now: float) -> None:
         """Cache ``push``'s partial state as its sender's freshest entry."""
-        entry = (now, _decode_state(push.payload["state"], self.aggregate))
+        entry = (now, _decode_state(push.payload["state"]))
         children = self.child_states
         if push.source in children:
             children[push.source] = entry
@@ -378,7 +378,7 @@ class DatNodeService:
             kind="agg_push",
             source=self.host.ident,
             destination=parent,
-            payload={"key": key, "state": _encode_state(merged)},
+            payload={"key": key, "state": merged},
         )
         if telemetry.tracing_enabled():
             # Each push roots its own trace — even under an ambient
@@ -471,9 +471,7 @@ class DatNodeService:
             state.done = True
             for child in sorted(replies):
                 reply = replies[child]
-                state.states.append(
-                    _decode_state(reply.payload["state"], state.aggregate)
-                )
+                state.states.append(_decode_state(reply.payload["state"]))
                 state.expected.discard(child)
             merged = state.aggregate.merge_all(state.states)
             if state.span is not None:
@@ -537,8 +535,7 @@ class DatNodeService:
 
         def done(replies: dict[int, Message], _failed: list[Message]) -> None:
             states = [local] + [
-                _decode_state(replies[child].payload["state"], aggregate)
-                for child in sorted(replies)
+                _decode_state(replies[child].payload["state"]) for child in sorted(replies)
             ]
             self._complete_collect(message, aggregate, states, key, round_id)
 
@@ -567,7 +564,7 @@ class DatNodeService:
                 kind="agg_partial",
                 key=key,
                 round_id=round_id,
-                state=_encode_state(merged),
+                state=merged,
             ),
         )
 
@@ -576,24 +573,10 @@ class DatNodeService:
 # Partial-state wire coding
 # ---------------------------------------------------------------------- #
 #
-# Built-in aggregate states are numbers, (sum, count) pairs, count tuples,
-# or moment dataclasses. The wire's ``state`` type carries a number or a
-# flat tuple of numbers as it is; the moment state is tagged, and a state in
-# a JSON body (an int beyond 64 bits, a nested tuple) comes back as a list.
-
-from repro.core.aggregates import _MomentState  # noqa: E402  (private by design)
+# Built-in aggregate states are numbers or flat tuples of numbers, which the
+# wire's ``state`` type carries as they are. A state in a JSON body (an int
+# beyond 64 bits, a nested tuple) comes back as a list.
 
 
-def _encode_state(state: Any) -> Any:
-    if isinstance(state, _MomentState):
-        return {"__moment__": [state.count, state.mean, state.m2]}
-    return state
-
-
-def _decode_state(encoded: Any, aggregate: Aggregate) -> Any:
-    if isinstance(encoded, dict) and "__moment__" in encoded:
-        count, mean, m2 = encoded["__moment__"]
-        return _MomentState(count=int(count), mean=float(mean), m2=float(m2))
-    if isinstance(encoded, list):
-        return tuple(encoded)
-    return encoded
+def _decode_state(encoded: Any) -> Any:
+    return tuple(encoded) if isinstance(encoded, list) else encoded

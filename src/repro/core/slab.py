@@ -9,7 +9,7 @@ for every node that pushes), tree structure is the immutable parent array
 derived from one shared :class:`~repro.chord.block.ChordNodeBlock`, and
 each push interval executes as
 
-1. one vectorized merge (local lift + scatter-add of fresh child states,
+1. one vectorized merge (local lift + a scatter of fresh child states,
    in ascending-child order — the exact fold order of the object path),
 2. one :class:`~repro.sim.messages.MessageBatch` through
    :meth:`~repro.sim.simnet.SimTransport.send_batch` (one engine event per
@@ -36,8 +36,11 @@ aggregate, with or without message loss, expiry and multi-group delivery
 survived). Asserted in ``tests/property/test_prop_protocol.py`` for both
 schemes.
 
-Supported aggregates: ``sum``, ``count``, ``min``, ``max``, ``avg``.
-The long-tail aggregates (histogram, top-k, std) keep the object path.
+Supported aggregates: every :class:`~repro.core.aggregates.ColumnAggregate`,
+which is every built-in but std and top-k. The slab reads the column spec
+and names no aggregate: the cache takes the declared dtypes, the merge is
+one ``ufunc.at`` per column over ``lift_columns``, and the estimate and a
+materialized push read one ``row``.
 """
 
 from __future__ import annotations
@@ -50,21 +53,16 @@ import numpy as np
 from repro import telemetry
 from repro.chord.block import ChordNodeBlock
 from repro.chord.ring import StaticRing
+from repro.core.aggregates import Aggregate, ColumnAggregate, get_aggregate
 from repro.errors import AggregationError
 from repro.sim.messages import Message, MessageBatch, reserve_msg_ids
 from repro.sim.simnet import SimTransport
 
 __all__ = [
-    "SLAB_AGGREGATES",
     "ProtocolRunResult",
     "SlabContinuousRun",
     "run_protocol_slab",
 ]
-
-#: Aggregates the slab path supports (partial state fits in 1-2 columns).
-SLAB_AGGREGATES = ("sum", "count", "min", "max", "avg")
-#: The merge of the aggregates that do not add.
-_SCATTER = {"min": np.minimum, "max": np.maximum}
 
 
 def _bits_differ(new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -85,7 +83,7 @@ class ProtocolRunResult:
 
     n_nodes: int
     scheme: str
-    aggregate: str
+    aggregate: ColumnAggregate
     key: int
     root: int
     rounds: int
@@ -124,7 +122,8 @@ class SlabContinuousRun:
         Rendezvous key, in ``[0, 2^bits)``; the owner (``successor(key)``)
         finalizes instead of pushing.
     aggregate:
-        One of :data:`SLAB_AGGREGATES`.
+        A :class:`~repro.core.aggregates.ColumnAggregate`, or the name of a
+        registered one.
     values:
         Local reading per node, aligned with ``block.ids``. Kept as
         :attr:`values` (as float64, uncopied when it already is), which may
@@ -148,16 +147,17 @@ class SlabContinuousRun:
         block: ChordNodeBlock,
         transport: SimTransport,
         key: int,
-        aggregate: str,
+        aggregate: Aggregate | str,
         values: np.ndarray,
         scheme: str = "balanced",
         interval: float = 1.0,
         stale_after: float = 4.0,
     ) -> None:
-        if aggregate not in SLAB_AGGREGATES:
+        agg = get_aggregate(aggregate) if isinstance(aggregate, str) else aggregate
+        if not isinstance(agg, ColumnAggregate):
             raise AggregationError(
-                f"slab path supports {SLAB_AGGREGATES}, got {aggregate!r} "
-                "(use the object path for long-tail aggregates)"
+                f"the slab runs column aggregates only, got {agg.name!r} "
+                "(use the object path)"
             )
         n = len(block)
         if len(values) != n:
@@ -167,7 +167,7 @@ class SlabContinuousRun:
         self.block = block
         self.transport = transport
         self.key = int(key)
-        self.aggregate = aggregate
+        self.aggregate = agg
         self.scheme = scheme
         self.interval = float(interval)
         self.stale_after = float(stale_after)
@@ -203,16 +203,11 @@ class SlabContinuousRun:
         n_push = len(self.push_rows)
         self.cached_at = np.full(n_push, np.nan, dtype=np.float64)
         self._fresh_since: float | None = None
-        self._lift = np.ones(n, dtype=np.int64) if aggregate == "count" else None
-        column_types = {"count": [np.int64], "avg": [np.float64, np.int64]}
-        self.cache = [
-            np.zeros(n_push, dtype=dtype)
-            for dtype in column_types.get(aggregate, [np.float64])
-        ]
-        # The last merge's inputs: a copy of the readings it lifted (count
-        # lifts a constant), its freshness mask (None: every entry fresh),
-        # and whether a delivery has since changed a cached state bit for
-        # bit. While all three hold, a round re-sends ``_sent``.
+        self.cache = [np.zeros(n_push, dtype=dtype) for dtype, _ufunc in agg.columns]
+        # The last merge's inputs: a copy of the readings it lifted (None
+        # when the lift reads none), its freshness mask (None: every entry
+        # fresh), and whether a delivery has since changed a cached state
+        # bit for bit. While all three hold, a round re-sends ``_sent``.
         self._lifted: np.ndarray | None = None
         self._mask: np.ndarray | None = None
         self._cache_moved = True
@@ -225,7 +220,7 @@ class SlabContinuousRun:
         # a probe push with the aggregate's state shape (int64 ids are never
         # wide), so every batch sends one read-only size column.
         self._sent: list[np.ndarray] = []
-        state = (0.0, 0) if aggregate == "avg" else 0.0
+        state = agg.lift(0.0)
         probe = Message("agg_push", 0, 0, {"key": self.key, "state": state}, msg_id=0)
         self._sizes = np.full(n_push, probe.encoded_size(), dtype=np.int64)
         self._sizes.flags.writeable = False
@@ -256,7 +251,8 @@ class SlabContinuousRun:
 
     def _inputs_moved(self, mask: np.ndarray | None) -> bool:
         """Whether this round's merge inputs differ from the last merge's:
-        a cached state, the freshness ``mask`` or (bit for bit) a reading."""
+        a cached state, the freshness ``mask`` or (bit for bit) a reading
+        the lift reads."""
         if self._cache_moved or (mask is None) != (self._mask is None):
             return True
         if mask is not None and (mask != self._mask).any():
@@ -277,28 +273,17 @@ class SlabContinuousRun:
         if mask is not None:
             parent = parent[mask]
             cached = [column[mask] for column in cached]
-        if self._lift is None:
-            self._lifted = self.values.copy()
-            merged = self._lifted.copy()
-        else:
-            merged = self._lift.copy()
-        _SCATTER.get(self.aggregate, np.add).at(merged, parent, cached[0])
-        if self.aggregate != "avg":
-            return [merged]
-        # avg: (sum, count) componentwise
-        counts = np.ones(len(self.block), dtype=np.int64)
-        np.add.at(counts, parent, cached[1])
-        return [merged, counts]
-
-    def _finalize(self, cols: list[np.ndarray], i: int) -> Any:
-        value = cols[0][i].item()  # an int for count, else a float
-        return value / cols[1][i].item() if self.aggregate == "avg" else value
+        self._lifted = self.values.copy() if self.aggregate.lift_reads_value else None
+        merged = self.aggregate.lift_columns(self.values)
+        for (_dtype, ufunc), column, states in zip(self.aggregate.columns, merged, cached):
+            ufunc.at(column, parent, states)
+        return merged
 
     def _merge(self, mask: np.ndarray | None) -> None:
         """Merge and finalize the estimate. The push rows' merged states
         become the columns every round sends until the inputs move."""
         cols = self._merged_columns(mask)
-        self.estimate = self._finalize(cols, self.owner_index)
+        self.estimate = self.aggregate.finalize(self.aggregate.row(cols, self.owner_index))
         states = [col.take(self.push_rows) for col in cols]
         for state in states:
             state.flags.writeable = False
@@ -316,26 +301,20 @@ class SlabContinuousRun:
             return
         telemetry.count("agg_pushes_total", float(n_push))
         msg_id_start = reserve_msg_ids(n_push)
-        state_cols = {f"state{j}": state for j, state in enumerate(self._sent)}
+        # A materialized push reads this round's columns, whatever a later
+        # merge makes ``_sent``.
+        key, row, sent = self.key, self.aggregate.row, self._sent
         batch = MessageBatch(
             kind="agg_push",
             sources=self.source_ids,
             destinations=self.parent_ids,
             sizes=self._sizes,
             msg_id_start=msg_id_start,
-            payload_columns=state_cols,
-            payload_of=lambda i: {
-                "key": self.key,
-                "state": self._encode_row(state_cols, i),
-            },
+            payload_columns={f"state{j}": state for j, state in enumerate(sent)},
+            payload_of=lambda i: {"key": key, "state": row(sent, i)},
         )
         self.transport.send_batch(batch, self._on_deliver)
         self.rounds_run += 1
-
-    def _encode_row(self, state_cols: dict[str, np.ndarray], i: int) -> Any:
-        """One pushed state as the object path sends it (materialization only)."""
-        state = tuple(column[i].item() for column in state_cols.values())
-        return state if self.aggregate == "avg" else state[0]
 
     def _on_deliver(self, batch: MessageBatch, rows: np.ndarray | None) -> None:
         """Fold a delivered batch into the per-child caches.
@@ -399,7 +378,7 @@ class SlabContinuousRun:
         """Bytes of array state this run owns plus what its block holds —
         the protocol-mode memory gate input."""
         arrays = [
-            self.values, self._lift, self._lifted, self._mask, self.cached_at,
+            self.values, self._lifted, self._mask, self.cached_at,
             self.push_rows, self.source_ids, self.parent_ids, self.parent_index,
             self._sizes, *self.cache, *self._sent,
         ]
@@ -412,7 +391,7 @@ def run_protocol_slab(
     ring: StaticRing,
     key: int,
     rounds: int,
-    aggregate: str = "sum",
+    aggregate: Aggregate | str = "sum",
     scheme: str = "balanced",
     values: np.ndarray | None = None,
     interval: float = 1.0,
@@ -446,7 +425,7 @@ def run_protocol_slab(
     return ProtocolRunResult(
         n_nodes=len(block),
         scheme=scheme,
-        aggregate=aggregate,
+        aggregate=run.aggregate,
         key=int(key),
         root=run.root,
         rounds=rounds,

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro import telemetry
 from repro.chord.fastbuild import fast_centralized_load_array, fast_tree_arrays
 from repro.chord.idgen import make_assigner
@@ -178,20 +180,18 @@ class ProtocolScalePoint:
     def from_run(
         cls, result: ProtocolRunResult, id_strategy: str, seed: int
     ) -> "ProtocolScalePoint":
-        """The point one run measured, checked against the all-ones truth."""
+        """The point one run measured, checked against its aggregate of n ones."""
         n_nodes = result.n_nodes
         loads = result.sent + result.received
-        expected: Any = float(n_nodes) if result.aggregate == "sum" else None
-        if result.aggregate == "count":
-            expected = n_nodes
-        elif result.aggregate in ("min", "max", "avg"):
-            expected = 1.0
+        agg, lifted = result.aggregate, result.aggregate.lift_columns(np.ones(n_nodes))
+        cols = [u.reduce(c, keepdims=True) for (_, u), c in zip(agg.columns, lifted)]
+        expected = agg.finalize(agg.row(cols, 0))
         return cls(
             n_nodes=n_nodes,
             id_strategy=id_strategy,
             seed=seed,
             scheme=result.scheme,
-            aggregate=result.aggregate,
+            aggregate=agg.name,
             rounds=result.rounds,
             estimate=result.estimate,
             expected=expected,

@@ -37,6 +37,7 @@ from typing import Any, Sequence
 
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
+from repro.core.aggregates import get_aggregate
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.fleet.plan import Fig9ReplayPlan
 from repro.fleet.replay import Fig9LiveResult
@@ -156,6 +157,7 @@ def run_fig9_sim_twin(
     key = plan.key(space)
     root = ring.successor(key)
     result = Fig9SimResult(root=root, key=key)
+    aggregate = get_aggregate(plan.aggregate)
     n_slots = min(plan.n_slots, traces[0].n_slots)
     for service in services.values():
         service.start_continuous(key, root, plan.aggregate, interval=plan.push_interval)
@@ -164,9 +166,7 @@ def run_fig9_sim_twin(
         cursor["slot"] = slot
         now += plan.slot_duration
         sim.run(until=now)
-        truth = sum(traces[index].at_slot(slot) for index in range(len(ring.nodes)))
-        if plan.aggregate == "avg":
-            truth /= len(ring.nodes)
+        truth = aggregate.aggregate(t.at_slot(slot) for t in traces[:len(ring.nodes)])
         estimate = services[root].root_estimate(key)
         result.actual.append(float(truth))
         result.aggregated.append(float(estimate) if estimate is not None else 0.0)

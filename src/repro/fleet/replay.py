@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.chord.ring import StaticRing
+from repro.core.aggregates import get_aggregate
 from repro.errors import FleetError
 from repro.fleet.plan import ChurnReplayPlan, Fig9ReplayPlan
 from repro.fleet.supervisor import FleetSupervisor
@@ -142,6 +143,7 @@ async def replay_fig9_live(
     key = plan.key(space)
     root = ring.successor(key)
     result = Fig9LiveResult(plan=plan, root=root, key=key)
+    aggregate = get_aggregate(plan.aggregate)
 
     # Same derivation as the agents run locally: index == sorted position.
     traces = TraceGenerator(seed=plan.seed).generate_fleet(
@@ -176,9 +178,7 @@ async def replay_fig9_live(
             await supervisor.broadcast("set_slot", {"slot": slot})
             await asyncio.sleep(plan.slot_duration)
             reading = await supervisor.agents[root].call("read_estimate", {"key": key})
-            truth = sum(traces[index].at_slot(slot) for index in range(len(members)))
-            if plan.aggregate == "avg":
-                truth /= len(members)
+            truth = aggregate.aggregate(t.at_slot(slot) for t in traces[:len(members)])
             result.times.append(slot * traces[0].period)
             result.actual.append(float(truth))
             estimate = reading.get("estimate")

@@ -14,6 +14,7 @@ here too.
 from __future__ import annotations
 
 import re
+import statistics
 import threading
 from collections import Counter
 from pathlib import Path
@@ -81,6 +82,34 @@ def test_overlay_traffic_takes_layouts(json_body, tracing):
         overlay.run(2.0)
     assert {"agg_push", "lookup", "lookup_result", "get_neighbors", "notify",
             "ping", "leave_notice"} <= set(kinds)
+    assert json_body.call_count == 0
+
+
+def test_std_pushes_take_the_push_layout(json_body):
+    # A std state is a plain (count, mean, M2) tuple: the wire's ``state``
+    # type, so a std push is as binary as a sum push (65 bytes here).
+    space = IdSpace(16)
+    transport = SimTransport(latency=ConstantLatency(0.005))
+    sizes: Counter[int] = Counter()
+    send = transport.send
+
+    def sizing_send(message):
+        if message.kind == "agg_push":
+            sizes[message.encoded_size()] += 1
+        send(message)
+
+    transport.send = sizing_send  # type: ignore[method-assign]
+    config = ChordConfig(stabilize_interval=0.25, fix_fingers_interval=0.05)
+    values = {}
+    with DatOverlay(space, transport, config,
+                    value_provider=lambda ident: values.setdefault(ident, ident % 13)
+                    ) as overlay:
+        overlay.boot([(i * space.size) // 8 + 7 for i in range(8)], spacing=0.5)
+        overlay.start_continuous_everywhere(2**15, "std", 0.5)
+        overlay.run(4.0)
+        estimate = overlay.root_estimate(2**15)
+    assert estimate == pytest.approx(statistics.pstdev(values.values()))
+    assert list(sizes) == [65]
     assert json_body.call_count == 0
 
 

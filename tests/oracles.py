@@ -22,6 +22,7 @@ from repro.baselines.centralized import centralized_routed_loads
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
+from repro.core.aggregates import Aggregate, get_aggregate
 from repro.core.analysis import imbalance_factor
 from repro.core.builder import build_balanced_dat, build_basic_dat
 from repro.core.service import DatNodeService, StandaloneDatHost
@@ -35,7 +36,7 @@ def run_protocol_oracle(
     ring: StaticRing,
     key: int,
     rounds: int,
-    aggregate: str = "sum",
+    aggregate: Aggregate | str = "sum",
     scheme: str = "balanced",
     values: np.ndarray | None = None,
     interval: float = 1.0,
@@ -50,6 +51,7 @@ def run_protocol_oracle(
     n <= a few thousand.
     """
     transport = transport if transport is not None else SimTransport()
+    agg = get_aggregate(aggregate) if isinstance(aggregate, str) else aggregate
     space = ring.space
     ids = ring.id_index().ids
     n = len(ids)
@@ -74,7 +76,7 @@ def run_protocol_oracle(
         services.append(service)
     for service in services:
         service.start_continuous(
-            key, root, aggregate, interval, stale_after=stale_after
+            key, root, agg, interval, stale_after=stale_after
         )
     transport.run(until=rounds * interval)
 
@@ -89,7 +91,7 @@ def run_protocol_oracle(
     return ProtocolRunResult(
         n_nodes=n,
         scheme=scheme,
-        aggregate=aggregate,
+        aggregate=agg,
         key=int(key),
         root=int(root),
         rounds=rounds,

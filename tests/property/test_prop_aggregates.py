@@ -6,12 +6,14 @@ and tree-merged results must equal flat aggregation.
 """
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregates import available_aggregates, get_aggregate
+from repro.core.aggregates import ColumnAggregate, available_aggregates, get_aggregate
 
 VALUES = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -115,3 +117,69 @@ class TestSemanticAnchors:
         assert std >= 0
         if len(set(values)) == 1:
             assert std == pytest.approx(0.0, abs=1e-9)
+
+
+def _bits(state):
+    """A state's shape and numbers with their types, floats as IEEE bits
+    (so -0.0 differs from 0.0, and 1 from ``(1,)``)."""
+    numbers = state if isinstance(state, tuple) else (state,)
+    return type(state), [
+        (type(x), struct.pack("<d", x) if type(x) is float else x) for x in numbers
+    ]
+
+
+def _special_readings(agg):
+    """Signed zeros, infinities and, for a binned state, every bin edge, its
+    float neighbours and readings past either end of the domain."""
+    special = [0.0, -0.0, math.inf, -math.inf]
+    for edge in getattr(agg, "bin_edges", lambda: [])():
+        special += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    if hasattr(agg, "low"):
+        special += [agg.low - 1.0, agg.high + 1.0, -agg.high]
+    return special
+
+
+#: Every column aggregate by name, and the one-bin histogram and quantile,
+#: whose one-column state is still the tuple their ``lift`` makes.
+COLUMN_AGGREGATES = {
+    **{
+        name: make(name)
+        for name in available_aggregates()
+        if isinstance(make(name), ColumnAggregate)
+    },
+    "histogram_one_bin": get_aggregate("histogram", low=-10.0, high=10.0, n_bins=1),
+    "quantile_one_bin": get_aggregate("quantile", q=0.9, low=-10.0, high=10.0, n_bins=1),
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_AGGREGATES)
+class TestLiftColumns:
+    """``lift_columns`` is ``lift`` over a vector: row ``i`` of the columns
+    is ``lift(values[i])`` bit for bit, in the declared dtypes."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_rows_equal_scalar_lift(self, name, data):
+        agg = COLUMN_AGGREGATES[name]
+        readings = st.one_of(
+            st.floats(allow_nan=False), st.sampled_from(_special_readings(agg))
+        )
+        values = data.draw(st.lists(readings, min_size=1, max_size=40))
+        array = np.array(values, dtype=np.float64)
+        columns = agg.lift_columns(array)
+        dtypes = [np.dtype(dtype) for dtype, _ufunc in agg.columns]
+        assert [column.dtype for column in columns] == dtypes
+        assert not any(np.shares_memory(column, array) for column in columns)
+        for i, value in enumerate(values):
+            assert _bits(agg.row(columns, i)) == _bits(agg.lift(value)), value
+        if not agg.lift_reads_value:
+            assert len({repr(_bits(agg.lift(value))) for value in values}) == 1
+
+    def test_merge_is_the_columns_ufuncs(self, name):
+        agg = COLUMN_AGGREGATES[name]
+        left = agg.lift_columns(np.array([3.5, -2.0]))
+        right = agg.lift_columns(np.array([1.0, 7.25]))
+        merged = [ufunc(a, b) for (_dtype, ufunc), a, b in zip(agg.columns, left, right)]
+        for i in range(2):
+            scalar = agg.merge(agg.row(left, i), agg.row(right, i))
+            assert _bits(scalar) == _bits(agg.row(merged, i))

@@ -16,7 +16,8 @@ from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordConfig
-from repro.core.slab import SLAB_AGGREGATES, run_protocol_slab
+from repro.core.aggregates import HistogramAggregate, QuantileAggregate
+from repro.core.slab import run_protocol_slab
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.messages import reset_msg_ids
 from repro.sim.simnet import SimTransport
@@ -93,6 +94,24 @@ class TestConvergenceProperties:
 # --------------------------------------------------------------------- #
 
 
+#: Every built-in column aggregate. Readings fall in [-100, 100): the
+#: histogram's clamp its low bin, the quantile's both boundary bins. A
+#: one-bin state is still a tuple, as its ``lift`` makes it.
+COLUMN_AGGREGATES = (
+    "sum", "count", "min", "max", "avg",
+    HistogramAggregate(low=0, high=100, n_bins=10),
+    QuantileAggregate(q=0.7, low=-50, high=50, n_bins=16),
+    HistogramAggregate(low=0, high=100, n_bins=1),
+    QuantileAggregate(q=0.3, low=-50, high=50, n_bins=1),
+)
+
+
+def _aggregate_id(aggregate):
+    if isinstance(aggregate, str):
+        return aggregate
+    return aggregate.name if aggregate.n_bins > 1 else f"{aggregate.name}_one_bin"
+
+
 @st.composite
 def slab_scenarios(draw):
     bits = draw(st.sampled_from([12, 16, 32]))
@@ -103,7 +122,7 @@ def slab_scenarios(draw):
     ring = make_assigner(strategy).build_ring(space, n, rng=seed)
     key = draw(st.integers(min_value=0, max_value=space.max_id))
     scheme = draw(st.sampled_from(["basic", "balanced"]))
-    aggregate = draw(st.sampled_from(SLAB_AGGREGATES))
+    aggregate = draw(st.sampled_from(COLUMN_AGGREGATES))
     values = np.random.default_rng(seed).uniform(-100.0, 100.0, size=n)
     return ring, key, scheme, aggregate, values
 
@@ -168,7 +187,7 @@ def _assert_identical(slab, oracle):
 class TestSlabOracleEquivalence:
     """run_protocol_slab reproduces run_protocol_oracle exactly.
 
-    All five aggregates, both schemes, random non-integer values (float
+    Every column aggregate, both schemes, random non-integer values (float
     merge order matters and must match), loss-free and under loss: the
     object path folds its children in ascending id whichever pushes
     survived, which is the order of the slab's scatter.
@@ -212,6 +231,22 @@ class TestSlabOracleEquivalence:
         _assert_identical(slab, oracle)
         # Every push is accounted at its sender, delivered or not.
         np.testing.assert_array_equal(slab.pushes_sent, slab.sent)
+
+    @pytest.mark.parametrize(
+        "aggregate", COLUMN_AGGREGATES, ids=_aggregate_id
+    )
+    @pytest.mark.parametrize("n_nodes", [64, 300])
+    def test_every_column_aggregate_bit_identical(self, aggregate, n_nodes):
+        # The drawn scenarios sample the aggregates; this runs each one,
+        # loss-free and under loss with split delivery and expiry.
+        ring = make_assigner("probing").build_ring(IdSpace(32), n_nodes, rng=n_nodes)
+        values = np.random.default_rng(n_nodes).uniform(-100.0, 100.0, size=n_nodes)
+        for scheme in ("basic", "balanced"):
+            _assert_identical(*_run_both(ring, 0x5A5A5, scheme, aggregate, values))
+            _assert_identical(*_run_both(
+                ring, 0x5A5A5, scheme, aggregate, values, rounds=10, loss=0.2,
+                latency=_SteppedLatency, stale_after=1.5,
+            ))
 
     def test_unbounded_horizon_folds_only_delivered_entries(self):
         # With no expiry, a child whose first push has not arrived yet is

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.aggregates import (
     AverageAggregate,
+    ColumnAggregate,
     CountAggregate,
     HistogramAggregate,
     MaxAggregate,
@@ -101,6 +103,13 @@ class TestHistogram:
         with pytest.raises(AggregationError):
             hist.merge((1, 2), (1, 2, 3))
 
+    def test_nan_reading_has_no_bin_on_either_lift(self):
+        hist = HistogramAggregate(low=0, high=10, n_bins=5)
+        with pytest.raises(ValueError):
+            hist.lift(math.nan)
+        with pytest.raises(ValueError):
+            hist.lift_columns([1.0, math.nan])
+
     def test_bin_edges(self):
         hist = HistogramAggregate(low=0, high=10, n_bins=5)
         assert hist.bin_edges() == [0, 2, 4, 6, 8, 10]
@@ -180,6 +189,33 @@ class TestTopK:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             TopKAggregate(k=0)
+
+
+class TestDerivedMerge:
+    """A column aggregate's ``merge`` comes from its columns' ufuncs unless
+    the class defines its own."""
+
+    def test_mixed_ufuncs_merge_column_by_column(self):
+        class Span(ColumnAggregate):
+            name = "span"
+            columns = ((np.float64, np.minimum), (np.float64, np.maximum), (np.int64, np.add))
+
+            def lift(self, value):
+                return (float(value), float(value), 1)
+
+            def lift_columns(self, values):
+                return [np.array(values, dtype=np.float64)] * 2 + [np.ones(len(values), np.int64)]
+
+        assert Span().merge((1.0, 2.0, 1), (0.5, 1.5, 2)) == (0.5, 2.0, 3)
+        with pytest.raises(AggregationError):
+            Span().merge((1.0, 2.0, 1), (0.5, 1.5))
+
+    def test_own_merge_is_kept(self):
+        class Clipped(SumAggregate):
+            def merge(self, left, right):
+                return min(left + right, 10.0)
+
+        assert Clipped().merge(7.0, 8.0) == 10.0
 
 
 class TestMergeAll:

@@ -20,11 +20,16 @@ import pytest
 from repro.chord.block import ChordNodeBlock
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
-from repro.core.slab import SLAB_AGGREGATES, SlabContinuousRun, run_protocol_slab
+from repro.core.aggregates import StdAggregate
+from repro.core.slab import SlabContinuousRun, run_protocol_slab
 from repro.errors import AggregationError, IdentifierError
 from repro.sim.messages import Message, reset_msg_ids
 from repro.sim.simnet import SimTransport
 from tests.oracles import run_protocol_oracle
+
+
+#: The built-in column aggregates whose lift takes any reading, a NaN too.
+NUMERIC_AGGREGATES = ("sum", "count", "min", "max", "avg")
 
 
 def build_ring(n, bits=16, seed=3):
@@ -45,7 +50,7 @@ def capture_batches(transport):
 
 
 class TestBatchWireSizes:
-    @pytest.mark.parametrize("aggregate", SLAB_AGGREGATES)
+    @pytest.mark.parametrize("aggregate", NUMERIC_AGGREGATES)
     @pytest.mark.parametrize("scheme", ["basic", "balanced"])
     def test_sizes_equal_materialized_encoded_size(self, aggregate, scheme):
         # Every round sends the one size column built with the run, so
@@ -288,12 +293,12 @@ class TestBatchOwnership:
 
 class TestSlabRunValidation:
     def test_rejects_unsupported_aggregate(self):
+        # Top-k and std merge no column elementwise: the object path's.
         ring = build_ring(8)
         block = ChordNodeBlock.from_ring(ring)
-        with pytest.raises(AggregationError):
-            SlabContinuousRun(
-                block, SimTransport(), 1, "histogram", np.ones(8)
-            )
+        for aggregate in ("topk", StdAggregate()):
+            with pytest.raises(AggregationError):
+                SlabContinuousRun(block, SimTransport(), 1, aggregate, np.ones(8))
 
     def test_rejects_mismatched_values(self):
         ring = build_ring(8)
