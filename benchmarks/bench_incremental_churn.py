@@ -7,7 +7,8 @@ matrix-free (no finger matrix is part of a rebuild any more, so none is
 timed). This benchmark measures both on the same event sequences across
 ring sizes, asserts bit-identity against the rebuild oracle, and records
 the speedup trajectory in
-``benchmarks/results/BENCH_incremental_churn.json``.
+``benchmarks/results/BENCH_incremental_churn.json``, with the finger and
+parent entries each event rewrote (counts: the same on every run).
 
 Runs two ways:
 
@@ -92,8 +93,7 @@ def measure(
     )
     engine.track(key)
     start = time.perf_counter()
-    for kind, ident in events:
-        engine.apply(kind, ident)
+    reports = [engine.apply(kind, ident) for kind, ident in events]
     incremental_us = (time.perf_counter() - start) / len(events) * 1e6
 
     # Oracle bit-identity after the whole replay.
@@ -108,6 +108,12 @@ def measure(
         "full_rebuild_us": round(full_us, 1),
         "incremental_us": round(incremental_us, 1),
         "speedup": round(full_us / incremental_us, 1),
+        "finger_updates_per_event": round(
+            sum(report.finger_updates for report in reports) / len(events), 2
+        ),
+        "parent_updates_per_event": round(
+            sum(report.parent_updates for report in reports) / len(events), 2
+        ),
         "bit_identical": identical,
     }
 
@@ -130,12 +136,14 @@ def _format(payload: dict[str, object]) -> str:
     lines = ["Incremental churn maintenance vs full rebuild (per event)"]
     lines.append(
         f"{'n':>6} {'scheme':>9} {'full_us':>10} {'incr_us':>10} {'speedup':>8}"
+        f" {'fingers':>8} {'parents':>8}"
     )
     for row in payload["results"]:  # type: ignore[union-attr]
         lines.append(
             f"{row['n_nodes']:>6} {row['scheme']:>9} "
             f"{row['full_rebuild_us']:>10} {row['incremental_us']:>10} "
-            f"{row['speedup']:>7}x"
+            f"{row['speedup']:>7}x {row['finger_updates_per_event']:>8} "
+            f"{row['parent_updates_per_event']:>8}"
         )
     return "\n".join(lines)
 

@@ -18,22 +18,28 @@ Which fingers an event rewrites (the interval identity):
    arc of the sorted ring: in expectation ``bits = O(log N)`` owners in
    total, with nothing stored or indexed.
 
-Which parents an event rewrites: the owners above, the joining node, and —
-for the balanced scheme — the nodes whose finger-limit ``g(x)`` shifted when
-the mean gap ``d0 = 2^bits/n`` changed. ``g(x) <= j`` iff
-``x <= 3*2^j - c(n)`` where ``c(n) = ceil(2*2^bits / n)``, so every limiting
-threshold shifts by the *same* offset when ``n`` changes and the flipped
-nodes lie in at most ``bits - 1`` arcs. Root handovers (the event lands on
-``successor(key)``) fall back to a full rebuild of that one tree.
+Which parents an event rewrites (the owner rule): ``v``'s parent is its
+finger in slot ``s = min(floor(log2 x), g(x))``, ``x = cw(v, root)``. An
+owner's rewritten slots are the ``j`` with ``cw(v, q) < 2^j <= cw(v, p)``,
+so ``s`` is one of them on one window of ``x`` (``g(x) <= j`` iff ``x <=
+3*2^j - c(n)``, ``c(n) = ceil(2*2^bits / n)``), worked out once per event;
+there the new parent is the patch's ``new``. ``s`` itself moves for the
+joiner and, in the balanced scheme, for the members whose ``g(x)`` shifted
+with ``n``: every threshold shifts by the *same* offset, so they lie in at
+most ``bits - 1`` arcs. Only these resolve their finger with a bisect. Root
+handovers (the event lands on ``successor(key)``) fall back to a full
+rebuild of that one tree.
 
 Both scans search *thin* arcs, no wider than the mean gap ``2^bits/n``: a
 finger arc is one gap wide, a limit-shift arc ``|c_old - c_new|``, about
 ``2*2^bits/n^2`` identifiers (512 against a gap of 2^20 at n = 4096, bits =
 32: 1 arc in 400 holds a member). One ``bisect_left`` for the low end decides
 such an arc: it is empty unless the member found there is also ``<=`` the
-high end, and only then are the second bisect and the slice paid for.
+high end, and only then are the second bisect and the slice paid for. The
+finger arcs of slots ``2^j <= min(cw(q, p), cw(q', q))`` (``q'`` precedes
+``q``; ~19 of 32 at n = 4096) hold ``q`` alone and are not searched.
 
-Parent selection is the closed-form slot of
+The joiner's and the re-limited members' parent is the closed-form slot of
 :func:`repro.core.limiting.parent_slots` on Python ints, inlined, with the
 root as the bound (``reach = x``), resolved with a single bisect on the
 ring; that module's docstring says why it is inlined here.
@@ -90,20 +96,25 @@ class FingerPatch:
 
 @dataclass(eq=False)
 class _PatchRuns(Sequence[FingerPatch]):
-    """The value of :attr:`RingDelta.patches`: ``owners[i]`` rewrote slot
-    ``slots[i]`` from ``old`` to ``new`` (slots ascend, owners ascend along
-    each arc). A report needs only ``len``; a :class:`FingerPatch` is built
-    when somebody iterates, and ``==`` compares with a tuple."""
+    """The value of :attr:`RingDelta.patches`: ``predecessor`` rewrote the
+    slots below ``prefix``, then ``owners[i]`` rewrote slot ``slots[i]``,
+    each from ``old`` to ``new`` (slots ascend, owners ascend along each
+    arc). A report needs only ``len``; a :class:`FingerPatch` is built when
+    somebody iterates, and ``==`` compares with a tuple."""
 
+    predecessor: int
+    prefix: int
     slots: list[int]
     owners: list[list[int]]
     old: int
     new: int
 
     def __len__(self) -> int:
-        return sum(map(len, self.owners))
+        return self.prefix + sum(map(len, self.owners))
 
     def __iter__(self) -> Iterator[FingerPatch]:
+        for slot in range(self.prefix):
+            yield FingerPatch(self.predecessor, slot, self.old, self.new)
         for slot, owners in zip(self.slots, self.owners):
             for owner in owners:
                 yield FingerPatch(owner, slot, self.old, self.new)
@@ -133,16 +144,16 @@ class RingDelta:
 
 
 def _arc_runs(
-    nodes: list[int], arcs: list[tuple[int, int]]
+    nodes: list[int], arcs: list[tuple[int, int]], start: int = 0
 ) -> tuple[list[int], list[list[int]]]:
-    """Indices of the clockwise closed arcs ``(lo, hi)`` of a sorted ring
-    that hold a member, and each one's members: the module docstring's
-    thin-arc test. ``lo == hi`` is the single-identifier arc; ``lo > hi``
-    wraps past 0 and keeps the general two-slice form. No validation."""
+    """Indices (from ``start``) of the clockwise closed arcs ``(lo, hi)`` of a
+    sorted ring that hold a member, and each one's members: the module
+    docstring's thin-arc test. ``lo == hi`` is the single-identifier arc;
+    ``lo > hi`` wraps past 0 and keeps the general two-slice form."""
     n = len(nodes)
     hits: list[int] = []
     members: list[list[int]] = []
-    for i, (lo, hi) in enumerate(arcs):
+    for i, (lo, hi) in enumerate(arcs, start):
         first = bisect_left(nodes, lo)
         if lo > hi:
             found = nodes[first:] + nodes[: bisect_right(nodes, hi)]
@@ -164,21 +175,25 @@ def _rewritten_fingers(ring: StaticRing, ident: int, join: bool) -> _PatchRuns:
     flips between ``successor(ident)`` and ``ident`` iff ``v + 2^j`` lies in
     ``(q, ident]``, i.e. ``v`` in ``(q - 2^j, ident - 2^j]`` (module
     docstring); the arc is ``cw(q, ident) < 2^bits`` wide, so never empty
-    as an interval and never the whole ring.
+    as an interval and never the whole ring. The slots below ``prefix``
+    hold ``q`` alone (module docstring): one run, searched for nothing.
     """
     nodes = ring.nodes
-    if not nodes:
-        return _PatchRuns([], [], ident, ident)
+    n = len(nodes)
+    if not n:
+        return _PatchRuns(ident, 0, [], [], ident, ident)
     mask = ring.space.max_id
     position = bisect_left(nodes, ident)  # ident is not a member
-    successor = nodes[position] if position < len(nodes) else nodes[0]
-    after_predecessor = nodes[position - 1] + 1  # -1 wraps to the top
+    successor = nodes[position] if position < n else nodes[0]
+    predecessor = nodes[position - 1]  # -1 wraps to the top
+    gap = (predecessor - nodes[(position - 2) % n]) & mask  # 0 if n == 1
+    prefix = min((ident - predecessor) & mask, gap).bit_length()
     arcs = [
-        ((after_predecessor - (1 << slot)) & mask, (ident - (1 << slot)) & mask)
-        for slot in range(ring.space.bits)
+        ((predecessor + 1 - (1 << slot)) & mask, (ident - (1 << slot)) & mask)
+        for slot in range(prefix, ring.space.bits)
     ]
     old, new = (successor, ident) if join else (ident, successor)
-    return _PatchRuns(*_arc_runs(nodes, arcs), old, new)
+    return _PatchRuns(predecessor, prefix, *_arc_runs(nodes, arcs, prefix), old, new)
 
 
 def _limit_shift_spans(
@@ -209,7 +224,8 @@ class DatUpdateReport:
     """What one membership event cost across all tracked trees."""
 
     delta: RingDelta
-    #: key -> number of parent entries recomputed for that tree.
+    #: key -> parent entries the event rewrote in that tree: the owner
+    #: rule's owners, the joiner and the re-limited members (module doc).
     reparented: dict[int, int]
     #: keys whose tree was fully rebuilt (root handover, regrowth from an
     #: empty ring, out-of-band ring mutation).
@@ -224,7 +240,7 @@ class DatUpdateReport:
 
     @property
     def parent_updates(self) -> int:
-        """Parent entries recomputed across all tracked trees."""
+        """Parent entries rewritten across all tracked trees."""
         return sum(self.reparented.values())
 
 
@@ -396,7 +412,7 @@ class DatUpdateEngine:
         self, delta: RingDelta, skip: dict[int, int]
     ) -> dict[int, int | None]:
         """Patch every tracked tree outside ``skip`` in place: key -> parents
-        recomputed, ``None`` where the tree needs a full rebuild. What does
+        rewritten, ``None`` where the tree needs a full rebuild. What does
         not depend on the tree is worked out once, ahead of the loop."""
         if not self._trees:
             return {}  # nothing tracked, or the ring drained away
@@ -404,24 +420,33 @@ class DatUpdateEngine:
         n = len(nodes)
         space = self.ring.space
         mask = space.max_id
+        ident = delta.ident
         leave = delta.kind in LEAVE_KINDS
-        # The owners of rewritten fingers and the joiner; the balanced scheme
-        # adds, per tree, the members whose finger limit shifted with n.
-        owners: set[int] = set() if leave else {delta.ident}
-        owners.update(*delta.patches.owners)
+        patches = delta.patches
         balanced = self.scheme is DatScheme.BALANCED
         spans = _limit_shift_spans(space, delta.n_before, delta.n_after) if balanced else []
-        c_plus_2 = ceil_div(2 * space.size, delta.n_after) + 2
+        c = ceil_div(2 * space.size, delta.n_after)
 
-        # Inlined parent selection, bit-identical to select_parent_basic /
-        # select_parent_balanced: the root is a member, so the farthest
-        # non-overshooting finger is slot min(floor(log2 x), g(x))
-        # (core.limiting.parent_slots) and only that one finger is resolved
-        # (successor(node + 2^slot), one bisect) and checked.
-        # The balanced limit is core.limiting's one integer expression
-        # g(x) = ((x + c + 2)//3 - 1).bit_length(), c = ceil(2*2^b/n):
-        # c_plus_2 is FingerLimiter.for_ring(b, n)'s own constant, so no
-        # Fraction arithmetic is needed on the per-event hot path.
+        # The owner rule (module docstring): the parent slot of an owner was
+        # rewritten iff its distance x to the root lies in [low, high].
+        owners: set[int] = {patches.predecessor} if patches.prefix else set()
+        owners.update(*patches.owners)
+        windows = []
+        for owner in owners:
+            lowest = ((patches.predecessor - owner) & mask).bit_length()
+            highest = ((ident - owner) & mask).bit_length() - 1
+            low, high = 1 << lowest, (2 << highest) - 1
+            if balanced:  # g(x) >= lowest, and log2(x) or g(x) <= highest
+                low = max(low, ((3 << lowest) >> 1) - c + 1)
+                high = max(high, (3 << highest) - c)
+            windows.append((owner, low, high))
+
+        # The joiner and the re-limited members resolve their parent slot
+        # min(floor(log2 x), g(x)) (core.limiting.parent_slots, with the root
+        # as the bound) with one bisect, bit-identical to select_parent_*.
+        # g(x) is core.limiting's one integer expression ((x + c + 2)//3 -
+        # 1).bit_length(), c = ceil(2*2^b/n) (FingerLimiter.for_ring's own
+        # constant), so no Fraction arithmetic is on the per-event hot path.
         counts: dict[int, int | None] = {}
         for key, tree in self._trees.items():
             if key in skip:
@@ -431,38 +456,42 @@ class DatUpdateEngine:
             if root != tree.root:
                 counts[key] = None  # root handover: rare, O(1/n) per event
                 continue
-            affected = owners
-            if spans:  # ~11 thin arcs, one bisect each
-                arcs = [((root - far) & mask, (root - near) & mask) for near, far in spans]
-                shifted = _arc_runs(nodes, arcs)[1]
-                if shifted:
-                    affected = owners.union(*shifted)
+            resolve = set() if leave else {ident}
+            for near, far in spans:  # ~11 thin arcs, one bisect each
+                lo, hi = (root - far) & mask, (root - near) & mask
+                first = bisect_left(nodes, lo)
+                if lo > hi:
+                    resolve.update(nodes[first:], nodes[: bisect_right(nodes, hi)])
+                elif first < n and nodes[first] <= hi:
+                    resolve.update(nodes[first : bisect_right(nodes, hi, first)])
+            moved = []
+            for node in resolve:  # never the root: x >= 1, no handover
+                x = (root - node) & mask
+                slot = x.bit_length() - 1
+                if balanced:
+                    limit = ((x + c + 2) // 3 - 1).bit_length()
+                    if limit < slot:
+                        slot = limit
+                position = bisect_left(nodes, (node + (1 << slot)) & mask)
+                moved.append((node, x, nodes[position] if position < n else nodes[0]))
+            for node, low, high in windows:  # x = 0 (the root) is below low
+                x = (root - node) & mask
+                if low <= x <= high and node not in resolve:
+                    moved.append((node, x, patches.new))
             # Patch the parent map in place: tracked trees are live views
             # owned by the engine (copy-per-event would reintroduce O(n)).
             parent = tree.parent
             if leave:
-                parent.pop(delta.ident, None)
-            count = 0
-            for node in affected:
-                if node == root:
-                    continue
-                x = (root - node) & mask
-                slot = x.bit_length() - 1
-                if balanced:
-                    limit = ((x + c_plus_2) // 3 - 1).bit_length()
-                    if limit < slot:
-                        slot = limit
-                position = bisect_left(nodes, (node + (1 << slot)) & mask)
-                finger = nodes[position] if position < n else nodes[0]
+                parent.pop(ident, None)
+            for node, x, finger in moved:
                 if finger == node or (finger - node) & mask > x:
                     raise TreeError(
                         f"node {node} has no eligible finger toward root "
                         f"{root}; the ring is inconsistent"
                     )
                 parent[node] = finger
-                count += 1
             tree.invalidate_caches()
-            counts[key] = count
+            counts[key] = len(moved)
         return counts
 
     def _verify_all(self) -> tuple[int, ...]:

@@ -94,7 +94,14 @@ class Aggregate(ABC):
 
 
 #: The scalar twin of each column ufunc: what a merge of two rows applies.
-_SCALAR_MERGE = {np.add: operator.add, np.minimum: min, np.maximum: max}
+#: ``np.minimum`` / ``np.maximum`` exactly: a NaN on either side wins and a
+#: tie keeps the right one (``-0.0`` from ``(0.0, -0.0)``), where the builtin
+#: ``min`` / ``max`` keep or drop a NaN by argument order.
+_SCALAR_MERGE = {
+    np.add: operator.add,
+    np.minimum: lambda left, right: left if left < right or left != left else right,
+    np.maximum: lambda left, right: left if left > right or left != left else right,
+}
 
 
 class ColumnAggregate(Aggregate):

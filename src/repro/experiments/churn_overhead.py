@@ -87,7 +87,7 @@ class ChurnOverheadResult:
     repair_rounds: list[int] = field(default_factory=list)
     #: per-event finger entries rewritten by the incremental model mirror.
     incremental_finger_updates: list[int] = field(default_factory=list)
-    #: per-event parent entries recomputed by the incremental model mirror.
+    #: per-event parent entries rewritten by the incremental model mirror.
     incremental_parent_updates: list[int] = field(default_factory=list)
     #: events whose mirrored tree needed a full rebuild (root handover).
     incremental_rebuilds: int = 0

@@ -3,7 +3,7 @@
 When ``n`` changes the balanced scheme's finger limit ``g(x)`` moves for the
 nodes at certain distances ``x`` from a root. The engine finds them as the
 members of a few thin arcs (``_limit_shift_spans`` once per event, one
-``_arc_runs`` scan per tree). The oracle here evaluates ``g`` for every
+inline scan of them per tree). The oracle here evaluates ``g`` for every
 distance with :class:`~repro.core.limiting.FingerLimiter`, which knows
 nothing of thresholds or arcs. Spaces are 6 to 12 bits and rings 2 to 200
 nodes, so arcs wider than the gap, arcs wrapping past 0 and the first
@@ -30,6 +30,12 @@ def _relimited_distances(space, n_before, n_after):
     old = FingerLimiter.for_ring(space.bits, n_before)
     new = FingerLimiter.for_ring(space.bits, n_after)
     return {x for x in range(1, space.size) if min(old(x), cap) != min(new(x), cap)}
+
+
+def _parent_slot(limiter, x):
+    """The slot of the farthest finger within distance ``x`` of the root
+    that the limit allows: ``2^j <= x`` and ``j <= g(x)``."""
+    return max(j for j in range(x.bit_length()) if j <= limiter(x))
 
 
 @settings(max_examples=200, deadline=None)
@@ -83,8 +89,9 @@ def test_arc_runs_are_the_members_inside_each_arc(bits, n, seed):
 @pytest.mark.parametrize("root_at", ["zero", "max_id", "random"])
 @pytest.mark.parametrize("bits", [6, 8, 12])
 def test_engine_recomputes_exactly_the_relimited_members(bits, root_at):
-    """Per event and tree: parents recomputed = finger owners + joiner +
-    brute-force re-limited members, minus the root — and the tree is right."""
+    """Per event and tree: parents rewritten = the owners whose rewritten
+    slot is their parent slot + joiner + brute-force re-limited members,
+    minus the root — and the tree is right."""
     rng = random.Random(bits * 31 + len(root_at))
     space = IdSpace(bits)
     cap = bits - 1
@@ -103,7 +110,10 @@ def test_engine_recomputes_exactly_the_relimited_members(bits, root_at):
         assert report.rebuilt_keys == ()
         old = FingerLimiter.for_ring(bits, n_before)
         new = FingerLimiter.for_ring(bits, len(ring))
-        expected = {patch.owner for patch in report.delta.patches}
+        expected = {
+            patch.owner for patch in report.delta.patches
+            if patch.owner != root and patch.slot == _parent_slot(new, space.cw(patch.owner, root))
+        }
         expected |= {ident} if kind == "join" else set()
         expected |= {
             v for v in ring.nodes
@@ -112,3 +122,24 @@ def test_engine_recomputes_exactly_the_relimited_members(bits, root_at):
         assert report.reparented == {root: len(expected - {root})}
         reference = build_balanced_dat(StaticRing(space, ring.nodes), root)
         assert engine.tree(root).parent == reference.parent
+
+
+def test_a_relimited_owner_whose_parent_slot_was_rewritten_counts_once():
+    """Owner 43's parent slot moves with ``n`` onto a slot the join rewrote:
+    the bisect and the owner rule both name the joiner, and it counts once."""
+    space = IdSpace(7)
+    members = [1, 3, 30, 32, 35, 39, 43, 44, 48, 61, 65, 66, 68, 73, 85, 86, 88,
+               89, 91, 98, 100, 108, 113, 114, 127]
+    ring = StaticRing(space, members)
+    engine = DatUpdateEngine(ring, "balanced")
+    engine.track(1)
+    old, new = FingerLimiter.for_ring(7, len(ring)), FingerLimiter.for_ring(7, len(ring) + 1)
+    report = engine.apply("join", 78)
+    rewritten = {p.owner for p in report.delta.patches
+                 if p.slot == _parent_slot(new, space.cw(p.owner, 1))}
+    relimited = {v for v in ring.nodes
+                 if min(old(space.cw(v, 1)), 6) != min(new(space.cw(v, 1)), 6)}
+    assert rewritten & relimited == {43}
+    assert report.reparented == {1: len(rewritten | relimited | {78})}
+    assert engine.tree(1).parent[43] == 78
+    assert engine.tree(1).parent == build_balanced_dat(StaticRing(space, ring.nodes), 1).parent

@@ -7,6 +7,8 @@ path reproduces the per-node service oracle bit for bit). Bounded (small
 rings, few examples) because each case runs a discrete-event simulation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,23 @@ class TestSlabOracleEquivalence:
             latency=_SteppedLatency, stale_after=float("inf"),
         )
         _assert_identical(slab, oracle)
+
+    @pytest.mark.parametrize("aggregate", ["min", "max"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_reading_reaches_both_roots(self, aggregate):
+        # A NaN reading wins every min / max merge on both paths, whatever
+        # order the children fold in: the object path's scalar merge is the
+        # slab's ufunc on two numbers.
+        ring = make_assigner("probing").build_ring(IdSpace(16), 40, rng=3)
+        values = np.random.default_rng(1).uniform(1.0, 100.0, size=40)
+        values[7] = np.nan
+        for scheme in ("basic", "balanced"):
+            slab, oracle = _run_both(ring, 77, scheme, aggregate, values, rounds=12)
+            assert np.isnan(slab.estimate) and np.isnan(oracle.estimate)
+            _assert_identical(
+                dataclasses.replace(slab, estimate=0.0),
+                dataclasses.replace(oracle, estimate=0.0),
+            )
 
     @pytest.mark.parametrize(
         ("loss", "latency"),

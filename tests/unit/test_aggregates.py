@@ -49,6 +49,30 @@ class TestMinMax:
         assert MaxAggregate().aggregate(VALUES) == 9.0
 
 
+class TestScalarMerge:
+    """A number's merge is its column ufunc on two scalars, NaN and signed
+    zeros included: the object path and the slab fold the same way."""
+
+    SPECIAL = [math.nan, 0.0, -0.0, math.inf, -math.inf, 1.5, -2.0]
+
+    @pytest.mark.parametrize("aggregate", [MinAggregate(), MaxAggregate(), SumAggregate()])
+    def test_scalar_merge_equals_the_ufunc(self, aggregate):
+        ufunc = aggregate.columns[0][1]
+        for left in self.SPECIAL:
+            for right in self.SPECIAL:
+                got = aggregate.merge(left, right)
+                with np.errstate(invalid="ignore"):  # inf + -inf
+                    want = float(ufunc(left, right))
+                assert (math.isnan(got) and math.isnan(want)) or (
+                    got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+                ), (left, right, got, want)
+
+    def test_nan_wins_in_any_fold_order(self):
+        for aggregate in (MinAggregate(), MaxAggregate()):
+            assert math.isnan(aggregate.merge_all([1.0, math.nan, 3.0]))
+            assert math.isnan(aggregate.merge_all([math.nan, 1.0, 3.0]))
+
+
 class TestAverage:
     def test_aggregate(self):
         assert AverageAggregate().aggregate(VALUES) == pytest.approx(
