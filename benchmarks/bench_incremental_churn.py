@@ -6,7 +6,7 @@ expected work per membership event; the alternative is one full
 matrix-free (no finger matrix is part of a rebuild any more, so none is
 timed). This benchmark measures both on the same event sequences across
 ring sizes, asserts bit-identity against the rebuild oracle, and records
-the speedup trajectory in
+the speedup trajectory (each cost the median of five repeats) in
 ``benchmarks/results/BENCH_incremental_churn.json``, with the finger and
 parent entries each event rewrote (counts: the same on every run).
 
@@ -30,6 +30,7 @@ import argparse
 import json
 import pathlib
 import random
+import statistics
 import sys
 import time
 
@@ -42,6 +43,8 @@ from repro.core.builder import DatScheme, build_dat
 
 BITS = 32
 DEFAULT_SIZES = [256, 1024, 4096, 16384, 65536]
+#: Timed repeats per cost; a row reports their median (one run moves by +-30 %).
+REPEATS = 5
 RESULT_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_incremental_churn.json"
 THRESHOLD_PATH = pathlib.Path(__file__).parent / "incremental_churn_threshold.json"
 
@@ -82,19 +85,24 @@ def measure(
     # untimed build, so lazy imports and the ring's id vector are warm).
     reps = max(3, min(30, 20_000 // n_nodes))
     build_dat(ring, key, scheme=scheme)
-    start = time.perf_counter()
-    for _ in range(reps):
-        build_dat(ring, key, scheme=scheme)
-    full_us = (time.perf_counter() - start) / reps * 1e6
+    full = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(reps):
+            build_dat(ring, key, scheme=scheme)
+        full.append((time.perf_counter() - start) / reps * 1e6)
+    full_us = statistics.median(full)
 
-    # Incremental cost per event, replaying the schedule.
-    engine = DatUpdateEngine(
-        StaticRing(space, ring.nodes), scheme=scheme
-    )
-    engine.track(key)
-    start = time.perf_counter()
-    reports = [engine.apply(kind, ident) for kind, ident in events]
-    incremental_us = (time.perf_counter() - start) / len(events) * 1e6
+    # Incremental cost per event: each repeat replays the schedule on a
+    # fresh engine (the replays are identical, so the last one is checked).
+    incremental = []
+    for _ in range(REPEATS):
+        engine = DatUpdateEngine(StaticRing(space, ring.nodes), scheme=scheme)
+        engine.track(key)
+        start = time.perf_counter()
+        reports = [engine.apply(kind, ident) for kind, ident in events]
+        incremental.append((time.perf_counter() - start) / len(events) * 1e6)
+    incremental_us = statistics.median(incremental)
 
     # Oracle bit-identity after the whole replay.
     reference = build_dat(StaticRing(space, engine.ring.nodes), key, scheme=scheme)

@@ -275,8 +275,13 @@ class SlabContinuousRun:
             cached = [column[mask] for column in cached]
         self._lifted = self.values.copy() if self.aggregate.lift_reads_value else None
         merged = self.aggregate.lift_columns(self.values)
-        for (_dtype, ufunc), column, states in zip(self.aggregate.columns, merged, cached):
-            ufunc.at(column, parent, states)
+        # A NaN reading wins a min / max merge silently, as it does on the
+        # object path; numpy would warn about it.
+        with np.errstate(invalid="ignore"):
+            for (_dtype, ufunc), column, states in zip(
+                self.aggregate.columns, merged, cached
+            ):
+                ufunc.at(column, parent, states)
         return merged
 
     def _merge(self, mask: np.ndarray | None) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from typing import Callable
 
 from repro import telemetry
@@ -37,6 +38,7 @@ from repro.experiments.scale import (
     run_protocol_sweep,
     run_scale_sweep,
 )
+from repro.telemetry.stream import TelemetryStream
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -245,53 +247,37 @@ def build_parser() -> argparse.ArgumentParser:
             "(0 disables periodic sampling)"
         ),
     )
-    parser.add_argument(
-        "--telemetry-chunk-size",
-        type=int,
-        default=None,
-        metavar="SPANS",
-        help="JSONL stream flush threshold (spans buffered before a write)",
-    )
-    parser.add_argument(
-        "--telemetry-sample-every",
-        type=int,
-        default=None,
-        metavar="K",
-        help="keep every K-th span per span name (dropped spans are counted)",
-    )
     return parser
+
+
+def _write_prometheus(tel: telemetry.Telemetry, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        telemetry.write_prometheus(tel, handle)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     names = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    live = None
-    if args.telemetry_jsonl or args.telemetry_prom or args.trace_jsonl:
-        overrides: dict[str, object] = {
-            "enabled": True,
-            "sample_window": args.telemetry_sample_window,
-        }
-        if args.trace_jsonl:
-            overrides["tracing"] = True
-        if args.telemetry_chunk_size is not None:
-            overrides["span_chunk_size"] = args.telemetry_chunk_size
-        if args.telemetry_sample_every is not None:
-            overrides["span_sample_every"] = args.telemetry_sample_every
-        tel = telemetry.configure(**overrides)
-        assert tel is not None
-        live = telemetry.LiveExport(
-            tel,
-            jsonl_path=args.telemetry_jsonl or args.trace_jsonl,
-            prom_path=args.telemetry_prom,
-        )
-    try:
+    with ExitStack() as finish:
+        if args.telemetry_jsonl or args.telemetry_prom or args.trace_jsonl:
+            tel = telemetry.configure(
+                enabled=True,
+                tracing=bool(args.trace_jsonl),
+                sample_window=args.telemetry_sample_window,
+            )
+            assert tel is not None
+            # Unwound in reverse: the JSONL export closes first, then the
+            # Prometheus snapshot is written, then telemetry is disabled.
+            finish.callback(telemetry.disable)
+            if args.telemetry_prom:
+                finish.callback(_write_prometheus, tel, args.telemetry_prom)
+            jsonl_path = args.telemetry_jsonl or args.trace_jsonl
+            if jsonl_path:
+                out = finish.enter_context(open(jsonl_path, "w", encoding="utf-8"))
+                finish.callback(TelemetryStream(tel, out).close)
         for name in names:
             print(EXPERIMENTS[name](args))
             print()
-    finally:
-        if live is not None:
-            live.close()
-            telemetry.disable()
     return 0
 
 

@@ -35,7 +35,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import IO, Any, Callable
 
 from repro import telemetry
 from repro.chord.idspace import IdSpace
@@ -45,6 +45,7 @@ from repro.errors import FleetError, FleetWireError
 from repro.fleet.wire import Event, Frame, Hello, Reply, Request, decode_frame, encode_frame
 from repro.gma.traces import CpuTrace, TraceGenerator
 from repro.sim.udprpc import UdpRpcTransport
+from repro.telemetry.stream import TelemetryStream
 
 __all__ = ["AgentOptions", "FleetAgent", "main"]
 
@@ -97,8 +98,7 @@ class FleetAgent:
         # transport binds the telemetry clock (monotonic offset from its
         # birth) at construction, and that clock reading is what the Hello
         # handshake reports for fleet-wide alignment.
-        self._live_export: telemetry.LiveExport | None = None
-        self._owns_telemetry = False
+        self._span_export: tuple[TelemetryStream, IO[str]] | None = None
         if options.span_jsonl:
             tel = telemetry.configure(
                 enabled=True,
@@ -107,10 +107,8 @@ class FleetAgent:
                 site=str(options.ident),
             )
             assert tel is not None
-            self._live_export = telemetry.LiveExport(
-                tel, jsonl_path=options.span_jsonl
-            )
-            self._owns_telemetry = True
+            handle = open(options.span_jsonl, "w", encoding="utf-8")
+            self._span_export = (TelemetryStream(tel, handle), handle)
         self.transport = UdpRpcTransport()
         self.node = ChordProtocolNode(
             options.ident, self.space, self.transport, options.chord_config()
@@ -258,12 +256,12 @@ class FleetAgent:
         self.service.close()
         self.node.stop_maintenance()
         self.transport.close()
-        if self._live_export is not None:
-            self._live_export.close()
-            self._live_export = None
-        if self._owns_telemetry:
+        if self._span_export is not None:
+            stream, handle = self._span_export
+            self._span_export = None
+            stream.close()
+            handle.close()
             telemetry.disable()
-            self._owns_telemetry = False
         sock = self._sock
         self._sock = None
         if sock is not None:

@@ -78,11 +78,8 @@ class SimTransport(Transport):
         Name this transport's counters register under in the telemetry
         runtime. Experiments that build several transports against one
         runtime (the dynamics churn-rate sweep) give each its own name so
-        rolling sample series don't interleave.
-    sample_window:
-        Period of in-run load sampling on the engine's tick hooks;
-        ``None`` (the default) follows the telemetry config's
-        ``sample_window``, 0 disables.
+        rolling sample series don't interleave. In-run load sampling
+        follows the telemetry config's ``sample_window``.
     """
 
     def __init__(
@@ -92,7 +89,6 @@ class SimTransport(Transport):
         loss_rate: float = 0.0,
         rng: int | np.random.Generator | None = None,
         hotspot_name: str = "transport",
-        sample_window: float | None = None,
     ) -> None:
         super().__init__()
         check_probability("loss_rate", loss_rate)
@@ -109,9 +105,7 @@ class SimTransport(Transport):
             # hotspot accountant — one accounting path, two consumers.
             tel.bind_clock(self.now)
             tel.register_hotspots(hotspot_name, self.stats)
-            window = (
-                tel.config.sample_window if sample_window is None else sample_window
-            )
+            window = tel.config.sample_window
             if window > 0:
                 # Periodic in-run sampling: every window boundary the
                 # engine crosses appends a LoadSample to stats.series,

@@ -20,6 +20,14 @@ Typical use::
     tel = telemetry.active()
     print(telemetry.prometheus_text(tel))
 
+A JSONL export streams spans to a file the caller owns as they finish and
+appends the end-of-run snapshot on ``close()``::
+
+    with open("run.jsonl", "w", encoding="utf-8") as out:
+        stream = telemetry.TelemetryStream(tel, out)
+        ...                                    # the run
+        stream.close()
+
 This package must stay import-free of ``repro.core`` / ``repro.sim`` /
 ``repro.maan`` — they import *it* (instrumentation), and a cycle here would
 be immediate.
@@ -28,11 +36,7 @@ See ``docs/OBSERVABILITY.md`` for the metric catalogue, span names, and
 exporter formats.
 """
 
-from repro.telemetry.config import (
-    DEFAULT_BUCKET_OVERRIDES,
-    DEFAULT_PERCENTILES,
-    TelemetryConfig,
-)
+from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.export import prometheus_text, write_prometheus
 from repro.telemetry.hotspot import HotspotAccountant, LoadSample, NodeLoad
 from repro.telemetry.metrics import (
@@ -41,7 +45,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricSample,
     MetricsRegistry,
-    linear_buckets,
     log_buckets,
 )
 from repro.telemetry.runtime import (
@@ -51,7 +54,6 @@ from repro.telemetry.runtime import (
     bind_clock,
     configure,
     count,
-    current_span,
     disable,
     enabled,
     gauge_set,
@@ -60,7 +62,6 @@ from repro.telemetry.runtime import (
     propagate_current,
     remote_span,
     trace_span,
-    sample_hotspots,
     span,
     tracing_enabled,
 )
@@ -72,12 +73,10 @@ from repro.telemetry.spans import (
     SpanRecorder,
     TraceContext,
 )
-from repro.telemetry.stream import JsonlSpanStream, LiveExport, TelemetryStream
+from repro.telemetry.stream import TelemetryStream
 
 __all__ = [
     "TelemetryConfig",
-    "DEFAULT_PERCENTILES",
-    "DEFAULT_BUCKET_OVERRIDES",
     "Telemetry",
     "configure",
     "disable",
@@ -88,13 +87,11 @@ __all__ = [
     "span",
     "trace_span",
     "remote_span",
-    "current_span",
     "tracing_enabled",
     "propagate_current",
     "count",
     "observe",
     "gauge_set",
-    "sample_hotspots",
     "TraceContext",
     "TRACE_KEY",
     "Counter",
@@ -103,7 +100,6 @@ __all__ = [
     "MetricSample",
     "MetricsRegistry",
     "log_buckets",
-    "linear_buckets",
     "SpanBase",
     "Span",
     "NullSpan",
@@ -114,7 +110,5 @@ __all__ = [
     "LoadSample",
     "prometheus_text",
     "write_prometheus",
-    "JsonlSpanStream",
     "TelemetryStream",
-    "LiveExport",
 ]

@@ -8,11 +8,11 @@ test relies on.
 
 JSONL: one JSON object per line, discriminated by ``"type"``:
 ``config``, ``metric``, ``span``, ``hotspot_node``, ``hotspot_sample``,
-``span_drops`` (drop accounting: evicted/streamed/sampled-out span
-counts, so a truncated export is never silently mistaken for a complete
-one). The per-record builders (:func:`config_record`, :func:`span_record`,
-...) are what :class:`repro.telemetry.stream.TelemetryStream`, the one
-JSONL writer, emits.
+``span_drops`` (drop accounting: evicted and streamed span counts, so a
+truncated export is never silently mistaken for a complete one). The
+per-record builders (:func:`config_record`, :func:`span_record`, ...) are
+what :class:`repro.telemetry.stream.TelemetryStream`, the one JSONL
+writer, emits.
 
 Prometheus: the text exposition format — ``# HELP`` / ``# TYPE`` headers,
 one line per labeled series; histogram buckets are emitted cumulatively
@@ -29,6 +29,7 @@ import math
 from dataclasses import asdict
 from typing import IO, TYPE_CHECKING, Iterator
 
+from repro.telemetry.config import DEFAULT_PERCENTILES, NAMESPACE, SPAN_CHUNK_SIZE
 from repro.telemetry.hotspot import HotspotAccountant
 from repro.telemetry.metrics import MetricSample
 from repro.telemetry.spans import Span, SpanRecorder
@@ -68,24 +69,27 @@ def _label_str(labels: tuple[tuple[str, str], ...]) -> str:
     return "{" + body + "}"
 
 
-# -- JSONL record builders (shared with the streaming exporter) -------------
+# -- JSONL record builders (what the streaming exporter writes) -------------
+
+
+#: ``json.dumps`` with these options builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def encode_record(record: dict[str, object]) -> str:
     """One JSONL line (no trailing newline): sorted keys, compact separators."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def config_record(tel: "Telemetry") -> dict[str, object]:
     """The export's ``config`` header record."""
     return {
         "type": "config",
-        "namespace": tel.config.namespace,
-        "max_spans": tel.config.max_spans,
-        "span_chunk_size": tel.config.span_chunk_size,
-        "span_sample_every": tel.config.span_sample_every,
+        "namespace": NAMESPACE,
+        "max_spans": tel.spans.max_spans,
+        "span_chunk_size": SPAN_CHUNK_SIZE,
         "sample_window": tel.config.sample_window,
-        "percentiles": list(tel.config.percentiles),
+        "percentiles": list(DEFAULT_PERCENTILES),
         "exported_at": tel.now(),
     }
 
@@ -139,26 +143,15 @@ def span_record(span: Span) -> dict[str, object]:
     return record
 
 
-def span_drops_record(
-    spans: SpanRecorder,
-    sampled_out: int = 0,
-    sampled_out_by_name: dict[str, int] | None = None,
-) -> dict[str, object]:
+def span_drops_record(spans: SpanRecorder) -> dict[str, object]:
     """The ``span_drops`` accounting record.
 
-    ``evicted`` counts retention-cap losses (``max_spans``), ``streamed``
-    counts spans consumed by a streaming sink, and ``sampled_out`` those
-    the stream's sampling knob skipped — spans an export is missing are
-    always reported, never silent.
+    ``evicted`` counts retention-cap losses (``max_spans``) and
+    ``streamed`` the spans a streaming sink consumed — spans an export is
+    missing are always reported, never silent.
     """
     evicted, streamed = spans.drop_stats()
-    return {
-        "type": "span_drops",
-        "evicted": evicted,
-        "streamed": streamed,
-        "sampled_out": sampled_out,
-        "sampled_out_by_name": dict(sorted((sampled_out_by_name or {}).items())),
-    }
+    return {"type": "span_drops", "evicted": evicted, "streamed": streamed}
 
 
 def hotspot_records(
@@ -213,10 +206,9 @@ def prometheus_lines(tel: "Telemetry") -> Iterator[str]:
                 yield (
                     f"{sample.name}{_label_str(sample.labels)} {_fmt(sample.value)}"
                 )
-    ns = tel.config.namespace
     hotspot_names = tel.hotspot_names()
     if hotspot_names:
-        node_metric = f"{ns}_hotspot_node_messages"
+        node_metric = f"{NAMESPACE}_hotspot_node_messages"
         yield f"# HELP {node_metric} Per-node message load (sent + received)."
         yield f"# TYPE {node_metric} gauge"
         for name in hotspot_names:
@@ -239,9 +231,9 @@ def prometheus_lines(tel: "Telemetry") -> Iterator[str]:
             ("mean", "Average per-node message load."),
             ("imbalance", "Max load over mean load (Fig. 8b metric)."),
         ):
-            metric = f"{ns}_hotspot_{summary}_load"
+            metric = f"{NAMESPACE}_hotspot_{summary}_load"
             if summary == "imbalance":
-                metric = f"{ns}_hotspot_imbalance"
+                metric = f"{NAMESPACE}_hotspot_imbalance"
             yield f"# HELP {metric} {help_text}"
             yield f"# TYPE {metric} gauge"
             for name in hotspot_names:

@@ -13,7 +13,6 @@ guards against).
 
 from __future__ import annotations
 
-import math
 import re
 import threading
 from bisect import bisect_left
@@ -22,7 +21,6 @@ from typing import Callable, Iterator, Mapping
 
 __all__ = [
     "log_buckets",
-    "linear_buckets",
     "MetricSample",
     "Metric",
     "Counter",
@@ -50,18 +48,6 @@ def log_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:
             f"invalid bucket grid (start={start}, factor={factor}, count={count})"
         )
     return tuple(start * factor**i for i in range(count))
-
-
-def linear_buckets(start: float, width: float, count: int) -> tuple[float, ...]:
-    """Fixed linear bucket upper bounds ``start + width*i``.
-
-    For small-integer quantities (hop counts, repair rounds) unit-width
-    buckets read directly as per-value frequencies, where the log grid
-    would merge several values into one bucket.
-    """
-    if width <= 0 or count <= 0:
-        raise ValueError(f"invalid bucket grid (width={width}, count={count})")
-    return tuple(start + width * i for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -225,8 +211,6 @@ class _HistogramSeries:
     bucket_counts: list[int]
     total: float = 0.0
     count: int = 0
-    minimum: float = math.inf
-    maximum: float = -math.inf
 
 
 class Histogram(Metric):
@@ -271,23 +255,7 @@ class Histogram(Metric):
             series.bucket_counts[index] += 1
             series.total += value
             series.count += 1
-            series.minimum = min(series.minimum, value)
-            series.maximum = max(series.maximum, value)
             self._updated[key] = self._clock()
-
-    def count_of(self, **labels: object) -> int:
-        """Observations recorded for one labeled series."""
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            return 0 if series is None else series.count
-
-    def sum_of(self, **labels: object) -> float:
-        """Sum of observations for one labeled series."""
-        key = self._key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            return 0.0 if series is None else series.total
 
     def samples(self) -> list[MetricSample]:
         with self._lock:

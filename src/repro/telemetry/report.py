@@ -33,9 +33,8 @@ imbalance factor, and the rolling per-window load samples.
   line, as do missing paths, unreadable offsets and inputs with no events.
 
 ``--require-samples [SUBSTRING]`` exits 1 unless the export carries a
-rolling-imbalance series (the CI telemetry round trip), and
-``--rolling-csv`` / ``--rolling-json`` write that series to plot-ready
-files. ``--require-root`` / ``--min-depth`` / ``--tail-grace`` /
+rolling-imbalance series (the CI telemetry round trip).
+``--require-root`` / ``--min-depth`` / ``--tail-grace`` /
 ``--check-critical-path`` run :func:`check_traces`, the trace gate that
 ``python -m repro.fleet report --require-traces`` also calls.
 """
@@ -43,7 +42,6 @@ files. ``--require-root`` / ``--min-depth`` / ``--tail-grace`` /
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from collections import defaultdict
@@ -71,16 +69,7 @@ __all__ = [
     "render_traces",
     "render_report",
     "rolling_imbalance",
-    "rolling_samples",
-    "write_rolling_csv",
-    "write_rolling_json",
-    "ROLLING_FIELDS",
 ]
-
-#: Column order of the plot-ready rolling-sample artifacts.
-ROLLING_FIELDS = (
-    "accountant", "at", "n_nodes", "total", "mean", "maximum", "imbalance"
-)
 
 _SECTIONS = ("metrics", "spans", "traces", "hotspots", "samples")
 
@@ -386,15 +375,7 @@ def _drops_lines(events: list[dict[str, object]]) -> list[str]:
             continue
         evicted = int(str(event.get("evicted", 0)))
         streamed = int(str(event.get("streamed", 0)))
-        sampled_out = int(str(event.get("sampled_out", 0)))
-        lines.append(
-            f"drops: evicted={evicted} streamed={streamed} "
-            f"sampled_out={sampled_out}"
-        )
-        by_name = event.get("sampled_out_by_name") or {}
-        if isinstance(by_name, dict) and by_name:
-            detail = ", ".join(f"{k}={v}" for k, v in sorted(by_name.items()))
-            lines.append(f"  sampled out by name: {detail}")
+        lines.append(f"drops: evicted={evicted} streamed={streamed}")
     return lines
 
 
@@ -565,71 +546,6 @@ def rolling_imbalance(
     return {name: sorted(points) for name, points in series.items()}
 
 
-def rolling_samples(
-    events: list[dict[str, object]], accountant: str = ""
-) -> list[dict[str, object]]:
-    """Flatten ``hotspot_sample`` events into plot-ready records.
-
-    Each record carries the :data:`ROLLING_FIELDS` keys — the full load
-    distribution summary per window, not just the imbalance factor —
-    sorted by (accountant, time). ``accountant`` filters by substring.
-    """
-    records: list[dict[str, object]] = []
-    for event in events:
-        if event["type"] != "hotspot_sample":
-            continue
-        name = str(event["accountant"])
-        if accountant and accountant not in name:
-            continue
-        records.append(
-            {
-                "accountant": name,
-                "at": float(str(event["at"])),
-                "n_nodes": int(str(event["n_nodes"])),
-                "total": int(str(event["total"])),
-                "mean": float(str(event["mean"])),
-                "maximum": int(str(event["maximum"])),
-                "imbalance": float(str(event["imbalance"])),
-            }
-        )
-    records.sort(key=lambda r: (str(r["accountant"]), float(str(r["at"]))))
-    return records
-
-
-def write_rolling_csv(
-    events: list[dict[str, object]], path: str, accountant: str = ""
-) -> int:
-    """Write the rolling-imbalance series to ``path`` as CSV.
-
-    Returns the number of sample rows written (the header doesn't count).
-    An export with no samples still produces a header-only file so
-    downstream plot scripts fail on missing columns, not missing files.
-    """
-    records = rolling_samples(events, accountant=accountant)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=ROLLING_FIELDS)
-        writer.writeheader()
-        writer.writerows(records)
-    return len(records)
-
-
-def write_rolling_json(
-    events: list[dict[str, object]], path: str, accountant: str = ""
-) -> int:
-    """Write the rolling-imbalance series to ``path`` as a JSON document.
-
-    The document is ``{"fields": [...], "samples": [...]}`` — the field
-    list makes the artifact self-describing for plot scripts. Returns the
-    number of sample records written.
-    """
-    records = rolling_samples(events, accountant=accountant)
-    document = {"fields": list(ROLLING_FIELDS), "samples": records}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return len(records)
-
-
 def render_report(
     events: list[dict[str, object]],
     sections: Sequence[str] = _SECTIONS,
@@ -734,16 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
             "sample series (optionally: for an accountant matching SUBSTRING)"
         ),
     )
-    parser.add_argument(
-        "--rolling-csv",
-        metavar="PATH",
-        help="write the rolling-imbalance sample series to PATH as CSV",
-    )
-    parser.add_argument(
-        "--rolling-json",
-        metavar="PATH",
-        help="write the rolling-imbalance sample series to PATH as JSON",
-    )
     return parser
 
 
@@ -779,16 +685,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         for trace in traces.traces[: args.tree]:
             print()
             render_tree(trace, sys.stdout)
-    try:
-        if args.rolling_csv:
-            n_rows = write_rolling_csv(events, args.rolling_csv)
-            print(f"wrote {n_rows} rolling sample(s) to {args.rolling_csv}")
-        if args.rolling_json:
-            n_rows = write_rolling_json(events, args.rolling_json)
-            print(f"wrote {n_rows} rolling sample(s) to {args.rolling_json}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.require_samples is not None:
         series = rolling_imbalance(events, accountant=args.require_samples)
         n_points = sum(len(points) for points in series.values())

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import IO, TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
-from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.hotspot import HotspotAccountant, LoadSample
+from repro.telemetry.config import BUCKET_OVERRIDES, NAMESPACE, TelemetryConfig
+from repro.telemetry.hotspot import HotspotAccountant
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.spans import (
     NULL_SPAN,
@@ -33,9 +33,6 @@ from repro.telemetry.spans import (
     SpanRecorder,
     TraceContext,
 )
-
-if TYPE_CHECKING:
-    from repro.telemetry.stream import TelemetryStream
 
 __all__ = [
     "Telemetry",
@@ -48,14 +45,16 @@ __all__ = [
     "span",
     "trace_span",
     "remote_span",
-    "current_span",
     "tracing_enabled",
     "propagate_current",
     "count",
     "observe",
     "gauge_set",
-    "sample_hotspots",
 ]
+
+
+#: What :meth:`Telemetry.counter` and friends prepend to a bare metric name.
+_PREFIX = NAMESPACE + "_"
 
 
 def _zero_clock() -> float:
@@ -72,16 +71,10 @@ class Telemetry:
     def __init__(self, config: TelemetryConfig | None = None) -> None:
         self.config = config if config is not None else TelemetryConfig(enabled=True)
         self._clock: Callable[[], float] = _zero_clock
-        self.metrics = MetricsRegistry(
-            clock=self.now, default_buckets=self.config.default_buckets()
-        )
+        self.metrics = MetricsRegistry(clock=self.now)
         self.spans = SpanRecorder(
-            clock=self.now,
-            max_spans=self.config.max_spans,
-            site=self.config.site,
-            tracing=self.config.tracing,
+            clock=self.now, site=self.config.site, tracing=self.config.tracing
         )
-        self._bucket_overrides = self.config.bucket_overrides()
         self._hotspots: dict[str, HotspotAccountant] = {}
         self._lock = threading.Lock()
 
@@ -96,12 +89,10 @@ class Telemetry:
     # -- metrics (namespaced) ----------------------------------------------
 
     def _qualify(self, name: str) -> str:
-        prefix = self.config.namespace + "_"
-        return name if name.startswith(prefix) else prefix + name
+        return name if name.startswith(_PREFIX) else _PREFIX + name
 
     def _unqualify(self, name: str) -> str:
-        prefix = self.config.namespace + "_"
-        return name[len(prefix):] if name.startswith(prefix) else name
+        return name[len(_PREFIX):] if name.startswith(_PREFIX) else name
 
     def counter(
         self, name: str, help_text: str = "", labels: tuple[str, ...] = ()
@@ -124,12 +115,13 @@ class Telemetry:
     ) -> Histogram:
         """Get or create the namespaced histogram family ``name``.
 
-        When the caller passes no explicit ``buckets``, the config's
-        per-metric overrides (keyed by unqualified name) are consulted
-        before falling back to the global log-spaced grid.
+        When the caller passes no explicit ``buckets``, the per-metric
+        :data:`~repro.telemetry.config.BUCKET_OVERRIDES` (keyed by
+        unqualified name) are consulted before falling back to the
+        registry's log-spaced grid.
         """
         if buckets is None:
-            buckets = self._bucket_overrides.get(self._unqualify(name))
+            buckets = BUCKET_OVERRIDES.get(self._unqualify(name))
         return self.metrics.histogram(self._qualify(name), help_text, labels, buckets)
 
     # -- spans -------------------------------------------------------------
@@ -164,7 +156,7 @@ class Telemetry:
         with self._lock:
             accountant = self._hotspots.get(name)
             if accountant is None:
-                accountant = HotspotAccountant(percentiles=self.config.percentiles)
+                accountant = HotspotAccountant()
                 self._hotspots[name] = accountant
             return accountant
 
@@ -177,40 +169,6 @@ class Telemetry:
         """Registered accountant names, sorted."""
         with self._lock:
             return sorted(self._hotspots)
-
-    def sample_hotspots(self, at: float | None = None) -> dict[str, LoadSample]:
-        """Snapshot every registered accountant at time ``at`` (now if None).
-
-        Each sample is appended to its accountant's rolling series;
-        transports with an engine do this periodically via tick hooks, and
-        experiments can call it at interesting instants.
-        """
-        when = self.now() if at is None else at
-        with self._lock:
-            accountants = dict(self._hotspots)
-        return {name: acc.sample(when) for name, acc in sorted(accountants.items())}
-
-    # -- streaming export --------------------------------------------------
-
-    def attach_stream(
-        self,
-        out: IO[str],
-        chunk_size: int | None = None,
-        sample_every: int | None = None,
-    ) -> "TelemetryStream":
-        """Start a live JSONL export: spans stream to ``out`` as they finish.
-
-        Returns the :class:`~repro.telemetry.stream.TelemetryStream`
-        session; call its ``close()`` to flush the final chunk and append
-        the end-of-run snapshot (config, metrics, hotspots, drop
-        accounting). Defaults come from the config's ``span_chunk_size``
-        and ``span_sample_every``.
-        """
-        from repro.telemetry.stream import TelemetryStream
-
-        return TelemetryStream(
-            self, out, chunk_size=chunk_size, sample_every=sample_every
-        )
 
     def reset(self) -> None:
         """Clear metrics, finished spans, and hotspot accountants."""
@@ -347,14 +305,6 @@ def remote_span(source: object, name: str, **attrs: object) -> SpanBase:
     return tel.remote_span(source, name, **attrs)
 
 
-def current_span() -> Span | None:
-    """The current thread's innermost open span (None when disabled)."""
-    tel = _active
-    if tel is None:
-        return None
-    return tel.spans.current()
-
-
 def propagate_current(message: object) -> None:
     """Thread the current span's trace context into ``message``'s payload.
 
@@ -404,11 +354,3 @@ def gauge_set(name: str, value: float, **labels: object) -> None:
     if tel is None:
         return
     tel.gauge(name, labels=tuple(sorted(labels))).set(value, **labels)
-
-
-def sample_hotspots(at: float | None = None) -> dict[str, LoadSample]:
-    """Snapshot every registered hotspot accountant (empty when disabled)."""
-    tel = _active
-    if tel is None:
-        return {}
-    return tel.sample_hotspots(at)

@@ -311,7 +311,7 @@ class SpanRecorder:
         (its own qualified id), children inherit it, and
         :meth:`start_remote` joins traces arriving from other nodes.
 
-    A streaming consumer (:class:`repro.telemetry.stream.JsonlSpanStream`)
+    A streaming consumer (:class:`repro.telemetry.stream.TelemetryStream`)
     attaches itself as :attr:`sink`: a callable given each finished span,
     returning ``True`` to consume it (the recorder then does **not**
     retain it — bounded memory — and counts it in :attr:`streamed`) or
@@ -464,16 +464,6 @@ class SpanRecorder:
         """``(evicted, streamed)`` counters, read consistently under the lock."""
         with self._lock:
             return self.dropped, self.streamed
-
-    def by_name(self, name: str) -> list[Span]:
-        """Finished spans with the given name, in finish order."""
-        with self._lock:
-            return [span for span in self.finished if span.name == name]
-
-    def names(self) -> list[str]:
-        """Distinct finished-span names, sorted."""
-        with self._lock:
-            return sorted({span.name for span in self.finished})
 
     def reset(self) -> None:
         """Drop all finished spans (open spans keep recording)."""

@@ -85,11 +85,11 @@ class TestLiveTelemetry:
         with telemetry.enabled() as tel:
             live.search("cpu-usage", 0.0, 100.0)
             live.aggregate("cpu-usage", "sum", t=0.0)
-            (search_span,) = tel.spans.by_name("gma.live.search")
+            (search_span,) = [s for s in tel.spans.finished if s.name == "gma.live.search"]
             assert search_span.attrs["attribute"] == "cpu-usage"
             assert search_span.attrs["n_resources"] == 16
             assert search_span.attrs["hops"] >= 0
-            (agg_span,) = tel.spans.by_name("gma.live.aggregate")
+            (agg_span,) = [s for s in tel.spans.finished if s.name == "gma.live.aggregate"]
             assert agg_span.attrs["attribute"] == "cpu-usage"
             assert agg_span.attrs["waves"] >= 1
 

@@ -25,7 +25,7 @@ from repro.maan.query import RangeQuery
 from repro.maan.service import MaanNodeService
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
-from repro.telemetry import LiveExport
+from repro.telemetry import TelemetryStream
 from repro.telemetry.report import load, trace_set
 from repro.telemetry.report import main as report_main
 
@@ -41,7 +41,8 @@ def run_traced_overlay(jsonl_path, n=16, bits=8, until=6.0):
     """Continuous pushes + one collect round, spans streamed to disk."""
     telemetry.configure(enabled=True, tracing=True)
     tel = telemetry.active()
-    export = LiveExport(tel, jsonl_path=str(jsonl_path))
+    handle = open(jsonl_path, "w", encoding="utf-8")
+    export = TelemetryStream(tel, handle)
     try:
         space = IdSpace(bits)
         ring = StaticRing(space, [(i * space.size) // n for i in range(n)])
@@ -73,6 +74,7 @@ def run_traced_overlay(jsonl_path, n=16, bits=8, until=6.0):
         return tree
     finally:
         export.close()
+        handle.close()
         telemetry.disable()
 
 
@@ -98,7 +100,8 @@ def run_traced_walks(jsonl_path, n=16, bits=12):
     origin = min(network.nodes)
     key = space.wrap(origin - 1)  # owned by the origin: the longest route there is
     telemetry.configure(enabled=True, tracing=True)
-    export = LiveExport(telemetry.active(), jsonl_path=str(jsonl_path))
+    handle = open(jsonl_path, "w", encoding="utf-8")
+    export = TelemetryStream(telemetry.active(), handle)
     try:
         paths, scans = [], []
         network.nodes[origin].lookup(key, lambda _owner, path: paths.append(path))
@@ -108,6 +111,7 @@ def run_traced_walks(jsonl_path, n=16, bits=12):
         return key
     finally:
         export.close()
+        handle.close()
         telemetry.disable()
 
 

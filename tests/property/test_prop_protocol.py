@@ -262,7 +262,7 @@ class TestSlabOracleEquivalence:
         _assert_identical(slab, oracle)
 
     @pytest.mark.parametrize("aggregate", ["min", "max"])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_reading_reaches_both_roots(self, aggregate):
         # A NaN reading wins every min / max merge on both paths, whatever
         # order the children fold in: the object path's scalar merge is the

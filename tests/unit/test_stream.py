@@ -1,9 +1,9 @@
-"""Unit tests for the streaming telemetry pipeline (repro.telemetry.stream).
+"""Unit tests for the JSONL writer (repro.telemetry.stream.TelemetryStream).
 
-Exercises the chunked JSONL span sink (flush-on-chunk, deterministic
-per-name sampling, drop accounting), the full TelemetryStream session
-(config header, end-of-run snapshot, idempotent close), LiveExport file
-handling, and the engine tick hooks that drive periodic hotspot sampling.
+Exercises the stream as the recorder's span sink (flush on the chunk
+boundary, bounded buffering, concurrent offers), the session (config
+header, end-of-run snapshot, drop accounting, idempotent close), and the
+file exports the experiments CLI writes.
 """
 
 from __future__ import annotations
@@ -15,13 +15,9 @@ import threading
 import pytest
 
 from repro import telemetry
-from repro.telemetry import (
-    JsonlSpanStream,
-    LiveExport,
-    Telemetry,
-    TelemetryConfig,
-    TelemetryStream,
-)
+from repro.experiments.cli import main as experiments_main
+from repro.telemetry import Telemetry, TelemetryConfig, TelemetryStream, stream
+from repro.telemetry.config import SPAN_CHUNK_SIZE
 from repro.telemetry.report import render_report, rolling_imbalance
 
 
@@ -45,61 +41,52 @@ def _records(text: str, kind: str) -> list[dict]:
     return [e for e in _events(text) if e["type"] == kind]
 
 
-class TestJsonlSpanStream:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            JsonlSpanStream(io.StringIO(), chunk_size=0)
-        with pytest.raises(ValueError):
-            JsonlSpanStream(io.StringIO(), sample_every=0)
+class Writes(io.StringIO):
+    """A file that also records how many lines each write carried."""
 
-    def test_flushes_exactly_on_chunk_boundary(self):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text.count("\n"))
+        return super().write(text)
+
+
+class TestJsonlSpanStream:
+    """The stream as the recorder's span sink."""
+
+    def test_flushes_exactly_on_chunk_boundary(self, monkeypatch):
+        monkeypatch.setattr(stream, "SPAN_CHUNK_SIZE", 4)
         tel = _tel()
-        out = io.StringIO()
-        stream = JsonlSpanStream(out, chunk_size=4)
-        tel.spans.sink = stream.offer
-        for _ in range(3):
+        out = Writes()
+        TelemetryStream(tel, out)
+        for _ in range(2):
             with tel.span("s"):
                 pass
-        assert out.getvalue() == ""  # nothing written below the boundary
-        assert stream.buffered == 3
+        assert out.writes == []  # header + 2 spans: below the boundary
         with tel.span("s"):
             pass
-        assert stream.buffered == 0  # 4th span triggered the chunk flush
-        assert stream.flushes == 1
-        assert len(_events(out.getvalue())) == 4
+        assert out.writes == [4]  # the 3rd span filled the chunk
+        assert [e["type"] for e in _events(out.getvalue())] == ["config"] + ["span"] * 3
 
-    def test_peak_buffered_never_exceeds_chunk_size(self):
+    def test_peak_buffered_never_exceeds_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(stream, "SPAN_CHUNK_SIZE", 8)
         tel = _tel()
-        stream = JsonlSpanStream(io.StringIO(), chunk_size=8)
-        tel.spans.sink = stream.offer
+        out = Writes()
+        TelemetryStream(tel, out)
         for _ in range(100):
             with tel.span("s"):
                 pass
-        assert stream.peak_buffered <= 8
+        # Each write empties the buffer, so full chunks mean it never held more.
+        assert out.writes == [8] * 12
         assert len(tel.spans.finished) == 0  # sink consumed everything
 
-    def test_sampling_is_deterministic_per_name(self):
+    def test_offer_counts_are_thread_safe(self, monkeypatch):
+        monkeypatch.setattr(stream, "SPAN_CHUNK_SIZE", 64)
         tel = _tel()
         out = io.StringIO()
-        stream = JsonlSpanStream(out, chunk_size=1, sample_every=3)
-        tel.spans.sink = stream.offer
-        for _ in range(7):
-            with tel.span("a"):
-                pass
-        for _ in range(2):
-            with tel.span("b"):
-                pass
-        # every 3rd per name, starting with the first: a -> 3 kept, b -> 1.
-        names = [e["name"] for e in _records(out.getvalue(), "span")]
-        assert names == ["a", "a", "a", "b"]
-        assert stream.written == 4
-        assert stream.sampled_out == 5
-        assert stream.sampled_out_by_name == {"a": 4, "b": 1}
-
-    def test_offer_counts_are_thread_safe(self):
-        tel = _tel()
-        stream = JsonlSpanStream(io.StringIO(), chunk_size=64, sample_every=2)
-        tel.spans.sink = stream.offer
+        session = TelemetryStream(tel, out)
 
         def worker():
             for _ in range(500):
@@ -110,28 +97,31 @@ class TestJsonlSpanStream:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        stream.flush()
-        assert stream.written + stream.sampled_out == 2000
-        assert stream.written == 1000
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        lines = session.close()
+        assert len(_records(out.getvalue(), "span")) == 2000
+        (drops,) = _records(out.getvalue(), "span_drops")
+        assert drops["streamed"] == 2000
+        assert lines == len(_events(out.getvalue()))
 
 
 class TestTelemetryStream:
     def test_header_then_snapshot_layout(self):
-        tel = _tel(span_chunk_size=2)
+        tel = _tel()
         out = io.StringIO()
-        stream = TelemetryStream(tel, out)
+        session = TelemetryStream(tel, out)
         tel.counter("builds").inc()
         with tel.span("s", n=1):
             pass
         acc = tel.hotspots("transport")
         acc.record_send(7, 10)
         acc.sample(1.0)
-        lines = stream.close()
+        lines = session.close()
         events = _events(out.getvalue())
         assert lines == len(events)
         assert events[0]["type"] == "config"
-        assert events[0]["span_chunk_size"] == 2
+        assert events[0]["span_chunk_size"] == SPAN_CHUNK_SIZE
         kinds = [e["type"] for e in events]
         assert kinds.count("span_drops") == 1
         assert "metric" in kinds and "span" in kinds
@@ -139,10 +129,10 @@ class TestTelemetryStream:
 
     def test_close_is_idempotent_and_detaches_sink(self):
         tel = _tel()
-        stream = TelemetryStream(tel, io.StringIO())
-        first = stream.close()
+        session = TelemetryStream(tel, io.StringIO())
+        first = session.close()
         assert tel.spans.sink is None
-        assert stream.close() == first
+        assert session.close() == first
         # spans finished after close are retained, not streamed
         with tel.span("later"):
             pass
@@ -150,9 +140,8 @@ class TestTelemetryStream:
 
     def test_close_reads_shared_state_through_snapshots(self):
         # Regression: close() used to read the recorder's `finished` list
-        # and the stream's sampling counters directly — fields the udprpc
-        # receive thread mutates under their locks. The snapshot accessors
-        # return consistent copies.
+        # directly — a field the udprpc receive thread mutates under its
+        # lock. The snapshot accessors return consistent copies.
         tel = _tel()
         with tel.span("early"):
             pass
@@ -162,64 +151,35 @@ class TestTelemetryStream:
         assert len(tel.spans.finished) == 1
         assert tel.spans.drop_stats() == (0, 0)
         out = io.StringIO()
-        stream = TelemetryStream(tel, out, sample_every=2)
+        session = TelemetryStream(tel, out)
         for _ in range(4):
             with tel.span("late"):
                 pass
-        sampled_out, by_name = stream.stream.sampling_snapshot()
-        assert sampled_out == 2
-        assert by_name == {"late": 2}
-        by_name["late"] = 99  # a copy: must not affect the stream
-        assert stream.stream.sampling_snapshot()[1] == {"late": 2}
-        lines = stream.close()
-        assert lines == stream.stream.lines_written()
+        lines = session.close()
+        assert lines == len(_events(out.getvalue()))
+        names = [e["name"] for e in _records(out.getvalue(), "span")]
+        assert names == ["late"] * 4 + ["early"]
 
-    def test_close_reads_the_sampling_counters_at_one_moment(self):
-        # Regression: close() read `sampled_out` and `sampled_out_by_name`
-        # as two unlocked loads, so an offer() on another thread between
-        # its two counter updates left a drop record whose total and
-        # per-name counts disagree.
+    def test_drop_accounting_combines_eviction_and_streaming(self):
         tel = _tel()
-        out = io.StringIO()
-        stream = TelemetryStream(tel, out, sample_every=2)
-        for _ in range(2):
-            with tel.span("late"):
-                pass
-        shared = stream.stream
-        with shared._lock:  # an offer() between its two counter updates
-            shared.sampled_out += 1
-            closer = threading.Thread(target=stream.close)
-            closer.start()
-            closer.join(timeout=0.2)
-            shared.sampled_out_by_name["late"] += 1
-        closer.join(timeout=5.0)
-        assert not closer.is_alive()
-        (drops,) = _records(out.getvalue(), "span_drops")
-        assert drops["sampled_out"] == 2
-        assert drops["sampled_out_by_name"] == {"late": 2}
-
-    def test_drop_accounting_combines_eviction_and_sampling(self):
-        tel = _tel(max_spans=2)
+        tel.spans.max_spans = 2
         # Finish spans before any stream attaches: recorder retention evicts.
         for _ in range(5):
             with tel.span("early"):
                 pass
         assert tel.spans.dropped == 3
         out = io.StringIO()
-        stream = TelemetryStream(tel, out, sample_every=2)
+        session = TelemetryStream(tel, out)
         for _ in range(4):
             with tel.span("late"):
                 pass
-        stream.close()
+        session.close()
         (drops,) = _records(out.getvalue(), "span_drops")
-        assert drops["evicted"] == 3
-        assert drops["sampled_out"] == 2
-        assert drops["sampled_out_by_name"] == {"late": 2}
-        assert drops["streamed"] == 4  # sink consumed all late spans
+        assert drops == {"type": "span_drops", "evicted": 3, "streamed": 4}
         # the two retained early spans were exported in the snapshot
         names = [e["name"] for e in _records(out.getvalue(), "span")]
         assert names.count("early") == 2
-        assert names.count("late") == 2
+        assert names.count("late") == 4
 
     def test_empty_registry_export_renders(self):
         tel = _tel()
@@ -235,7 +195,7 @@ class TestTelemetryStream:
         """sample() on a live accountant races record_send without tearing."""
         tel = _tel()
         out = io.StringIO()
-        stream = TelemetryStream(tel, out, chunk_size=16)
+        session = TelemetryStream(tel, out)
         acc = tel.hotspots("churn.transport")
         stop = threading.Event()
         errors: list[Exception] = []
@@ -251,7 +211,6 @@ class TestTelemetryStream:
                 try:
                     t += 0.5
                     acc.sample(t)
-                    tel.sample_hotspots(at=t)
                 except Exception as exc:  # noqa: BLE001 - surfaced below
                     errors.append(exc)
                     return
@@ -264,7 +223,7 @@ class TestTelemetryStream:
         stop.set()
         sampling.join()
         assert errors == []
-        stream.close()
+        session.close()
         samples = _records(out.getvalue(), "hotspot_sample")
         assert samples  # rolling series survived the race
         series = rolling_imbalance(_events(out.getvalue()), "churn")
@@ -272,58 +231,73 @@ class TestTelemetryStream:
 
 
 class TestLiveExport:
-    def test_writes_both_formats(self, tmp_path):
-        tel = _tel()
+    """Exports to files while a run goes on, as the experiments CLI writes them."""
+
+    def test_writes_both_formats(self, tmp_path, capsys):
         jsonl = tmp_path / "t.jsonl"
         prom = tmp_path / "t.prom"
-        live = LiveExport(tel, jsonl_path=jsonl, prom_path=prom)
-        with tel.span("s"):
-            pass
-        tel.counter("c").inc()
-        written = live.close()
-        assert written["jsonl"] == len(_events(jsonl.read_text()))
-        assert written["prom"] > 0
-        assert "repro_c 1" in prom.read_text()
-        assert live.close() == {}  # idempotent
+        code = experiments_main(
+            ["fig8a", "--quick", "--telemetry-jsonl", str(jsonl),
+             "--telemetry-prom", str(prom)]
+        )
+        assert code == 0
+        assert not telemetry.is_enabled()  # the CLI uninstalls what it set up
+        events = _events(jsonl.read_text())
+        assert events[0]["type"] == "config"
+        assert "experiment.fig8a" in {e.get("name") for e in events}
+        assert 'repro_fig8a_imbalance{scheme="balanced"}' in prom.read_text()
 
-    def test_no_paths_is_noop(self):
-        tel = _tel()
-        live = LiveExport(tel)
-        assert live.close() == {}
+    def test_no_paths_is_noop(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert experiments_main(["fig8a", "--quick"]) == 0
+        assert not telemetry.is_enabled()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_spans_stream_during_run_not_at_close(self, tmp_path):
+    def test_spans_stream_during_run_not_at_close(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(stream, "SPAN_CHUNK_SIZE", 2)
         tel = _tel()
         jsonl = tmp_path / "t.jsonl"
-        with LiveExport(tel, jsonl_path=jsonl, chunk_size=1):
+        with open(jsonl, "w", encoding="utf-8") as handle:
+            session = TelemetryStream(tel, handle)
             with tel.span("s"):
                 pass
             mid_run = jsonl.read_text()
             assert _records(mid_run, "span")  # already on disk
+            session.close()
         assert len(tel.spans.finished) == 0
 
 
+class Lines:
+    """A file stand-in that keeps only each write's line count and the last write."""
+
+    def __init__(self) -> None:
+        self.writes: list[int] = []
+        self.last = ""
+
+    def write(self, text: str) -> int:
+        self.writes.append(text.count("\n"))
+        self.last = text
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
 class TestMillionSpanBoundedMemory:
-    def test_million_spans_bounded_by_chunk_size(self, tmp_path):
+    def test_million_spans_bounded_by_chunk_size(self, monkeypatch):
         """Acceptance: peak resident spans <= chunk size over 1M spans."""
-        tel = _tel(span_chunk_size=1000, span_sample_every=20)
-        out = tmp_path / "big.jsonl"
+        monkeypatch.setattr(stream, "SPAN_CHUNK_SIZE", 1000)
+        tel = _tel()
+        out = Lines()
+        session = TelemetryStream(tel, out)
         n = 1_000_000
-        with open(out, "w", encoding="utf-8") as handle:
-            stream = TelemetryStream(tel, handle)
-            span = tel.span  # bind once: this loop is the benchmark
-            for i in range(n):
-                with span("hot", i=i):
-                    pass
-            lines = stream.close()
-        assert stream.stream.peak_buffered <= 1000
+        span = tel.span  # bind once: this loop is the benchmark
+        for i in range(n):
+            with span("hot", i=i):
+                pass
+        lines = session.close()
+        assert max(out.writes) <= 1000
         assert len(tel.spans.finished) == 0  # nothing retained
-        assert stream.stream.written == n // 20
-        assert stream.stream.sampled_out == n - n // 20
-        (drops,) = [
-            json.loads(line)
-            for line in open(out, encoding="utf-8")
-            if '"span_drops"' in line
-        ]
-        assert drops["sampled_out"] == n - n // 20
+        assert lines == sum(out.writes) == n + 2  # spans + config + span_drops
+        (drops,) = _records(out.last, "span_drops")
         assert drops["streamed"] == n
-        assert lines == n // 20 + 2  # spans + config + span_drops

@@ -9,7 +9,6 @@ no-op path, both exporters, and the report CLI.
 from __future__ import annotations
 
 import ast
-import csv
 import io
 import json
 import pathlib
@@ -30,17 +29,11 @@ from repro.telemetry import (
     log_buckets,
     prometheus_text,
 )
+from repro.telemetry import stream
 from repro.telemetry.export import span_drops_record
 from repro.telemetry.hotspot import percentile
 from repro.telemetry.report import main as report_main
-from repro.telemetry.report import (
-    ROLLING_FIELDS,
-    load,
-    render_report,
-    rolling_samples,
-    write_rolling_csv,
-    write_rolling_json,
-)
+from repro.telemetry.report import load, render_report, rolling_imbalance
 
 
 @pytest.fixture(autouse=True)
@@ -71,11 +64,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_spans": 0},
-            {"histogram_start": 0.0},
-            {"histogram_factor": 1.0},
-            {"histogram_count": 0},
-            {"percentiles": (0.5, 1.5)},
+            {"sample_window": -1.0},
+            {"sample_window": float("nan")},
+            {"site": ""},
         ],
     )
     def test_rejects_invalid_knobs(self, kwargs):
@@ -83,8 +74,8 @@ class TestConfig:
             TelemetryConfig(**kwargs)
 
     def test_default_buckets_are_log_spaced(self):
-        config = TelemetryConfig(histogram_start=1.0, histogram_factor=2.0, histogram_count=4)
-        assert config.default_buckets() == (1.0, 2.0, 4.0, 8.0)
+        hist = Telemetry(TelemetryConfig(enabled=True)).histogram("h")
+        assert hist.buckets == tuple(2.0**i for i in range(20))
 
 
 # --------------------------------------------------------------------- #
@@ -140,8 +131,7 @@ class TestMetrics:
         # 0.5 and 1.0 land in le=1, 3.0 in le=4, 100.0 in the +Inf tail.
         assert sample.bucket_counts == (2, 0, 1, 1)
         assert sample.count == 4
-        assert hist.sum_of() == pytest.approx(104.5)
-        assert hist.count_of() == 4
+        assert sample.value == pytest.approx(104.5)
 
     def test_samples_carry_clock_timestamps(self):
         clock = FakeClock()
@@ -204,14 +194,6 @@ class TestSpans:
             recorder.start("s", i=i).finish()
         assert recorder.dropped == 2
         assert [span.attrs["i"] for span in recorder.finished] == [2, 3, 4]
-
-    def test_by_name_and_names(self):
-        recorder = SpanRecorder(clock=FakeClock())
-        recorder.start("a").finish()
-        recorder.start("b").finish()
-        recorder.start("a").finish()
-        assert len(recorder.by_name("a")) == 2
-        assert recorder.names() == ["a", "b"]
 
 
 # --------------------------------------------------------------------- #
@@ -361,7 +343,7 @@ class TestRuntime:
         with telemetry.enabled() as tel:
             with telemetry.span("dat.build", key=5) as sp:
                 assert sp is not NULL_SPAN
-            (span,) = tel.spans.by_name("dat.build")
+            (span,) = tel.spans.finished
             assert span.attrs["key"] == 5
 
     def test_bind_clock_stamps_future_updates(self):
@@ -446,11 +428,12 @@ class TestExport:
         b = _export_lines(_populated_telemetry())
         assert a == b
 
-    def test_jsonl_exports_the_spans_retained_when_it_reaches_them(self):
+    def test_jsonl_exports_the_spans_retained_when_it_reaches_them(self, monkeypatch):
         # Regression: the export iterated the recorder's live list, so a
         # span finishing mid-export (the udprpc receive thread does that)
         # evicted a retained span from under the iterator and lost it.
-        tel = Telemetry(TelemetryConfig(enabled=True, max_spans=2))
+        tel = Telemetry(TelemetryConfig(enabled=True))
+        tel.spans.max_spans = 2
         tel.span("a").finish()
         tel.span("b").finish()
         names = []
@@ -465,7 +448,8 @@ class TestExport:
                             tel.span("c").finish()  # evicts "a"
                 return super().write(text)
 
-        TelemetryStream(tel, Out(), chunk_size=1).close()
+        monkeypatch.setattr(stream, "SPAN_CHUNK_SIZE", 1)
+        TelemetryStream(tel, Out()).close()
         assert names == ["a", "b"]
 
     def test_drop_record_reads_both_counters_at_one_moment(self):
@@ -551,73 +535,19 @@ class TestReport:
 
 
 class TestRollingArtifacts:
-    """The plot-ready CSV/JSON emitters for the rolling-imbalance series."""
+    """The rolling-imbalance series read back from an export."""
 
     def _events(self):
         return [json.loads(line) for line in _export_lines(_populated_telemetry())]
 
     def test_rolling_samples_shape(self):
-        records = rolling_samples(self._events())
-        assert len(records) == 1
-        record = records[0]
-        assert tuple(record) == ROLLING_FIELDS
-        assert record["accountant"] == "transport"
-        # loads: node1=4, node2=1 -> total 5, mean 2.5, max 4, imbalance 1.6
-        assert record["n_nodes"] == 2
-        assert record["total"] == 5
-        assert record["maximum"] == 4
-        assert record["imbalance"] == 1.6
+        # loads: node1=4, node2=1 -> mean 2.5, max 4, imbalance 1.6
+        assert rolling_imbalance(self._events()) == {"transport": [(0.0, 1.6)]}
 
     def test_rolling_samples_accountant_filter(self):
         events = self._events()
-        assert rolling_samples(events, accountant="transp")
-        assert rolling_samples(events, accountant="no-such") == []
-
-    def test_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "rolling.csv"
-        assert write_rolling_csv(self._events(), str(path)) == 1
-        with open(path, encoding="utf-8", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 1
-        assert rows[0]["accountant"] == "transport"
-        assert float(rows[0]["imbalance"]) == 1.6
-        assert int(rows[0]["maximum"]) == 4
-
-    def test_csv_empty_series_writes_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        assert write_rolling_csv([], str(path)) == 0
-        header = path.read_text(encoding="utf-8").strip()
-        assert header == ",".join(ROLLING_FIELDS)
-
-    def test_json_roundtrip(self, tmp_path):
-        path = tmp_path / "rolling.json"
-        assert write_rolling_json(self._events(), str(path)) == 1
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["fields"] == list(ROLLING_FIELDS)
-        assert document["samples"][0]["imbalance"] == 1.6
-
-    def test_cli_flags_write_artifacts(self, tmp_path, capsys):
-        export = _write_export(tmp_path / "run.jsonl")
-        csv_path = tmp_path / "out.csv"
-        json_path = tmp_path / "out.json"
-        code = report_main(
-            [
-                str(export),
-                "--section", "samples",
-                "--rolling-csv", str(csv_path),
-                "--rolling-json", str(json_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"wrote 1 rolling sample(s) to {csv_path}" in out
-        assert csv_path.exists() and json_path.exists()
-
-    def test_cli_unwritable_artifact_exits_2(self, tmp_path, capsys):
-        export = _write_export(tmp_path / "run.jsonl")
-        bad = tmp_path / "no-such-dir" / "out.csv"
-        assert report_main([str(export), "--rolling-csv", str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert rolling_imbalance(events, accountant="transp")
+        assert rolling_imbalance(events, accountant="no-such") == {}
 
 
 class TestMetricCatalogue:
