@@ -22,7 +22,10 @@ each push interval executes as
 A round whose merge inputs — the readings, the cached child states and
 which of them are fresh — are bit for bit the last merge's re-sends the
 last round's state columns: a converged round with fixed readings merges
-and gathers nothing. A batch's rows, the cache and
+and gathers nothing. Readings are set, not polled:
+:attr:`~SlabContinuousRun.values` is a read-only array, and assigning
+new readings compares them with the current ones once, so a round reads
+a flag and touches no per-node array. A batch's rows, the cache and
 ``parent_index`` share the push-row order, so a steady-state round
 scatters the cache as it is; only loss, expiry or a split delivery index
 anything.
@@ -125,10 +128,10 @@ class SlabContinuousRun:
         A :class:`~repro.core.aggregates.ColumnAggregate`, or the name of a
         registered one.
     values:
-        Local reading per node, aligned with ``block.ids``. Kept as
-        :attr:`values` (as float64, uncopied when it already is), which may
-        be rewritten in place between rounds: each round compares it bit for
-        bit with the readings the last merge lifted.
+        Local reading per node, aligned with ``block.ids``; copied into
+        :attr:`values`, a read-only float64 array. New readings are set
+        between rounds by assigning :attr:`values`, never by writing the
+        array in place.
     scheme:
         ``"basic"`` or ``"balanced"`` parent selection.
     interval, stale_after:
@@ -159,11 +162,6 @@ class SlabContinuousRun:
                 f"the slab runs column aggregates only, got {agg.name!r} "
                 "(use the object path)"
             )
-        n = len(block)
-        if len(values) != n:
-            raise AggregationError(
-                f"values length {len(values)} does not match {n} nodes"
-            )
         self.block = block
         self.transport = transport
         self.key = int(key)
@@ -171,7 +169,7 @@ class SlabContinuousRun:
         self.scheme = scheme
         self.interval = float(interval)
         self.stale_after = float(stale_after)
-        self.values = np.asarray(values, dtype=np.float64)
+        self._values = self._frozen_readings(values)
 
         parents = block.key_parents(self.key, scheme=scheme)
         self.owner_index = block.owner_index(self.key)
@@ -204,13 +202,12 @@ class SlabContinuousRun:
         self.cached_at = np.full(n_push, np.nan, dtype=np.float64)
         self._fresh_since: float | None = None
         self.cache = [np.zeros(n_push, dtype=dtype) for dtype, _ufunc in agg.columns]
-        # The last merge's inputs: a copy of the readings it lifted (None
-        # when the lift reads none), its freshness mask (None: every entry
-        # fresh), and whether a delivery has since changed a cached state
-        # bit for bit. While all three hold, a round re-sends ``_sent``.
-        self._lifted: np.ndarray | None = None
+        # The last merge's freshness mask (None: every entry fresh), and
+        # whether a merge input has since moved bit for bit: a reading the
+        # lift reads (set by assigning ``values``) or a cached state (set by
+        # a delivery). While neither does, a round re-sends ``_sent``.
         self._mask: np.ndarray | None = None
-        self._cache_moved = True
+        self._moved = True
 
         self.estimate: Any = None
         self.rounds_run = 0
@@ -228,6 +225,30 @@ class SlabContinuousRun:
         self._cancel: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------ #
+
+    @property
+    def values(self) -> np.ndarray:
+        """Local reading per node, aligned with ``block.ids`` (read only)."""
+        return self._values
+
+    @values.setter
+    def values(self, readings: np.ndarray) -> None:
+        """Set every node's reading; the next round merges if one moved bit
+        for bit and the aggregate's lift reads it."""
+        values = self._frozen_readings(readings)
+        if self.aggregate.lift_reads_value and not self._moved:
+            self._moved = bool(_bits_differ(values, self._values).any())
+        self._values = values
+
+    def _frozen_readings(self, readings: np.ndarray) -> np.ndarray:
+        """A read-only float64 copy of ``readings``, one per node."""
+        values = np.array(readings, dtype=np.float64)
+        if len(values) != len(self.block):
+            raise AggregationError(
+                f"values length {len(values)} does not match {len(self.block)} nodes"
+            )
+        values.flags.writeable = False
+        return values
 
     def _fresh_mask(self, now: float) -> np.ndarray | None:
         """Which cache entries are within the expiry horizon; ``None`` when
@@ -251,15 +272,10 @@ class SlabContinuousRun:
 
     def _inputs_moved(self, mask: np.ndarray | None) -> bool:
         """Whether this round's merge inputs differ from the last merge's:
-        a cached state, the freshness ``mask`` or (bit for bit) a reading
-        the lift reads."""
-        if self._cache_moved or (mask is None) != (self._mask is None):
+        a reading or cached state (bit for bit), or the freshness ``mask``."""
+        if self._moved or (mask is None) != (self._mask is None):
             return True
-        if mask is not None and (mask != self._mask).any():
-            return True
-        return self._lifted is not None and bool(
-            _bits_differ(self.values, self._lifted).any()
-        )
+        return mask is not None and bool((mask != self._mask).any())
 
     def _merged_columns(self, mask: np.ndarray | None) -> list[np.ndarray]:
         """Every node's merge of local lift + the child states ``mask``
@@ -273,8 +289,7 @@ class SlabContinuousRun:
         if mask is not None:
             parent = parent[mask]
             cached = [column[mask] for column in cached]
-        self._lifted = self.values.copy() if self.aggregate.lift_reads_value else None
-        merged = self.aggregate.lift_columns(self.values)
+        merged = self.aggregate.lift_columns(self._values)
         # A NaN reading wins a min / max merge silently, as it does on the
         # object path; numpy would warn about it.
         with np.errstate(invalid="ignore"):
@@ -294,7 +309,7 @@ class SlabContinuousRun:
             state.flags.writeable = False
         self._sent = states
         self._mask = mask
-        self._cache_moved = False
+        self._moved = False
 
     def push_round(self) -> None:
         """Execute one push interval for every node (the slab hot path)."""
@@ -335,8 +350,8 @@ class SlabContinuousRun:
         now = self.transport.now()
         delivered = [batch.payload_columns[f"state{j}"] for j in range(len(self.cache))]
         if rows is None or len(rows) == len(self.push_rows):
-            if not self._cache_moved:
-                self._cache_moved = any(
+            if not self._moved:
+                self._moved = any(
                     new is not old and bool(_bits_differ(new, old).any())
                     for new, old in zip(delivered, self.cache)
                 )
@@ -347,8 +362,8 @@ class SlabContinuousRun:
             if not column.flags.writeable:
                 column = self.cache[j] = column.copy()
             states = delivered[j][rows]
-            if not self._cache_moved:
-                self._cache_moved = bool(_bits_differ(states, column[rows]).any())
+            if not self._moved:
+                self._moved = bool(_bits_differ(states, column[rows]).any())
             column[rows] = states
         self.cached_at[rows] = now
 
@@ -383,7 +398,7 @@ class SlabContinuousRun:
         """Bytes of array state this run owns plus what its block holds —
         the protocol-mode memory gate input."""
         arrays = [
-            self.values, self._lifted, self._mask, self.cached_at,
+            self._values, self._mask, self.cached_at,
             self.push_rows, self.source_ids, self.parent_ids, self.parent_index,
             self._sizes, *self.cache, *self._sent,
         ]

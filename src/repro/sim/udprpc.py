@@ -69,7 +69,8 @@ class UdpRpcTransport(Transport):
         self._timers = EventQueue()  # guarded-by: _lock
         self._timer_seq = itertools.count()
         self._closed = False  # guarded-by: _lock
-        # A wakeup socket lets register() and other threads' schedule()
+        # A wakeup socket lets close(), unregister(), other threads'
+        # schedule() and (under a selector other than epoll) register()
         # reach the receive loop while it is blocked in select().
         self._wake_recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._wake_recv.bind((bind_host, 0))
@@ -155,7 +156,10 @@ class UdpRpcTransport(Transport):
             self._sockets[node] = sock
             self._routes[node] = sock.getsockname()
             self._selector.register(sock, selectors.EVENT_READ, node)
-        self._wakeup()
+        # epoll_wait(2) sees a socket registered while it blocks; any other
+        # selector's blocked poll would not see it for up to _MAX_SLEEP_S.
+        if not isinstance(self._selector, getattr(selectors, "EpollSelector", ())):
+            self._wakeup()
 
     def unregister(self, node: int) -> None:
         with self._lock:

@@ -27,19 +27,22 @@ Counters live in two stores that are summed on the read side only:
   freezes it again. A kept vector passed writeable is trusted no more, in
   either direction (it may have changed, and there is no copy to compare
   with); it is resolved afresh. Any other vector is copied, and a later
-  batch is compared with the copy. A batch over the same ids is not
-  scattered into the ledger either: its bytes are added densely to a
-  pending column aligned with the batch, and the pending batches are
-  folded in — one scatter of the column and one of the number of
-  batches, over the batch's rows — only when something needs the totals:
-  a read, or a batch over other ids (which may grow the ledger).
-  Recording and folding a batch cost O(its rows), never O(the ledger), so
-  many small batches (a jittered latency model delivers a round in about
-  one group per message) stay linear. The counters are integers, so
-  folding late changes no total, and a reader that reads every round
-  pays what recording used to. ``reset`` zeroes the rows and the pending
-  columns but keeps the ids and their indexes; a ledger id with no
-  message since then is simply not seen.
+  batch is compared with the copy. Pending work is a kept sizes vector
+  times a batch count: the sizes are kept under the same rule (a frozen
+  vector by reference, for the identity check, with its bytes copied once
+  when it is first kept, for the fold), so a batch over the same ids with
+  the same sizes — every loss-free round of a continuous push — is one
+  more pending batch, O(1), and other sizes fold first. The pending
+  batches are folded in — one scatter of ``sizes * batches`` and one of
+  the number of batches, over the batch's rows — only when something
+  needs the totals: a read, or a batch over other ids or sizes. Recording
+  and folding a batch cost O(its rows), never O(the ledger), so many small
+  batches (a jittered latency model delivers a round in about one group
+  per message) stay linear. The counters are integers, so folding late
+  changes no total, and a reader that reads every round pays what
+  recording used to. ``reset`` zeroes the rows and the pending counts but
+  keeps the ids, sizes and indexes; a ledger id with no message since
+  then is simply not seen.
 
 :meth:`~HotspotAccountant.load_arrays` reads both stores for a whole id
 vector at once; the population statistics are computed from it.
@@ -127,6 +130,12 @@ def _interpolate(ordered: Sequence[int] | Sequence[float] | np.ndarray, q: float
     return float(ordered[lower]) * (1.0 - weight) + float(ordered[upper]) * weight
 
 
+def _frozen(vector: np.ndarray) -> bool:
+    """Whether the ledger may keep ``vector`` by reference: read only and
+    owning its memory (a view's base may be written through)."""
+    return not vector.flags.writeable and vector.base is None
+
+
 #: Row order of the bulk ledger's counters and of :meth:`HotspotAccountant.load_arrays`.
 _SENT, _RECEIVED, _BYTES_SENT, _BYTES_RECEIVED = range(4)
 
@@ -134,15 +143,19 @@ _SENT, _RECEIVED, _BYTES_SENT, _BYTES_RECEIVED = range(4)
 @dataclass(slots=True)
 class _Resolved:
     """The last bulk batch of one direction, resolved against the ledger,
-    and what batches over the same ids recorded since the last fold."""
+    and how many batches over the same ids and sizes recorded since the
+    last fold."""
 
     #: Ledger row of each batch row.
     index: np.ndarray
     #: The ids ``index`` was resolved for: the caller's own vector when it
     #: was read only and owned its memory, else a copy.
     ids: np.ndarray
-    #: Bytes per batch row not yet in the ledger.
-    pending: np.ndarray
+    #: Bytes per batch row of every pending batch (a copy: the fold reads it).
+    sizes: np.ndarray
+    #: The caller's read-only vector ``sizes`` was copied from, trusted by
+    #: identity while it stays read only; ``None``: compare with ``sizes``.
+    sized_by: np.ndarray | None
     #: Batches whose messages are not yet in the ledger.
     batches: int
 
@@ -242,32 +255,44 @@ class HotspotAccountant:
                 self._fold_locked()
                 for key in stale:
                     del self._resolved[key]
+        if sizes.flags.writeable:
+            # Likewise a kept sizes vector; its bytes pending batches were
+            # counted with are in the copy, so nothing need fold.
+            for kept in self._resolved.values():
+                if kept.sized_by is sizes:
+                    kept.sized_by = None
         resolved = self._resolved.get(row)
-        # A continuous push names the same ids every round: the very vector
-        # last round's index was resolved for, or a copy to compare with,
-        # and its bytes join the pending column — no search, no scatter. A
-        # writeable vector is copied: the caller may reuse its array.
+        # A continuous push names the same ids with the same sizes every
+        # round: the very vectors last round kept, or copies to compare
+        # with. Such a batch is one more pending batch — no search, no
+        # scatter, and by identity no pass over the rows either.
         if resolved is not None and (
             resolved.ids is nodes or np.array_equal(resolved.ids, nodes)
         ):
-            resolved.pending += sizes
-            resolved.batches += 1
-            return
-        # The pending batches were counted against the old index.
-        self._fold_locked()
-        index = self._ledger_index_locked(nodes)
-        frozen = not nodes.flags.writeable and nodes.base is None
+            if resolved.sized_by is sizes or np.array_equal(resolved.sizes, sizes):
+                resolved.batches += 1
+                return
+            # Other sizes: the pending batches fold with the kept ones.
+            self._fold_locked()
+            index, ids = resolved.index, resolved.ids
+        else:
+            # The pending batches were counted against the old index.
+            self._fold_locked()
+            index = self._ledger_index_locked(nodes)
+            ids = nodes if _frozen(nodes) else nodes.copy()
         self._resolved[row] = _Resolved(
-            index, nodes if frozen else nodes.copy(), sizes.copy(), 1
+            index, ids, sizes.copy(), sizes if _frozen(sizes) else None, 1
         )
 
     def _fold_locked(self) -> None:
         """Add the pending bytes and messages of both directions to the ledger."""
         for row, resolved in self._resolved.items():
             if resolved.batches:
-                np.add.at(self._counters[row + 2], resolved.index, resolved.pending)
+                np.add.at(
+                    self._counters[row + 2], resolved.index,
+                    resolved.sizes * resolved.batches,
+                )
                 np.add.at(self._counters[row], resolved.index, resolved.batches)
-                resolved.pending[:] = 0
                 resolved.batches = 0
 
     def _ledger_index_locked(self, nodes: np.ndarray) -> np.ndarray:
@@ -405,7 +430,6 @@ class HotspotAccountant:
             # from here re-sends over the same ids and need not rebuild them.
             self._counters[:] = 0
             for resolved in self._resolved.values():
-                resolved.pending[:] = 0
                 resolved.batches = 0
             self._by_kind.clear()
             self.series.clear()

@@ -106,7 +106,7 @@ def test_random_interleaving_equals_scalar_reference(seed):
     rng = np.random.default_rng(seed)
     acc, ref = HotspotAccountant(), ReferenceAccountant()
     never_seen = 10**9
-    last = None  # the previous bulk call's ids, read only since
+    last = last_sizes = None  # the previous bulk call's vectors, read only since
     for step in range(120):
         # The id pool widens as the run goes on: later bulk calls name ids
         # the ledger has not seen, earlier ones are repeated within a call.
@@ -128,7 +128,16 @@ def test_random_interleaving_equals_scalar_reference(seed):
                 if ids == "rewrite":
                     nodes.flags.writeable = True
                     nodes[:] = rng.choice(pool, size=len(nodes), replace=True)
-            sizes = rng.integers(0, 200, size=len(nodes))
+            # Sizes are drawn the same way, when the previous ones fit.
+            again = last_sizes is not None and len(last_sizes) == len(nodes)
+            how = rng.choice(["new", "again", "rewrite"]) if again else "new"
+            if how == "new":
+                sizes = rng.integers(0, 200, size=len(nodes))
+            else:
+                sizes = last_sizes
+                if how == "rewrite":
+                    sizes.flags.writeable = True
+                    sizes[:] = rng.integers(0, 200, size=len(nodes))
             if op == "send_bulk":
                 kind = [None, "agg_push", "probe"][int(rng.integers(3))]
                 acc.record_send_bulk(nodes, sizes, kind=kind)
@@ -136,8 +145,8 @@ def test_random_interleaving_equals_scalar_reference(seed):
             else:
                 acc.record_receive_bulk(nodes, sizes)
                 ref.record_receive_bulk(nodes, sizes)
-            nodes.flags.writeable = False
-            last = nodes
+            nodes.flags.writeable = sizes.flags.writeable = False
+            last, last_sizes = nodes, sizes
         elif op == "send":
             args = (int(rng.choice(pool)), int(rng.integers(200)), "agg_push")
             acc.record_send(*args)
@@ -154,7 +163,10 @@ def test_random_interleaving_equals_scalar_reference(seed):
         else:
             acc.reset()
             ref.reset()
-        assert_same_reads(acc, ref, pool.tolist() + [never_seen])
+        # A read folds what is pending; reading after some steps only lets
+        # batches pile up across rewrites of the vectors they were kept by.
+        if rng.random() < 0.4 or step == 119:
+            assert_same_reads(acc, ref, pool.tolist() + [never_seen])
 
 
 def test_same_ids_every_round_reuse_the_resolved_rows():
@@ -173,6 +185,33 @@ def test_same_ids_every_round_reuse_the_resolved_rows():
     for side in (acc, ref):
         side.record_send_bulk(changed, np.ones(len(changed), dtype=np.int64))
     assert_same_reads(acc, ref, sorted(set(senders.tolist()) | {5000, 33, 66}))
+
+
+def test_a_kept_sizes_vector_rewritten_while_pending_folds_its_old_bytes():
+    # A read-only sizes vector is known by identity while it stays read
+    # only: a repeated batch is one more pending batch. Its caller may make
+    # it writeable, rewrite it and record it so; the pending batches were
+    # counted with the bytes it held, and must fold with those.
+    acc, ref = HotspotAccountant(), ReferenceAccountant()
+    senders = np.arange(10, 30, dtype=np.int64)
+    sizes = np.full(len(senders), 40, dtype=np.int64)
+    senders.flags.writeable = sizes.flags.writeable = False
+    for _ in range(3):
+        for side in (acc, ref):
+            side.record_send_bulk(senders, sizes, kind="agg_push")
+    assert acc._resolved[0].batches == 3
+    sizes.flags.writeable = True
+    sizes[::2] = 7
+    for side in (acc, ref):
+        side.record_send_bulk(senders, sizes, kind="agg_push")
+    # Read only again, it is compared with the kept copy: the writeable
+    # pass dropped its identity, and what it holds now is pending.
+    sizes.flags.writeable = False
+    for _ in range(2):
+        for side in (acc, ref):
+            side.record_send_bulk(senders, sizes, kind="agg_push")
+    assert acc._resolved[0].batches == 3
+    assert_same_reads(acc, ref, list(range(0, 35)))
 
 
 def test_small_batches_on_a_large_ledger_stay_the_size_of_the_batch():
@@ -238,8 +277,9 @@ def test_growth_by_one_direction_invalidates_both_resolved_indexes():
 
 
 def test_batches_pending_between_reads_fold_to_the_reference():
-    # Same-id batches add their bytes to a pending column and reach the
-    # ledger only when something reads it. Here reads are rare, so dozens
+    # Same-id batches with the same sizes are counted as pending, other
+    # sizes fold first, and the ledger is written only when something
+    # reads it or the ids change. Here reads are rare, so dozens
     # of batches pile up between them, with scalar records in between,
     # growth from the other direction and a reset while bytes are pending.
     rng = np.random.default_rng(17)

@@ -465,7 +465,9 @@ class TestBatcher:
     def test_queue_over_the_datagram_budget_splits_and_all_arrive(self):
         # 3 000 pushes (a 44-byte layout each, plus a 4-byte frame length)
         # outgrow one 65 000-byte datagram. Over UDP an oversize envelope
-        # raised inside the flush timer and the whole queue was lost.
+        # raised inside the flush timer and the whole queue was lost. The
+        # flush window is wall time on the receive loop: a full second, so
+        # that a host pause while enqueueing cannot flush a partial queue.
         with UdpRpcTransport() as transport:
             delivered: list[int] = []
             done = threading.Event()
@@ -483,13 +485,13 @@ class TestBatcher:
             envelopes: list[int] = []
             send = transport.send
             transport.send = lambda m: envelopes.append(m.encoded_size()) or send(m)  # type: ignore[method-assign]
-            batcher = Batcher(transport, 0.05)
+            batcher = Batcher(transport, 1.0)
             for key in range(3000):
                 batcher.enqueue(
                     Message(kind="agg_push", source=1, destination=5,
                             payload={"key": key, "state": 1.0})
                 )
-            assert done.wait(5.0)
+            assert done.wait(10.0)
         assert delivered == list(range(3000))
         assert len(envelopes) == 3 and max(envelopes) <= MAX_DATAGRAM
 
