@@ -15,7 +15,7 @@ from fractions import Fraction
 from repro.chord.fingers import FingerTable
 from repro.chord.idgen import ProbingIdAssigner, UniformIdAssigner
 from repro.chord.idspace import IdSpace
-from repro.core.builder import build_balanced_dat
+from repro.core.builder import build_dat
 from repro.core.limiting import ceil_log2_fraction
 from repro.core.parent import select_parent_balanced
 from repro.core.tree import DatTree
@@ -68,7 +68,7 @@ def sweep_d0_error():
     true_d0 = space.size / len(ring)
     rows = []
     for factor in (0.25, 0.5, 1.0, 2.0, 4.0):
-        tree = build_balanced_dat(ring, key=12345, d0=true_d0 * factor)
+        tree = build_dat(ring, 12345, d0=true_d0 * factor)
         stats = tree.stats()
         rows.append(
             {

@@ -14,7 +14,7 @@ from repro.core.analysis import (
     compare_measured_to_theory,
     theoretical_basic_avg_branching,
 )
-from repro.core.builder import build_balanced_dat, build_basic_dat
+from repro.core.builder import build_dat
 from repro.experiments.report import format_table
 from repro.util.bits import ceil_log2
 
@@ -27,9 +27,8 @@ def validate_theory():
         bits = max(ceil_log2(n) + 4, 16)
         space = IdSpace(bits)
         ring = UniformIdAssigner().build_ring(space, n)
-        tables = ring.all_finger_tables()
 
-        basic = build_basic_dat(ring, key=0, tables=tables)
+        basic = build_dat(ring, 0, "basic")
         mismatches = sum(
             1 for _node, (m, p) in compare_measured_to_theory(basic, bits).items() if m != p
         )
@@ -37,7 +36,7 @@ def validate_theory():
             1 for _node, (m, p) in compare_depths_to_theory(basic, bits).items() if m != p
         )
 
-        balanced = build_balanced_dat(ring, key=0, tables=tables)
+        balanced = build_dat(ring, 0, "balanced")
         rows.append(
             {
                 "n": n,
@@ -77,7 +76,7 @@ def test_basic_height_equals_longest_route(benchmark):
         space = IdSpace(16)
         ring = UniformIdAssigner().build_ring(space, 1024)
         tables = ring.all_finger_tables()
-        tree = build_basic_dat(ring, key=0, tables=tables)
+        tree = build_dat(ring, 0, "basic")
         longest = max(route_lengths(ring, 0, tables=tables).values())
         return tree.height, longest
 

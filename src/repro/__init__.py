@@ -8,8 +8,8 @@ with Load-Balancing for Scalable Grid Resource Monitoring" (IPPS 2007):
 * :mod:`repro.core` — DAT construction (basic & balanced), mergeable
   aggregate functions, the per-node aggregation table, on-demand and
   continuous protocol modes, and closed-form tree analysis.
-* :mod:`repro.sim` — the heap-based discrete-event engine and the three
-  interchangeable transports (simulated, UDP, in-process).
+* :mod:`repro.sim` — the heap-based discrete-event engine and the two
+  interchangeable transports (simulated, UDP).
 * :mod:`repro.maan` — the multi-attribute addressable network index.
 * :mod:`repro.gma` — the P-GMA monitoring stack (sensors, producers,
   consumers, traces) and the :class:`~repro.gma.monitor.GridMonitor` facade.
@@ -36,8 +36,6 @@ from repro.chord import IdSpace, StaticRing, sha1_id, make_assigner
 from repro.core import (
     DatScheme,
     DatTree,
-    build_balanced_dat,
-    build_basic_dat,
     build_dat,
     get_aggregate,
     imbalance_factor,
@@ -54,8 +52,6 @@ __all__ = [
     "make_assigner",
     "DatScheme",
     "DatTree",
-    "build_basic_dat",
-    "build_balanced_dat",
     "build_dat",
     "get_aggregate",
     "imbalance_factor",

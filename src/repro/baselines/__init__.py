@@ -2,12 +2,10 @@
 
 from repro.baselines.centralized import (
     centralized_direct_loads,
-    centralized_routed_loads,
     CentralizedAggregator,
 )
 
 __all__ = [
     "centralized_direct_loads",
-    "centralized_routed_loads",
     "CentralizedAggregator",
 ]

@@ -11,7 +11,8 @@ Two variants are provided:
 * **routed** — every node ships its raw value to the root over Chord finger
   routing with *no in-network aggregation*; intermediate hops forward
   (and are loaded by) other nodes' values. This is the variant the Fig. 8(a)
-  narrative describes.
+  narrative describes; :func:`fast_centralized_load_array` counts its loads
+  without tracing a route.
 * **direct** — every node sends one IP-direct message to the root (one
   logical hop). The root still melts under ``n - 1`` messages; forwarders
   carry nothing.
@@ -21,18 +22,19 @@ Loads use the library-wide accounting: messages sent + received per node.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
+
+import numpy as np
 
 from repro import telemetry
-from repro.chord.fingers import FingerTable
+from repro.chord.fastbuild import fast_tree_arrays
 from repro.chord.ring import StaticRing
-from repro.chord.routing import finger_route
 from repro.core.aggregates import Aggregate
+from repro.core.builder import DatScheme
 
 __all__ = [
     "centralized_direct_loads",
-    "centralized_routed_loads",
+    "fast_centralized_load_array",
     "CentralizedAggregator",
 ]
 
@@ -50,40 +52,31 @@ def centralized_direct_loads(ring: StaticRing, key: int) -> dict[int, int]:
     return loads
 
 
-def centralized_routed_loads(
-    ring: StaticRing,
-    key: int,
-    tables: dict[int, FingerTable] | None = None,
-) -> dict[int, int]:
-    """Per-node message loads when every value is finger-routed to the root.
+def fast_centralized_load_array(ring: StaticRing, key: int) -> np.ndarray:
+    """Per-node loads of the centralized *routed* baseline, aligned with
+    ``ring.id_index().ids``.
 
-    Each node originates one message; every hop on its route counts one
-    send at the forwarder and one receive at the next node. No aggregation
-    happens en route — the root receives ``n - 1`` distinct value messages.
+    Equals the route-by-route count (``centralized_routed_loads`` in
+    ``tests/oracles.py``) without tracing a single route: the greedy hop
+    toward the root *is* the basic-DAT parent rule
+    (``FingerTable.closest_preceding`` picks the highest non-overshooting
+    slot, which always exists because slot 0 is the immediate successor),
+    so every route climbs the basic tree's parent chain. A node ``v !=
+    root`` therefore forwards one message per member of its basic-DAT
+    subtree and receives one per member but itself — ``load(v) = 2 *
+    subtree(v) - 1`` — while the root receives ``n - 1``. Emits the
+    ``baseline_messages_total`` counter (total sent = sum of depths).
     """
-    if tables is None:
-        tables = ring.all_finger_tables()
-    root = ring.successor(key)
-    sent: dict[int, int] = defaultdict(int)
-    received: dict[int, int] = defaultdict(int)
-    for node in ring:
-        if node == root:
-            continue
-        # Values are addressed to the root *node* (its identifier), matching
-        # the DAT parent rule's orientation — a route targeting the raw key
-        # would funnel every message through the key's predecessor instead
-        # of spreading over the root's inbound fingers.
-        route = finger_route(ring, node, root, tables=tables)
-        hops = route.path
-        for src, dst in zip(hops, hops[1:]):
-            sent[src] += 1
-            received[dst] += 1
+    tree = fast_tree_arrays(ring, key, scheme=DatScheme.BASIC)
+    sizes = tree.subtree_size_array()
+    loads = 2 * sizes - 1
+    loads[tree.root_index] = tree.nodes.size - 1
     telemetry.count(
         "baseline_messages_total",
-        float(sum(sent.values())),
+        float(int(tree.depth_array().sum())),
         variant="routed",
     )
-    return {node: sent[node] + received[node] for node in ring}
+    return loads
 
 
 class CentralizedAggregator:
@@ -110,5 +103,6 @@ class CentralizedAggregator:
     def message_loads(self) -> dict[int, int]:
         """Per-node loads for one aggregation round under this variant."""
         if self.routed:
-            return centralized_routed_loads(self.ring, self.key)
+            loads = fast_centralized_load_array(self.ring, self.key)
+            return dict(zip(self.ring.id_index().ids.tolist(), loads.tolist()))
         return centralized_direct_loads(self.ring, self.key)

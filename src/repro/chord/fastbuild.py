@@ -1,26 +1,24 @@
-"""Vectorized finger-table and DAT-parent construction (NumPy fast path).
+"""Vectorized finger-table and DAT-parent construction: the one DAT builder.
 
-The scalar builders in :mod:`repro.chord.ring` / :mod:`repro.core.builder`
-are the reference implementation; this module recomputes the same results
-with array operations. Equivalence against the scalar path is asserted
-test-for-test in ``tests/unit/test_fastbuild.py`` and against the
-``n x bits`` eligibility scan this module used to run in
-``tests/property/test_prop_parent_slot.py`` — if the two ever disagree, the
-scalar path wins.
+:func:`fast_tree_arrays` is what :func:`repro.core.builder.build_dat`,
+``DatTreeBuilder`` and the figure experiments run. It is proved against the
+per-node finger-table scans in ``tests/oracles.py``, test-for-test in
+``tests/unit/test_fastbuild.py``, and against the ``n x bits`` eligibility
+scan in ``tests/property/test_prop_parent_slot.py``.
 
-The tree kernel (:func:`fast_tree_arrays`) is O(n) and matrix-free. The DAT
-is the union of the finger routes toward ``r = successor(key)``, and ``r`` is
-a *member*, so every node's parent finger is the closed-form slot
+The tree kernel is O(n) and matrix-free. The DAT is the union of the finger
+routes toward ``r = successor(key)``, and ``r`` is a *member*, so every
+node's parent finger is the closed-form slot
 :func:`repro.core.limiting.parent_slots` at ``reach = x = cw(i, r)`` (that
 module's docstring has the proof and the list of callers that keep a scan):
 a build is one ``parent_slots`` (one ``frexp``) and one
 ``successor_indices`` (one gather per grid round).
 
-Restrictions: identifier width ``bits <= 48`` so that the exact integer
+Restriction: identifier width ``bits <= 48`` so that the exact integer
 ``log2`` read off ``frexp`` stays within float64's 2^53 exact-integer
-range. :func:`fast_capable` is the one predicate callers that can fall back
-(:func:`repro.core.builder.build_dat`, ``DatTreeBuilder``) consult; the
-kernels themselves raise on a ring they cannot handle.
+range. A wider space or an empty ring raises :class:`TreeError`; there is
+no fallback. The live protocol and the wire codec keep Python-int ids of
+any width.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from repro import telemetry
 from repro.chord.ring import StaticRing
 from repro.core.builder import DatScheme
 from repro.core.limiting import parent_slots
@@ -39,29 +36,22 @@ from repro.errors import TreeError
 __all__ = [
     "FAST_PATH_MAX_BITS",
     "DatTreeArrays",
-    "fast_capable",
     "fast_finger_matrix",
     "fast_tree_arrays",
-    "fast_centralized_load_array",
 ]
 
 #: Widest identifier space the vectorized path supports exactly.
 FAST_PATH_MAX_BITS = 48
 
 
-def fast_capable(ring: StaticRing) -> bool:
-    """Whether the array kernels apply: a narrow space and a non-trivial ring."""
-    return ring.space.bits <= FAST_PATH_MAX_BITS and len(ring) > 1
-
-
-def _require_fast_capable(ring: StaticRing) -> None:
+def _require_supported(ring: StaticRing) -> None:
     if ring.space.bits > FAST_PATH_MAX_BITS:
         raise TreeError(
-            f"fast path supports bits <= {FAST_PATH_MAX_BITS}, "
-            f"got {ring.space.bits}; use the scalar builders"
+            f"the array kernels support identifier spaces of at most "
+            f"{FAST_PATH_MAX_BITS} bits, got {ring.space.bits}"
         )
     if len(ring) == 0:
-        raise TreeError("fast path requires a non-empty ring")
+        raise TreeError("the array kernels require a non-empty ring")
 
 
 # The one positional ``matrix`` caller left is benchmarks/perf/micro.py (frozen).
@@ -92,7 +82,7 @@ def fast_finger_matrix(ring: StaticRing) -> np.ndarray:
     ring) and is copied in transposed: the result is the only ``(n, bits)``
     allocation, and no store strides down its columns.
     """
-    _require_fast_capable(ring)
+    _require_supported(ring)
     space = ring.space
     index = ring.id_index()
     nodes = index.ids
@@ -265,6 +255,7 @@ def fast_tree_arrays(
     key: int,
     scheme: DatScheme | str = DatScheme.BALANCED,
     matrix: np.ndarray | None = None,
+    d0: float | Fraction | None = None,
 ) -> DatTreeArrays:
     """Build a :class:`DatTreeArrays` snapshot — the one root-addressed kernel.
 
@@ -274,9 +265,12 @@ def fast_tree_arrays(
     node at once by :meth:`RingArray.successor_indices` (what ``searchsorted``
     returns, read off the ring's cached grid). The parent map never leaves
     index space: no Python dict, no per-node boxing, no finger matrix.
+
+    ``d0`` is the balanced limiter's mean gap, ``2^b / n`` by default; the
+    basic scheme ignores it.
     """
     scheme = DatScheme(scheme)
-    _require_fast_capable(ring)
+    _require_supported(ring)
     _check_matrix(ring, matrix)
     space = ring.space
     mask = space.max_id
@@ -287,7 +281,9 @@ def fast_tree_arrays(
     x = ids[root_index] - ids
     x &= np.int64(mask)  # cw(i, r)
     balanced = scheme is DatScheme.BALANCED
-    slot = parent_slots(x, x, Fraction(space.size, n) if balanced else None)
+    if d0 is None:
+        d0 = Fraction(space.size, n)
+    slot = parent_slots(x, x, d0 if balanced else None)
     slot[root_index] = 0  # any valid shift: the root's row is overwritten below
     fingers = np.left_shift(np.int64(1), slot, out=slot)
     fingers += ids
@@ -314,30 +310,3 @@ def fast_tree_arrays(
         key=int(key),
         scheme=scheme,
     )
-
-
-def fast_centralized_load_array(ring: StaticRing, key: int) -> np.ndarray:
-    """Per-node loads of the centralized *routed* baseline, aligned with
-    ``ring.id_index().ids``.
-
-    Equals :func:`repro.baselines.centralized.centralized_routed_loads`
-    without tracing a single route: the greedy hop toward the root *is*
-    the basic-DAT parent rule (``FingerTable.closest_preceding`` picks the
-    highest non-overshooting slot, which always exists because slot 0 is
-    the immediate successor), so every route climbs the basic tree's
-    parent chain. A node ``v != root`` therefore forwards one message per
-    member of its basic-DAT subtree and receives one per member but
-    itself — ``load(v) = 2 * subtree(v) - 1`` — while the root receives
-    ``n - 1``. Emits the same ``baseline_messages_total`` counter as the
-    routed oracle (total sent = sum of depths).
-    """
-    tree = fast_tree_arrays(ring, key, scheme=DatScheme.BASIC)
-    sizes = tree.subtree_size_array()
-    loads = 2 * sizes - 1
-    loads[tree.root_index] = tree.nodes.size - 1
-    telemetry.count(
-        "baseline_messages_total",
-        float(int(tree.depth_array().sum())),
-        variant="routed",
-    )
-    return loads

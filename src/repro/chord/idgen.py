@@ -14,9 +14,8 @@ Every strategy returns a fully-populated :class:`StaticRing` through
 space allows it, ``bits <= 62``), so no assigner leaves a per-node Python
 list behind on a 10^6-node ring. The probing
 strategy runs join by join, since each choice depends on the current
-membership, through :func:`repro.chord.ringarray.fast_probing_ids`;
-:mod:`repro.chord.probing` is the single-join API and the reference that
-routine is tested against.
+membership, through :func:`repro.chord.ringarray.fast_probing_ids`; the
+single-join reference it is tested against is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -121,9 +120,9 @@ class ProbingIdAssigner(IdAssigner):
     interval among them.
 
     Built through :func:`repro.chord.ringarray.fast_probing_ids`, which
-    replays joining with
-    :func:`~repro.chord.probing.probe_split_identifier` node by node, large
-    rings in rounds of independent joins: it consumes ``rng`` identically,
+    replays joining node by node (``probe_split_identifier`` in
+    ``tests/oracles.py``), large rings in rounds of independent joins: it
+    consumes ``rng`` identically,
     so the membership and the generator's state afterwards are
     bit-identical (the property suite asserts both).
     """

@@ -44,9 +44,8 @@ The joiner's and the re-limited members' parent is the closed-form slot of
 root as the bound (``reach = x``), resolved with a single bisect on the
 ring; that module's docstring says why it is inlined here.
 
-The full rebuild (:func:`repro.core.builder.build_dat`) remains the
-reference oracle: ``verify=True`` cross-checks every event against it, and
-if the two ever disagree the rebuild wins and the divergence is logged.
+``tests/property/test_prop_incremental.py`` compares every tracked tree
+with the finger-table oracle in ``tests/oracles.py`` after every event.
 
 Out of scope: ``benchmarks/perf/`` imports this module, ``fast_tree_arrays``
 / ``fast_finger_matrix`` and ``DatTreeBuilder.finger_matrix`` by path (and
@@ -230,8 +229,6 @@ class DatUpdateReport:
     #: keys whose tree was fully rebuilt (root handover, regrowth from an
     #: empty ring, out-of-band ring mutation).
     rebuilt_keys: tuple[int, ...]
-    #: keys where verify-mode found a divergence (rebuild adopted).
-    verified_mismatches: tuple[int, ...] = ()
 
     @property
     def finger_updates(self) -> int:
@@ -262,22 +259,15 @@ class DatUpdateEngine:
         The ring to maintain (mutated in place by events).
     scheme:
         Tree-construction scheme for every tracked tree.
-    verify:
-        Cross-check every event against a full rebuild and adopt the
-        rebuild on divergence. The oracle mode used by the equivalence
-        tests; costs a full rebuild per event, so keep it off in
-        production sweeps.
     """
 
     def __init__(
         self,
         ring: StaticRing,
         scheme: DatScheme | str = DatScheme.BALANCED,
-        verify: bool = False,
     ) -> None:
         self.ring = ring
         self.scheme = DatScheme(scheme)
-        self.verify = verify
         self._trees: dict[int, DatTree] = {}
         #: tracked keys whose tree awaits a rebuild: the ring drained away,
         #: or was mutated out of band since the last event.
@@ -307,7 +297,7 @@ class DatUpdateEngine:
     # ------------------------------------------------------------------ #
 
     def full_build(self, key: int) -> DatTree:
-        """Reference build of one tree from the maintained ring."""
+        """Full rebuild of one tree from the maintained ring."""
         return build_dat(self.ring, key, scheme=self.scheme)
 
     def track(self, key: int, tree: DatTree | None = None) -> DatTree:
@@ -370,12 +360,8 @@ class DatUpdateEngine:
                 rebuilt.append(key)
                 count = 0
             reparented[key] = count
-        mismatches = self._verify_all() if self.verify else ()
         return DatUpdateReport(
-            delta=delta,
-            reparented=reparented,
-            rebuilt_keys=tuple(rebuilt),
-            verified_mismatches=mismatches,
+            delta=delta, reparented=reparented, rebuilt_keys=tuple(rebuilt)
         )
 
     def _membership_event(self, kind: str, ident: int) -> RingDelta:
@@ -443,7 +429,7 @@ class DatUpdateEngine:
 
         # The joiner and the re-limited members resolve their parent slot
         # min(floor(log2 x), g(x)) (core.limiting.parent_slots, with the root
-        # as the bound) with one bisect, bit-identical to select_parent_*.
+        # as the bound) with one bisect, bit-identical to the finger scans.
         # g(x) is core.limiting's one integer expression ((x + c + 2)//3 -
         # 1).bit_length(), c = ceil(2*2^b/n) (FingerLimiter.for_ring's own
         # constant), so no Fraction arithmetic is on the per-event hot path.
@@ -493,21 +479,6 @@ class DatUpdateEngine:
             tree.invalidate_caches()
             counts[key] = len(moved)
         return counts
-
-    def _verify_all(self) -> tuple[int, ...]:
-        """Oracle cross-check: rebuild each tree; the rebuild wins on mismatch."""
-        mismatches: list[int] = []
-        for key, tree in list(self._trees.items()):
-            rebuilt = self.full_build(key)
-            if rebuilt.root != tree.root or rebuilt.parent != tree.parent:
-                get_logger("chord.incremental").warning(
-                    "incremental tree for key %d diverged from the full "
-                    "rebuild; adopting the rebuild",
-                    key,
-                )
-                self._trees[key] = rebuilt
-                mismatches.append(key)
-        return tuple(mismatches)
 
     def replay(self, events: Iterable[tuple[str, int]]) -> list[DatUpdateReport]:
         """Apply a sequence of ``(kind, ident)`` events, collecting reports."""

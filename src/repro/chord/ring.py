@@ -207,19 +207,6 @@ class StaticRing:
             raise UnknownNodeError(ident)
         return index
 
-    def gap_before(self, ident: int) -> int:
-        """Clockwise distance from ``ident``'s predecessor to ``ident``.
-
-        This is the slice of the identifier space owned by ``ident`` under
-        consistent hashing; identifier probing (Sec. 3.5) splits the largest
-        such gap.
-        """
-        if len(self) == 1:
-            if ident not in self:
-                raise UnknownNodeError(ident)
-            return self.space.size
-        return self.space.cw(self.predecessor_of_node(ident), ident)
-
     def gaps(self) -> dict[int, int]:
         """Owned-interval length for every node (``{}`` on an empty ring)."""
         nodes = self.nodes

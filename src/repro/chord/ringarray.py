@@ -13,12 +13,11 @@ Scalar queries (successor, predecessor, membership, intervals) live on
 
 The module also hosts :func:`fast_probing_ids`, which
 :class:`~repro.chord.idgen.ProbingIdAssigner` builds every ring with: the
-join-by-join procedure of
-:func:`~repro.chord.probing.probe_split_identifier`, large rings in rounds
-of joins whose probe windows are disjoint. It consumes the RNG identically
-and therefore produces bit-identical rings; the ring-object procedure stays
-as the single-join API and the reference the property suite compares
-against.
+join-by-join probing procedure (Sec. 3.5), large rings in rounds of joins
+whose probe windows are disjoint. It consumes the RNG identically to the
+ring-object procedure ``probe_split_identifier`` in ``tests/oracles.py``
+and therefore produces bit-identical rings; the property suite compares
+the two.
 
 Restriction: identifiers must fit in ``int64``, i.e. ``space.bits <= 62``.
 Wider spaces have the list view only.
@@ -31,6 +30,7 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.chord.idspace import IdSpace
+from repro.chord.probing import default_probe_count
 from repro.errors import DuplicateNodeError, EmptyRingError, IdentifierError
 from repro.util.bits import ceil_log2, next_power_of_two
 from repro.util.rng import ensure_rng
@@ -148,7 +148,7 @@ class RingArray:
         """Clockwise gap from each member's predecessor, aligned with ``ids``.
 
         A single-member ring owns the whole space, matching
-        :meth:`StaticRing.gap_before`.
+        :meth:`StaticRing.gaps`.
         """
         self._require_nodes()
         ids = self._ids
@@ -179,7 +179,7 @@ def fast_probing_ids(
     """``n_nodes`` probing-assigned identifiers, sorted ascending.
 
     Produces exactly the membership that joining node by node with
-    :func:`repro.chord.probing.probe_split_identifier` would, and leaves
+    ``probe_split_identifier`` (``tests/oracles.py``) would, and leaves
     ``rng`` in exactly the state that loop leaves it in (callers keep
     drawing from it) — ``tests/property/test_prop_scale.py`` asserts both.
     Only on the saturation ``RuntimeError``, which is terminal, may the
@@ -202,9 +202,6 @@ def fast_probing_ids(
         raise ValueError(
             f"cannot place {n_nodes} distinct nodes in a space of {space.size}"
         )
-    # Imported here: probing imports the ring module, which imports us.
-    from repro.chord.probing import default_probe_count
-
     if n_nodes == 0:
         return []
     generator = ensure_rng(rng)

@@ -1,11 +1,9 @@
 """Distributed Aggregation Trees (DAT) — the paper's core contribution.
 
-Construction (paper Sec. 3):
-
-* :func:`~repro.core.builder.build_basic_dat` — the tree implied by greedy
-  Chord finger routes toward ``successor(key)`` (Sec. 3.2).
-* :func:`~repro.core.builder.build_balanced_dat` — balanced routing with the
-  finger limiting function ``g(x) = ceil(log2((x + 2*d0)/3))`` (Sec. 3.4).
+Construction (paper Sec. 3): :func:`~repro.core.builder.build_dat` builds
+the basic tree (greedy Chord finger routes toward ``successor(key)``, Sec.
+3.2) or the balanced one (routes limited by ``g(x) = ceil(log2((x +
+2*d0)/3))``, Sec. 3.4).
 
 Aggregation (paper Sec. 4): mergeable aggregate functions
 (:mod:`repro.core.aggregates`) and the on-demand / continuous protocol
@@ -16,13 +14,11 @@ metrics in :mod:`repro.core.analysis`.
 """
 
 from repro.core.limiting import finger_limit, FingerLimiter
-from repro.core.parent import select_parent_basic, select_parent_balanced
+from repro.core.parent import select_parent_balanced
 from repro.core.tree import DatTree, TreeStats
 from repro.core.builder import (
     DatScheme,
     DatTreeBuilder,
-    build_basic_dat,
-    build_balanced_dat,
     build_dat,
 )
 from repro.core.aggregates import (
@@ -53,14 +49,11 @@ from repro.core.analysis import (
 __all__ = [
     "finger_limit",
     "FingerLimiter",
-    "select_parent_basic",
     "select_parent_balanced",
     "DatTree",
     "TreeStats",
     "DatScheme",
     "DatTreeBuilder",
-    "build_basic_dat",
-    "build_balanced_dat",
     "build_dat",
     "Aggregate",
     "ColumnAggregate",

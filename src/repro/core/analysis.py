@@ -32,7 +32,6 @@ __all__ = [
     "theoretical_balanced_max_branching",
     "theoretical_balanced_height_bound",
     "imbalance_factor",
-    "load_distribution",
     "load_rank_array",
     "compare_measured_to_theory",
     "compare_depths_to_theory",
@@ -162,20 +161,11 @@ def imbalance_factor(loads: Iterable[float] | Mapping[int, float]) -> float:
     return max(values) / average
 
 
-def load_distribution(loads: Mapping[int, float]) -> list[tuple[int, float]]:
-    """Loads sorted descending — the 'node rank' ordering of Fig. 8(a).
-
-    Returns ``(node, load)`` pairs; index in the list is the node's rank.
-    """
-    return sorted(loads.items(), key=lambda item: (-item[1], item[0]))
-
-
 def load_rank_array(loads: np.ndarray) -> np.ndarray:
-    """Loads sorted descending — the array-native Fig. 8(a) rank curve.
+    """Loads sorted descending — the Fig. 8(a) rank curve (index = rank).
 
-    The value vector of :func:`load_distribution` without the node pairing
-    (equal loads are indistinguishable in the curve), so 10^5-node rank
-    plots never materialize per-node tuples.
+    No node pairing (equal loads are indistinguishable in the curve), so
+    10^5-node rank plots never materialize per-node tuples.
     """
     return np.sort(loads)[::-1]
 

@@ -40,8 +40,9 @@ references in ``tests/property/test_prop_parent_slot.py`` and
   :class:`FingerLimiter` measured ~20 % slower per membership event and
   pushes its call count past ``TestEventCost``'s bound;
 * ``core.service.DatNodeService.parent_toward_key`` and
-  ``core.parent.select_parent_*`` scan a finger table: a live one that may
-  be stale mid-churn, or one a caller supplies, where no closed form holds.
+  ``core.parent.select_parent_balanced`` scan a finger table: a live one
+  that may be stale mid-churn, or one a caller supplies, where no closed
+  form holds.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from repro.chord.incremental import DatUpdateEngine
 from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordConfig
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.tree import DatTree
 from repro.errors import TreeError
 from repro.sim.simnet import SimTransport

@@ -10,19 +10,24 @@
     (paper: 4.2 @100 -> 8.5 @1000), balanced ~constant (1.9 - 2.0).
 
 Loads count messages sent + received per node in one aggregation round
-(DESIGN.md Sec. 5 records why this reproduces the paper's numbers).
+(DESIGN.md Sec. 5 records why this reproduces the paper's numbers). They
+come from the array pipeline :mod:`repro.experiments.scale` runs at 10^5
+nodes: one tree kernel per scheme and the routed baseline's closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import telemetry
-from repro.baselines.centralized import centralized_routed_loads
+from repro.baselines.centralized import fast_centralized_load_array
+from repro.chord.fastbuild import fast_tree_arrays
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
-from repro.core.analysis import imbalance_factor, load_distribution
-from repro.core.builder import build_balanced_dat, build_basic_dat
+from repro.core.analysis import imbalance_factor, load_rank_array
+from repro.core.builder import DatScheme
 from repro.util.rng import spawn_seeds
 
 __all__ = [
@@ -75,19 +80,20 @@ class Fig8ImbalancePoint:
 
 def _scheme_loads(
     n_nodes: int, bits: int, seed: int, id_strategy: str, key: int
-) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """(centralized, basic, balanced) per-node loads on one ring."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ring's ids and the (centralized, basic, balanced) per-node loads,
+    all aligned with the ids."""
     space = IdSpace(bits)
     ring = make_assigner(id_strategy).build_ring(space, n_nodes, rng=seed)
-    tables = ring.all_finger_tables()
     rendezvous = space.wrap(key)
-    centralized = centralized_routed_loads(ring, rendezvous, tables=tables)
-    basic = build_basic_dat(ring, rendezvous, tables=tables).message_loads()
-    balanced = build_balanced_dat(ring, rendezvous, tables=tables).message_loads()
-    return centralized, basic, balanced
+    loads = [fast_centralized_load_array(ring, rendezvous)]
+    for scheme in (DatScheme.BASIC, DatScheme.BALANCED):
+        tree = fast_tree_arrays(ring, rendezvous, scheme=scheme)
+        loads.append(tree.message_load_array())
+    return ring.id_index().ids, loads
 
 
-def _record_scheme_loads(scheme: str, loads: dict[int, int]) -> None:
+def _record_scheme_loads(scheme: str, ids: np.ndarray, loads: np.ndarray) -> None:
     """Publish one scheme's per-node loads through the hotspot accountants.
 
     The experiment's analytic loads flow into the same accounting path the
@@ -100,7 +106,7 @@ def _record_scheme_loads(scheme: str, loads: dict[int, int]) -> None:
     if tel is None:
         return
     accountant = tel.hotspots(f"fig8.{scheme}")
-    for node, load in loads.items():
+    for node, load in zip(ids.tolist(), loads.tolist()):
         accountant.add_load(node, sent=load)
     accountant.sample(tel.now())
     telemetry.gauge_set("fig8a_imbalance", accountant.imbalance(), scheme=scheme)
@@ -116,17 +122,17 @@ def run_fig8a_message_distribution(
 ) -> Fig8Distribution:
     """Regenerate the Fig. 8(a) rank-ordered distributions."""
     with telemetry.span("experiment.fig8a", n=n_nodes, seed=seed):
-        centralized, basic, balanced = _scheme_loads(
+        ids, (centralized, basic, balanced) = _scheme_loads(
             n_nodes, bits, seed, id_strategy, key
         )
-        _record_scheme_loads("centralized", centralized)
-        _record_scheme_loads("basic", basic)
-        _record_scheme_loads("balanced", balanced)
+        _record_scheme_loads("centralized", ids, centralized)
+        _record_scheme_loads("basic", ids, basic)
+        _record_scheme_loads("balanced", ids, balanced)
         return Fig8Distribution(
             n_nodes=n_nodes,
-            centralized=[load for _node, load in load_distribution(centralized)],
-            basic=[load for _node, load in load_distribution(basic)],
-            balanced=[load for _node, load in load_distribution(balanced)],
+            centralized=load_rank_array(centralized).tolist(),
+            basic=load_rank_array(basic).tolist(),
+            balanced=load_rank_array(balanced).tolist(),
         )
 
 
@@ -147,7 +153,7 @@ def run_fig8b_imbalance_sweep(
             samples = [
                 tuple(
                     imbalance_factor(loads)
-                    for loads in _scheme_loads(n_nodes, bits, seed, id_strategy, key)
+                    for loads in _scheme_loads(n_nodes, bits, seed, id_strategy, key)[1]
                 )
                 for seed in seeds
             ]

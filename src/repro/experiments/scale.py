@@ -7,12 +7,13 @@ one to two orders of magnitude further, entirely on the array-native
 pipeline: array-backed rings (:class:`~repro.chord.ringarray.RingArray`),
 the matrix-free O(n) tree kernel, and
 :class:`~repro.chord.fastbuild.DatTreeArrays` statistics that never
-materialize per-node Python objects.
+materialize per-node Python objects. Fig. 8
+(:mod:`repro.experiments.fig8_load_balance`) reads its loads from the same
+pipeline.
 
 The object-based references in ``tests/oracles.py`` measure the same points
-through :func:`~repro.core.builder.build_dat`,
-:func:`~repro.baselines.centralized.centralized_routed_loads` and one
-``DatNodeService`` per node. They return *equal* :class:`ScalePoint` values
+through per-node finger-table scans, route-by-route centralized loads and
+one ``DatNodeService`` per node. They return *equal* :class:`ScalePoint` values
 (floats bit-identical) and equal :meth:`ProtocolScalePoint.exactness_key`s,
 which is the exactness gate ``benchmarks/bench_scale.py`` enforces at every
 size where they are affordable.
@@ -26,7 +27,8 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro.chord.fastbuild import fast_centralized_load_array, fast_tree_arrays
+from repro.baselines.centralized import fast_centralized_load_array
+from repro.chord.fastbuild import fast_tree_arrays
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.core.analysis import imbalance_factor

@@ -13,8 +13,6 @@ This package reproduces that design:
 * :class:`~repro.sim.udprpc.UdpRpcTransport` — real UDP sockets on
   localhost with timeouts and retries (the paper's 512-instance cluster
   setup, scaled to the test machine).
-* :class:`~repro.sim.inproc.InprocTransport` — zero-latency direct calls
-  for unit tests.
 
 Per-node message accounting lives on every transport as
 ``transport.stats``, a :class:`repro.telemetry.hotspot.HotspotAccountant`.
@@ -33,7 +31,6 @@ from repro.sim.latency import (
 )
 from repro.sim.messages import Message, encode_message, decode_message
 from repro.sim.transport import Transport, MessageHandler
-from repro.sim.inproc import InprocTransport
 from repro.sim.simnet import SimTransport
 from repro.sim.udprpc import UdpRpcTransport
 from repro.sim.tracing import get_logger, trace
@@ -51,7 +48,6 @@ __all__ = [
     "decode_message",
     "Transport",
     "MessageHandler",
-    "InprocTransport",
     "SimTransport",
     "UdpRpcTransport",
     "get_logger",

@@ -102,10 +102,6 @@ class Transport(ABC):
         self._handlers.pop(node, None)
         self.cancel_calls(node)
 
-    def is_registered(self, node: int) -> bool:
-        """True if the node currently has a handler."""
-        return node in self._handlers
-
     def registered_nodes(self) -> list[int]:
         """Identifiers of all registered nodes."""
         return sorted(self._handlers)

@@ -24,9 +24,9 @@ def render_tree(tree: DatTree, max_nodes: int = 200, label: str = "N") -> str:
 
     >>> from repro.chord.idspace import IdSpace
     >>> from repro.chord.ring import StaticRing
-    >>> from repro.core.builder import build_balanced_dat
+    >>> from repro.core.builder import build_dat
     >>> ring = StaticRing(IdSpace(4), range(16))
-    >>> print(render_tree(build_balanced_dat(ring, 0)))  # doctest: +ELLIPSIS
+    >>> print(render_tree(build_dat(ring, 0)))  # doctest: +ELLIPSIS
     N0
     ├── N14
     ...

@@ -1,4 +1,4 @@
-"""Zero-latency in-process transport for unit tests.
+"""Zero-latency in-process transport: the fake the net-layer tests substitute.
 
 Delivery is synchronous: ``send`` invokes the destination handler before
 returning. Timers wait in the simulator's
@@ -14,8 +14,6 @@ from typing import Callable
 from repro.sim.engine import Event, EventQueue
 from repro.sim.messages import Message
 from repro.sim.transport import Transport
-
-__all__ = ["InprocTransport"]
 
 
 class InprocTransport(Transport):
@@ -39,7 +37,7 @@ class InprocTransport(Transport):
             self.stats.record_receive(message.destination, size)
             self._dispatch(message)
             return
-        if not self.is_registered(message.destination):
+        if message.destination not in self._handlers:
             return
         self.stats.record_receive(message.destination, size)
         self._dispatch(message)

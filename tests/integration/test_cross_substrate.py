@@ -13,7 +13,6 @@ import pytest
 from repro.chord.broadcast import BroadcastService
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport

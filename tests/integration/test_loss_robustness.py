@@ -9,10 +9,10 @@ import pytest
 
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
+from tests.oracles import build_balanced_dat
 
 
 def build_lossy_overlay(n: int, loss_rate: float, seed: int = 1):

@@ -12,11 +12,11 @@ import pytest
 
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.net import RetryPolicy
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
+from tests.oracles import build_balanced_dat
 
 #: Bounded policy used by the robust runs: retransmit lost collects on a
 #: fixed 0.5 s deadline. Attempts are deliberately generous — an interior

@@ -11,7 +11,7 @@ from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.chord.routing import finger_route
 from repro.core.analysis import compare_measured_to_theory
-from repro.core.builder import build_balanced_dat, build_basic_dat
+from repro.core.builder import build_dat
 from repro.core.limiting import finger_limit
 
 
@@ -22,7 +22,7 @@ def ring() -> StaticRing:
 
 class TestFig2BasicDat:
     def test_root_children(self, ring):
-        tree = build_basic_dat(ring, key=0)
+        tree = build_dat(ring, 0, "basic")
         assert tree.children(0) == [8, 12, 14, 15]
 
     def test_finger_route_from_n1(self, ring):
@@ -31,12 +31,12 @@ class TestFig2BasicDat:
     def test_tree_path_equals_finger_route(self, ring):
         # Sec. 3.2: "each finger route towards N0 corresponds to the path
         # from Ni to the root in the basic DAT" — for every node.
-        tree = build_basic_dat(ring, key=0)
+        tree = build_dat(ring, 0, "basic")
         for node in ring:
             assert tuple(tree.path_to_root(node)) == finger_route(ring, node, 0).path
 
     def test_full_parent_map(self, ring):
-        tree = build_basic_dat(ring, key=0)
+        tree = build_dat(ring, 0, "basic")
         expected = {
             1: 9, 2: 10, 3: 11, 4: 12, 5: 13, 6: 14, 7: 15,
             8: 0, 9: 13, 10: 14, 11: 15, 12: 0, 13: 15, 14: 0, 15: 0,
@@ -44,14 +44,14 @@ class TestFig2BasicDat:
         assert tree.parent == expected
 
     def test_branching_matches_closed_form(self, ring):
-        tree = build_basic_dat(ring, key=0)
+        tree = build_dat(ring, 0, "basic")
         for node, (measured, predicted) in compare_measured_to_theory(
             tree, bits=4
         ).items():
             assert measured == predicted, node
 
     def test_height_is_log_n(self, ring):
-        assert build_basic_dat(ring, key=0).height == 4
+        assert build_dat(ring, 0, "basic").height == 4
 
 
 class TestFig5BalancedDat:
@@ -62,24 +62,24 @@ class TestFig5BalancedDat:
     def test_n8_rerouted_to_n12(self, ring):
         # The paper's prose says "N1" but N1 overshoots the root; the math
         # (and the balanced tree) give N12 (see DESIGN.md errata).
-        tree = build_balanced_dat(ring, key=0)
+        tree = build_dat(ring, 0)
         assert tree.parent[8] == 12
 
     def test_max_branching_two(self, ring):
-        tree = build_balanced_dat(ring, key=0)
+        tree = build_dat(ring, 0)
         assert tree.stats().max_branching == 2
 
     def test_root_children_are_inbound_fingers(self, ring):
         # Sec. 3.5: children of i are its j-th and j+1-th inbound fingers;
         # for the root these are N14 (= 0 - 2^1) and N15 (= 0 - 2^0).
-        tree = build_balanced_dat(ring, key=0)
+        tree = build_dat(ring, 0)
         assert tree.children(0) == [14, 15]
 
     def test_height_log_n(self, ring):
-        assert build_balanced_dat(ring, key=0).height <= 4
+        assert build_dat(ring, 0).height <= 4
 
     def test_every_internal_node_at_most_two_children(self, ring):
-        tree = build_balanced_dat(ring, key=0)
+        tree = build_dat(ring, 0)
         for node in tree.internal_nodes():
             assert tree.branching_factor(node) <= 2
 
@@ -89,7 +89,7 @@ class TestFig5BalancedDat:
         # restricted to existing nodes closer to the root's far side.
         from repro.util.bits import ceil_log2
 
-        tree = build_balanced_dat(ring, key=0)
+        tree = build_dat(ring, 0)
         space = ring.space
         for node in ring:
             d = space.cw(node, 0)
@@ -106,7 +106,7 @@ class TestAggregationOverPaperTree:
         # End-to-end bottom-up merge over the Fig. 5 tree.
         from repro.core.aggregates import get_aggregate
 
-        tree = build_balanced_dat(ring, key=0)
+        tree = build_dat(ring, 0)
         agg = get_aggregate("sum")
         depths = tree.depths()
         states = {node: agg.lift(float(node)) for node in tree.nodes()}

@@ -10,11 +10,11 @@ import pytest
 from repro.chord.idspace import IdSpace
 from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordConfig
-from repro.core.builder import build_balanced_dat
 from repro.core.service import DatNodeService
 from repro.experiments.churn_overhead import live_tree
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
+from tests.oracles import build_balanced_dat
 
 
 @pytest.fixture(scope="module")

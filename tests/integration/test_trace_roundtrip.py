@@ -18,7 +18,6 @@ from repro.chord.idspace import IdSpace
 from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordConfig
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.maan.attrs import AttributeSchema
 from repro.maan.query import RangeQuery
@@ -28,6 +27,7 @@ from repro.sim.simnet import SimTransport
 from repro.telemetry import TelemetryStream
 from repro.telemetry.report import load, trace_set
 from repro.telemetry.report import main as report_main
+from tests.oracles import build_balanced_dat
 
 
 @pytest.fixture(autouse=True)

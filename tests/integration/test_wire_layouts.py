@@ -26,7 +26,6 @@ from repro import telemetry
 from repro.chord.idspace import IdSpace
 from repro.chord.node import ChordConfig
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.overlay import DatOverlay
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.sim import messages
@@ -34,6 +33,7 @@ from repro.sim.latency import ConstantLatency
 from repro.sim.messages import WIRE_LAYOUTS
 from repro.sim.simnet import SimTransport
 from repro.sim.udprpc import UdpRpcTransport
+from tests.oracles import build_balanced_dat
 
 PROTOCOL_MD = Path(__file__).resolve().parents[2] / "docs" / "PROTOCOL.md"
 

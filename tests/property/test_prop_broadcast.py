@@ -71,7 +71,7 @@ class TestFastbuildHypothesis:
     @given(ring_and_initiator(), st.integers(min_value=0, max_value=2**18 - 1))
     def test_fast_equals_scalar_on_random_rings(self, args, raw_key):
         from repro.chord.fastbuild import fast_tree_arrays
-        from repro.core.builder import build_balanced_dat, build_basic_dat
+        from tests.oracles import build_balanced_dat, build_basic_dat
 
         ring, _initiator = args
         if len(ring) < 2:

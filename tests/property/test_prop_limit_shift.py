@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from repro.chord.idspace import IdSpace
 from repro.chord.incremental import DatUpdateEngine, _arc_runs, _limit_shift_spans
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.limiting import FingerLimiter
+from tests.oracles import build_balanced_dat
 
 
 def _relimited_distances(space, n_before, n_after):

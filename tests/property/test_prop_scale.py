@@ -24,15 +24,10 @@ from repro.chord import ringarray
 from repro.chord.fastbuild import fast_finger_matrix, fast_tree_arrays
 from repro.chord.idgen import ProbingIdAssigner, make_assigner
 from repro.chord.idspace import IdSpace
-from repro.chord.probing import probe_split_identifier
 from repro.chord.ring import StaticRing
 from repro.chord.ringarray import fast_probing_ids
-from repro.core.builder import (
-    DatScheme,
-    DatTreeBuilder,
-    build_balanced_dat,
-    build_basic_dat,
-)
+from repro.core.builder import DatScheme, DatTreeBuilder
+from tests.oracles import build_balanced_dat, build_basic_dat, probe_split_identifier
 
 SCHEMES = [DatScheme.BASIC, DatScheme.BALANCED]
 
@@ -317,6 +312,6 @@ class TestStorageModeEquivalence:
         for key in keys:
             assert obj.successor(key) == arr.successor(key)
             assert obj.predecessor(key) == arr.predecessor(key)
+        assert obj.gaps() == arr.gaps()
         for ident in obj.nodes[:8]:
-            assert obj.gap_before(ident) == arr.gap_before(ident)
             assert obj.successor_of_node(ident) == arr.successor_of_node(ident)

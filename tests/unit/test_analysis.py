@@ -7,13 +7,12 @@ from repro.chord.idspace import IdSpace
 from repro.core.analysis import (
     compare_measured_to_theory,
     imbalance_factor,
-    load_distribution,
     theoretical_balanced_height_bound,
     theoretical_balanced_max_branching,
     theoretical_basic_branching,
     theoretical_max_branching_basic,
 )
-from repro.core.builder import build_basic_dat
+from tests.oracles import build_basic_dat, load_distribution
 
 
 class TestTheoreticalBasicBranching:

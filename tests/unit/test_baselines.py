@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.baselines.centralized import (
-    CentralizedAggregator,
-    centralized_direct_loads,
-    centralized_routed_loads,
-)
+from repro.baselines.centralized import CentralizedAggregator, centralized_direct_loads
 from repro.chord.idgen import ProbingIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.core.aggregates import SumAggregate
+from tests.oracles import centralized_routed_loads
 
 
 class TestDirectLoads:

@@ -1,19 +1,19 @@
 """Unit tests for DAT construction (paper Fig. 2/5 + Algorithm 1)."""
 
+from fractions import Fraction
+
 import pytest
 
 import repro.chord.fastbuild as fastbuild
+from repro.chord.fastbuild import FAST_PATH_MAX_BITS
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner, UniformIdAssigner
 from repro.chord.idspace import IdSpace
+from repro.chord.incremental import DatUpdateEngine
 from repro.chord.ring import StaticRing
-from repro.core.builder import (
-    DatScheme,
-    DatTreeBuilder,
-    build_balanced_dat,
-    build_basic_dat,
-    build_dat,
-)
+from repro.core.builder import DatScheme, DatTreeBuilder, build_dat
+from repro.errors import TreeError
 from repro.util.bits import ceil_log2
+from tests.oracles import build_balanced_dat, build_basic_dat
 
 
 class TestBuildBasicDat:
@@ -107,9 +107,17 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+WIDE_ENTRYPOINTS = {
+    "build_dat": lambda ring: build_dat(ring, 5),
+    "builder_build": lambda ring: DatTreeBuilder(ring).build(5),
+    "builder_tree_stats": lambda ring: DatTreeBuilder(ring).tree_stats(5),
+    "engine_track": lambda ring: DatUpdateEngine(ring).track(5),
+}
+
+
 class TestBuildDatDispatch:
-    """``build_dat`` picks the array kernel from what it can observe; the
-    scalar builders are the reference either way."""
+    """``build_dat`` runs the array kernel on every ring; the finger-table
+    scans in ``tests/oracles.py`` are the reference."""
 
     SCALAR = {"basic": build_basic_dat, "balanced": build_balanced_dat}
 
@@ -125,53 +133,37 @@ class TestBuildDatDispatch:
             assert tree.parent == reference.parent
         assert kernel_calls == [123, 123]
 
-    def test_explicit_tables_force_scalar(self, ring, kernel_calls):
-        tables = ring.all_finger_tables()
-        with_tables = build_dat(ring, 123, tables=tables)
-        assert kernel_calls == []
-        assert with_tables.parent == build_balanced_dat(ring, 123).parent
-        # The scalar builder really read the caller's tables.
-        victim = next(node for node in ring if node != with_tables.root)
-        del tables[victim]
-        with pytest.raises(KeyError):
-            build_dat(ring, 123, tables=tables)
-
-    def test_explicit_d0_forces_scalar(self, ring, kernel_calls):
-        d0 = ring.mean_gap() * 2
-        custom = build_dat(ring, 123, d0=d0)
-        assert kernel_calls == []
-        assert custom.parent == build_balanced_dat(ring, 123, d0=d0).parent
+    def test_explicit_d0_matches_the_oracle(self, ring, kernel_calls):
+        gap = ring.mean_gap()
+        estimates = [gap * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        estimates.append(Fraction(ring.space.size, len(ring)) * 3)
+        for d0 in estimates:
+            custom = build_dat(ring, 123, d0=d0)
+            assert custom.parent == build_balanced_dat(ring, 123, d0=d0).parent, d0
+        assert kernel_calls == [123] * len(estimates)
         # A doubled d0 genuinely changes the balanced tree.
-        assert custom.parent != build_dat(ring, 123).parent
+        assert build_dat(ring, 123, d0=gap * 2).parent != build_dat(ring, 123).parent
 
-    def test_wide_space_falls_back(self, kernel_calls):
+    @pytest.mark.parametrize("entrypoint", sorted(WIDE_ENTRYPOINTS))
+    def test_wide_space_is_rejected(self, entrypoint):
         ring = StaticRing(IdSpace(160), [1, 2**100, 2**150, 2**159])
-        tree = build_dat(ring, 5)
-        assert kernel_calls == []
-        tree.validate()
-        assert tree.parent == build_balanced_dat(ring, 5).parent
+        with pytest.raises(TreeError, match=f"at most {FAST_PATH_MAX_BITS} bits") as err:
+            WIDE_ENTRYPOINTS[entrypoint](ring)
+        assert "scalar" not in str(err.value)
 
-    def test_single_node_ring_falls_back(self, kernel_calls):
+    def test_single_node_ring_takes_the_kernel(self, kernel_calls):
         tree = build_dat(StaticRing(IdSpace(8), [42]), 0)
-        assert kernel_calls == []
+        assert kernel_calls == [0]
         assert tree.root == 42 and tree.parent == {}
+        assert tree.stats().n_nodes == 1 and tree.height == 0
 
     def test_builder_dispatches_the_same_way(self, ring, kernel_calls):
         builder = DatTreeBuilder(ring)
-        _ = builder.tables  # a warm table cache must not force the scalar path
         assert builder.build(123).parent == build_balanced_dat(ring, 123).parent
-        assert kernel_calls == [123]
-        wide = DatTreeBuilder(StaticRing(IdSpace(160), [1, 2**100, 2**150]))
-        assert wide.build(5).parent == build_balanced_dat(wide.ring, 5).parent
         assert kernel_calls == [123]
 
 
 class TestDatTreeBuilder:
-    def test_caches_tables(self, full_ring4):
-        builder = DatTreeBuilder(full_ring4)
-        first = builder.tables
-        assert builder.tables is first
-
     def test_build_many_trees(self, full_ring4):
         builder = DatTreeBuilder(full_ring4, scheme="balanced")
         trees = builder.build_many([0, 5, 11])
@@ -181,7 +173,7 @@ class TestDatTreeBuilder:
 
     def test_invalidate_after_membership_change(self, full_ring4):
         builder = DatTreeBuilder(full_ring4)
-        _ = builder.tables
+        builder.build(0)
         full_ring4.remove(7)
         builder.invalidate()
         tree = builder.build(0)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.chord.idgen import make_assigner
+from repro.chord.idspace import IdSpace
 from repro.experiments.churn_overhead import run_churn_overhead
 from repro.experiments.fig7_tree_properties import measure_tree, run_fig7_tree_properties
 from repro.experiments.fig8_load_balance import (
@@ -11,6 +13,12 @@ from repro.experiments.fig8_load_balance import (
 from repro.experiments.fig9_accuracy import run_fig9_accuracy
 from repro.experiments.maan_routing import run_maan_routing
 from repro.experiments.report import format_table
+from tests.oracles import (
+    build_balanced_dat,
+    build_basic_dat,
+    centralized_routed_loads,
+    load_distribution,
+)
 
 
 class TestFig7:
@@ -51,6 +59,23 @@ class TestFig8:
         for series in (dist.centralized, dist.basic, dist.balanced):
             assert series == sorted(series, reverse=True)
             assert len(series) == 64
+
+    @pytest.mark.parametrize("n_nodes", [100, 512])
+    @pytest.mark.parametrize("id_strategy", ["probing", "random"])
+    def test_rank_curves_equal_the_finger_table_oracle(self, n_nodes, id_strategy):
+        dist = run_fig8a_message_distribution(n_nodes, seed=5, id_strategy=id_strategy)
+        space = IdSpace(32)
+        ring = make_assigner(id_strategy).build_ring(space, n_nodes, rng=5)
+        key = space.wrap(0xA5A5A5)
+        tables = ring.all_finger_tables()
+        oracle = {
+            "centralized": centralized_routed_loads(ring, key, tables=tables),
+            "basic": build_basic_dat(ring, key, tables=tables).message_loads(),
+            "balanced": build_balanced_dat(ring, key, tables=tables).message_loads(),
+        }
+        for scheme, loads in oracle.items():
+            curve = [load for _node, load in load_distribution(loads)]
+            assert getattr(dist, scheme) == curve, scheme
 
     def test_imbalance_ordering(self):
         points = run_fig8b_imbalance_sweep(sizes=[100, 300], n_seeds=1)

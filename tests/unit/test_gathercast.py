@@ -5,12 +5,12 @@ import pytest
 from repro.chord.broadcast import BroadcastService
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.gathercast import GatherCollector
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.errors import AggregationError
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
+from tests.oracles import build_balanced_dat
 
 
 def build_overlay(n: int = 16, bits: int = 12, values=None):

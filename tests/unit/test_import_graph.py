@@ -67,7 +67,6 @@ ALLOWED_ORPHANS = {
     "gma.live": "public API, docs/API.md",
     "maan.softstate": "public API, docs/API.md",
     "net.fanout": "reached through the repro.net package",
-    "sim.inproc": "the synchronous fake transport the net-layer tests substitute",
 }
 
 
@@ -111,8 +110,6 @@ def test_every_module_has_an_importer_outside_its_tests():
 ALLOWED_ORPHAN_NAMES = {
     "chord.broadcast:broadcast_children",
     "chord.fastbuild:DatTreeArrays.branching_counts",
-    "chord.fastbuild:DatTreeArrays.depth_array",
-    "chord.fastbuild:DatTreeArrays.subtree_size_array",
     "chord.fof:FofCache.best_toward",
     "chord.fof:FofCache.forget",
     "chord.fof:FofCache.known_nodes",
@@ -138,8 +135,6 @@ ALLOWED_ORPHAN_NAMES = {
     "chord.node:ChordProtocolNode.owned_gap",
     "chord.node:ChordProtocolNode.stabilize",
     "chord.node:ChordProtocolNode.start_maintenance",
-    "chord.probing:probe_neighbors",
-    "chord.probing:probe_split_identifier",  # fast_probing_ids' reference
     "chord.ring:StaticRing.gaps_array",
     "chord.ring:StaticRing.index_of",
     "chord.ring:StaticRing.mean_gap",
@@ -147,7 +142,6 @@ ALLOWED_ORPHAN_NAMES = {
     "core.aggregates:HistogramAggregate.bin_index",
     "core.aggregates:available_aggregates",
     "core.aggregates:register_aggregate",
-    "core.analysis:load_rank_array",
     "core.analysis:theoretical_balanced_height_bound",
     "core.analysis:theoretical_balanced_max_branching",
     "core.analysis:theoretical_basic_branching",
@@ -228,7 +222,6 @@ ALLOWED_ORPHAN_NAMES = {
     "net.fanout:Batcher.flush_all",
     "net.retry:RetryPolicy.unbounded",
     "sim.engine:SimulationEngine.schedule_at",
-    "sim.inproc:InprocTransport.advance",
     "sim.latency:LanWanLatency.site_of",
     "sim.simnet:SimTransport.is_failed",
     "sim.simnet:SimTransport.recover",

@@ -15,16 +15,11 @@ from repro.chord.idspace import IdSpace
 from repro.chord.fastbuild import fast_finger_matrix, fast_tree_arrays
 from repro.chord.incremental import DatUpdateEngine, FingerPatch
 from repro.chord.ring import StaticRing
-from repro.core.builder import (
-    DatScheme,
-    DatTreeBuilder,
-    build_balanced_dat,
-    build_basic_dat,
-    build_dat,
-)
+from repro.core.builder import DatScheme, DatTreeBuilder, build_dat
 from repro.core.multitree import DatForest
 from repro.errors import DuplicateNodeError, UnknownNodeError
 from repro.workloads.churn import ChurnWorkload, replay_churn
+from tests.oracles import build_balanced_dat, build_basic_dat
 
 
 @pytest.fixture

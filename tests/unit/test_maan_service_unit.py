@@ -14,7 +14,7 @@ from repro.errors import QueryError, SchemaError
 from repro.maan.attrs import AttributeKind, AttributeSchema, Resource
 from repro.maan.query import RangeQuery
 from repro.maan.service import MaanNodeService
-from repro.sim.inproc import InprocTransport
+from tests.inproc import InprocTransport
 
 SCHEMAS = {"cpu": AttributeSchema("cpu", low=0.0, high=100.0)}
 

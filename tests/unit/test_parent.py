@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.limiting import FingerLimiter
-from repro.core.parent import select_parent_balanced, select_parent_basic
+from repro.core.parent import select_parent_balanced
 from repro.errors import TreeError
+from tests.oracles import select_parent_basic
 
 
 class TestSelectParentBasic:

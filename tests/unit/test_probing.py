@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.chord.idspace import IdSpace
-from repro.chord.probing import (
-    default_probe_count,
-    probe_neighbors,
-    probe_split_identifier,
-)
+from repro.chord.probing import default_probe_count
 from repro.chord.ring import StaticRing
 from repro.util.bits import ceil_log2
+from tests.oracles import probe_neighbors, probe_split_identifier
 
 
 class TestDefaultProbeCount:

@@ -93,8 +93,8 @@ class TestConsistentHashing:
 class TestGaps:
     def test_gap_before(self, space4):
         ring = StaticRing(space4, [2, 8, 14])
-        assert ring.gap_before(8) == 6
-        assert ring.gap_before(2) == 4  # wraps from 14
+        assert ring.gaps()[8] == 6
+        assert ring.gaps()[2] == 4  # wraps from 14
 
     def test_gaps_sum_to_space(self, space4):
         ring = StaticRing(space4, [1, 5, 6, 13])
@@ -102,7 +102,7 @@ class TestGaps:
 
     def test_single_node_owns_everything(self, space4):
         ring = StaticRing(space4, [9])
-        assert ring.gap_before(9) == space4.size
+        assert ring.gaps() == {9: space4.size}
 
     def test_mean_gap(self, space4):
         ring = StaticRing(space4, [0, 8])

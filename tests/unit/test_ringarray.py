@@ -84,7 +84,6 @@ class TestStaticRingViews:
         assert listed.gaps() == adopted.gaps()
         for ident in idents:
             assert listed.index_of(ident) == adopted.index_of(ident)
-            assert listed.gap_before(ident) == adopted.gap_before(ident)
             assert listed.finger_entries(ident) == adopted.finger_entries(ident)
         for ring in (listed, adopted):
             with pytest.raises(UnknownNodeError):

@@ -6,11 +6,11 @@ import pytest
 
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.errors import AggregationError
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
+from tests.oracles import build_balanced_dat
 
 
 def build_services(
@@ -57,7 +57,7 @@ class TestParentComputation:
         _space, ring, _transport, _tree, services, _values = build_services(
             scheme="basic"
         )
-        from repro.core.builder import build_basic_dat
+        from tests.oracles import build_basic_dat
 
         basic = build_basic_dat(ring, 0)
         for node, service in services.items():

@@ -19,7 +19,6 @@ import pytest
 
 from repro import telemetry
 from repro.net import Batcher, UpcallRegistry, install_batch_unwrapper
-from repro.sim.inproc import InprocTransport
 from repro.sim.messages import Message
 from repro.telemetry import (
     TRACE_KEY,
@@ -30,6 +29,7 @@ from repro.fleet.cli import main as fleet_main
 from repro.telemetry.report import check_traces, load, trace_set
 from repro.telemetry.report import main as report_main
 from repro.telemetry.traces import TraceSpan, assemble, offset_for
+from tests.inproc import InprocTransport
 
 
 @pytest.fixture(autouse=True)

@@ -5,8 +5,8 @@ import weakref
 import pytest
 
 from repro.errors import TransportError
-from repro.sim.inproc import InprocTransport
 from repro.sim.messages import Message
+from tests.inproc import InprocTransport
 
 
 def echo_handler(message: Message) -> Message:
@@ -38,7 +38,7 @@ class TestRegistration:
         transport.unregister(1)
         transport.send(Message(kind="hi", source=0, destination=1))
         assert received == []
-        assert not transport.is_registered(1)
+        assert 1 not in transport.registered_nodes()
 
     def test_registered_nodes(self):
         transport = InprocTransport()

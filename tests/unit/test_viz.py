@@ -4,9 +4,9 @@ import pytest
 
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.core.builder import build_balanced_dat
 from repro.core.tree import DatTree
 from repro.viz import render_load_histogram, render_ring, render_tree
+from tests.oracles import build_balanced_dat
 
 
 class TestRenderTree:
