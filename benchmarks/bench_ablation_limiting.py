@@ -12,7 +12,6 @@ Two design choices of the balanced routing scheme are swept:
 
 from fractions import Fraction
 
-from repro.chord.fingers import FingerTable
 from repro.chord.idgen import ProbingIdAssigner, UniformIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.core.builder import build_dat

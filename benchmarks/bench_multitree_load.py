@@ -9,7 +9,6 @@ per-node load is more even than any single tree's.
 
 from repro.chord.idgen import ProbingIdAssigner
 from repro.chord.idspace import IdSpace
-from repro.core.analysis import imbalance_factor
 from repro.core.multitree import DatForest
 from repro.experiments.report import format_table
 

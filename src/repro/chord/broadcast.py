@@ -18,7 +18,7 @@ Two implementations share the range logic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.chord.fingers import FingerTable

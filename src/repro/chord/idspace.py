@@ -34,28 +34,24 @@ class IdSpace:
     """
 
     bits: int
-    #: ``2^bits - 1``, stored: every ring operation reduces mod ``2^bits``
-    #: with one ``&`` against it.
-    _mask: int = field(init=False, repr=False, compare=False)
+    #: Largest valid identifier, ``2^bits - 1``, stored: every ring
+    #: operation reduces mod ``2^bits`` with one ``&`` against it, and a
+    #: range check reads it without a call.
+    max_id: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits <= 512:
             raise IdentifierError(f"bits must be in [1, 512], got {self.bits}")
-        object.__setattr__(self, "_mask", (1 << self.bits) - 1)
+        object.__setattr__(self, "max_id", (1 << self.bits) - 1)
 
     @property
     def size(self) -> int:
         """Number of identifiers, ``2^bits``."""
         return 1 << self.bits
 
-    @property
-    def max_id(self) -> int:
-        """Largest valid identifier, ``2^bits - 1``."""
-        return self._mask
-
     def contains(self, ident: int) -> bool:
         """True if ``ident`` is a valid identifier in this space."""
-        return isinstance(ident, int) and 0 <= ident <= self._mask
+        return isinstance(ident, int) and 0 <= ident <= self.max_id
 
     def validate(self, ident: int) -> int:
         """Return ``ident`` unchanged, raising :class:`IdentifierError` if invalid."""
@@ -67,7 +63,7 @@ class IdSpace:
 
     def wrap(self, value: int) -> int:
         """Reduce an arbitrary integer into the space (mod ``2^bits``)."""
-        return value & self._mask
+        return value & self.max_id
 
     # ------------------------------------------------------------------ #
     # Distances
@@ -79,11 +75,11 @@ class IdSpace:
         ``cw(a, a) == 0`` and ``cw(a, b) + cw(b, a) == 2^bits`` for
         ``a != b``.
         """
-        return (b - a) & self._mask
+        return (b - a) & self.max_id
 
     def ccw(self, a: int, b: int) -> int:
         """Counter-clockwise distance from ``a`` to ``b`` (= ``cw(b, a)``)."""
-        return (a - b) & self._mask
+        return (a - b) & self.max_id
 
     def ring_distance(self, a: int, b: int) -> int:
         """Shortest distance around the ring between ``a`` and ``b``."""
@@ -102,7 +98,7 @@ class IdSpace:
         """
         if a == b:
             return x != a
-        mask = self._mask
+        mask = self.max_id
         return 0 < ((x - a) & mask) < ((b - a) & mask)
 
     def in_half_open_right(self, x: int, a: int, b: int) -> bool:
@@ -113,7 +109,7 @@ class IdSpace:
         """
         if a == b:
             return True
-        mask = self._mask
+        mask = self.max_id
         return 0 < ((x - a) & mask) <= ((b - a) & mask)
 
     def in_half_open_left(self, x: int, a: int, b: int) -> bool:

@@ -175,19 +175,28 @@ class StaticRing:
         if not len(self):
             raise EmptyRingError("operation requires a non-empty ring")
 
+    # ``successor`` / ``predecessor`` make the checks of ``_require_nodes``
+    # and ``IdSpace.validate`` inline: a query is one frame plus the bisect.
+
     def successor(self, key: int) -> int:
         """First node whose identifier equals or follows ``key`` clockwise."""
-        self._require_nodes()
-        self.space.validate(key)
-        nodes = self.nodes
-        index = bisect_left(nodes, key)
-        return nodes[0] if index == len(nodes) else nodes[index]
+        nodes = self._nodes if self._nodes is not None else self.nodes
+        if not nodes:
+            raise EmptyRingError("operation requires a non-empty ring")
+        if not (isinstance(key, int) and 0 <= key <= self.space.max_id):
+            raise IdentifierError(f"identifier {key!r} outside [0, 2^{self.space.bits})")
+        try:
+            return nodes[bisect_left(nodes, key)]
+        except IndexError:  # past the last node: wrap to the first
+            return nodes[0]
 
     def predecessor(self, key: int) -> int:
         """Last node whose identifier strictly precedes ``key`` clockwise."""
-        self._require_nodes()
-        self.space.validate(key)
-        nodes = self.nodes
+        nodes = self._nodes if self._nodes is not None else self.nodes
+        if not nodes:
+            raise EmptyRingError("operation requires a non-empty ring")
+        if not (isinstance(key, int) and 0 <= key <= self.space.max_id):
+            raise IdentifierError(f"identifier {key!r} outside [0, 2^{self.space.bits})")
         return nodes[bisect_left(nodes, key) - 1]  # -1 wraps to the top
 
     def successor_of_node(self, ident: int) -> int:
@@ -248,22 +257,36 @@ class StaticRing:
     # ------------------------------------------------------------------ #
 
     def finger_entries(self, ident: int) -> list[int]:
-        """Finger entries of node ``ident``: slot ``j`` -> successor(ident + 2^j)."""
-        if ident not in self:
+        """Finger entries of node ``ident``: slot ``j`` -> successor(ident + 2^j).
+
+        Every slot whose start ``ident + 2^j`` does not pass the successor
+        holds it (the first ``gap.bit_length()``); each other slot costs one
+        bisect.
+        """
+        nodes = self.nodes
+        count = len(nodes)
+        index = bisect_left(nodes, ident)
+        if index == count or nodes[index] != ident:
             raise UnknownNodeError(ident)
-        return [
-            self.successor(self.space.finger_start(ident, j))
-            for j in range(self.space.bits)
+        space = self.space
+        successor = nodes[(index + 1) % count]
+        near = space.cw(ident, successor).bit_length()
+        mask = space.max_id
+        return [successor] * near + [
+            nodes[bisect_left(nodes, (ident + (1 << j)) & mask) % count]
+            for j in range(near, space.bits)
         ]
 
     def finger_table(self, ident: int) -> FingerTable:
-        """Build the full converged finger table of node ``ident``."""
-        return FingerTable(
-            space=self.space, owner=ident, entries=self.finger_entries(ident)
-        )
+        """Build the full converged finger table of node ``ident``.
+
+        Trusted: every entry is a ring member, validated when it joined.
+        """
+        return FingerTable.trusted(self.space, ident, self.finger_entries(ident))
 
     def all_finger_tables(self) -> dict[int, FingerTable]:
-        """Finger tables of every node (O(n·b·log n) — fine up to 8192·32)."""
+        """Finger tables of every node: O(n·log² n), one bisect for each of
+        the ~``log2 n`` slots that pass a node's successor."""
         return {ident: self.finger_table(ident) for ident in self.nodes}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -12,7 +12,7 @@ attributes are monitored at once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.chord.hashing import sha1_id

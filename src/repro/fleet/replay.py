@@ -14,7 +14,6 @@ import asyncio
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.chord.ring import StaticRing
 from repro.core.aggregates import get_aggregate

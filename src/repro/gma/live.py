@@ -16,7 +16,7 @@ every node after the MAAN, broadcast and gather layers have detached.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.core.overlay import DatOverlay
 from repro.errors import MonitoringError
 from repro.gma.monitor import MonitorConfig
 from repro.gma.producer import Producer
-from repro.maan.attrs import AttributeSchema, Resource
+from repro.maan.attrs import AttributeSchema
 from repro.maan.query import QueryResult, RangeQuery
 from repro.maan.service import MaanNodeService
 from repro.sim.latency import ConstantLatency

@@ -14,7 +14,9 @@ table:
   completes the call, and receivers can deduplicate by request id via
   :class:`~repro.net.envelope.DeferredResponder`;
 * backoff delays come from the policy's deterministic-jitter schedule,
-  drawn from a per-node generator seeded with the node identifier.
+  drawn from a per-node generator seeded with the node identifier; it is
+  created on the first jittered retry, so a client that never retries
+  holds none.
 
 Multi-hop conversations (recursive Chord lookups, MAAN successor walks)
 fit the same shape: the request threads its own ``msg_id`` through the
@@ -67,9 +69,11 @@ class RpcClient:
     policy:
         Default :class:`RetryPolicy` for calls that don't pass their own.
     rng:
-        Seed or generator for backoff jitter; defaults to a generator
-        seeded with ``ident`` so retry schedules are deterministic
-        per-node and independent of every other random stream.
+        Seed or generator for backoff jitter; defaults to ``ident``, so
+        retry schedules are deterministic per-node and independent of
+        every other random stream. A seed becomes a generator on the first
+        jittered retry (creating one draws nothing, so the stream is the
+        same as if it were made here).
     """
 
     def __init__(
@@ -82,7 +86,8 @@ class RpcClient:
         self.transport = transport
         self.ident = ident
         self.policy = policy if policy is not None else DEFAULT_POLICY
-        self._rng = ensure_rng(rng if rng is not None else ident)
+        self._seed = rng if rng is not None else ident
+        self._rng: np.random.Generator | None = None
 
     # ------------------------------------------------------------------ #
     # Message construction
@@ -160,6 +165,8 @@ class RpcClient:
                 return
             attempt += 1
             telemetry.count("rpc_retries_total", kind=message.kind)
+            if self._rng is None and active.jitter > 0.0:
+                self._rng = ensure_rng(self._seed)
             delay = active.backoff(attempt - 1, self._rng)
             if delay > 0:
                 self.transport.schedule(delay, attempt_once)

@@ -95,11 +95,12 @@ class RetryPolicy:
         """The per-attempt deadline, resolving ``None`` to the transport's."""
         return transport_default if self.timeout is None else self.timeout
 
-    def backoff(self, retry: int, rng: np.random.Generator) -> float:
+    def backoff(self, retry: int, rng: np.random.Generator | None) -> float:
         """Delay before 1-based retry number ``retry`` (deterministic).
 
         Consumes one draw from ``rng`` only when ``jitter`` is non-zero,
-        so jitter-free policies leave the caller's random stream untouched.
+        so jitter-free policies leave the caller's random stream untouched
+        (and may pass ``None``).
         """
         if retry < 1:
             raise ValueError(f"retry must be >= 1, got {retry}")
@@ -110,6 +111,7 @@ class RetryPolicy:
             self.backoff_max,
         )
         if self.jitter > 0.0:
+            assert rng is not None, "a jittered backoff draws from rng"
             delay *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
         return max(delay, 0.0)
 

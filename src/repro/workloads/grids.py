@@ -9,8 +9,6 @@ heavy-tailed utilization.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.chord.ring import StaticRing

@@ -8,8 +8,6 @@ both transports and require identical outcomes.
 
 import time
 
-import pytest
-
 from repro.chord.broadcast import BroadcastService
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing

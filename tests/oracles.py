@@ -5,6 +5,8 @@ implementations that the property tests and ``benchmarks/bench_scale.py``
 compare the array kernels, the slab protocol runner and the array-native
 scale statistics with, bit for bit.
 
+* :func:`finger_entries_by_slot` — one successor query per finger slot,
+  the reference of :meth:`repro.chord.ring.StaticRing.finger_entries`;
 * :func:`build_basic_dat` / :func:`build_balanced_dat` — one finger-table
   scan per node (:func:`select_parent_basic` /
   ``repro.core.parent.select_parent_balanced``), the reference of
@@ -46,11 +48,19 @@ from repro.core.parent import select_parent_balanced
 from repro.core.service import DatNodeService, StandaloneDatHost
 from repro.core.slab import ProtocolRunResult
 from repro.core.tree import DatTree
-from repro.errors import TreeError
+from repro.errors import TreeError, UnknownNodeError
 from repro.experiments.scale import PROTOCOL_ROUNDS, ProtocolScalePoint, ScalePoint
 from repro.sim.messages import reset_msg_ids
 from repro.sim.simnet import SimTransport
 from repro.util.rng import ensure_rng
+
+
+def finger_entries_by_slot(ring: StaticRing, ident: int) -> list[int]:
+    """Finger entries of member ``ident`` by the definition: slot ``j`` is
+    ``successor(ident + 2^j)``, one query per slot."""
+    if ident not in ring:
+        raise UnknownNodeError(ident)
+    return [ring.successor(ring.space.finger_start(ident, j)) for j in range(ring.space.bits)]
 
 
 def select_parent_basic(table: FingerTable, root: int) -> int | None:

@@ -1,6 +1,6 @@
 """Property-based tests for identifier-space arithmetic laws."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.chord.idspace import IdSpace

@@ -1,6 +1,6 @@
 """Property-based tests for locality-preserving hashing (MAAN's foundation)."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.chord.hashing import LocalityPreservingHash

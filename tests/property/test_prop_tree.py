@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
-from repro.util.bits import ceil_log2, is_power_of_two
+from repro.util.bits import ceil_log2
 from tests.oracles import build_balanced_dat, build_basic_dat
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the Chord broadcast primitive."""
 
-import pytest
-
 from repro.chord.broadcast import BroadcastService, broadcast_children, broadcast_tree
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner
 from repro.chord.idspace import IdSpace

@@ -1,7 +1,5 @@
 """Unit tests for the extreme-dynamics experiment (small, fast configs)."""
 
-import pytest
-
 from repro.experiments.dynamics import DynamicsPoint, run_dynamics
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import MonitoringError
 from repro.gma.monitor import GridMonitor, MonitorConfig
 from repro.gma.producer import Producer
-from repro.gma.sensors import ConstantSensor
 from repro.workloads.grids import default_schemas, make_producers
 
 

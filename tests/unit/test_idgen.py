@@ -9,7 +9,6 @@ from repro.chord.idgen import (
     make_assigner,
 )
 from repro.chord.idspace import IdSpace
-from repro.util.bits import ceil_log2
 
 
 class TestRandomIdAssigner:

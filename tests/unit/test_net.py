@@ -10,8 +10,10 @@ and transport-level teardown (unregister cancels pending calls).
 import math
 import threading
 
+import numpy as np
 import pytest
 
+import repro.net.client as client_module
 from repro.net import (
     BATCH_KIND,
     DEFAULT_POLICY,
@@ -269,6 +271,56 @@ class TestRetryStormGuard:
         assert transport.stats.load(1).sent == 4
         assert len(failures) == 1
         assert transport.pending_calls() == 0
+
+
+class TestLazyBackoffRng:
+    """The backoff generator is made on the first jittered retry from the
+    seed the client was given: the delays are the policy's schedule over
+    that seed's stream, and a client that never draws makes none."""
+
+    POLICY = RetryPolicy(timeout=0.5, max_attempts=5, backoff_base=0.2, jitter=0.5)
+
+    def _delays(self, client, policy):
+        """Backoff delays of one call whose every attempt times out."""
+        transport = client.transport
+        sent: list[float] = []
+        client.call(
+            client.request("q", 2),
+            lambda r: pytest.fail("no reply expected"),
+            policy=policy,
+            send=lambda m: sent.append(transport.now()),
+        )
+        transport.run(until=60.0)
+        assert len(sent) == policy.max_attempts
+        timeout = policy.attempt_timeout(transport.default_timeout)
+        return [later - earlier - timeout for earlier, later in zip(sent, sent[1:])]
+
+    @pytest.mark.parametrize("rng", [None, 5])
+    def test_seeded_client_draws_the_seeds_schedule(self, rng):
+        client = RpcClient(SimTransport(), 1, rng=rng)
+        expected = self.POLICY.schedule(np.random.default_rng(1 if rng is None else rng))
+        assert self._delays(client, self.POLICY) == pytest.approx(expected)
+
+    def test_shared_generator_is_drawn_from(self):
+        shared = np.random.default_rng(11)
+        client = RpcClient(SimTransport(), 1, rng=shared)
+        reference = np.random.default_rng(11)
+        assert self._delays(client, self.POLICY) == pytest.approx(
+            self.POLICY.schedule(reference)
+        )
+        assert shared.random() == reference.random()  # the same stream, moved on
+
+    @pytest.mark.parametrize(
+        "policy",
+        [DEFAULT_POLICY, RetryPolicy(timeout=0.5, max_attempts=3, backoff_base=0.2)],
+        ids=["no_retry", "unjittered_retries"],
+    )
+    def test_no_jittered_retry_makes_no_generator(self, policy, monkeypatch):
+        made: list[object] = []
+        monkeypatch.setattr(client_module, "ensure_rng", made.append)
+        client = RpcClient(SimTransport(), 1)
+        self._delays(client, policy)
+        assert made == []
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,7 @@
 """Unit tests for parent-selection rules (paper Sec. 3.2/3.4)."""
 
-import pytest
-
 from repro.core.limiting import FingerLimiter
 from repro.core.parent import select_parent_balanced
-from repro.errors import TreeError
 from tests.oracles import select_parent_basic
 
 

@@ -1,7 +1,11 @@
 """Unit tests for the static (converged) Chord ring."""
 
+import sys
+
+import numpy as np
 import pytest
 
+from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.errors import DuplicateNodeError, EmptyRingError, UnknownNodeError
@@ -137,3 +141,57 @@ class TestFingerTables:
         ring = StaticRing(space4, [0, 3, 9])
         # successor(0+1)=3, successor(0+2)=3, successor(0+4)=9, successor(0+8)=9
         assert ring.finger_entries(0) == [3, 3, 9, 9]
+
+
+def _calls(run) -> int:
+    """Calls (Python and builtin) made while ``run()`` runs, ``run``'s own
+    frame and the ``setprofile`` that ends the count excluded."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count - 2
+
+
+class TestFingerTableCost:
+    """What object-path set-up costs, counted rather than timed.
+
+    ``all_finger_tables()`` at n = 4096, bits = 32, every call made --
+    Python or builtin -- divided by the members. A table fills the slots up
+    to its successor without a query, bisects each other slot inline and
+    is trusted: about 21 calls a node. A ``successor`` call per slot and a
+    constructor that validates the entries again made 525. A key query is
+    one frame, an ``isinstance`` check and the bisect.
+    """
+
+    N_NODES = 4096
+    MAX_CALLS_PER_NODE = 48
+    MAX_CALLS_PER_QUERY = 3
+
+    @pytest.mark.parametrize("strategy", ["probing", "uniform"])
+    def test_all_finger_tables_call_count(self, strategy):
+        ring = make_assigner(strategy).build_ring(IdSpace(32), self.N_NODES, rng=2007)
+        assert len(ring.nodes) == self.N_NODES  # the list view, built before the count
+        per_node = _calls(ring.all_finger_tables) / self.N_NODES
+        assert per_node < self.MAX_CALLS_PER_NODE
+
+    def test_successor_call_count(self):
+        space = IdSpace(32)
+        ring = make_assigner("probing").build_ring(space, self.N_NODES, rng=2007)
+        keys = [int(k) for k in np.random.default_rng(1).integers(0, space.size, 1000)]
+        keys += [0, ring.nodes[0], ring.nodes[-1], space.max_id]  # both ends, the wrap
+
+        def query_all():
+            for key in keys:
+                ring.successor(key)
+
+        assert _calls(query_all) <= self.MAX_CALLS_PER_QUERY * len(keys)

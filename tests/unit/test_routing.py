@@ -1,7 +1,5 @@
 """Unit tests for greedy finger routing."""
 
-import pytest
-
 from repro.chord.idgen import RandomIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing

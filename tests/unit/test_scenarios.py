@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads.scenarios import Scenario, available_scenarios, scenario
+from repro.workloads.scenarios import available_scenarios, scenario
 
 
 class TestRegistry:
