@@ -12,7 +12,8 @@ Three strategies cover everything the evaluation needs:
 Every strategy returns a fully-populated :class:`StaticRing` through
 :meth:`StaticRing.from_sorted_ids` (an adopted identifier vector where the
 space allows it, ``bits <= 62``), so no assigner leaves a per-node Python
-list behind on a 10^6-node ring. The probing
+list behind on a 10^6-node ring. ``random`` and ``probing`` draw int64
+identifiers, so they take spaces of at most 63 bits. The probing
 strategy runs join by join, since each choice depends on the current
 membership, through :func:`repro.chord.ringarray.fast_probing_ids`; the
 single-join reference it is tested against is in ``tests/oracles.py``.
@@ -27,6 +28,7 @@ import numpy as np
 
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
+from repro.errors import IdentifierError
 from repro.chord.ringarray import fast_probing_ids
 from repro.util.rng import ensure_rng
 
@@ -37,6 +39,18 @@ __all__ = [
     "ProbingIdAssigner",
     "make_assigner",
 ]
+
+#: The widest space a random draw covers: NumPy draws int64 identifiers,
+#: so ``integers(0, 2**bits)`` needs ``bits <= 63``.
+_DRAW_MAX_BITS = 63
+
+
+def _require_drawable(space: IdSpace, name: str) -> None:
+    if space.bits > _DRAW_MAX_BITS:
+        raise IdentifierError(
+            f"the {name} assigner draws int64 identifiers: spaces of at most "
+            f"{_DRAW_MAX_BITS} bits, got {space.bits}"
+        )
 
 
 class IdAssigner(ABC):
@@ -63,6 +77,7 @@ class RandomIdAssigner(IdAssigner):
     def build_ring(
         self, space: IdSpace, n_nodes: int, rng: int | np.random.Generator | None = None
     ) -> StaticRing:
+        _require_drawable(space, self.name)
         if n_nodes < 0:
             raise ValueError(f"n_nodes must be non-negative, got {n_nodes}")
         if n_nodes > space.size:
@@ -139,6 +154,7 @@ class ProbingIdAssigner(IdAssigner):
     def build_ring(
         self, space: IdSpace, n_nodes: int, rng: int | np.random.Generator | None = None
     ) -> StaticRing:
+        _require_drawable(space, self.name)
         return StaticRing.from_sorted_ids(
             space,
             fast_probing_ids(

@@ -58,7 +58,7 @@ that leaves.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, overload
 
@@ -480,6 +480,3 @@ class DatUpdateEngine:
             counts[key] = len(moved)
         return counts
 
-    def replay(self, events: Iterable[tuple[str, int]]) -> list[DatUpdateReport]:
-        """Apply a sequence of ``(kind, ident)`` events, collecting reports."""
-        return [self.apply(kind, ident) for kind, ident in events]

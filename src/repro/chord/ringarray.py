@@ -185,11 +185,14 @@ def fast_probing_ids(
     Only on the saturation ``RuntimeError``, which is terminal, may the
     generator have advanced further than the reference's.
 
-    Small rings (and spaces wider than ``ARRAY_MAX_BITS``) join one node at
-    a time on sorted ``ids``/``gaps`` lists. From ``_ROUND_MIN`` joins per
-    round on, each round probes the pending joins at once and applies
-    every join whose probe window ``[s, s + probes)`` is disjoint from the
-    windows of all earlier pending joins; the rest wait for the next round.
+    Points are int64 draws, so the space is at most 63 bits wide
+    (:class:`~repro.chord.idgen.ProbingIdAssigner` rejects wider ones).
+    Small rings, and 63-bit spaces (wider than ``ARRAY_MAX_BITS``), join
+    one node at a time on sorted ``ids``/``gaps`` lists. From
+    ``_ROUND_MIN`` joins per round on, each round probes the pending joins
+    at once and applies every join whose probe window ``[s, s + probes)``
+    is disjoint from the windows of all earlier pending joins; the rest
+    wait for the next round.
     Such a join reads and writes only its window, and a window only
     shrinks as members arrive, so it gets the answer it gets in sequence.
     A window whose largest gap is below 2 would redraw points and shift

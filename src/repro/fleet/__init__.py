@@ -15,31 +15,29 @@ It has four layers:
   injects SIGKILL failures with restart policies, and persists per-node
   telemetry JSONL.
 * :mod:`repro.fleet.plan` / :mod:`repro.fleet.replay` — deterministic
-  workload replay: the same ``(seed, scenario)`` that drives the
-  simulator is resolved into concrete live-fleet actions.
+  Fig. 9 replay: every agent regenerates the simulator's traces from the
+  same seed and pushes them toward one root.
 * :mod:`repro.fleet.compare` — the cross-validation report: the same
   workload is run on the discrete-event simulator and the live fleet,
   and message counts, load imbalance, and aggregation accuracy are
   checked against documented tolerances.
 
-``python -m repro.fleet`` is the operator CLI (``up`` / ``status`` /
-``join`` / ``leave`` / ``kill`` / ``route`` / ``replay`` / ``smoke`` /
-``down`` / ``report``). See ``docs/FLEET.md`` for the architecture tour.
+``python -m repro.fleet`` runs the scripted ``smoke`` and the offline
+``report``. See ``docs/FLEET.md`` for the architecture tour.
 """
 
 from __future__ import annotations
 
 from repro.fleet.agent import AgentOptions, FleetAgent
 from repro.fleet.compare import FleetComparisonReport
-from repro.fleet.plan import ChurnReplayPlan, Fig9ReplayPlan, plan_fleet_churn
-from repro.fleet.replay import replay_churn_live, replay_fig9_live
+from repro.fleet.plan import Fig9ReplayPlan
+from repro.fleet.replay import replay_fig9_live
 from repro.fleet.supervisor import AgentHandle, FleetConfig, FleetSupervisor, RestartPolicy
 from repro.fleet.wire import Event, Frame, Hello, Reply, Request, decode_frame, encode_frame
 
 __all__ = [
     "AgentHandle",
     "AgentOptions",
-    "ChurnReplayPlan",
     "Event",
     "Fig9ReplayPlan",
     "FleetAgent",
@@ -53,7 +51,5 @@ __all__ = [
     "RestartPolicy",
     "decode_frame",
     "encode_frame",
-    "plan_fleet_churn",
-    "replay_churn_live",
     "replay_fig9_live",
 ]

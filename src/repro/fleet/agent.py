@@ -122,7 +122,6 @@ class FleetAgent:
             d0_provider=self._mean_gap,
         )
         self._started = time.monotonic()
-        self._value = 0.0
         self._trace: CpuTrace | None = None
         self._slot = 0
         self._stop = threading.Event()
@@ -131,14 +130,11 @@ class FleetAgent:
         self._send_lock = threading.Lock()
         self._telemetry_thread: threading.Thread | None = None
         self._ops: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
-            "ping": self._op_ping,
             "create": self._op_create,
             "join": self._op_join,
             "add_routes": self._op_add_routes,
             "status": self._op_status,
             "route": self._op_route,
-            "fix_fingers": self._op_fix_fingers,
-            "set_value": self._op_set_value,
             "load_trace": self._op_load_trace,
             "set_slot": self._op_set_slot,
             "start_continuous": self._op_start_continuous,
@@ -154,9 +150,7 @@ class FleetAgent:
 
     def _read_value(self) -> float:
         trace = self._trace
-        if trace is not None:
-            return trace.at_slot(self._slot)
-        return self._value
+        return trace.at_slot(self._slot) if trace is not None else 0.0
 
     def _mean_gap(self) -> float:
         return self.space.size / max(self._n_estimate, 1)
@@ -315,9 +309,6 @@ class FleetAgent:
     # Control ops
     # ------------------------------------------------------------------ #
 
-    def _op_ping(self, args: dict[str, Any]) -> dict[str, Any]:
-        return {"pong": True, "ident": self.options.ident}
-
     def _op_create(self, args: dict[str, Any]) -> dict[str, Any]:
         self.node.create()
         return {"created": True}
@@ -393,15 +384,6 @@ class FleetAgent:
             "path": path,
             "hops": len(path),
         }
-
-    def _op_fix_fingers(self, args: dict[str, Any]) -> dict[str, Any]:
-        self.node.fix_all_fingers()
-        return {"fixed": self.space.bits}
-
-    def _op_set_value(self, args: dict[str, Any]) -> dict[str, Any]:
-        self._trace = None
-        self._value = float(args["value"])
-        return {"value": self._value}
 
     def _op_load_trace(self, args: dict[str, Any]) -> dict[str, Any]:
         """Regenerate this node's CPU trace from the shared workload seed.

@@ -1,16 +1,11 @@
-"""Operator CLI for the fleet harness: ``python -m repro.fleet``.
+"""CLI for the fleet harness: ``python -m repro.fleet``.
 
-Two modes share one wire protocol:
-
-* ``up`` and ``smoke`` run a :class:`~repro.fleet.supervisor.
-  FleetSupervisor` in the foreground (``up`` until SIGINT, ``smoke`` as a
-  scripted one-shot used by CI);
-* ``status`` / ``join`` / ``leave`` / ``kill`` / ``route`` / ``replay`` /
-  ``down`` are thin clients that connect to a running supervisor's admin
-  Unix socket under ``--state-dir`` and print the JSON reply;
-* ``report`` reads ``--state-dir`` offline (live fleet or torn down): the
-  per-agent table from the supervisor's telemetry streams, then the trace
-  roll-up and gate of :mod:`repro.telemetry.report`.
+* ``smoke`` runs a :class:`~repro.fleet.supervisor.FleetSupervisor` in
+  the foreground as a scripted one-shot: boot, converge, Fig. 9 replay
+  against its simulator twin, SIGKILL + rejoin, teardown;
+* ``report`` reads ``--state-dir`` offline: the per-agent table from the
+  supervisor's telemetry streams, then the trace roll-up and gate of
+  :mod:`repro.telemetry.report`.
 
 The walkthrough lives in ``docs/FLEET.md``.
 """
@@ -21,17 +16,15 @@ import argparse
 import asyncio
 import json
 import re
-import socket
 import sys
 from pathlib import Path
 from typing import Any
 
 from repro.errors import FleetError
 from repro.fleet.compare import compare_fig9, run_fig9_sim_twin
-from repro.fleet.plan import plan_fleet_churn, plan_fleet_fig9
-from repro.fleet.replay import replay_churn_live, replay_fig9_live
-from repro.fleet.supervisor import FleetConfig, FleetSupervisor, RestartPolicy
-from repro.fleet.wire import Reply, Request, decode_frame, encode_frame
+from repro.fleet.plan import plan_fleet_fig9
+from repro.fleet.replay import replay_fig9_live
+from repro.fleet.supervisor import FleetConfig, FleetSupervisor
 from repro.telemetry.report import (
     check_traces,
     load,
@@ -52,46 +45,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--state-dir",
         default=".fleet",
-        help="supervisor state directory (admin socket + telemetry JSONL)",
+        help="supervisor state directory (telemetry and span JSONL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    up = sub.add_parser("up", help="boot a fleet and serve until SIGINT")
-    _add_fleet_options(up)
 
     smoke = sub.add_parser(
         "smoke",
         help="one-shot CI smoke: boot, converge, replay, kill/rejoin, compare, down",
     )
-    _add_fleet_options(smoke)
+    smoke.add_argument("-n", "--nodes", type=int, default=16)
+    smoke.add_argument("--bits", type=int, default=16)
+    smoke.add_argument("--scheme", default="balanced", choices=("basic", "balanced"))
+    smoke.add_argument("--id-strategy", default="probing")
+    smoke.add_argument("--seed", type=int, default=2007)
+    smoke.add_argument("--join-batch", type=int, default=8)
+    smoke.add_argument("--stabilize-interval", type=float, default=0.1)
+    smoke.add_argument("--rpc-timeout", type=float, default=0.5)
+    smoke.add_argument(
+        "--trace-spans",
+        action="store_true",
+        help=(
+            "enable distributed tracing on every agent (span exports + clock "
+            "offsets under --state-dir; merge with the `report` subcommand)"
+        ),
+    )
     smoke.add_argument("--slots", type=int, default=4, help="fig9 slots to replay")
     smoke.add_argument(
         "--report", default="", help="write the comparison report JSON here"
-    )
-
-    sub.add_parser("status", help="live agent snapshots from a running fleet")
-
-    join = sub.add_parser("join", help="spawn one more agent and join the ring")
-    join.add_argument("--ident", type=int, default=None, help="identifier (default: random unused)")
-
-    leave = sub.add_parser("leave", help="graceful departure of one agent")
-    leave.add_argument("ident", type=int)
-
-    kill = sub.add_parser("kill", help="SIGKILL one agent (fail-stop injection)")
-    kill.add_argument("ident", type=int)
-
-    route = sub.add_parser("route", help="resolve successor(key) and show the path")
-    route.add_argument("key", type=int)
-    route.add_argument("--origin", type=int, default=None)
-
-    replay = sub.add_parser("replay", help="replay a workload on the running fleet")
-    replay.add_argument("workload", choices=("fig9", "churn"))
-    replay.add_argument("--seed", type=int, default=2007)
-    replay.add_argument("--slots", type=int, default=4, help="fig9: trace slots")
-    replay.add_argument("--scenario", default="grid", help="churn: scenario name")
-    replay.add_argument("--duration", type=float, default=120.0, help="churn: virtual horizon")
-    replay.add_argument(
-        "--time-scale", type=float, default=0.0, help="churn: virtual->wall scale (0 = back-to-back)"
     )
 
     report = sub.add_parser(
@@ -105,31 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exit 1 unless cross-node traces rooted at ROOT assembled cleanly",
     )
-
-    sub.add_parser("down", help="tear down the running fleet")
     return parser
-
-
-def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-n", "--nodes", type=int, default=16)
-    parser.add_argument("--bits", type=int, default=16)
-    parser.add_argument("--scheme", default="balanced", choices=("basic", "balanced"))
-    parser.add_argument("--id-strategy", default="probing")
-    parser.add_argument("--seed", type=int, default=2007)
-    parser.add_argument("--join-batch", type=int, default=8)
-    parser.add_argument("--stabilize-interval", type=float, default=0.1)
-    parser.add_argument("--rpc-timeout", type=float, default=0.5)
-    parser.add_argument(
-        "--restart", action="store_true", help="restart-and-rejoin killed agents"
-    )
-    parser.add_argument(
-        "--trace-spans",
-        action="store_true",
-        help=(
-            "enable distributed tracing on every agent (span exports + clock "
-            "offsets under --state-dir; merge with the `report` subcommand)"
-        ),
-    )
 
 
 def config_from_args(args: argparse.Namespace) -> FleetConfig:
@@ -143,94 +99,8 @@ def config_from_args(args: argparse.Namespace) -> FleetConfig:
         stabilize_interval=args.stabilize_interval,
         rpc_timeout=args.rpc_timeout,
         state_dir=args.state_dir,
-        restart=RestartPolicy(enabled=args.restart),
         trace_spans=args.trace_spans,
     )
-
-
-# --------------------------------------------------------------------- #
-# Admin-socket client (sync; one request, one reply)
-# --------------------------------------------------------------------- #
-
-
-def admin_call(
-    state_dir: str, op: str, args: dict[str, Any] | None = None, timeout: float = 300.0
-) -> dict[str, Any]:
-    """Send one admin request to the running supervisor and await the reply."""
-    path = f"{state_dir}/fleet.sock"
-    try:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(path)
-    except OSError as exc:
-        raise FleetError(
-            f"no running fleet at {path!r} (start one with `python -m repro.fleet up`): {exc}"
-        ) from exc
-    try:
-        sock.sendall(encode_frame(Request(op=op, req_id=1, args=args or {})))
-        stream = sock.makefile("rb")
-        line = stream.readline()
-    finally:
-        sock.close()
-    if not line:
-        raise FleetError("supervisor closed the admin connection without replying")
-    frame = decode_frame(line)
-    if not isinstance(frame, Reply):
-        raise FleetError(f"unexpected admin frame: {frame!r}")
-    if not frame.ok:
-        raise FleetError(frame.error)
-    return frame.result
-
-
-# --------------------------------------------------------------------- #
-# Supervisor-side replay op (registered by `up`/`smoke`)
-# --------------------------------------------------------------------- #
-
-
-def install_replay_op(supervisor: FleetSupervisor) -> None:
-    """Expose `replay` on the admin socket of a running supervisor."""
-
-    async def _admin_replay(args: dict[str, Any]) -> dict[str, Any]:
-        workload = str(args.get("workload", "fig9"))
-        seed = int(args.get("seed", supervisor.config.seed))
-        if workload == "fig9":
-            plan = plan_fleet_fig9(
-                seed=seed,
-                n_nodes=max(len(supervisor.live_idents()), supervisor.config.n_nodes),
-                n_slots=int(args.get("slots", 4)),
-            )
-            members = supervisor.live_idents()
-            live = await replay_fig9_live(supervisor, plan)
-            sim = run_fig9_sim_twin(
-                members, plan, supervisor.space, scheme=supervisor.config.scheme
-            )
-            report = compare_fig9(live, sim)
-            return {"report": json.loads(report.to_json())}
-        if workload == "churn":
-            plan = plan_fleet_churn(
-                str(args.get("scenario", "grid")),
-                float(args.get("duration", 120.0)),
-                seed,
-                supervisor.space,
-                supervisor.live_idents(),
-            )
-            result = await replay_churn_live(
-                supervisor, plan, time_scale=float(args.get("time_scale", 0.0))
-            )
-            expected = plan.final_members()
-            return {
-                "scenario": plan.scenario,
-                "planned": len(plan.actions),
-                "applied": len(result.applied),
-                "failed": result.failed,
-                "converged": result.converged,
-                "membership_matches_plan": tuple(result.final_members) == expected,
-                "final_members": list(result.final_members),
-                "wall_seconds": round(result.wall_seconds, 2),
-            }
-        raise FleetError(f"unknown workload {workload!r}")
-
-    supervisor.register_admin_op("replay", _admin_replay)
 
 
 # --------------------------------------------------------------------- #
@@ -345,26 +215,8 @@ def _render_fleet_report(report: dict[str, Any], traces: TraceSet | None) -> str
 
 
 # --------------------------------------------------------------------- #
-# Foreground commands
+# Scripted smoke
 # --------------------------------------------------------------------- #
-
-
-async def _run_up(config: FleetConfig) -> int:
-    supervisor = FleetSupervisor(config)
-    install_replay_op(supervisor)
-    await supervisor.start()
-    await supervisor.serve_admin()
-    converged = await supervisor.wait_converged()
-    _emit(
-        {
-            "up": True,
-            "n": len(supervisor.live_idents()),
-            "converged": converged,
-            "admin_socket": str(supervisor.admin_socket_path),
-        }
-    )
-    await supervisor.run_until_signal()
-    return 0
 
 
 async def _run_smoke(config: FleetConfig, slots: int, report_path: str) -> int:
@@ -429,38 +281,11 @@ def _emit(payload: dict[str, Any]) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "up":
-            return asyncio.run(_run_up(config_from_args(args)))
         if args.command == "smoke":
             return asyncio.run(
                 _run_smoke(config_from_args(args), args.slots, args.report)
             )
-        if args.command == "status":
-            _emit(admin_call(args.state_dir, "status"))
-        elif args.command == "join":
-            _emit(admin_call(args.state_dir, "join", {"ident": args.ident}))
-        elif args.command == "leave":
-            _emit(admin_call(args.state_dir, "leave", {"ident": args.ident}))
-        elif args.command == "kill":
-            _emit(admin_call(args.state_dir, "kill", {"ident": args.ident}))
-        elif args.command == "route":
-            _emit(admin_call(args.state_dir, "route", {"key": args.key, "origin": args.origin}))
-        elif args.command == "replay":
-            _emit(
-                admin_call(
-                    args.state_dir,
-                    "replay",
-                    {
-                        "workload": args.workload,
-                        "seed": args.seed,
-                        "slots": args.slots,
-                        "scenario": args.scenario,
-                        "duration": args.duration,
-                        "time_scale": args.time_scale,
-                    },
-                )
-            )
-        elif args.command == "report":
+        if args.command == "report":
             fleet_report, traces = _fleet_report(args.state_dir)
             if args.json:
                 _emit(fleet_report)
@@ -473,8 +298,6 @@ def main(argv: list[str] | None = None) -> int:
                     sys.stdout.write(prefix + message + "\n")
                 if not all(passed for passed, _message in results):
                     return 1
-        elif args.command == "down":
-            _emit(admin_call(args.state_dir, "down"))
     except FleetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

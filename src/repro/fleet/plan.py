@@ -1,76 +1,21 @@
 """Pure planning for live-fleet workload replay.
 
 Everything here is deterministic data-in/data-out — no sockets, no
-processes, no clocks — so a plan can be unit-tested, diffed against the
-simulator's plan for the same seed, and only then handed to
-:mod:`repro.fleet.replay` for execution against real processes.
-
-The determinism contract: churn identity resolution is delegated to
-:func:`repro.workloads.churn.plan_churn` — the *same* planner
-:func:`~repro.workloads.churn.replay_churn` uses in-sim — so one
-``(seed, scenario)`` pair yields byte-identical event sequences on both
-substrates. That is what makes the :mod:`repro.fleet.compare` report
-meaningful: any divergence is implementation behaviour, not workload
-noise.
+processes, no clocks — so a plan can be unit-tested and only then handed
+to :mod:`repro.fleet.replay` for execution against real processes. The
+live run and its simulator twin (:mod:`repro.fleet.compare`) derive the
+same traces from the plan's seed, so any divergence is implementation
+behaviour, not workload noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.chord.hashing import sha1_id
 from repro.chord.idspace import IdSpace
-from repro.workloads.churn import ChurnKind, plan_churn
-from repro.workloads.scenarios import scenario
 
-__all__ = [
-    "FleetAction",
-    "ChurnReplayPlan",
-    "Fig9ReplayPlan",
-    "plan_fleet_churn",
-    "plan_fleet_fig9",
-]
-
-#: How each churn kind maps onto a fleet operation: graceful departures go
-#: through the agent's ``leave`` op; crashes are SIGKILLs from the
-#: supervisor (no goodbye on either plane).
-_KIND_TO_OP = {
-    ChurnKind.JOIN: "join",
-    ChurnKind.LEAVE: "leave",
-    ChurnKind.CRASH: "kill",
-}
-
-
-@dataclass(frozen=True)
-class FleetAction:
-    """One scheduled supervision action against the live fleet."""
-
-    time: float
-    op: str  # "join" | "leave" | "kill"
-    ident: int
-
-
-@dataclass(frozen=True)
-class ChurnReplayPlan:
-    """A fully resolved churn schedule ready for live replay."""
-
-    scenario: str
-    duration: float
-    seed: int
-    min_nodes: int
-    initial_members: tuple[int, ...]
-    actions: tuple[FleetAction, ...]
-
-    def final_members(self) -> tuple[int, ...]:
-        """Membership after every action applies (sorted)."""
-        members = set(self.initial_members)
-        for action in self.actions:
-            if action.op == "join":
-                members.add(action.ident)
-            else:
-                members.discard(action.ident)
-        return tuple(sorted(members))
+__all__ = ["Fig9ReplayPlan", "plan_fleet_fig9"]
 
 
 @dataclass(frozen=True)
@@ -96,37 +41,6 @@ class Fig9ReplayPlan:
     def key(self, space: IdSpace) -> int:
         """The aggregation key: the attribute name hashed into the ring."""
         return sha1_id(self.attribute, space)
-
-
-def plan_fleet_churn(
-    scenario_name: str,
-    duration: float,
-    seed: int,
-    space: IdSpace,
-    initial_members: Sequence[int],
-    min_nodes: int = 2,
-) -> ChurnReplayPlan:
-    """Resolve a named scenario's churn schedule onto concrete fleet actions.
-
-    The schedule comes from :meth:`~repro.workloads.scenarios.Scenario.
-    churn_workload` and identity resolution from :func:`plan_churn` — both
-    seeded — so calling this twice (or once here and once in the
-    simulator) yields the identical action sequence.
-    """
-    workload = scenario(scenario_name).churn_workload(duration, seed=seed)
-    events = workload.generate()
-    planned = plan_churn(events, space, initial_members, seed=seed, min_nodes=min_nodes)
-    actions = tuple(
-        FleetAction(time=p.time, op=_KIND_TO_OP[p.kind], ident=p.ident) for p in planned
-    )
-    return ChurnReplayPlan(
-        scenario=scenario_name,
-        duration=float(duration),
-        seed=int(seed),
-        min_nodes=min_nodes,
-        initial_members=tuple(sorted(int(m) for m in initial_members)),
-        actions=actions,
-    )
 
 
 def plan_fleet_fig9(

@@ -11,37 +11,17 @@ answer for the same seed.
 from __future__ import annotations
 
 import asyncio
-import logging
 import time
 from dataclasses import dataclass, field
 
 from repro.chord.ring import StaticRing
 from repro.core.aggregates import get_aggregate
 from repro.errors import FleetError
-from repro.fleet.plan import ChurnReplayPlan, Fig9ReplayPlan
+from repro.fleet.plan import Fig9ReplayPlan
 from repro.fleet.supervisor import FleetSupervisor
 from repro.gma.traces import TraceGenerator
 
-__all__ = [
-    "ChurnLiveResult",
-    "Fig9LiveResult",
-    "replay_churn_live",
-    "replay_fig9_live",
-]
-
-logger = logging.getLogger("repro.fleet.replay")
-
-
-@dataclass
-class ChurnLiveResult:
-    """What a live churn replay actually did to the fleet."""
-
-    plan: ChurnReplayPlan
-    applied: list[tuple[str, int]] = field(default_factory=list)
-    failed: list[tuple[str, int, str]] = field(default_factory=list)
-    final_members: tuple[int, ...] = ()
-    converged: bool = False
-    wall_seconds: float = 0.0
+__all__ = ["Fig9LiveResult", "replay_fig9_live"]
 
 
 @dataclass
@@ -72,50 +52,6 @@ class Fig9LiveResult:
             return 0.0
         mean = sum(totals) / len(totals)
         return max(totals) / mean if mean > 0 else 0.0
-
-
-async def replay_churn_live(
-    supervisor: FleetSupervisor,
-    plan: ChurnReplayPlan,
-    time_scale: float = 0.0,
-    max_gap: float = 2.0,
-) -> ChurnLiveResult:
-    """Apply a churn plan to the live fleet, in order.
-
-    ``time_scale`` compresses the plan's virtual timeline into wall time
-    (0 applies events back-to-back — the default for smoke runs); a gap is
-    never allowed to exceed ``max_gap`` real seconds so long scenarios stay
-    replayable. After the last action the fleet is given a convergence
-    window: the result's ``converged`` flag is the live ring matching the
-    ideal ring over the surviving membership.
-    """
-    result = ChurnLiveResult(plan=plan)
-    started = time.monotonic()
-    previous_time = 0.0
-    for action in plan.actions:
-        if time_scale > 0.0:
-            gap = min((action.time - previous_time) * time_scale, max_gap)
-            if gap > 0:
-                await asyncio.sleep(gap)
-        previous_time = action.time
-        try:
-            if action.op == "join":
-                await supervisor.join_agent(action.ident)
-            elif action.op == "leave":
-                await supervisor.leave(action.ident)
-            elif action.op == "kill":
-                await supervisor.kill(action.ident)
-            else:
-                raise FleetError(f"unknown plan op {action.op!r}")
-        except FleetError as exc:
-            logger.warning("churn action %s(%d) failed: %s", action.op, action.ident, exc)
-            result.failed.append((action.op, action.ident, str(exc)))
-            continue
-        result.applied.append((action.op, action.ident))
-    result.converged = await supervisor.wait_converged()
-    result.final_members = tuple(supervisor.live_idents())
-    result.wall_seconds = time.monotonic() - started
-    return result
 
 
 async def replay_fig9_live(

@@ -15,9 +15,7 @@ deployment harness. It
   already-stable member keeps lookup churn bounded);
 * injects failures (SIGKILL) with an optional restart-and-rejoin policy,
   mirrors graceful ``leave``, and persists every agent's telemetry stream
-  as one JSONL file per node under ``state_dir``;
-* serves an admin Unix socket (same wire protocol) so the ``python -m
-  repro.fleet`` CLI can drive a running fleet from another process.
+  as one JSONL file per node under ``state_dir``.
 
 The supervisor never touches protocol internals — everything goes through
 the agents' control ops, exactly as a remote deployment would.
@@ -28,12 +26,11 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import signal
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, AsyncIterator, Awaitable, Callable, Iterable
+from typing import Any, AsyncIterator, Iterable
 
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
@@ -181,7 +178,6 @@ class FleetSupervisor:
         self.space = self.config.space
         self.agents: dict[int, AgentHandle] = {}
         self._server: asyncio.base_events.Server | None = None
-        self._admin_server: asyncio.base_events.Server | None = None
         self.control_port = 0
         self._rng = ensure_rng(self.config.seed)
         self._planned_idents: list[int] = []
@@ -191,15 +187,6 @@ class FleetSupervisor:
         self._closing = False
         self.state_dir = Path(self.config.state_dir)
         self.started_at: float | None = None
-        #: Ops the admin socket exposes; the CLI calls these by name.
-        self._admin_ops: dict[str, Callable[[dict[str, Any]], Awaitable[dict[str, Any]]]] = {
-            "status": self._admin_status,
-            "join": self._admin_join,
-            "leave": self._admin_leave,
-            "kill": self._admin_kill,
-            "route": self._admin_route,
-            "down": self._admin_down,
-        }
 
     # ------------------------------------------------------------------ #
     # Boot sequence
@@ -544,110 +531,3 @@ class FleetSupervisor:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._admin_server is not None:
-            self._admin_server.close()
-            await self._admin_server.wait_closed()
-
-    # ------------------------------------------------------------------ #
-    # Admin socket (CLI <-> supervisor)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def admin_socket_path(self) -> Path:
-        return self.state_dir / "fleet.sock"
-
-    def register_admin_op(
-        self, name: str, handler: Callable[[dict[str, Any]], Awaitable[dict[str, Any]]]
-    ) -> None:
-        """Expose an extra op on the admin socket (e.g. the CLI's replay)."""
-        self._admin_ops[name] = handler
-
-    async def serve_admin(self) -> None:
-        """Expose the admin ops on a Unix socket inside ``state_dir``."""
-        path = self.admin_socket_path
-        path.unlink(missing_ok=True)
-        self._admin_server = await asyncio.start_unix_server(
-            self._handle_admin_connection, path=str(path)
-        )
-
-    async def _handle_admin_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            async for frame in self._frames(reader):
-                if not isinstance(frame, Request):
-                    continue
-                op = self._admin_ops.get(frame.op)
-                if op is None:
-                    reply = Reply(frame.req_id, ok=False, error=f"unknown admin op {frame.op!r}")
-                else:
-                    try:
-                        reply = Reply(frame.req_id, ok=True, result=await op(frame.args))
-                    except FleetError as exc:
-                        reply = Reply(frame.req_id, ok=False, error=str(exc))
-                writer.write(encode_frame(reply))
-                await writer.drain()
-        finally:
-            writer.close()
-
-    async def _admin_status(self, args: dict[str, Any]) -> dict[str, Any]:
-        statuses = await self.statuses()
-        uptime = time.monotonic() - self.started_at if self.started_at else 0.0
-        return {
-            "n_live": len(self.live_idents()),
-            "uptime": round(uptime, 1),
-            "agents": {str(i): s for i, s in sorted(statuses.items())},
-        }
-
-    async def _admin_join(self, args: dict[str, Any]) -> dict[str, Any]:
-        ident = int(args["ident"]) if args.get("ident") is not None else self.pick_ident()
-        handle = await self.join_agent(ident)
-        return {"ident": handle.ident, "pid": handle.pid}
-
-    async def _admin_leave(self, args: dict[str, Any]) -> dict[str, Any]:
-        ident = int(args["ident"])
-        await self.leave(ident)
-        return {"ident": ident, "left": True}
-
-    async def _admin_kill(self, args: dict[str, Any]) -> dict[str, Any]:
-        ident = int(args["ident"])
-        await self.kill(ident)
-        return {"ident": ident, "killed": True}
-
-    async def _admin_route(self, args: dict[str, Any]) -> dict[str, Any]:
-        origin = int(args["origin"]) if args.get("origin") is not None else None
-        return await self.route(int(args["key"]), origin)
-
-    async def _admin_down(self, args: dict[str, Any]) -> dict[str, Any]:
-        # The CLI's `down`: reply first, then tear down (the caller's
-        # connection dies with the server, which is expected).
-        asyncio.get_running_loop().create_task(self._down_soon())
-        return {"stopping": True}
-
-    async def _down_soon(self) -> None:
-        await asyncio.sleep(0.1)
-        await self.down()
-
-    async def run_until_signal(self) -> None:
-        """Foreground mode: serve until SIGINT/SIGTERM, then tear down."""
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, stop.set)
-        admin_closed = self._admin_server
-        try:
-            if admin_closed is not None:
-                waiter = loop.create_task(admin_closed.wait_closed())
-                stopper = loop.create_task(stop.wait())
-                done, pending = await asyncio.wait(
-                    {waiter, stopper}, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in pending:
-                    task.cancel()
-            else:
-                await stop.wait()
-        finally:
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                loop.remove_signal_handler(sig)
-            if not self._closing:
-                await self.down()

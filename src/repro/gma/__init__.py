@@ -16,7 +16,6 @@ Layers, bottom to top:
 together over one overlay.
 """
 
-from repro.gma.events import MonitoringEvent
 from repro.gma.sensors import (
     CallbackSensor,
     ConstantSensor,
@@ -32,7 +31,6 @@ from repro.gma.live import LiveGridMonitor
 from repro.gma.scheduler import MonitoringScheduler, WatchSpec
 
 __all__ = [
-    "MonitoringEvent",
     "Sensor",
     "ConstantSensor",
     "CallbackSensor",

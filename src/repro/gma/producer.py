@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.errors import MonitoringError
-from repro.gma.events import MonitoringEvent
 from repro.gma.sensors import Sensor
 from repro.maan.attrs import Resource
 from repro.maan.network import MaanNetwork
@@ -82,10 +81,6 @@ class Producer:
         for attribute, sensor in self.sensors.items():
             values[attribute] = sensor.read(t)
         return Resource(resource_id=self.resource_id, attributes=values)
-
-    def events(self, t: float) -> list[MonitoringEvent]:
-        """Events for every dynamic (sensor-backed) attribute at ``t``."""
-        return [sensor.event(t) for sensor in self.sensors.values()]
 
     def register(self, index: MaanNetwork, t: float = 0.0) -> int:
         """(Re-)register this resource into the MAAN index; returns hops."""

@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.gma.events import MonitoringEvent
 from repro.gma.traces import CpuTrace
 from repro.util.rng import ensure_rng
 
@@ -37,15 +36,6 @@ class Sensor(ABC):
     @abstractmethod
     def read(self, t: float) -> float:
         """The attribute's value at time ``t``."""
-
-    def event(self, t: float) -> MonitoringEvent:
-        """Wrap the current reading as a monitoring event."""
-        return MonitoringEvent(
-            timestamp=t,
-            resource_id=self.resource_id,
-            attribute=self.attribute,
-            value=self.read(t),
-        )
 
 
 class ConstantSensor(Sensor):

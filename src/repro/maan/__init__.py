@@ -17,12 +17,9 @@ from repro.maan.attrs import AttributeSchema, AttributeKind, Resource
 from repro.maan.store import ResourceStore
 from repro.maan.network import MaanNetwork
 from repro.maan.query import RangeQuery, MultiAttributeQuery, QueryResult
-from repro.maan.softstate import SoftStateRegistry, SoftStateStore
 from repro.maan.service import MaanNodeService
 
 __all__ = [
-    "SoftStateRegistry",
-    "SoftStateStore",
     "MaanNodeService",
     "AttributeSchema",
     "AttributeKind",

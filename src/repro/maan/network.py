@@ -9,7 +9,7 @@ empirically (``benchmarks/bench_maan_routing.py``).
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro import telemetry
 from repro.chord.fingers import FingerTable
@@ -67,12 +67,6 @@ class MaanNetwork:
             return self.schemas[attribute]
         except KeyError:
             raise SchemaError(f"undeclared attribute {attribute!r}") from None
-
-    def node_for_value(self, attribute: str, value: Any) -> int:
-        """The node responsible for ``(attribute, value)``."""
-        schema = self._schema(attribute)
-        normalized = schema.validate_value(value)
-        return self.ring.successor(self._hashers[attribute](normalized))
 
     # ------------------------------------------------------------------ #
     # Registration (O(m log n) hops)

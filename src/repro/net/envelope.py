@@ -184,7 +184,3 @@ class DeferredResponder:
         span = self._spans.pop(key, None)
         if span is not None:
             span.finish(abandoned=True)
-
-    def pending(self) -> int:
-        """Number of in-flight claims (useful in tests)."""
-        return len(self._inflight)

@@ -178,10 +178,6 @@ class Batcher:
         self.flush_all()
         self._closed = True
 
-    def pending(self) -> int:
-        """Number of currently queued (unflushed) messages."""
-        return sum(len(q) for q in self._queues.values())
-
 
 def install_batch_unwrapper(
     upcalls: MutableMapping[str, Upcall],

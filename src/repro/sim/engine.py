@@ -217,12 +217,6 @@ class SimulationEngine:
         return self._now
 
     @property
-    def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events: the queue's live
-        count, a stored integer (no scan past tombstones)."""
-        return len(self._heap)
-
-    @property
     def events_fired(self) -> int:
         """Total events executed so far."""
         return self._events_fired

@@ -7,12 +7,8 @@ from repro.workloads.grids import (
 )
 from repro.workloads.churn import ChurnEvent, ChurnKind, ChurnWorkload
 from repro.workloads.queries import QueryWorkload
-from repro.workloads.scenarios import Scenario, available_scenarios, scenario
 
 __all__ = [
-    "Scenario",
-    "available_scenarios",
-    "scenario",
     "GridResourceGenerator",
     "default_schemas",
     "make_producers",

@@ -137,11 +137,9 @@ def plan_churn(
     departures that would shrink the ring below ``min_nodes`` are dropped
     without consuming randomness. The RNG consumption is exactly the
     sequence :func:`replay_churn` historically performed against the live
-    engine ring, so the same ``(seed, schedule)`` produces the identical
-    event sequence whether it is applied in-sim (``replay_churn``) or
-    shipped to a real process fleet (:mod:`repro.fleet.replay`) — the
-    cross-substrate determinism contract the fleet comparison report
-    relies on.
+    engine ring, so one ``(seed, schedule)`` resolves one event sequence
+    wherever it is applied (``replay_churn``, the perf ledger's
+    ``churn_overlay_64``).
     """
     rng = ensure_rng(seed)
     member_set = {int(m) for m in initial_members}

@@ -66,7 +66,7 @@ class TestScheduling:
             engine.schedule_at(float("nan"), lambda: fired.append(engine.now))
         with pytest.raises(SimulationError):
             engine.add_tick_hook(float("nan"), lambda at: None)
-        assert engine.pending == 2
+        assert len(engine._heap) == 2
         engine.run()
         assert fired == [1.0, 2.0]
         assert engine.now == 2.0
@@ -100,7 +100,7 @@ class TestCancellation:
         event = engine.schedule(1.0, lambda: None)
         engine.schedule(2.0, lambda: None)
         event.cancel()
-        assert engine.pending == 1
+        assert len(engine._heap) == 1
 
     def test_cancel_unlinks_from_heap_immediately(self):
         engine = SimulationEngine()
@@ -117,7 +117,7 @@ class TestCancellation:
         engine.run()
         event.cancel()
         event.cancel()
-        assert engine.pending == 0
+        assert len(engine._heap) == 0
 
     def test_cancel_10k_timers_without_quadratic_blowup(self):
         # Regression for the former pop-and-scan path: cancelling a timer
@@ -135,8 +135,8 @@ class TestCancellation:
         for count, i in enumerate(order):
             timers[i].cancel()
             # The O(1) pending read is exact after every single cancel.
-            assert engine.pending == len(timers) - count - 1 + 1
-        assert engine.pending == 1
+            assert len(engine._heap) == len(timers) - count - 1 + 1
+        assert len(engine._heap) == 1
         assert len(engine._heap) == 1
         assert engine._heap.peek() is survivor
         engine.run()
@@ -309,9 +309,9 @@ class TestQueueAgainstModel:
         for event in timeouts:
             if event not in survivors:
                 event.cancel()
-        while engine.pending > len(survivors):
+        while len(engine._heap) > len(survivors):
             assert engine.step()
-            assert len(engine._heap._entries) <= 2 * engine.pending + TOMBSTONE_SLACK
+            assert len(engine._heap._entries) <= 2 * len(engine._heap) + TOMBSTONE_SLACK
         assert engine.run() == survivors[-1].time
         assert engine.events_fired == 1000 + len(survivors)
         assert engine.lazy_deleted == 0
@@ -381,19 +381,19 @@ class TestQueueAgainstModel:
                 operation()
                 assert fired == model.fired
                 assert engine.now == model.now
-                assert engine.pending == len(model.queued)
+                assert len(engine._heap) == len(model.queued)
                 assert engine.heap_peak == model.peak
                 assert engine.lazy_deleted == model.lazy_deleted
                 assert engine.events_fired == len(model.fired)
                 assert (
                     len(engine._heap._entries)
-                    <= 2 * engine.pending + TOMBSTONE_SLACK
+                    <= 2 * len(engine._heap) + TOMBSTONE_SLACK
                 )
         engine.run()
         while model.step():
             pass
         assert fired == model.fired
-        assert engine.pending == 0
+        assert len(engine._heap) == 0
 
 
 class TestRunBounds:
@@ -448,7 +448,7 @@ class TestRunBounds:
         engine = SimulationEngine()
         engine.schedule(1.0, lambda: None)
         engine.clear()
-        assert engine.pending == 0
+        assert len(engine._heap) == 0
 
 
 class TestTickHooks:

@@ -1,32 +1,21 @@
-"""Fleet replay planning: purity, determinism, and — the load-bearing
-property — seed threading identical to the in-sim churn replay.
+"""Replay planning: the live Fig. 9 plan and the seeded churn planner.
 
-Everything here is sockets-free: the planner is pure data-in/data-out, so
-the cross-substrate determinism contract (same ``(seed, scenario)`` ->
-same event sequence in the simulator and in the live fleet) is checked as
-a plain unit test.
+Everything here is sockets-free: both planners are pure data-in/data-out,
+so determinism and membership bookkeeping are checked as plain unit tests.
 """
 
 import pytest
 
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
-from repro.chord.incremental import DatUpdateEngine
-from repro.fleet.plan import (
-    ChurnReplayPlan,
-    Fig9ReplayPlan,
-    plan_fleet_churn,
-    plan_fleet_fig9,
-)
+from repro.fleet.plan import Fig9ReplayPlan, plan_fleet_fig9
 from repro.util.rng import ensure_rng
 from repro.workloads.churn import (
     ChurnKind,
     ChurnWorkload,
     PlannedChurnEvent,
     plan_churn,
-    replay_churn,
 )
-from repro.workloads.scenarios import scenario
 
 SPACE = IdSpace(16)
 SEED = 2007
@@ -36,42 +25,26 @@ def build_members(n=16, seed=SEED):
     return list(make_assigner("probing").build_ring(SPACE, n, rng=seed).nodes)
 
 
+def churn_events(duration, seed):
+    """A slow grid-like churn schedule: ~1 membership change per 10 s."""
+    return ChurnWorkload(
+        duration, join_rate=0.05, leave_rate=0.05, crash_fraction=0.1, seed=seed
+    ).generate()
+
+
 class TestSeedThreading:
-    """Satellite: same (seed, scenario) -> identical sequences in-sim vs fleet."""
-
-    @pytest.mark.parametrize("scenario_name", ["grid", "cluster", "planetlab"])
-    def test_fleet_plan_matches_sim_replay(self, scenario_name):
-        """The fleet planner and the in-sim engine replay must resolve the
-        exact same (kind, ident) sequence from one (seed, scenario) pair."""
-        members = build_members()
-        events = scenario(scenario_name).churn_workload(240.0, seed=SEED).generate()
-
-        # In-sim: replay against a real incremental engine and read the
-        # applied deltas back out of the reports.
-        ring = make_assigner("probing").build_ring(SPACE, len(members), rng=SEED)
-        engine = DatUpdateEngine(ring)
-        reports = replay_churn(engine, events, seed=SEED, min_nodes=4)
-        sim_sequence = [(r.delta.kind, r.delta.ident) for r in reports]
-
-        # Fleet: pure planning from the identical inputs.
-        plan = plan_fleet_churn(
-            scenario_name, 240.0, SEED, SPACE, members, min_nodes=4
-        )
-        op_to_kind = {"join": "join", "leave": "leave", "kill": "crash"}
-        fleet_sequence = [(op_to_kind[a.op], a.ident) for a in plan.actions]
-
-        assert fleet_sequence == sim_sequence
+    """One seed resolves one event sequence."""
 
     def test_plan_churn_is_deterministic(self):
         members = build_members()
-        events = scenario("grid").churn_workload(120.0, seed=3).generate()
+        events = churn_events(120.0, seed=3)
         first = plan_churn(events, SPACE, members, seed=3)
         second = plan_churn(events, SPACE, members, seed=3)
         assert first == second
 
     def test_different_seed_different_plan(self):
         members = build_members()
-        events = scenario("grid").churn_workload(120.0, seed=3).generate()
+        events = churn_events(120.0, seed=3)
         a = plan_churn(events, SPACE, members, seed=3)
         b = plan_churn(events, SPACE, members, seed=4)
         assert a != b  # identity resolution is seed-driven
@@ -133,54 +106,29 @@ class TestSortedMembership:
 class TestChurnPlan:
     def test_min_nodes_floor_respected(self):
         members = build_members(4)
-        plan = plan_fleet_churn("grid", 600.0, SEED, SPACE, members, min_nodes=3)
+        plan = plan_churn(churn_events(600.0, SEED), SPACE, members, seed=SEED, min_nodes=3)
         population = set(members)
-        for action in plan.actions:
-            if action.op == "join":
-                population.add(action.ident)
+        departures = 0
+        for event in plan:
+            if event.kind is ChurnKind.JOIN:
+                population.add(event.ident)
             else:
                 assert len(population) > 3  # departure only above the floor
-                population.discard(action.ident)
-
-    def test_final_members_tracks_actions(self):
-        members = build_members(8)
-        plan = plan_fleet_churn("grid", 300.0, SEED, SPACE, members)
-        expected = set(members)
-        for action in plan.actions:
-            if action.op == "join":
-                expected.add(action.ident)
-            else:
-                expected.discard(action.ident)
-        assert plan.final_members() == tuple(sorted(expected))
+                population.discard(event.ident)
+                departures += 1
+        assert departures > 0
 
     def test_departures_target_current_members(self):
         members = build_members(8)
-        plan = plan_fleet_churn("grid", 400.0, SEED, SPACE, members)
+        plan = plan_churn(churn_events(400.0, SEED), SPACE, members, seed=SEED)
         population = set(members)
-        for action in plan.actions:
-            if action.op == "join":
-                assert action.ident not in population
-                population.add(action.ident)
+        for event in plan:
+            if event.kind is ChurnKind.JOIN:
+                assert event.ident not in population
+                population.add(event.ident)
             else:
-                assert action.ident in population
-                population.discard(action.ident)
-
-    def test_crashes_map_to_kill(self):
-        members = build_members(8)
-        # planetlab has a nonzero crash fraction; scan for one.
-        events = scenario("planetlab").churn_workload(900.0, seed=5).generate()
-        planned = plan_churn(events, SPACE, members, seed=5)
-        plan = plan_fleet_churn("planetlab", 900.0, 5, SPACE, members)
-        kinds = {a.ident: a.op for a in plan.actions}
-        for p in planned:
-            if p.kind is ChurnKind.CRASH:
-                assert kinds[p.ident] == "kill"
-
-    def test_plan_is_frozen(self):
-        plan = plan_fleet_churn("grid", 60.0, SEED, SPACE, build_members(4))
-        assert isinstance(plan, ChurnReplayPlan)
-        with pytest.raises(AttributeError):
-            plan.seed = 1  # type: ignore[misc]
+                assert event.ident in population
+                population.discard(event.ident)
 
 
 class TestFig9Plan:

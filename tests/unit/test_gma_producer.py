@@ -68,11 +68,6 @@ class TestSnapshotsAndEvents:
         assert snapshot.attributes["cpu-speed"] == 2.8
         assert snapshot.attributes["cpu-usage"] == 12.0
 
-    def test_events_only_dynamic(self):
-        events = make_producer().events(t=1.0)
-        assert len(events) == 1
-        assert events[0].attribute == "cpu-usage"
-
 
 class TestIndexing:
     def test_register_places_records(self):

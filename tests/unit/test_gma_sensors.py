@@ -18,15 +18,6 @@ class TestConstantSensor:
         assert sensor.read(0) == 2.8
         assert sensor.read(1000) == 2.8
 
-    def test_event_wrapping(self):
-        sensor = ConstantSensor("host", "cpu-speed", 2.8)
-        event = sensor.event(5.0)
-        assert event.timestamp == 5.0
-        assert event.resource_id == "host"
-        assert event.attribute == "cpu-speed"
-        assert event.value == 2.8
-        assert event.key() == ("host", "cpu-speed")
-
 
 class TestCallbackSensor:
     def test_delegates(self):

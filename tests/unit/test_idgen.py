@@ -1,5 +1,8 @@
 """Unit tests for identifier assignment strategies."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.chord.idgen import (
@@ -9,6 +12,7 @@ from repro.chord.idgen import (
     make_assigner,
 )
 from repro.chord.idspace import IdSpace
+from repro.errors import IdentifierError
 
 
 class TestRandomIdAssigner:
@@ -85,3 +89,29 @@ class TestMakeAssigner:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown id assigner"):
             make_assigner("magic")
+
+
+class TestWideSpaces:
+    """The drawing assigners take int64 draws: at most 63 bits."""
+
+    @pytest.mark.parametrize("name", ["random", "probing"])
+    @pytest.mark.parametrize("bits", [64, 160])
+    def test_drawing_assigners_reject_wider_spaces(self, name, bits):
+        with pytest.raises(IdentifierError, match="at most 63 bits"):
+            make_assigner(name).build_ring(IdSpace(bits), 8, rng=1)
+
+    def test_uniform_builds_at_160_bits(self):
+        space = IdSpace(160)
+        ring = UniformIdAssigner().build_ring(space, 8)
+        assert ring.nodes == [i * (space.size // 8) for i in range(8)]
+
+    @pytest.mark.parametrize(
+        ("name", "digest"),
+        [("random", "2cd1ae23e2cea2a2"), ("probing", "8612abea9f25df0e")],
+    )
+    def test_63_bit_rings_unchanged(self, name, digest):
+        # Pinned: the width check must not move a 63-bit ring.
+        ring = make_assigner(name).build_ring(IdSpace(63), 300, rng=2007)
+        assert len(ring) == 300
+        packed = np.asarray(ring.nodes, np.int64).tobytes()
+        assert hashlib.sha256(packed).hexdigest()[:16] == digest

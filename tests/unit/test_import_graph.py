@@ -65,7 +65,6 @@ def test_back_edges_are_exactly_the_allowed_ones():
 ALLOWED_ORPHANS = {
     "fleet.agent": "run with python -m",
     "gma.live": "public API, docs/API.md",
-    "maan.softstate": "public API, docs/API.md",
     "net.fanout": "reached through the repro.net package",
 }
 
@@ -160,9 +159,7 @@ ALLOWED_ORPHAN_NAMES = {
     "core.tree:DatTree.path_to_root",
     "core.tree:DatTree.subtree_sizes",
     # telemetry and fleet: the census taken when the ratchet reached them.
-    "fleet.cli:admin_call",
     "fleet.cli:config_from_args",
-    "fleet.cli:install_replay_op",
     "fleet.compare:FleetComparisonReport.render_text",
     "fleet.supervisor:AgentHandle.alive",
     "fleet.supervisor:AgentHandle.fail_pending",
@@ -206,11 +203,6 @@ ALLOWED_ORPHAN_NAMES = {
     "maan.network:MaanNetwork.estimate_selectivity",
     "maan.query:MultiAttributeQuery.attribute_names",
     "maan.query:QueryResult.resource_ids",
-    "maan.softstate:SoftStateRegistry.sweep",
-    "maan.softstate:SoftStateStore.expired_count",
-    "maan.softstate:SoftStateStore.live_count",
-    "maan.softstate:SoftStateStore.sweep",
-    "maan.softstate:SoftStateStore.touch",
     "maan.store:ResourceStore.all_for_attribute",
     "maan.store:ResourceStore.remove_resource",
     "maan.store:ResourceStore.values_for_attribute",
@@ -231,8 +223,6 @@ ALLOWED_ORPHAN_NAMES = {
     "util.validation:check_range",
     "workloads.churn:ChurnWorkload.expected_events",
     "workloads.churn:replay_churn",
-    "workloads.scenarios:Scenario.trace_generator",
-    "workloads.scenarios:available_scenarios",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)

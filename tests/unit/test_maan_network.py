@@ -42,7 +42,7 @@ class TestRegistration:
     def test_placement_on_value_successor(self, network):
         resource = Resource("a", {"cpu-usage": 50.0})
         network.register(resource)
-        owner = network.node_for_value("cpu-usage", 50.0)
+        owner = network.ring.successor(network._hashers["cpu-usage"](50.0))
         assert network.stores[owner].count("cpu-usage") == 1
 
     def test_hops_logarithmic(self, network):

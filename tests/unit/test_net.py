@@ -359,7 +359,7 @@ class TestDeferredResponder:
         transport = InprocTransport()
         responder = DeferredResponder(transport)
         assert responder.begin("k", self._request()) is True
-        assert responder.pending() == 1
+        assert len(responder._inflight) == 1
 
     def test_inflight_duplicate_dropped(self):
         transport = InprocTransport()
@@ -377,7 +377,7 @@ class TestDeferredResponder:
         request = self._request()
         responder.begin("k", request)
         responder.complete("k", request.response(kind="agg_partial", state=3))
-        assert responder.pending() == 0
+        assert len(responder._inflight) == 0
         # A retransmission after completion re-sends the cached reply.
         assert responder.begin("k", request) is False
         assert transport.stats.load(2).sent == 2
@@ -387,7 +387,7 @@ class TestDeferredResponder:
         request = self._request()
         responder.begin("k", request)
         responder.abandon("k")
-        assert responder.pending() == 0
+        assert len(responder._inflight) == 0
         assert responder.begin("k", request) is True
 
     def test_capacity_evicts_oldest(self):
@@ -457,6 +457,11 @@ class TestGather:
         assert failed == [requests[1]]
 
 
+def _queued(batcher):
+    """Messages a batcher holds unflushed."""
+    return sum(len(queue) for queue in batcher._queues.values())
+
+
 class TestBatcher:
     def _wired(self, window):
         transport = InprocTransport()
@@ -477,14 +482,14 @@ class TestBatcher:
     def test_zero_window_is_passthrough(self):
         transport, batcher, delivered = self._wired(0.0)
         batcher.enqueue(self._push(1))
-        assert len(delivered) == 1 and batcher.pending() == 0
+        assert len(delivered) == 1 and _queued(batcher) == 0
         assert delivered[0].kind == "agg_push"
 
     def test_window_coalesces_same_destination(self):
         transport, batcher, delivered = self._wired(1.0)
         for n in range(3):
             batcher.enqueue(self._push(n))
-        assert delivered == [] and batcher.pending() == 3
+        assert delivered == [] and _queued(batcher) == 3
         transport.advance(1.0)
         assert [m.payload["n"] for m in delivered] == [0, 1, 2]
         # One envelope on the wire, three logical messages delivered.
@@ -502,7 +507,7 @@ class TestBatcher:
         batcher.enqueue(self._push(1))
         batcher.enqueue(self._push(2))
         batcher.flush_all()
-        assert len(delivered) == 2 and batcher.pending() == 0
+        assert len(delivered) == 2 and _queued(batcher) == 0
         transport.advance(10.0)  # the armed flush timer is a no-op
         assert len(delivered) == 2
 

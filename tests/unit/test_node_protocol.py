@@ -126,7 +126,7 @@ class TestOwnedLookup:
         return (
             transport.stats.total_messages(),
             transport.pending_calls(),
-            transport.engine.pending,
+            len(transport.engine._heap),
         )
 
     def lookup_now(self, node, key):
@@ -293,7 +293,7 @@ class TestDepartedStaysDeparted:
         # rpc_timeout later.
         lookup_timeout = config.rpc_timeout * config.max_lookup_hops / 8
         transport.run(until=lookup_timeout + config.rpc_timeout / 2)
-        assert transport.engine.pending == 1
+        assert len(transport.engine._heap) == 1
         return transport, config, node, outcomes
 
     @pytest.mark.parametrize("depart", ["crash", "leave"])
@@ -301,11 +301,11 @@ class TestDepartedStaysDeparted:
         transport, config, node, outcomes = self._stranded_joiner()
         getattr(node, depart)()
         sent_at_departure = transport.stats.load(42).sent
-        assert transport.engine.pending == 0
+        assert len(transport.engine._heap) == 0
         transport.run(until=transport.now() + 10 * config.rpc_timeout)
         assert transport.stats.load(42).sent == sent_at_departure
         assert not node._running
-        assert transport.engine.pending == 0
+        assert len(transport.engine._heap) == 0
         assert outcomes == []
 
     def test_start_maintenance_is_a_noop_after_crash(self):
@@ -313,7 +313,7 @@ class TestDepartedStaysDeparted:
         node.crash()
         node.start_maintenance()
         assert not node._running
-        assert transport.engine.pending == 0
+        assert len(transport.engine._heap) == 0
 
 
 class TestTimerHandlesStayBounded:
@@ -336,4 +336,4 @@ class TestTimerHandlesStayBounded:
             other.stop_maintenance()
         assert not node._timer_cancels
         transport.run(until=transport.now() + 5.0)  # in-flight RPCs drain
-        assert transport.engine.pending == 0
+        assert len(transport.engine._heap) == 0

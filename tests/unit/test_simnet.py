@@ -218,7 +218,7 @@ class TestRpcOverSim:
         transport.resolve(reply)
         assert replies == [reply]
         assert transport.pending_calls() == 0
-        assert transport.engine.pending == 0  # deadline revoked
+        assert len(transport.engine._heap) == 0  # deadline revoked
         transport.resolve(reply)  # unmatched: dropped
         transport.run(until=10.0)
         assert replies == [reply] and timeouts == []

@@ -293,7 +293,7 @@ class TestBatchOwnership:
         run.stop()
         transport.run(until=10.5)
         assert run.rounds_run == 3
-        assert transport.engine.pending == 0
+        assert len(transport.engine._heap) == 0
 
 
 class TestSlabRunValidation:
