@@ -1,4 +1,4 @@
-"""Disabled-mode telemetry overhead on the balanced-DAT build hot path.
+"""Telemetry overhead on the balanced-DAT build hot path, in three modes.
 
 The telemetry runtime promises that when disabled (the default), every
 instrumentation site costs one module-global read and one ``is None``
@@ -8,25 +8,32 @@ through the vectorized fast builder:
 
 * **build_us**: per-build cost of the instrumented hot path with
   telemetry disabled (the production default),
-* **noop_us**: per-call cost of exactly the instrumentation operations
-  that path executes in disabled mode (attribute evaluation, the
-  ``telemetry.span`` call returning ``NULL_SPAN``, the context-manager
-  protocol, and the ``is not NULL_SPAN`` guard), measured in a tight
-  loop so the number is precise to nanoseconds,
-* **enabled_us**: the same build path with a live runtime (span +
-  counter + lazy tree-height attribute per build).
+* **enabled_us** / **tracing_us**: the same build path with a live
+  runtime (span + counter + lazy tree-height attribute per build), without
+  and with trace propagation,
+* **noop_us** / **enabled_ops_us** / **tracing_ops_us**: per-call cost of
+  exactly the instrumentation operations that path executes in each mode
+  (attribute evaluation, the ``telemetry.span`` call, the context-manager
+  protocol, the ``is not NULL_SPAN`` guard and, when enabled, the span's
+  attributes and the build counter), measured in a tight loop so the
+  numbers are precise to nanoseconds.
 
-Two gates read ``benchmarks/telemetry_overhead_threshold.json``:
+Three gates read ``benchmarks/telemetry_overhead_threshold.json``:
 ``noop_us / build_us`` must stay under ``max_disabled_overhead`` (3%),
-and ``enabled_us / build_us - 1`` under ``max_enabled_overhead`` (30% —
+``enabled_us / build_us - 1`` under ``max_enabled_overhead`` (30% —
 the span attrs are lazy and the tree height is computed only when an
-exporter reads it, so the enabled cost is span/counter bookkeeping only). The
-disabled-mode marginal cost is measured directly rather than by
-differencing two end-to-end timings: the no-op path costs well under a
-microsecond while a 512-node build costs hundreds, so an A/B difference
-of the big numbers is dominated by scheduler and frequency noise and
-would gate on the machine, not the code. The enabled A/B difference is
-tens of microseconds per build — big enough to difference honestly.
+exporter reads it, so the enabled cost is span/counter bookkeeping and the
+trees the spans keep alive), and ``(tracing_ops_us - enabled_ops_us) /
+enabled_us`` under ``max_tracing_overhead`` (5%). The modes take turns in
+every round; the first gate reads best sweeps, the other two the median
+over rounds of one round's ratio. The disabled-mode and
+tracing marginal costs are measured directly rather than by differencing
+two end-to-end timings: each is under a microsecond while a 512-node build
+costs over a hundred, so an A/B difference of the big numbers is dominated
+by scheduler and frequency noise and would gate on the machine, not the
+code (the build A/B for tracing read -14 % to +5 % on a shared 2-vCPU
+host). The enabled A/B difference is tens of microseconds per build —
+big enough to difference honestly once the modes take turns.
 
 Runs two ways:
 
@@ -41,8 +48,10 @@ Runs two ways:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -56,49 +65,70 @@ RESULT_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_telemetry_overh
 THRESHOLD_PATH = pathlib.Path(__file__).parent / "telemetry_overhead_threshold.json"
 
 
-def _best_sweep_us(run_sweep, rounds: int) -> float:
-    """Per-build microseconds of the fastest sweep (noise-resistant)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        n_builds = run_sweep()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / n_builds * 1e6)
-    return best
+#: The three modes a round times, as ``telemetry.enabled`` overrides
+#: (``None``: telemetry off).
+MODES = {"disabled": None, "enabled": {}, "tracing": {"tracing": True}}
 
 
-def _noop_path_us(ring, rounds: int, iterations: int = 50_000) -> float:
-    """Per-call cost of the disabled-mode instrumentation operations.
+def _sweeps_us(run_sweep, rounds: int) -> dict[str, list[float]]:
+    """Per-call microseconds of every sweep, one per round, for each mode.
 
-    Replicates exactly what the ``DatTreeBuilder.build`` hot path executes
-    for telemetry when disabled: evaluate the span attributes, call
-    :func:`telemetry.span` (returns ``NULL_SPAN``), run the context
-    manager, and test the ``NULL_SPAN`` guard.
+    The modes take turns within every round, so a drift in the host's speed
+    over the run reaches all three alike instead of deciding the gates (timed
+    one mode after another, the sub-second phases read enabled-mode overheads
+    from -31 % to +55 % on a shared 2-vCPU host). The turn order rotates each
+    round: a sweep that follows an enabled one reuses the memory its retained
+    spans held, so a fixed order favours whichever mode comes second.
     """
-    assert telemetry.active() is None, "measure the no-op path with telemetry off"
-    key = 12345
+    sweeps: dict[str, list[float]] = {mode: [] for mode in MODES}
+    names = list(MODES)
+    for turn in range(rounds):
+        for mode in names[turn % 3:] + names[:turn % 3]:
+            overrides = MODES[mode]
+            runtime = (
+                contextlib.nullcontext()
+                if overrides is None
+                else telemetry.enabled(**overrides)
+            )
+            with runtime:
+                start = time.perf_counter()
+                n_calls = run_sweep()
+                elapsed = time.perf_counter() - start
+            sweeps[mode].append(elapsed / n_calls * 1e6)
+    return sweeps
+
+
+def _instrumentation_sweep(tree, n_nodes: int, iterations: int = 5_000):
+    """A sweep of exactly the telemetry operations one build executes.
+
+    Replicates the ``DatTreeBuilder.build`` wrapper around the kernel:
+    evaluate the span attributes, call :func:`telemetry.span` (``NULL_SPAN``
+    when disabled), run the context manager, test the ``NULL_SPAN`` guard
+    and, when enabled, set the root, the lazy height and the build counter.
+    """
     scheme = DatScheme.BALANCED
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
+
+    def sweep() -> int:
         for _ in range(iterations):
             with telemetry.span(
-                "dat.build", key=key, scheme=scheme.value, n=len(ring)
+                "dat.build", key=tree.key, scheme=scheme.value, n=n_nodes
             ) as sp:
                 if sp is not telemetry.NULL_SPAN:
-                    raise AssertionError("telemetry unexpectedly enabled")
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / iterations * 1e6)
-    return best
+                    sp.set(root=tree.root)
+                    sp.set_lazy(height=lambda: tree.height)
+                    telemetry.count("dat_builds_total", scheme=scheme.value)
+        return iterations
+
+    return sweep
 
 
 def measure(
     n_nodes: int = 512,
     n_keys: int = 64,
-    rounds: int = 7,
+    rounds: int = 21,
     seed: int = 2007,
 ) -> dict[str, object]:
-    """Time the instrumented hot path and the marginal no-op cost."""
+    """Time the instrumented hot path and its instrumentation in each mode."""
     telemetry.disable()
     space = IdSpace(BITS)
     ring = ProbingIdAssigner().build_ring(space, n_nodes, rng=seed)
@@ -113,13 +143,25 @@ def measure(
         return len(keys)
 
     builder_sweep()  # warm caches and allocators
-    build_us = _best_sweep_us(builder_sweep, rounds)
-    noop_us = _noop_path_us(ring, rounds)
-    with telemetry.enabled():
-        enabled_us = _best_sweep_us(builder_sweep, rounds)
-    with telemetry.enabled(tracing=True):
-        tracing_us = _best_sweep_us(builder_sweep, rounds)
-    telemetry.disable()
+    builds = _sweeps_us(builder_sweep, rounds)
+    build_us, enabled_us, tracing_us = (min(builds[mode]) for mode in MODES)
+    ops = _sweeps_us(_instrumentation_sweep(builder.build(keys[0]), n_nodes), rounds)
+    noop_us, enabled_ops_us, tracing_ops_us = (min(ops[mode]) for mode in MODES)
+    # The two mode-over-mode gates read the median over rounds of one
+    # round's ratio: a round's sweeps ran within a second of each other, so
+    # each ratio sees one host speed, and the median drops the rounds a
+    # burst of load slowed (the ratio of each mode's fastest sweep read
+    # enabled-mode +6 % to +49 % over runs on a shared 2-vCPU host, this
+    # median +17 % to +29 % over twenty runs).
+    enabled_overhead = statistics.median(
+        on / off - 1.0 for off, on in zip(builds["disabled"], builds["enabled"])
+    )
+    # Trace propagation over plain span-enabled mode (trace-id minting and
+    # context inheritance per span), as a share of an enabled build.
+    tracing_overhead = statistics.median(
+        (traced - on) / build
+        for on, traced, build in zip(ops["enabled"], ops["tracing"], builds["enabled"])
+    )
 
     overhead = noop_us / build_us
     return {
@@ -131,11 +173,11 @@ def measure(
         "noop_us_per_call": round(noop_us, 4),
         "enabled_us_per_build": round(enabled_us, 2),
         "tracing_us_per_build": round(tracing_us, 2),
+        "enabled_ops_us_per_call": round(enabled_ops_us, 4),
+        "tracing_ops_us_per_call": round(tracing_ops_us, 4),
         "disabled_overhead": round(overhead, 5),
-        "enabled_overhead": round(enabled_us / build_us - 1.0, 4),
-        # Marginal cost of trace propagation over plain span-enabled mode:
-        # trace-id minting + context inheritance per span.
-        "tracing_overhead": round(tracing_us / enabled_us - 1.0, 4),
+        "enabled_overhead": round(enabled_overhead, 4),
+        "tracing_overhead": round(tracing_overhead, 4),
     }
 
 
@@ -144,14 +186,16 @@ def _format(row: dict[str, object]) -> str:
         [
             "Telemetry overhead on the balanced-DAT build hot path",
             f"  ring: n={row['n_nodes']}, {row['n_keys']} keys, "
-            f"best of {row['rounds']} sweeps",
+            f"{row['rounds']} rounds (times: best sweep; overheads: median round)",
             f"  instrumented build (telemetry off): {row['build_us_per_build']:>9} us/build",
             f"  disabled-mode instrumentation ops:  {row['noop_us_per_call']:>9} us/build "
             f"({float(str(row['disabled_overhead'])) * 100:.3f}% of the build)",
             f"  telemetry enabled:                  {row['enabled_us_per_build']:>9} us/build "
             f"({float(str(row['enabled_overhead'])) * 100:+.2f}%)",
-            f"  tracing enabled:                    {row['tracing_us_per_build']:>9} us/build "
-            f"({float(str(row['tracing_overhead'])) * 100:+.2f}% over span-enabled)",
+            f"  tracing enabled:                    {row['tracing_us_per_build']:>9} us/build",
+            f"  enabled / tracing instrumentation:  {row['enabled_ops_us_per_call']:>9} / "
+            f"{row['tracing_ops_us_per_call']} us/build "
+            f"({float(str(row['tracing_overhead'])) * 100:+.2f}% of the enabled build)",
         ]
     )
 
@@ -191,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nodes", type=int, default=512)
     parser.add_argument("--keys", type=int, default=64)
-    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--rounds", type=int, default=21)
     parser.add_argument("--seed", type=int, default=2007)
     parser.add_argument(
         "--out", default=str(RESULT_PATH), help="where to write the JSON result"
@@ -222,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
             f"overhead check: disabled-mode {disabled * 100:.3f}% "
             f"(limit {max_disabled * 100:.0f}%), enabled-mode "
             f"{enabled * 100:+.2f}% (limit {max_enabled * 100:.0f}%), "
-            f"tracing {tracing * 100:+.2f}% over span-enabled "
+            f"tracing {tracing * 100:+.2f}% of an enabled build "
             f"(limit {max_tracing * 100:.0f}%)"
         )
         failed = False

@@ -25,7 +25,6 @@ from repro.experiments.scale import (
     SCALE_SIZES,
     ScalePoint,
     measure_scale_point,
-    run_scale_sweep,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "SCALE_SIZES",
     "ScalePoint",
     "measure_scale_point",
-    "run_scale_sweep",
 ]

@@ -98,7 +98,7 @@ def _record_scheme_loads(scheme: str, ids: np.ndarray, loads: np.ndarray) -> Non
 
     The experiment's analytic loads flow into the same accounting path the
     transports feed message-by-message (attributed as sends), so the
-    Prometheus/JSONL export reconstructs the Fig. 8 distribution exactly —
+    JSONL export reconstructs the Fig. 8 distribution exactly —
     the "reproducible from exported telemetry alone" property the
     integration test asserts.
     """

@@ -26,7 +26,6 @@ from typing import Any
 
 import numpy as np
 
-from repro import telemetry
 from repro.baselines.centralized import fast_centralized_load_array
 from repro.chord.fastbuild import fast_tree_arrays
 from repro.chord.idgen import make_assigner
@@ -44,9 +43,7 @@ __all__ = [
     "ScalePoint",
     "ProtocolScalePoint",
     "measure_scale_point",
-    "run_scale_sweep",
     "measure_protocol_point",
-    "run_protocol_sweep",
 ]
 
 #: The scale sweep's x-axis: 2x steps from 16k to 262k nodes.
@@ -251,101 +248,3 @@ def measure_protocol_point(
     )
     return ProtocolScalePoint.from_run(result, id_strategy, seed)
 
-
-def run_protocol_sweep(
-    sizes: list[int] | None = None,
-    bits: int = 32,
-    seed: int = 2007,
-    id_strategy: str = "probing",
-    key: int = 0xA5A5A5,
-    scheme: str = "balanced",
-    aggregate: str = "sum",
-    rounds: int = PROTOCOL_ROUNDS,
-) -> list[ProtocolScalePoint]:
-    """Measure the live-protocol sweep (the ``--protocol`` experiment mode).
-
-    Publishes per-point ``scale_protocol_messages`` /
-    ``scale_protocol_imbalance`` gauges when telemetry is enabled; wall
-    clocks belong to ``benchmarks/bench_scale.py`` as usual.
-    """
-    sizes = sizes if sizes is not None else PROTOCOL_SIZES
-    points: list[ProtocolScalePoint] = []
-    with telemetry.span("experiment.scale_protocol", n_sizes=len(sizes)):
-        for n_nodes in sizes:
-            point = measure_protocol_point(
-                n_nodes,
-                bits=bits,
-                seed=seed,
-                id_strategy=id_strategy,
-                key=key,
-                scheme=scheme,
-                aggregate=aggregate,
-                rounds=rounds,
-            )
-            points.append(point)
-            if telemetry.is_enabled():
-                labels = {"scheme": scheme, "ids": id_strategy, "n": n_nodes}
-                telemetry.gauge_set(
-                    "scale_protocol_messages",
-                    float(point.messages_total),
-                    **labels,
-                )
-                telemetry.gauge_set(
-                    "scale_protocol_imbalance", point.imbalance, **labels
-                )
-    return points
-
-
-def run_scale_sweep(
-    sizes: list[int] | None = None,
-    bits: int = 32,
-    seed: int = 2007,
-    id_strategy: str = "probing",
-    key: int = 0xA5A5A5,
-) -> list[ScalePoint]:
-    """Measure the full scale sweep (one seed — points are already huge).
-
-    Publishes per-point ``scale_max_branching`` / ``scale_height`` /
-    ``scale_imbalance`` gauges when telemetry is enabled; the wall-clock
-    ``scale_build_seconds`` gauge is set by ``benchmarks/bench_scale.py``,
-    which owns the timing (library code never reads wall clocks).
-    """
-    sizes = sizes if sizes is not None else SCALE_SIZES
-    points: list[ScalePoint] = []
-    with telemetry.span("experiment.scale", n_sizes=len(sizes)):
-        for n_nodes in sizes:
-            point = measure_scale_point(
-                n_nodes,
-                bits=bits,
-                seed=seed,
-                id_strategy=id_strategy,
-                key=key,
-            )
-            points.append(point)
-            if telemetry.is_enabled():
-                for scheme, stats in (
-                    ("basic", point.basic),
-                    ("balanced", point.balanced),
-                ):
-                    labels = {"scheme": scheme, "ids": id_strategy, "n": n_nodes}
-                    telemetry.gauge_set(
-                        "scale_max_branching",
-                        float(stats.max_branching),
-                        **labels,
-                    )
-                    telemetry.gauge_set(
-                        "scale_height", float(stats.height), **labels
-                    )
-                for scheme, imbalance in (
-                    ("basic", point.basic_imbalance),
-                    ("balanced", point.balanced_imbalance),
-                    ("centralized", point.centralized_imbalance),
-                ):
-                    telemetry.gauge_set(
-                        "scale_imbalance",
-                        imbalance,
-                        scheme=scheme,
-                        ids=id_strategy,
-                        n=n_nodes,
-                    )
-    return points

@@ -1,10 +1,10 @@
-"""repro.telemetry — unified observability: metrics, spans, hotspots, exporters.
+"""repro.telemetry — unified observability: metrics, spans, hotspots, one export.
 
 The runtime analogue of the paper's evaluation machinery (Sec. 5, Fig. 8):
 labeled metrics and span traces timestamped from the *sim clock* (never the
 wall clock, which no library module reads), per-node hotspot accounting
-with a rolling imbalance-factor series, and deterministic JSONL/Prometheus
-exporters, all behind a disabled-by-default global whose no-op overhead is
+with a rolling imbalance-factor series, and one deterministic JSONL
+export, all behind a disabled-by-default global whose no-op overhead is
 gated in CI.
 
 Typical use::
@@ -17,12 +17,11 @@ Typical use::
     telemetry.count("messages_sent_total", kind="gather")
     telemetry.observe("query_hops", hops)
 
-    tel = telemetry.active()
-    print(telemetry.prometheus_text(tel))
+The JSONL export streams spans to a file the caller owns as they finish and
+appends the end-of-run snapshot on ``close()``; ``python -m
+repro.telemetry.report`` reads it::
 
-A JSONL export streams spans to a file the caller owns as they finish and
-appends the end-of-run snapshot on ``close()``::
-
+    tel = telemetry.configure(enabled=True, tracing=True, sample_window=1.0)
     with open("run.jsonl", "w", encoding="utf-8") as out:
         stream = telemetry.TelemetryStream(tel, out)
         ...                                    # the run
@@ -33,11 +32,10 @@ This package must stay import-free of ``repro.core`` / ``repro.sim`` /
 be immediate.
 
 See ``docs/OBSERVABILITY.md`` for the metric catalogue, span names, and
-exporter formats.
+the export format.
 """
 
 from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.export import prometheus_text, write_prometheus
 from repro.telemetry.hotspot import HotspotAccountant, LoadSample, NodeLoad
 from repro.telemetry.metrics import (
     Counter,
@@ -108,7 +106,5 @@ __all__ = [
     "HotspotAccountant",
     "NodeLoad",
     "LoadSample",
-    "prometheus_text",
-    "write_prometheus",
     "TelemetryStream",
 ]

@@ -1,33 +1,24 @@
-"""JSONL record builders and the Prometheus text exposition format.
+"""JSONL record builders: pure functions of a telemetry instance's state.
 
-Both are pure functions of a :class:`~repro.telemetry.runtime.Telemetry`
-instance's current state, fully ordered (families by name, series by label
-values, spans by finish order), so a seeded run exports byte-identical
-streams across replays — the property the fig8-from-telemetry integration
-test relies on.
+Every builder is fully ordered (families by name, series by label values,
+spans by finish order), so a seeded run exports byte-identical streams
+across replays — the property the fig8-from-telemetry integration test
+relies on.
 
-JSONL: one JSON object per line, discriminated by ``"type"``:
-``config``, ``metric``, ``span``, ``hotspot_node``, ``hotspot_sample``,
+One JSON object per line, discriminated by ``"type"``: ``config``,
+``metric``, ``span``, ``hotspot_node``, ``hotspot_sample``,
 ``span_drops`` (drop accounting: evicted and streamed span counts, so a
 truncated export is never silently mistaken for a complete one). The
 per-record builders (:func:`config_record`, :func:`span_record`, ...) are
 what :class:`repro.telemetry.stream.TelemetryStream`, the one JSONL
-writer, emits.
-
-Prometheus: the text exposition format — ``# HELP`` / ``# TYPE`` headers,
-one line per labeled series; histogram buckets are emitted cumulatively
-with the standard ``le`` label (internal storage is per-bucket). Hotspot
-accountants are flattened to ``*_hotspot_node_messages`` per-node gauges
-plus ``*_hotspot_{max,mean,imbalance}`` summary gauges so a scrape alone
-reconstructs the Fig. 8 load distribution.
+writer, emits, and :mod:`repro.telemetry.report` is the one reader.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict
-from typing import IO, TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.telemetry.config import DEFAULT_PERCENTILES, NAMESPACE, SPAN_CHUNK_SIZE
 from repro.telemetry.hotspot import HotspotAccountant
@@ -44,32 +35,7 @@ __all__ = [
     "span_record",
     "span_drops_record",
     "hotspot_records",
-    "prometheus_text",
-    "write_prometheus",
 ]
-
-
-def _fmt(value: float) -> str:
-    """Prometheus-style number: integers bare, +Inf spelled, else repr."""
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _label_str(labels: tuple[tuple[str, str], ...]) -> str:
-    if not labels:
-        return ""
-    body = ",".join(f'{name}="{_escape_label(value)}"' for name, value in labels)
-    return "{" + body + "}"
-
-
-# -- JSONL record builders (what the streaming exporter writes) -------------
 
 
 #: ``json.dumps`` with these options builds a new encoder on every call.
@@ -178,84 +144,3 @@ def hotspot_records(
         sample_record["accountant"] = name
         yield sample_record
 
-
-# -- Prometheus text format -------------------------------------------------
-
-
-def _histogram_lines(sample: MetricSample) -> Iterator[str]:
-    cumulative = 0
-    bounds = [*sample.buckets, math.inf]
-    for bound, bucket_count in zip(bounds, sample.bucket_counts):
-        cumulative += bucket_count
-        labels = (*sample.labels, ("le", _fmt(bound)))
-        yield f"{sample.name}_bucket{_label_str(labels)} {cumulative}"
-    yield f"{sample.name}_sum{_label_str(sample.labels)} {_fmt(sample.value)}"
-    yield f"{sample.name}_count{_label_str(sample.labels)} {sample.count}"
-
-
-def prometheus_lines(tel: "Telemetry") -> Iterator[str]:
-    """Yield the telemetry state in Prometheus text exposition format."""
-    for family in tel.metrics.families():
-        if family.help_text:
-            yield f"# HELP {family.name} {family.help_text}"
-        yield f"# TYPE {family.name} {family.kind}"
-        for sample in family.samples():
-            if sample.kind == "histogram":
-                yield from _histogram_lines(sample)
-            else:
-                yield (
-                    f"{sample.name}{_label_str(sample.labels)} {_fmt(sample.value)}"
-                )
-    hotspot_names = tel.hotspot_names()
-    if hotspot_names:
-        node_metric = f"{NAMESPACE}_hotspot_node_messages"
-        yield f"# HELP {node_metric} Per-node message load (sent + received)."
-        yield f"# TYPE {node_metric} gauge"
-        for name in hotspot_names:
-            accountant = tel.hotspots(name)
-            loads = accountant.loads()
-            for node in sorted(loads):
-                load = accountant.load(node)
-                for direction, value in (
-                    ("sent", load.sent),
-                    ("received", load.received),
-                ):
-                    labels = (
-                        ("accountant", name),
-                        ("direction", direction),
-                        ("node", str(node)),
-                    )
-                    yield f"{node_metric}{_label_str(labels)} {value}"
-        for summary, help_text in (
-            ("max", "Largest per-node message load."),
-            ("mean", "Average per-node message load."),
-            ("imbalance", "Max load over mean load (Fig. 8b metric)."),
-        ):
-            metric = f"{NAMESPACE}_hotspot_{summary}_load"
-            if summary == "imbalance":
-                metric = f"{NAMESPACE}_hotspot_imbalance"
-            yield f"# HELP {metric} {help_text}"
-            yield f"# TYPE {metric} gauge"
-            for name in hotspot_names:
-                accountant = tel.hotspots(name)
-                labels = (("accountant", name),)
-                if summary == "max":
-                    value = float(accountant.max_load())
-                elif summary == "mean":
-                    value = accountant.mean_load()
-                else:
-                    value = accountant.imbalance()
-                yield f"{metric}{_label_str(labels)} {_fmt(value)}"
-
-
-def prometheus_text(tel: "Telemetry") -> str:
-    """The full Prometheus exposition document (trailing newline included)."""
-    lines = list(prometheus_lines(tel))
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def write_prometheus(tel: "Telemetry", out: IO[str]) -> int:
-    """Write the Prometheus export to ``out``; returns the line count."""
-    text = prometheus_text(tel)
-    out.write(text)
-    return text.count("\n")

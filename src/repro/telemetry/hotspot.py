@@ -441,11 +441,6 @@ class HotspotAccountant:
         _, totals = self._totals(nodes)
         return int(totals.max()) if len(totals) else 0
 
-    def mean_load(self, nodes: list[int] | None = None) -> float:
-        """Average per-node total load over the population (0.0 when empty)."""
-        _, totals = self._totals(nodes)
-        return int(totals.sum()) / len(totals) if len(totals) else 0.0
-
     def percentile(self, q: float, nodes: list[int] | None = None) -> float:
         """The ``q``-th percentile of per-node total loads."""
         _, totals = self._totals(nodes)

@@ -76,7 +76,6 @@ class Metric:
     def __init__(
         self,
         name: str,
-        help_text: str,
         label_names: tuple[str, ...],
         clock: Callable[[], float],
         lock: threading.Lock,
@@ -87,7 +86,6 @@ class Metric:
             if not _LABEL_RE.match(label):
                 raise ValueError(f"invalid label name {label!r} on metric {name!r}")
         self.name = name
-        self.help_text = help_text
         self.label_names = label_names
         self._clock = clock
         self._lock = lock
@@ -117,12 +115,11 @@ class Counter(Metric):
     def __init__(
         self,
         name: str,
-        help_text: str,
         label_names: tuple[str, ...],
         clock: Callable[[], float],
         lock: threading.Lock,
     ) -> None:
-        super().__init__(name, help_text, label_names, clock, lock)
+        super().__init__(name, label_names, clock, lock)
         self._values: dict[LabelValues, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
@@ -162,12 +159,11 @@ class Gauge(Metric):
     def __init__(
         self,
         name: str,
-        help_text: str,
         label_names: tuple[str, ...],
         clock: Callable[[], float],
         lock: threading.Lock,
     ) -> None:
-        super().__init__(name, help_text, label_names, clock, lock)
+        super().__init__(name, label_names, clock, lock)
         self._values: dict[LabelValues, float] = {}
 
     def set(self, value: float, **labels: object) -> None:
@@ -218,8 +214,7 @@ class Histogram(Metric):
 
     ``buckets`` are *upper bounds*; an implicit +Inf bucket catches the
     tail, so ``observe`` never loses a sample. Bucket counts are stored
-    per-bucket (not cumulative); exporters cumulate on the way out, as the
-    Prometheus text format requires.
+    per-bucket (not cumulative).
     """
 
     kind = "histogram"
@@ -227,13 +222,12 @@ class Histogram(Metric):
     def __init__(
         self,
         name: str,
-        help_text: str,
         label_names: tuple[str, ...],
         clock: Callable[[], float],
         lock: threading.Lock,
         buckets: tuple[float, ...],
     ) -> None:
-        super().__init__(name, help_text, label_names, clock, lock)
+        super().__init__(name, label_names, clock, lock)
         if not buckets or list(buckets) != sorted(set(buckets)):
             raise ValueError(
                 f"histogram {name!r} buckets must be strictly increasing: {buckets}"
@@ -299,7 +293,6 @@ class MetricsRegistry:
         self,
         name: str,
         kind: type[Metric],
-        help_text: str,
         labels: tuple[str, ...],
         **kwargs: object,
     ) -> Metric:
@@ -318,31 +311,26 @@ class MetricsRegistry:
                     )
                 return existing
             metric = kind(
-                name, help_text, labels, self._clock, self._lock, **kwargs
+                name, labels, self._clock, self._lock, **kwargs
             )  # type: ignore[arg-type]
             self._metrics[name] = metric
             return metric
 
-    def counter(
-        self, name: str, help_text: str = "", labels: tuple[str, ...] = ()
-    ) -> Counter:
+    def counter(self, name: str, labels: tuple[str, ...] = ()) -> Counter:
         """Get or create the counter family ``name``."""
-        metric = self._get_or_create(name, Counter, help_text, labels)
+        metric = self._get_or_create(name, Counter, labels)
         assert isinstance(metric, Counter)
         return metric
 
-    def gauge(
-        self, name: str, help_text: str = "", labels: tuple[str, ...] = ()
-    ) -> Gauge:
+    def gauge(self, name: str, labels: tuple[str, ...] = ()) -> Gauge:
         """Get or create the gauge family ``name``."""
-        metric = self._get_or_create(name, Gauge, help_text, labels)
+        metric = self._get_or_create(name, Gauge, labels)
         assert isinstance(metric, Gauge)
         return metric
 
     def histogram(
         self,
         name: str,
-        help_text: str = "",
         labels: tuple[str, ...] = (),
         buckets: tuple[float, ...] | None = None,
     ) -> Histogram:
@@ -350,21 +338,17 @@ class MetricsRegistry:
         metric = self._get_or_create(
             name,
             Histogram,
-            help_text,
             labels,
             buckets=buckets if buckets is not None else self._default_buckets,
         )
         assert isinstance(metric, Histogram)
         return metric
 
-    def families(self) -> list[Metric]:
-        """All metric families, sorted by name."""
-        with self._lock:
-            return [self._metrics[name] for name in sorted(self._metrics)]
-
     def samples(self) -> Iterator[MetricSample]:
         """Every current sample across all families (export order)."""
-        for family in self.families():
+        with self._lock:
+            families = [self._metrics[name] for name in sorted(self._metrics)]
+        for family in families:
             yield from family.samples()
 
     def reset(self) -> None:

@@ -10,11 +10,11 @@ Usage::
     python -m repro.telemetry.report trace.jsonl --json
     python -m repro.telemetry.report trace.jsonl \\
         --require-root dat.push --min-depth 1 --tail-grace 2.0 \\
-        --check-critical-path      # CI trace gate (exit 1 on failure)
+        --check-critical-path      # trace gate (exit 1 on failure)
 
 Reads the JSONL event stream :class:`repro.telemetry.stream.TelemetryStream`
-writes — the experiment CLI's ``--telemetry-jsonl`` / ``--trace-jsonl``, a
-fleet agent's ``spans-<ident>.jsonl`` — and prints aligned summary tables:
+writes — a run recorded under ``telemetry.configure``, a fleet agent's
+``spans-<ident>.jsonl`` — and prints aligned summary tables:
 metric values, span durations by name (plus the export's ``span_drops``
 accounting), causal traces rolled up per root name with critical-path time
 by node, per-accountant hotspot load distributions with the Fig. 8
@@ -441,7 +441,7 @@ def _traces_section(events: list[dict[str, object]], top: int) -> list[str]:
     traces = trace_set(events)
     if not traces.total_spans:
         return ["(no traced spans — produce the export with tracing enabled,"
-                " e.g. --trace-jsonl)"]
+                " e.g. telemetry.configure(tracing=True))"]
     return render_traces(traces, top)
 
 
@@ -567,6 +567,14 @@ def render_report(
     return "\n".join(parts).rstrip() + "\n"
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value (``--top`` / ``--tree``)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry.report",
@@ -597,13 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--top",
-        type=int,
+        type=_count,
         default=20,
         help="rows per table, 0 for unlimited (default: 20)",
     )
     parser.add_argument(
         "--tree",
-        type=int,
+        type=_count,
         default=0,
         metavar="N",
         help="after the report, print the first N assembled trace trees",
@@ -672,7 +680,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if gated and not traces.total_spans:
         print(
             "error: no traced spans found (was the run made with tracing "
-            "enabled, e.g. --trace-jsonl?)",
+            "enabled, e.g. telemetry.configure(tracing=True)?)",
             file=sys.stderr,
         )
         return 2

@@ -94,22 +94,17 @@ class Telemetry:
     def _unqualify(self, name: str) -> str:
         return name[len(_PREFIX):] if name.startswith(_PREFIX) else name
 
-    def counter(
-        self, name: str, help_text: str = "", labels: tuple[str, ...] = ()
-    ) -> Counter:
+    def counter(self, name: str, labels: tuple[str, ...] = ()) -> Counter:
         """Get or create the namespaced counter family ``name``."""
-        return self.metrics.counter(self._qualify(name), help_text, labels)
+        return self.metrics.counter(self._qualify(name), labels)
 
-    def gauge(
-        self, name: str, help_text: str = "", labels: tuple[str, ...] = ()
-    ) -> Gauge:
+    def gauge(self, name: str, labels: tuple[str, ...] = ()) -> Gauge:
         """Get or create the namespaced gauge family ``name``."""
-        return self.metrics.gauge(self._qualify(name), help_text, labels)
+        return self.metrics.gauge(self._qualify(name), labels)
 
     def histogram(
         self,
         name: str,
-        help_text: str = "",
         labels: tuple[str, ...] = (),
         buckets: tuple[float, ...] | None = None,
     ) -> Histogram:
@@ -122,7 +117,7 @@ class Telemetry:
         """
         if buckets is None:
             buckets = BUCKET_OVERRIDES.get(self._unqualify(name))
-        return self.metrics.histogram(self._qualify(name), help_text, labels, buckets)
+        return self.metrics.histogram(self._qualify(name), labels, buckets)
 
     # -- spans -------------------------------------------------------------
 

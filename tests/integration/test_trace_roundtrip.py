@@ -1,12 +1,13 @@
 """Integration: DES run with tracing -> JSONL export -> causal assembly.
 
-The in-memory analogue of the CI ``trace-roundtrip`` job: a full DAT
-overlay on the discrete-event simulator runs continuous pushes and an
-on-demand collect round with tracing enabled, streams spans to a JSONL
-file, and the assembly side must reconstruct complete causal trees —
+A full DAT overlay on the discrete-event simulator runs continuous pushes
+and an on-demand collect round with tracing enabled, streams spans to a
+JSONL file, and the assembly side must reconstruct complete causal trees —
 every non-root span's parent resolves, hop counts climb the tree, and
 the critical path tiles each root's duration exactly. On a live Chord ring,
-a multi-hop lookup and a MAAN range scan must chain hop by hop.
+a multi-hop lookup and a MAAN range scan must chain hop by hop. A traced
+churn run (the dynamics experiment) must pass the report's sample and
+trace gates.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordConfig
 from repro.chord.ring import StaticRing
 from repro.core.service import DatNodeService, StandaloneDatHost
+from repro.experiments.dynamics import run_dynamics
 from repro.maan.attrs import AttributeSchema
 from repro.maan.query import RangeQuery
 from repro.maan.service import MaanNodeService
@@ -198,3 +200,27 @@ class TestTraceRoundtrip:
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "check ok" in out
+
+
+def test_dynamics_stream_passes_the_report_gates(tmp_path, capsys):
+    path = tmp_path / "telemetry.jsonl"
+    tel = telemetry.configure(enabled=True, tracing=True, sample_window=1.0)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            export = TelemetryStream(tel, handle)
+            run_dynamics(churn_rates=[0.0, 0.3], n_nodes=8, duration=10.0, seed=2007)
+            export.close()
+    finally:
+        telemetry.disable()
+    capsys.readouterr()
+    rc = report_main(
+        [
+            str(path),
+            "--require-samples", "dynamics",
+            "--require-root", "dat.push", "--min-depth", "1", "--tail-grace", "2.0",
+            "--check-critical-path",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "CHECK FAIL" not in out and "rolling-imbalance series" in out

@@ -13,11 +13,14 @@ from repro.experiments.fig8_load_balance import (
 from repro.experiments.fig9_accuracy import run_fig9_accuracy
 from repro.experiments.maan_routing import run_maan_routing
 from repro.experiments.report import format_table
+from repro.experiments.scale import measure_protocol_point, measure_scale_point
 from tests.oracles import (
     build_balanced_dat,
     build_basic_dat,
     centralized_routed_loads,
     load_distribution,
+    protocol_point_oracle,
+    scale_point_oracle,
 )
 
 
@@ -54,6 +57,10 @@ class TestFig8:
         assert summary["centralized_max"] >= 127
         assert summary["balanced_max"] < summary["basic_max"] < summary["centralized_max"]
 
+    def test_same_seed_repeats(self):
+        first = run_fig8a_message_distribution(n_nodes=128, seed=1)
+        assert run_fig8a_message_distribution(n_nodes=128, seed=1) == first
+
     def test_distribution_sorted_descending(self):
         dist = run_fig8a_message_distribution(n_nodes=64, seed=4)
         for series in (dist.centralized, dist.basic, dist.balanced):
@@ -88,6 +95,19 @@ class TestFig8:
         # Centralized grows ~linearly (x8 sizes -> much bigger ratio than DATs).
         assert large.centralized / small.centralized > 3.0
         assert large.balanced / small.balanced < 2.0
+
+
+class TestScale:
+    def test_statistics_equal_the_object_oracle(self):
+        assert measure_scale_point(1024) == scale_point_oracle(1024)
+
+    def test_protocol_point_equals_the_per_node_service_oracle(self):
+        # The oracle reports state_bytes_per_node as 0.0, so compare the
+        # fields both paths must agree on.
+        assert (
+            measure_protocol_point(1024, rounds=8).exactness_key()
+            == protocol_point_oracle(1024, rounds=8).exactness_key()
+        )
 
 
 class TestFig9:

@@ -337,7 +337,6 @@ def test_sample_statistics_match_reference():
     assert point.percentile(0.5) == 1.5
     assert point.percentile(0.9) == 3.5
     assert acc.percentile(0.5, population) == 1.5
-    assert acc.mean_load(population) == 11 / 6
 
 
 def test_mismatched_columns_change_nothing():

@@ -167,8 +167,6 @@ ALLOWED_ORPHAN_NAMES = {
     "fleet.supervisor:FleetSupervisor.broadcast_routes",
     "fleet.supervisor:FleetSupervisor.pick_ident",
     "fleet.supervisor:FleetSupervisor.spawn_agent",
-    "telemetry.export:prometheus_lines",
-    "telemetry.export:prometheus_text",
     "telemetry.metrics:log_buckets",
     "telemetry.report:render_report",
     "telemetry.report:rolling_imbalance",

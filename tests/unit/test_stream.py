@@ -2,8 +2,8 @@
 
 Exercises the stream as the recorder's span sink (flush on the chunk
 boundary, bounded buffering, concurrent offers), the session (config
-header, end-of-run snapshot, drop accounting, idempotent close), and the
-file exports the experiments CLI writes.
+header, end-of-run snapshot, drop accounting, idempotent close), and a
+file export written while a run goes on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro import telemetry
-from repro.experiments.cli import main as experiments_main
 from repro.telemetry import Telemetry, TelemetryConfig, TelemetryStream, stream
 from repro.telemetry.config import SPAN_CHUNK_SIZE
 from repro.telemetry.report import render_report, rolling_imbalance
@@ -231,27 +230,7 @@ class TestTelemetryStream:
 
 
 class TestLiveExport:
-    """Exports to files while a run goes on, as the experiments CLI writes them."""
-
-    def test_writes_both_formats(self, tmp_path, capsys):
-        jsonl = tmp_path / "t.jsonl"
-        prom = tmp_path / "t.prom"
-        code = experiments_main(
-            ["fig8a", "--quick", "--telemetry-jsonl", str(jsonl),
-             "--telemetry-prom", str(prom)]
-        )
-        assert code == 0
-        assert not telemetry.is_enabled()  # the CLI uninstalls what it set up
-        events = _events(jsonl.read_text())
-        assert events[0]["type"] == "config"
-        assert "experiment.fig8a" in {e.get("name") for e in events}
-        assert 'repro_fig8a_imbalance{scheme="balanced"}' in prom.read_text()
-
-    def test_no_paths_is_noop(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert experiments_main(["fig8a", "--quick"]) == 0
-        assert not telemetry.is_enabled()
-        assert list(tmp_path.iterdir()) == []
+    """Exports to a file while a run goes on."""
 
     def test_spans_stream_during_run_not_at_close(self, tmp_path, monkeypatch):
         monkeypatch.setattr(stream, "SPAN_CHUNK_SIZE", 2)

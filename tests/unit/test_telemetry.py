@@ -3,7 +3,7 @@
 Covers the metric primitives (counter/gauge/histogram on the log-spaced
 bucket grid), span recording and nesting, hotspot accounting (including
 the thread-safety regression MessageStats inherited), the global runtime's
-no-op path, both exporters, and the report CLI.
+no-op path, the JSONL export, and the report CLI.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.telemetry import (
     TelemetryConfig,
     TelemetryStream,
     log_buckets,
-    prometheus_text,
 )
 from repro.telemetry import stream
 from repro.telemetry.export import span_drops_record
@@ -246,7 +245,6 @@ class TestHotspots:
         acc = HotspotAccountant()
         assert acc.imbalance() == 0.0
         assert acc.max_load() == 0
-        assert acc.mean_load() == 0.0
         with pytest.raises(ValueError):
             acc.percentile(0.5)
 
@@ -336,8 +334,8 @@ class TestRuntime:
     def test_names_are_namespaced(self):
         with telemetry.enabled() as tel:
             telemetry.count("dat_builds_total", scheme="basic")
-            (family,) = tel.metrics.families()
-            assert family.name == "repro_dat_builds_total"
+            (sample,) = tel.metrics.samples()
+            assert sample.name == "repro_dat_builds_total"
 
     def test_span_helper_records_on_active_runtime(self):
         with telemetry.enabled() as tel:
@@ -476,29 +474,6 @@ class TestExport:
         # config + 2 metrics + span + span_drops + 2 nodes + sample
         assert n == len(out.getvalue().splitlines()) == 8
 
-    def test_prometheus_histogram_is_cumulative(self):
-        text = prometheus_text(_populated_telemetry())
-        assert '# TYPE repro_hops histogram' in text
-        assert 'repro_hops_bucket{le="2"} 0' in text
-        assert 'repro_hops_bucket{le="4"} 1' in text
-        assert 'repro_hops_bucket{le="+Inf"} 1' in text
-        assert "repro_hops_count 1" in text
-
-    def test_prometheus_hotspot_summaries(self):
-        text = prometheus_text(_populated_telemetry())
-        assert (
-            'repro_hotspot_node_messages{accountant="transport",'
-            'direction="sent",node="1"} 3'
-        ) in text
-        # max=4, mean=2.5 -> imbalance 1.6
-        assert 'repro_hotspot_imbalance{accountant="transport"} 1.6' in text
-
-    def test_prometheus_escapes_label_values(self):
-        tel = Telemetry(TelemetryConfig(enabled=True))
-        tel.gauge("g", labels=("tag",)).set(1.0, tag='a"b\\c')
-        text = prometheus_text(tel)
-        assert 'tag="a\\"b\\\\c"' in text
-
 
 # --------------------------------------------------------------------- #
 # Report CLI
@@ -532,6 +507,17 @@ class TestReport:
         path.write_text('{"type":"metric"}\nnot json\n')
         assert report_main([str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--top", "--tree"])
+    def test_cli_negative_count_is_a_usage_error(self, tmp_path, capsys, flag):
+        # Regression: a negative --top sliced rows off the end of each table
+        # ("... (1 more series)") and a negative --tree printed every trace
+        # tree but the last, both with exit 0.
+        path = self._export(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            report_main([str(path), flag, "-1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestRollingArtifacts:
