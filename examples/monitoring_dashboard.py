@@ -1,16 +1,14 @@
 #!/usr/bin/env python
-"""A 2-hour monitoring dashboard driven by the scheduler loop.
+"""A 2-hour monitoring dashboard: the P-GMA daemon loop.
 
-Runs the P-GMA stack for a full trace window with the
-:class:`~repro.gma.scheduler.MonitoringScheduler`: dynamic MAAN
-registrations refresh periodically, three global aggregates recompute
-every slot, and the histories render as sparklines.
+Runs the P-GMA stack for a full trace window, one step per trace minute:
+dynamic MAAN registrations refresh every five steps, three global
+aggregates recompute every step, and the histories render as sparklines.
 
 Run:  python examples/monitoring_dashboard.py
 """
 
 from repro import GridMonitor, MonitorConfig
-from repro.gma.scheduler import MonitoringScheduler
 from repro.gma.traces import TraceGenerator
 from repro.workloads import default_schemas, make_producers
 
@@ -36,23 +34,23 @@ def main() -> None:
         monitor.attach_producer(producer)
     monitor.register_all()
 
-    scheduler = MonitoringScheduler(monitor, step=60.0, refresh_every_steps=5)
-    scheduler.watch("cpu-usage", "avg")
-    scheduler.watch("cpu-usage", "max")
-    scheduler.watch("cpu-usage", "quantile")  # median via the grid sketch
-
-    steps = 120  # 2 hours at one-minute steps
+    steps, step = 120, 60.0  # 2 hours at one-minute steps
+    aggregates = ("avg", "max", "quantile")  # quantile: median via the grid sketch
+    history: dict[str, list[float]] = {aggregate: [] for aggregate in aggregates}
+    refresh_hops = 0
     print(f"driving {n}-node deployment for {steps} minutes of trace time...")
-    scheduler.run_steps(steps)
+    for index in range(1, steps + 1):
+        now = index * step
+        if index % 5 == 0:
+            refresh_hops += monitor.register_all(now)
+        for aggregate, values in history.items():
+            values.append(monitor.aggregate("cpu-usage", aggregate, t=now).value)
 
-    print(f"\nindex refreshes consumed {scheduler.refresh_hops} routing hops "
+    print(f"\nindex refreshes consumed {refresh_hops} routing hops "
           f"({monitor.index.total_records()} records stay current)\n")
-    for aggregate in ("avg", "max", "quantile"):
-        history = scheduler.history("cpu-usage", aggregate)
-        values = [v for _t, v in history]
+    for aggregate, values in history.items():
         label = {"avg": "mean", "max": "peak", "quantile": "p50 "}[aggregate]
-        print(f"cpu {label} |{spark(values)}|  "
-              f"now={scheduler.latest('cpu-usage', aggregate):6.2f}")
+        print(f"cpu {label} |{spark(values)}|  now={values[-1]:6.2f}")
 
     print("\n(each aggregate is one balanced-DAT round per minute: "
           f"{steps} x 3 rounds x {n - 1} messages, max "

@@ -11,6 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro import GridMonitor, MonitorConfig
 from repro.core.analysis import imbalance_factor
+from repro.maan import MultiAttributeQuery, RangeQuery
 from repro.workloads import default_schemas, make_producers
 
 
@@ -28,8 +29,9 @@ def main() -> None:
           f"registered {monitor.index.total_records()} records in {hops} hops")
 
     # 2. Discovery: find lightly loaded, well-provisioned machines.
-    consumer = monitor.consumer()
-    result = consumer.search_all(cpu_usage=(0.0, 40.0), memory_size=(4.0, 64.0))
+    result = monitor.index.multi_attribute_query(MultiAttributeQuery.of(
+        RangeQuery("cpu-usage", 0.0, 40.0), RangeQuery("memory-size", 4.0, 64.0)
+    ))
     print(f"\ndiscovery: {len(result.resources)} machines with <40% load and "
           f">=4GB memory ({result.total_hops} routing hops)")
     for resource in result.resources[:5]:

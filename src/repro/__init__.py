@@ -11,8 +11,8 @@ with Load-Balancing for Scalable Grid Resource Monitoring" (IPPS 2007):
 * :mod:`repro.sim` — the heap-based discrete-event engine and the two
   interchangeable transports (simulated, UDP).
 * :mod:`repro.maan` — the multi-attribute addressable network index.
-* :mod:`repro.gma` — the P-GMA monitoring stack (sensors, producers,
-  consumers, traces) and the :class:`~repro.gma.monitor.GridMonitor` facade.
+* :mod:`repro.gma` — the P-GMA monitoring stack (producers, traces) and
+  the :class:`~repro.gma.monitor.GridMonitor` facade.
 * :mod:`repro.baselines` — the centralized aggregation baseline.
 * :mod:`repro.workloads` / :mod:`repro.experiments` — workload generators
   and one harness per paper figure.
@@ -26,7 +26,7 @@ Quickstart::
     for producer in make_producers(monitor.ring, seed=7).values():
         monitor.attach_producer(producer)
     monitor.register_all()
-    cpu_avg = monitor.consumer().global_aggregate("cpu-usage", "avg")
+    cpu_avg = monitor.aggregate("cpu-usage", "avg").value
 
 Library modules never write to stdout; diagnostics flow through the
 ``repro`` logging tree — see :func:`repro.sim.tracing.get_logger`.

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import TreeError
+
+if TYPE_CHECKING:
+    from repro.core.aggregates import Aggregate
 
 __all__ = ["DatTree", "TreeStats"]
 
@@ -213,6 +217,20 @@ class DatTree:
         for node in sorted(self.parent, key=lambda v: depths[v], reverse=True):
             sizes[self.parent[node]] += sizes[node]
         return sizes
+
+    def fold(self, agg: Aggregate, reading: Callable[[int], Any]) -> Any:
+        """One synchronous aggregation round over this tree.
+
+        Lifts ``reading(node)`` at every node, merges each state into its
+        parent's in decreasing-depth order, and finalizes the root's state:
+        the dataflow of the protocol service, evaluated in one pass.
+        """
+        states = {node: agg.lift(reading(node)) for node in self.nodes()}
+        depths = self.depths()
+        for node in sorted(self.parent, key=lambda v: depths[v], reverse=True):
+            parent = self.parent[node]
+            states[parent] = agg.merge(states[parent], states[node])
+        return agg.finalize(states[self.root])
 
     def message_loads(self) -> dict[int, int]:
         """Per-node aggregation messages for one round: sends + receives.

@@ -119,14 +119,13 @@ def run_fig9_accuracy(
 
     agg = get_aggregate(aggregate)
     result = Fig9Result(n_nodes=n_nodes, mode=mode)
-    order = sorted(tree.parent, key=lambda v: depths[v], reverse=True)
     max_depth = max(depths.values()) if depths else 0
 
     with telemetry.span(
         "experiment.fig9", n=n_nodes, mode=mode, slots=total_slots
     ):
         _run_fig9_slots(
-            result, tree, ring, node_trace, depths, order, agg,
+            result, tree, ring, node_trace, depths, agg,
             mode, push_period, total_slots, traces[0].period,
         )
     if telemetry.is_enabled() and result.actual:
@@ -150,7 +149,6 @@ def _run_fig9_slots(
     ring: StaticRing,
     node_trace: dict[int, CpuTrace],
     depths: dict[int, int],
-    order: list[int],
     agg: Aggregate,
     mode: str,
     push_period: float,
@@ -167,19 +165,15 @@ def _run_fig9_slots(
         # Ground truth: everyone's reading at exactly t.
         actual = agg.aggregate(node_trace[node].at_slot(slot) for node in ring)
 
-        # DAT estimate: bottom-up merge; in continuous mode node v's reading
-        # is depth(v) push periods stale when it arrives at the root.
+        # DAT estimate: one synchronous round; in continuous mode node v's
+        # reading is depth(v) push periods stale when it arrives at the root.
         def reading(node: int) -> float:
             if mode == "synchronous":
                 return node_trace[node].at_slot(slot)
             stale_time = max(t - depths[node] * push_period, 0.0)
             return node_trace[node].at_time(stale_time)
 
-        states = {node: agg.lift(reading(node)) for node in tree.nodes()}
-        for node in order:
-            parent = tree.parent[node]
-            states[parent] = agg.merge(states[parent], states[node])
-        aggregated = agg.finalize(states[tree.root])
+        aggregated = tree.fold(agg, reading)
 
         result.times.append(t)
         result.actual.append(float(actual))

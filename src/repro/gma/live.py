@@ -18,24 +18,24 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro import telemetry
 from repro.chord.broadcast import BroadcastService
 from repro.chord.hashing import sha1_id
 from repro.chord.idgen import make_assigner
 from repro.chord.idspace import IdSpace
 from repro.chord.node import ChordConfig
+from repro.core.aggregates import get_aggregate
 from repro.core.gathercast import GatherCollector
 from repro.core.overlay import DatOverlay
 from repro.errors import MonitoringError
-from repro.gma.monitor import MonitorConfig
-from repro.gma.producer import Producer
+from repro.gma.monitor import MonitorConfig, require_producers
+from repro.gma.producer import DYNAMIC_ATTRIBUTE, Producer
 from repro.maan.attrs import AttributeSchema
 from repro.maan.query import QueryResult, RangeQuery
 from repro.maan.service import MaanNodeService
 from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
+from repro.util.bits import ceil_log2
 
 __all__ = ["LiveGridMonitor"]
 
@@ -49,21 +49,17 @@ class LiveGridMonitor:
         Same knobs as the static :class:`GridMonitor`.
     schemas:
         Declared MAAN attributes.
-    latency:
-        One-way message delay (default 2 ms LAN-ish).
+
+    Messages take a constant 2 ms one way (LAN-ish).
     """
 
     def __init__(
-        self,
-        config: MonitorConfig,
-        schemas: Mapping[str, AttributeSchema],
-        latency: float = 0.002,
-        rng: int | np.random.Generator | None = None,
+        self, config: MonitorConfig, schemas: Mapping[str, AttributeSchema]
     ) -> None:
         self.config = config
         self.schemas = dict(schemas)
         self.space = IdSpace(config.bits)
-        self.transport = SimTransport(latency=ConstantLatency(latency))
+        self.transport = SimTransport(latency=ConstantLatency(0.002))
         self.chord_config = ChordConfig(
             stabilize_interval=0.25, fix_fingers_interval=0.05
         )
@@ -77,9 +73,8 @@ class LiveGridMonitor:
         self.network = self.overlay.network
         self.dat = self.overlay.services
 
-        seed = rng if rng is not None else config.seed
         idents = make_assigner(config.id_strategy).build_ring(
-            self.space, config.n_nodes, rng=seed
+            self.space, config.n_nodes, rng=config.seed
         )
         self.overlay.boot(idents, spacing=0.5)
 
@@ -93,7 +88,9 @@ class LiveGridMonitor:
             self.broadcasts[ident] = broadcast
             self.collectors[ident] = GatherCollector(self.dat[ident], broadcast)
 
-        self._clock = 0.0  # monitoring time fed to sensors
+        # The attribute and time the DAT services read producers at.
+        self._attribute = DYNAMIC_ATTRIBUTE
+        self._clock = 0.0
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -129,20 +126,8 @@ class LiveGridMonitor:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def set_monitor_time(self, t: float) -> None:
-        """Set the timestamp producers read their sensors at."""
-        self._clock = t
-
     def _read_local(self, ident: int) -> float:
-        producer = self.producers.get(ident)
-        if producer is None:
-            return 0.0
-        return producer.read(self._default_attribute(), self._clock)
-
-    def _default_attribute(self) -> str:
-        return self._monitored_attribute
-
-    _monitored_attribute: str = "cpu-usage"
+        return self.producers[ident].read(self._attribute, self._clock)
 
     # ------------------------------------------------------------------ #
     # Producers / registration
@@ -212,13 +197,16 @@ class LiveGridMonitor:
         waves: int | None = None,
         wave_interval: float = 0.1,
     ) -> Any:
-        """One membership-free on-demand round over the live overlay."""
-        self._monitored_attribute = attribute
-        self.set_monitor_time(t)
+        """One membership-free on-demand round over the live overlay.
+
+        Raises :class:`MonitoringError` before any message is sent unless
+        every node has a producer.
+        """
+        require_producers(self.network.nodes, self.producers)
+        self._attribute = attribute
+        self._clock = t
         key = self.rendezvous_key(attribute)
         root = self.overlay.current_root(key)
-        from repro.util.bits import ceil_log2
-
         n_waves = (
             waves
             if waves is not None
@@ -247,8 +235,13 @@ class LiveGridMonitor:
     def start_monitoring(
         self, attribute: str, aggregate: str = "sum", interval: float = 0.5
     ) -> int:
-        """Start continuous aggregation of ``attribute`` on every node."""
-        self._monitored_attribute = attribute
+        """Start continuous aggregation of ``attribute`` on every node.
+
+        Raises :class:`MonitoringError` before any message is sent unless
+        every node has a producer.
+        """
+        require_producers(self.network.nodes, self.producers)
+        self._attribute = attribute
         return self.overlay.start_continuous_everywhere(
             self.rendezvous_key(attribute), aggregate, interval
         )
@@ -259,8 +252,6 @@ class LiveGridMonitor:
 
     def actual_aggregate(self, attribute: str, aggregate: str, t: float) -> Any:
         """Ground truth straight from the producers."""
-        from repro.core.aggregates import get_aggregate
-
         agg = get_aggregate(aggregate)
         return agg.aggregate(
             producer.read(attribute, t) for producer in self.producers.values()

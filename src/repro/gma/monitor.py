@@ -1,9 +1,11 @@
 """The GridMonitor facade — a full P-GMA deployment in one object.
 
 Wires together an overlay (identifier assignment + converged ring), the
-MAAN index, per-node producers, and DAT aggregation; exposes the consumer
-API. This is the object the examples and the accuracy experiment (Fig. 9)
-drive.
+MAAN index, per-node producers, and DAT aggregation. A consumer (paper
+Sec. 2.1) searches through :attr:`GridMonitor.index` and watches global
+status through :meth:`GridMonitor.aggregate`, whose synchronous round,
+:meth:`~repro.core.tree.DatTree.fold`, the accuracy experiment (Fig. 9)
+shares.
 
 This facade evaluates against the **static converged model** — no messages
 are exchanged, so the :mod:`repro.net` session layer is not involved. Its
@@ -15,9 +17,7 @@ stack over real RPCs and exposes the net layer's knobs (``retry_policy``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
-
-import numpy as np
+from typing import Any, Iterable, Mapping
 
 from repro import telemetry
 from repro.chord.hashing import sha1_id
@@ -28,12 +28,21 @@ from repro.core.aggregates import get_aggregate
 from repro.core.builder import DatScheme, DatTreeBuilder
 from repro.core.tree import DatTree
 from repro.errors import MonitoringError
-from repro.gma.consumer import Consumer
 from repro.gma.producer import Producer
-from repro.maan.attrs import AttributeSchema
+from repro.maan.attrs import AttributeSchema, Resource
 from repro.maan.network import MaanNetwork
 
-__all__ = ["MonitorConfig", "AggregateOutcome", "GridMonitor"]
+__all__ = ["MonitorConfig", "AggregateOutcome", "GridMonitor", "require_producers"]
+
+
+def require_producers(nodes: Iterable[int], producers: Mapping[int, Producer]) -> None:
+    """Raise :class:`MonitoringError` unless every node has a producer: a
+    node without one has no reading, and a round over it would be wrong."""
+    missing = [node for node in nodes if node not in producers]
+    if missing:
+        raise MonitoringError(
+            f"{len(missing)} overlay nodes lack producers, e.g. {missing[:5]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -94,19 +103,18 @@ class GridMonitor:
     """
 
     def __init__(
-        self,
-        config: MonitorConfig,
-        schemas: Mapping[str, AttributeSchema],
-        rng: int | np.random.Generator | None = None,
+        self, config: MonitorConfig, schemas: Mapping[str, AttributeSchema]
     ) -> None:
         self.config = config
         self.space = IdSpace(config.bits)
         assigner = make_assigner(config.id_strategy)
-        seed = rng if rng is not None else config.seed
-        self.ring: StaticRing = assigner.build_ring(self.space, config.n_nodes, rng=seed)
+        self.ring: StaticRing = assigner.build_ring(
+            self.space, config.n_nodes, rng=config.seed
+        )
         self.index = MaanNetwork(self.ring, schemas)
         self.dat_builder = DatTreeBuilder(self.ring, scheme=DatScheme(config.dat_scheme))
         self.producers: dict[int, Producer] = {}
+        self._registered: dict[int, Resource] = {}
 
     # ------------------------------------------------------------------ #
     # Producers
@@ -118,26 +126,23 @@ class GridMonitor:
             raise MonitoringError(f"node {producer.node} is not in the overlay")
         self.producers[producer.node] = producer
 
-    def require_full_coverage(self) -> None:
-        """Raise unless every overlay node has a producer (Fig. 9 setup)."""
-        missing = [node for node in self.ring if node not in self.producers]
-        if missing:
-            raise MonitoringError(
-                f"{len(missing)} overlay nodes lack producers, e.g. {missing[:5]}"
-            )
-
     def register_all(self, t: float = 0.0) -> int:
-        """Register every producer's resource in MAAN; returns total hops."""
-        return sum(
-            producer.register(self.index, t) for producer in self.producers.values()
-        )
+        """(Re-)register every producer's record at time ``t`` in MAAN;
+        returns total hops.
 
-    def refresh_all(self, t: float) -> int:
-        """Refresh all dynamic registrations at time ``t``; returns hops."""
-        return sum(
-            producer.refresh_index(self.index, t)
-            for producer in self.producers.values()
-        )
+        MAAN stores one record per attribute value, and a dynamic value
+        moves around the ring as it changes: a node's previously registered
+        placements are dropped before its new record is routed.
+        """
+        hops = 0
+        for node, producer in self.producers.items():
+            previous = self._registered.get(node)
+            if previous is not None:
+                self.index.deregister(previous)
+            record = producer.snapshot(t)
+            hops += self.index.register(record, origin=node)
+            self._registered[node] = record
+        return hops
 
     # ------------------------------------------------------------------ #
     # Aggregation
@@ -162,23 +167,13 @@ class GridMonitor:
         the protocol service, evaluated synchronously so experiments get
         deterministic per-round numbers.
         """
-        self.require_full_coverage()
+        require_producers(self.ring, self.producers)
         agg = get_aggregate(aggregate, **agg_kwargs)
         with telemetry.span(
             "gma.aggregate", attribute=attribute, aggregate=agg.name, t=t
         ) as sp:
             tree = self.tree_for(attribute)
-
-            # Bottom-up merge in decreasing-depth order.
-            depths = tree.depths()
-            states: dict[int, Any] = {
-                node: agg.lift(self.producers[node].read(attribute, t))
-                for node in tree.nodes()
-            }
-            for node in sorted(tree.parent, key=lambda v: depths[v], reverse=True):
-                parent = tree.parent[node]
-                states[parent] = agg.merge(states[parent], states[node])
-            value = agg.finalize(states[tree.root])
+            value = tree.fold(agg, lambda node: self.producers[node].read(attribute, t))
             outcome = AggregateOutcome(
                 attribute=attribute,
                 value=value,
@@ -199,19 +194,8 @@ class GridMonitor:
         self, attribute: str, aggregate: str = "avg", t: float = 0.0, **agg_kwargs: Any
     ) -> Any:
         """Ground truth: the aggregate computed directly over all readings."""
-        self.require_full_coverage()
+        require_producers(self.ring, self.producers)
         agg = get_aggregate(aggregate, **agg_kwargs)
         return agg.aggregate(
             self.producers[node].read(attribute, t) for node in self.ring
         )
-
-    # ------------------------------------------------------------------ #
-    # Consumers
-    # ------------------------------------------------------------------ #
-
-    def consumer(self, node: int | None = None) -> Consumer:
-        """An application endpoint at ``node`` (default: first ring node)."""
-        attach_at = node if node is not None else self.ring.nodes[0]
-        if attach_at not in self.ring:
-            raise MonitoringError(f"node {attach_at} is not in the overlay")
-        return Consumer(self, attach_at)

@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chord.ring import StaticRing
-from repro.gma.producer import Producer
-from repro.gma.sensors import RandomWalkSensor, TraceSensor
-from repro.gma.traces import CpuTrace
+from repro.gma.producer import DYNAMIC_ATTRIBUTE, Producer
+from repro.gma.traces import CpuTrace, TraceGenerator
 from repro.maan.attrs import AttributeSchema, Resource
 from repro.util.rng import ensure_rng
 
@@ -73,40 +72,29 @@ def make_producers(
     ring: StaticRing,
     traces: list[CpuTrace] | None = None,
     seed: int | np.random.Generator | None = None,
-    dynamic_attribute: str = "cpu-usage",
 ) -> dict[int, Producer]:
-    """A producer per overlay node, sensor-backed for the dynamic attribute.
+    """A producer per overlay node: a drawn inventory plus a CPU-usage trace.
 
-    With ``traces`` given (one per node, cycled if shorter), each node's
-    dynamic attribute replays its trace — the Fig. 9 setup. Otherwise each
-    node gets an independent random-walk sensor.
+    With ``traces`` given (one per node, cycled if shorter), node ``i``
+    replays ``traces[i]`` — the Fig. 9 setup. Otherwise the traces are a
+    non-identical :class:`~repro.gma.traces.TraceGenerator` fleet drawn from
+    ``seed``.
     """
     rng = ensure_rng(seed)
+    if traces is None:
+        traces = TraceGenerator(seed=rng).generate_fleet(len(ring), identical=False)
     generator = GridResourceGenerator(rng)
     producers: dict[int, Producer] = {}
     for index, node in enumerate(ring):
-        resource = generator.resource(f"node-{index}")
+        drawn = generator.resource(f"node-{index}")
         static = {
             name: value
-            for name, value in resource.attributes.items()
-            if name != dynamic_attribute
+            for name, value in drawn.attributes.items()
+            if name != DYNAMIC_ATTRIBUTE
         }
-        if traces is not None:
-            sensor = TraceSensor(
-                resource_id=resource.resource_id,
-                attribute=dynamic_attribute,
-                trace=traces[index % len(traces)],
-            )
-        else:
-            sensor = RandomWalkSensor(
-                resource_id=resource.resource_id,
-                attribute=dynamic_attribute,
-                seed=rng,
-            )
         producers[node] = Producer(
             node=node,
-            resource_id=resource.resource_id,
-            sensors={dynamic_attribute: sensor},
-            static_attributes=static,
+            resource=Resource(drawn.resource_id, static),
+            trace=traces[index % len(traces)],
         )
     return producers

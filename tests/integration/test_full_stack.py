@@ -1,9 +1,10 @@
-"""End-to-end integration: sensors -> MAAN -> DAT -> consumer (P-GMA)."""
+"""End-to-end integration: producers -> MAAN -> DAT -> consumer (P-GMA)."""
 
 import pytest
 
 from repro.gma.monitor import GridMonitor, MonitorConfig
 from repro.gma.traces import TraceGenerator
+from repro.maan.query import MultiAttributeQuery, RangeQuery
 from repro.workloads.grids import default_schemas, make_producers
 
 
@@ -23,35 +24,34 @@ class TestDiscoveryThenMonitoring:
     def test_discover_then_aggregate(self, stack):
         # An application finds idle-enough machines, then watches the
         # global average — the paper's motivating consumer workflow.
-        consumer = stack.consumer()
-        idle = consumer.search("cpu-usage", 0.0, 50.0)
+        idle = stack.index.range_query(RangeQuery("cpu-usage", 0.0, 50.0))
         for resource in idle.resources:
             assert resource.attributes["cpu-usage"] <= 50.0
 
-        average = consumer.global_aggregate("cpu-usage", "avg", t=0.0)
+        average = stack.aggregate("cpu-usage", "avg", t=0.0).value
         truth = stack.actual_aggregate("cpu-usage", "avg", t=0.0)
         assert average == pytest.approx(truth)
 
     def test_search_and_aggregate_consistency(self, stack):
         # COUNT from the DAT equals the MAAN full-range result set size.
-        consumer = stack.consumer()
-        count = consumer.global_aggregate("cpu-usage", "count", t=0.0)
-        full = consumer.search("cpu-usage", 0.0, 100.0)
+        count = stack.aggregate("cpu-usage", "count", t=0.0).value
+        full = stack.index.range_query(RangeQuery("cpu-usage", 0.0, 100.0))
         assert count == len(full.resources) == 64
 
     def test_multi_attribute_discovery(self, stack):
-        consumer = stack.consumer()
-        result = consumer.search_all(
-            cpu_usage=(0.0, 100.0), memory_size=(4.0, 64.0), cpu_speed=(2.0, 5.0)
+        query = MultiAttributeQuery.of(
+            RangeQuery("cpu-usage", 0.0, 100.0),
+            RangeQuery("memory-size", 4.0, 64.0),
+            RangeQuery("cpu-speed", 2.0, 5.0),
         )
+        result = stack.index.multi_attribute_query(query)
         for resource in result.resources:
             assert resource.attributes["memory-size"] >= 4.0
             assert resource.attributes["cpu-speed"] >= 2.0
 
     def test_monitoring_time_series(self, stack):
-        consumer = stack.consumer()
         times = [0.0, 100.0, 200.0, 300.0]
-        series = consumer.monitor_series("cpu-usage", "sum", times)
+        series = [stack.aggregate("cpu-usage", "sum", t=t).value for t in times]
         truths = [stack.actual_aggregate("cpu-usage", "sum", t=t) for t in times]
         for measured, truth in zip(series, truths):
             assert measured == pytest.approx(truth)

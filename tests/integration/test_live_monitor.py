@@ -1,5 +1,6 @@
 """Integration: the full P-GMA stack over the live protocol (LiveGridMonitor)."""
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -7,6 +8,8 @@ from repro.errors import MonitoringError
 from repro.gma.live import LiveGridMonitor
 from repro.gma.monitor import MonitorConfig
 from repro.gma.producer import Producer
+from repro.gma.traces import CpuTrace
+from repro.maan.attrs import Resource
 from repro.workloads.grids import default_schemas, make_producers
 
 
@@ -61,7 +64,11 @@ class TestLiveAggregation:
 
 class TestLiveEdgeCases:
     def test_attach_producer_rejects_unknown_node(self, live):
-        stranger = Producer(node=-1, resource_id="ghost")
+        stranger = Producer(
+            node=-1,
+            resource=Resource("ghost", {}),
+            trace=CpuTrace(values=np.zeros(1), period=1.0),
+        )
         with pytest.raises(MonitoringError):
             live.attach_producer(stranger)
 
@@ -78,6 +85,24 @@ class TestLiveEdgeCases:
         key = live.rendezvous_key("cpu-usage")
         assert key == live.rendezvous_key("cpu-usage")
         assert 0 <= key < live.space.size
+
+
+class TestLiveCoverage:
+    def test_rounds_without_full_coverage_raise_before_sending(self):
+        # A node without a producer has no reading. Before, it read 0.0:
+        # on 8 nodes with 4 producers, COUNT read 8 and AVG half the truth.
+        config = MonitorConfig(n_nodes=8, bits=12, id_strategy="probing", seed=3)
+        with LiveGridMonitor(config, default_schemas()) as monitor:
+            producers = make_producers(monitor.network.ideal_ring(), seed=3)
+            for producer in list(producers.values())[:4]:
+                monitor.attach_producer(producer)
+            with pytest.raises(MonitoringError):
+                monitor.aggregate("cpu-usage", "count")
+            with pytest.raises(MonitoringError):
+                monitor.start_monitoring("cpu-usage", "count")
+            monitor.run(5.0)  # Chord maintenance runs on; aggregation never starts
+            kinds = monitor.transport.stats.by_kind()
+            assert not {"bcast", "gather_push", "agg_push"} & set(kinds), kinds
 
 
 class TestLiveTelemetry:
@@ -106,6 +131,8 @@ class TestLiveTeardown:
         monitor = LiveGridMonitor(config, default_schemas())
         hosts = dict(monitor.network.nodes)
         assert monitor.broadcasts  # one service per node while live
+        for producer in make_producers(monitor.network.ideal_ring(), seed=7).values():
+            monitor.attach_producer(producer)
         monitor.start_monitoring("cpu-usage", "count", interval=0.5)
         monitor.run(4.0)
         monitor.close()

@@ -1,10 +1,14 @@
-"""Unit tests for the GridMonitor facade and consumers."""
+"""Unit tests for the GridMonitor facade and the consumer workflows on it."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MonitoringError
 from repro.gma.monitor import GridMonitor, MonitorConfig
 from repro.gma.producer import Producer
+from repro.gma.traces import CpuTrace
+from repro.maan.attrs import Resource
+from repro.maan.query import MultiAttributeQuery, RangeQuery
 from repro.workloads.grids import default_schemas, make_producers
 
 
@@ -22,7 +26,11 @@ class TestSetup:
         assert len(monitor.ring) == 32
 
     def test_attach_requires_overlay_membership(self, monitor):
-        bogus = Producer(node=99999999, resource_id="x")
+        bogus = Producer(
+            node=99999999,
+            resource=Resource("x", {}),
+            trace=CpuTrace(values=np.zeros(1), period=1.0),
+        )
         with pytest.raises(MonitoringError):
             monitor.attach_producer(bogus)
 
@@ -30,7 +38,7 @@ class TestSetup:
         config = MonitorConfig(n_nodes=4, bits=16, seed=1)
         monitor = GridMonitor(config, default_schemas())
         with pytest.raises(MonitoringError):
-            monitor.require_full_coverage()
+            monitor.aggregate("cpu-usage", "sum")
 
     def test_register_all(self, monitor):
         hops = monitor.register_all()
@@ -39,7 +47,7 @@ class TestSetup:
 
     def test_refresh_all(self, monitor):
         monitor.register_all()
-        monitor.refresh_all(t=10.0)
+        monitor.register_all(t=10.0)
         assert monitor.index.total_records() == 32 * 4
 
 
@@ -56,6 +64,13 @@ class TestAggregation:
         outcome = monitor.aggregate("cpu-usage", "sum", t=0.0)
         truth = monitor.actual_aggregate("cpu-usage", "sum", t=0.0)
         assert outcome.value == pytest.approx(truth)
+
+    def test_readings_are_functions_of_time(self, monitor):
+        # A reading depends on t alone: a round at another time in between
+        # must not move the value at t=0.
+        before = monitor.aggregate("cpu-usage", "sum", t=0.0).value
+        monitor.aggregate("cpu-usage", "sum", t=5.0)
+        assert monitor.aggregate("cpu-usage", "sum", t=0.0).value == before
 
     def test_aggregate_avg(self, monitor):
         outcome = monitor.aggregate("cpu-usage", "avg", t=3.0)
@@ -81,37 +96,33 @@ class TestAggregation:
 class TestConsumers:
     def test_consumer_search(self, monitor):
         monitor.register_all()
-        consumer = monitor.consumer()
-        result = consumer.search("cpu-usage", 0.0, 100.0)
+        result = monitor.index.range_query(RangeQuery("cpu-usage", 0.0, 100.0))
         assert len(result.resources) == 32  # everyone matches the full range
 
     def test_consumer_search_narrow(self, monitor):
         monitor.register_all()
-        consumer = monitor.consumer()
-        result = consumer.search("memory-size", 0.0, 1.0)
+        result = monitor.index.range_query(RangeQuery("memory-size", 0.0, 1.0))
         for resource in result.resources:
             assert resource.attributes["memory-size"] <= 1.0
 
     def test_search_all_conjunction(self, monitor):
         monitor.register_all()
-        consumer = monitor.consumer()
-        result = consumer.search_all(cpu_usage=(0.0, 100.0), memory_size=(0.0, 8.0))
+        query = MultiAttributeQuery.of(
+            RangeQuery("cpu-usage", 0.0, 100.0), RangeQuery("memory-size", 0.0, 8.0)
+        )
+        result = monitor.index.multi_attribute_query(query)
         for resource in result.resources:
             assert resource.attributes["memory-size"] <= 8.0
 
     def test_global_aggregate_via_consumer(self, monitor):
-        consumer = monitor.consumer()
-        value = consumer.global_aggregate("cpu-usage", "avg")
+        value = monitor.aggregate("cpu-usage", "avg").value
         assert value == pytest.approx(monitor.actual_aggregate("cpu-usage", "avg"))
 
     def test_monitor_series(self, monitor):
-        consumer = monitor.consumer()
-        series = consumer.monitor_series("cpu-usage", "avg", [0.0, 1.0, 2.0])
-        assert len(series) == 3
-
-    def test_consumer_at_unknown_node(self, monitor):
-        with pytest.raises(MonitoringError):
-            monitor.consumer(node=123456789)
+        times = [0.0, 10.0, 20.0]
+        series = [monitor.aggregate("cpu-usage", "avg", t=t).value for t in times]
+        truths = [monitor.actual_aggregate("cpu-usage", "avg", t=t) for t in times]
+        assert series == pytest.approx(truths)
 
 
 class TestSchemes:

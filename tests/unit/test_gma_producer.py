@@ -1,37 +1,33 @@
 """Unit tests for the producer layer."""
 
+import numpy as np
 import pytest
 
-from repro.chord.idgen import UniformIdAssigner
-from repro.chord.idspace import IdSpace
 from repro.errors import MonitoringError
+from repro.gma.monitor import GridMonitor, MonitorConfig
 from repro.gma.producer import Producer
-from repro.gma.sensors import CallbackSensor, ConstantSensor
-from repro.maan.attrs import AttributeSchema
-from repro.maan.network import MaanNetwork
+from repro.gma.traces import CpuTrace
+from repro.maan.attrs import AttributeSchema, Resource
+from repro.maan.query import RangeQuery
 
 
 def make_producer(node: int = 0) -> Producer:
-    return Producer(
-        node=node,
-        resource_id="host-1",
-        sensors={
-            "cpu-usage": CallbackSensor("host-1", "cpu-usage", lambda t: 10.0 + t)
-        },
-        static_attributes={"cpu-speed": 2.8},
-    )
+    # cpu-usage reads 10 + t for whole seconds t.
+    trace = CpuTrace(values=10.0 + np.arange(6000.0), period=1.0)
+    return Producer(node=node, resource=Resource("host-1", {"cpu-speed": 2.8}), trace=trace)
 
 
-def make_index() -> MaanNetwork:
-    space = IdSpace(16)
-    ring = UniformIdAssigner().build_ring(space, 16)
-    return MaanNetwork(
-        ring,
+def make_monitor() -> GridMonitor:
+    config = MonitorConfig(n_nodes=16, bits=16, id_strategy="uniform")
+    monitor = GridMonitor(
+        config,
         {
             "cpu-usage": AttributeSchema("cpu-usage", low=0.0, high=10000.0),
             "cpu-speed": AttributeSchema("cpu-speed", low=0.0, high=5.0),
         },
     )
+    monitor.attach_producer(make_producer(node=monitor.ring.nodes[0]))
+    return monitor
 
 
 class TestReads:
@@ -45,22 +41,6 @@ class TestReads:
         with pytest.raises(MonitoringError):
             make_producer().read("disk", 0.0)
 
-    def test_attributes_listing(self):
-        assert make_producer().attributes() == ["cpu-speed", "cpu-usage"]
-
-    def test_sensor_attribute_mismatch_rejected(self):
-        with pytest.raises(MonitoringError):
-            Producer(
-                node=0,
-                resource_id="h",
-                sensors={"cpu": ConstantSensor("h", "memory", 1.0)},
-            )
-
-    def test_add_sensor(self):
-        producer = make_producer()
-        producer.add_sensor(ConstantSensor("host-1", "load", 0.5))
-        assert producer.read("load", 0.0) == 0.5
-
 
 class TestSnapshotsAndEvents:
     def test_snapshot_merges_static_and_dynamic(self):
@@ -71,21 +51,17 @@ class TestSnapshotsAndEvents:
 
 class TestIndexing:
     def test_register_places_records(self):
-        index = make_index()
-        producer = make_producer()
-        hops = producer.register(index, t=0.0)
+        monitor = make_monitor()
+        hops = monitor.register_all(t=0.0)
         assert hops >= 0
-        assert index.total_records() == 2
+        assert monitor.index.total_records() == 2
 
     def test_refresh_moves_dynamic_value(self):
-        index = make_index()
-        producer = make_producer()
-        producer.register(index, t=0.0)
-        producer.refresh_index(index, t=5000.0)  # big change moves the record
-        assert index.total_records() == 2  # no duplicates left behind
-
-    def test_refresh_without_register(self):
-        index = make_index()
-        producer = make_producer()
-        producer.refresh_index(index, t=1.0)  # acts as first registration
-        assert index.total_records() == 2
+        monitor = make_monitor()
+        monitor.register_all(t=0.0)
+        monitor.register_all(t=5000.0)  # big change moves the record
+        assert monitor.index.total_records() == 2  # no duplicates left behind
+        moved = monitor.index.range_query(RangeQuery("cpu-usage", 5000.0, 5100.0))
+        stale = monitor.index.range_query(RangeQuery("cpu-usage", 0.0, 100.0))
+        assert [r.resource_id for r in moved.resources] == ["host-1"]
+        assert stale.resources == []

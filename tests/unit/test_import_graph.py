@@ -184,17 +184,11 @@ ALLOWED_ORPHAN_NAMES = {
     "experiments.fig7_tree_properties:measure_tree",
     "experiments.fig9_accuracy:Fig9Result.scatter_points",
     "experiments.scale:ProtocolScalePoint.from_run",
-    "gma.consumer:Consumer.global_aggregate",
-    "gma.consumer:Consumer.monitor_series",
     "gma.live:LiveGridMonitor.actual_aggregate",
     "gma.live:LiveGridMonitor.read_monitoring",
-    "gma.live:LiveGridMonitor.set_monitor_time",
     "gma.live:LiveGridMonitor.start_monitoring",
     "gma.monitor:GridMonitor.actual_aggregate",
-    "gma.monitor:GridMonitor.require_full_coverage",
     "gma.monitor:GridMonitor.tree_for",
-    "gma.producer:Producer.add_sensor",
-    "gma.sensors:TraceSensor.read_slot",
     "gma.traces:CpuTrace.shifted",
     "maan.attrs:Resource.value_of",
     "maan.network:MaanNetwork.arc_nodes",

@@ -1,5 +1,6 @@
 """Unit tests for workload generators."""
 
+import numpy as np
 import pytest
 
 from repro.chord.idgen import UniformIdAssigner
@@ -38,12 +39,20 @@ class TestMakeProducers:
         producers = make_producers(ring, seed=4)
         assert set(producers) == set(ring)
 
-    def test_random_walk_sensors_by_default(self):
+    def test_trace_fleet_by_default(self):
         ring = UniformIdAssigner().build_ring(IdSpace(16), 4)
         producers = make_producers(ring, seed=5)
+        traces = [producer.trace for producer in producers.values()]
         for producer in producers.values():
-            assert "cpu-usage" in producer.sensors
+            assert "cpu-usage" not in producer.resource.attributes
             assert 0 <= producer.read("cpu-usage", 0.0) <= 100
+        # A non-identical fleet, and the same fleet again from the same seed.
+        assert not np.array_equal(traces[0].values, traces[1].values)
+        again = make_producers(ring, seed=5)
+        assert all(
+            np.array_equal(again[node].trace.values, producers[node].trace.values)
+            for node in ring
+        )
 
     def test_trace_backed_sensors(self):
         ring = UniformIdAssigner().build_ring(IdSpace(16), 4)
