@@ -1,11 +1,5 @@
 """Baseline aggregation schemes the paper compares DAT against (Sec. 5.3)."""
 
-from repro.baselines.centralized import (
-    centralized_direct_loads,
-    CentralizedAggregator,
-)
+from repro.baselines.centralized import CentralizedAggregator
 
-__all__ = [
-    "centralized_direct_loads",
-    "CentralizedAggregator",
-]
+__all__ = ["CentralizedAggregator"]

@@ -33,13 +33,12 @@ from repro.core.aggregates import Aggregate
 from repro.core.builder import DatScheme
 
 __all__ = [
-    "centralized_direct_loads",
     "fast_centralized_load_array",
     "CentralizedAggregator",
 ]
 
 
-def centralized_direct_loads(ring: StaticRing, key: int) -> dict[int, int]:
+def _direct_loads(ring: StaticRing, key: int) -> dict[int, int]:
     """Per-node message loads when every node sends directly to the root."""
     root = ring.successor(key)
     loads: dict[int, int] = {}
@@ -105,4 +104,4 @@ class CentralizedAggregator:
         if self.routed:
             loads = fast_centralized_load_array(self.ring, self.key)
             return dict(zip(self.ring.id_index().ids.tolist(), loads.tolist()))
-        return centralized_direct_loads(self.ring, self.key)
+        return _direct_loads(self.ring, self.key)

@@ -29,7 +29,7 @@ from repro.chord.idgen import (
     make_assigner,
 )
 from repro.chord.broadcast import BroadcastService, broadcast_tree
-from repro.chord.fof import FofCache, FofMaintainer
+from repro.chord.fof import FofMaintainer
 from repro.chord.host import ChordHost, FingeredHost
 
 __all__ = [
@@ -49,6 +49,5 @@ __all__ = [
     "make_assigner",
     "BroadcastService",
     "broadcast_tree",
-    "FofCache",
     "FofMaintainer",
 ]

@@ -27,10 +27,10 @@ from repro.chord.ring import StaticRing
 from repro.core.tree import DatTree
 from repro.sim.messages import Message
 
-__all__ = ["broadcast_children", "broadcast_tree", "BroadcastService"]
+__all__ = ["broadcast_tree", "BroadcastService"]
 
 
-def broadcast_children(
+def _broadcast_children(
     table: FingerTable, limit: int
 ) -> list[tuple[int, int]]:
     """The (child, child_limit) delegations for one broadcast step.
@@ -79,7 +79,7 @@ def broadcast_tree(
     queue: list[tuple[int, int]] = [(initiator, initiator)]
     while queue:
         node, limit = queue.pop()
-        for child, child_limit in broadcast_children(tables[node], limit):
+        for child, child_limit in _broadcast_children(tables[node], limit):
             parent[child] = node
             queue.append((child, child_limit))
     return DatTree(root=initiator, parent=parent, key=None)
@@ -147,7 +147,7 @@ class BroadcastService:
 
     def _relay(self, broadcast_id: int, initiator: int, payload: Any, limit: int) -> None:
         table = self.finger_provider()
-        for child, child_limit in broadcast_children(table, limit):
+        for child, child_limit in _broadcast_children(table, limit):
             self.host.transport.send(
                 Message(
                     kind="bcast",

@@ -159,7 +159,7 @@ class DatTreeArrays:
         del parents[self.root]
         return parents
 
-    def branching_counts(self) -> np.ndarray:
+    def _branching_counts(self) -> np.ndarray:
         """Children count per node, aligned with ``nodes`` (cached)."""
         if self._counts is None:
             counts = np.bincount(
@@ -204,7 +204,7 @@ class DatTreeArrays:
         Same accounting as :meth:`DatTree.message_loads`: one send to the
         parent (root excepted) plus one receive per child.
         """
-        counts = self.branching_counts()
+        counts = self._branching_counts()
         loads = counts + 1
         loads[self.root_index] = counts[self.root_index]
         return loads
@@ -231,7 +231,7 @@ class DatTreeArrays:
         ``n - 1``, and that exact integer over an exact integer count is the
         same single IEEE division the object path performs.
         """
-        counts = self.branching_counts()
+        counts = self._branching_counts()
         n = int(self.nodes.size)
         n_internal = int(np.count_nonzero(counts))
         return TreeStats(

@@ -8,69 +8,23 @@ best one, roughly halving hop counts. It is also the information base the
 prototype's DAT layer uses to compute child sets locally (our
 ``children_resolver`` injection is the converged equivalent — DESIGN.md).
 
-:class:`FofCache` holds the learned tables; :class:`FofMaintainer` drives
-the periodic refresh over a transport and exposes the improved next-hop
-choice. The cache is advisory: a stale entry can at worst cause one wasted
+:class:`FofMaintainer` holds the learned tables, drives their periodic
+refresh over a transport and exposes the improved next-hop choice. The
+cache is advisory: a stale entry can at worst cause one wasted
 hop (the contacted node forwards normally), never incorrectness, because
 candidates are still required not to overshoot the key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.chord.fingers import FingerTable
 from repro.chord.host import FingeredHost
-from repro.chord.idspace import IdSpace
 from repro.net import RpcClient
 from repro.sim.messages import Message
 
-__all__ = ["FofCache", "FofMaintainer"]
-
-
-@dataclass
-class FofCache:
-    """Learned finger tables of this node's fingers."""
-
-    space: IdSpace
-    #: finger ident -> that finger's entries (as last reported).
-    tables: dict[int, list[int]] = field(default_factory=dict)
-
-    def update(self, finger: int, entries: list[int]) -> None:
-        """Record a finger's reported table."""
-        self.tables[finger] = list(entries)
-
-    def forget(self, finger: int) -> None:
-        """Drop a departed finger's table."""
-        self.tables.pop(finger, None)
-
-    def known_nodes(self) -> set[int]:
-        """Every node reachable within two hops via the cache."""
-        nodes: set[int] = set(self.tables)
-        for entries in self.tables.values():
-            nodes.update(entries)
-        return nodes
-
-    def best_toward(self, owner: int, key: int) -> int | None:
-        """The cached node most closely preceding-or-reaching ``key``.
-
-        Considers both the cached fingers themselves and their entries
-        (two-hop candidates). Returns ``None`` when nothing qualifies.
-        """
-        target = self.space.cw(owner, key)
-        if target == 0:
-            return None
-        best: int | None = None
-        best_distance = -1
-        for node in self.known_nodes():
-            if node == owner:
-                continue
-            distance = self.space.cw(owner, node)
-            if distance <= target and distance > best_distance:
-                best = node
-                best_distance = distance
-        return best
+__all__ = ["FofMaintainer"]
 
 
 class FofMaintainer:
@@ -94,7 +48,8 @@ class FofMaintainer:
             if isinstance(host_net, RpcClient)
             else RpcClient(host.transport, host.ident)
         )
-        self.cache = FofCache(space=host.space)
+        #: finger ident -> that finger's entries (as last reported).
+        self.tables: dict[int, list[int]] = {}
         self._cursor = 0
         self._running = False
         self._cancel: Callable[[], None] | None = None
@@ -133,10 +88,10 @@ class FofMaintainer:
     def _tick(self) -> None:
         if not self._running:
             return
-        self.refresh_next()
+        self._refresh_next()
         self._schedule()
 
-    def refresh_next(self) -> None:
+    def _refresh_next(self) -> None:
         """Request the table of the next distinct finger (round-robin)."""
         table: FingerTable = self.host.finger_table()
         fingers = table.distinct_fingers()
@@ -149,10 +104,10 @@ class FofMaintainer:
         )
 
         def on_reply(reply: Message) -> None:
-            self.cache.update(target, reply.payload["entries"])
+            self.tables[target] = list(reply.payload["entries"])
 
         def on_timeout(_msg: Message) -> None:
-            self.cache.forget(target)
+            self.tables.pop(target, None)
 
         self.net.call(request, on_reply, on_timeout=on_timeout)
 
@@ -160,7 +115,7 @@ class FofMaintainer:
         """Kick a refresh of every distinct finger (test convergence aid)."""
         table: FingerTable = self.host.finger_table()
         for _ in table.distinct_fingers():
-            self.refresh_next()
+            self._refresh_next()
 
     def _on_get_fingers(self, message: Message) -> Message:
         table: FingerTable = self.host.finger_table()
@@ -173,16 +128,18 @@ class FofMaintainer:
     def next_hop(self, key: int) -> int | None:
         """Best next hop toward ``key`` using fingers + FoF.
 
-        At least as close as the plain finger choice; never overshoots.
+        The known node (a finger, a cached finger or an entry of a cached
+        table) that most closely precedes or reaches ``key``: at least as
+        close as the plain finger choice; never overshoots.
         """
         table: FingerTable = self.host.finger_table()
-        plain = table.closest_preceding(key)
-        improved = self.cache.best_toward(self.host.ident, key)
-        if improved is None:
-            return plain
-        if plain is None:
-            return improved
-        space = self.host.space
-        if space.cw(self.host.ident, improved) > space.cw(self.host.ident, plain):
-            return improved
-        return plain
+        space, owner = self.host.space, self.host.ident
+        best = table.closest_preceding(key)
+        best_distance = -1 if best is None else space.cw(owner, best)
+        target = space.cw(owner, key)
+        for entries in (self.tables, *self.tables.values()):
+            for node in entries:
+                distance = space.cw(owner, node)
+                if best_distance < distance <= target and node != owner:
+                    best, best_distance = node, distance
+        return best

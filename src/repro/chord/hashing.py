@@ -69,9 +69,3 @@ class LocalityPreservingHash:
         # Scale into [0, 2^b - 1]; the top of the domain maps to max_id so
         # the image stays inside the space.
         return min(int(fraction * self.space.size), self.space.max_id)
-
-    def invert_approx(self, ident: int) -> float:
-        """Approximate preimage of ``ident`` (useful for partitioning tests)."""
-        self.space.validate(ident)
-        fraction = ident / self.space.size
-        return self.low + fraction * (self.high - self.low)

@@ -49,13 +49,9 @@ class IdSpace:
         """Number of identifiers, ``2^bits``."""
         return 1 << self.bits
 
-    def contains(self, ident: int) -> bool:
-        """True if ``ident`` is a valid identifier in this space."""
-        return isinstance(ident, int) and 0 <= ident <= self.max_id
-
     def validate(self, ident: int) -> int:
         """Return ``ident`` unchanged, raising :class:`IdentifierError` if invalid."""
-        if not self.contains(ident):
+        if not (isinstance(ident, int) and 0 <= ident <= self.max_id):
             raise IdentifierError(
                 f"identifier {ident!r} outside [0, 2^{self.bits})"
             )
@@ -76,15 +72,6 @@ class IdSpace:
         ``a != b``.
         """
         return (b - a) & self.max_id
-
-    def ccw(self, a: int, b: int) -> int:
-        """Counter-clockwise distance from ``a`` to ``b`` (= ``cw(b, a)``)."""
-        return (a - b) & self.max_id
-
-    def ring_distance(self, a: int, b: int) -> int:
-        """Shortest distance around the ring between ``a`` and ``b``."""
-        forward = self.cw(a, b)
-        return min(forward, self.size - forward) if forward else 0
 
     # ------------------------------------------------------------------ #
     # Intervals on the circle
@@ -112,18 +99,6 @@ class IdSpace:
         mask = self.max_id
         return 0 < ((x - a) & mask) <= ((b - a) & mask)
 
-    def in_half_open_left(self, x: int, a: int, b: int) -> bool:
-        """True if ``x`` lies in the clockwise interval ``[a, b)``."""
-        if a == b:
-            return True
-        return self.cw(a, x) < self.cw(a, b)
-
-    def in_closed(self, x: int, a: int, b: int) -> bool:
-        """True if ``x`` lies in the clockwise interval ``[a, b]``."""
-        if a == b:
-            return x == a
-        return self.cw(a, x) <= self.cw(a, b)
-
     # ------------------------------------------------------------------ #
     # Finger offsets (paper Sec. 3.3: FINGER+ / FINGER-)
     # ------------------------------------------------------------------ #
@@ -137,26 +112,6 @@ class IdSpace:
         if not 0 <= j < self.bits:
             raise IdentifierError(f"finger index {j} outside [0, {self.bits})")
         return self.wrap(ident + (1 << j))
-
-    def inbound_finger_point(self, ident: int, j: int) -> int:
-        """Identifier ``ident - 2^j`` — where the j-th inbound finger sits.
-
-        A node at exactly ``ident - 2^j`` has ``ident`` as its j-th
-        outbound-finger start (paper's ``FINGER-(v, j)``).
-        """
-        if not 0 <= j < self.bits:
-            raise IdentifierError(f"finger index {j} outside [0, {self.bits})")
-        return self.wrap(ident - (1 << j))
-
-    def mean_gap(self, n_nodes: int) -> float:
-        """Mean inter-node distance ``d0 = 2^bits / n`` for ``n`` nodes.
-
-        This is the ``d0`` in the paper's ``B(i, n)`` and ``g(x)`` formulas
-        ("the distance between two adjacent nodes" under even spacing).
-        """
-        if n_nodes <= 0:
-            raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-        return self.size / n_nodes
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"IdSpace(bits={self.bits})"

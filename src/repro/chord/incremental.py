@@ -284,8 +284,8 @@ class DatUpdateEngine:
 
         Tracked trees are *live*: :meth:`apply` patches their parent maps
         in place (copying per event would reintroduce the O(n) cost this
-        engine removes). Take ``dict(tree.parent)`` — or an untracked
-        :meth:`full_build` — if a frozen snapshot is needed.
+        engine removes). Take ``dict(tree.parent)`` — or a fresh
+        ``build_dat(engine.ring, key)`` — if a frozen snapshot is needed.
         """
         try:
             return self._trees[key]
@@ -296,7 +296,7 @@ class DatUpdateEngine:
     # Tracking
     # ------------------------------------------------------------------ #
 
-    def full_build(self, key: int) -> DatTree:
+    def _full_build(self, key: int) -> DatTree:
         """Full rebuild of one tree from the maintained ring."""
         return build_dat(self.ring, key, scheme=self.scheme)
 
@@ -304,14 +304,9 @@ class DatUpdateEngine:
         """Start maintaining the tree for ``key`` (building it if needed)."""
         self.ring.space.validate(key)
         if tree is None:
-            tree = self._trees.get(key) or self.full_build(key)
+            tree = self._trees.get(key) or self._full_build(key)
         self._trees[key] = tree
         return tree
-
-    def untrack(self, key: int) -> None:
-        """Stop maintaining the tree for ``key``."""
-        self._trees.pop(key, None)
-        self._pending.discard(key)
 
     # ------------------------------------------------------------------ #
     # Event application
@@ -350,13 +345,13 @@ class DatUpdateEngine:
             self._trees.clear()
         elif self._pending:
             for key in sorted(self._pending):
-                self._trees[key] = self.full_build(key)
+                self._trees[key] = self._full_build(key)
                 rebuilt.append(key)
                 reparented[key] = 0
             self._pending.clear()
         for key, count in self._patch_trees(delta, skip=reparented).items():
             if count is None:
-                self._trees[key] = self.full_build(key)
+                self._trees[key] = self._full_build(key)
                 rebuilt.append(key)
                 count = 0
             reparented[key] = count
@@ -479,4 +474,3 @@ class DatUpdateEngine:
             tree.invalidate_caches()
             counts[key] = len(moved)
         return counts
-

@@ -14,7 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.chord.fingers import FingerTable
 from repro.chord.idspace import IdSpace
 from repro.chord.node import ChordConfig, ChordProtocolNode
 from repro.chord.ring import StaticRing
@@ -56,28 +55,20 @@ class ChordNetwork:
     # Membership
     # ------------------------------------------------------------------ #
 
-    def create_first(self, ident: int) -> ChordProtocolNode:
-        """Bootstrap the ring with its first node."""
-        if self.nodes:
-            raise RingError("ring already bootstrapped; use add_node()")
-        node = ChordProtocolNode(ident, self.space, self.transport, self.config)
-        node.create()
-        self.nodes[ident] = node
-        return node
-
     def add_node(self, ident: int, bootstrap: int | None = None) -> ChordProtocolNode:
-        """Join a new node through ``bootstrap`` (default: any existing node)."""
-        if not self.nodes:
-            return self.create_first(ident)
+        """Join a new node through ``bootstrap`` (default: any existing node);
+        the first node bootstraps the ring."""
         if ident in self.nodes:
             raise RingError(f"node {ident} already in the network")
-        gateway = bootstrap if bootstrap is not None else next(iter(self.nodes))
         node = ChordProtocolNode(ident, self.space, self.transport, self.config)
-        node.join(gateway)
+        if self.nodes:
+            node.join(bootstrap if bootstrap is not None else next(iter(self.nodes)))
+        else:
+            node.create()
         self.nodes[ident] = node
         return node
 
-    def probe_join(
+    def _probe_join(
         self,
         rng: int | np.random.Generator | None = None,
         bootstrap: int | None = None,
@@ -127,7 +118,7 @@ class ChordNetwork:
         ``None`` when the probe did not resolve (empty network, probe
         timeout) — callers can fall back to a random identifier.
         """
-        designated = self.probe_join(rng=rng, bootstrap=bootstrap)
+        designated = self._probe_join(rng=rng, bootstrap=bootstrap)
         if designated is None or designated in self.nodes:
             return None
         return self.add_node(designated, bootstrap=bootstrap)
@@ -203,24 +194,6 @@ class ChordNetwork:
                 if actual != expected:
                     return False
         return True
-
-    def finger_convergence_fraction(self) -> float:
-        """Fraction of finger slots across all nodes matching the ideal ring."""
-        if not self.nodes:
-            return 1.0
-        ideal = self.ideal_ring()
-        total = 0
-        correct = 0
-        for ident, node in self.nodes.items():
-            expected = ideal.finger_entries(ident)
-            actual = node.finger_table().entries
-            total += len(expected)
-            correct += sum(1 for e, a in zip(expected, actual) if e == a)
-        return correct / total if total else 1.0
-
-    def snapshot_finger_tables(self) -> dict[int, FingerTable]:
-        """Live finger tables of every node (as the DAT layer sees them)."""
-        return {ident: node.finger_table() for ident, node in self.nodes.items()}
 
     def build_incrementally(
         self,

@@ -60,14 +60,6 @@ class ChordConfig:
     #: Base backoff between maintenance-RPC retries (seconds).
     rpc_backoff: float = 0.0
 
-    def rpc_policy(self) -> RetryPolicy:
-        """The retry policy maintenance RPCs run under."""
-        return RetryPolicy(
-            timeout=self.rpc_timeout,
-            max_attempts=self.rpc_max_attempts,
-            backoff_base=self.rpc_backoff,
-        )
-
 
 class ChordProtocolNode:
     """One live Chord node bound to a transport.
@@ -110,7 +102,11 @@ class ChordProtocolNode:
         self._timer_cancels: dict[str, Callable[[], None]] = {}
         #: RPC surface: every remote interaction goes through the session
         #: layer, which owns deadlines, retries, and per-call telemetry.
-        self.net = RpcClient(transport, ident, policy=self.config.rpc_policy())
+        self.net = RpcClient(transport, ident, policy=RetryPolicy(
+            timeout=self.config.rpc_timeout,
+            max_attempts=self.config.rpc_max_attempts,
+            backoff_base=self.config.rpc_backoff,
+        ))
         #: One deadline for a whole recursive lookup, however many hops.
         self._lookup_policy = RetryPolicy(
             timeout=self.config.rpc_timeout * self.config.max_lookup_hops / 8
@@ -130,7 +126,7 @@ class ChordProtocolNode:
         self.predecessor = None
         self.successor = self.ident
         self.successor_list = [self.ident]
-        self.start_maintenance()
+        self._start_maintenance()
 
     def join(
         self,
@@ -156,7 +152,7 @@ class ChordProtocolNode:
             if successor != self.ident:
                 self.successor = successor
                 self.fingers[0] = successor
-            self.start_maintenance()
+            self._start_maintenance()
             if on_joined is not None:
                 on_joined()
 
@@ -176,11 +172,11 @@ class ChordProtocolNode:
                     # stabilization finish the job if it comes back.
                     self.successor = bootstrap
                     self.fingers[0] = bootstrap
-                    self.start_maintenance()
+                    self._start_maintenance()
                     if on_failure is not None:
                         on_failure()
 
-            self.lookup_via(bootstrap, self.ident, adopted, failed)
+            self._start_lookup(self.ident, bootstrap, adopted, failed)
 
         attempt(max_attempts)
 
@@ -218,7 +214,7 @@ class ChordProtocolNode:
         self.stop_maintenance()
         self.transport.unregister(self.ident)
 
-    def start_maintenance(self) -> None:
+    def _start_maintenance(self) -> None:
         """Begin periodic stabilize / fix-fingers timers.
 
         A no-op on a node that has left or crashed: departure is final (the
@@ -257,12 +253,6 @@ class ChordProtocolNode:
         # validated identifiers — skip the O(bits) re-validation per call.
         return FingerTable.trusted(space=self.space, owner=self.ident, entries=entries)
 
-    def owned_gap(self) -> int | None:
-        """Clockwise span from predecessor to self (None until stabilized)."""
-        if self.predecessor is None:
-            return None
-        return self.space.cw(self.predecessor, self.ident)
-
     # ------------------------------------------------------------------ #
     # Lookup (recursive routing)
     # ------------------------------------------------------------------ #
@@ -281,20 +271,6 @@ class ChordProtocolNode:
         sent.
         """
         self._start_lookup(key, self.ident, on_result, on_failure)
-
-    def lookup_via(
-        self,
-        gateway: int,
-        key: int,
-        on_result: Callable[[int, list[int]], None],
-        on_failure: Callable[[int], None] | None = None,
-    ) -> None:
-        """Resolve ``successor(key)`` through another node (used by join).
-
-        With ``gateway == ident`` this is :meth:`lookup`, including its
-        local answer: ``on_result`` may run before this call returns.
-        """
-        self._start_lookup(key, gateway, on_result, on_failure)
 
     def _start_lookup(
         self,
@@ -425,10 +401,10 @@ class ChordProtocolNode:
     def _stabilize_tick(self) -> None:
         if not self._running:
             return
-        self.stabilize()
+        self._stabilize()
         self._schedule_stabilize()
 
-    def stabilize(self) -> None:
+    def _stabilize(self) -> None:
         """One stabilization round: verify successor, notify it."""
         if self.successor == self.ident:
             if self.predecessor is not None and self.predecessor != self.ident:
@@ -541,10 +517,10 @@ class ChordProtocolNode:
     def _check_predecessor_tick(self) -> None:
         if not self._running:
             return
-        self.check_predecessor()
+        self._check_predecessor()
         self._schedule_check_predecessor()
 
-    def check_predecessor(self) -> None:
+    def _check_predecessor(self) -> None:
         """Ping the predecessor; clear the pointer if it is dead.
 
         Without this, a node keeps advertising a crashed predecessor in its
@@ -578,10 +554,10 @@ class ChordProtocolNode:
     def _fix_fingers_tick(self) -> None:
         if not self._running:
             return
-        self.fix_next_finger()
+        self._fix_next_finger()
         self._schedule_fix_fingers()
 
-    def fix_next_finger(self) -> None:
+    def _fix_next_finger(self) -> None:
         """Refresh one finger slot (round-robin): ping, purge, re-look-up.
 
         The current entry is pinged first. A dead finger must be purged
@@ -628,7 +604,7 @@ class ChordProtocolNode:
     def fix_all_fingers(self) -> None:
         """Kick a refresh of every slot (accelerates test convergence)."""
         for _ in range(self.space.bits):
-            self.fix_next_finger()
+            self._fix_next_finger()
 
     # ------------------------------------------------------------------ #
     # Message handling
@@ -683,9 +659,9 @@ class ChordProtocolNode:
         — splits the largest, and designates the midpoint.
         """
         intervals: list[tuple[int, int, int]] = []  # (gap, pred, node)
-        own = self.owned_gap()
-        if own is not None:
-            intervals.append((own, self.predecessor, self.ident))  # type: ignore[arg-type]
+        if self.predecessor is not None:
+            own = self.space.cw(self.predecessor, self.ident)
+            intervals.append((own, self.predecessor, self.ident))
         chain = [self.ident] + list(self.successor_list)
         for left, right in zip(chain, chain[1:]):
             if left != right:

@@ -163,7 +163,7 @@ class StaticRing:
 
     def remove(self, ident: int) -> None:
         """Remove a node."""
-        del self.nodes[self.index_of(ident)]
+        del self.nodes[self._index_of(ident)]
         self._index = None
         self._version += 1
 
@@ -171,12 +171,8 @@ class StaticRing:
     # Consistent-hashing queries
     # ------------------------------------------------------------------ #
 
-    def _require_nodes(self) -> None:
-        if not len(self):
-            raise EmptyRingError("operation requires a non-empty ring")
-
-    # ``successor`` / ``predecessor`` make the checks of ``_require_nodes``
-    # and ``IdSpace.validate`` inline: a query is one frame plus the bisect.
+    # ``successor`` / ``predecessor`` make the empty-ring check and
+    # ``IdSpace.validate`` inline: a query is one frame plus the bisect.
 
     def successor(self, key: int) -> int:
         """First node whose identifier equals or follows ``key`` clockwise."""
@@ -202,13 +198,13 @@ class StaticRing:
     def successor_of_node(self, ident: int) -> int:
         """The node immediately following node ``ident`` on the ring."""
         nodes = self.nodes
-        return nodes[(self.index_of(ident) + 1) % len(nodes)]
+        return nodes[(self._index_of(ident) + 1) % len(nodes)]
 
     def predecessor_of_node(self, ident: int) -> int:
         """The node immediately preceding node ``ident`` on the ring."""
-        return self.nodes[self.index_of(ident) - 1]  # -1 wraps to the top
+        return self.nodes[self._index_of(ident) - 1]  # -1 wraps to the top
 
-    def index_of(self, ident: int) -> int:
+    def _index_of(self, ident: int) -> int:
         """Position of member ``ident`` in the sorted node list."""
         nodes = self.nodes
         index = bisect_left(nodes, ident)
@@ -226,28 +222,16 @@ class StaticRing:
             for before, ident in zip(nodes[-1:] + nodes[:-1], nodes)
         }
 
-    def gaps_array(self) -> np.ndarray:
-        """Owned-interval lengths aligned with the sorted node order.
-
-        Array-native view of :meth:`gaps` for the large-scale path (no
-        per-node Python objects).
-        """
-        self._require_nodes()
-        return self.id_index().gaps()
-
-    def mean_gap(self) -> float:
-        """Average inter-node distance ``d0 = 2^b / n``."""
-        self._require_nodes()
-        return self.space.mean_gap(len(self))
-
     def gap_ratio(self) -> float:
         """Ratio of the largest to the smallest inter-node gap.
 
         Random identifiers give a ratio of ``O(log n)``; identifier probing
         bounds it by a constant (Adler et al., referenced in Sec. 3.5).
         """
+        if not len(self):
+            raise EmptyRingError("operation requires a non-empty ring")
         if self.space.bits <= ARRAY_MAX_BITS:
-            gaps_arr = self.gaps_array()
+            gaps_arr = self.id_index().gaps()
             return int(gaps_arr.max()) / int(gaps_arr.min())
         gaps = list(self.gaps().values())
         return max(gaps) / min(gaps)

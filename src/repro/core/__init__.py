@@ -13,7 +13,7 @@ Analysis (paper Sec. 3.3/3.5): closed-form branching factors and tree
 metrics in :mod:`repro.core.analysis`.
 """
 
-from repro.core.limiting import finger_limit, FingerLimiter
+from repro.core.limiting import FingerLimiter
 from repro.core.parent import select_parent_balanced
 from repro.core.tree import DatTree, TreeStats
 from repro.core.builder import (
@@ -33,21 +33,15 @@ from repro.core.aggregates import (
     SumAggregate,
     TopKAggregate,
     get_aggregate,
-    register_aggregate,
 )
 from repro.core.service import DatNodeService, StandaloneDatHost, OnDemandRound
 from repro.core.multitree import DatForest, ForestLoadReport
 from repro.core.overlay import DatOverlay
 from repro.core.gathercast import GatherCollector
 from repro.core.redundant import RedundantAggregator, ReplicaOutcome
-from repro.core.analysis import (
-    theoretical_basic_branching,
-    theoretical_max_branching_basic,
-    imbalance_factor,
-)
+from repro.core.analysis import imbalance_factor
 
 __all__ = [
-    "finger_limit",
     "FingerLimiter",
     "select_parent_balanced",
     "DatTree",
@@ -66,7 +60,6 @@ __all__ = [
     "HistogramAggregate",
     "TopKAggregate",
     "get_aggregate",
-    "register_aggregate",
     "DatNodeService",
     "StandaloneDatHost",
     "OnDemandRound",
@@ -76,7 +69,5 @@ __all__ = [
     "GatherCollector",
     "RedundantAggregator",
     "ReplicaOutcome",
-    "theoretical_basic_branching",
-    "theoretical_max_branching_basic",
     "imbalance_factor",
 ]

@@ -16,8 +16,8 @@ on arrays through ``lift_columns`` and ``row``.
 
 Built-ins: SUM, COUNT, MIN, MAX, AVG, HISTOGRAM (fixed bins) and QUANTILE
 (over histogram bins) are column aggregates; STD (Chan et al. parallel
-variance) and TOP-K are not. Custom aggregates register via
-:func:`register_aggregate`.
+variance) and TOP-K are not. :func:`get_aggregate` instantiates one by
+name.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ __all__ = [
     "HistogramAggregate",
     "QuantileAggregate",
     "TopKAggregate",
-    "register_aggregate",
     "get_aggregate",
-    "available_aggregates",
 ]
 
 
@@ -264,7 +262,7 @@ class HistogramAggregate(ColumnAggregate):
         self.n_bins = int(n_bins)
         self.columns = ((np.int64, np.add),) * self.n_bins
 
-    def bin_index(self, value: float) -> int:
+    def _bin_index(self, value: float) -> int:
         """Bin index of one value (clamped into range)."""
         if value < self.low:
             return 0
@@ -275,7 +273,7 @@ class HistogramAggregate(ColumnAggregate):
 
     def lift(self, value: float) -> tuple[int, ...]:
         counts = [0] * self.n_bins
-        counts[self.bin_index(float(value))] = 1
+        counts[self._bin_index(float(value))] = 1
         return tuple(counts)
 
     def lift_columns(self, values: np.ndarray) -> list[np.ndarray]:
@@ -284,16 +282,11 @@ class HistogramAggregate(ColumnAggregate):
             raise ValueError("cannot bin a NaN reading")
         # Clipped to the domain, an out-of-range reading lands in its
         # boundary bin (high: fraction 1.0, then the last bin), and an
-        # in-range one takes bin_index's very float operations.
+        # in-range one takes _bin_index's very float operations.
         clipped = np.clip(values, self.low, self.high)
         fraction = (clipped - self.low) / (self.high - self.low)
         index = np.minimum((fraction * self.n_bins).astype(np.int64), self.n_bins - 1)
         return [(index == b).astype(np.int64) for b in range(self.n_bins)]
-
-    def bin_edges(self) -> list[float]:
-        """The ``n_bins + 1`` bin boundary values."""
-        width = (self.high - self.low) / self.n_bins
-        return [self.low + i * width for i in range(self.n_bins + 1)]
 
 
 class QuantileAggregate(HistogramAggregate):
@@ -351,29 +344,20 @@ class TopKAggregate(Aggregate):
         return tuple(sorted(state, reverse=True))
 
 
-_REGISTRY: dict[str, type[Aggregate]] = {}
-
-
-def register_aggregate(cls: type[Aggregate]) -> type[Aggregate]:
-    """Register an aggregate class under its ``name`` (usable as decorator)."""
-    if not cls.name or cls.name == "abstract":
-        raise ValueError(f"{cls.__name__} must define a concrete 'name'")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-for _cls in (
-    SumAggregate,
-    CountAggregate,
-    MinAggregate,
-    MaxAggregate,
-    AverageAggregate,
-    StdAggregate,
-    HistogramAggregate,
-    QuantileAggregate,
-    TopKAggregate,
-):
-    register_aggregate(_cls)
+_REGISTRY: dict[str, type[Aggregate]] = {
+    cls.name: cls
+    for cls in (
+        SumAggregate,
+        CountAggregate,
+        MinAggregate,
+        MaxAggregate,
+        AverageAggregate,
+        StdAggregate,
+        HistogramAggregate,
+        QuantileAggregate,
+        TopKAggregate,
+    )
+}
 
 
 def get_aggregate(name: str, **kwargs: Any) -> Aggregate:
@@ -389,8 +373,3 @@ def get_aggregate(name: str, **kwargs: Any) -> Aggregate:
             f"unknown aggregate {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
     return cls(**kwargs)
-
-
-def available_aggregates() -> list[str]:
-    """Sorted names of all registered aggregates."""
-    return sorted(_REGISTRY)

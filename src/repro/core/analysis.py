@@ -24,13 +24,7 @@ from repro.core.tree import DatTree
 from repro.util.bits import ceil_log2, is_power_of_two
 
 __all__ = [
-    "theoretical_basic_branching",
-    "theoretical_basic_depth",
-    "theoretical_basic_internal_count",
     "theoretical_basic_avg_branching",
-    "theoretical_max_branching_basic",
-    "theoretical_balanced_max_branching",
-    "theoretical_balanced_height_bound",
     "imbalance_factor",
     "load_rank_array",
     "compare_measured_to_theory",
@@ -38,26 +32,18 @@ __all__ = [
 ]
 
 
-def theoretical_basic_branching(distance: int, n_nodes: int, bits: int) -> int:
-    """Predicted branching factor ``B(i, n)`` of the basic DAT (Sec. 3.3).
-
-    Parameters
-    ----------
-    distance:
-        Clockwise distance ``d = cw(i, root)`` in raw identifier units.
-    n_nodes:
-        Network size ``n`` (a power of two for the theorem to be exact).
-    bits:
-        Identifier width ``b``.
-    """
-    if distance < 0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
-    if n_nodes <= 0:
-        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+def _require_power_of_two(n_nodes: int) -> None:
     if not is_power_of_two(n_nodes):
         raise ValueError(
             f"the closed form assumes a power-of-two network size, got {n_nodes}"
         )
+
+
+def _basic_branching(distance: int, n_nodes: int, bits: int) -> int:
+    """Predicted branching factor ``B(i, n)`` of the basic DAT (Sec. 3.3),
+    for a node at clockwise distance ``distance = cw(i, root)`` in raw
+    identifier units on a ``bits``-bit ring of ``n_nodes`` nodes."""
+    _require_power_of_two(n_nodes)
     log_n = ceil_log2(n_nodes)
     d0 = Fraction(1 << bits, n_nodes)
     scaled = Fraction(distance) / d0 + 1
@@ -67,7 +53,7 @@ def theoretical_basic_branching(distance: int, n_nodes: int, bits: int) -> int:
     return max(log_n - penalty, 0)
 
 
-def theoretical_basic_depth(distance: int, n_nodes: int, bits: int) -> int:
+def _basic_depth(distance: int, n_nodes: int, bits: int) -> int:
     """Exact depth of a node in the basic DAT on an evenly spaced ring.
 
     Greedy finger routing covers the clockwise distance ``d`` to the root
@@ -77,14 +63,7 @@ def theoretical_basic_depth(distance: int, n_nodes: int, bits: int) -> int:
     ``d / d0``. (Check against the paper's Fig. 2: node N1 has d = 15 =
     0b1111, popcount 4 — the route <N1, N9, N13, N15, N0>.)
     """
-    if distance < 0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
-    if n_nodes <= 0:
-        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-    if not is_power_of_two(n_nodes):
-        raise ValueError(
-            f"the closed form assumes a power-of-two network size, got {n_nodes}"
-        )
+    _require_power_of_two(n_nodes)
     d0 = (1 << bits) // n_nodes
     if distance % d0 != 0:
         raise ValueError(
@@ -93,43 +72,16 @@ def theoretical_basic_depth(distance: int, n_nodes: int, bits: int) -> int:
     return (distance // d0).bit_count()
 
 
-def theoretical_basic_internal_count(n_nodes: int) -> int:
-    """Internal (non-leaf) nodes of the basic DAT on an even ring: n/2.
-
-    ``B(i, n) = 0`` exactly when ``d >= n*d0/2`` (the far half of the
-    ring), so half the nodes are leaves.
-    """
-    if n_nodes <= 0 or not is_power_of_two(n_nodes):
-        raise ValueError(f"requires a positive power-of-two size, got {n_nodes}")
-    return max(n_nodes // 2, 1)
-
-
 def theoretical_basic_avg_branching(n_nodes: int) -> float:
     """Average branching over internal nodes: ``(n-1) / (n/2)`` → 2.
 
-    Matches the measured ~1.875 at n=16 and the paper's "constant ~2"
-    claim asymptotically.
+    ``B(i, n) = 0`` exactly when ``d >= n*d0/2`` (the far half of the
+    ring), so half the nodes are leaves and ``n/2`` are internal. Matches
+    the measured ~1.875 at n=16 and the paper's "constant ~2" claim
+    asymptotically.
     """
-    return (n_nodes - 1) / theoretical_basic_internal_count(n_nodes)
-
-
-def theoretical_max_branching_basic(n_nodes: int) -> int:
-    """Max branching of the basic DAT: the root's ``log2 n`` (Sec. 3.3)."""
-    if n_nodes <= 0:
-        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-    return ceil_log2(max(n_nodes, 1))
-
-
-def theoretical_balanced_max_branching() -> int:
-    """Max branching of the balanced DAT under even spacing: 2 (Sec. 3.5)."""
-    return 2
-
-
-def theoretical_balanced_height_bound(n_nodes: int) -> int:
-    """Height bound of the balanced DAT: ``ceil(log2 n)`` (Sec. 3.5)."""
-    if n_nodes <= 0:
-        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
-    return ceil_log2(max(n_nodes, 1))
+    _require_power_of_two(n_nodes)
+    return (n_nodes - 1) / max(n_nodes // 2, 1)
 
 
 def imbalance_factor(loads: Iterable[float] | Mapping[int, float]) -> float:
@@ -183,7 +135,7 @@ def compare_measured_to_theory(tree: DatTree, bits: int) -> dict[int, tuple[int,
     out: dict[int, tuple[int, int]] = {}
     for node, measured in factors.items():
         distance = space.cw(node, tree.root)
-        predicted = theoretical_basic_branching(distance, n, bits)
+        predicted = _basic_branching(distance, n, bits)
         out[node] = (measured, predicted)
     return out
 
@@ -200,6 +152,6 @@ def compare_depths_to_theory(tree: DatTree, bits: int) -> dict[int, tuple[int, i
     out: dict[int, tuple[int, int]] = {}
     for node, measured in depths.items():
         distance = space.cw(node, tree.root)
-        predicted = theoretical_basic_depth(distance, n, bits)
+        predicted = _basic_depth(distance, n, bits)
         out[node] = (measured, predicted)
     return out

@@ -29,7 +29,6 @@ from repro.core.tree import DatTree, TreeStats
 # here, so this module imports them inside the functions that use them.
 if TYPE_CHECKING:
     from repro.chord.fastbuild import DatTreeArrays
-    from repro.chord.incremental import DatUpdateEngine, DatUpdateReport
 
 __all__ = [
     "DatScheme",
@@ -82,13 +81,8 @@ class DatTreeBuilder:
 
     Building multiple DATs on one overlay (one per monitored attribute —
     the paper's 'multiple aggregation trees' scenario) needs the ring
-    alone: every build goes through the matrix-free kernel.
-
-    :meth:`apply_event` switches the builder to incremental maintenance
-    (:class:`~repro.chord.incremental.DatUpdateEngine`): each membership
-    event then patches every previously built tree in O(log n) expected
-    time instead of invalidating it. After the first event, trees returned
-    by :meth:`build` are live views patched in place by subsequent events.
+    alone: every build goes through the matrix-free kernel, and reads the
+    ring's membership at the time of the call.
     """
 
     def __init__(
@@ -96,8 +90,6 @@ class DatTreeBuilder:
     ) -> None:
         self.ring = ring
         self.scheme = DatScheme(scheme)
-        self._built: dict[int, DatTree] = {}
-        self._engine: DatUpdateEngine | None = None
 
     @property
     def finger_matrix(self) -> np.ndarray:
@@ -114,15 +106,8 @@ class DatTreeBuilder:
         return fast_finger_matrix(self.ring)
 
     def build(self, key: int, d0: float | Fraction | None = None) -> DatTree:
-        """Build the DAT for one rendezvous key (``d0`` as in :func:`build_dat`;
-        a custom-``d0`` tree is not kept for :meth:`apply_event`)."""
-        if d0 is not None:
-            return build_dat(self.ring, key, scheme=self.scheme, d0=d0)
-        if self._engine is not None:
-            return self._engine.track(key)
-        tree = build_dat(self.ring, key, scheme=self.scheme)
-        self._built[key] = tree
-        return tree
+        """Build the DAT for one rendezvous key (``d0`` as in :func:`build_dat`)."""
+        return build_dat(self.ring, key, scheme=self.scheme, d0=d0)
 
     def build_many(self, keys: list[int]) -> dict[int, DatTree]:
         """Build one DAT per rendezvous key (multi-tree scenario)."""
@@ -133,8 +118,7 @@ class DatTreeBuilder:
 
         Returns a :class:`~repro.chord.fastbuild.DatTreeArrays` built from
         the ring's current membership alone — the large-``n`` route that
-        never boxes per-node Python objects, so after :meth:`apply_event`
-        it reflects the post-churn ring.
+        never boxes per-node Python objects.
         """
         from repro.chord.fastbuild import fast_tree_arrays
 
@@ -148,31 +132,3 @@ class DatTreeBuilder:
         storage at 10^5-10^6 nodes.
         """
         return self.tree_arrays(key).stats()
-
-    def apply_event(self, kind: str, ident: int) -> DatUpdateReport:
-        """Apply a join/leave/crash, patching every built tree.
-
-        The first call creates the
-        :class:`~repro.chord.incremental.DatUpdateEngine` and registers
-        every tree previously built with the default ``d0`` (the latest
-        build per key); every call costs O(log n) expected per tree.
-        Returns the engine's
-        :class:`~repro.chord.incremental.DatUpdateReport`.
-        """
-        if self._engine is None:
-            from repro.chord.incremental import DatUpdateEngine
-
-            self._engine = DatUpdateEngine(self.ring, scheme=self.scheme)
-            for key, tree in self._built.items():
-                self._engine.track(key, tree)
-            self._built.clear()
-        return self._engine.apply(kind, ident)
-
-    def invalidate(self) -> None:
-        """Drop every built tree after out-of-band ring changes.
-
-        Not needed after :meth:`apply_event` — the point of the
-        incremental engine is that built trees stay valid across events.
-        """
-        self._built.clear()
-        self._engine = None

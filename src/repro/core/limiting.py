@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.util.bits import ceil_log2
 
-__all__ = ["ceil_log2_fraction", "finger_limit", "FingerLimiter", "parent_slots"]
+__all__ = ["ceil_log2_fraction", "FingerLimiter", "parent_slots"]
 
 
 def ceil_log2_fraction(value: Fraction) -> int:
@@ -70,29 +70,6 @@ def ceil_log2_fraction(value: Fraction) -> int:
     # two are integers; for value <= 1 the integer ceiling is 1 -> 0.
     integer_ceiling = -((-value.numerator) // value.denominator)
     return ceil_log2(max(integer_ceiling, 1))
-
-
-def finger_limit(x: int, d0: float | Fraction) -> int:
-    """``g(x) = ceil(log2((x + 2*d0)/3))``, clamped to ``>= 0``.
-
-    Parameters
-    ----------
-    x:
-        Clockwise distance from the node to the root, ``x >= 0``. (``x = 0``
-        is the root itself, which has no parent; callers never need the
-        value but it is defined for completeness.)
-    d0:
-        Mean inter-node gap. Accepts an exact :class:`~fractions.Fraction`
-        (preferred, e.g. ``Fraction(2**b, n)``) or a float, which is
-        converted exactly.
-
-    Returns
-    -------
-    int
-        Maximum eligible finger slot index ``j`` (0-indexed, finger ``j``
-        covers offset ``2^j``): eligible slots are ``j <= g(x)``.
-    """
-    return FingerLimiter.for_gap(d0)(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,10 +116,6 @@ class FingerLimiter:
         if x < 0:
             raise ValueError(f"x must be non-negative, got {x}")
         return ((x + self._c_plus_2) // 3 - 1).bit_length()
-
-    def max_finger_offset(self, x: int) -> int:
-        """Largest finger offset ``2^{g(x)}`` eligible at distance ``x``."""
-        return 1 << self(x)
 
 
 def parent_slots(

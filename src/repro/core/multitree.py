@@ -13,16 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.chord.hashing import sha1_id
 from repro.chord.ring import StaticRing
 from repro.core.analysis import imbalance_factor
 from repro.core.builder import DatScheme, DatTreeBuilder
 from repro.core.tree import DatTree
-
-if TYPE_CHECKING:  # circular at runtime via the builder's lazy imports
-    from repro.chord.incremental import DatUpdateReport
 
 __all__ = ["DatForest", "ForestLoadReport"]
 
@@ -111,32 +107,6 @@ class DatForest:
         """attribute -> root node."""
         return {attribute: tree.root for attribute, tree in self.trees.items()}
 
-    def invalidate(self) -> None:
-        """Rebuild lazily after out-of-band ring membership changes.
-
-        Not needed after :meth:`apply_event`, which keeps every tree
-        current incrementally.
-        """
-        self._builder.invalidate()
-        self._trees = None
-
-    def apply_event(self, kind: str, ident: int) -> DatUpdateReport:
-        """Apply one join/leave/crash to *every* tree in the forest.
-
-        One membership event updates all trees through the shared
-        incremental engine — O(log n) expected finger patches once per
-        event, plus the per-tree affected-set reparenting. Trees held by
-        the forest are patched in place (root handovers swap in a rebuilt
-        tree for that attribute only).
-        """
-        self.trees  # ensure every tree exists and is tracked by the engine
-        report = self._builder.apply_event(kind, ident)
-        self._trees = {
-            attribute: self._builder.build(key)
-            for attribute, key in self._keys.items()
-        }
-        return report
-
     # ------------------------------------------------------------------ #
     # Combined-load analysis (the Sec. 3.2 multi-tree claim)
     # ------------------------------------------------------------------ #
@@ -155,10 +125,3 @@ class DatForest:
             combined_loads=dict(combined),
             root_roles=dict(root_roles),
         )
-
-    def per_tree_stats(self) -> dict[str, dict[str, float]]:
-        """attribute -> that tree's TreeStats row."""
-        return {
-            attribute: tree.stats().as_dict()
-            for attribute, tree in self.trees.items()
-        }

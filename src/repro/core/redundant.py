@@ -86,7 +86,7 @@ class RedundantAggregator:
         self.k = int(k)
         self._builder = DatTreeBuilder(ring, scheme=scheme)
 
-    def replica_keys(self) -> list[int]:
+    def _replica_keys(self) -> list[int]:
         """The k salted rendezvous keys."""
         return [
             sha1_id(f"{self.attribute}#{replica}", self.ring.space)
@@ -95,7 +95,7 @@ class RedundantAggregator:
 
     def trees(self) -> list[DatTree]:
         """One DAT per replica (roots spread by consistent hashing)."""
-        return [self._builder.build(key) for key in self.replica_keys()]
+        return [self._builder.build(key) for key in self._replica_keys()]
 
     def distinct_roots(self) -> int:
         """How many distinct root nodes the replicas landed on."""
@@ -121,7 +121,7 @@ class RedundantAggregator:
         agg = get_aggregate(aggregate) if isinstance(aggregate, str) else aggregate
         failed = failed_nodes or set()
         outcomes: list[ReplicaOutcome] = []
-        for replica, (key, tree) in enumerate(zip(self.replica_keys(), self.trees())):
+        for replica, (key, tree) in enumerate(zip(self._replica_keys(), self.trees())):
             outcomes.append(self._run_replica(replica, key, tree, values, agg, failed))
         good = [outcome.value for outcome in outcomes if outcome.ok]
         if not good:

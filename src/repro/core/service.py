@@ -272,7 +272,7 @@ class DatNodeService:
             self._limiter_d0 = d0
         return limiter
 
-    def owns_key(self, key: int, root_hint: int | None = None) -> bool:
+    def _owns_key(self, key: int, root_hint: int | None = None) -> bool:
         """Algorithm 1 line 5: is this node ``successor(key)``?
 
         Decided locally from the predecessor pointer when available
@@ -360,7 +360,7 @@ class DatNodeService:
         merged = state.aggregate.merge_all(
             [local, *state.fresh_states(self.host.transport.now())]
         )
-        if self.owns_key(key, root_hint=root_hint):
+        if self._owns_key(key, root_hint=root_hint):
             # This node is (currently) successor(key): the tree root.
             state.last_estimate = state.aggregate.finalize(merged)
             return

@@ -34,17 +34,6 @@ class TreeStats:
     n_leaves: int
     n_internal: int
 
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for tabular experiment output."""
-        return {
-            "n_nodes": self.n_nodes,
-            "height": self.height,
-            "max_branching": self.max_branching,
-            "avg_branching": self.avg_branching,
-            "n_leaves": self.n_leaves,
-            "n_internal": self.n_internal,
-        }
-
 
 @dataclass
 class DatTree:

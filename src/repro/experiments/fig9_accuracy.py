@@ -68,10 +68,6 @@ class Fig9Result:
         """Pearson correlation between actual and aggregated series."""
         return float(np.corrcoef(self.actual, self.aggregated)[0, 1])
 
-    def scatter_points(self) -> list[tuple[float, float]]:
-        """The Fig. 9(b) (actual, aggregated) pairs."""
-        return list(zip(self.actual, self.aggregated))
-
 
 def run_fig9_accuracy(
     n_nodes: int = 512,

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> FleetConfig:
+def _config_from_args(args: argparse.Namespace) -> FleetConfig:
     return FleetConfig(
         n_nodes=args.nodes,
         bits=args.bits,
@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "smoke":
             return asyncio.run(
-                _run_smoke(config_from_args(args), args.slots, args.report)
+                _run_smoke(_config_from_args(args), args.slots, args.report)
             )
         if args.command == "report":
             fleet_report, traces = _fleet_report(args.state_dir)

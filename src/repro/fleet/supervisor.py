@@ -37,7 +37,6 @@ from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
 from repro.errors import FleetError
 from repro.fleet.wire import Event, Hello, Reply, Request, decode_frame, encode_frame
-from repro.util.rng import ensure_rng
 
 __all__ = ["FleetConfig", "RestartPolicy", "AgentHandle", "FleetSupervisor"]
 
@@ -85,7 +84,7 @@ class FleetConfig:
     def space(self) -> IdSpace:
         return IdSpace(self.bits)
 
-    def agent_argv(self, ident: int, control_port: int, n_hint: int) -> list[str]:
+    def _agent_argv(self, ident: int, control_port: int, n_hint: int) -> list[str]:
         return [
             self.python,
             "-m",
@@ -163,7 +162,7 @@ class AgentHandle:
         if future is not None and not future.done():
             future.set_result(reply)
 
-    def fail_pending(self, reason: str) -> None:
+    def _fail_pending(self, reason: str) -> None:
         for future in self._pending.values():
             if not future.done():
                 future.set_exception(FleetError(reason))
@@ -179,7 +178,6 @@ class FleetSupervisor:
         self.agents: dict[int, AgentHandle] = {}
         self._server: asyncio.base_events.Server | None = None
         self.control_port = 0
-        self._rng = ensure_rng(self.config.seed)
         self._planned_idents: list[int] = []
         # Insertion-ordered (spawn-ordered) so teardown cancellation is
         # deterministic; a set would iterate in hash order.
@@ -216,7 +214,7 @@ class FleetSupervisor:
         for start in range(0, len(remaining), batch_size):
             batch = remaining[start : start + batch_size]
             await self._spawn_and_hello(batch)
-            await self.broadcast_routes()
+            await self._broadcast_routes()
             for ident in batch:
                 await self.agents[ident].call(
                     "join",
@@ -224,16 +222,16 @@ class FleetSupervisor:
                     timeout=self.config.call_timeout + 5.0,
                 )
                 self.agents[ident].state = "joined"
-        await self.broadcast_routes()
+        await self._broadcast_routes()
 
     async def _spawn_and_hello(self, idents: Iterable[int]) -> None:
-        handles = [await self.spawn_agent(ident) for ident in idents]
+        handles = [await self._spawn_agent(ident) for ident in idents]
         await asyncio.gather(*(self._await_hello(h) for h in handles))
 
-    async def spawn_agent(self, ident: int) -> AgentHandle:
+    async def _spawn_agent(self, ident: int) -> AgentHandle:
         if ident in self.agents and self.agents[ident].alive:
             raise FleetError(f"agent {ident} is already running")
-        argv = self.config.agent_argv(ident, self.control_port, n_hint=self.config.n_nodes)
+        argv = self.config._agent_argv(ident, self.control_port, n_hint=self.config.n_nodes)
         process = await asyncio.create_subprocess_exec(
             *argv,
             stdout=asyncio.subprocess.DEVNULL,
@@ -256,7 +254,7 @@ class FleetSupervisor:
                 f"within {self.config.hello_timeout}s"
             ) from None
 
-    async def broadcast_routes(self) -> None:
+    async def _broadcast_routes(self) -> None:
         """Push the full route book (and fleet-size hint) to every agent."""
         routes = {
             str(h.ident): [h.udp_addr[0], h.udp_addr[1]]
@@ -303,7 +301,7 @@ class FleetSupervisor:
                     self._record_event(handle, frame)
         finally:
             if handle is not None:
-                handle.fail_pending(f"agent {handle.ident} control connection closed")
+                handle._fail_pending(f"agent {handle.ident} control connection closed")
             writer.close()
 
     async def _frames(self, reader: asyncio.StreamReader) -> AsyncIterator[Any]:
@@ -349,7 +347,7 @@ class FleetSupervisor:
     async def _watch_exit(self, handle: AgentHandle) -> None:
         await handle.process.wait()
         handle.exit_event.set()
-        handle.fail_pending(f"agent {handle.ident} exited")
+        handle._fail_pending(f"agent {handle.ident} exited")
         if self._closing or handle.state in ("left", "stopping"):
             handle.state = "dead"
             return
@@ -382,14 +380,6 @@ class FleetSupervisor:
                 return handle.ident
         raise FleetError("no live joined agent to bootstrap through")
 
-    def pick_ident(self) -> int:
-        """A fresh identifier for an ad-hoc join (uniform over the space)."""
-        taken = {i for i, h in self.agents.items() if h.alive}
-        candidate = int(self._rng.integers(0, self.space.size))
-        while candidate in taken:
-            candidate = int(self._rng.integers(0, self.space.size))
-        return candidate
-
     async def join_agent(self, ident: int) -> AgentHandle:
         """Spawn a new agent and have it join through a live member.
 
@@ -398,12 +388,12 @@ class FleetSupervisor:
         that as a lone-ring outcome), and one more attempt after the ring
         has excised the stale identifier lands cleanly.
         """
-        handle = await self.spawn_agent(ident)
+        handle = await self._spawn_agent(ident)
         await self._await_hello(handle)
         attempts = 3
         for attempt in range(1, attempts + 1):
             bootstrap = self._bootstrap_ident(exclude=ident)
-            await self.broadcast_routes()
+            await self._broadcast_routes()
             try:
                 await handle.call(
                     "join",

@@ -153,10 +153,6 @@ class GridMonitor:
         (paper Sec. 2.3)."""
         return sha1_id(attribute, self.space)
 
-    def tree_for(self, attribute: str) -> DatTree:
-        """The DAT tree that aggregates ``attribute``."""
-        return self.dat_builder.build(self.rendezvous_key(attribute))
-
     def aggregate(
         self, attribute: str, aggregate: str = "avg", t: float = 0.0, **agg_kwargs: Any
     ) -> AggregateOutcome:
@@ -172,7 +168,7 @@ class GridMonitor:
         with telemetry.span(
             "gma.aggregate", attribute=attribute, aggregate=agg.name, t=t
         ) as sp:
-            tree = self.tree_for(attribute)
+            tree = self.dat_builder.build(self.rendezvous_key(attribute))
             value = tree.fold(agg, lambda node: self.producers[node].read(attribute, t))
             outcome = AggregateOutcome(
                 attribute=attribute,

@@ -95,10 +95,6 @@ class Resource:
     resource_id: str
     attributes: Mapping[str, Any] = field(default_factory=dict)
 
-    def value_of(self, attribute: str) -> Any:
-        """The resource's value for ``attribute`` (KeyError if absent)."""
-        return self.attributes[attribute]
-
     def matches(self, attribute: str, low: Any, high: Any) -> bool:
         """True if this resource's ``attribute`` value lies in ``[low, high]``."""
         value = self.attributes.get(attribute)

@@ -184,27 +184,6 @@ class RpcClient:
 
         attempt_once()
 
-    def call_peer(
-        self,
-        destination: int,
-        kind: str,
-        payload: dict[str, object],
-        on_reply: ReplyFn,
-        on_timeout: FailFn | None = None,
-        *,
-        policy: RetryPolicy | None = None,
-    ) -> Message:
-        """Convenience: build the request and :meth:`call` it; returns it."""
-        message = Message(
-            kind=kind, source=self.ident, destination=destination, payload=payload
-        )
-        self.call(message, on_reply, on_timeout, policy=policy)
-        return message
-
-    def cancel_all(self) -> None:
-        """Cancel every pending call this node originated (teardown path)."""
-        self.transport.cancel_calls(self.ident)
-
 
 @dataclass(frozen=True)
 class Peer:
@@ -226,10 +205,12 @@ class Peer:
         *,
         policy: RetryPolicy | None = None,
     ) -> Message:
-        """RPC to this peer (see :meth:`RpcClient.call`)."""
-        return self.client.call_peer(
-            self.ident, kind, payload, on_reply, on_timeout, policy=policy
+        """RPC to this peer (see :meth:`RpcClient.call`); returns the request."""
+        message = Message(
+            kind=kind, source=self.client.ident, destination=self.ident, payload=payload
         )
+        self.client.call(message, on_reply, on_timeout, policy=policy)
+        return message
 
     def send(self, kind: str, **payload: object) -> None:
         """Fire-and-forget message to this peer."""

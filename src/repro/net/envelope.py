@@ -156,8 +156,7 @@ class DeferredResponder:
 
         :meth:`complete` threads the span's trace context into the reply
         — deferred replies rejoin their originating trace — and finishes
-        it; :meth:`abandon` finishes it as abandoned. Returns the span
-        for chaining.
+        it. Returns the span for chaining.
         """
         self._spans[key] = span
         return span
@@ -177,10 +176,3 @@ class DeferredResponder:
         while len(self._done) > self.capacity:
             self._done.popitem(last=False)
         self.transport.send(response)
-
-    def abandon(self, key: Hashable) -> None:
-        """Drop an in-flight claim without replying (e.g. on teardown)."""
-        self._inflight.discard(key)
-        span = self._spans.pop(key, None)
-        if span is not None:
-            span.finish(abandoned=True)

@@ -26,7 +26,6 @@ from repro.sim.engine import Event, SimulationEngine, TickHook
 from repro.sim.latency import (
     ConstantLatency,
     LatencyModel,
-    UniformLatency,
     LanWanLatency,
 )
 from repro.sim.messages import Message, encode_message, decode_message
@@ -41,7 +40,6 @@ __all__ = [
     "SimulationEngine",
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LanWanLatency",
     "Message",
     "encode_message",

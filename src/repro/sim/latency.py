@@ -15,7 +15,7 @@ import numpy as np
 from repro.util.rng import ensure_rng
 from repro.util.validation import check_non_negative, check_probability
 
-__all__ = ["LatencyModel", "ConstantLatency", "UniformLatency", "LanWanLatency"]
+__all__ = ["LatencyModel", "ConstantLatency", "LanWanLatency"]
 
 
 class LatencyModel(ABC):
@@ -59,26 +59,6 @@ class ConstantLatency(LatencyModel):
         self, sources: np.ndarray, destinations: np.ndarray
     ) -> np.ndarray:
         return np.full(len(sources), self.delay, dtype=np.float64)
-
-
-class UniformLatency(LatencyModel):
-    """Delay drawn uniformly from ``[low, high]`` per message."""
-
-    def __init__(
-        self,
-        low: float = 0.0005,
-        high: float = 0.002,
-        rng: int | np.random.Generator | None = None,
-    ) -> None:
-        check_non_negative("low", low)
-        if high < low:
-            raise ValueError(f"high ({high}) must be >= low ({low})")
-        self.low = float(low)
-        self.high = float(high)
-        self._rng = ensure_rng(rng)
-
-    def sample(self, source: int, destination: int) -> float:
-        return float(self._rng.uniform(self.low, self.high))
 
 
 class LanWanLatency(LatencyModel):

@@ -129,10 +129,6 @@ class SimTransport(Transport):
         """Lift a failure injected by :meth:`fail`."""
         self._failed.discard(node)
 
-    def is_failed(self, node: int) -> bool:
-        """True if ``node`` is currently crash-failed."""
-        return node in self._failed
-
     # ------------------------------------------------------------------ #
     # Transport implementation
     # ------------------------------------------------------------------ #

@@ -78,12 +78,12 @@ class TraceContext:
     parent: str
     hop: int = 0
 
-    def to_wire(self) -> list[object]:
+    def _to_wire(self) -> list[object]:
         """The JSON-serializable wire form: ``[trace_id, parent, hop]``."""
         return [self.trace_id, self.parent, self.hop]
 
     @classmethod
-    def from_wire(cls, wire: object) -> "TraceContext | None":
+    def _from_wire(cls, wire: object) -> "TraceContext | None":
         """Parse the wire form; ``None`` for anything malformed (tolerant:
         a corrupt context must not kill a message handler)."""
         if (
@@ -105,7 +105,7 @@ class TraceContext:
             return source
         payload = getattr(source, "payload", source)
         if isinstance(payload, dict):
-            return cls.from_wire(payload.get(TRACE_KEY))
+            return cls._from_wire(payload.get(TRACE_KEY))
         return None
 
 
@@ -143,10 +143,6 @@ class SpanBase:
         under them. Returns self for chaining.
         """
         return self
-
-    def trace_context(self) -> TraceContext | None:
-        """This span's propagation context (``None`` unless tracing)."""
-        return None
 
     def propagate(self, *targets: object) -> "SpanBase":
         """Attach this span's trace context to message payloads.
@@ -263,15 +259,10 @@ class Span(SpanBase):
             return f"{self._recorder.site}:{self.parent_id}"
         return None
 
-    def trace_context(self) -> TraceContext | None:
-        if self.trace_id is None:
-            return None
-        return TraceContext(trace_id=self.trace_id, parent=self.sid, hop=self.hop)
-
     def propagate(self, *targets: object) -> "Span":
-        ctx = self.trace_context()
-        if ctx is not None:
-            wire = ctx.to_wire()
+        if self.trace_id is not None:
+            ctx = TraceContext(trace_id=self.trace_id, parent=self.sid, hop=self.hop)
+            wire = ctx._to_wire()
             for target in targets:
                 _attach_wire(wire, target)
         return self

@@ -6,12 +6,11 @@ from repro.util.bits import (
     is_power_of_two,
     next_power_of_two,
 )
-from repro.util.rng import RngMixin, derive_rng, ensure_rng, spawn_seeds
+from repro.util.rng import RngMixin, ensure_rng, spawn_seeds
 from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_range,
 )
 
 __all__ = [
@@ -20,11 +19,9 @@ __all__ = [
     "is_power_of_two",
     "next_power_of_two",
     "RngMixin",
-    "derive_rng",
     "ensure_rng",
     "spawn_seeds",
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_range",
 ]

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ensure_rng", "derive_rng", "spawn_seeds", "RngMixin"]
+__all__ = ["ensure_rng", "spawn_seeds", "RngMixin"]
 
 
 def ensure_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -24,17 +24,6 @@ def ensure_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def derive_rng(rng: np.random.Generator, *keys: int) -> np.random.Generator:
-    """Derive an independent child generator from ``rng`` and integer keys.
-
-    The child stream is a deterministic function of the parent's state and
-    the keys, so components that consume randomness in different orders do
-    not perturb each other's streams.
-    """
-    seed_material = list(keys) + list(rng.integers(0, 2**63 - 1, size=2))
-    return np.random.default_rng(np.random.SeedSequence(seed_material))
 
 
 def spawn_seeds(seed: int | None, count: int) -> list[int]:

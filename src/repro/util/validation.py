@@ -6,7 +6,6 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_range",
 ]
 
 
@@ -26,9 +25,3 @@ def check_probability(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def check_range(name: str, value: float, low: float, high: float) -> None:
-    """Raise ``ValueError`` unless ``low <= value <= high``."""
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")

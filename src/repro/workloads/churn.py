@@ -107,10 +107,6 @@ class ChurnWorkload:
         events.sort(key=lambda e: e.time)
         return events
 
-    def expected_events(self) -> float:
-        """Expected total membership changes over the horizon."""
-        return (self.join_rate + self.leave_rate) * self.duration
-
 
 @dataclass(frozen=True)
 class PlannedChurnEvent:

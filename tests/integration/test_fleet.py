@@ -82,7 +82,7 @@ class TestFleetLifecycle:
                 assert await supervisor.wait_converged()
 
                 # Ad-hoc join via a fresh identifier.
-                ident = supervisor.pick_ident()
+                ident = next(i for i in range(supervisor.space.size) if i not in supervisor.agents)
                 await supervisor.join_agent(ident)
                 assert ident in supervisor.live_idents()
                 assert await supervisor.wait_converged()

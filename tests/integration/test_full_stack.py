@@ -89,7 +89,6 @@ class TestChurnOnStack:
         victim = monitor.ring.nodes[3]
         monitor.ring.remove(victim)
         monitor.producers.pop(victim)
-        monitor.dat_builder.invalidate()
 
         outcome = monitor.aggregate("cpu-usage", "count")
         assert outcome.value == 31

@@ -13,8 +13,8 @@ from repro.maan.attrs import Resource
 from repro.workloads.grids import default_schemas, make_producers
 
 
-@pytest.fixture(scope="module")
-def live():
+def seed31_monitor():
+    """The 16-node seed-31 monitor, every resource registered."""
     config = MonitorConfig(n_nodes=16, bits=16, id_strategy="probing", seed=31)
     monitor = LiveGridMonitor(config, default_schemas())
     ring = monitor.network.ideal_ring()
@@ -23,6 +23,11 @@ def live():
     stored = monitor.register_all(t=0.0)
     assert stored == 16 * 4  # every attribute of every node placed
     return monitor
+
+
+@pytest.fixture(scope="module")
+def live():
+    return seed31_monitor()
 
 
 class TestLiveDiscovery:
@@ -60,6 +65,24 @@ class TestLiveAggregation:
     def test_explicit_wave_budget(self, live):
         measured = live.aggregate("cpu-usage", "count", t=0.0, waves=8)
         assert measured == 16
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 20")
+    def test_on_demand_round_leaves_the_continuous_estimate_on_its_attribute(self):
+        # Every tree reads one monitor-wide attribute, so an on-demand
+        # cpu-speed round retargets the running cpu-usage sum (it reads the
+        # cpu-speed sum instead).
+        monitor = seed31_monitor()
+        try:
+            monitor.start_monitoring("cpu-usage", "sum")
+            monitor.aggregate("cpu-speed", "max", t=600)
+            monitor.run(8.0)
+            now = monitor.transport.now()
+            truth = monitor.actual_aggregate("cpu-usage", "sum", now)
+            assert monitor.read_monitoring("cpu-usage") == pytest.approx(truth, rel=0.05)
+        finally:
+            monitor.close()
 
 
 class TestLiveEdgeCases:

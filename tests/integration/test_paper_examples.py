@@ -12,7 +12,7 @@ from repro.chord.ring import StaticRing
 from repro.chord.routing import finger_route
 from repro.core.analysis import compare_measured_to_theory
 from repro.core.builder import build_dat
-from repro.core.limiting import finger_limit
+from repro.core.limiting import FingerLimiter
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ class TestFig2BasicDat:
 class TestFig5BalancedDat:
     def test_limiting_function_at_n8(self, ring):
         # Sec. 3.4 worked numbers: x = 8, g(x) = ceil(log2(10/3)) = 2.
-        assert finger_limit(8, 1) == 2
+        assert FingerLimiter.for_gap(1)(8) == 2
 
     def test_n8_rerouted_to_n12(self, ring):
         # The paper's prose says "N1" but N1 overshoots the root; the math

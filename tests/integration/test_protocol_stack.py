@@ -31,7 +31,7 @@ def overlay():
     for node in network.nodes.values():
         node.fix_all_fingers()
     network.settle(10.0)
-    assert network.finger_convergence_fraction() == 1.0
+    assert network.is_converged(check_fingers=True)
     return network
 
 

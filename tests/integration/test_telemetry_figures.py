@@ -18,7 +18,7 @@ import pytest
 from repro import telemetry
 from repro.chord.idgen import ProbingIdAssigner
 from repro.chord.idspace import IdSpace
-from repro.baselines.centralized import CentralizedAggregator, centralized_direct_loads
+from repro.baselines.centralized import CentralizedAggregator
 from repro.experiments.churn_overhead import run_churn_overhead
 from repro.experiments.dynamics import run_dynamics
 from repro.experiments.fig7_tree_properties import run_fig7_tree_properties
@@ -58,7 +58,7 @@ def exported(tmp_path_factory):
         churn = run_churn_overhead(n_nodes=16, bits=16, n_churn_events=3)
         space = IdSpace(16)
         ring = ProbingIdAssigner().build_ring(space, 24, rng=2007)
-        centralized_direct_loads(ring, key=0x1234)
+        CentralizedAggregator(ring, key=0x1234, routed=False).message_loads()
         CentralizedAggregator(ring, key=0x1234).message_loads()
         live.close()
     finally:

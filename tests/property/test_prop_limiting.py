@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.limiting import (
     FingerLimiter,
     ceil_log2_fraction,
-    finger_limit,
     parent_slots,
 )
 from repro.util.bits import ceil_div
@@ -43,27 +42,27 @@ class TestFingerLimit:
         st.fractions(min_value=Fraction(1, 4), max_value=Fraction(10**6)),
     )
     def test_non_negative(self, x, d0):
-        assert finger_limit(x, d0) >= 0
+        assert FingerLimiter.for_gap(d0)(x) >= 0
 
     @given(
         st.integers(min_value=0, max_value=10**6),
         st.fractions(min_value=Fraction(1, 4), max_value=Fraction(100)),
     )
     def test_monotone_in_x(self, x, d0):
-        assert finger_limit(x, d0) <= finger_limit(x + 1, d0)
+        assert FingerLimiter.for_gap(d0)(x) <= FingerLimiter.for_gap(d0)(x + 1)
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_limit_allows_progress(self, x):
         # 2^{g(x)} >= (x+2)/3 > x/4 for d0=1: the allowed jump shrinks at
         # most geometrically, so routes stay O(log) even when limited.
-        g = finger_limit(x, 1)
+        g = FingerLimiter.for_gap(1)(x)
         assert (1 << g) * 4 >= x
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_limit_never_reaches_past_root(self, x):
         # The largest allowed finger offset never exceeds the distance to
         # the root by more than the derivation's slack factor.
-        g = finger_limit(x, 1)
+        g = FingerLimiter.for_gap(1)(x)
         assert (1 << g) <= max(2 * (x + 2) // 3, 1)
 
 
@@ -75,11 +74,11 @@ class TestFingerLimiterConsistency:
     )
     def test_for_ring_matches_manual_fraction(self, bits, n, x):
         limiter = FingerLimiter.for_ring(bits, n)
-        assert limiter(x) == finger_limit(x, Fraction(1 << bits, n))
+        assert limiter(x) == FingerLimiter.for_gap(Fraction(1 << bits, n))(x)
 
 
 def reference_limit(x: int, d0: float | Fraction) -> int:
-    """``g(x)`` in rationals, as ``finger_limit`` computed it before the
+    """``g(x)`` in rationals, as ``FingerLimiter`` computed it before the
     integer form: the reference the integer form must reproduce."""
     gap = d0 if isinstance(d0, Fraction) else Fraction(d0).limit_denominator(10**12)
     return ceil_log2_fraction((x + 2 * gap) / 3)
@@ -109,7 +108,7 @@ class TestIntegerFormMatchesRationalReference:
     def test_scalar_forms_agree(self, x, d0):
         expected = reference_limit(x, d0)
         assert FingerLimiter.for_gap(d0)(x) == expected
-        assert finger_limit(x, d0) == expected
+        assert FingerLimiter.for_gap(d0)(x) == expected
 
     @given(
         st.lists(

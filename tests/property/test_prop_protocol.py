@@ -88,7 +88,7 @@ class TestConvergenceProperties:
         for node in network.nodes.values():
             node.fix_all_fingers()
         network.settle(10.0)
-        assert network.finger_convergence_fraction() == 1.0
+        assert network.is_converged(check_fingers=True)
 
 
 # --------------------------------------------------------------------- #

@@ -55,17 +55,15 @@ def _assert_arrays_match_object_tree(ring, key, scheme):
         else:
             assert nodes[int(parent_index[i])] == tree.parent[node]
 
-    # Branching counts, depths, message loads, subtree sizes: element-wise.
-    branching = tree.branching_factors()
+    # Depths, message loads (children + the send to the parent), subtree
+    # sizes: element-wise.
     depths = tree.depths()
     loads = tree.message_loads()
     subtrees = tree.subtree_sizes()
-    counts = arrays.branching_counts()
     depth_arr = arrays.depth_array()
     load_arr = arrays.message_load_array()
     size_arr = arrays.subtree_size_array()
     for i, node in enumerate(nodes):
-        assert int(counts[i]) == branching[node], node
         assert int(depth_arr[i]) == depths[node], node
         assert int(load_arr[i]) == loads[node], node
         assert int(size_arr[i]) == subtrees[node], node

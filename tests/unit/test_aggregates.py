@@ -15,11 +15,8 @@ from repro.core.aggregates import (
     StdAggregate,
     SumAggregate,
     TopKAggregate,
-    available_aggregates,
     get_aggregate,
-    register_aggregate,
 )
-from repro.core.aggregates import Aggregate
 from repro.errors import AggregationError, UnknownAggregateError
 
 VALUES = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
@@ -107,15 +104,11 @@ class TestStd:
 class TestHistogram:
     def test_bin_assignment(self):
         hist = HistogramAggregate(low=0, high=100, n_bins=10)
-        assert hist.bin_index(0) == 0
-        assert hist.bin_index(9.99) == 0
-        assert hist.bin_index(10) == 1
-        assert hist.bin_index(99.9) == 9
+        assert [hist.lift(v).index(1) for v in (0, 9.99, 10, 99.9)] == [0, 0, 1, 9]
 
     def test_out_of_range_clamps(self):
         hist = HistogramAggregate(low=0, high=100, n_bins=10)
-        assert hist.bin_index(-5) == 0
-        assert hist.bin_index(150) == 9
+        assert [hist.lift(v).index(1) for v in (-5, 150)] == [0, 9]
 
     def test_aggregate_counts_sum_to_n(self):
         hist = HistogramAggregate(low=0, high=10, n_bins=5)
@@ -133,10 +126,6 @@ class TestHistogram:
             hist.lift(math.nan)
         with pytest.raises(ValueError):
             hist.lift_columns([1.0, math.nan])
-
-    def test_bin_edges(self):
-        hist = HistogramAggregate(low=0, high=10, n_bins=5)
-        assert hist.bin_edges() == [0, 2, 4, 6, 8, 10]
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
@@ -254,9 +243,9 @@ class TestMergeAll:
 
 class TestRegistry:
     def test_builtins_available(self):
-        names = available_aggregates()
-        for expected in ("sum", "count", "min", "max", "avg", "std", "histogram", "topk"):
-            assert expected in names
+        for expected in ("sum", "count", "min", "max", "avg", "std", "topk"):
+            assert get_aggregate(expected).name == expected
+        assert get_aggregate("histogram", low=0, high=1).name == "histogram"
 
     def test_get_with_kwargs(self):
         top = get_aggregate("topk", k=2)
@@ -265,35 +254,3 @@ class TestRegistry:
     def test_unknown_raises(self):
         with pytest.raises(UnknownAggregateError):
             get_aggregate("median")
-
-    def test_register_custom(self):
-        class ProductAggregate(Aggregate):
-            name = "test-product"
-
-            def lift(self, value):
-                return float(value)
-
-            def merge(self, left, right):
-                return left * right
-
-            def finalize(self, state):
-                return state
-
-        register_aggregate(ProductAggregate)
-        assert get_aggregate("test-product").aggregate([2, 3, 4]) == 24.0
-
-    def test_register_requires_name(self):
-        class Anonymous(Aggregate):
-            name = "abstract"
-
-            def lift(self, value):
-                return value
-
-            def merge(self, left, right):
-                return left
-
-            def finalize(self, state):
-                return state
-
-        with pytest.raises(ValueError):
-            register_aggregate(Anonymous)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.centralized import CentralizedAggregator, centralized_direct_loads
+from repro.baselines.centralized import CentralizedAggregator
 from repro.chord.idgen import ProbingIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.core.aggregates import SumAggregate
@@ -11,16 +11,16 @@ from tests.oracles import centralized_routed_loads
 
 class TestDirectLoads:
     def test_root_receives_everything(self, full_ring4):
-        loads = centralized_direct_loads(full_ring4, key=0)
+        loads = CentralizedAggregator(full_ring4, 0, routed=False).message_loads()
         assert loads[0] == 15  # n - 1 receives, zero sends
 
     def test_others_send_one(self, full_ring4):
-        loads = centralized_direct_loads(full_ring4, key=0)
+        loads = CentralizedAggregator(full_ring4, 0, routed=False).message_loads()
         for node in range(1, 16):
             assert loads[node] == 1
 
     def test_total_conservation(self, full_ring4):
-        loads = centralized_direct_loads(full_ring4, key=0)
+        loads = CentralizedAggregator(full_ring4, 0, routed=False).message_loads()
         # Each message counted once at the sender and once at the root.
         assert sum(loads.values()) == 2 * 15
 
@@ -30,8 +30,10 @@ class TestDirectLoads:
         space = IdSpace(32)
         small = ProbingIdAssigner().build_ring(space, 64, rng=1)
         large = ProbingIdAssigner().build_ring(space, 512, rng=1)
-        imb_small = imbalance_factor(centralized_direct_loads(small, 5))
-        imb_large = imbalance_factor(centralized_direct_loads(large, 5))
+        imb_small, imb_large = (
+            imbalance_factor(CentralizedAggregator(ring, 5, routed=False).message_loads())
+            for ring in (small, large)
+        )
         assert imb_large > 4 * imb_small  # ~linear growth
 
 

@@ -1,6 +1,6 @@
 """Unit tests for the Chord broadcast primitive."""
 
-from repro.chord.broadcast import BroadcastService, broadcast_children, broadcast_tree
+from repro.chord.broadcast import BroadcastService, broadcast_tree
 from repro.chord.idgen import ProbingIdAssigner, RandomIdAssigner
 from repro.chord.idspace import IdSpace
 from repro.chord.ring import StaticRing
@@ -12,26 +12,24 @@ from repro.util.bits import ceil_log2
 
 class TestBroadcastChildren:
     def test_initiator_delegates_all_distinct_fingers(self, full_ring4):
-        table = full_ring4.finger_table(0)
-        delegations = broadcast_children(table, limit=0)
-        children = [child for child, _limit in delegations]
-        assert children == [1, 2, 4, 8]
+        tree = broadcast_tree(full_ring4, initiator=0)
+        assert sorted(tree.children(0)) == [1, 2, 4, 8]
 
     def test_limits_partition_the_arc(self, full_ring4):
-        table = full_ring4.finger_table(0)
-        delegations = broadcast_children(table, limit=0)
-        # Each child's limit is the next finger; the last child's limit is
-        # the original limit.
-        assert delegations == [(1, 2), (2, 4), (4, 8), (8, 0)]
+        # Each child covers the arc up to the next finger; the last child's
+        # arc ends at the initiator.
+        tree = broadcast_tree(full_ring4, initiator=0)
+        arcs = {child: sorted(tree.children(child)) for child in (1, 2, 4, 8)}
+        assert arcs == {1: [], 2: [3], 4: [5, 6], 8: [9, 10, 12]}
 
     def test_respects_limit(self, full_ring4):
-        table = full_ring4.finger_table(0)
-        delegations = broadcast_children(table, limit=4)
-        assert [child for child, _ in delegations] == [1, 2]
+        # Node 4 covers [4, 8): its fingers 8 and 12 are not its children.
+        tree = broadcast_tree(full_ring4, initiator=0)
+        assert sorted(tree.children(4)) == [5, 6]
 
     def test_no_children_when_arc_empty(self, full_ring4):
-        table = full_ring4.finger_table(0)
-        assert broadcast_children(table, limit=1) == []
+        tree = broadcast_tree(full_ring4, initiator=0)
+        assert tree.children(1) == []
 
 
 class TestBroadcastTree:

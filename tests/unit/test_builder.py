@@ -134,7 +134,7 @@ class TestBuildDatDispatch:
         assert kernel_calls == [123, 123]
 
     def test_explicit_d0_matches_the_oracle(self, ring, kernel_calls):
-        gap = ring.mean_gap()
+        gap = ring.space.size / len(ring)
         estimates = [gap * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
         estimates.append(Fraction(ring.space.size, len(ring)) * 3)
         for d0 in estimates:
@@ -171,11 +171,10 @@ class TestDatTreeBuilder:
         roots = {trees[k].root for k in trees}
         assert roots == {0, 5, 11}  # distinct keys -> distinct roots here
 
-    def test_invalidate_after_membership_change(self, full_ring4):
+    def test_build_reads_the_current_membership(self, full_ring4):
         builder = DatTreeBuilder(full_ring4)
         builder.build(0)
         full_ring4.remove(7)
-        builder.invalidate()
         tree = builder.build(0)
         assert 7 not in tree.nodes()
 

@@ -125,7 +125,7 @@ class TestFig9:
             push_period=1.0,
         )
         assert result.mean_relative_error() < 0.05
-        assert len(result.scatter_points()) == 60
+        assert len(result.actual) == len(result.aggregated) == 60
 
     def test_avg_aggregate(self):
         result = run_fig9_accuracy(

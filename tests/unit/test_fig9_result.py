@@ -37,10 +37,6 @@ class TestErrorMetrics:
         result = make([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
         assert result.correlation() == pytest.approx(-1.0)
 
-    def test_scatter_points(self):
-        result = make([1.0, 2.0], [1.5, 2.5])
-        assert result.scatter_points() == [(1.0, 1.5), (2.0, 2.5)]
-
     def test_errors_array(self):
         result = make([10.0, 20.0], [12.0, 18.0])
         assert list(result.errors()) == [2.0, 2.0]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.chord.fof import FofCache, FofMaintainer
+from repro.chord.fingers import FingerTable
+from repro.chord.fof import FofMaintainer
 from repro.chord.idspace import IdSpace
 from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordConfig
@@ -10,40 +11,42 @@ from repro.sim.latency import ConstantLatency
 from repro.sim.simnet import SimTransport
 
 
-class TestFofCache:
-    def test_update_and_known_nodes(self):
-        cache = FofCache(space=IdSpace(8))
-        cache.update(10, [20, 30, 40, 40, 10, 10, 10, 10])
-        assert cache.known_nodes() == {10, 20, 30, 40}
+class _FixedFingersHost:
+    """Node 0 of an 8-bit ring whose every finger slot holds node 10."""
 
-    def test_forget(self):
-        cache = FofCache(space=IdSpace(8))
-        cache.update(10, [20] * 8)
-        cache.forget(10)
-        assert cache.known_nodes() == set()
+    def __init__(self):
+        self.ident = 0
+        self.space = IdSpace(8)
+        self.transport = SimTransport(latency=ConstantLatency(0.005))
+        self.upcalls = {}
+        self.table = FingerTable(self.space, 0, [10] * 8)
 
-    def test_best_toward_prefers_closest_preceding(self):
-        space = IdSpace(8)
-        cache = FofCache(space=space)
-        cache.update(10, [20, 40, 80, 80, 80, 80, 80, 80])
-        # From owner 0 toward key 100: candidates {10, 20, 40, 80}; 80 is
-        # the farthest without overshooting.
-        assert cache.best_toward(0, 100) == 80
+    def finger_table(self):
+        return self.table
 
-    def test_best_toward_never_overshoots(self):
-        space = IdSpace(8)
-        cache = FofCache(space=space)
-        cache.update(10, [20, 40, 200, 200, 200, 200, 200, 200])
-        assert cache.best_toward(0, 100) == 40
 
-    def test_best_toward_empty(self):
-        cache = FofCache(space=IdSpace(8))
-        assert cache.best_toward(0, 100) is None
+class TestNextHop:
+    def test_prefers_closest_preceding(self):
+        maintainer = FofMaintainer(_FixedFingersHost())
+        maintainer.tables[10] = [20, 40, 80, 80, 80, 80, 80, 80]
+        # Toward key 100: candidates {10, 20, 40, 80}; 80 is the farthest
+        # without overshooting.
+        assert maintainer.next_hop(100) == 80
 
-    def test_best_toward_zero_distance(self):
-        cache = FofCache(space=IdSpace(8))
-        cache.update(10, [20] * 8)
-        assert cache.best_toward(5, 5) is None
+    def test_never_overshoots(self):
+        maintainer = FofMaintainer(_FixedFingersHost())
+        maintainer.tables[10] = [20, 40, 200, 200, 200, 200, 200, 200]
+        assert maintainer.next_hop(100) == 40
+
+    def test_empty_cache_is_the_plain_finger(self):
+        maintainer = FofMaintainer(_FixedFingersHost())
+        assert maintainer.next_hop(100) == 10
+
+    def test_own_key_is_the_plain_finger(self):
+        host = _FixedFingersHost()
+        maintainer = FofMaintainer(host)
+        maintainer.tables[10] = [20] * 8
+        assert maintainer.next_hop(0) == host.table.closest_preceding(0)
 
 
 @pytest.fixture
@@ -75,12 +78,12 @@ class TestFofMaintainer:
         network, maintainers = fof_overlay
         for ident, maintainer in maintainers.items():
             fingers = network.nodes[ident].finger_table().distinct_fingers()
-            assert set(maintainer.cache.tables) == set(fingers), ident
+            assert set(maintainer.tables) == set(fingers), ident
 
     def test_cached_tables_are_correct(self, fof_overlay):
         network, maintainers = fof_overlay
         for ident, maintainer in maintainers.items():
-            for finger, entries in maintainer.cache.tables.items():
+            for finger, entries in maintainer.tables.items():
                 assert entries == network.nodes[finger].finger_table().entries
 
     def test_next_hop_at_least_as_good(self, fof_overlay):
@@ -140,7 +143,7 @@ class TestFofMaintainer:
         observers = [
             maintainer
             for ident, maintainer in maintainers.items()
-            if victim in maintainer.cache.tables
+            if victim in maintainer.tables
         ]
         assert observers
         network.remove_node(victim, graceful=False)
@@ -148,4 +151,4 @@ class TestFofMaintainer:
             maintainer.refresh_all()
         network.settle(5.0)
         for maintainer in observers:
-            assert victim not in maintainer.cache.tables
+            assert victim not in maintainer.tables

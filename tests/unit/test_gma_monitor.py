@@ -57,7 +57,7 @@ class TestAggregation:
 
     def test_tree_rooted_at_key_successor(self, monitor):
         key = monitor.rendezvous_key("cpu-usage")
-        tree = monitor.tree_for("cpu-usage")
+        tree = monitor.aggregate("cpu-usage", "count").tree
         assert tree.root == monitor.ring.successor(key)
 
     def test_aggregate_matches_ground_truth(self, monitor):

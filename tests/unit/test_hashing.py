@@ -69,17 +69,6 @@ class TestLocalityPreservingHash:
         with pytest.raises(IdentifierError):
             LocalityPreservingHash(IdSpace(16), low=5.0, high=5.0)
 
-    def test_invert_approx_roundtrip(self):
-        space = IdSpace(24)
-        h = LocalityPreservingHash(space, low=0.0, high=100.0)
-        for v in (0.0, 12.5, 50.0, 99.0):
-            assert abs(h.invert_approx(h(v)) - v) < 0.01
-
-    def test_invert_validates(self):
-        h = LocalityPreservingHash(IdSpace(8), low=0.0, high=1.0)
-        with pytest.raises(IdentifierError):
-            h.invert_approx(256)
-
     def test_proportional_spacing(self):
         # Equal value gaps map to equal identifier gaps (affine map).
         space = IdSpace(20)

@@ -25,10 +25,11 @@ class TestConstruction:
 class TestValidation:
     def test_contains(self):
         space = IdSpace(4)
-        assert space.contains(0)
-        assert space.contains(15)
-        assert not space.contains(16)
-        assert not space.contains(-1)
+        assert space.validate(0) == 0
+        assert space.validate(15) == 15
+        for outside in (16, -1, 3.0):
+            with pytest.raises(IdentifierError):
+                space.validate(outside)
 
     def test_validate_returns_value(self):
         assert IdSpace(4).validate(7) == 7
@@ -60,15 +61,6 @@ class TestDistances:
         for a, b in [(3, 50), (0, 63), (10, 11)]:
             assert space.cw(a, b) + space.cw(b, a) == space.size
 
-    def test_ccw_is_reverse(self):
-        space = IdSpace(5)
-        assert space.ccw(3, 10) == space.cw(10, 3)
-
-    def test_ring_distance_symmetric(self):
-        space = IdSpace(6)
-        assert space.ring_distance(1, 63) == 2
-        assert space.ring_distance(63, 1) == 2
-        assert space.ring_distance(5, 5) == 0
 
 
 class TestIntervals:
@@ -94,19 +86,6 @@ class TestIntervals:
         # a == b means whole circle (one-node ring successor test)
         assert space.in_half_open_right(11, 4, 4)
 
-    def test_in_half_open_left(self):
-        space = IdSpace(4)
-        assert space.in_half_open_left(3, 3, 8)
-        assert not space.in_half_open_left(8, 3, 8)
-
-    def test_in_closed(self):
-        space = IdSpace(4)
-        assert space.in_closed(3, 3, 8)
-        assert space.in_closed(8, 3, 8)
-        assert not space.in_closed(9, 3, 8)
-        assert space.in_closed(3, 3, 3)
-        assert not space.in_closed(4, 3, 3)
-
 
 class TestFingerOffsets:
     def test_finger_start(self):
@@ -114,29 +93,9 @@ class TestFingerOffsets:
         assert space.finger_start(8, 0) == 9
         assert space.finger_start(8, 3) == 0  # 8 + 8 wraps
 
-    def test_inbound_finger_point(self):
-        space = IdSpace(4)
-        assert space.inbound_finger_point(0, 3) == 8
-        assert space.inbound_finger_point(2, 2) == 14  # wraps backward
-
-    def test_inverse_relationship(self):
-        space = IdSpace(8)
-        for j in range(space.bits):
-            assert space.inbound_finger_point(space.finger_start(77, j), j) == 77
-
     def test_rejects_bad_index(self):
         space = IdSpace(4)
         with pytest.raises(IdentifierError):
             space.finger_start(0, 4)
         with pytest.raises(IdentifierError):
-            space.inbound_finger_point(0, -1)
-
-
-class TestMeanGap:
-    def test_even_division(self):
-        assert IdSpace(4).mean_gap(16) == 1.0
-        assert IdSpace(4).mean_gap(4) == 4.0
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            IdSpace(4).mean_gap(0)
+            space.finger_start(0, -1)

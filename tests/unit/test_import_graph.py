@@ -12,9 +12,9 @@ function or method whose name no other module under ``src/``,
 import). All three lists below may only shrink: an entry that is not listed
 fails, and so does a listed entry that no longer exists.
 
-The four source rules at the end keep seeded runs replayable and RPC policy
-in the session layer: each is one AST pattern plus the modules allowed to use
-it.
+The source rules at the end keep seeded runs replayable, RPC policy in the
+session layer and imports in use: each is one AST pattern plus the modules
+allowed to use it.
 """
 
 import ast
@@ -102,119 +102,60 @@ def test_every_module_has_an_importer_outside_its_tests():
     assert orphans == set(ALLOWED_ORPHANS)
 
 
-# Public names, in any package under src/repro/, that only their own module and
-# tests/ mention. Most are documented API (docs/API.md) or paper formulas the
-# tests check; the rest is debt. Delete the name or find it a caller — do not
-# add to this list.
+# Public names, in any package under src/repro/, that no other module under
+# src/, benchmarks/ or examples/ mentions, each with the reason it stays. A
+# name that only its own tests read is deleted; one that only its own module
+# calls is made private.
 ALLOWED_ORPHAN_NAMES = {
-    "chord.broadcast:broadcast_children",
-    "chord.fastbuild:DatTreeArrays.branching_counts",
-    "chord.fof:FofCache.best_toward",
-    "chord.fof:FofCache.forget",
-    "chord.fof:FofCache.known_nodes",
-    "chord.fof:FofMaintainer.refresh_next",
-    "chord.hashing:LocalityPreservingHash.invert_approx",
-    "chord.idspace:IdSpace.ccw",
-    "chord.idspace:IdSpace.contains",
-    "chord.idspace:IdSpace.in_closed",
-    "chord.idspace:IdSpace.in_half_open_left",
-    "chord.idspace:IdSpace.inbound_finger_point",
-    "chord.idspace:IdSpace.ring_distance",
-    "chord.incremental:DatUpdateEngine.full_build",
-    "chord.incremental:DatUpdateEngine.untrack",
-    "chord.network:ChordNetwork.add_node_probing",
-    "chord.network:ChordNetwork.create_first",
-    "chord.network:ChordNetwork.finger_convergence_fraction",
-    "chord.network:ChordNetwork.probe_join",
-    "chord.network:ChordNetwork.snapshot_finger_tables",
-    "chord.node:ChordConfig.rpc_policy",
-    "chord.node:ChordProtocolNode.check_predecessor",
-    "chord.node:ChordProtocolNode.fix_next_finger",
-    "chord.node:ChordProtocolNode.lookup_via",
-    "chord.node:ChordProtocolNode.owned_gap",
-    "chord.node:ChordProtocolNode.stabilize",
-    "chord.node:ChordProtocolNode.start_maintenance",
-    "chord.ring:StaticRing.gaps_array",
-    "chord.ring:StaticRing.index_of",
-    "chord.ring:StaticRing.mean_gap",
-    "core.aggregates:HistogramAggregate.bin_edges",
-    "core.aggregates:HistogramAggregate.bin_index",
-    "core.aggregates:available_aggregates",
-    "core.aggregates:register_aggregate",
-    "core.analysis:theoretical_balanced_height_bound",
-    "core.analysis:theoretical_balanced_max_branching",
-    "core.analysis:theoretical_basic_branching",
-    "core.analysis:theoretical_basic_depth",
-    "core.analysis:theoretical_basic_internal_count",
-    "core.analysis:theoretical_max_branching_basic",
-    "core.limiting:FingerLimiter.max_finger_offset",
-    "core.limiting:finger_limit",
-    "core.multitree:DatForest.apply_event",
-    "core.multitree:DatForest.invalidate",
-    "core.multitree:DatForest.per_tree_stats",
-    "core.redundant:RedundantAggregator.replica_keys",
-    "core.service:DatNodeService.owns_key",
-    "core.tree:DatTree.internal_nodes",
-    "core.tree:DatTree.leaves",
-    "core.tree:DatTree.path_to_root",
-    "core.tree:DatTree.subtree_sizes",
-    # telemetry and fleet: the census taken when the ratchet reached them.
-    "fleet.cli:config_from_args",
-    "fleet.compare:FleetComparisonReport.render_text",
-    "fleet.supervisor:AgentHandle.alive",
-    "fleet.supervisor:AgentHandle.fail_pending",
-    "fleet.supervisor:FleetConfig.agent_argv",
-    "fleet.supervisor:FleetSupervisor.broadcast_routes",
-    "fleet.supervisor:FleetSupervisor.pick_ident",
-    "fleet.supervisor:FleetSupervisor.spawn_agent",
-    "telemetry.metrics:log_buckets",
-    "telemetry.report:render_report",
-    "telemetry.report:rolling_imbalance",
-    "telemetry.runtime:Telemetry.counter",
-    "telemetry.runtime:Telemetry.gauge",
-    "telemetry.runtime:Telemetry.histogram",
-    "telemetry.spans:Span.trace_context",
-    "telemetry.spans:SpanBase.trace_context",
-    "telemetry.spans:TraceContext.from_wire",
-    "telemetry.spans:TraceContext.to_wire",
-    "telemetry.traces:Trace.critical_path",
-    # The other packages: the census taken when the ratchet reached them.
-    "baselines.centralized:centralized_direct_loads",
-    "experiments.churn_overhead:live_tree",
-    "experiments.fig7_tree_properties:measure_tree",
-    "experiments.fig9_accuracy:Fig9Result.scatter_points",
-    "experiments.scale:ProtocolScalePoint.from_run",
-    "gma.live:LiveGridMonitor.actual_aggregate",
-    "gma.live:LiveGridMonitor.read_monitoring",
-    "gma.live:LiveGridMonitor.start_monitoring",
-    "gma.monitor:GridMonitor.actual_aggregate",
-    "gma.monitor:GridMonitor.tree_for",
-    "gma.traces:CpuTrace.shifted",
-    "maan.attrs:Resource.value_of",
-    "maan.network:MaanNetwork.arc_nodes",
-    "maan.network:MaanNetwork.estimate_selectivity",
-    "maan.query:MultiAttributeQuery.attribute_names",
-    "maan.query:QueryResult.resource_ids",
-    "maan.store:ResourceStore.all_for_attribute",
-    "maan.store:ResourceStore.remove_resource",
-    "maan.store:ResourceStore.values_for_attribute",
-    "net.client:RpcClient.call_peer",
-    "net.client:RpcClient.cancel_all",
-    "net.envelope:DeferredResponder.abandon",
-    "net.envelope:UpcallRegistry.knows",
-    "net.envelope:error_reply",
-    "net.fanout:Batcher.flush_all",
-    "net.retry:RetryPolicy.unbounded",
-    "sim.engine:SimulationEngine.schedule_at",
-    "sim.latency:LanWanLatency.site_of",
-    "sim.simnet:SimTransport.is_failed",
-    "sim.simnet:SimTransport.recover",
-    "sim.transport:Transport.registered_nodes",
-    "util.bits:floor_log2",
-    "util.rng:derive_rng",
-    "util.validation:check_range",
-    "workloads.churn:ChurnWorkload.expected_events",
-    "workloads.churn:replay_churn",
+    "chord.network:ChordNetwork.add_node_probing":
+        "the paper's live probing join (Sec. 4); ROADMAP item 5(b) boots with it",
+    "core.tree:DatTree.internal_nodes": "DatTree moves as a whole (ROADMAP item 9)",
+    "core.tree:DatTree.leaves": "DatTree moves as a whole (ROADMAP item 9)",
+    "core.tree:DatTree.path_to_root": "DatTree moves as a whole (ROADMAP item 9)",
+    "core.tree:DatTree.subtree_sizes": "DatTree moves as a whole (ROADMAP item 9)",
+    "experiments.churn_overhead:live_tree":
+        "called by run_churn_overhead; tests hold it to the static builder",
+    "experiments.fig7_tree_properties:measure_tree":
+        "called by run_fig7_tree_properties; a test measures one tree with it",
+    "experiments.scale:ProtocolScalePoint.from_run":
+        "called by measure_protocol_point; tests/oracles.py builds references with it",
+    "fleet.compare:FleetComparisonReport.render_text": "debt: only tests read it",
+    "fleet.supervisor:AgentHandle.alive": "a property the supervisor and its tests read",
+    "gma.live:LiveGridMonitor.actual_aggregate":
+        "ground truth of the live monitor; ROADMAP item 20 gives it a reader",
+    "gma.live:LiveGridMonitor.read_monitoring":
+        "continuous-mode read; ROADMAP item 20 gives it a reader",
+    "gma.live:LiveGridMonitor.start_monitoring":
+        "continuous-mode start; ROADMAP item 20 gives it a reader",
+    "gma.monitor:GridMonitor.actual_aggregate": "ground truth the GMA tests compare against",
+    "gma.traces:CpuTrace.shifted": "debt: only tests read it",
+    "maan.network:MaanNetwork.arc_nodes": "called by its own module's range walks",
+    "maan.network:MaanNetwork.estimate_selectivity":
+        "called by its own module's multi-attribute walk",
+    "maan.query:MultiAttributeQuery.attribute_names": "debt: only tests read it",
+    "maan.query:QueryResult.resource_ids": "debt: only tests read it",
+    "maan.store:ResourceStore.all_for_attribute": "debt: only tests read it",
+    "maan.store:ResourceStore.remove_resource": "debt: only tests read it",
+    "maan.store:ResourceStore.values_for_attribute": "debt: only tests read it",
+    "net.envelope:UpcallRegistry.knows": "debt: only tests read it",
+    "net.envelope:error_reply":
+        "debt: builds the wire error envelope RpcClient decodes; no service sends one",
+    "net.fanout:Batcher.flush_all": "called by Batcher.close",
+    "net.retry:RetryPolicy.unbounded": "debt: only tests read it",
+    "sim.engine:SimulationEngine.schedule_at": "debt: only tests read it",
+    "sim.latency:LanWanLatency.site_of":
+        "the two-tier Grid latency model; ROADMAP item 5(b) gives it a reader",
+    "sim.simnet:SimTransport.recover": "fault injection the transport tests drive",
+    "sim.transport:Transport.registered_nodes": "debt: only tests read it",
+    "telemetry.metrics:log_buckets": "default histogram buckets of its own module",
+    "telemetry.report:render_report": "the report CLI's text renderer",
+    "telemetry.report:rolling_imbalance": "the report CLI's imbalance series",
+    "telemetry.runtime:Telemetry.counter": "called by the module-level count()",
+    "telemetry.runtime:Telemetry.gauge": "called by the module-level gauge_set()",
+    "telemetry.runtime:Telemetry.histogram": "called by the module-level observe()",
+    "telemetry.traces:Trace.critical_path": "called by its own module's summaries",
+    "util.bits:floor_log2": "debt: only tests read it",
+    "workloads.churn:replay_churn": "debt: only tests read it",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -258,7 +199,7 @@ def test_every_public_chord_and_core_name_is_mentioned_outside_its_module():
             for name in _public_defs(ast.parse(path.read_text())):
                 if name.rpartition(".")[2] not in elsewhere:
                     orphans.add(f"{package}.{path.stem}:{name}")
-    assert orphans == ALLOWED_ORPHAN_NAMES
+    assert orphans == set(ALLOWED_ORPHAN_NAMES)
 
 
 # Source rules. A finding is ``(module, enclosing class/def, line)``; modules
@@ -389,8 +330,55 @@ def _wraps_ring_by_hand(node):
 
 
 def test_ring_arithmetic_goes_through_idspace():
-    """Clockwise distances and wraparound go through ``IdSpace.wrap``/``cw``/
-    ``ccw`` or ``repro.util.bits``; a raw ``%`` by the ring modulus or ``&`` by
+    """Clockwise distances and wraparound go through ``IdSpace.wrap``/``cw``
+    or ``repro.util.bits``; a raw ``%`` by the ring modulus or ``&`` by
     ``space.max_id`` is how a swapped-operand orientation bug lands."""
     allowed = ("repro.chord.idspace", "repro.util.bits")
     assert _offenders(_wraps_ring_by_hand, allowed) == []
+
+
+def _annotation_names(tree):
+    """Identifiers inside string annotations (``-> "TraceContext | None"``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            note = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            note = node.returns
+        else:
+            continue
+        for leaf in ast.walk(note) if note is not None else ():
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                expression = ast.parse(leaf.value, mode="eval")
+                yield from (n.id for n in ast.walk(expression) if isinstance(n, ast.Name))
+
+
+def _unused_imports(tree):
+    """``(name, line)`` of every name a module imports and never mentions.
+
+    A name counts as mentioned when it is read anywhere: a bare name, the
+    root of an attribute chain or an identifier in a string annotation.
+    """
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_annotation_names(tree))
+    return sorted((name, line) for name, line in bound.items() if name not in used)
+
+
+def test_every_import_is_used():
+    """An import a module never reads is dead weight that deletions leave
+    behind. ``__init__.py`` files are exempt: their imports are the package's
+    re-exports."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        found += [(module, *unused) for unused in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []

@@ -255,13 +255,10 @@ class TestDatUpdateEngine:
         with pytest.raises(KeyError):
             engine.tree(123)
 
-    def test_track_and_untrack(self, ring):
+    def test_track_returns_the_maintained_tree(self, ring):
         engine = DatUpdateEngine(ring)
         tree = engine.track(123)
         assert engine.tree(123) is tree
-        engine.untrack(123)
-        with pytest.raises(KeyError):
-            engine.tree(123)
 
     def test_root_handover_forces_rebuild(self):
         space = IdSpace(12)
@@ -333,8 +330,11 @@ class TestBuilderIntegration:
         builder = DatTreeBuilder(ring)
         keys = [7, 7000, 42000]
         builder.build_many(keys)
+        engine = DatUpdateEngine(ring)
+        for key in keys:
+            engine.track(key)
         for kind, ident in _seeded_events(ring, 40, seed=2007):
-            builder.apply_event(kind, ident)
+            engine.apply(kind, ident)
         fresh = StaticRing(ring.space, ring.nodes)
         for key in keys:
             arrays = builder.tree_arrays(key)
@@ -344,22 +344,6 @@ class TestBuilderIntegration:
             assert np.array_equal(arrays.parent_index, reference.parent_index)
             assert arrays.parent_map() == builder.build(key).parent
             assert builder.tree_stats(key) == reference.stats()
-
-    def test_apply_event_patches_built_trees(self, ring):
-        builder = DatTreeBuilder(ring)
-        keys = [7, 7000, 42000]
-        builder.build_many(keys)
-        newcomer = next(
-            ident for ident in range(ring.space.size) if ident not in ring
-        )
-        builder.apply_event("join", newcomer)
-        builder.apply_event("leave", ring.nodes[0])
-        reference_ring = StaticRing(ring.space, ring.nodes)
-        for key in keys:
-            reference = build_dat(reference_ring, key)
-            tree = builder.build(key)
-            assert tree.root == reference.root
-            assert tree.parent == reference.parent
 
     def test_finger_matrix_is_equal_per_read_and_not_retained(self, ring):
         builder = DatTreeBuilder(ring)
@@ -382,31 +366,13 @@ class TestBuilderIntegration:
 
     def test_custom_d0_still_scalar(self, ring):
         builder = DatTreeBuilder(ring)
-        custom = builder.build(999, d0=ring.mean_gap() * 2)
+        custom = builder.build(999, d0=ring.space.size / len(ring) * 2)
         default = builder.build(999)
         assert custom.root == default.root
         assert custom.parent != default.parent or len(ring) <= 2
 
 
 class TestForestIntegration:
-    def test_apply_event_updates_every_tree(self, ring):
-        attributes = ["cpu", "mem", "disk"]
-        forest = DatForest(ring, attributes)
-        newcomer = next(
-            ident for ident in range(ring.space.size) if ident not in ring
-        )
-        report = forest.apply_event("join", newcomer)
-        assert report.delta.ident == newcomer
-        reference_ring = StaticRing(ring.space, ring.nodes)
-        for attribute in attributes:
-            reference = build_dat(
-                reference_ring, sha1_id(attribute, ring.space)
-            )
-            tree = forest.tree(attribute)
-            assert tree.root == reference.root
-            assert tree.parent == reference.parent
-        forest.load_report()  # combined-load analysis still works
-
     def test_attribute_keys_are_hashed_once(self, ring, monkeypatch):
         import repro.core.multitree as multitree
 
@@ -416,10 +382,7 @@ class TestForestIntegration:
             raise AssertionError("attribute keys are hashed in __init__ only")
 
         monkeypatch.setattr(multitree, "sha1_id", refuse)
-        before = {a: dict(t.parent) for a, t in forest.trees.items()}
-        forest.apply_event("join", _newcomer(ring))
-        assert forest.trees.keys() == before.keys()
-        assert any(forest.tree(a).parent != before[a] for a in before)
+        assert forest.trees.keys() == {"cpu", "mem"}
 
 
 class TestChurnReplay:

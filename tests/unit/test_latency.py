@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.latency import ConstantLatency, LanWanLatency, UniformLatency
+from repro.sim.latency import ConstantLatency, LanWanLatency
 
 
 class TestConstantLatency:
@@ -14,18 +14,6 @@ class TestConstantLatency:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ConstantLatency(-0.1)
-
-
-class TestUniformLatency:
-    def test_within_bounds(self):
-        model = UniformLatency(0.001, 0.002, rng=3)
-        for _ in range(100):
-            delay = model.sample(0, 1)
-            assert 0.001 <= delay <= 0.002
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            UniformLatency(0.5, 0.1)
 
 
 class TestLanWanLatency:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.limiting import FingerLimiter, ceil_log2_fraction, finger_limit
+from repro.core.limiting import FingerLimiter, ceil_log2_fraction
 
 
 class TestCeilLog2Fraction:
@@ -34,30 +34,30 @@ class TestCeilLog2Fraction:
 class TestFingerLimit:
     def test_paper_example_n8(self):
         # Fig. 5: node N8, root N0, d0 = 1: g(8) = ceil(log2(10/3)) = 2.
-        assert finger_limit(8, 1) == 2
+        assert FingerLimiter.for_gap(1)(8) == 2
 
     def test_adjacent_node(self):
         # x = 1, d0 = 1: g = ceil(log2(1)) = 0 -> only the successor finger.
-        assert finger_limit(1, 1) == 0
+        assert FingerLimiter.for_gap(1)(1) == 0
 
     def test_grows_logarithmically(self):
-        values = [finger_limit(x, 1) for x in (1, 2, 4, 8, 16, 32, 64)]
+        values = [FingerLimiter.for_gap(1)(x) for x in (1, 2, 4, 8, 16, 32, 64)]
         assert values == sorted(values)
         assert values[-1] - values[0] <= 7
 
     def test_d0_scaling(self):
         # Doubling d0 shifts the limit by at most one slot.
         for x in (10, 100, 1000):
-            assert abs(finger_limit(x, 2) - finger_limit(x, 1)) <= 1
+            assert abs(FingerLimiter.for_gap(2)(x) - FingerLimiter.for_gap(1)(x)) <= 1
 
     def test_fraction_d0_exact(self):
-        assert finger_limit(8, Fraction(1)) == 2
+        assert FingerLimiter.for_gap(Fraction(1))(8) == 2
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            finger_limit(-1, 1)
+            FingerLimiter.for_gap(1)(-1)
         with pytest.raises(ValueError):
-            finger_limit(5, 0)
+            FingerLimiter.for_gap(0)(5)
 
 
 class TestFingerLimiter:
@@ -69,10 +69,6 @@ class TestFingerLimiter:
     def test_for_gap_accepts_float(self):
         limiter = FingerLimiter.for_gap(1.0)
         assert limiter(8) == 2
-
-    def test_max_finger_offset(self):
-        limiter = FingerLimiter.for_ring(bits=4, n_nodes=16)
-        assert limiter.max_finger_offset(8) == 4
 
     def test_rejects_bad_ring(self):
         with pytest.raises(ValueError):
@@ -88,5 +84,5 @@ class TestFingerLimiter:
 
         for d in range(1, 200):
             j = ceil_log2(d + 2)
-            assert finger_limit(d + (1 << (j - 1)), 1) == j - 1, d
-            assert finger_limit(d + (1 << j), 1) == j, d
+            assert FingerLimiter.for_gap(1)(d + (1 << (j - 1))) == j - 1, d
+            assert FingerLimiter.for_gap(1)(d + (1 << j)) == j, d

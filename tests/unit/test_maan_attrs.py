@@ -51,12 +51,6 @@ class TestAttributeSchema:
 
 
 class TestResource:
-    def test_value_of(self):
-        resource = Resource("host-1", {"cpu-speed": 2.8})
-        assert resource.value_of("cpu-speed") == 2.8
-        with pytest.raises(KeyError):
-            resource.value_of("missing")
-
     def test_matches_range(self):
         resource = Resource("host-1", {"cpu-usage": 95.0})
         assert resource.matches("cpu-usage", 90, 100)

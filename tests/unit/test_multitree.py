@@ -66,18 +66,3 @@ class TestCombinedLoad:
     def test_report_row(self, forest):
         row = forest.load_report().as_row()
         assert row["n_trees"] == 16 and row["n_nodes"] == 128
-
-    def test_per_tree_stats(self, forest):
-        stats = forest.per_tree_stats()
-        assert set(stats) == set(ATTRIBUTES)
-        assert all(s["max_branching"] <= 10 for s in stats.values())
-
-
-class TestInvalidate:
-    def test_rebuild_after_membership_change(self, forest):
-        victim = forest.ring.nodes[0]
-        forest.ring.remove(victim)
-        forest.invalidate()
-        for tree in forest.trees.values():
-            assert victim not in tree.nodes()
-            assert tree.n_nodes == 127

@@ -226,19 +226,6 @@ class TestRpcClient:
         assert len(local) == 2  # first attempt + one retry, both local
         assert transport.stats.load(1).sent == 0  # nothing hit the wire
 
-    def test_cancel_all_silences_continuations(self):
-        transport = InprocTransport()
-        client = self._client(transport)
-        client.call(
-            client.request("q", 99),
-            lambda r: pytest.fail("cancelled"),
-            on_timeout=lambda m: pytest.fail("cancelled"),
-        )
-        assert transport.pending_calls() == 1
-        client.cancel_all()
-        assert transport.pending_calls() == 0
-        transport.advance(10.0)  # the armed deadline is a no-op now
-
     def test_peer_round_trip(self):
         transport = InprocTransport()
         client = self._client(transport)
@@ -381,14 +368,6 @@ class TestDeferredResponder:
         # A retransmission after completion re-sends the cached reply.
         assert responder.begin("k", request) is False
         assert transport.stats.load(2).sent == 2
-
-    def test_abandon_releases_claim(self):
-        responder = DeferredResponder(InprocTransport())
-        request = self._request()
-        responder.begin("k", request)
-        responder.abandon("k")
-        assert len(responder._inflight) == 0
-        assert responder.begin("k", request) is True
 
     def test_capacity_evicts_oldest(self):
         transport = InprocTransport()

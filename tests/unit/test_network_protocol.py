@@ -19,21 +19,15 @@ def make_network(bits: int = 8) -> ChordNetwork:
 class TestMembership:
     def test_bootstrap_then_joins(self):
         network = make_network()
-        network.create_first(10)
+        network.add_node(10)
         network.add_node(100)
         network.add_node(200)
         network.settle(30.0)
         assert network.is_converged()
 
-    def test_double_bootstrap_rejected(self):
-        network = make_network()
-        network.create_first(10)
-        with pytest.raises(RingError):
-            network.create_first(20)
-
     def test_duplicate_join_rejected(self):
         network = make_network()
-        network.create_first(10)
+        network.add_node(10)
         with pytest.raises(RingError):
             network.add_node(10)
 
@@ -44,7 +38,7 @@ class TestMembership:
 
     def test_remove_node(self):
         network = make_network()
-        network.create_first(10)
+        network.add_node(10)
         network.add_node(100)
         network.settle(30.0)
         network.remove_node(100, graceful=True)
@@ -68,7 +62,7 @@ class TestConvergence:
         assert rounds >= 1
         assert network.is_converged()
 
-    def test_finger_convergence_fraction_reaches_one(self):
+    def test_fingers_reach_the_ideal_ring(self):
         network = make_network()
         for ident in (10, 60, 120, 180):
             network.add_node(ident)
@@ -76,7 +70,6 @@ class TestConvergence:
         for node in network.nodes.values():
             node.fix_all_fingers()
         network.settle(10.0)
-        assert network.finger_convergence_fraction() == 1.0
         assert network.is_converged(check_fingers=True)
 
     def test_ideal_ring_matches_membership(self):
@@ -88,14 +81,6 @@ class TestConvergence:
     def test_empty_network_is_converged(self):
         assert make_network().is_converged()
 
-    def test_snapshot_finger_tables(self):
-        network = make_network()
-        network.add_node(10)
-        network.add_node(100)
-        network.settle(20.0)
-        tables = network.snapshot_finger_tables()
-        assert set(tables) == {10, 100}
-
 
 class TestProbeJoin:
     def test_probe_returns_designated_identifier(self):
@@ -103,9 +88,13 @@ class TestProbeJoin:
         network.add_node(0)
         network.add_node(128)
         network.settle_until_converged()
-        designated = network.probe_join(rng=7)
-        assert designated is not None
-        assert designated not in network.nodes
+        before = set(network.nodes)
+        node = network.add_node_probing(rng=7)
+        assert node is not None
+        assert node.ident not in before
+        assert set(network.nodes) == before | {node.ident}
 
     def test_probe_on_empty_network(self):
-        assert make_network().probe_join(rng=1) is None
+        network = make_network()
+        assert network.add_node_probing(rng=1) is None
+        assert network.nodes == {}

@@ -87,4 +87,4 @@ class TestSelectParentBalanced:
                 continue
             x = space.cw(node, 0)
             parent = select_parent_balanced(tables[node], 0, limiter)
-            assert space.cw(node, parent) <= limiter.max_finger_offset(x)
+            assert space.cw(node, parent) <= 1 << limiter(x)

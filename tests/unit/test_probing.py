@@ -55,7 +55,7 @@ class TestProbeSplitIdentifier:
     def test_empty_ring_gets_random_id(self, space16):
         ring = StaticRing(space16)
         ident = probe_split_identifier(ring, rng=3)
-        assert space16.contains(ident)
+        assert space16.validate(ident) == ident
 
     def test_splits_largest_probed_gap(self, space4):
         # Nodes at 0 and 1: the gap before 0 (from 1, size 15) dominates.

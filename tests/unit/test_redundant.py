@@ -19,8 +19,8 @@ def setup():
 class TestConstruction:
     def test_k_distinct_keys(self, setup):
         _ring, _values, aggregator = setup
-        keys = aggregator.replica_keys()
-        assert len(set(keys)) == 3
+        keys = {tree.key for tree in aggregator.trees()}
+        assert len(keys) == 3
 
     def test_roots_spread(self, setup):
         _ring, _values, aggregator = setup

@@ -108,10 +108,6 @@ class TestGaps:
         ring = StaticRing(space4, [9])
         assert ring.gaps() == {9: space4.size}
 
-    def test_mean_gap(self, space4):
-        ring = StaticRing(space4, [0, 8])
-        assert ring.mean_gap() == 8.0
-
     def test_gap_ratio_uniform_is_one(self, uniform_ring):
         assert uniform_ring.gap_ratio() == 1.0
 

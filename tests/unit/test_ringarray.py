@@ -83,11 +83,11 @@ class TestStaticRingViews:
         assert listed.id_index().ids.tolist() == adopted.id_index().ids.tolist()
         assert listed.gaps() == adopted.gaps()
         for ident in idents:
-            assert listed.index_of(ident) == adopted.index_of(ident)
+            assert listed.successor_of_node(ident) == adopted.successor_of_node(ident)
             assert listed.finger_entries(ident) == adopted.finger_entries(ident)
         for ring in (listed, adopted):
             with pytest.raises(UnknownNodeError):
-                ring.index_of(6)
+                ring.successor_of_node(6)
             with pytest.raises(IdentifierError):
                 ring.successor(65536)
 
@@ -150,7 +150,7 @@ class TestStaticRingViews:
             assert len(ring) == 0
             assert ring.gaps() == {}
             with pytest.raises(EmptyRingError):
-                ring.gaps_array()
+                ring.gap_ratio()
 
     def test_vector_pipeline_never_builds_the_list(self):
         # The 10^6-node memory property, pinned without a 10^6-node run: a
@@ -161,7 +161,7 @@ class TestStaticRingViews:
         ring = StaticRing.from_sorted_ids(space, ids)
         assert len(ring) == 2**17
         assert ring.id_index().ids is ids
-        assert ring.gaps_array().sum() == space.size
+        assert ring.id_index().gaps().sum() == space.size
         assert ring.gap_ratio() > 1.0
         assert len(fast_tree_arrays(ring, 12345)) == 2**17
         assert len(ChordNodeBlock.from_ring(ring)) == 2**17

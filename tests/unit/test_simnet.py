@@ -77,7 +77,6 @@ class TestFailureInjection:
         transport.send(Message(kind="x", source=1, destination=2))
         transport.run()
         assert received == []
-        assert transport.is_failed(2)
 
     def test_failed_source_drops(self):
         transport = SimTransport()

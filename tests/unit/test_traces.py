@@ -59,9 +59,14 @@ def tracing_recorder(site: str = "0") -> tuple[SpanRecorder, FakeClock]:
 
 class TestTraceContext:
     def test_wire_roundtrip(self):
-        ctx = TraceContext(trace_id="7:42", parent="7:43", hop=2)
-        assert ctx.to_wire() == ["7:42", "7:43", 2]
-        assert TraceContext.from_wire(ctx.to_wire()) == ctx
+        rec, _clock = tracing_recorder(site="7")
+        span = rec.start_trace("op")
+        payload: dict[str, object] = {}
+        span.propagate(payload)
+        assert payload[TRACE_KEY] == [span.trace_id, span.sid, 0]
+        ctx = TraceContext(trace_id=span.trace_id, parent=span.sid, hop=0)
+        assert TraceContext.extract(payload) == ctx
+        span.finish()
 
     @pytest.mark.parametrize(
         "wire",
@@ -77,15 +82,15 @@ class TestTraceContext:
         ],
     )
     def test_malformed_wire_is_none(self, wire):
-        assert TraceContext.from_wire(wire) is None
+        assert TraceContext.extract({TRACE_KEY: wire}) is None
 
     def test_extract_from_message_payload_and_passthrough(self):
         ctx = TraceContext(trace_id="1:1", parent="1:1", hop=0)
         msg = Message(
-            kind="x", source=1, destination=2, payload={TRACE_KEY: ctx.to_wire()}
+            kind="x", source=1, destination=2, payload={TRACE_KEY: ["1:1", "1:1", 0]}
         )
         assert TraceContext.extract(msg) == ctx
-        assert TraceContext.extract({TRACE_KEY: ctx.to_wire()}) == ctx
+        assert TraceContext.extract({TRACE_KEY: ["1:1", "1:1", 0]}) == ctx
         assert TraceContext.extract(ctx) is ctx
         assert TraceContext.extract(None) is None
         assert TraceContext.extract({"no": "context"}) is None
@@ -149,7 +154,6 @@ class TestRecorderTracing:
         rec = SpanRecorder(clock=FakeClock(), tracing=False)
         span = rec.start_trace("dat.push")
         assert span.trace_id is None
-        assert span.trace_context() is None
         payload: dict[str, object] = {}
         span.propagate(payload)
         assert TRACE_KEY not in payload

@@ -106,10 +106,6 @@ class TestMetrics:
         assert stats.max_branching == 0
         assert stats.avg_branching == 0.0
 
-    def test_stats_as_dict(self):
-        row = binary_tree().stats().as_dict()
-        assert row["n_nodes"] == 7 and "height" in row
-
     def test_subtree_sizes(self):
         sizes = binary_tree().subtree_sizes()
         assert sizes[1] == 7

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import RngMixin, derive_rng, ensure_rng, spawn_seeds
+from repro.util.rng import RngMixin, ensure_rng, spawn_seeds
 
 
 class TestEnsureRng:
@@ -18,22 +18,6 @@ class TestEnsureRng:
 
     def test_none_gives_fresh_generator(self):
         assert isinstance(ensure_rng(None), np.random.Generator)
-
-
-class TestDeriveRng:
-    def test_children_differ_by_key(self):
-        parent = ensure_rng(7)
-        a = derive_rng(parent, 1)
-        b = derive_rng(parent, 2)
-        assert list(a.integers(0, 10**9, 4)) != list(b.integers(0, 10**9, 4))
-
-    def test_child_independent_of_parent_consumption(self):
-        # Deriving consumes parent state deterministically.
-        p1 = ensure_rng(7)
-        p2 = ensure_rng(7)
-        c1 = derive_rng(p1, 5)
-        c2 = derive_rng(p2, 5)
-        assert list(c1.integers(0, 10**9, 4)) == list(c2.integers(0, 10**9, 4))
 
 
 class TestSpawnSeeds:

@@ -6,7 +6,6 @@ from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_range,
 )
 
 
@@ -42,12 +41,3 @@ class TestCheckProbability:
             check_probability("p", -0.1)
         with pytest.raises(ValueError):
             check_probability("p", 1.1)
-
-
-class TestCheckRange:
-    def test_accepts_inside(self):
-        check_range("v", 5, 0, 10)
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError, match="v"):
-            check_range("v", 11, 0, 10)

@@ -85,10 +85,6 @@ class TestChurnWorkload:
         assert events
         assert all(e.kind is ChurnKind.CRASH for e in events)
 
-    def test_expected_events(self):
-        workload = ChurnWorkload(duration=50.0, join_rate=0.1, leave_rate=0.3)
-        assert workload.expected_events() == pytest.approx(20.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ChurnWorkload(duration=0)
